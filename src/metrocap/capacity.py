@@ -14,13 +14,14 @@ from math import comb
 from typing import Mapping, Sequence, Union
 
 from .rep_core import (
-    UNBOUNDED,
     Decomposition,
     Model,
     Partition,
     RefSize,
+    _check_block_budget,
     _partition_rows,
     _weyl_dim_rows,
+    partition_count,
     weight_count,
 )
 
@@ -55,21 +56,6 @@ class CapacityReport:
     t: int
     l: RefSize
     support: int  # exact integer whose log is `value`
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model.value,
-            "n": self.n,
-            "t": self.t,
-            "l": "inf" if self.l is UNBOUNDED else self.l,
-            "log_base": self.log_base,
-            "value": self.value,
-            "support": str(self.support),
-            "optimal_p": [
-                {"label": list(label), "p": f"{p.numerator}/{p.denominator}"}
-                for label, p in self.optimal_p.items()
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -161,6 +147,7 @@ def su_square_sum(n: int, t: int) -> int:
         raise ValueError("n must be non-negative")
     if t < 2:
         raise ValueError("t must be at least 2")
+    _check_block_budget(partition_count(n, t))
     total = 0
     for rows in _partition_rows(n, t):
         d = _weyl_dim_rows(rows)
@@ -176,26 +163,17 @@ def su_capacity(n: int, t: int) -> float:
 
 
 def su2_closed_form(n: int) -> int:
-    """Exact sum of squared SU(2) dimensions: (n+1)(n+2)(n+3)/6."""
+    """Exact sum of squared SU(2) dimensions: (n+1)(n+2)(n+3)/6 = C(n+3, 3)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n % 2 == 0:
-        m = n // 2
-        num = (m + 1) * (2 * m + 1) * (2 * m + 3)
-    else:
-        m = (n + 1) // 2
-        num = 2 * m * (m + 1) * (2 * m + 1)
-    # both parities collapse to (n+1)(n+2)(n+3)/6
-    if num % 3:
-        raise ArithmeticError(f"parity form not divisible by 3 at n={n}")
-    return num // 3
+    return comb(n + 3, 3)
 
 
 def su2_asymptote_residual(n: int) -> float:
     """|log(sum of squared dims) - (3 log n - log 6)| for t = 2."""
     if n < 1:
         raise ValueError("n must be positive")
-    return abs(log_integer(su_square_sum(n, 2)) - (3.0 * math.log(n) - math.log(6.0)))
+    return abs(log_integer(su2_closed_form(n)) - (3.0 * math.log(n) - math.log(6.0)))
 
 
 def gapped_partitions(n: int, t: int, a) -> list[Partition]:

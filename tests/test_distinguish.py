@@ -134,12 +134,6 @@ def test_m_eps_bracket_contains_capacity_shift():
     assert b.lower < r < b.upper
 
 
-def test_m_eps_json_keys():
-    b = m_eps_capacity_bounds(decompose("mp", 3, 2, 1), 0.5)
-    payload = b.to_json_dict()
-    assert set(payload) == {"alpha", "beta", "epsilon", "lower_nats", "upper_nats"}
-
-
 # ---------------------------------------------------------------- geometry
 
 def test_ball_volume_values():

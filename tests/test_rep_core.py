@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from metrocap import rep_core
 from metrocap.rep_core import (
     UNBOUNDED,
     Decomposition,
@@ -17,7 +18,7 @@ from metrocap.rep_core import (
     enumerate_weights,
     multiplicity_mp,
     multiplicity_su,
-    partition_count_bound,
+    partition_count,
     weight_count,
     weyl_dimension,
 )
@@ -156,7 +157,7 @@ def test_enumerate_partitions_brute(n, t):
 def test_partition_count_bound_sweep():
     for t in range(1, 5):
         for n in range(51):
-            assert len(enumerate_partitions(n, t)) <= partition_count_bound(n, t)
+            assert len(enumerate_partitions(n, t)) == partition_count(n, t)
 
 
 def test_enumerate_weights_small():
@@ -289,6 +290,18 @@ def test_decompose_validation():
         decompose("mp", 2, 2, 0)
     with pytest.raises(ValueError):
         decompose("mp", 2, 2, 1.5)
+
+
+def test_decompose_block_budget(monkeypatch):
+    with pytest.raises(ValueError, match=f"{partition_count(1000, 6)} blocks .* of 1000000"):
+        decompose("su", 1000, 6, 1)
+    monkeypatch.setattr(rep_core, "MAX_BLOCKS", 10)
+    assert len(decompose("mp", 3, 3, 1).entries) == 10  # C(5, 2), at the budget
+    assert len(decompose("su", 8, 3, 1).entries) == 10  # p(8, <= 3 parts)
+    with pytest.raises(ValueError, match="15 blocks .* budget of 10"):
+        decompose("mp", 4, 3, 1)
+    with pytest.raises(ValueError, match="12 blocks .* budget of 10"):
+        decompose("su", 9, 3, 1)
 
 
 # ---------------------------------------------------------------- json
