@@ -18,10 +18,7 @@ from .rep_core import (
     Model,
     Partition,
     RefSize,
-    _check_block_budget,
     _partition_rows,
-    _weyl_dim_rows,
-    partition_count,
     weight_count,
 )
 
@@ -142,17 +139,15 @@ def mp_capacity(n: int, t: int) -> float:
 
 
 def su_square_sum(n: int, t: int) -> int:
-    """Exact sum of squared irrep dimensions over partitions of n into <= t rows."""
+    """Exact sum of squared irrep dimensions over partitions of n into <= t rows.
+
+    By the Cauchy identity this is dim Sym^n(C^t (x) C^t) = C(n+t^2-1, t^2-1).
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     if t < 2:
         raise ValueError("t must be at least 2")
-    _check_block_budget(partition_count(n, t))
-    total = 0
-    for rows in _partition_rows(n, t):
-        d = _weyl_dim_rows(rows)
-        total += d * d
-    return total
+    return comb(n + t * t - 1, t * t - 1)
 
 
 def su_capacity(n: int, t: int) -> float:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -309,11 +310,19 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{**values, "format": fmt})
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """One stderr line per library warning, without the source location, so
+    stderr does not depend on where the package is installed."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return run(config_from_args(args))
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return run(config_from_args(args))
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, factorial
+from math import comb
 from typing import Iterator, Union
 
 
@@ -40,9 +40,11 @@ UNBOUNDED = _UnboundedType()
 
 RefSize = Union[int, _UnboundedType]
 
-# Most blocks an enumeration may build.  A mp decomposition costs 15-50 us per
-# block on a 2-vCPU Xeon VM (Python 3.11), so the budget keeps one request
-# under about a minute; larger ones are refused before they start.
+# Most blocks an enumeration may build; larger ones are refused before they
+# start.  A block costs 6-25 us at n <= 500 on a 2-vCPU Xeon VM (Python 3.11),
+# but its integers grow with n: at t = 3 near the budget a mp block (n = 1400)
+# costs about 90 us and a su block (n = 3400) about 0.34 ms, so the largest
+# admitted requests run for minutes.
 MAX_BLOCKS = 1_000_000
 
 
@@ -236,18 +238,34 @@ def weyl_dimension(lam: Partition, t: int) -> int:
 
 
 def multiplicity_su(lam: Partition, n: int) -> int:
-    """Number of standard Young tableaux of shape ``lam`` (hook lengths)."""
+    """Number of standard Young tableaux of shape ``lam``, by the Frobenius
+    formula n! * prod_{i<j} (l_i - l_j) / prod_i l_i! over the k occupied
+    rows, with shifted lengths l_i = lam_i + k - 1 - i.
+
+    The l_i sum to n + k(k-1)/2, so n! / prod l_i! is taken as the multinomial
+    of the l_i (a running product of binomials) over (n+1)...(sum l_i): the one
+    division is by a product of k(k-1)/2 small factors.
+    """
     if lam.n != n:
         raise ValueError(f"partition fills {lam.n} boxes, expected {n}")
     rows = [r for r in lam.rows if r > 0]
-    if not rows:
-        return 1
-    col_heights = [sum(1 for r in rows if r > j) for j in range(rows[0])]
-    hooks = 1
-    for i, row in enumerate(rows):
-        for j in range(row):
-            hooks *= (row - j) + (col_heights[j] - i) - 1
-    return factorial(n) // hooks
+    k = len(rows)
+    shifted = [r + k - 1 - i for i, r in enumerate(rows)]
+    num = 1
+    filled = 0
+    for i in range(k):
+        li = shifted[i]
+        filled += li
+        num *= comb(filled, li)
+        for j in range(i + 1, k):
+            num *= li - shifted[j]
+    den = 1
+    for m in range(n + 1, filled + 1):
+        den *= m
+    q, r = divmod(num, den)
+    if r:  # the quotient is always an integer; guard against misuse
+        raise ArithmeticError(f"non-integer tableau count for rows {lam.rows}")
+    return q
 
 
 def _weight_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -270,10 +288,13 @@ def enumerate_weights(n: int, t: int) -> list[WeightVector]:
 
 
 def multiplicity_mp(weight: WeightVector) -> int:
-    """Multinomial coefficient n! / (n_0! ... n_{t-1}!)."""
-    out = factorial(weight.n)
+    """Multinomial coefficient n! / (n_0! ... n_{t-1}!), as a running product
+    of binomials C(n_0 + ... + n_k, n_k)."""
+    out = 1
+    filled = 0
     for c in weight.counts:
-        out //= factorial(c)
+        filled += c
+        out *= comb(filled, c)
     return out
 
 

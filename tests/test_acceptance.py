@@ -37,6 +37,7 @@ from metrocap.oracle import (
     von_neumann_entropy,
 )
 from metrocap.rep_core import decompose, weyl_dimension
+from reference import enumerated_square_sum
 
 CRITERIA = []
 
@@ -53,7 +54,8 @@ def criterion(number, description):
 def check_su2_closed_forms():
     start = time.perf_counter()
     for n in range(1, 1001):
-        assert su_square_sum(n, 2) == su2_closed_form(n), f"mismatch at n={n}"
+        expected = enumerated_square_sum(n, 2)
+        assert su_square_sum(n, 2) == su2_closed_form(n) == expected, f"mismatch at n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"sweep took {elapsed:.2f} s"
 

@@ -23,7 +23,8 @@ from metrocap.capacity import (
     su_square_sum,
     symmetric_subspace_mi,
 )
-from metrocap.rep_core import UNBOUNDED, Decomposition, decompose
+from metrocap.rep_core import MAX_BLOCKS, UNBOUNDED, Decomposition, decompose, partition_count
+from reference import enumerated_square_sum
 
 
 # ---------------------------------------------------------------- exact logs
@@ -187,6 +188,16 @@ def test_su_capacity_values():
         su_capacity(0, 2)
 
 
+def test_su_square_sum_needs_no_enumeration():
+    """The Cauchy closed form answers where an enumeration would be refused."""
+    assert partition_count(1000, 6) > MAX_BLOCKS
+    assert su_square_sum(1000, 6) > 0
+    with pytest.raises(ValueError):
+        su_square_sum(-1, 3)
+    with pytest.raises(ValueError):
+        su_square_sum(5, 1)
+
+
 def test_su2_closed_form_values():
     assert su2_closed_form(1) == 4
     assert su2_closed_form(2) == 10
@@ -202,7 +213,7 @@ def test_su2_closed_form_single_polynomial():
 
 def test_su2_closed_form_matches_sum():
     for n in list(range(1, 60)) + [101, 256, 999]:
-        assert su_square_sum(n, 2) == su2_closed_form(n)
+        assert su_square_sum(n, 2) == su2_closed_form(n) == enumerated_square_sum(n, 2)
         assert su_capacity(n, 2) == log_integer(su2_closed_form(n))
 
 

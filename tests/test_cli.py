@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,7 +236,7 @@ def test_validation_failures_exit_2(capsys, argv, needle):
     [
         (["decompose", "--model", "mp", "--n", "1000", "--t", "6"], "8459043543951"),
         (["capacity", "--model", "mp", "--n", "1000", "--t", "6"], "8459043543951"),
-        (["scaling", "--model", "su", "--t", "6", "--n-range", "1000:1020:10"], "blocks"),
+        (["decompose", "--model", "su", "--n", "1000", "--t", "6"], "12193703764"),
     ],
 )
 def test_block_budget_exits_2_at_once(capsys, argv, count):
@@ -244,6 +245,30 @@ def test_block_budget_exits_2_at_once(capsys, argv, count):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and count in err and "1000000" in err
+
+
+def test_su_scaling_needs_no_block_budget(capsys):
+    """The su sweep is a closed form, so sizes past the enumeration budget run."""
+    start = time.perf_counter()
+    report = run_json(capsys, ["scaling", "--model", "su", "--t", "6", "--n-range", "1000:1020:10"])
+    assert time.perf_counter() - start < 1.0
+    assert [row["n"] for row in report["rows"]] == [1000, 1010, 1020]
+    for row in report["rows"]:
+        assert row["capacity_nats"] == math.log(math.comb(row["n"] + 35, 35))
+
+
+def test_library_warning_is_one_line_without_path(capsys):
+    """A warning from the oracle reaches stderr as one line and leaves stdout alone."""
+    argv = ["simulate", "--model", "mp", "--n", "5", "--t", "2", "--state", "noon",
+            "--codebook", "lattice"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = run_cli(capsys, argv)
+    code, out, err = run_cli(capsys, argv)
+    assert quiet == (0, out, "")
+    assert code == 0
+    assert err.startswith("warning: degenerate codebook:") and err.count("\n") == 1
+    assert "oracle.py" not in err and "/" not in err and "\\" not in err
 
 
 # ---------------------------------------------------------------- golden bytes

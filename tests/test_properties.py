@@ -7,13 +7,15 @@ run checks the same cases in about a second.
 import contextlib
 import io
 import json
-from math import comb
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metrocap.capacity import su2_closed_form, su_square_sum
 from metrocap.cli import main, report_to_csv
+from metrocap.rep_core import WeightVector, enumerate_partitions, multiplicity_mp, multiplicity_su
+from reference import enumerated_square_sum, hook_length_count
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -22,13 +24,36 @@ SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None
 @given(n=st.integers(0, 30), t=st.integers(2, 5))
 def test_cauchy_identity_matches_enumeration(n, t):
     """sum over lam |- n, <= t rows, of dim_lam^2 = dim Sym^n(C^t (x) C^t)."""
-    assert su_square_sum(n, t) == comb(n + t * t - 1, t * t - 1)
+    assert su_square_sum(n, t) == enumerated_square_sum(n, t)
 
 
 @SMALL
 @given(n=st.integers(1, 30))
 def test_su2_closed_form_matches_enumeration(n):
-    assert su2_closed_form(n) == su_square_sum(n, 2)
+    assert su2_closed_form(n) == enumerated_square_sum(n, 2)
+
+
+@st.composite
+def partitions(draw):
+    """Any partition of n <= 30 into at most t <= 5 rows."""
+    n = draw(st.integers(0, 30))
+    t = draw(st.integers(1, 5))
+    return draw(st.sampled_from(enumerate_partitions(n, t)))
+
+
+@SMALL
+@given(lam=partitions())
+def test_frobenius_matches_hook_length(lam):
+    assert multiplicity_su(lam, lam.n) == hook_length_count(lam.rows)
+
+
+@SMALL
+@given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=5))
+def test_multinomial_matches_factorials(counts):
+    expected = factorial(sum(counts))
+    for c in counts:
+        expected //= factorial(c)
+    assert multiplicity_mp(WeightVector(tuple(counts))) == expected
 
 
 def _cli(argv):
