@@ -14,11 +14,14 @@ from math import comb
 from typing import Mapping, Sequence, Union
 
 from .rep_core import (
+    UNBOUNDED,
     Decomposition,
     Model,
     Partition,
     RefSize,
+    _check_config,
     _partition_rows,
+    decompose,
     weight_count,
 )
 
@@ -89,6 +92,24 @@ def capacity(decomp: Decomposition) -> CapacityReport:
         l=decomp.l,
         support=total,
     )
+
+
+def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> int:
+    """The support sum_b dim_b * eff_mult_b of decompose(model, n, t, l),
+    from a closed form wherever one holds.
+
+    mp blocks are one-dimensional, so every weight counts once at any l:
+    C(n+t-1, t-1).  su with an unbounded reference saturates every block:
+    the Cauchy sum C(n+t^2-1, t^2-1).  su with a finite l enumerates its
+    blocks under the decompose block budget.  Arguments are validated as in
+    decompose, with the same messages.
+    """
+    model = _check_config(model, n, t, l)
+    if model is Model.MULTI_PHASE:
+        return weight_count(n, t)
+    if l is UNBOUNDED:
+        return su_square_sum(n, t)
+    return sum(e.dim * e.eff_mult for e in decompose(model, n, t, l).entries)
 
 
 def block_state_mi(p: Mapping, decomp: Decomposition) -> float:

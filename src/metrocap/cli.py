@@ -112,11 +112,10 @@ def _build_bounds(cfg: RunConfig) -> dict:
         raise CLIError(f"--eps must lie in (0, 1), got {cfg.eps}")
     if (cfg.alpha is None) != (cfg.beta is None):
         raise CLIError("--alpha and --beta must be given together")
-    d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
+    r = cap.log_integer(cap.capacity_support(cfg.model, cfg.n, cfg.t, cfg.l))
     if cfg.alpha is None:
-        b = dist.m_eps_capacity_bounds(d, cfg.eps)
-    else:
-        r = cap.capacity(d).value  # optimal twirled spectrum is flat
+        b = dist.m_eps_bounds(r, cfg.eps)
+    else:  # optimal twirled spectrum is flat
         b = dist.m_bounds_general(r, r, cfg.alpha, cfg.beta, cfg.eps)
     u = _unit(cfg.base)
     return _report(cfg, "model n t l log_base", {

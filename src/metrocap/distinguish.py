@@ -84,14 +84,18 @@ def m_bounds_general(
 
 
 def m_eps_capacity_bounds(decomp: Decomposition, eps: float) -> RenyiBounds:
-    """Capacity-based bracket: all Renyi entropies of the optimal twirled state
-    coincide with the capacity R, so alpha = 2 and the beta -> 0 limit give
+    """Capacity-based bracket of ``m_eps_bounds`` at R = capacity(decomp)."""
+    return m_eps_bounds(capacity(decomp).value, eps)
 
-        R - (log 2 - log eps) <= log M_eps <= R - log(1 - eps).
+
+def m_eps_bounds(r: float, eps: float) -> RenyiBounds:
+    """Capacity-based bracket: all Renyi entropies of the optimal twirled state
+    coincide with the capacity r, so alpha = 2 and the beta -> 0 limit give
+
+        r - (log 2 - log eps) <= log M_eps <= r - log(1 - eps).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    r = capacity(decomp).value
     lower = r - (math.log(2.0) - math.log(eps))
     upper = r - math.log1p(-eps)
     return RenyiBounds(2.0, 0.0, eps, lower, upper)

@@ -1,9 +1,13 @@
-"""Dense-matrix brute force for small copy counts.
+"""Explicit-state simulation for small copy counts.
 
 Explicit states, exact twirls and square-root-measurement discrimination,
 kept deliberately independent of the combinatorial modules so the two routes
-can check each other.  Everything lives in the computational product basis;
-dimensions are capped to keep dense linear algebra honest.
+can check each other.  The twirled spectrum of a pure input is taken block by
+block from its amplitudes (``twirled_spectrum``): weight classes of the
+product basis for ``mp``, Schur blocks for SU(2).  The dense density-matrix
+twirls (``mp_twirl``, ``su2_twirl``) and ``von_neumann_entropy`` work in the
+computational product basis and are the reference the block route is checked
+against.  Dimensions are capped to keep dense linear algebra honest.
 """
 
 from __future__ import annotations
@@ -329,16 +333,21 @@ def su2_optimal_state(n: int) -> PureState:
     return PureState(full, n=n, t=2, ref_dim=ref)
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """-sum eig log eig over eigenvalues above 1e-12, in nats."""
-    tr = complex(np.trace(rho.matrix)).real
+def _spectrum_entropy(tr: float, eigs: np.ndarray) -> float:
+    """-sum eig log eig over eigenvalues above 1e-12, in nats, after checking
+    the trace and the sign of the spectrum."""
     if abs(tr - 1.0) > 1e-8:
         raise ValueError(f"trace {tr} deviates from 1 beyond 1e-8")
-    eigs = np.linalg.eigvalsh(rho.matrix)
     if float(eigs.min()) < -1e-10:
         raise ValueError(f"negative eigenvalue {eigs.min()}")
     kept = eigs[eigs > _EIG_FLOOR]
     return float(-np.sum(kept * np.log(kept)))
+
+
+def von_neumann_entropy(rho: DensityOperator) -> float:
+    """-sum eig log eig over eigenvalues above 1e-12, in nats."""
+    tr = complex(np.trace(rho.matrix)).real
+    return _spectrum_entropy(tr, np.linalg.eigvalsh(rho.matrix))
 
 
 def _element_unitary(codebook: Codebook, element, t: int) -> np.ndarray:
@@ -377,15 +386,52 @@ def srm_discrimination(codebook: Codebook, psi: PureState, n: int, t: int) -> fl
     return float(np.mean(diag**2))
 
 
-def empirical_mi(psi: PureState, model: Union[Model, str], n: int, t: int) -> float:
-    """Entropy of the twirled input: the accessible information of this state."""
+def twirled_spectrum(psi: PureState, model: Union[Model, str], n: int, t: int) -> np.ndarray:
+    """Eigenvalues of the twirled input |psi><psi|, taken block by block.
+
+    Every eigenvalue the dense twirl can have above zero is returned (in no
+    particular order); the remaining ones are exactly zero.  With the
+    amplitudes as a (t^n x ref_dim) matrix A:
+
+    - ``mp``: the twirl keeps the entries between product-basis indices of
+      equal weight, whatever their reference index, so each weight class is
+      one rank-one block: its eigenvalue is the squared norm of its rows of A.
+    - ``su`` (t = 2): in Schur coordinates block j of A is a
+      d_j x (mult * ref_dim) matrix M_j, and the twirl maps it to
+      (I / d_j) (x) M_j^T conj(M_j): each squared singular value of M_j,
+      divided by d_j, appears d_j times.
+    """
     model = Model(model)
-    rho = pure_density(psi)
+    if model is Model.SPECIAL_UNITARY and t != 2:
+        raise ValueError("SU(t) twirl is only implemented for t = 2")
+    if (psi.n, psi.t) != (n, t):
+        raise ValueError("state metadata does not match (n, t)")
+    amps = psi.amplitudes.reshape(t**n, psi.ref_dim)
     if model is Model.MULTI_PHASE:
-        return von_neumann_entropy(mp_twirl(rho, n, t))
-    if t != 2:
-        raise ValueError("dense SU(t) twirl is only implemented for t = 2")
-    return von_neumann_entropy(su2_twirl(rho, n))
+        # the weight vector of each index as one base-(n+1) integer; its
+        # digits are counts <= n, so the float key is exact
+        keys = _digit_counts(n, t) @ (n + 1) ** np.arange(t - 1)
+        _, weight_class = np.unique(keys, return_inverse=True)
+        return np.bincount(weight_class, weights=np.sum(np.abs(amps) ** 2, axis=1))
+    basis, blocks = schur_basis_su2(n)
+    schur = basis.T @ amps
+    parts = []
+    for two_j, mult, off in blocks:
+        dim_u = two_j + 1
+        block = schur[off : off + dim_u * mult].reshape(dim_u, mult * psi.ref_dim)
+        s2 = np.linalg.svd(block, compute_uv=False) ** 2
+        parts.append(np.repeat(s2 / dim_u, dim_u))
+    return np.concatenate(parts)
+
+
+def empirical_mi(psi: PureState, model: Union[Model, str], n: int, t: int) -> float:
+    """Entropy of the twirled input: the accessible information of this state.
+
+    Computed from ``twirled_spectrum``; it agrees with ``von_neumann_entropy``
+    of the dense ``mp_twirl``/``su2_twirl`` of ``pure_density(psi)``.
+    """
+    spectrum = twirled_spectrum(psi, model, n, t)
+    return _spectrum_entropy(float(np.sum(spectrum)), spectrum)
 
 
 def haar_su2(rng: np.random.Generator) -> np.ndarray:

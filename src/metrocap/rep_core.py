@@ -55,13 +55,13 @@ class Partition:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(map(int, self.rows))
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("partition needs at least one row slot")
-        if any(r < 0 for r in rows):
+        if min(rows) < 0:
             raise ValueError(f"negative row in {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if any(map(int.__lt__, rows, rows[1:])):
             raise ValueError(f"rows must be non-increasing, got {rows}")
 
     @property
@@ -95,11 +95,11 @@ class WeightVector:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(int, self.counts))
         object.__setattr__(self, "counts", counts)
         if not counts:
             raise ValueError("weight vector needs at least one component")
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise ValueError(f"negative count in {counts}")
 
     @property
@@ -305,19 +305,24 @@ def _check_ref_size(l: RefSize) -> None:
         raise ValueError(f"reference size must be a positive integer or UNBOUNDED, got {l!r}")
 
 
-def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposition:
-    """Full isotypic list for one model with a reference system of size l.
-
-    Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
-    block at its full dimension.
-    """
+def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
+    """Validate a (model, n, t, l) configuration; returns the model."""
     model = Model(model)  # rejects unsupported tags
     if n < 1:
         raise ValueError("n must be positive")
     if t < 2:
         raise ValueError("t must be at least 2")
     _check_ref_size(l)
+    return model
 
+
+def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposition:
+    """Full isotypic list for one model with a reference system of size l.
+
+    Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
+    block at its full dimension.
+    """
+    model = _check_config(model, n, t, l)
     mp = model is Model.MULTI_PHASE
     _check_block_budget(weight_count(n, t) if mp else partition_count(n, t))
     unbounded = isinstance(l, _UnboundedType)

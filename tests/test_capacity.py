@@ -8,6 +8,7 @@ import pytest
 from metrocap.capacity import (
     block_state_mi,
     capacity,
+    capacity_support,
     fano_bound,
     gapped_partitions,
     log_fraction,
@@ -88,6 +89,23 @@ def test_capacity_matches_closed_paths(model, n, t):
         assert mp_capacity(n, t) == capacity(decompose("mp", n, t, 1)).value
     else:
         assert su_capacity(n, t) == capacity(decompose("su", n, t, UNBOUNDED)).value
+
+
+@pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 3), ("su", 2), ("su", 3), ("su", 4)])
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+@pytest.mark.parametrize("l", [1, 2, 3, UNBOUNDED])
+def test_capacity_support_matches_enumeration(model, n, t, l):
+    assert capacity_support(model, n, t, l) == capacity(decompose(model, n, t, l)).support
+
+
+def test_capacity_support_validates_like_decompose():
+    for args in [("xx", 2, 2, 1), ("mp", 0, 2, 1), ("su", 2, 1, UNBOUNDED), ("su", 2, 2, 0),
+                 ("mp", 2, 2, True)]:
+        with pytest.raises(ValueError) as want:
+            decompose(*args)
+        with pytest.raises(ValueError) as got:
+            capacity_support(*args)
+        assert str(got.value) == str(want.value)
 
 
 def test_capacity_invariant_under_entry_order():

@@ -6,9 +6,13 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from metrocap import oracle
 from metrocap.cli import RunConfig, main, report_to_csv, run
+from metrocap.distinguish import m_eps_capacity_bounds
+from metrocap.rep_core import UNBOUNDED, decompose
 
 LN2 = math.log(2.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
@@ -221,6 +225,10 @@ def test_unknown_command_exits_2(capsys):
           "--codebook", "lattice"], "mp"),
         (["scaling", "--model", "mp", "--t", "2", "--n-range", "10:20"], "start:stop:stride"),
         (["scaling", "--model", "mp", "--t", "2", "--n-range", "10:20:10"], "three"),
+        # bounds checks eps, then alpha/beta, then n, t and l
+        (["bounds", "--model", "mp", "--n", "0", "--t", "2", "--eps", "1.5"], "eps"),
+        (["bounds", "--model", "su", "--n", "0", "--t", "1"], "n must be positive"),
+        (["bounds", "--model", "mp", "--n", "3", "--t", "1"], "t must be at least 2"),
     ],
 )
 def test_validation_failures_exit_2(capsys, argv, needle):
@@ -245,6 +253,58 @@ def test_block_budget_exits_2_at_once(capsys, argv, count):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and count in err and "1000000" in err
+
+
+@pytest.mark.parametrize("argv,support", [
+    (["bounds", "--model", "mp", "--n", "1000", "--t", "6", "--l", "1"], math.comb(1005, 5)),
+    (["bounds", "--model", "su", "--n", "1000", "--t", "6", "--alpha", "1.5", "--beta", "0.5"],
+     math.comb(1035, 35)),
+])
+def test_bounds_needs_no_block_budget(capsys, argv, support):
+    """Where every block saturates, bounds is a closed form: sizes past the
+    enumeration budget run."""
+    start = time.perf_counter()
+    report = run_json(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    r = math.log(support)
+    if report["alpha"] == 2.0:
+        assert report["lower_nats"] == r - (math.log(2.0) - math.log(0.1))
+    else:
+        assert report["upper_nats"] == r + math.log1p(-0.1) / (0.5 - 1.0)
+
+
+@pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 4), ("su", 2), ("su", 3)])
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("l", ["1", "2", "inf"])
+def test_bounds_matches_enumerated_capacity(capsys, model, t, n, l):
+    """The closed-form bracket is the one built from the enumerated blocks."""
+    report = run_json(capsys, ["bounds", "--model", model, "--n", str(n), "--t", str(t),
+                               "--l", l, "--eps", "0.2"])
+    decomp = decompose(model, n, t, UNBOUNDED if l == "inf" else int(l))
+    b = m_eps_capacity_bounds(decomp, 0.2)
+    assert (report["lower_nats"], report["upper_nats"]) == (b.lower, b.upper)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "mp", "--n", "10", "--t", "2", "--state", "bs4",
+     "--codebook", "lattice"],
+    ["simulate", "--model", "mp", "--n", "9", "--t", "2", "--state", "noon"],
+    ["simulate", "--model", "su", "--n", "8", "--t", "2", "--state", "bn1"],
+    ["simulate", "--model", "su", "--n", "7", "--t", "2", "--state", "noon"],
+])
+def test_simulate_needs_no_dense_twirl(capsys, monkeypatch, argv):
+    """simulate takes the twirled spectrum block-wise: no density matrix,
+    dense twirl or full-dimension eigensolve."""
+    expected = run_cli(capsys, argv)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense route called")
+
+    for name in ("pure_density", "mp_twirl", "su2_twirl", "von_neumann_entropy"):
+        monkeypatch.setattr(oracle, name, refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert run_cli(capsys, argv) == expected
+    assert expected[0] == 0
 
 
 def test_su_scaling_needs_no_block_budget(capsys):

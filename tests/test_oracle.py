@@ -1,12 +1,14 @@
 import math
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
 
-from metrocap.capacity import capacity, su_capacity
+from metrocap.capacity import capacity, su2_closed_form, su_capacity
 from metrocap.distinguish import mp_lattice
 from metrocap.oracle import (
+    _EIG_FLOOR,
     Codebook,
     DensityOperator,
     PureState,
@@ -24,6 +26,7 @@ from metrocap.oracle import (
     su2_optimal_state,
     su2_twirl,
     tensor_power_apply,
+    twirled_spectrum,
     von_neumann_entropy,
 )
 from metrocap.rep_core import UNBOUNDED, decompose
@@ -457,6 +460,64 @@ def test_empirical_mi_never_beats_capacity():
 def test_empirical_mi_validation():
     with pytest.raises(ValueError):
         empirical_mi(random_pure_state(np.random.default_rng(1), 2, 3), "su", 2, 3)
+
+
+# ---------------------------------------------------------------- block route
+
+def _check_block_route(psi, model):
+    """twirled_spectrum and empirical_mi against eigvalsh and the entropy of
+    the dense twirl of pure_density(psi)."""
+    n, t = psi.n, psi.t
+    rho = pure_density(psi)
+    dense = mp_twirl(rho, n, t) if model == "mp" else su2_twirl(rho, n)
+    want = np.linalg.eigvalsh(dense.matrix)
+    got = twirled_spectrum(psi, model, n, t)
+    want = np.sort(want[want > _EIG_FLOOR])
+    got = np.sort(got[got > _EIG_FLOOR])
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 1e-12
+    assert abs(empirical_mi(psi, model, n, t) - von_neumann_entropy(dense)) < 1e-12
+
+
+# n <= 6 and ref_dim <= 3, except mp at t = 3, n = 6, ref_dim >= 2, where the
+# dense eigensolve of dimension 1458 or 2187 takes seconds
+@pytest.mark.parametrize("model,t,n,ref", [
+    (model, t, n, ref)
+    for model, t in (("mp", 2), ("mp", 3), ("su", 2))
+    for n in range(1, 7)
+    for ref in (1, 2, 3)
+    if t**n * ref <= 1024
+])
+def test_twirled_spectrum_matches_dense_random(model, t, n, ref):
+    rng = np.random.default_rng([n, t, ref])
+    _check_block_route(random_pure_state(rng, n, t, ref_dim=ref), model)
+
+
+@pytest.mark.parametrize("model", ["mp", "su"])
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("state", [mp_optimal_state, noon_state, su2_optimal_state])
+def test_twirled_spectrum_matches_dense_shipped(state, n, model):
+    _check_block_route(state(n), model)
+
+
+def test_twirled_spectrum_block_sizes():
+    # mp: one eigenvalue per weight class, whatever the reference size
+    psi = random_pure_state(np.random.default_rng(71), 3, 3, ref_dim=2)
+    assert twirled_spectrum(psi, "mp", 3, 3).shape == (comb(5, 2),)
+    # su, optimal state: flat on sum_j d_j^2 eigenvalues
+    spectrum = twirled_spectrum(su2_optimal_state(8), "su", 8, 2)
+    kept = spectrum[spectrum > _EIG_FLOOR]
+    assert len(kept) == su2_closed_form(8)
+    assert np.abs(kept - 1.0 / su2_closed_form(8)).max() < 1e-15
+
+
+def test_twirled_spectrum_validation():
+    with pytest.raises(ValueError, match="metadata"):
+        twirled_spectrum(noon_state(3), "mp", 2, 2)
+    with pytest.raises(ValueError, match="t = 2"):
+        twirled_spectrum(random_pure_state(np.random.default_rng(5), 2, 3), "su", 2, 3)
+    with pytest.raises(ValueError):
+        twirled_spectrum(noon_state(2), "xx", 2, 2)
 
 
 # ---------------------------------------------------------------- haar

@@ -94,6 +94,11 @@ def test_partition_validation():
         Partition(())
 
 
+def test_partition_checks_sign_before_order():
+    with pytest.raises(ValueError, match="negative row"):
+        Partition((1, -1, 2))  # breaks both rules
+
+
 def test_partition_padded():
     assert Partition((2, 1)).padded(4) == (2, 1, 0, 0)
     assert Partition((2, 1, 0, 0)).padded(2) == (2, 1)
