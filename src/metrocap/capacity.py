@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, gcd
 from typing import Mapping, Sequence, Union
 
 from .rep_core import (
@@ -46,16 +47,27 @@ def log_fraction(q: Fraction) -> float:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Capacity value together with the distribution that attains it."""
+    """Capacity value together with the distribution that attains it.
+
+    ``p_rows`` holds p_b for each block as (label tuple, numerator,
+    denominator) in lowest terms, in the decomposition's row order;
+    ``optimal_p`` is the same distribution as exact fractions keyed by the
+    block label objects, built on first use.
+    """
 
     value: float
     log_base: str
-    optimal_p: dict
+    p_rows: tuple[tuple[tuple[int, ...], int, int], ...]
     model: Model
     n: int
     t: int
     l: RefSize
     support: int  # exact integer whose log is `value`
+
+    @cached_property
+    def optimal_p(self) -> dict:
+        label = self.model.label_type
+        return {label(lab): Fraction(num, den) for lab, num, den in self.p_rows}
 
 
 @dataclass(frozen=True)
@@ -76,16 +88,20 @@ class InputStateSpec:
 def capacity(decomp: Decomposition) -> CapacityReport:
     """log sum_b dim_b * eff_mult_b, with the attaining block distribution.
 
-    The optimal distribution puts p_b proportional to dim_b * eff_mult_b; it
-    is returned as exact fractions.  Value is in nats.
+    The optimal distribution puts p_b = w_b / sum_b w_b on each block, with
+    w_b = dim_b * eff_mult_b; it is returned exactly, reduced by gcd.  Value
+    is in nats.
     """
-    weights = [e.dim * e.eff_mult for e in decomp.entries]
-    total = sum(weights)
-    p = {e.label: Fraction(w, total) for e, w in zip(decomp.entries, weights)}
+    weights = [(label, dim * eff) for label, dim, _, eff in decomp.rows]
+    total = sum(w for _, w in weights)
+    p_rows = []
+    for label, w in weights:
+        g = gcd(w, total)
+        p_rows.append((label, w // g, total // g))
     return CapacityReport(
         value=log_integer(total),
         log_base="e",
-        optimal_p=p,
+        p_rows=tuple(p_rows),
         model=decomp.model,
         n=decomp.n,
         t=decomp.t,
@@ -109,7 +125,7 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
         return weight_count(n, t)
     if l is UNBOUNDED:
         return su_square_sum(n, t)
-    return sum(e.dim * e.eff_mult for e in decompose(model, n, t, l).entries)
+    return sum(dim * eff for _, dim, _, eff in decompose(model, n, t, l).rows)
 
 
 def block_state_mi(p: Mapping, decomp: Decomposition) -> float:

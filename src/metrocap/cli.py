@@ -15,6 +15,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional, Sequence
 
 from . import capacity as cap
@@ -92,7 +93,11 @@ def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
 
 def _build_decompose(cfg: RunConfig) -> dict:
     d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
-    return _report(cfg, "model n t l", {"entries": d.to_json_dict()["entries"]})
+    entries = [
+        {"label": list(label), "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
+        for label, dim, mult, eff in d.rows
+    ]
+    return _report(cfg, "model n t l", {"entries": entries})
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
@@ -100,10 +105,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(r.value, cfg.base),
         "support": str(r.support),
-        "optimal_p": [
-            {"label": list(label), "p": f"{p.numerator}/{p.denominator}"}
-            for label, p in r.optimal_p.items()
-        ],
+        "optimal_p": [{"label": list(label), "p": f"{num}/{den}"} for label, num, den in r.p_rows],
     })
 
 
@@ -237,9 +239,52 @@ def report_to_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_cells(values: list, pad: str) -> list:
+    """Each of ``values`` as json.dumps(value, indent=2) writes it at
+    indentation ``pad``.
+
+    json.dumps lays out indented JSON in pure Python, value by value.  Here
+    values of one kind are written a column at a time: strings, ints, lists
+    of one length (their items pooled into one column, then regrouped) and
+    rows, i.e. dicts with the same string keys in the same order (one column
+    per key).  Any other value is json.dumps with its line breaks indented by
+    ``pad``, which is exact because JSON strings hold no raw line breaks.
+    """
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_json_str, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    inner = pad + "  "
+    lengths = set(map(len, values)) if kinds == {list} else ()
+    if len(lengths) == 1 and 0 not in lengths:  # lists of one length, e.g. labels
+        (size,) = lengths
+        items = _json_cells([x for v in values for x in v], inner)
+        groups = map((",\n" + inner).join, zip(*[iter(items)] * size))  # regrouped in C
+        return [f"[\n{inner}{group}\n{pad}]" for group in groups]
+    if kinds == {dict}:
+        keys = list(values[0])
+        if keys and set(map(type, keys)) == {str} and all(list(v) == keys for v in values):
+            fields = ",\n".join(f"{inner}{_json_str(k).replace('%', '%%')}: %s" for k in keys)
+            row = f"{{\n{fields}\n{pad}}}"
+            columns = [_json_cells([v[k] for v in values], inner) for k in keys]
+            return list(map(row.__mod__, zip(*columns)))
+    return [json.dumps(v, indent=2).replace("\n", "\n" + pad) for v in values]
+
+
+def _json_report(report: dict) -> str:
+    """json.dumps(report, indent=2): the preamble by json.dumps itself, and
+    the report's trailing row list, if any, by _json_cells."""
+    *head, (key, rows) = report.items()
+    if not head or type(key) is not str or type(rows) is not list:
+        return json.dumps(report, indent=2)
+    preamble = json.dumps(dict(head), indent=2)[:-2]  # without the closing "\n}"
+    return f"{preamble},\n  {_json_str(key)}: {_json_cells([rows], '  ')[0]}\n}}"
+
+
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json_report(report) + "\n"
     if fmt == "csv":
         return report_to_csv(report)
     raise CLIError(f"unknown format {fmt!r}")

@@ -8,9 +8,9 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import comb
 from typing import Iterator, Union
 
@@ -20,6 +20,11 @@ class Model(str, Enum):
 
     MULTI_PHASE = "mp"
     SPECIAL_UNITARY = "su"
+
+    @property
+    def label_type(self) -> type:
+        """Class of the block labels: WeightVector for mp, Partition for su."""
+        return WeightVector if self is Model.MULTI_PHASE else Partition
 
 
 class _UnboundedType:
@@ -40,12 +45,22 @@ UNBOUNDED = _UnboundedType()
 
 RefSize = Union[int, _UnboundedType]
 
-# Most blocks an enumeration may build; larger ones are refused before they
-# start.  A block costs 6-25 us at n <= 500 on a 2-vCPU Xeon VM (Python 3.11),
-# but its integers grow with n: at t = 3 near the budget a mp block (n = 1400)
-# costs about 90 us and a su block (n = 3400) about 0.34 ms, so the largest
-# admitted requests run for minutes.
+# Most blocks an enumeration may build, and most label entries (blocks times
+# t, one per level of every label) it may hold and a report may write; larger
+# requests are refused before they start.  On a 2-vCPU Xeon VM (Python 3.11)
+# decompose costs about 3 us per mp block at n = 400 and t = 3, 4.5 us at
+# n = 1400 (982 101 blocks in 4.5 s; the multinomials grow to 2800 bits), and
+# a whole mp decompose request about 11 us per block with its JSON report.  A
+# su block costs 14-16 us at n <= 280, but its integers grow with n: at t = 3
+# near the budget (n = 3400) about 0.36 ms, so the largest admitted su
+# requests run for minutes.  The label budget admits every t = 3 request under
+# MAX_BLOCKS and one qudit at t = 2000 (a 44 MB report), and refuses e.g. two
+# qudits at t = 1400 (980 700 blocks of 1400 entries each).
 MAX_BLOCKS = 1_000_000
+MAX_LABEL_ENTRIES = 4_000_000
+
+# One raw block: (label, dim, mult, eff_mult), the label a plain tuple.
+Row = tuple[tuple[int, ...], int, int, int]
 
 
 @dataclass(frozen=True)
@@ -140,74 +155,98 @@ class IrrepEntry:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Full isotypic decomposition of one model at given (n, t, l)."""
+    """Full isotypic decomposition of one model at given (n, t, l).
+
+    The blocks are raw rows (label, dim, mult, eff_mult), the labels plain
+    tuples: weight vectors for mp, zero-padded partitions for su.  IrrepEntry
+    objects given instead are kept as their rows.  The rows are checked here
+    as the block objects check themselves, in any order, and must fill the
+    space: sum dim * mult = t^n.  ``entries`` wraps them in IrrepEntry objects
+    on first use, so callers that read only the rows build no object per block.
+    """
 
     model: Model
     n: int
     t: int
     l: RefSize
-    entries: tuple[IrrepEntry, ...]
+    rows: tuple[Row, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        labels = [e.label for e in self.entries]
+        rows = tuple(
+            (tuple(b.label), b.dim, b.mult, b.eff_mult) if isinstance(b, IrrepEntry) else b
+            for b in self.rows
+        )
+        object.__setattr__(self, "rows", rows)
+        labels = [row[0] for row in rows]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate irrep labels")
-        if self.model is Model.MULTI_PHASE:
-            if any(e.dim != 1 for e in self.entries):
+        partitions = self.model is Model.SPECIAL_UNITARY
+        filled = 0
+        for label, dim, mult, eff in rows:
+            if min(label) < 0:
+                raise ValueError(f"negative entry in label {label}")
+            if partitions:
+                if any(map(int.__lt__, label, label[1:])):
+                    raise ValueError(f"rows must be non-increasing, got {label}")
+            elif dim != 1:
                 raise ValueError("multi-phase blocks must be one-dimensional")
-            if sum(e.mult for e in self.entries) != self.t**self.n:
-                raise ValueError("multiplicities do not fill the full space")
-        else:
-            if sum(e.dim * e.mult for e in self.entries) != self.t**self.n:
-                raise ValueError("blocks do not fill the full space")
+            if dim < 1 or mult < 1:
+                raise ValueError("dim and mult must be positive")
+            if not 1 <= eff <= dim:
+                raise ValueError(f"eff_mult {eff} outside [1, dim={dim}]")
+            filled += dim * mult
+        if filled != self.t**self.n:
+            raise ValueError("blocks do not fill the full space")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model.value,
-            "n": self.n,
-            "t": self.t,
-            "l": "inf" if isinstance(self.l, _UnboundedType) else self.l,
-            "entries": [
-                {
-                    "label": list(e.label),
-                    "dim": str(e.dim),
-                    "mult": str(e.mult),
-                    "eff_mult": str(e.eff_mult),
-                }
-                for e in self.entries
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+    @cached_property
+    def entries(self) -> tuple[IrrepEntry, ...]:
+        """The blocks as IrrepEntry objects, in row order."""
+        label = self.model.label_type
+        return tuple(IrrepEntry(label(lab), dim, mult, eff) for lab, dim, mult, eff in self.rows)
 
 
 def _partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
     """Raw row tuples of all partitions of n into at most t parts.
 
-    Lexicographically descending, zero-padded to length t.
+    Lexicographically descending, zero-padded to length t.  Iterative: each
+    step lowers the rightmost row that can give a box to the rows below it
+    and refills those rows greedily, so any t works.
     """
-
-    def rec(rem: int, rowsleft: int, maxpart: int) -> Iterator[tuple[int, ...]]:
-        if rowsleft == 1:
-            yield (rem,)
+    rows = [n] + [0] * (t - 1)
+    occupied = 1 if n else 0  # rows[occupied:] are all zero
+    while True:
+        yield tuple(rows)
+        below = 0  # boxes in the rows after k
+        for k in range(occupied - 1, -1, -1):
+            cap = rows[k] - 1
+            if below < cap * (t - 1 - k):  # room for below + 1 boxes at most cap each
+                break
+            below += rows[k]
+        else:
             return
-        lo = -(-rem // rowsleft)  # smallest feasible leading part
-        for v in range(min(rem, maxpart), lo - 1, -1):
-            for tail in rec(rem - v, rowsleft - 1, v):
-                yield (v,) + tail
-
-    yield from rec(n, t, n)
+        rows[k] = cap
+        full, rest = divmod(below + 1, cap)
+        end = k + 1 + full
+        rows[k + 1:end] = [cap] * full
+        if rest:
+            rows[end] = rest
+            end += 1
+        if end < occupied:
+            rows[end:occupied] = [0] * (occupied - end)
+        occupied = end
 
 
 def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
-    """Exact dimension from the pairwise row/offset product."""
+    """Exact dimension from the pairwise row/offset product over non-increasing
+    rows.  A pair of zero rows contributes (j - i) / (j - i), so the product
+    stops at the first zero row."""
     t = len(rows)
     num = 1
     den = 1
     for i in range(t):
         ri = rows[i]
+        if not ri:
+            break
         for j in range(i + 1, t):
             num *= ri - rows[j] + j - i
             den *= j - i
@@ -237,20 +276,22 @@ def weyl_dimension(lam: Partition, t: int) -> int:
     return _weyl_dim_rows(lam.padded(t))
 
 
-def multiplicity_su(lam: Partition, n: int) -> int:
-    """Number of standard Young tableaux of shape ``lam``, by the Frobenius
-    formula n! * prod_{i<j} (l_i - l_j) / prod_i l_i! over the k occupied
-    rows, with shifted lengths l_i = lam_i + k - 1 - i.
+def multiplicity_su(lam: Union[Partition, tuple[int, ...]], n: int) -> int:
+    """Number of standard Young tableaux of shape ``lam``, a Partition or its
+    non-increasing rows, by the Frobenius formula
+    n! * prod_{i<j} (l_i - l_j) / prod_i l_i! over the k occupied rows, with
+    shifted lengths l_i = lam_i + k - 1 - i.
 
     The l_i sum to n + k(k-1)/2, so n! / prod l_i! is taken as the multinomial
     of the l_i (a running product of binomials) over (n+1)...(sum l_i): the one
     division is by a product of k(k-1)/2 small factors.
     """
-    if lam.n != n:
-        raise ValueError(f"partition fills {lam.n} boxes, expected {n}")
-    rows = [r for r in lam.rows if r > 0]
-    k = len(rows)
-    shifted = [r + k - 1 - i for i, r in enumerate(rows)]
+    rows = lam.rows if isinstance(lam, Partition) else lam
+    occupied = [r for r in rows if r > 0]
+    if sum(occupied) != n:
+        raise ValueError(f"partition fills {sum(occupied)} boxes, expected {n}")
+    k = len(occupied)
+    shifted = [r + k - 1 - i for i, r in enumerate(occupied)]
     num = 1
     filled = 0
     for i in range(k):
@@ -264,17 +305,42 @@ def multiplicity_su(lam: Partition, n: int) -> int:
         den *= m
     q, r = divmod(num, den)
     if r:  # the quotient is always an integer; guard against misuse
-        raise ArithmeticError(f"non-integer tableau count for rows {lam.rows}")
+        raise ArithmeticError(f"non-integer tableau count for rows {rows}")
     return q
 
 
-def _weight_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    if t == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for tail in _weight_rows(n - first, t - 1):
-            yield (first,) + tail
+def _weight_rows(n: int, t: int) -> Iterator[Row]:
+    """mp block rows (counts, 1, n! / prod counts!, 1) for every occupation
+    vector of n over t levels, lexicographically descending.
+
+    Iterative.  Each step takes one unit from the last level k < t-1 with a
+    non-zero count and moves the last level's c units plus that one to level
+    k+1, which changes the multinomial by the factor counts[k] / (c + 1): one
+    small multiply and one exact division per weight, for any t.
+    """
+    counts = [n] + [0] * (t - 1)
+    last = t - 1
+    live = [0] if n and last else []  # levels below `last` with a non-zero count
+    mult = 1
+    while True:
+        yield tuple(counts), 1, mult, 1
+        if not live:
+            return
+        k = live[-1]
+        ck = counts[k]
+        moved = counts[last] + 1
+        mult, r = divmod(mult * ck, moved)
+        if r:  # the multinomials are integers; guard against misuse
+            raise ArithmeticError(f"non-integer multinomial after {counts}")
+        counts[k] = ck - 1
+        if ck == 1:
+            live.pop()
+        if k + 1 < last:
+            counts[k + 1] = moved
+            counts[last] = 0
+            live.append(k + 1)
+        else:
+            counts[last] = moved
 
 
 def enumerate_weights(n: int, t: int) -> list[WeightVector]:
@@ -284,7 +350,7 @@ def enumerate_weights(n: int, t: int) -> list[WeightVector]:
         raise ValueError("dimension t must be at least 1")
     if n < 0:
         raise ValueError("n must be non-negative")
-    return [WeightVector(c) for c in _weight_rows(n, t)]
+    return [WeightVector(row[0]) for row in _weight_rows(n, t)]
 
 
 def multiplicity_mp(weight: WeightVector) -> int:
@@ -316,29 +382,30 @@ def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model
     return model
 
 
+def _su_rows(n: int, t: int, l: RefSize) -> Iterator[Row]:
+    unbounded = isinstance(l, _UnboundedType)
+    for rows in _partition_rows(n, t):
+        dim = _weyl_dim_rows(rows)
+        mult = multiplicity_su(rows, n)
+        yield rows, dim, mult, dim if unbounded else min(l * mult, dim)
+
+
 def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposition:
     """Full isotypic list for one model with a reference system of size l.
 
     Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
-    block at its full dimension.
+    block at its full dimension.  Blocks come as raw rows in lexicographically
+    descending label order; arguments and the enumeration budget are checked
+    before the first one is made.
     """
     model = _check_config(model, n, t, l)
-    mp = model is Model.MULTI_PHASE
-    _check_block_budget(weight_count(n, t) if mp else partition_count(n, t))
-    unbounded = isinstance(l, _UnboundedType)
-    entries = []
-    if mp:
-        for counts in _weight_rows(n, t):
-            w = WeightVector(counts)
-            entries.append(IrrepEntry(w, 1, multiplicity_mp(w), 1))
+    if model is Model.MULTI_PHASE:
+        _check_block_budget(weight_count(n, t), t)
+        rows = _weight_rows(n, t)
     else:
-        for rows in _partition_rows(n, t):
-            lam = Partition(rows)
-            dim = _weyl_dim_rows(rows)
-            mult = multiplicity_su(lam, n)
-            eff = dim if unbounded else min(l * mult, dim)
-            entries.append(IrrepEntry(lam, dim, mult, eff))
-    return Decomposition(model, n, t, l, tuple(entries))
+        _check_block_budget(partition_count(n, t), t)
+        rows = _su_rows(n, t, l)
+    return Decomposition(model, n, t, l, tuple(rows))
 
 
 def partition_count(n: int, t: int) -> int:
@@ -354,11 +421,17 @@ def partition_count(n: int, t: int) -> int:
     return counts[n]
 
 
-def _check_block_budget(blocks: int) -> None:
-    """Refuse an enumeration of more than MAX_BLOCKS blocks."""
+def _check_block_budget(blocks: int, t: int) -> None:
+    """Refuse an enumeration of more than MAX_BLOCKS blocks or MAX_LABEL_ENTRIES
+    label entries (blocks * t)."""
     if blocks > MAX_BLOCKS:
         raise ValueError(
             f"{blocks} blocks exceed the enumeration budget of {MAX_BLOCKS} (MAX_BLOCKS)"
+        )
+    if blocks * t > MAX_LABEL_ENTRIES:
+        raise ValueError(
+            f"{blocks} blocks of {t} label entries each exceed the budget of "
+            f"{MAX_LABEL_ENTRIES} label entries (MAX_LABEL_ENTRIES)"
         )
 
 

@@ -1,8 +1,9 @@
 """Slow, independent references for the closed forms of the exact path.
 
-The library computes tableau counts by the Frobenius formula and the sum of
-squared SU(t) dimensions by the Cauchy identity; the tests check both against
-these brute computations, never against the closed forms themselves.
+The library computes tableau counts by the Frobenius formula, multinomials
+by updating the neighbouring weight's, SU(t) dimensions by the Weyl product
+and the sum of squared SU(t) dimensions by the Cauchy identity; the tests
+check them against these brute computations, never against themselves.
 """
 
 from math import factorial
@@ -28,3 +29,37 @@ def enumerated_square_sum(n: int, t: int) -> int:
     """Sum of squared SU(t) Weyl dimensions over every partition of n into at
     most t rows, enumerated one partition at a time."""
     return sum(_weyl_dim_rows(rows) ** 2 for rows in _partition_rows(n, t))
+
+
+def factorial_multinomial(counts) -> int:
+    """n! / (c_0! c_1! ...) for n = sum(counts), from the factorials."""
+    out = factorial(sum(counts))
+    for c in counts:
+        out //= factorial(c)
+    return out
+
+
+def ssyt_count(rows, t: int) -> int:
+    """SU(t) dimension of the shape ``rows`` as the number of semistandard
+    fillings with entries 1..t: rows weakly increase, columns strictly."""
+    shape = [r for r in rows if r > 0]
+    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+    filling = {}
+
+    def rec(k):
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        lo = 1
+        if j > 0:
+            lo = max(lo, filling[(i, j - 1)])
+        if i > 0:
+            lo = max(lo, filling[(i - 1, j)] + 1)
+        total = 0
+        for v in range(lo, t + 1):
+            filling[(i, j)] = v
+            total += rec(k + 1)
+        filling.pop((i, j), None)
+        return total
+
+    return rec(0)

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metrocap import oracle
-from metrocap.cli import RunConfig, main, report_to_csv, run
-from metrocap.distinguish import m_eps_capacity_bounds
+from metrocap import oracle, rep_core
+from metrocap.cli import RunConfig, _json_cells, main, render, report_to_csv, run
+from metrocap.capacity import capacity
+from metrocap.distinguish import m_eps_bounds, m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
 
 LN2 = math.log(2.0)
@@ -159,6 +160,48 @@ def test_json_csv_round_trip(capsys, argv):
     assert "\r" not in csv_out
 
 
+def test_json_writer_matches_stdlib_on_awkward_values():
+    rows = [{"a%s": [1, 2], "b%%": "x\né\"", "c": None, "d": [[1], []], "e": {"f": [1.5, True]}},
+            {"a%s": [3, 4], "b%%": "y", "c": 2.5, "d": [], "e": {}}]
+    values = [rows, rows[:1], [rows[0], {"z": 1}], [[1, 2], [3]], [[], []], [{}], [],
+              [{1: "int key"}], [[10**30, -1]], [float("nan"), float("inf")]]
+    for value in values:
+        assert _json_cells([value], "  ") == [json.dumps(value, indent=2).replace("\n", "\n  ")]
+        assert render({"schema": "1", "rows": value}, "json") == \
+            json.dumps({"schema": "1", "rows": value}, indent=2) + "\n"
+
+
+def test_decompose_rows_json_round_trip(capsys):
+    report = run_json(capsys, ["decompose", "--model", "su", "--n", "3", "--t", "2"])
+    assert (report["model"], report["n"], report["t"], report["l"]) == ("su", 3, 2, "inf")
+    assert report["entries"] == [
+        {"label": [3, 0], "dim": "4", "mult": "1", "eff_mult": "4"},
+        {"label": [2, 1], "dim": "2", "mult": "2", "eff_mult": "2"},
+    ]
+    assert run_json(capsys, ["decompose", "--model", "mp", "--n", "2", "--l", "3"])["l"] == 3
+
+
+def test_decompose_rows_stay_exact_when_huge(capsys):
+    report = run_json(capsys, ["decompose", "--model", "mp", "--n", "60", "--l", "1"])
+    mults = [int(e["mult"]) for e in report["entries"]]
+    assert max(mults) == math.comb(60, 30)  # far past float precision
+    assert all(isinstance(e[k], str) for e in report["entries"] for k in ("dim", "mult"))
+
+
+@pytest.mark.parametrize("model,n,t,l",
+                         [("mp", 40, 3, "2"), ("su", 30, 3, "1"), ("su", 8, 4, "inf")])
+def test_capacity_rows_match_library_capacity(capsys, model, n, t, l):
+    """The CLI's p_b rows equal the exact fractions of capacity(decompose(...)),
+    entry for entry."""
+    report = run_json(capsys, ["capacity", "--model", model, "--n", str(n), "--t", str(t),
+                               "--l", l])
+    r = capacity(decompose(model, n, t, UNBOUNDED if l == "inf" else int(l)))
+    assert report["capacity_nats"] == r.value
+    assert report["support"] == str(r.support)
+    assert report["optimal_p"] == [{"label": list(label), "p": f"{p.numerator}/{p.denominator}"}
+                                   for label, p in r.optimal_p.items()]
+
+
 def test_base_two_divides_by_ln2(capsys):
     args = ["capacity", "--model", "su", "--n", "6", "--t", "2", "--l", "inf"]
     nats = run_json(capsys, args)["capacity_nats"]
@@ -253,6 +296,65 @@ def test_block_budget_exits_2_at_once(capsys, argv, count):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and count in err and "1000000" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "capacity"])
+def test_label_entry_budget_exits_2_at_once(capsys, command):
+    """2001 blocks, within MAX_BLOCKS, whose labels hold 4 004 001 entries.
+    One past the largest single-qudit report, so that without the budget the
+    request would still end."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, [command, "--model", "mp", "--n", "1", "--t", "2001",
+                                      "--format", "csv"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "2001 blocks of 2001 label entries" in err
+    assert "4000000" in err
+
+
+def test_finite_l_bounds_keep_the_label_entry_budget(capsys, monkeypatch):
+    """su bounds with a finite l enumerate their blocks under the same budget."""
+    monkeypatch.setattr(rep_core, "MAX_LABEL_ENTRIES", 30)
+    code, out, err = run_cli(capsys, ["bounds", "--model", "su", "--n", "9", "--t", "3",
+                                      "--l", "1"])
+    assert (code, out) == (2, "")
+    assert "12 blocks of 3 label entries each exceed the budget of 30" in err
+
+
+def _su_blocks_of_three(t):
+    """(dim, mult) of the SU(t) irreps of 3 boxes: Sym^3, the mixed shape, Lambda^3."""
+    return [(math.comb(t + 2, 3), 1), (t * (t * t - 1) // 3, 2), (math.comb(t, 3), 1)]
+
+
+def test_large_t_decompose_does_not_recurse(capsys):
+    """Blocks are enumerated iteratively: t far past the recursion limit works."""
+    t = 2000
+    code, out, err = run_cli(capsys, ["decompose", "--model", "mp", "--n", "1", "--t", str(t),
+                                      "--format", "csv"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[1:]
+    assert len(lines) == t
+    for k, line in enumerate(lines):  # weights e_0, e_1, ... in descending order
+        label = ["0"] * t
+        label[k] = "1"
+        assert line == f"mp,1,{t},inf,{'|'.join(label)},1,1,1"
+
+    report = run_json(capsys, ["decompose", "--model", "su", "--n", "3", "--t", str(t)])
+    assert [e["label"][:4] for e in report["entries"]] == [[3, 0, 0, 0], [2, 1, 0, 0], [1, 1, 1, 0]]
+    assert [(int(e["dim"]), int(e["mult"])) for e in report["entries"]] == _su_blocks_of_three(t)
+    assert all(e["eff_mult"] == e["dim"] for e in report["entries"])
+
+
+@pytest.mark.parametrize("command,l", [("capacity", 1), ("bounds", 2)])
+def test_large_t_finite_reference_does_not_recurse(capsys, command, l):
+    t = 1200
+    report = run_json(capsys, [command, "--model", "su", "--n", "3", "--t", str(t), "--l", str(l)])
+    support = sum(dim * min(l * mult, dim) for dim, mult in _su_blocks_of_three(t))
+    if command == "capacity":
+        assert report["support"] == str(support)
+        assert report["capacity_nats"] == math.log(support)
+    else:
+        assert report["lower_nats"] == m_eps_bounds(math.log(support), 0.1).lower
 
 
 @pytest.mark.parametrize("argv,support", [

@@ -1,5 +1,4 @@
 import itertools
-import json
 from functools import lru_cache
 from math import comb, factorial
 
@@ -22,6 +21,7 @@ from metrocap.rep_core import (
     weight_count,
     weyl_dimension,
 )
+from reference import factorial_multinomial, hook_length_count, ssyt_count
 
 
 # ---------------------------------------------------------------- oracles
@@ -37,32 +37,6 @@ def brute_partitions(n, t):
 
 def brute_weights(n, t):
     return {c for c in itertools.product(range(n + 1), repeat=t) if sum(c) == n}
-
-
-def count_ssyt(rows, t):
-    """Semistandard fillings with entries 1..t: rows weakly increase, columns
-    strictly increase."""
-    shape = [r for r in rows if r > 0]
-    cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
-    filling = {}
-
-    def rec(k):
-        if k == len(cells):
-            return 1
-        i, j = cells[k]
-        lo = 1
-        if j > 0:
-            lo = max(lo, filling[(i, j - 1)])
-        if i > 0:
-            lo = max(lo, filling[(i - 1, j)] + 1)
-        total = 0
-        for v in range(lo, t + 1):
-            filling[(i, j)] = v
-            total += rec(k + 1)
-        filling.pop((i, j), None)
-        return total
-
-    return rec(0)
 
 
 def count_syt(rows):
@@ -203,7 +177,7 @@ def test_weyl_dimension_vs_ssyt():
     for t in range(2, 5):
         for n in range(9):
             for lam in enumerate_partitions(n, t):
-                assert weyl_dimension(lam, t) == count_ssyt(lam.rows, t)
+                assert weyl_dimension(lam, t) == ssyt_count(lam.rows, t)
 
 
 def test_weyl_dimension_bound():
@@ -309,27 +283,98 @@ def test_decompose_block_budget(monkeypatch):
         decompose("su", 9, 3, 1)
 
 
-# ---------------------------------------------------------------- json
-
-def test_decomposition_json_round_trip():
-    d = decompose("su", 3, 2, UNBOUNDED)
-    payload = json.loads(d.to_json())
-    assert payload["model"] == "su"
-    assert payload["l"] == "inf"
-    assert payload["entries"][0] == {
-        "label": [3, 0],
-        "dim": "4",
-        "mult": "1",
-        "eff_mult": "4",
-    }
-    assert all(isinstance(e["dim"], str) for e in payload["entries"])
-
-    d2 = decompose("mp", 2, 2, 3)
-    assert json.loads(d2.to_json())["l"] == 3
+def test_decompose_label_entry_budget(monkeypatch):
+    """Every label holds t entries, so blocks * t is bounded too."""
+    with pytest.raises(ValueError, match="980700 blocks of 1400 label entries each"):
+        rep_core._check_block_budget(weight_count(2, 1400), 1400)  # under MAX_BLOCKS
+    with pytest.raises(ValueError, match="2001 blocks of 2001 label entries .* of 4000000"):
+        decompose("mp", 1, 2001, 1)  # one past one qudit at t = 2000
+    monkeypatch.setattr(rep_core, "MAX_LABEL_ENTRIES", 30)
+    assert len(decompose("mp", 3, 3, 1).rows) == 10  # 30 entries, at the budget
+    with pytest.raises(ValueError, match="6 blocks of 6 label entries .* budget of 30"):
+        decompose("mp", 1, 6, 1)
+    with pytest.raises(ValueError, match="12 blocks of 3 label entries"):
+        decompose("su", 9, 3, 1)
 
 
-def test_json_dims_stay_exact_when_huge():
-    d = decompose("mp", 60, 2, 1)
-    payload = d.to_json_dict()
-    mults = [int(e["mult"]) for e in payload["entries"]]
-    assert max(mults) == comb(60, 30)  # far past float precision
+# ---------------------------------------------------------------- raw rows
+
+@pytest.mark.parametrize("model", ["mp", "su"])
+@pytest.mark.parametrize("n,t", [(1, 2), (5, 2), (6, 3), (7, 4), (5, 5)])
+@pytest.mark.parametrize("l", [1, 2, UNBOUNDED])
+def test_rows_match_slow_references(model, n, t, l):
+    rows = decompose(model, n, t, l).rows
+    labels = [label for label, _, _, _ in rows]
+    assert labels == sorted(labels, reverse=True)
+    assert all(type(label) is tuple for label in labels)
+    if model == "mp":
+        assert set(labels) == brute_weights(n, t)
+        for label, dim, mult, eff in rows:
+            assert (dim, mult, eff) == (1, factorial_multinomial(label), 1)
+        return
+    assert set(labels) == brute_partitions(n, t)
+    for label, dim, mult, eff in rows:
+        assert dim == ssyt_count(label, t)
+        assert mult == hook_length_count(label)
+        assert eff == (dim if l is UNBOUNDED else min(l * mult, dim))
+
+
+@pytest.mark.parametrize("model", ["mp", "su"])
+@pytest.mark.parametrize("l", [1, 3, UNBOUNDED])
+def test_entries_wrap_the_rows(model, l):
+    d = decompose(model, 9, 3, l)
+    label_type = WeightVector if model == "mp" else Partition
+    assert Model(model).label_type is label_type
+    assert [(type(e.label), tuple(e.label), e.dim, e.mult, e.eff_mult) for e in d.entries] == [
+        (label_type, label, dim, mult, eff) for label, dim, mult, eff in d.rows
+    ]
+    assert d.entries is d.entries  # built once
+    rebuilt = Decomposition(d.model, d.n, d.t, d.l, d.entries)
+    assert rebuilt.rows == d.rows and rebuilt == d
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([((2, -1), 1, 1, 1)], "negative entry"),
+    ([((1, 2), 1, 1, 1)], "non-increasing"),
+    ([((2, 0), 3, 1, 3), ((2, 0), 3, 1, 3)], "duplicate"),
+    ([((2, 0), 0, 1, 1)], "positive"),
+    ([((2, 0), 3, 0, 1)], "positive"),
+    ([((2, 0), 3, 1, 4)], "eff_mult 4 outside"),
+    ([((2, 0), 3, 1, 0)], "eff_mult 0 outside"),
+    ([((2, 0), 3, 1, 3)], "do not fill"),
+])
+def test_decomposition_applies_every_block_check_to_rows(rows, message):
+    with pytest.raises(ValueError, match=message):
+        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, rows)
+
+
+def test_decomposition_rows_in_any_order():
+    rows = [((1, 1), 1, 1, 1), ((2, 0), 3, 1, 3)]  # ascending labels fill the space too
+    assert Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, rows).rows == tuple(rows)
+
+
+def test_decomposition_keeps_mp_blocks_one_dimensional():
+    rows = [((2, 0), 2, 1, 1), ((1, 1), 1, 2, 1)]
+    with pytest.raises(ValueError, match="one-dimensional"):
+        Decomposition(Model.MULTI_PHASE, 2, 2, 1, rows)
+
+
+def test_multiplicity_su_takes_partition_rows():
+    assert multiplicity_su((3, 2, 0), 5) == multiplicity_su(Partition((3, 2, 0)), 5) == 5
+    with pytest.raises(ValueError, match="fills 5 boxes, expected 4"):
+        multiplicity_su((3, 2), 4)
+
+
+def test_row_generators_reach_large_t():
+    """Iterative, so t far past the recursion limit works."""
+    t = 1100
+    assert sum(1 for _ in rep_core._weight_rows(1, t)) == weight_count(1, t) == t
+    assert len(decompose("mp", 1, t, 1).rows) == t
+    for n in (3, 10):
+        assert sum(1 for _ in rep_core._partition_rows(n, t)) == partition_count(n, t)
+    assert len(decompose("su", 3, t, 1).rows) == partition_count(3, t) == 3
+
+
+def test_multinomials_stay_exact_when_huge():
+    mults = [mult for _, _, mult, _ in decompose("mp", 60, 2, 1).rows]
+    assert mults == [comb(60, k) for k in range(61)]  # far past float precision
