@@ -3,16 +3,9 @@
 from .rep_core import (
     UNBOUNDED,
     Decomposition,
-    IrrepEntry,
     Model,
-    Partition,
-    WeightVector,
     decompose,
-    enumerate_partitions,
-    enumerate_weights,
-    multiplicity_mp,
     multiplicity_su,
-    weyl_dimension,
 )
 
 __version__ = "0.1.0"
@@ -20,15 +13,8 @@ __version__ = "0.1.0"
 __all__ = [
     "UNBOUNDED",
     "Decomposition",
-    "IrrepEntry",
     "Model",
-    "Partition",
-    "WeightVector",
     "decompose",
-    "enumerate_partitions",
-    "enumerate_weights",
-    "multiplicity_mp",
     "multiplicity_su",
-    "weyl_dimension",
     "__version__",
 ]

@@ -10,15 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import comb, gcd
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .rep_core import (
     UNBOUNDED,
     Decomposition,
     Model,
-    Partition,
     RefSize,
     _check_config,
     _partition_rows,
@@ -47,42 +45,16 @@ def log_fraction(q: Fraction) -> float:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Capacity value together with the distribution that attains it.
+    """Capacity in nats, the exact support whose log it is, and the block
+    distribution that attains it.
 
     ``p_rows`` holds p_b for each block as (label tuple, numerator,
-    denominator) in lowest terms, in the decomposition's row order;
-    ``optimal_p`` is the same distribution as exact fractions keyed by the
-    block label objects, built on first use.
+    denominator) in lowest terms, in the decomposition's row order.
     """
 
     value: float
-    log_base: str
+    support: int
     p_rows: tuple[tuple[tuple[int, ...], int, int], ...]
-    model: Model
-    n: int
-    t: int
-    l: RefSize
-    support: int  # exact integer whose log is `value`
-
-    @cached_property
-    def optimal_p(self) -> dict:
-        label = self.model.label_type
-        return {label(lab): Fraction(num, den) for lab, num, den in self.p_rows}
-
-
-@dataclass(frozen=True)
-class InputStateSpec:
-    """Recipe for the capacity-achieving input state.
-
-    ``weights`` are exact squared amplitudes per block; ``blocks`` describes
-    the maximally entangled construction inside each block.
-    """
-
-    weights: dict
-    blocks: dict
-
-    def amplitude(self, label) -> float:
-        return math.sqrt(self.weights[label])
 
 
 def capacity(decomp: Decomposition) -> CapacityReport:
@@ -98,16 +70,7 @@ def capacity(decomp: Decomposition) -> CapacityReport:
     for label, w in weights:
         g = gcd(w, total)
         p_rows.append((label, w // g, total // g))
-    return CapacityReport(
-        value=log_integer(total),
-        log_base="e",
-        p_rows=tuple(p_rows),
-        model=decomp.model,
-        n=decomp.n,
-        t=decomp.t,
-        l=decomp.l,
-        support=total,
-    )
+    return CapacityReport(value=log_integer(total), support=total, p_rows=tuple(p_rows))
 
 
 def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> int:
@@ -126,44 +89,6 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     if l is UNBOUNDED:
         return su_square_sum(n, t)
     return sum(dim * eff for _, dim, _, eff in decompose(model, n, t, l).rows)
-
-
-def block_state_mi(p: Mapping, decomp: Decomposition) -> float:
-    """Mutual information H(p) + sum_b p_b log(dim_b * eff_mult_b) in nats.
-
-    Accepts exact fractions or floats for p.  Terms are grouped by the exact
-    ratio (dim * eff_mult) / p_b before any float log is taken, so feeding the
-    optimal distribution reproduces capacity().value bit for bit.
-    """
-    sizes = {e.label: e.dim * e.eff_mult for e in decomp.entries}
-    groups: dict[Fraction, Fraction] = {}
-    total = Fraction(0)
-    for label, prob in p.items():
-        if label not in sizes:
-            raise ValueError(f"{label!r} is not a block of this decomposition")
-        q = Fraction(prob)
-        if q < 0:
-            raise ValueError(f"negative probability {prob} at {label!r}")
-        if q == 0:
-            continue
-        total += q
-        ratio = Fraction(sizes[label]) / q
-        groups[ratio] = groups.get(ratio, Fraction(0)) + q
-    if abs(total - 1) > Fraction(1, 10**9):
-        raise ValueError(f"probabilities sum to {float(total)}, not 1")
-    return sum(float(c) * log_fraction(r) for r, c in groups.items())
-
-
-def optimal_input(decomp: Decomposition) -> InputStateSpec:
-    """Capacity-achieving input: block weights plus per-block construction."""
-    report = capacity(decomp)
-    blocks = {}
-    for e in decomp.entries:
-        blocks[e.label] = (
-            f"maximally entangled rank-{e.eff_mult} pairing of the "
-            f"dim-{e.dim} irrep with the reference"
-        )
-    return InputStateSpec(weights=dict(report.optimal_p), blocks=blocks)
 
 
 def mp_capacity(n: int, t: int) -> float:
@@ -208,8 +133,9 @@ def su2_asymptote_residual(n: int) -> float:
     return abs(log_integer(su2_closed_form(n)) - (3.0 * math.log(n) - math.log(6.0)))
 
 
-def gapped_partitions(n: int, t: int, a) -> list[Partition]:
-    """Partitions of n into <= t rows whose consecutive row gaps are all >= n/(a*t).
+def gapped_partitions(n: int, t: int, a) -> list[tuple[int, ...]]:
+    """Rows of the partitions of n into <= t rows, zero-padded, whose
+    consecutive row gaps are all >= n/(a*t).
 
     ``a`` may be any rational in [2, 3] such that n/(a*t) is a positive integer.
     """
@@ -220,11 +146,8 @@ def gapped_partitions(n: int, t: int, a) -> list[Partition]:
     if gap.denominator != 1 or gap <= 0:
         raise ValueError(f"n/(a*t) = {gap} must be a positive integer")
     g = int(gap)
-    out = []
-    for rows in _partition_rows(n, t):
-        if all(rows[k] - rows[k + 1] >= g for k in range(t - 1)):
-            out.append(Partition(rows))
-    return out
+    return [rows for rows in _partition_rows(n, t)
+            if all(rows[k] - rows[k + 1] >= g for k in range(t - 1))]
 
 
 def su_lower_bound(n: int, t: int, a) -> float:

@@ -10,36 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .capacity import capacity
 from .rep_core import Decomposition
 
 _RADIUS_TOL = 1e-10
-
-
-def renyi_entropy(spectrum: Sequence[float], alpha: float) -> float:
-    """Order-alpha Renyi entropy of a probability spectrum, in nats.
-
-    alpha must be positive and not 1; eigenvalues below 1e-12 are dropped.
-    """
-    if alpha <= 0 or alpha == 1:
-        raise ValueError(f"alpha must be positive and not 1, got {alpha}")
-    if any(p < -1e-12 for p in spectrum):
-        raise ValueError("spectrum has a negative weight")
-    total = math.fsum(max(p, 0.0) for p in spectrum)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"spectrum sums to {total}, not 1")
-    z = math.fsum(p**alpha for p in spectrum if p > 1e-12)
-    return math.log(z) / (1.0 - alpha)
-
-
-def shannon_entropy(spectrum: Sequence[float]) -> float:
-    """-sum p log p over weights above 1e-12, in nats."""
-    total = math.fsum(max(p, 0.0) for p in spectrum)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"spectrum sums to {total}, not 1")
-    return -math.fsum(p * math.log(p) for p in spectrum if p > 1e-12)
 
 
 @dataclass(frozen=True)
@@ -156,13 +132,6 @@ class LatticeCodebook:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def covering_radius(self) -> float:
-        """Worst-case sup-distance from any phase vector to the lattice."""
-        return math.pi / self.N
-
-    def to_json_list(self) -> list:
-        return [list(theta) for theta in self.elements]
-
 
 def mp_lattice(n: int, t: int) -> LatticeCodebook:
     """The (n+1)-per-axis phase lattice {2 pi k / (n+1)} used at n copies.
@@ -177,14 +146,3 @@ def mp_lattice(n: int, t: int) -> LatticeCodebook:
     axis = [2.0 * math.pi * k / N for k in range(N)]
     elements = tuple(itertools.product(axis, repeat=t - 1))
     return LatticeCodebook(t=t, N=N, elements=elements)
-
-
-def torus_distance(x: Sequence[float], y: Sequence[float]) -> float:
-    """Sup-metric distance on the torus, each axis modulo 2 pi."""
-    if len(x) != len(y):
-        raise ValueError("phase vectors must have equal length")
-    worst = 0.0
-    for a, b in zip(x, y):
-        d = math.fmod(abs(a - b), 2.0 * math.pi)
-        worst = max(worst, min(d, 2.0 * math.pi - d))
-    return worst

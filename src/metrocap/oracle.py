@@ -12,13 +12,12 @@ against.  Dimensions are capped to keep dense linear algebra honest.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -84,12 +83,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def validate(self) -> None:
-        """Spectral positivity check (the expensive invariant, run on demand)."""
-        low = float(np.linalg.eigvalsh(self.matrix).min())
-        if low < -1e-10:
-            raise ValueError(f"negative eigenvalue {low}")
 
 
 def pure_density(psi: PureState) -> DensityOperator:
@@ -193,27 +186,16 @@ def _digit_counts(n: int, t: int) -> np.ndarray:
     return counts
 
 
-def mp_twirl(
-    rho: DensityOperator, n: int, t: int, grid_points: Optional[int] = None
-) -> DensityOperator:
-    """Exact phase-group twirl via a finite grid average.
-
-    Matrix elements depend on each phase through trigonometric polynomials of
-    degree at most n, so averaging over any grid of N >= n+1 points per axis
-    already equals the continuous Haar average.
-    """
+def mp_twirl(rho: DensityOperator, n: int, t: int) -> DensityOperator:
+    """Exact phase-group twirl: keeps the matrix elements between product-basis
+    indices of equal weight, whatever their reference index, and zeroes the
+    rest, whose phases average to 0 over the torus."""
     if (rho.n, rho.t) != (n, t):
         raise ValueError("density operator metadata does not match (n, t)")
-    N = n + 1 if grid_points is None else int(grid_points)
-    if N < n + 1:
-        raise ValueError(f"need at least n+1 = {n + 1} grid points per axis")
     counts = _digit_counts(n, t)
     if rho.ref_dim > 1:
         counts = np.repeat(counts, rho.ref_dim, axis=0)
-    axis = 2.0 * np.pi * np.arange(N) / N
-    thetas = np.array(list(itertools.product(axis, repeat=t - 1)))
-    v = np.exp(1j * (counts @ thetas.T))  # dim x N^(t-1)
-    mask = (v @ v.conj().T) / v.shape[1]  # 1 where weights agree, else averages to 0
+    mask = (counts[:, None] == counts[None, :]).all(-1)
     return DensityOperator(rho.matrix * mask, n=n, t=t, ref_dim=rho.ref_dim)
 
 

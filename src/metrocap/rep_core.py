@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import comb
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 
 class Model(str, Enum):
@@ -20,11 +20,6 @@ class Model(str, Enum):
 
     MULTI_PHASE = "mp"
     SPECIAL_UNITARY = "su"
-
-    @property
-    def label_type(self) -> type:
-        """Class of the block labels: WeightVector for mp, Partition for su."""
-        return WeightVector if self is Model.MULTI_PHASE else Partition
 
 
 class _UnboundedType:
@@ -63,94 +58,14 @@ MAX_LABEL_ENTRIES = 4_000_000
 Row = tuple[tuple[int, ...], int, int, int]
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Young diagram: non-increasing non-negative rows, zero-padded."""
+class IrrepEntry(NamedTuple):
+    """One block as named fields: a view of a row for the benchmark tracer,
+    its only reader.  It goes when the tracer reads ``Decomposition.rows``."""
 
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        rows = tuple(map(int, self.rows))
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            raise ValueError("partition needs at least one row slot")
-        if min(rows) < 0:
-            raise ValueError(f"negative row in {rows}")
-        if any(map(int.__lt__, rows, rows[1:])):
-            raise ValueError(f"rows must be non-increasing, got {rows}")
-
-    @property
-    def n(self) -> int:
-        """Total number of boxes."""
-        return sum(self.rows)
-
-    @property
-    def t(self) -> int:
-        """Row budget (including trailing zero rows)."""
-        return len(self.rows)
-
-    def padded(self, t: int) -> tuple[int, ...]:
-        """Rows as a length-t tuple; error if more than t rows are occupied."""
-        occupied = [r for r in self.rows if r > 0]
-        if len(occupied) > t:
-            raise ValueError(f"{self.rows} has more than {t} nonzero rows")
-        return tuple(occupied) + (0,) * (t - len(occupied))
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Partition{self.rows}"
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Occupation numbers (n_0, ..., n_{t-1}) of the t levels."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(map(int, self.counts))
-        object.__setattr__(self, "counts", counts)
-        if not counts:
-            raise ValueError("weight vector needs at least one component")
-        if min(counts) < 0:
-            raise ValueError(f"negative count in {counts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def t(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __repr__(self) -> str:
-        return f"WeightVector{self.counts}"
-
-
-Label = Union[Partition, WeightVector]
-
-
-@dataclass(frozen=True)
-class IrrepEntry:
-    """One isotypic block: label, dimension, multiplicity, effective multiplicity."""
-
-    label: Label
+    label: tuple[int, ...]
     dim: int
     mult: int
     eff_mult: int
-
-    def __post_init__(self):
-        if self.dim < 1 or self.mult < 1:
-            raise ValueError("dim and mult must be positive")
-        if not 1 <= self.eff_mult <= self.dim:
-            raise ValueError(
-                f"eff_mult {self.eff_mult} outside [1, dim={self.dim}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -158,11 +73,10 @@ class Decomposition:
     """Full isotypic decomposition of one model at given (n, t, l).
 
     The blocks are raw rows (label, dim, mult, eff_mult), the labels plain
-    tuples: weight vectors for mp, zero-padded partitions for su.  IrrepEntry
-    objects given instead are kept as their rows.  The rows are checked here
-    as the block objects check themselves, in any order, and must fill the
-    space: sum dim * mult = t^n.  ``entries`` wraps them in IrrepEntry objects
-    on first use, so callers that read only the rows build no object per block.
+    tuples: weight vectors for mp, zero-padded partitions for su.  The rows
+    are checked here, in any order: labels non-negative, partition labels
+    non-increasing, mp blocks one-dimensional, 1 <= eff_mult <= dim, no label
+    twice, and together they must fill the space: sum dim * mult = t^n.
     """
 
     model: Model
@@ -172,10 +86,7 @@ class Decomposition:
     rows: tuple[Row, ...]
 
     def __post_init__(self):
-        rows = tuple(
-            (tuple(b.label), b.dim, b.mult, b.eff_mult) if isinstance(b, IrrepEntry) else b
-            for b in self.rows
-        )
+        rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
         labels = [row[0] for row in rows]
         if len(set(labels)) != len(labels):
@@ -200,9 +111,8 @@ class Decomposition:
 
     @cached_property
     def entries(self) -> tuple[IrrepEntry, ...]:
-        """The blocks as IrrepEntry objects, in row order."""
-        label = self.model.label_type
-        return tuple(IrrepEntry(label(lab), dim, mult, eff) for lab, dim, mult, eff in self.rows)
+        """The rows as IrrepEntry named tuples, for the benchmark tracer only."""
+        return tuple(map(IrrepEntry._make, self.rows))
 
 
 def _partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -237,48 +147,34 @@ def _partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
 
 
 def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
-    """Exact dimension from the pairwise row/offset product over non-increasing
-    rows.  A pair of zero rows contributes (j - i) / (j - i), so the product
-    stops at the first zero row."""
+    """Exact dimension from the Weyl product over non-increasing rows: the
+    factor (r_i - r_j + j - i) / (j - i) of every pair i < j.
+
+    A pair of zero rows contributes 1.  Over the zero rows z <= j < t the
+    factors of an occupied row i telescope to C(r_i+t-1-i, r_i) / C(r_i+z-1-i, r_i),
+    so only pairs of occupied rows are multiplied out.
+    """
     t = len(rows)
+    z = rows.index(0) if rows[-1] == 0 else t  # the occupied rows
     num = 1
     den = 1
-    for i in range(t):
+    for i in range(z):
         ri = rows[i]
-        if not ri:
-            break
-        for j in range(i + 1, t):
+        for j in range(i + 1, z):
             num *= ri - rows[j] + j - i
             den *= j - i
+        if z < t:
+            num *= comb(ri + t - 1 - i, ri)
+            den *= comb(ri + z - 1 - i, ri)
     q, r = divmod(num, den)
     if r:  # the product is always divisible; guard against misuse
         raise ArithmeticError(f"non-integer dimension for rows {rows}")
     return q
 
 
-def enumerate_partitions(n: int, t: int) -> list[Partition]:
-    """All partitions of n into at most t parts.
-
-    Canonical non-increasing rows, zero-padded to length t, returned in
-    lexicographically descending order without duplicates.
-    """
-    if t < 1:
-        raise ValueError("row budget t must be at least 1")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return [Partition(rows) for rows in _partition_rows(n, t)]
-
-
-def weyl_dimension(lam: Partition, t: int) -> int:
-    """Dimension of the SU(t) irrep labelled by ``lam``, as an exact integer."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    return _weyl_dim_rows(lam.padded(t))
-
-
-def multiplicity_su(lam: Union[Partition, tuple[int, ...]], n: int) -> int:
-    """Number of standard Young tableaux of shape ``lam``, a Partition or its
-    non-increasing rows, by the Frobenius formula
+def multiplicity_su(rows: tuple[int, ...], n: int) -> int:
+    """Number of standard Young tableaux of the shape with non-increasing
+    ``rows``, by the Frobenius formula
     n! * prod_{i<j} (l_i - l_j) / prod_i l_i! over the k occupied rows, with
     shifted lengths l_i = lam_i + k - 1 - i.
 
@@ -286,7 +182,6 @@ def multiplicity_su(lam: Union[Partition, tuple[int, ...]], n: int) -> int:
     of the l_i (a running product of binomials) over (n+1)...(sum l_i): the one
     division is by a product of k(k-1)/2 small factors.
     """
-    rows = lam.rows if isinstance(lam, Partition) else lam
     occupied = [r for r in rows if r > 0]
     if sum(occupied) != n:
         raise ValueError(f"partition fills {sum(occupied)} boxes, expected {n}")
@@ -341,27 +236,6 @@ def _weight_rows(n: int, t: int) -> Iterator[Row]:
             live.append(k + 1)
         else:
             counts[last] = moved
-
-
-def enumerate_weights(n: int, t: int) -> list[WeightVector]:
-    """All occupation vectors of n excitations over t levels, lexicographically
-    descending; there are binomial(n+t-1, t-1) of them."""
-    if t < 1:
-        raise ValueError("dimension t must be at least 1")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return [WeightVector(row[0]) for row in _weight_rows(n, t)]
-
-
-def multiplicity_mp(weight: WeightVector) -> int:
-    """Multinomial coefficient n! / (n_0! ... n_{t-1}!), as a running product
-    of binomials C(n_0 + ... + n_k, n_k)."""
-    out = 1
-    filled = 0
-    for c in weight.counts:
-        filled += c
-        out *= comb(filled, c)
-    return out
 
 
 def _check_ref_size(l: RefSize) -> None:

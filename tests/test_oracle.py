@@ -30,6 +30,7 @@ from metrocap.oracle import (
     von_neumann_entropy,
 )
 from metrocap.rep_core import UNBOUNDED, decompose
+from reference import grid_twirl
 
 
 def tensor_power(u, n):
@@ -61,9 +62,9 @@ def test_density_operator_validation():
 
 def test_density_operator_psd_check():
     rho = DensityOperator(np.diag([1.5, -0.5]), n=1, t=2)  # hermitian, trace 1
-    with pytest.raises(ValueError):
-        rho.validate()
-    DensityOperator(np.diag([0.5, 0.5]), n=1, t=2).validate()
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        von_neumann_entropy(rho)
+    assert von_neumann_entropy(DensityOperator(np.diag([0.5, 0.5]), n=1, t=2)) == math.log(2)
 
 
 def test_codebook_validation():
@@ -186,12 +187,15 @@ def test_mp_twirl_entropies():
 
 
 def test_mp_twirl_grid_exactness():
+    """The weight-equality mask against the Haar average over a phase grid,
+    exact from n+1 points per axis; n points alias weights n apart."""
     rng = np.random.default_rng(23)
-    for n, t in [(2, 2), (5, 2), (8, 2), (3, 3), (2, 4)]:
-        rho = pure_density(random_pure_state(rng, n, t))
+    for n, t, ref_dim in [(2, 2, 1), (5, 2, 1), (8, 2, 1), (3, 3, 1), (2, 4, 1), (3, 2, 3)]:
+        rho = pure_density(random_pure_state(rng, n, t, ref_dim))
         a = mp_twirl(rho, n, t).matrix
-        b = mp_twirl(rho, n, t, grid_points=n + 2).matrix
-        assert np.abs(a - b).max() < 1e-12
+        for N in (n + 1, n + 2):
+            assert np.abs(a - grid_twirl(rho, n, t, N).matrix).max() < 1e-12
+        assert np.abs(a - grid_twirl(rho, n, t, n).matrix).max() > 1e-9
 
 
 def test_mp_twirl_idempotent():
@@ -228,8 +232,6 @@ def test_mp_twirl_validation():
     rho = pure_density(noon_state(2))
     with pytest.raises(ValueError):
         mp_twirl(rho, 3, 2)
-    with pytest.raises(ValueError):
-        mp_twirl(rho, 2, 2, grid_points=2)  # under n+1 aliases the weights
 
 
 # ---------------------------------------------------------------- schur basis

@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 from metrocap.capacity import su2_closed_form, su_square_sum
 from metrocap.cli import _json_cells, main, report_to_csv
-from metrocap.rep_core import (
-    WeightVector,
-    _weight_rows,
-    enumerate_partitions,
-    multiplicity_mp,
-    multiplicity_su,
-)
+from metrocap.rep_core import _partition_rows, _weight_rows, multiplicity_su
 from reference import enumerated_square_sum, factorial_multinomial, hook_length_count
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -44,19 +38,22 @@ def partitions(draw):
     """Any partition of n <= 30 into at most t <= 5 rows."""
     n = draw(st.integers(0, 30))
     t = draw(st.integers(1, 5))
-    return draw(st.sampled_from(enumerate_partitions(n, t)))
+    return draw(st.sampled_from(list(_partition_rows(n, t))))
 
 
 @SMALL
-@given(lam=partitions())
-def test_frobenius_matches_hook_length(lam):
-    assert multiplicity_su(lam, lam.n) == hook_length_count(lam.rows)
+@given(rows=partitions())
+def test_frobenius_matches_hook_length(rows):
+    assert multiplicity_su(rows, sum(rows)) == hook_length_count(rows)
 
 
 @SMALL
 @given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=5))
 def test_multinomial_matches_factorials(counts):
-    assert multiplicity_mp(WeightVector(tuple(counts))) == factorial_multinomial(counts)
+    """The multinomial of any one occupation vector, in its weight row."""
+    counts = tuple(counts)
+    (mult,) = [m for c, _, m, _ in _weight_rows(sum(counts), len(counts)) if c == counts]
+    assert mult == factorial_multinomial(counts)
 
 
 @SMALL

@@ -10,18 +10,15 @@ from metrocap.rep_core import (
     Decomposition,
     IrrepEntry,
     Model,
-    Partition,
-    WeightVector,
+    _partition_rows,
+    _weight_rows,
+    _weyl_dim_rows,
     decompose,
-    enumerate_partitions,
-    enumerate_weights,
-    multiplicity_mp,
     multiplicity_su,
     partition_count,
     weight_count,
-    weyl_dimension,
 )
-from reference import factorial_multinomial, hook_length_count, ssyt_count
+from reference import factorial_multinomial, hook_length_count, pairwise_weyl_dim, ssyt_count
 
 
 # ---------------------------------------------------------------- oracles
@@ -57,77 +54,40 @@ def count_syt(rows):
 
 # ---------------------------------------------------------------- types
 
-def test_partition_validation():
-    assert Partition((3, 1, 0)).n == 4
-    assert Partition((3, 1, 0)).t == 3
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, -1))
-    with pytest.raises(ValueError):
-        Partition(())
-
-
 def test_partition_checks_sign_before_order():
-    with pytest.raises(ValueError, match="negative row"):
-        Partition((1, -1, 2))  # breaks both rules
-
-
-def test_partition_padded():
-    assert Partition((2, 1)).padded(4) == (2, 1, 0, 0)
-    assert Partition((2, 1, 0, 0)).padded(2) == (2, 1)
-    with pytest.raises(ValueError):
-        Partition((2, 1, 1)).padded(2)
+    with pytest.raises(ValueError, match="negative entry"):
+        Decomposition(Model.SPECIAL_UNITARY, 4, 3, 1, [((1, -1, 2), 1, 1, 1)])  # breaks both rules
 
 
 def test_weight_vector_validation():
-    assert WeightVector((1, 0, 2)).n == 3
-    with pytest.raises(ValueError):
-        WeightVector((1, -1))
-
-
-def test_irrep_entry_bounds():
-    lam = Partition((2, 0))
-    IrrepEntry(lam, 3, 1, 3)
-    with pytest.raises(ValueError):
-        IrrepEntry(lam, 3, 1, 4)  # eff above dim
-    with pytest.raises(ValueError):
-        IrrepEntry(lam, 3, 1, 0)
-    with pytest.raises(ValueError):
-        IrrepEntry(lam, 0, 1, 1)
+    with pytest.raises(ValueError, match="negative entry"):
+        Decomposition(Model.MULTI_PHASE, 1, 2, 1, [((2, -1), 1, 1, 1)])
 
 
 def test_decomposition_rejects_incomplete():
-    lam = Partition((2, 0))
-    with pytest.raises(ValueError):
-        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, (IrrepEntry(lam, 3, 1, 3),))
-    with pytest.raises(ValueError):
-        Decomposition(
-            Model.SPECIAL_UNITARY,
-            2,
-            2,
-            1,
-            (IrrepEntry(lam, 3, 1, 3), IrrepEntry(lam, 1, 1, 1)),
-        )  # duplicate labels
+    with pytest.raises(ValueError, match="do not fill"):
+        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, [((2, 0), 3, 1, 3)])
+    with pytest.raises(ValueError, match="duplicate"):
+        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, [((2, 0), 3, 1, 3), ((2, 0), 1, 1, 1)])
 
 
 # ---------------------------------------------------------------- enumeration
 
 def test_enumerate_partitions_small():
-    assert [p.rows for p in enumerate_partitions(2, 2)] == [(2, 0), (1, 1)]
-    assert [p.rows for p in enumerate_partitions(4, 3)] == [
+    assert list(_partition_rows(2, 2)) == [(2, 0), (1, 1)]
+    assert list(_partition_rows(4, 3)) == [
         (4, 0, 0),
         (3, 1, 0),
         (2, 2, 0),
         (2, 1, 1),
     ]
-    assert [p.rows for p in enumerate_partitions(0, 3)] == [(0, 0, 0)]
+    assert list(_partition_rows(0, 3)) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])
 def test_enumerate_partitions_brute(n, t):
-    got = [p.rows for p in enumerate_partitions(n, t)]
+    got = list(_partition_rows(n, t))
     assert set(got) == brute_partitions(n, t)
     assert got == sorted(got, reverse=True)  # lexicographically descending
     assert len(got) == len(set(got))
@@ -136,48 +96,43 @@ def test_enumerate_partitions_brute(n, t):
 def test_partition_count_bound_sweep():
     for t in range(1, 5):
         for n in range(51):
-            assert len(enumerate_partitions(n, t)) == partition_count(n, t)
+            assert sum(1 for _ in _partition_rows(n, t)) == partition_count(n, t)
+
+
+def weights(n, t):
+    return [counts for counts, _, _, _ in _weight_rows(n, t)]
 
 
 def test_enumerate_weights_small():
-    assert [w.counts for w in enumerate_weights(2, 2)] == [(2, 0), (1, 1), (0, 2)]
-    assert len(enumerate_weights(4, 2)) == 5
-    assert len(enumerate_weights(2, 3)) == 6
-    assert [w.counts for w in enumerate_weights(0, 3)] == [(0, 0, 0)]
+    assert weights(2, 2) == [(2, 0), (1, 1), (0, 2)]
+    assert len(weights(4, 2)) == 5
+    assert len(weights(2, 3)) == 6
+    assert weights(0, 3) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("n,t", [(4, 2), (3, 3), (5, 3), (2, 4)])
 def test_enumerate_weights_brute(n, t):
-    got = [w.counts for w in enumerate_weights(n, t)]
+    got = weights(n, t)
     assert set(got) == brute_weights(n, t)
     assert len(got) == weight_count(n, t) == comb(n + t - 1, t - 1)
     assert got == sorted(got, reverse=True)
 
 
-def test_enumeration_input_validation():
-    with pytest.raises(ValueError):
-        enumerate_partitions(-1, 2)
-    with pytest.raises(ValueError):
-        enumerate_partitions(3, 0)
-    with pytest.raises(ValueError):
-        enumerate_weights(3, 0)
-
-
 # ---------------------------------------------------------------- dimensions
 
 def test_weyl_dimension_known():
-    assert weyl_dimension(Partition((1, 1)), 2) == 1
-    assert weyl_dimension(Partition((2, 0)), 2) == 3
-    assert weyl_dimension(Partition((2, 1, 0)), 3) == 8
+    assert _weyl_dim_rows((1, 1)) == 1
+    assert _weyl_dim_rows((2, 0)) == 3
+    assert _weyl_dim_rows((2, 1, 0)) == 8
     for n in (1, 4, 17):
-        assert weyl_dimension(Partition((n, 0)), 2) == n + 1
+        assert _weyl_dim_rows((n, 0)) == n + 1
 
 
 def test_weyl_dimension_vs_ssyt():
     for t in range(2, 5):
         for n in range(9):
-            for lam in enumerate_partitions(n, t):
-                assert weyl_dimension(lam, t) == ssyt_count(lam.rows, t)
+            for rows in _partition_rows(n, t):
+                assert _weyl_dim_rows(rows) == ssyt_count(rows, t)
 
 
 def test_weyl_dimension_bound():
@@ -185,66 +140,83 @@ def test_weyl_dimension_bound():
     for t in range(2, 5):
         for n in range(13):
             cap = (n + 1) ** (t * (t - 1) // 2)
-            for lam in enumerate_partitions(n, t):
-                assert weyl_dimension(lam, t) <= cap
+            for rows in _partition_rows(n, t):
+                assert _weyl_dim_rows(rows) <= cap
+
+
+@pytest.mark.parametrize("t", [2, 3, 5, 8, 13, 21, 40])
+def test_weyl_dimension_telescoped_tail_matches_pairwise_product(t):
+    """Labels with zero rows take the telescoped binomial ratio, labels with
+    every row occupied the plain product; both against every pair."""
+    for n in range(13):
+        for rows in _partition_rows(n, t):
+            assert _weyl_dim_rows(rows) == pairwise_weyl_dim(rows), rows
+
+
+def test_weyl_dimension_at_large_t_matches_a_closed_form():
+    """One row of n boxes is Sym^n(C^t), of dimension C(n+t-1, n)."""
+    for t in (100, 1000):
+        assert _weyl_dim_rows((20,) + (0,) * (t - 1)) == comb(20 + t - 1, 20)
+        assert _weyl_dim_rows((1,) * 3 + (0,) * (t - 3)) == comb(t, 3)  # Lambda^3
 
 
 def test_multiplicity_su_known():
-    assert multiplicity_su(Partition((5, 0)), 5) == 1
-    assert multiplicity_su(Partition((1, 1)), 2) == 1
-    assert multiplicity_su(Partition((2, 1)), 3) == 2
+    assert multiplicity_su((5, 0), 5) == 1
+    assert multiplicity_su((1, 1), 2) == 1
+    assert multiplicity_su((2, 1), 3) == 2
     with pytest.raises(ValueError):
-        multiplicity_su(Partition((2, 1)), 4)
+        multiplicity_su((2, 1), 4)
 
 
 def test_multiplicity_su_vs_syt():
     for n in range(1, 9):
-        for lam in enumerate_partitions(n, n):
-            assert multiplicity_su(lam, n) == count_syt(lam.rows)
+        for rows in _partition_rows(n, n):
+            assert multiplicity_su(rows, n) == count_syt(rows)
 
 
 def test_multiplicity_mp_known():
-    assert multiplicity_mp(WeightVector((4, 0))) == 1
-    assert multiplicity_mp(WeightVector((2, 2))) == 6
-    assert multiplicity_mp(WeightVector((1, 1, 1))) == 6
+    mult = {counts: m for counts, _, m, _ in _weight_rows(4, 2)}
+    assert mult[(4, 0)] == 1
+    assert mult[(2, 2)] == 6
+    assert {counts: m for counts, _, m, _ in _weight_rows(3, 3)}[(1, 1, 1)] == 6
 
 
 @pytest.mark.parametrize("n,t", [(4, 2), (5, 2), (4, 3)])
 def test_multiplicity_mp_brute(n, t):
     strings = list(itertools.product(range(t), repeat=n))
-    for w in enumerate_weights(n, t):
+    for counts, _, mult, _ in _weight_rows(n, t):
         hits = sum(
             1
             for s in strings
-            if all(s.count(level) == w.counts[level] for level in range(t))
+            if all(s.count(level) == counts[level] for level in range(t))
         )
-        assert multiplicity_mp(w) == hits
+        assert mult == hits
 
 
 # ---------------------------------------------------------------- decompose
 
 def test_decompose_su_example():
     d = decompose("su", 2, 2, UNBOUNDED)
-    table = {e.label.rows: (e.dim, e.mult, e.eff_mult) for e in d.entries}
+    table = {label: (dim, mult, eff) for label, dim, mult, eff in d.rows}
     assert table == {(2, 0): (3, 1, 3), (1, 1): (1, 1, 1)}
 
 
 def test_decompose_mp_example():
     d = decompose("mp", 3, 2, 1)
-    assert len(d.entries) == 4
-    assert all(e.dim == 1 and e.eff_mult == 1 for e in d.entries)
-    assert sorted(e.mult for e in d.entries) == [1, 1, 3, 3]
+    assert len(d.rows) == 4
+    assert all(dim == 1 and eff == 1 for _, dim, _, eff in d.rows)
+    assert sorted(mult for _, _, mult, _ in d.rows) == [1, 1, 3, 3]
 
 
 def test_decompose_su_finite_reference():
     d = decompose(Model.SPECIAL_UNITARY, 3, 2, 1)
-    table = {e.label.rows: e for e in d.entries}
-    assert (table[(2, 1)].dim, table[(2, 1)].mult, table[(2, 1)].eff_mult) == (2, 2, 2)
-    assert table[(3, 0)].eff_mult == 1  # min(1*1, 4)
+    table = {label: (dim, mult, eff) for label, dim, mult, eff in d.rows}
+    assert table[(2, 1)] == (2, 2, 2)
+    assert table[(3, 0)][2] == 1  # min(1*1, 4)
     d2 = decompose("su", 4, 2, 2)
-    table2 = {e.label.rows: e for e in d2.entries}
-    assert table2[(3, 1)].eff_mult == 3  # min(2*3, 3) saturates
-    assert table2[(2, 2)].eff_mult == 1  # min(2*2, 1)
+    table2 = {label: eff for label, _, _, eff in d2.rows}
+    assert table2[(3, 1)] == 3  # min(2*3, 3) saturates
+    assert table2[(2, 2)] == 1  # min(2*2, 1)
 
 
 @pytest.mark.parametrize("model", ["mp", "su"])
@@ -253,9 +225,9 @@ def test_decompose_su_finite_reference():
 def test_decompose_completeness(model, n, t):
     d = decompose(model, n, t, 1)
     if model == "mp":
-        assert sum(e.mult for e in d.entries) == t**n
+        assert sum(mult for _, _, mult, _ in d.rows) == t**n
     else:
-        assert sum(e.dim * e.mult for e in d.entries) == t**n
+        assert sum(dim * mult for _, dim, mult, _ in d.rows) == t**n
 
 
 def test_decompose_validation():
@@ -275,8 +247,8 @@ def test_decompose_block_budget(monkeypatch):
     with pytest.raises(ValueError, match=f"{partition_count(1000, 6)} blocks .* of 1000000"):
         decompose("su", 1000, 6, 1)
     monkeypatch.setattr(rep_core, "MAX_BLOCKS", 10)
-    assert len(decompose("mp", 3, 3, 1).entries) == 10  # C(5, 2), at the budget
-    assert len(decompose("su", 8, 3, 1).entries) == 10  # p(8, <= 3 parts)
+    assert len(decompose("mp", 3, 3, 1).rows) == 10  # C(5, 2), at the budget
+    assert len(decompose("su", 8, 3, 1).rows) == 10  # p(8, <= 3 parts)
     with pytest.raises(ValueError, match="15 blocks .* budget of 10"):
         decompose("mp", 4, 3, 1)
     with pytest.raises(ValueError, match="12 blocks .* budget of 10"):
@@ -323,14 +295,10 @@ def test_rows_match_slow_references(model, n, t, l):
 @pytest.mark.parametrize("l", [1, 3, UNBOUNDED])
 def test_entries_wrap_the_rows(model, l):
     d = decompose(model, 9, 3, l)
-    label_type = WeightVector if model == "mp" else Partition
-    assert Model(model).label_type is label_type
-    assert [(type(e.label), tuple(e.label), e.dim, e.mult, e.eff_mult) for e in d.entries] == [
-        (label_type, label, dim, mult, eff) for label, dim, mult, eff in d.rows
-    ]
+    assert d.entries == d.rows
+    assert [(e.label, e.dim, e.mult, e.eff_mult) for e in d.entries] == list(d.rows)
+    assert all(type(e) is IrrepEntry for e in d.entries)
     assert d.entries is d.entries  # built once
-    rebuilt = Decomposition(d.model, d.n, d.t, d.l, d.entries)
-    assert rebuilt.rows == d.rows and rebuilt == d
 
 
 @pytest.mark.parametrize("rows,message", [
@@ -360,7 +328,7 @@ def test_decomposition_keeps_mp_blocks_one_dimensional():
 
 
 def test_multiplicity_su_takes_partition_rows():
-    assert multiplicity_su((3, 2, 0), 5) == multiplicity_su(Partition((3, 2, 0)), 5) == 5
+    assert multiplicity_su((3, 2, 0), 5) == multiplicity_su((3, 2), 5) == 5
     with pytest.raises(ValueError, match="fills 5 boxes, expected 4"):
         multiplicity_su((3, 2), 4)
 
