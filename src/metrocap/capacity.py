@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Sequence, Union
 
 from .rep_core import (
@@ -18,9 +18,12 @@ from .rep_core import (
     Decomposition,
     Model,
     RefSize,
+    _check_block_budget,
     _check_config,
     _partition_rows,
-    decompose,
+    _weyl_dim_rows,
+    multiplicity_su,
+    partition_count,
     weight_count,
 )
 
@@ -75,20 +78,90 @@ def capacity(decomp: Decomposition) -> CapacityReport:
 
 def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> int:
     """The support sum_b dim_b * eff_mult_b of decompose(model, n, t, l),
-    from a closed form wherever one holds.
+    without building the decomposition.
 
     mp blocks are one-dimensional, so every weight counts once at any l:
     C(n+t-1, t-1).  su with an unbounded reference saturates every block:
-    the Cauchy sum C(n+t^2-1, t^2-1).  su with a finite l enumerates its
-    blocks under the decompose block budget.  Arguments are validated as in
-    decompose, with the same messages.
+    the Cauchy sum C(n+t^2-1, t^2-1).  su with a finite l is that sum minus
+    the deficit d (d - l f) of the unsaturated shapes (l f < d), summed over
+    the shapes (n-m, mu) of the few m that _deficit_lengths keeps.  Arguments
+    are validated as in decompose, with the same messages.
     """
     model = _check_config(model, n, t, l)
     if model is Model.MULTI_PHASE:
         return weight_count(n, t)
     if l is UNBOUNDED:
         return su_square_sum(n, t)
-    return sum(dim * eff for _, dim, _, eff in decompose(model, n, t, l).rows)
+    deficit = 0
+    for m in _deficit_lengths(n, t, l):
+        for mu in _partition_rows(m, t - 1, n - m):
+            rows = (n - m,) + mu
+            dim = _weyl_dim_rows(rows)
+            short = dim - l * multiplicity_su(rows, n)
+            if short > 0:
+                deficit += dim * short
+    return su_square_sum(n, t) - deficit
+
+
+def _deficit_lengths(n: int, t: int, l: int) -> list[int]:
+    """The numbers m of boxes below the first row at which some shape of n
+    into <= t rows may be unsaturated (l f < d), in increasing order.
+
+    A shape is lam = (n-m, mu) with mu a partition of m into <= t-1 rows and
+    mu_1 <= n-m, so n-m >= n/t.  Every m is skipped for which, in exact
+    integers,
+
+        l C(n, m) >= C(n-m+t-1, t-1)^2 isqrt(C(m+(t-1)^2-1, (t-1)^2-1)),
+
+    because this certifies l f_lam >= d_lam for every such shape:
+
+    - d_lam <= C(n-m+t-1, t-1) d_mu: the Weyl factors of the first row are
+      (n-m - mu_j + j) / j <= (n-m + j) / j, j = 1..t-1, and the others are
+      the GL(t-1) Weyl product of mu;
+    - f_lam >= C(n, m) f_mu / C(n-m+t-1, t-1): by the hook-length formula the
+      hooks below the first row are those of mu (product m!/f_mu), and the
+      n-m first-row hooks are distinct integers <= n-m+t-1, so their product
+      is at most (n-m+t-1)!/(t-1)!;
+    - f_mu >= 1;
+    - d_mu <= isqrt(sum_mu d_mu^2), and that sum over all partitions of m into
+      <= t-1 rows is the GL(t-1) Cauchy binomial C(m+(t-1)^2-1, (t-1)^2-1).
+
+    The binomials are updated from m to m+1 by one exact division each.  The
+    walk stops at the first skipped m from which the whole tail m..m_max is
+    certified at once: there C(n, m') >= C(n, min(m, n-m_max)) (C(n, .) is
+    unimodal), the first-row binomial only falls and the Cauchy binomial only
+    rises, so the tail inequality implies the one of every later m'.
+
+    Counts the shapes of the kept m before any is visited, and refuses more
+    than MAX_BLOCKS of them, or more than MAX_LABEL_ENTRIES shapes times t
+    (each visit builds a t-row label), naming the count.
+    """
+    k = t - 1
+    sq = k * k
+    m_max = n + (-n // t)  # n - ceil(n/t)
+    edge = n - m_max
+    choose = 1  # C(n, m)
+    first = comb(n + k, k)  # C(n-m+k, k)
+    below = 1  # C(m+sq-1, sq-1)
+    top = None  # isqrt(C(m_max+sq-1, sq-1)), once a tail is tried
+    lengths = []
+    shapes = 0
+    for m in range(m_max + 1):
+        if m <= edge:
+            low = choose  # C(n, min(m, edge))
+        if l * choose < first * first * isqrt(below):
+            lengths.append(m)
+            shapes += partition_count(m, k, n - m)
+            _check_block_budget(shapes, t)
+        else:
+            if top is None:
+                top = isqrt(comb(m_max + sq - 1, sq - 1))
+            if l * low >= first * first * top:
+                break
+        choose = choose * (n - m) // (m + 1)
+        first = first * (n - m) // (n - m + k)
+        below = below * (m + sq) // (m + 1)
+    return lengths
 
 
 def mp_capacity(n: int, t: int) -> float:

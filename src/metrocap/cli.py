@@ -31,6 +31,13 @@ _LN2 = math.log(2.0)
 # at t = 2 took 3.5 s and 125 MiB on a 2-vCPU Xeon VM (Python 3.11).
 MAX_SCALING_POINTS = 10_000
 
+# Most bits the binomials of a scaling sweep may hold together, estimated
+# from log-gamma before any is computed.  The cost of one binomial grows
+# faster than its size: C(n+t^2-1, t^2-1) took 0.97 s at 483 437 bits
+# (n = 10^5, t = 1000) and 3.2 s at 780 017 bits (n = 2 * 10^5), so the
+# budget keeps a sweep to seconds.
+MAX_SCALING_BITS = 1_000_000
+
 
 class CLIError(Exception):
     """Invalid configuration; maps to exit status 2."""
@@ -106,11 +113,18 @@ def _build_decompose(cfg: RunConfig) -> dict:
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
-    r = cap.capacity(decompose(cfg.model, cfg.n, cfg.t, cfg.l))
+    weights = {}
+    if cfg.format == "csv":  # the one CSV row shows no block weights: build no blocks
+        support = cap.capacity_support(cfg.model, cfg.n, cfg.t, cfg.l)
+    else:
+        r = cap.capacity(decompose(cfg.model, cfg.n, cfg.t, cfg.l))
+        support = r.support
+        weights["optimal_p"] = [{"label": list(label), "p": f"{num}/{den}"}
+                                for label, num, den in r.p_rows]
     return _report(cfg, "model n t l log_base", {
-        f"capacity_{_unit(cfg.base)}": _scaled(r.value, cfg.base),
-        "support": str(r.support),
-        "optimal_p": [{"label": list(label), "p": f"{num}/{den}"} for label, num, den in r.p_rows],
+        f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
+        "support": str(support),
+        **weights,
     })
 
 
@@ -166,6 +180,11 @@ def _build_simulate(cfg: RunConfig) -> dict:
     })
 
 
+def _binomial_bits(m: int, k: int) -> float:
+    """log2 C(m, k) from log-gamma: the size of a binomial before it is made."""
+    return (math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)) / _LN2
+
+
 def _build_scaling(cfg: RunConfig) -> dict:
     if cfg.n_range is None:
         raise CLIError("scaling needs --n-range start:stop:stride")
@@ -177,6 +196,13 @@ def _build_scaling(cfg: RunConfig) -> dict:
         raise CLIError(f"{len(ns)} n values exceed the scaling budget of "
                        f"{MAX_SCALING_POINTS} points (MAX_SCALING_POINTS)")
     model = Model(cfg.model)
+    if cfg.t < 2:  # as the capacity functions say, before the size estimate
+        raise CLIError("t must be at least 2")
+    d = cfg.t - 1 if model is Model.MULTI_PHASE else cfg.t * cfg.t - 1
+    bits = round(math.fsum(_binomial_bits(n + d, d) for n in ns))
+    if bits > MAX_SCALING_BITS:
+        raise CLIError(f"{len(ns)} binomials of about {bits} bits in all exceed the scaling "
+                       f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
     value_fn = cap.mp_capacity if model is Model.MULTI_PHASE else cap.su_capacity
     u = _unit(cfg.base)
     rows = []

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import comb
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 
 class Model(str, Enum):
@@ -115,15 +115,21 @@ class Decomposition:
         return tuple(map(IrrepEntry._make, self.rows))
 
 
-def _partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    """Raw row tuples of all partitions of n into at most t parts.
+def _partition_rows(n: int, t: int, widest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Raw row tuples of all partitions of n into at most t parts, each at
+    most ``widest`` (default n).
 
-    Lexicographically descending, zero-padded to length t.  Iterative: each
-    step lowers the rightmost row that can give a box to the rows below it
-    and refills those rows greedily, so any t works.
+    Lexicographically descending, zero-padded to length t.  Iterative: the
+    first is the greedy fill by rows of ``widest``; each step lowers the
+    rightmost row that can give a box to the rows below it and refills those
+    rows greedily, so any t works.
     """
-    rows = [n] + [0] * (t - 1)
-    occupied = 1 if n else 0  # rows[occupied:] are all zero
+    widest = n if widest is None else widest
+    if n > widest * t:
+        return
+    full, rest = divmod(n, widest) if widest else (0, 0)
+    occupied = full + (rest > 0)  # rows[occupied:] are all zero
+    rows = [widest] * full + [rest] * (rest > 0) + [0] * (t - occupied)
     while True:
         yield tuple(rows)
         below = 0  # boxes in the rows after k
@@ -282,16 +288,23 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     return Decomposition(model, n, t, l, tuple(rows))
 
 
-def partition_count(n: int, t: int) -> int:
-    """Exact number of partitions of n into at most t parts, in O(n t).
+def partition_count(n: int, t: int, widest: Optional[int] = None) -> int:
+    """Exact number of partitions of n into at most t parts, each at most
+    ``widest`` (default n), in O(n t).
 
     By conjugation these are the partitions of n into parts of size <= t,
-    counted by adding the part sizes 1..t one at a time.
+    counted by adding the part sizes 1..t one at a time: the coefficient of
+    q^n in prod_i 1/(1 - q^i).  A row cap multiplies in the factors
+    (1 - q^(widest+i)) of the Gaussian binomial [widest+t choose t]_q.
     """
     counts = [1] + [0] * n
-    for part in range(1, t + 1):
+    for part in range(1, min(t, n) + 1):  # larger parts fit no partition of n
         for m in range(part, n + 1):
             counts[m] += counts[m - part]
+        if widest is not None:
+            drop = widest + part
+            for m in range(n, drop - 1, -1):
+                counts[m] -= counts[m - drop]
     return counts[n]
 
 

@@ -3,8 +3,9 @@
 The library computes tableau counts by the Frobenius formula, multinomials
 by updating the neighbouring weight's, SU(t) dimensions by the Weyl product
 with its zero-row tail telescoped, the sum of squared SU(t) dimensions by the
-Cauchy identity and the phase twirl by exact weight equality; the tests check
-them against these brute computations, never against themselves.
+Cauchy identity, the finite-reference SU(t) support as that sum minus a
+certified deficit, and the phase twirl by exact weight equality; the tests
+check them against these brute computations, never against themselves.
 """
 
 import itertools
@@ -25,11 +26,12 @@ def hook_length_count(rows) -> int:
     rows = [r for r in rows if r > 0]
     if not rows:
         return 1
-    col_heights = [sum(1 for r in rows if r > j) for j in range(rows[0])]
-    hooks = 1
-    for i, row in enumerate(rows):
+    col_heights = [0] * rows[0]
+    for row in rows:
         for j in range(row):
-            hooks *= (row - j) + (col_heights[j] - i) - 1
+            col_heights[j] += 1
+    hooks = math.prod([(row - j) + (col_heights[j] - i) - 1
+                       for i, row in enumerate(rows) for j in range(row)])
     return factorial(sum(rows)) // hooks
 
 
@@ -53,6 +55,17 @@ def enumerated_square_sum(n: int, t: int) -> int:
     """Sum of squared SU(t) Weyl dimensions over every partition of n into at
     most t rows, enumerated one partition at a time."""
     return sum(pairwise_weyl_dim(rows) ** 2 for rows in _partition_rows(n, t))
+
+
+def enumerated_su_support(n: int, t: int, l: int) -> int:
+    """Finite-reference SU(t) support sum_lam d_lam min(l f_lam, d_lam) over
+    every partition of n into at most t rows, from the pairwise Weyl product
+    and the hook-length count."""
+    total = 0
+    for rows in _partition_rows(n, t):
+        dim = pairwise_weyl_dim(rows)
+        total += dim * min(l * hook_length_count(rows), dim)
+    return total
 
 
 def factorial_multinomial(counts) -> int:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metrocap.capacity import (
+    _deficit_lengths,
     capacity,
     capacity_support,
     fano_bound,
@@ -28,10 +29,16 @@ from metrocap.rep_core import (
     UNBOUNDED,
     Decomposition,
     Model,
+    _partition_rows,
     decompose,
     partition_count,
 )
-from reference import block_state_mi, enumerated_square_sum
+from reference import (
+    block_state_mi,
+    enumerated_square_sum,
+    hook_length_count,
+    pairwise_weyl_dim,
+)
 
 
 # ---------------------------------------------------------------- exact logs
@@ -111,6 +118,62 @@ def test_capacity_support_validates_like_decompose():
         with pytest.raises(ValueError) as got:
             capacity_support(*args)
         assert str(got.value) == str(want.value)
+
+
+# t -> largest n of the finite-reference grid
+DEFICIT_GRID = {2: 200, 3: 200, 4: 60, 5: 40}
+
+
+@pytest.mark.parametrize("t", sorted(DEFICIT_GRID))
+def test_deficit_support_matches_enumerated_blocks(t):
+    """Cauchy total minus the deficit == sum dim * eff over decompose rows,
+    at every n of the grid and l = 1..4."""
+    for n in range(1, DEFICIT_GRID[t] + 1):
+        blocks = [(dim, mult) for _, dim, mult, _ in decompose("su", n, t, UNBOUNDED).rows]
+        for l in (1, 2, 3, 4):
+            want = sum(dim * min(l * mult, dim) for dim, mult in blocks)
+            assert capacity_support("su", n, t, l) == want, (n, t, l)
+
+
+@pytest.mark.parametrize("t", sorted(DEFICIT_GRID))
+def test_deficit_certificate_is_sound(t):
+    """Every shape whose m (boxes below the first row) the certificate skips
+    is saturated, l * f >= d, by the brute hook-length count and pairwise Weyl
+    product.  A skip at l certifies every larger l too, so each shape is
+    checked at the smallest l = 1..4 that skips its m."""
+    for n in range(1, DEFICIT_GRID[t] + 1):
+        m_max = n - -(-n // t)
+        kept = {l: set(_deficit_lengths(n, t, l)) for l in (1, 2, 3, 4)}
+        least = {}  # m -> smallest l that skips it
+        for l in (4, 3, 2, 1):
+            least.update((m, l) for m in range(m_max + 1) if m not in kept[l])
+        assert all(kept[l] >= kept[l + 1] for l in (1, 2, 3)), n  # fewer kept as l grows
+        for rows in _partition_rows(n, t):
+            l = least.get(n - rows[0])
+            if l is not None:
+                assert l * hook_length_count(rows) >= pairwise_weyl_dim(rows), (rows, l)
+
+
+def test_deficit_keeps_exactly_the_uncertified_lengths():
+    """The walk (incremental binomials, tail certificate) keeps exactly the m
+    at which the written inequality fails, each side from math.comb."""
+    for t, n_max in DEFICIT_GRID.items():
+        k = t - 1
+        for n in range(1, n_max + 1):
+            m_max = n - -(-n // t)
+            for l in (1, 2, 3, 4):
+                want = [m for m in range(m_max + 1)
+                        if l * comb(n, m) < comb(n - m + k, k) ** 2 * math.isqrt(
+                            comb(m + k * k - 1, k * k - 1))]
+                assert _deficit_lengths(n, t, l) == want, (n, t, l)
+
+
+def test_deficit_visits_few_shapes():
+    """Where n is large the certificate keeps only small m: at t = 3 the
+    support of n = 2000 visits 9 of its 334 334 shapes."""
+    assert _deficit_lengths(2000, 3, 1) == [0, 1, 2, 3, 4]
+    assert partition_count(2000, 3) == 334334
+    assert sum(partition_count(m, 2, 2000 - m) for m in range(5)) == 9
 
 
 def test_capacity_invariant_under_entry_order():

@@ -303,23 +303,48 @@ def test_block_budget_exits_2_at_once(capsys, argv, count):
 def test_label_entry_budget_exits_2_at_once(capsys, command):
     """2001 blocks, within MAX_BLOCKS, whose labels hold 4 004 001 entries.
     One past the largest single-qudit report, so that without the budget the
-    request would still end."""
+    request would still end.  JSON, because both reports write every label."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, [command, "--model", "mp", "--n", "1", "--t", "2001",
-                                      "--format", "csv"])
+                                      "--format", "json"])
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "2001 blocks of 2001 label entries" in err
     assert "4000000" in err
 
 
-def test_finite_l_bounds_keep_the_label_entry_budget(capsys, monkeypatch):
-    """su bounds with a finite l enumerate their blocks under the same budget."""
-    monkeypatch.setattr(rep_core, "MAX_LABEL_ENTRIES", 30)
-    code, out, err = run_cli(capsys, ["bounds", "--model", "su", "--n", "9", "--t", "3",
+@pytest.mark.parametrize("t,n,support", [(2001, 1, 2001), (6, 1000, math.comb(1005, 5))])
+def test_capacity_csv_needs_no_block_budget(capsys, t, n, support):
+    """The CSV capacity row is the log of the support alone, so requests
+    whose JSON report the block budgets refuse run at once."""
+    argv = ["capacity", "--model", "mp", "--n", str(n), "--t", str(t)]
+    assert run_cli(capsys, argv)[0] == 2
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == f"model,n,t,l,log_base,capacity_nats\nmp,{n},{t},inf,e,{math.log(support)!r}\n"
+
+
+def test_finite_l_su_bounds_needs_no_enumeration(capsys):
+    """The finite-l su support is the Cauchy total minus a short deficit sum:
+    n = 2000 at t = 3 has 334 334 blocks, of which nine shapes are visited.
+    The deficit is the one the full enumeration of the blocks gave."""
+    start = time.perf_counter()
+    report = run_json(capsys, ["bounds", "--model", "su", "--n", "2000", "--t", "3", "--l", "1"])
+    assert time.perf_counter() - start < 2.0
+    support = math.comb(2008, 8) - 43932061005000
+    assert report["lower_nats"] == m_eps_bounds(math.log(support), 0.1).lower
+
+
+def test_finite_l_su_deficit_keeps_a_shape_budget(capsys, monkeypatch):
+    """The shapes the deficit sum would visit are counted before any is, and
+    refused past MAX_BLOCKS: here the first 6 of the 9 at n = 2000, t = 3."""
+    monkeypatch.setattr(rep_core, "MAX_BLOCKS", 5)
+    code, out, err = run_cli(capsys, ["bounds", "--model", "su", "--n", "2000", "--t", "3",
                                       "--l", "1"])
     assert (code, out) == (2, "")
-    assert "12 blocks of 3 label entries each exceed the budget of 30" in err
+    assert err == "error: 6 blocks exceed the enumeration budget of 5 (MAX_BLOCKS)\n"
 
 
 def _su_blocks_of_three(t):
@@ -421,6 +446,28 @@ def test_oversized_scaling_sweep_exits_2_at_once(capsys):
                    "(MAX_SCALING_POINTS)\n")
     report = run_json(capsys, ["scaling", "--model", "mp", "--t", "2", "--n-range", "1:10000:1"])
     assert len(report["rows"]) == 10000  # at the budget
+
+
+@pytest.mark.parametrize("stop,low,high", [
+    # 3 points: would take seconds, so a missing budget fails fast
+    (100002, 3 * 483437, 3 * 483444),
+    # 10 000 points, which would take hours
+    (109999, 10000 * 483437, 10000 * 517395),
+])
+def test_costly_scaling_sweep_exits_2_at_once(capsys, stop, low, high):
+    """The sweep's binomial sizes are estimated before any is computed.  The
+    estimate lies between the point count times the bit lengths of the first
+    and the last binomial, C(1 099 999, 999 999) and C(stop + 999 999, 999 999)."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["scaling", "--model", "su", "--t", "1000", "--n-range", f"100000:{stop}:1"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    count = stop - 100000 + 1
+    assert err.startswith(f"error: {count} binomials of about ")
+    assert low < int(err.split()[5]) < high
+    assert err.endswith(" bits in all exceed the scaling budget of 1000000 bits "
+                        "(MAX_SCALING_BITS)\n")
 
 
 def test_su_scaling_needs_no_block_budget(capsys):

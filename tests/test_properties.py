@@ -12,10 +12,15 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metrocap.capacity import su2_closed_form, su_square_sum
+from metrocap.capacity import capacity_support, su2_closed_form, su_square_sum
 from metrocap.cli import _json_cells, main, report_to_csv
 from metrocap.rep_core import _partition_rows, _weight_rows, multiplicity_su
-from reference import enumerated_square_sum, factorial_multinomial, hook_length_count
+from reference import (
+    enumerated_square_sum,
+    enumerated_su_support,
+    factorial_multinomial,
+    hook_length_count,
+)
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -25,6 +30,13 @@ SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None
 def test_cauchy_identity_matches_enumeration(n, t):
     """sum over lam |- n, <= t rows, of dim_lam^2 = dim Sym^n(C^t (x) C^t)."""
     assert su_square_sum(n, t) == enumerated_square_sum(n, t)
+
+
+@SMALL
+@given(n=st.integers(1, 30), t=st.integers(2, 5), l=st.integers(1, 6))
+def test_finite_reference_support_matches_enumeration(n, t, l):
+    """Cauchy total minus the certified deficit == sum_lam d min(l f, d)."""
+    assert capacity_support("su", n, t, l) == enumerated_su_support(n, t, l)
 
 
 @SMALL
