@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
-from typing import Sequence, Union
+from math import comb, factorial, gcd, isqrt, perm
+from typing import Iterator, Sequence, Union
 
 from .rep_core import (
     UNBOUNDED,
@@ -83,8 +83,9 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     mp blocks are one-dimensional, so every weight counts once at any l:
     C(n+t-1, t-1).  su with an unbounded reference saturates every block:
     the Cauchy sum C(n+t^2-1, t^2-1).  su with a finite l is that sum minus
-    the deficit d (d - l f) of the unsaturated shapes (l f < d), summed over
-    the shapes (n-m, mu) of the few m that _deficit_lengths keeps.  Arguments
+    the deficit d (d - l f) of the unsaturated shapes (l f < d): those of
+    the shapes (n-m, mu) of the few m that _deficit_lengths keeps, which
+    _unsaturated_shapes walks without visiting the saturated ones.  Arguments
     are validated as in decompose, with the same messages.
     """
     model = _check_config(model, n, t, l)
@@ -94,13 +95,60 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
         return su_square_sum(n, t)
     deficit = 0
     for m in _deficit_lengths(n, t, l):
-        for mu in _partition_rows(m, t - 1, n - m):
-            rows = (n - m,) + mu
+        for rows in _unsaturated_shapes(n, t, l, m):
             dim = _weyl_dim_rows(rows)
-            short = dim - l * multiplicity_su(rows, n)
-            if short > 0:
-                deficit += dim * short
+            deficit += dim * (dim - l * multiplicity_su(rows, n))
     return su_square_sum(n, t) - deficit
+
+
+def _unsaturated_shapes(n: int, t: int, l: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Rows of every shape (n-m, mu) of n into <= t rows with l f < d, in no
+    particular order.
+
+    With the shifted rows s_i = r_i + t-1-i (i = 0..t-1) the hook-length
+    formula reads f = n! prod_{i<j} (s_i - s_j) / prod_i s_i! and the Weyl
+    formula d = prod_{i<j} (s_i - s_j) / prod_i (t-1-i)!, so
+
+        d / f = P / n!,  P = prod_i (r_i + t-1-i)! / (t-1-i)!,
+
+    and a shape is unsaturated exactly when P > l n!.  The rows are chosen
+    top-down.  Among the completions of fixed top rows by a given number of
+    boxes under a row cap, the greedy fill (every row as long as the cap
+    allows) majorizes every other, in r and so in s; log x! is convex, so by
+    Karamata's inequality the greedy fill has the largest P.  A prefix whose
+    greedy fill is saturated is dropped with every shape below it.  With r
+    chosen for the next row, the best completion is the greedy fill under
+    cap r, which falls in majorization as r falls, so the first dropped r
+    ends the loop over r.
+
+    So the walk visits the unsaturated shapes, their prefixes and one dropped
+    choice per prefix.  Iterative, so any t works.
+    """
+    limit = l * factorial(n)
+
+    def greedy(prod: int, i: int, boxes: int, cap: int) -> int:
+        """P of the prefix whose rows 0..i-1 give ``prod``, filled greedily."""
+        while boxes:
+            r = min(cap, boxes)
+            prod *= perm(r + t - 1 - i, r)
+            boxes, i = boxes - r, i + 1
+        return prod
+
+    top = perm(n + t - 1 - m, n - m)
+    if greedy(top, 1, m, n - m) <= limit:
+        return
+    stack = [((n - m,), top, m)]
+    while stack:
+        rows, prod, boxes = stack.pop()
+        i = len(rows)
+        if not boxes:
+            yield rows + (0,) * (t - i)
+            continue
+        for r in range(min(rows[-1], boxes), -(-boxes // (t - i)) - 1, -1):
+            here = prod * perm(r + t - 1 - i, r)
+            if greedy(here, i + 1, boxes - r, r) <= limit:
+                break
+            stack.append((rows + (r,), here, boxes - r))
 
 
 def _deficit_lengths(n: int, t: int, l: int) -> list[int]:

@@ -115,21 +115,15 @@ class Decomposition:
         return tuple(map(IrrepEntry._make, self.rows))
 
 
-def _partition_rows(n: int, t: int, widest: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Raw row tuples of all partitions of n into at most t parts, each at
-    most ``widest`` (default n).
+def _partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Raw row tuples of all partitions of n into at most t parts.
 
-    Lexicographically descending, zero-padded to length t.  Iterative: the
-    first is the greedy fill by rows of ``widest``; each step lowers the
-    rightmost row that can give a box to the rows below it and refills those
-    rows greedily, so any t works.
+    Lexicographically descending, zero-padded to length t.  Iterative: each
+    step lowers the rightmost row that can give a box to the rows below it
+    and refills those rows greedily, so any t works.
     """
-    widest = n if widest is None else widest
-    if n > widest * t:
-        return
-    full, rest = divmod(n, widest) if widest else (0, 0)
-    occupied = full + (rest > 0)  # rows[occupied:] are all zero
-    rows = [widest] * full + [rest] * (rest > 0) + [0] * (t - occupied)
+    rows = [n] + [0] * (t - 1)
+    occupied = 1 if n else 0  # rows[occupied:] are all zero
     while True:
         yield tuple(rows)
         below = 0  # boxes in the rows after k

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from metrocap.capacity import (
     _deficit_lengths,
+    _unsaturated_shapes,
     capacity,
     capacity_support,
     fano_bound,
@@ -166,6 +167,33 @@ def test_deficit_keeps_exactly_the_uncertified_lengths():
                         if l * comb(n, m) < comb(n - m + k, k) ** 2 * math.isqrt(
                             comb(m + k * k - 1, k * k - 1))]
                 assert _deficit_lengths(n, t, l) == want, (n, t, l)
+
+
+# t -> largest n at which every shape is checked against the brute references
+UNSATURATED_GRID = {2: 40, 3: 40, 4: 25, 5: 18, 6: 12, 7: 10}
+
+
+@pytest.mark.parametrize("t", sorted(UNSATURATED_GRID))
+def test_unsaturated_walk_yields_exactly_the_unsaturated_shapes(t):
+    """For every first row n-m, the pruned walk yields each shape with
+    l * f < d once, by the brute hook-length count and pairwise Weyl product,
+    and nothing else."""
+    for n in range(1, UNSATURATED_GRID[t] + 1):
+        shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
+                  for rows in _partition_rows(n, t)]
+        for l in (1, 2, 3, 4):
+            for m in range(n - -(-n // t) + 1):
+                want = {rows for rows, f, d in shapes if rows[0] == n - m and l * f < d}
+                got = list(_unsaturated_shapes(n, t, l, m))
+                assert len(got) == len(want) and set(got) == want, (n, t, l, m)
+
+
+def test_unsaturated_walk_visits_few_shapes():
+    """Where the certificate keeps most m (t = 5, n = 50) the walk still
+    yields only the few unsaturated shapes of 3 765."""
+    kept = _deficit_lengths(50, 5, 1)
+    assert len(kept) == 36 and partition_count(50, 5) == 3765
+    assert sum(1 for m in kept for _ in _unsaturated_shapes(50, 5, 1, m)) == 15
 
 
 def test_deficit_visits_few_shapes():
