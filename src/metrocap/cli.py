@@ -16,11 +16,10 @@ import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import capacity as cap
 from . import distinguish as dist
-from . import oracle
 from .rep_core import UNBOUNDED, Model, RefSize, decompose
 
 SCHEMA = "1"
@@ -94,6 +93,24 @@ def _parse_n_range(text: str) -> tuple:
     return start, stop, stride
 
 
+class Table(NamedTuple):
+    """A report's row list: flat row tuples, and for each column its name and
+    the %-format of its cell as JSON writes it (``_label`` for a label,
+    which takes one tuple element per entry)."""
+
+    columns: tuple
+    rows: list
+
+
+_EXACT = '"%d"'  # an exact integer, written as a decimal string
+
+
+def _label(width: int) -> str:
+    """JSON %-format of a label of ``width`` integers at the depth of a row
+    field, as json.dumps(..., indent=2) lays it out there."""
+    return "[\n" + ",\n".join(["        %d"] * width) + "\n      ]"
+
+
 def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
     """Report preamble: schema, command, the config fields named in ``echo``
     (in that order), then the command's own ``body``."""
@@ -104,23 +121,25 @@ def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
 
 
 def _build_decompose(cfg: RunConfig) -> dict:
+    """Every block as a row (*label, dim, mult, eff_mult)."""
     d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
-    entries = [
-        {"label": list(label), "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
-        for label, dim, mult, eff in d.rows
-    ]
-    return _report(cfg, "model n t l", {"entries": entries})
+    columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
+    rows = [(*label, dim, mult, eff) for label, dim, mult, eff in d.rows]
+    return _report(cfg, "model n t l", {"entries": Table(columns, rows)})
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
+    """The capacity and its support; in JSON also every block's optimal
+    weight p = num/den as a row (*label, num, den)."""
     weights = {}
     if cfg.format == "csv":  # the one CSV row shows no block weights: build no blocks
         support = cap.capacity_support(cfg.model, cfg.n, cfg.t, cfg.l)
     else:
         r = cap.capacity(decompose(cfg.model, cfg.n, cfg.t, cfg.l))
         support = r.support
-        weights["optimal_p"] = [{"label": list(label), "p": f"{num}/{den}"}
-                                for label, num, den in r.p_rows]
+        columns = (("label", _label(cfg.t)), ("p", '"%d/%d"'))
+        rows = [(*label, num, den) for label, num, den in r.p_rows]
+        weights["optimal_p"] = Table(columns, rows)
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
         "support": str(support),
@@ -151,6 +170,8 @@ def _build_bounds(cfg: RunConfig) -> dict:
 def _build_simulate(cfg: RunConfig) -> dict:
     if cfg.t != 2:
         raise CLIError("simulate ships t = 2 states only")
+    from . import oracle  # numpy, which only this command needs
+
     model = Model(cfg.model)
     if cfg.state == "bs4":
         psi = oracle.mp_optimal_state(cfg.n)
@@ -186,6 +207,7 @@ def _binomial_bits(m: int, k: int) -> float:
 
 
 def _build_scaling(cfg: RunConfig) -> dict:
+    """One row (n, capacity, baseline) per n of the sweep, and the slope."""
     if cfg.n_range is None:
         raise CLIError("scaling needs --n-range start:stop:stride")
     start, stop, stride = cfg.n_range
@@ -205,17 +227,15 @@ def _build_scaling(cfg: RunConfig) -> dict:
                        f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
     value_fn = cap.mp_capacity if model is Model.MULTI_PHASE else cap.su_capacity
     u = _unit(cfg.base)
-    rows = []
-    for n in ns:
-        value = _scaled(value_fn(n, cfg.t), cfg.base)
-        baseline = _scaled(cap.standard_scaling_baseline(model, n, cfg.t), cfg.base)
-        rows.append({"n": n, f"capacity_{u}": value, f"baseline_{u}": baseline})
+    rows = [(n, _scaled(value_fn(n, cfg.t), cfg.base),
+             _scaled(cap.standard_scaling_baseline(model, n, cfg.t), cfg.base)) for n in ns]
+    columns = (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
     # the exact paths behind the sweep: l = 1 for mp, unbounded for su
     l_eff = 1 if model is Model.MULTI_PHASE else UNBOUNDED
     return _report(replace(cfg, l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
-        "fitted_slope": cap.scaling_fit([(row["n"], row[f"capacity_{u}"]) for row in rows]),
-        "rows": rows,
+        "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
+        "rows": Table(columns, rows),
     })
 
 
@@ -228,7 +248,7 @@ _BUILDERS = {
 }
 
 # command -> (key of its row list, or None for a one-row report; CSV header).
-# A column that a row lacks is read from the report itself.
+# A column that the rows lack is read from the report itself.
 _CSV = {
     "decompose": ("entries", "model,n,t,l,label,dim,mult,eff_mult"),
     "capacity": (None, "model,n,t,l,log_base,capacity_{u}"),
@@ -239,88 +259,51 @@ _CSV = {
 
 
 def _cell(value) -> str:
-    """One CSV cell; floats use repr so JSON and CSV carry identical digits,
-    and labels join their components with '|'."""
-    if isinstance(value, str):  # most cells: exact integers and tags
-        return value
+    """One report-level CSV cell; floats use repr so JSON and CSV carry
+    identical digits."""
     if value is None:
         return ""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, list):
-        return "|".join(map(str, value))
     return str(value)
 
 
-def report_to_csv(report: dict) -> str:
-    """Render a parsed JSON report as CSV, LF line endings.
-
-    This is the only CSV path, so regenerating from a re-parsed JSON report
-    is byte-identical by construction.
-    """
-    command = report.get("command")
-    if command not in _CSV:
-        raise CLIError(f"no CSV rendering for command {command!r}")
-    key, header = _CSV[command]
-    header = header.format(u=_unit(report.get("log_base", "e")))
-    rows = report[key] if key else [report]
-    lines = [header]
-    if rows:
-        # (column, its rendered report-level value, or None if each row has one)
-        cells = [(c, None if c in rows[0] else _cell(report[c])) for c in header.split(",")]
-        for row in rows:
-            lines.append(",".join([_cell(row[c]) if s is None else s for c, s in cells]))
-    return "\n".join(lines) + "\n"
-
-
-def _json_cells(values: list, pad: str) -> list:
-    """Each of ``values`` as json.dumps(value, indent=2) writes it at
-    indentation ``pad``.
-
-    json.dumps lays out indented JSON in pure Python, value by value.  Here
-    values of one kind are written a column at a time: strings, ints, lists
-    of one length (their items pooled into one column, then regrouped) and
-    rows, i.e. dicts with the same string keys in the same order (one column
-    per key).  Any other value is json.dumps with its line breaks indented by
-    ``pad``, which is exact because JSON strings hold no raw line breaks.
-    """
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return list(map(_json_str, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    inner = pad + "  "
-    lengths = set(map(len, values)) if kinds == {list} else ()
-    if len(lengths) == 1 and 0 not in lengths:  # lists of one length, e.g. labels
-        (size,) = lengths
-        items = _json_cells([x for v in values for x in v], inner)
-        groups = map((",\n" + inner).join, zip(*[iter(items)] * size))  # regrouped in C
-        return [f"[\n{inner}{group}\n{pad}]" for group in groups]
-    if kinds == {dict}:
-        keys = list(values[0])
-        if keys and set(map(type, keys)) == {str} and all(list(v) == keys for v in values):
-            fields = ",\n".join(f"{inner}{_json_str(k).replace('%', '%%')}: %s" for k in keys)
-            row = f"{{\n{fields}\n{pad}}}"
-            columns = [_json_cells([v[k] for v in values], inner) for k in keys]
-            return list(map(row.__mod__, zip(*columns)))
-    return [json.dumps(v, indent=2).replace("\n", "\n" + pad) for v in values]
-
-
-def _json_report(report: dict) -> str:
-    """json.dumps(report, indent=2): the preamble by json.dumps itself, and
-    the report's trailing row list, if any, by _json_cells."""
-    *head, (key, rows) = report.items()
-    if not head or type(key) is not str or type(rows) is not list:
-        return json.dumps(report, indent=2)
-    preamble = json.dumps(dict(head), indent=2)[:-2]  # without the closing "\n}"
-    return f"{preamble},\n  {_json_str(key)}: {_json_cells([rows], '  ')[0]}\n}}"
+def _csv_format(fmt: str) -> str:
+    """CSV %-format of a row cell from its JSON one: a label's entries joined
+    by '|', strings without their quotes."""
+    if fmt.startswith("["):
+        return "|".join(["%d"] * fmt.count("%d"))
+    return fmt.strip('"')
 
 
 def render(report: dict, fmt: str) -> str:
+    """The report as JSON (the layout of json.dumps(report, indent=2)) or as
+    CSV with LF line endings.
+
+    A report is a dict in output order; its row list, if any, is a Table.
+    The rows are written with one %-template per report and format, so each
+    row is a single ``template % row``: for JSON the row's object, for CSV
+    its line with the report-level cells already in place.  The JSON
+    preamble is json.dumps itself; a report without rows is json.dumps whole.
+    """
     if fmt == "json":
-        return _json_report(report) + "\n"
+        *head, (key, table) = report.items()
+        if not isinstance(table, Table):
+            return json.dumps(report, indent=2) + "\n"
+        preamble = json.dumps(dict(head), indent=2)[:-2]  # without the closing "\n}"
+        fields = ",\n".join(f"      {_json_str(name).replace('%', '%%')}: {f}"
+                            for name, f in table.columns)
+        template = f"    {{\n{fields}\n    }}"
+        body = ",\n".join(map(template.__mod__, table.rows))
+        return f"{preamble},\n  {_json_str(key)}: " + (f"[\n{body}\n  ]\n}}\n" if body else "[]\n}\n")
     if fmt == "csv":
-        return report_to_csv(report)
+        key, header = _CSV[report["command"]]
+        header = header.format(u=_unit(report.get("log_base", "e")))
+        table = report[key] if key else Table((), [()])  # one row, all from the report
+        formats = {name: _csv_format(f) for name, f in table.columns}
+        template = ",".join([formats[c] if c in formats else _cell(report[c]).replace("%", "%%")
+                             for c in header.split(",")]) + "\n"
+        return header + "\n" + "".join(map(template.__mod__, table.rows))
     raise CLIError(f"unknown format {fmt!r}")
 
 
@@ -330,10 +313,10 @@ def run(config: RunConfig) -> int:
     if builder is None:
         raise CLIError(f"unknown command {config.command!r}")
     try:
-        report = builder(config)
+        text = render(builder(config), config.format)
     except ValueError as exc:  # library-level validation surfaces as exit 2
         raise CLIError(str(exc))
-    sys.stdout.write(render(report, config.format))
+    sys.stdout.write(text)
     return 0
 
 

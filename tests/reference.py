@@ -4,8 +4,9 @@ The library computes tableau counts by the Frobenius formula, multinomials
 by updating the neighbouring weight's, SU(t) dimensions by the Weyl product
 with its zero-row tail telescoped, the sum of squared SU(t) dimensions by the
 Cauchy identity, the finite-reference SU(t) support as that sum minus a
-certified deficit, and the phase twirl by exact weight equality; the tests
-check them against these brute computations, never against themselves.
+certified deficit, and the phase twirl by exact weight equality, and writes report rows through
+one %-template per report; the tests check them against these brute
+computations, never against themselves.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from math import factorial
 import numpy as np
 
 from metrocap.capacity import log_fraction
+from metrocap.cli import _CSV
 from metrocap.oracle import DensityOperator, _digit_counts
 from metrocap.rep_core import _partition_rows
 
@@ -177,3 +179,25 @@ def torus_distance(x, y) -> float:
         d = math.fmod(abs(a - b), 2.0 * math.pi)
         worst = max(worst, min(d, 2.0 * math.pi - d))
     return worst
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):  # a label
+        return "|".join(map(str, value))
+    return str(value)
+
+
+def report_to_csv(report: dict) -> str:
+    """CSV of a parsed JSON report, one dict row and one cell at a time; a
+    column that a row lacks is read from the report itself."""
+    key, header = _CSV[report["command"]]
+    header = header.format(u="nats" if report.get("log_base", "e") == "e" else "bits")
+    lines = [header]
+    for row in report[key] if key else [report]:
+        lines.append(",".join(_csv_cell(row[c] if c in row else report[c])
+                              for c in header.split(",")))
+    return "\n".join(lines) + "\n"

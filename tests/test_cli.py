@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 from metrocap import oracle, rep_core
-from metrocap.cli import RunConfig, _json_cells, main, render, report_to_csv, run
+from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import capacity
 from metrocap.distinguish import m_eps_bounds, m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
+from reference import report_to_csv
 
 LN2 = math.log(2.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
@@ -160,15 +162,22 @@ def test_json_csv_round_trip(capsys, argv):
     assert "\r" not in csv_out
 
 
-def test_json_writer_matches_stdlib_on_awkward_values():
-    rows = [{"a%s": [1, 2], "b%%": "x\né\"", "c": None, "d": [[1], []], "e": {"f": [1.5, True]}},
-            {"a%s": [3, 4], "b%%": "y", "c": 2.5, "d": [], "e": {}}]
-    values = [rows, rows[:1], [rows[0], {"z": 1}], [[1, 2], [3]], [[], []], [{}], [],
-              [{1: "int key"}], [[10**30, -1]], [float("nan"), float("inf")]]
-    for value in values:
-        assert _json_cells([value], "  ") == [json.dumps(value, indent=2).replace("\n", "\n  ")]
-        assert render({"schema": "1", "rows": value}, "json") == \
-            json.dumps({"schema": "1", "rows": value}, indent=2) + "\n"
+def test_row_table_writer_on_percent_signs_and_empty_tables():
+    """Constant text of a template holds '%' only doubled: in a JSON key, a
+    row-list key and a CSV cell from the report."""
+    rows = Table((("a%s", '"%d"'), ("b%%", "%r"), ("label", "[]")), [(10**30, 0.5), (-1, 1e300)])
+    report = {"schema": "1%d", "rows%": rows}
+    dict_form = {"schema": "1%d", "rows%": [
+        {"a%s": str(10**30), "b%%": 0.5, "label": []}, {"a%s": "-1", "b%%": 1e300, "label": []}]}
+    assert render(report, "json") == json.dumps(dict_form, indent=2) + "\n"
+    assert render({**report, "rows%": Table(rows.columns, [])}, "json") == \
+        json.dumps({**dict_form, "rows%": []}, indent=2) + "\n"
+    report = {"schema": "1", "command": "decompose", "model": "m%d%%", "n": 1, "t": 1, "l": "%s",
+              "entries": Table((("label", '[\n        %d\n      ]'), ("dim", '"%d"'),
+                                ("mult", '"%d"'), ("eff_mult", '"%d"')), [(1, 1, 1, 1)])}
+    assert render(report, "csv") == "model,n,t,l,label,dim,mult,eff_mult\nm%d%%,1,1,%s,1,1,1,1\n"
+    assert render({**report, "entries": Table(report["entries"].columns, [])}, "csv") == \
+        "model,n,t,l,label,dim,mult,eff_mult\n"
 
 
 def test_decompose_rows_json_round_trip(capsys):
@@ -516,6 +525,31 @@ def test_run_unknown_command_raises():
 
     with pytest.raises(CLIError):
         run(RunConfig(command="nope"))
+
+
+def test_exact_commands_never_import_numpy():
+    """Only simulate needs the dense oracle, and with it numpy."""
+    script = """if True:
+        import contextlib, io, json, sys
+        from metrocap.cli import main
+        for argv in (["decompose", "--model", "su", "--n", "4", "--t", "3"],
+                     ["capacity", "--model", "mp", "--n", "5", "--t", "3"],
+                     ["capacity", "--model", "su", "--n", "9", "--t", "3", "--l", "2",
+                      "--format", "csv"],
+                     ["bounds", "--model", "su", "--n", "20", "--t", "3", "--l", "1"],
+                     ["scaling", "--model", "mp", "--t", "3", "--n-range", "10:50:10"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["simulate", "--model", "mp", "--n", "3", "--codebook", "lattice"]) == 0
+        assert "numpy" in sys.modules
+        assert 0 < json.loads(out.getvalue())["success_prob"] <= 1
+    """
+    src = str(Path(rep_core.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point():

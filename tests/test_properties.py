@@ -1,7 +1,8 @@
 """Property tests of the identities the exact paths and the report layer rely on.
 
 Sizes stay small (n <= 30, t <= 5), except in the JSON layout test, whose
-reports need at least 1000 rows.  Examples are derandomized, so every run
+reports need at least 1000 rows, and in the row-table writer test, whose
+exact integers reach 10^400.  Examples are derandomized, so every run
 checks the same cases, in a few seconds.
 """
 
@@ -13,13 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metrocap.capacity import capacity_support, su2_closed_form, su_square_sum
-from metrocap.cli import _json_cells, main, report_to_csv
+from metrocap.cli import Table, _label, main, render
 from metrocap.rep_core import _partition_rows, _weight_rows, multiplicity_su
 from reference import (
     enumerated_square_sum,
     enumerated_su_support,
     factorial_multinomial,
     hook_length_count,
+    report_to_csv,
 )
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -150,22 +152,42 @@ def test_large_reports_have_the_stdlib_json_layout(argv):
     assert _cli(argv + ["--format", "csv"]) == report_to_csv(report)
 
 
-_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6))
-_json_values = st.recursive(
-    _scalars, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids),
-    max_leaves=10)
-
-
 @st.composite
-def _row_lists(draw):
-    """Lists of rows: dicts with one key order, as reports hold them."""
-    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
-    size = draw(st.integers(0, 3))
-    cell = _scalars | st.lists(st.integers(), min_size=size, max_size=size) | _json_values
-    return draw(st.lists(st.fixed_dictionaries({k: cell for k in keys}), min_size=1, max_size=5))
+def _tables(draw):
+    """A decompose, capacity or scaling report as its builder hands it to
+    render, with its rows as a Table, and the same report as plain dicts."""
+    command = draw(st.sampled_from(["decompose", "capacity", "scaling"]))
+    width = draw(st.integers(1, 8))
+    exact = st.integers(0, 10**400)
+    real = st.floats(allow_nan=False, allow_infinity=False)
+    head = {"schema": "1", "command": command, "model": draw(st.text(max_size=4)),
+            "n": draw(st.integers()), "t": width, "l": draw(st.integers(1) | st.just("inf")),
+            "log_base": draw(st.sampled_from(["e", "2"])), "fitted_slope": draw(real)}
+    u = "nats" if head["log_base"] == "e" else "bits"
+    if command == "decompose":
+        key, columns = "entries", (("label", _label(width)), ("dim", '"%d"'), ("mult", '"%d"'),
+                                   ("eff_mult", '"%d"'))
+        rows = draw(st.lists(st.tuples(*[st.integers()] * width, exact, exact, exact), max_size=5))
+        dicts = [{"label": list(r[:width]), "dim": str(r[-3]), "mult": str(r[-2]),
+                  "eff_mult": str(r[-1])} for r in rows]
+    elif command == "capacity":
+        head[f"capacity_{u}"] = draw(real)
+        key, columns = "optimal_p", (("label", _label(width)), ("p", '"%d/%d"'))
+        rows = draw(st.lists(st.tuples(*[st.integers()] * width, exact, exact), max_size=5))
+        dicts = [{"label": list(r[:width]), "p": f"{r[-2]}/{r[-1]}"} for r in rows]
+    else:
+        key, columns = "rows", (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
+        rows = draw(st.lists(st.tuples(st.integers(), real, real), max_size=5))
+        dicts = [{"n": n, f"capacity_{u}": c, f"baseline_{u}": b} for n, c, b in rows]
+    return {**head, key: Table(columns, rows)}, {**head, key: dicts}
 
 
 @SMALL
-@given(value=_json_values | _row_lists(), pad=st.sampled_from(["", "  ", "    "]))
-def test_json_writer_matches_stdlib(value, pad):
-    assert _json_cells([value], pad) == [json.dumps(value, indent=2).replace("\n", "\n" + pad)]
+@given(reports=_tables())
+def test_row_table_writer_matches_stdlib(reports):
+    """One %-template per report against json.dumps of the dict rows, and
+    its CSV against the dict-row reference on the parsed JSON."""
+    report, dict_form = reports
+    json_out = render(report, "json")
+    assert json_out == json.dumps(dict_form, indent=2) + "\n"
+    assert render(report, "csv") == report_to_csv(json.loads(json_out))
