@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, isqrt, perm
+from math import comb, factorial, gcd, perm
 from typing import Iterator, Sequence, Union
 
 from .rep_core import (
@@ -83,10 +83,12 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     mp blocks are one-dimensional, so every weight counts once at any l:
     C(n+t-1, t-1).  su with an unbounded reference saturates every block:
     the Cauchy sum C(n+t^2-1, t^2-1).  su with a finite l is that sum minus
-    the deficit d (d - l f) of the unsaturated shapes (l f < d): those of
-    the shapes (n-m, mu) of the few m that _deficit_lengths keeps, which
-    _unsaturated_shapes walks without visiting the saturated ones.  Arguments
-    are validated as in decompose, with the same messages.
+    the deficit d (d - l f) of the unsaturated shapes (l f < d), which
+    _unsaturated_shapes walks from the first row down without visiting the
+    saturated ones.  Their first rows are a run n, n-1, ..., c*, and the
+    shapes with those first rows are counted under the block budgets before
+    any is visited.  Arguments are validated as in decompose, with the same
+    messages.
     """
     model = _check_config(model, n, t, l)
     if model is Model.MULTI_PHASE:
@@ -94,16 +96,15 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     if l is UNBOUNDED:
         return su_square_sum(n, t)
     deficit = 0
-    for m in _deficit_lengths(n, t, l):
-        for rows in _unsaturated_shapes(n, t, l, m):
-            dim = _weyl_dim_rows(rows)
-            deficit += dim * (dim - l * multiplicity_su(rows, n))
+    for rows in _unsaturated_shapes(n, t, l):
+        dim = _weyl_dim_rows(rows)
+        deficit += dim * (dim - l * multiplicity_su(rows, n))
     return su_square_sum(n, t) - deficit
 
 
-def _unsaturated_shapes(n: int, t: int, l: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Rows of every shape (n-m, mu) of n into <= t rows with l f < d, in no
-    particular order.
+def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[int, ...]]:
+    """Rows of every shape of n into <= t rows with l f < d, in no particular
+    order.
 
     With the shifted rows s_i = r_i + t-1-i (i = 0..t-1) the hook-length
     formula reads f = n! prod_{i<j} (s_i - s_j) / prod_i s_i! and the Weyl
@@ -112,17 +113,28 @@ def _unsaturated_shapes(n: int, t: int, l: int, m: int) -> Iterator[tuple[int, .
         d / f = P / n!,  P = prod_i (r_i + t-1-i)! / (t-1-i)!,
 
     and a shape is unsaturated exactly when P > l n!.  The rows are chosen
-    top-down.  Among the completions of fixed top rows by a given number of
-    boxes under a row cap, the greedy fill (every row as long as the cap
-    allows) majorizes every other, in r and so in s; log x! is convex, so by
-    Karamata's inequality the greedy fill has the largest P.  A prefix whose
-    greedy fill is saturated is dropped with every shape below it.  With r
-    chosen for the next row, the best completion is the greedy fill under
-    cap r, which falls in majorization as r falls, so the first dropped r
-    ends the loop over r.
+    top-down, from the first.  Among the completions of fixed top rows by a
+    given number of boxes under a row cap, the greedy fill (every row as long
+    as the cap allows) majorizes every other, in r and so in s; log x! is
+    convex, so by Karamata's inequality the greedy fill has the largest P.  A
+    prefix whose greedy fill is saturated is dropped with every shape below
+    it.  With r chosen for the next row, the best completion is the greedy
+    fill under cap r, which falls in majorization as r falls, so the first
+    dropped r ends the loop over r.  For the first row this says that the
+    greedy fill G(c) = (c, ..., c, rest) has the largest P of the shapes with
+    first row c, and is itself one of them: the first rows of the unsaturated
+    shapes are exactly the run c = n, n-1, ..., c* before the first saturated
+    G(c).
 
     So the walk visits the unsaturated shapes, their prefixes and one dropped
-    choice per prefix.  Iterative, so any t works.
+    choice per prefix.  Each prefix it keeps is the top of its own greedy
+    fill, a shape whose first row is in the run, and distinct prefixes of one
+    length top distinct shapes, so the walk keeps at most t prefixes per shape
+    with a first row in the run.  Those shapes, partition_count(n-c, t-1, c)
+    for each kept c, are counted as the first rows are kept, before any
+    longer prefix is visited; more than MAX_BLOCKS of them, or more than
+    MAX_LABEL_ENTRIES shapes times t (each yield is a t-row label), are
+    refused, naming the count.  Iterative, so any t works.
     """
     limit = l * factorial(n)
 
@@ -134,82 +146,22 @@ def _unsaturated_shapes(n: int, t: int, l: int, m: int) -> Iterator[tuple[int, .
             boxes, i = boxes - r, i + 1
         return prod
 
-    top = perm(n + t - 1 - m, n - m)
-    if greedy(top, 1, m, n - m) <= limit:
-        return
-    stack = [((n - m,), top, m)]
+    shapes = 0
+    stack = [((), 1, n)]
     while stack:
         rows, prod, boxes = stack.pop()
         i = len(rows)
         if not boxes:
             yield rows + (0,) * (t - i)
             continue
-        for r in range(min(rows[-1], boxes), -(-boxes // (t - i)) - 1, -1):
+        for r in range(min(rows[-1] if rows else n, boxes), -(-boxes // (t - i)) - 1, -1):
             here = prod * perm(r + t - 1 - i, r)
             if greedy(here, i + 1, boxes - r, r) <= limit:
                 break
+            if not rows:  # a first row: count its shapes before any is visited
+                shapes += partition_count(boxes - r, t - 1, r)
+                _check_block_budget(shapes, t)
             stack.append((rows + (r,), here, boxes - r))
-
-
-def _deficit_lengths(n: int, t: int, l: int) -> list[int]:
-    """The numbers m of boxes below the first row at which some shape of n
-    into <= t rows may be unsaturated (l f < d), in increasing order.
-
-    A shape is lam = (n-m, mu) with mu a partition of m into <= t-1 rows and
-    mu_1 <= n-m, so n-m >= n/t.  Every m is skipped for which, in exact
-    integers,
-
-        l C(n, m) >= C(n-m+t-1, t-1)^2 isqrt(C(m+(t-1)^2-1, (t-1)^2-1)),
-
-    because this certifies l f_lam >= d_lam for every such shape:
-
-    - d_lam <= C(n-m+t-1, t-1) d_mu: the Weyl factors of the first row are
-      (n-m - mu_j + j) / j <= (n-m + j) / j, j = 1..t-1, and the others are
-      the GL(t-1) Weyl product of mu;
-    - f_lam >= C(n, m) f_mu / C(n-m+t-1, t-1): by the hook-length formula the
-      hooks below the first row are those of mu (product m!/f_mu), and the
-      n-m first-row hooks are distinct integers <= n-m+t-1, so their product
-      is at most (n-m+t-1)!/(t-1)!;
-    - f_mu >= 1;
-    - d_mu <= isqrt(sum_mu d_mu^2), and that sum over all partitions of m into
-      <= t-1 rows is the GL(t-1) Cauchy binomial C(m+(t-1)^2-1, (t-1)^2-1).
-
-    The binomials are updated from m to m+1 by one exact division each.  The
-    walk stops at the first skipped m from which the whole tail m..m_max is
-    certified at once: there C(n, m') >= C(n, min(m, n-m_max)) (C(n, .) is
-    unimodal), the first-row binomial only falls and the Cauchy binomial only
-    rises, so the tail inequality implies the one of every later m'.
-
-    Counts the shapes of the kept m before any is visited, and refuses more
-    than MAX_BLOCKS of them, or more than MAX_LABEL_ENTRIES shapes times t
-    (each visit builds a t-row label), naming the count.
-    """
-    k = t - 1
-    sq = k * k
-    m_max = n + (-n // t)  # n - ceil(n/t)
-    edge = n - m_max
-    choose = 1  # C(n, m)
-    first = comb(n + k, k)  # C(n-m+k, k)
-    below = 1  # C(m+sq-1, sq-1)
-    top = None  # isqrt(C(m_max+sq-1, sq-1)), once a tail is tried
-    lengths = []
-    shapes = 0
-    for m in range(m_max + 1):
-        if m <= edge:
-            low = choose  # C(n, min(m, edge))
-        if l * choose < first * first * isqrt(below):
-            lengths.append(m)
-            shapes += partition_count(m, k, n - m)
-            _check_block_budget(shapes, t)
-        else:
-            if top is None:
-                top = isqrt(comb(m_max + sq - 1, sq - 1))
-            if l * low >= first * first * top:
-                break
-        choose = choose * (n - m) // (m + 1)
-        first = first * (n - m) // (n - m + k)
-        below = below * (m + sq) // (m + 1)
-    return lengths
 
 
 def mp_capacity(n: int, t: int) -> float:

@@ -20,7 +20,15 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import capacity as cap
 from . import distinguish as dist
-from .rep_core import UNBOUNDED, Model, RefSize, decompose
+from .rep_core import (
+    UNBOUNDED,
+    Model,
+    RefSize,
+    _check_block_budget,
+    _check_config,
+    decompose,
+    weight_count,
+)
 
 SCHEMA = "1"
 _LN2 = math.log(2.0)
@@ -120,8 +128,43 @@ def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
     return {"schema": SCHEMA, "command": cfg.command, **echoed, **body}
 
 
+def _check_multiplicity_digits(n: int, t: int) -> None:
+    """Refuse an mp report whose largest multiplicity has more decimal digits
+    than the interpreter converts to a string (sys.get_int_max_str_digits(),
+    0 for no limit), before any block is made.
+
+    The largest multinomial n! / prod_k c_k! is the balanced occupation's:
+    moving a unit from a count to one at least two smaller raises it.  It is
+    built level by level as the product of the binomials C(c_0+...+c_k, c_k),
+    one exact factor (a+j)/j at a time; the product never falls, so the loop
+    stops once it reaches 10^limit.  The digit count named is from log-gamma.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    q, extra = divmod(n, t)
+    counts = [q + 1] * extra + [q] * (t - extra)
+    ceiling = 10**limit
+    product, filled = 1, counts[0]
+    for c in counts[1:]:
+        for j in range(1, c + 1):
+            product = product * (filled + j) // j
+            if product >= ceiling:
+                logs = math.lgamma(n + 1) - math.fsum(math.lgamma(k + 1) for k in counts)
+                digits = max(limit + 1, math.floor(logs / math.log(10)) + 1)
+                raise CLIError(f"the largest multiplicity has about {digits} digits, more than "
+                               f"the {limit} digits of the interpreter's limit for integer "
+                               f"string conversion (sys.get_int_max_str_digits())")
+        filled += c
+
+
 def _build_decompose(cfg: RunConfig) -> dict:
-    """Every block as a row (*label, dim, mult, eff_mult)."""
+    """Every block as a row (*label, dim, mult, eff_mult).  mp requests are
+    validated and their block budget checked first, so that the digit check
+    only sees admitted requests."""
+    if _check_config(cfg.model, cfg.n, cfg.t, cfg.l) is Model.MULTI_PHASE:
+        _check_block_budget(weight_count(cfg.n, cfg.t), cfg.t)
+        _check_multiplicity_digits(cfg.n, cfg.t)
     d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
     columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
     rows = [(*label, dim, mult, eff) for label, dim, mult, eff in d.rows]

@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrocap import capacity as capacity_module
 from metrocap.capacity import (
-    _deficit_lengths,
     _unsaturated_shapes,
     capacity,
     capacity_support,
@@ -136,72 +136,68 @@ def test_deficit_support_matches_enumerated_blocks(t):
             assert capacity_support("su", n, t, l) == want, (n, t, l)
 
 
-@pytest.mark.parametrize("t", sorted(DEFICIT_GRID))
-def test_deficit_certificate_is_sound(t):
-    """Every shape whose m (boxes below the first row) the certificate skips
-    is saturated, l * f >= d, by the brute hook-length count and pairwise Weyl
-    product.  A skip at l certifies every larger l too, so each shape is
-    checked at the smallest l = 1..4 that skips its m."""
-    for n in range(1, DEFICIT_GRID[t] + 1):
-        m_max = n - -(-n // t)
-        kept = {l: set(_deficit_lengths(n, t, l)) for l in (1, 2, 3, 4)}
-        least = {}  # m -> smallest l that skips it
-        for l in (4, 3, 2, 1):
-            least.update((m, l) for m in range(m_max + 1) if m not in kept[l])
-        assert all(kept[l] >= kept[l + 1] for l in (1, 2, 3)), n  # fewer kept as l grows
-        for rows in _partition_rows(n, t):
-            l = least.get(n - rows[0])
-            if l is not None:
-                assert l * hook_length_count(rows) >= pairwise_weyl_dim(rows), (rows, l)
-
-
-def test_deficit_keeps_exactly_the_uncertified_lengths():
-    """The walk (incremental binomials, tail certificate) keeps exactly the m
-    at which the written inequality fails, each side from math.comb."""
-    for t, n_max in DEFICIT_GRID.items():
-        k = t - 1
-        for n in range(1, n_max + 1):
-            m_max = n - -(-n // t)
-            for l in (1, 2, 3, 4):
-                want = [m for m in range(m_max + 1)
-                        if l * comb(n, m) < comb(n - m + k, k) ** 2 * math.isqrt(
-                            comb(m + k * k - 1, k * k - 1))]
-                assert _deficit_lengths(n, t, l) == want, (n, t, l)
-
-
 # t -> largest n at which every shape is checked against the brute references
 UNSATURATED_GRID = {2: 40, 3: 40, 4: 25, 5: 18, 6: 12, 7: 10}
 
 
+@pytest.fixture
+def budget_counts(monkeypatch):
+    """The shape counts the deficit walk hands its block budget, in order."""
+    counts = []
+    monkeypatch.setattr(capacity_module, "_check_block_budget",
+                        lambda blocks, t: counts.append(blocks))
+    return counts
+
+
 @pytest.mark.parametrize("t", sorted(UNSATURATED_GRID))
-def test_unsaturated_walk_yields_exactly_the_unsaturated_shapes(t):
-    """For every first row n-m, the pruned walk yields each shape with
-    l * f < d once, by the brute hook-length count and pairwise Weyl product,
-    and nothing else."""
+def test_unsaturated_first_rows_are_a_run(t, budget_counts):
+    """The first rows of the unsaturated shapes (l * f < d, by the brute
+    hook-length count and pairwise Weyl product) are a run n, n-1, ..., c*,
+    and the walk keeps exactly that run: before each kept first row c it hands
+    the budget the number of shapes with first rows n..c, counted by brute
+    enumeration."""
     for n in range(1, UNSATURATED_GRID[t] + 1):
         shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
                   for rows in _partition_rows(n, t)]
         for l in (1, 2, 3, 4):
-            for m in range(n - -(-n // t) + 1):
-                want = {rows for rows, f, d in shapes if rows[0] == n - m and l * f < d}
-                got = list(_unsaturated_shapes(n, t, l, m))
-                assert len(got) == len(want) and set(got) == want, (n, t, l, m)
+            firsts = {rows[0] for rows, f, d in shapes if l * f < d}
+            run = range(n, n - len(firsts), -1)
+            assert firsts == set(run), (n, t, l)
+            want = list(accumulate(sum(1 for rows, _, _ in shapes if rows[0] == c) for c in run))
+            budget_counts.clear()
+            list(_unsaturated_shapes(n, t, l))
+            assert budget_counts == want, (n, t, l)
 
 
-def test_unsaturated_walk_visits_few_shapes():
-    """Where the certificate keeps most m (t = 5, n = 50) the walk still
-    yields only the few unsaturated shapes of 3 765."""
-    kept = _deficit_lengths(50, 5, 1)
-    assert len(kept) == 36 and partition_count(50, 5) == 3765
-    assert sum(1 for m in kept for _ in _unsaturated_shapes(50, 5, 1, m)) == 15
+@pytest.mark.parametrize("t", sorted(UNSATURATED_GRID))
+def test_unsaturated_walk_yields_exactly_the_unsaturated_shapes(t):
+    """The pruned walk yields each shape of n with l * f < d once, by the
+    brute hook-length count and pairwise Weyl product, and nothing else."""
+    for n in range(1, UNSATURATED_GRID[t] + 1):
+        shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
+                  for rows in _partition_rows(n, t)]
+        for l in (1, 2, 3, 4):
+            want = {rows for rows, f, d in shapes if l * f < d}
+            got = list(_unsaturated_shapes(n, t, l))
+            assert len(got) == len(want) and set(got) == want, (n, t, l)
 
 
-def test_deficit_visits_few_shapes():
-    """Where n is large the certificate keeps only small m: at t = 3 the
-    support of n = 2000 visits 9 of its 334 334 shapes."""
-    assert _deficit_lengths(2000, 3, 1) == [0, 1, 2, 3, 4]
+def test_unsaturated_walk_visits_few_shapes(budget_counts):
+    """At t = 5, n = 50 the walk counts the 27 shapes whose first rows start
+    an unsaturated shape and yields the 15 unsaturated ones, of 3 765."""
+    assert partition_count(50, 5) == 3765
+    assert sum(1 for _ in _unsaturated_shapes(50, 5, 1)) == 15
+    assert budget_counts[-1] == 27
+
+
+def test_deficit_visits_few_shapes(budget_counts):
+    """Where n is large only the longest first rows remain: at t = 3 the
+    support of n = 2000 keeps first rows 2000..1998 and counts 4 of its
+    334 334 shapes."""
+    assert {rows[0] for rows in _unsaturated_shapes(2000, 3, 1)} == {2000, 1999, 1998}
+    assert budget_counts == [1, 2, 4]
     assert partition_count(2000, 3) == 334334
-    assert sum(partition_count(m, 2, 2000 - m) for m in range(5)) == 9
+    assert sum(partition_count(2000 - c, 2, c) for c in (2000, 1999, 1998)) == 4
 
 
 def test_capacity_invariant_under_entry_order():

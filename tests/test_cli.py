@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metrocap import oracle, rep_core
+from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import capacity
 from metrocap.distinguish import m_eps_bounds, m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import report_to_csv
+from reference import factorial_multinomial, report_to_csv
 
 LN2 = math.log(2.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
@@ -308,6 +308,60 @@ def test_block_budget_exits_2_at_once(capsys, argv, count):
     assert err.startswith("error:") and count in err and "1000000" in err
 
 
+def test_unwritable_mp_multiplicities_exit_2_at_once(capsys):
+    """C(14292, 7146) has 4301 digits, one past the interpreter's default
+    limit for integer string conversion: decompose refuses before making any
+    block, naming both counts.  The capacity report writes no multiplicity
+    and still runs."""
+    argv = ["decompose", "--model", "mp", "--n", "14292", "--t", "2"]
+    for extra in ([], ["--format", "csv"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv + extra)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == ("error: the largest multiplicity has about 4301 digits, more than the "
+                       "4300 digits of the interpreter's limit for integer string conversion "
+                       "(sys.get_int_max_str_digits())\n")
+    code, out, err = run_cli(capsys, ["capacity", "--model", "mp", "--n", "14292", "--t", "2"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["support"] == "14293"
+
+
+def test_multiplicity_digit_check_is_exact(capsys):
+    """Under a limit of 640 digits, decompose refuses exactly from the first
+    n whose largest multinomial, the balanced one by brute factorials,
+    reaches 10^640.  At t = 2 every weight's multinomial is compared, and the
+    request below the boundary is written in full."""
+    limit = 640
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for t in (7, 4, 3, 2):
+            def largest(n):
+                q, extra = divmod(n, t)
+                return factorial_multinomial([q + 1] * extra + [q] * (t - extra))
+
+            lo, hi = 1, 4000  # largest(lo) < 10^limit <= largest(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if largest(mid) < 10**limit else (lo, mid)
+            assert hi > 100, t
+            cli._check_multiplicity_digits(lo, t)
+            with pytest.raises(cli.CLIError, match="641 digits, more than the 640 digits"):
+                cli._check_multiplicity_digits(hi, t)
+        # t = 2, the last of the loop: the largest of all weights, and the whole
+        # command on both sides of the boundary
+        assert max(factorial_multinomial((k, hi - k)) for k in range(hi + 1)) >= 10**limit
+        assert max(factorial_multinomial((k, lo - k)) for k in range(lo + 1)) < 10**limit
+        argv = ["decompose", "--model", "mp", "--t", "2", "--format", "csv", "--n"]
+        code, out, err = run_cli(capsys, argv + [str(lo)])
+        assert (code, err) == (0, "") and len(out.splitlines()) == lo + 2
+        code, out, err = run_cli(capsys, argv + [str(hi)])
+        assert (code, out) == (2, "") and "641 digits" in err
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
 @pytest.mark.parametrize("command", ["decompose", "capacity"])
 def test_label_entry_budget_exits_2_at_once(capsys, command):
     """2001 blocks, within MAX_BLOCKS, whose labels hold 4 004 001 entries.
@@ -337,7 +391,7 @@ def test_capacity_csv_needs_no_block_budget(capsys, t, n, support):
 
 def test_finite_l_su_bounds_needs_no_enumeration(capsys):
     """The finite-l su support is the Cauchy total minus a short deficit sum:
-    n = 2000 at t = 3 has 334 334 blocks, of which nine shapes are visited.
+    n = 2000 at t = 3 has 334 334 blocks, of which four shapes are counted.
     The deficit is the one the full enumeration of the blocks gave."""
     start = time.perf_counter()
     report = run_json(capsys, ["bounds", "--model", "su", "--n", "2000", "--t", "3", "--l", "1"])
@@ -346,14 +400,27 @@ def test_finite_l_su_bounds_needs_no_enumeration(capsys):
     assert report["lower_nats"] == m_eps_bounds(math.log(support), 0.1).lower
 
 
+def test_finite_l_su_bounds_counts_only_the_first_rows_that_matter(capsys):
+    """At n = 87, t = 8, l = 1 only the 80 unsaturated shapes are walked, and
+    only the shapes of their first rows are counted, so the label budget
+    admits the request.  The support is the brute enumerated one
+    (tests/reference.enumerated_su_support, which takes about half a minute)."""
+    start = time.perf_counter()
+    report = run_json(capsys, ["bounds", "--model", "su", "--n", "87", "--t", "8", "--l", "1"])
+    assert time.perf_counter() - start < 1.0
+    support = 13672120764081890733648607260901736169613360
+    assert report["lower_nats"] == m_eps_bounds(math.log(support), 0.1).lower
+
+
 def test_finite_l_su_deficit_keeps_a_shape_budget(capsys, monkeypatch):
-    """The shapes the deficit sum would visit are counted before any is, and
-    refused past MAX_BLOCKS: here the first 6 of the 9 at n = 2000, t = 3."""
-    monkeypatch.setattr(rep_core, "MAX_BLOCKS", 5)
+    """The shapes of the first rows the deficit sum keeps are counted before
+    any is visited, and refused past MAX_BLOCKS: at n = 2000, t = 3 the first
+    rows 2000..1998 hold 4 shapes."""
+    monkeypatch.setattr(rep_core, "MAX_BLOCKS", 3)
     code, out, err = run_cli(capsys, ["bounds", "--model", "su", "--n", "2000", "--t", "3",
                                       "--l", "1"])
     assert (code, out) == (2, "")
-    assert err == "error: 6 blocks exceed the enumeration budget of 5 (MAX_BLOCKS)\n"
+    assert err == "error: 4 blocks exceed the enumeration budget of 3 (MAX_BLOCKS)\n"
 
 
 def _su_blocks_of_three(t):

@@ -37,7 +37,8 @@ def test_cauchy_identity_matches_enumeration(n, t):
 @SMALL
 @given(n=st.integers(1, 30), t=st.integers(2, 5), l=st.integers(1, 6))
 def test_finite_reference_support_matches_enumeration(n, t, l):
-    """Cauchy total minus the certified deficit == sum_lam d min(l f, d)."""
+    """Cauchy total minus the deficit of the walked unsaturated shapes ==
+    sum_lam d min(l f, d)."""
     assert capacity_support("su", n, t, l) == enumerated_su_support(n, t, l)
 
 
