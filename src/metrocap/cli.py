@@ -15,6 +15,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple, Optional, Sequence
 
@@ -27,6 +28,7 @@ from .rep_core import (
     _check_block_budget,
     _check_config,
     decompose,
+    partition_count,
     weight_count,
 )
 
@@ -128,6 +130,15 @@ def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
     return {"schema": SCHEMA, "command": cfg.command, **echoed, **body}
 
 
+def _refuse_digits(log_largest: float, limit: int) -> None:
+    """The refusal of a report whose largest multiplicity, of natural log
+    ``log_largest``, reaches 10^limit."""
+    digits = max(limit + 1, math.floor(log_largest / math.log(10)) + 1)
+    raise CLIError(f"the largest multiplicity has about {digits} digits, more than "
+                   f"the {limit} digits of the interpreter's limit for integer "
+                   f"string conversion (sys.get_int_max_str_digits())")
+
+
 def _check_multiplicity_digits(n: int, t: int) -> None:
     """Refuse an mp report whose largest multiplicity has more decimal digits
     than the interpreter converts to a string (sys.get_int_max_str_digits(),
@@ -150,21 +161,47 @@ def _check_multiplicity_digits(n: int, t: int) -> None:
         for j in range(1, c + 1):
             product = product * (filled + j) // j
             if product >= ceiling:
-                logs = math.lgamma(n + 1) - math.fsum(math.lgamma(k + 1) for k in counts)
-                digits = max(limit + 1, math.floor(logs / math.log(10)) + 1)
-                raise CLIError(f"the largest multiplicity has about {digits} digits, more than "
-                               f"the {limit} digits of the interpreter's limit for integer "
-                               f"string conversion (sys.get_int_max_str_digits())")
+                _refuse_digits(math.lgamma(n + 1) - math.fsum(math.lgamma(k + 1) for k in counts),
+                               limit)
         filled += c
 
 
+def _check_tableau_digits(n: int) -> None:
+    """As ``_check_multiplicity_digits``, for su: refuse a report whose two-row
+    tableau counts f_k = C(n,k) - C(n,k-1) = n! (n-2k+1) / (k! (n-k+1)!)
+    reach 10^limit.  f_{k+1} >= f_k exactly when (n-2k)^2 >= n+2, so the
+    binomials are built one exact factor at a time up to the peak k*, and the
+    loop stops at the first count that reaches 10^limit.
+
+    At t = 2 these are all the multiplicities, so the check is exact.  At
+    t >= 3 a longer shape may count more, so the check is sound but not
+    complete, and the writer's ValueError (exit 2) stays the backstop; under
+    the default limit it cannot fire, since f_lambda <= t^n and the block
+    budget caps t = 3 at n = 3461 (1652 digits).
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    peak = (n - math.isqrt(n + 1) + 1) // 2
+    ceiling = 10**limit
+    below = binom = 1  # C(n, k-1) and C(n, k)
+    for k in range(1, peak + 1):
+        below, binom = binom, binom * (n - k + 1) // k
+        if binom - below >= ceiling:
+            _refuse_digits(math.lgamma(n + 1) - math.lgamma(peak + 1) - math.lgamma(n - peak + 2)
+                           + math.log(n - 2 * peak + 1), limit)
+
+
 def _build_decompose(cfg: RunConfig) -> dict:
-    """Every block as a row (*label, dim, mult, eff_mult).  mp requests are
-    validated and their block budget checked first, so that the digit check
-    only sees admitted requests."""
+    """Every block as a row (*label, dim, mult, eff_mult).  Requests are
+    validated and their block budget checked first, so that the digit checks
+    only see admitted requests."""
     if _check_config(cfg.model, cfg.n, cfg.t, cfg.l) is Model.MULTI_PHASE:
         _check_block_budget(weight_count(cfg.n, cfg.t), cfg.t)
         _check_multiplicity_digits(cfg.n, cfg.t)
+    else:
+        _check_block_budget(partition_count(cfg.n, cfg.t), cfg.t)
+        _check_tableau_digits(cfg.n)
     d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
     columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
     rows = [(*label, dim, mult, eff) for label, dim, mult, eff in d.rows]
@@ -233,8 +270,9 @@ def _build_simulate(cfg: RunConfig) -> dict:
             raise CLIError(f"unknown codebook tag {cfg.codebook!r}")
         if model is not Model.MULTI_PHASE:
             raise CLIError("--codebook lattice needs --model mp")
-        cb = oracle.codebook_from_lattice(dist.mp_lattice(cfg.n, cfg.t))
-        success = oracle.srm_discrimination(cb, psi, cfg.n, cfg.t)
+        lattice = dist.mp_lattice(cfg.n, cfg.t)
+        unitaries = [oracle.mp_unitary(theta, cfg.t) for theta in lattice.elements]
+        success = oracle.srm_discrimination(unitaries, psi, cfg.n, cfg.t)
     return _report(cfg, "model n t log_base", {
         "state_tag": cfg.state,
         "codebook_tag": cfg.codebook,
@@ -363,7 +401,10 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused: building it
+    costs more than answering a small exact request."""
     parser = argparse.ArgumentParser(
         prog="metrocap",
         description="Capacities, bounds and brute-force checks for "

@@ -2,12 +2,13 @@
 
 Explicit states, exact twirls and square-root-measurement discrimination,
 kept deliberately independent of the combinatorial modules so the two routes
-can check each other.  The twirled spectrum of a pure input is taken block by
-block from its amplitudes (``twirled_spectrum``): weight classes of the
-product basis for ``mp``, Schur blocks for SU(2).  The dense density-matrix
-twirls (``mp_twirl``, ``su2_twirl``) and ``von_neumann_entropy`` work in the
-computational product basis and are the reference the block route is checked
-against.  Dimensions are capped to keep dense linear algebra honest.
+can check each other: nothing is imported from the package, and a model is
+its plain tag, ``"mp"`` or ``"su"``.  The twirled spectrum of a pure input is
+taken block by block from its amplitudes (``twirled_spectrum``): weight
+classes of the product basis for ``mp``, Schur blocks for SU(2).  The dense
+density-matrix twirls (``mp_twirl``, ``su2_twirl``) and
+``von_neumann_entropy`` work in the computational product basis and are the
+reference the block route is checked against.  Dimensions are capped to keep dense linear algebra honest.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
-
-from .distinguish import LatticeCodebook
-from .rep_core import Model
 
 DENSE_DIM_CAP = 4096  # largest full Hilbert-space dimension handled densely
 SU2_COPY_CAP = 8
@@ -89,40 +87,6 @@ def pure_density(psi: PureState) -> DensityOperator:
     """Projector |psi><psi| as a DensityOperator."""
     v = psi.amplitudes
     return DensityOperator(np.outer(v, v.conj()), n=psi.n, t=psi.t, ref_dim=psi.ref_dim)
-
-
-@dataclass(frozen=True, eq=False)
-class Codebook:
-    """Finite family of group elements: phase vectors or SU(2) matrices."""
-
-    kind: str  # "mp" or "su2"
-    elements: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if self.kind == "mp":
-            for theta in self.elements:
-                if any(not 0.0 <= ph < 2.0 * math.pi for ph in theta):
-                    raise ValueError(f"phases must lie in [0, 2pi), got {theta}")
-        elif self.kind == "su2":
-            eye = np.eye(2)
-            for u in self.elements:
-                u = np.asarray(u, dtype=complex)
-                if u.shape != (2, 2):
-                    raise ValueError("su2 elements must be 2x2 matrices")
-                if np.abs(u @ u.conj().T - eye).max() > 1e-10:
-                    raise ValueError("su2 element is not unitary within 1e-10")
-                if abs(np.linalg.det(u) - 1.0) > 1e-10:
-                    raise ValueError("su2 element determinant differs from 1")
-        else:
-            raise ValueError(f"unknown codebook kind {self.kind!r}")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def codebook_from_lattice(lattice: LatticeCodebook) -> Codebook:
-    return Codebook(kind="mp", elements=lattice.elements)
 
 
 def mp_unitary(theta: Sequence[float], t: int) -> np.ndarray:
@@ -209,21 +173,25 @@ def schur_basis_su2(n: int):
     -j), multiplicity index minor.  Columns with equal multiplicity index are
     related by the lowering operator, which is what makes the factorization
     U_j x C^mult explicit.
+
+    The lowering operator J- is the 0/1 matrix adding one set bit; the
+    highest weights with k set bits are the SVD null space of J+ = J-^T
+    from k to k-1 set bits.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > SU2_COPY_CAP:
         raise ValueError(f"n must stay <= {SU2_COPY_CAP} for dense feasibility")
     d = 2**n
-    by_ones = [[] for _ in range(n + 1)]
-    for x in range(d):
-        by_ones[bin(x).count("1")].append(x)
-
+    index = np.arange(d)
+    ones = np.zeros(d, dtype=int)
     jminus = np.zeros((d, d))
-    for x in range(d):
-        for i in range(n):
-            if not (x >> i) & 1:
-                jminus[x | (1 << i), x] += 1.0
+    for i in range(n):
+        bit = (index >> i) & 1
+        ones += bit
+        unset = index[bit == 0]
+        jminus[unset | (1 << i), unset] = 1.0
+    by_ones = [np.flatnonzero(ones == k) for k in range(n + 1)]
 
     cols = []
     blocks = []
@@ -234,13 +202,7 @@ def schur_basis_su2(n: int):
         if k == 0:
             null = np.eye(1)
         else:
-            idx_prev = by_ones[k - 1]
-            pos_prev = {x: r for r, x in enumerate(idx_prev)}
-            raise_map = np.zeros((len(idx_prev), len(idx_k)))
-            for c, x in enumerate(idx_k):
-                for i in range(n):
-                    if (x >> i) & 1:
-                        raise_map[pos_prev[x & ~(1 << i)], c] += 1.0
+            raise_map = jminus[np.ix_(idx_k, by_ones[k - 1])].T
             _, s, vt = np.linalg.svd(raise_map)
             rank = int(np.sum(s > 1e-10))
             null = vt[rank:].T
@@ -332,29 +294,21 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return _spectrum_entropy(tr, np.linalg.eigvalsh(rho.matrix))
 
 
-def _element_unitary(codebook: Codebook, element, t: int) -> np.ndarray:
-    if codebook.kind == "mp":
-        return mp_unitary(element, t)
-    if t != 2:
-        raise ValueError("su2 codebooks act on local dimension 2")
-    return np.asarray(element, dtype=complex)
+def srm_discrimination(unitaries: Sequence[np.ndarray], psi: PureState, n: int, t: int) -> float:
+    """Average success of the square-root measurement on {u_j^{x n}|psi>}.
 
-
-def srm_discrimination(codebook: Codebook, psi: PureState, n: int, t: int) -> float:
-    """Average success of the square-root measurement on {f(g_j)|psi>}.
-
-    Success = (1/M) sum_j sqrt(G)_{jj}^2 with G the Gram matrix of the coded
-    states; rank-deficient Gram matrices trigger a degenerate-codebook
-    warning and are handled through the pseudo-inverse square root.
+    The codebook is a sequence of local t x t unitaries u_j (``mp_unitary``
+    of each phase vector for mp); a non-unitary one fails the norm check of
+    its coded state.  Success = (1/M) sum_j sqrt(G)_{jj}^2 with G the Gram
+    matrix of the coded states; rank-deficient Gram matrices trigger a
+    degenerate-codebook warning and are handled through the pseudo-inverse
+    square root.
     """
-    if len(codebook) < 1:
+    if len(unitaries) < 1:
         raise ValueError("codebook must contain at least one element")
     if (psi.n, psi.t) != (n, t):
         raise ValueError("state metadata does not match (n, t)")
-    states = [
-        tensor_power_apply(_element_unitary(codebook, g, t), n, psi).amplitudes
-        for g in codebook.elements
-    ]
+    states = [tensor_power_apply(u, n, psi).amplitudes for u in unitaries]
     gram = np.array([[np.vdot(a, b) for b in states] for a in states])
     eigs, vecs = np.linalg.eigh(gram)
     if float(eigs.min()) < _EIG_FLOOR:
@@ -368,7 +322,7 @@ def srm_discrimination(codebook: Codebook, psi: PureState, n: int, t: int) -> fl
     return float(np.mean(diag**2))
 
 
-def twirled_spectrum(psi: PureState, model: Union[Model, str], n: int, t: int) -> np.ndarray:
+def twirled_spectrum(psi: PureState, model: str, n: int, t: int) -> np.ndarray:
     """Eigenvalues of the twirled input |psi><psi|, taken block by block.
 
     Every eigenvalue the dense twirl can have above zero is returned (in no
@@ -383,13 +337,14 @@ def twirled_spectrum(psi: PureState, model: Union[Model, str], n: int, t: int) -
       (I / d_j) (x) M_j^T conj(M_j): each squared singular value of M_j,
       divided by d_j, appears d_j times.
     """
-    model = Model(model)
-    if model is Model.SPECIAL_UNITARY and t != 2:
+    if model not in ("mp", "su"):
+        raise ValueError(f"unknown model tag {model!r}")
+    if model == "su" and t != 2:
         raise ValueError("SU(t) twirl is only implemented for t = 2")
     if (psi.n, psi.t) != (n, t):
         raise ValueError("state metadata does not match (n, t)")
     amps = psi.amplitudes.reshape(t**n, psi.ref_dim)
-    if model is Model.MULTI_PHASE:
+    if model == "mp":
         # the weight vector of each index as one base-(n+1) integer; its
         # digits are counts <= n, so the float key is exact
         keys = _digit_counts(n, t) @ (n + 1) ** np.arange(t - 1)
@@ -406,7 +361,7 @@ def twirled_spectrum(psi: PureState, model: Union[Model, str], n: int, t: int) -
     return np.concatenate(parts)
 
 
-def empirical_mi(psi: PureState, model: Union[Model, str], n: int, t: int) -> float:
+def empirical_mi(psi: PureState, model: str, n: int, t: int) -> float:
     """Entropy of the twirled input: the accessible information of this state.
 
     Computed from ``twirled_spectrum``; it agrees with ``von_neumann_entropy``

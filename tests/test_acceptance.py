@@ -23,12 +23,12 @@ from metrocap.capacity import (
     su_square_sum,
     symmetric_subspace_mi,
 )
-from metrocap.distinguish import ball_volume_mp, m_eps_capacity_bounds, mp_lattice, radius_bound
+from metrocap.distinguish import ball_volume_mp, m_eps_bounds, mp_lattice, radius_bound
 from metrocap.oracle import (
-    codebook_from_lattice,
     empirical_mi,
     mp_optimal_state,
     mp_twirl,
+    mp_unitary,
     noon_state,
     pure_density,
     srm_discrimination,
@@ -40,6 +40,11 @@ from metrocap.rep_core import _weyl_dim_rows, decompose
 from reference import enumerated_square_sum
 
 CRITERIA = []
+
+
+def lattice_unitaries(n):
+    """The local unitaries of the (n+1)-point phase lattice codebook at t = 2."""
+    return [mp_unitary(theta, 2) for theta in mp_lattice(n, 2).elements]
 
 
 def criterion(number, description):
@@ -134,12 +139,11 @@ def check_su2_twirl_entropies():
 @criterion(9, "SRM success 1 within 1e-9 on the Fourier codebook; log(n+1) inside the bracket")
 def check_srm_achievability():
     for n in range(1, 9):
-        cb = codebook_from_lattice(mp_lattice(n, 2))
-        success = srm_discrimination(cb, mp_optimal_state(n), n, 2)
+        success = srm_discrimination(lattice_unitaries(n), mp_optimal_state(n), n, 2)
         assert abs(success - 1.0) <= 1e-9, (n, success)
         log_m = math.log(n + 1)
         for eps in (0.1, 0.5):
-            b = m_eps_capacity_bounds(decompose("mp", n, 2, 1), eps)
+            b = m_eps_bounds(capacity(decompose("mp", n, 2, 1)).value, eps)
             assert b.lower <= log_m <= b.upper, (n, eps, b)
 
 
@@ -147,16 +151,16 @@ def check_srm_achievability():
 def check_fano_consistency():
     runs = []
     for n in range(1, 9):
-        cb = codebook_from_lattice(mp_lattice(n, 2))
         psi = mp_optimal_state(n)
-        runs.append((n + 1, srm_discrimination(cb, psi, n, 2), empirical_mi(psi, "mp", n, 2)))
+        runs.append((n + 1, srm_discrimination(lattice_unitaries(n), psi, n, 2),
+                     empirical_mi(psi, "mp", n, 2)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # rank-deficient NOON runs
         for n in range(2, 9):
-            cb = codebook_from_lattice(mp_lattice(n, 2))
             psi = noon_state(n)
             runs.append(
-                (n + 1, srm_discrimination(cb, psi, n, 2), empirical_mi(psi, "mp", n, 2))
+                (n + 1, srm_discrimination(lattice_unitaries(n), psi, n, 2),
+                 empirical_mi(psi, "mp", n, 2))
             )
     for m, success, mi in runs:
         observed_error = max(0.0, 1.0 - success)

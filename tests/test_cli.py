@@ -13,9 +13,9 @@ import pytest
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import capacity
-from metrocap.distinguish import m_eps_bounds, m_eps_capacity_bounds
+from metrocap.distinguish import m_eps_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import factorial_multinomial, report_to_csv
+from reference import factorial_multinomial, hook_length_count, report_to_csv
 
 LN2 = math.log(2.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
@@ -362,6 +362,79 @@ def test_multiplicity_digit_check_is_exact(capsys):
         sys.set_int_max_str_digits(before)
 
 
+def test_unwritable_su_multiplicities_exit_2_at_once(capsys):
+    """The largest two-row tableau count at n = 14299 has 4301 digits, and
+    at n = 14298 4300: su decompose at t = 2 refuses from 14299 on before
+    making any block, where it used to enumerate for 20 s and then fail.  At
+    n = 20000 the message names the peak count's own 6017 digits."""
+    argv = ["decompose", "--model", "su", "--n", "14299", "--t", "2"]
+    for extra in ([], ["--format", "csv"]):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv + extra)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == ("error: the largest multiplicity has about 4301 digits, more than the "
+                       "4300 digits of the interpreter's limit for integer string conversion "
+                       "(sys.get_int_max_str_digits())\n")
+    cli._check_tableau_digits(14298)
+    code, out, err = run_cli(capsys, ["decompose", "--model", "su", "--n", "20000", "--t", "2"])
+    assert (code, out) == (2, "") and "about 6017 digits" in err
+
+
+def test_tableau_digit_check_is_exact(capsys):
+    """Under a limit of 640 digits, su decompose refuses exactly from the
+    first n where some two-row tableau count, n! (n-2k+1) / (k! (n-k+1)!)
+    by brute factorials over every k, reaches 10^640.  At t = 2 these are all
+    the multiplicities: the request below the boundary is written in full.
+    At t = 3 the same request is refused too."""
+    limit = 640
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        factorials = [1]
+        for m in range(1, 4002):
+            factorials.append(factorials[-1] * m)
+
+        def reaches(n):  # f_k >= 10^limit for some k, without a division
+            return any(factorials[n] * (n - 2 * k + 1)
+                       >= 10**limit * factorials[k] * factorials[n - k + 1]
+                       for k in range(n // 2, -1, -1))
+
+        lo, hi = 1, 4000  # not reaches(lo), reaches(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
+        assert hi > 100
+        cli._check_tableau_digits(lo)
+        with pytest.raises(cli.CLIError, match="641 digits, more than the 640 digits"):
+            cli._check_tableau_digits(hi)
+        argv = ["decompose", "--model", "su", "--format", "csv", "--n"]
+        code, out, err = run_cli(capsys, argv + [str(lo), "--t", "2"])
+        assert (code, err) == (0, "") and len(out.splitlines()) == lo // 2 + 2
+        for t in ("2", "3"):
+            code, out, err = run_cli(capsys, argv + [str(hi), "--t", t])
+            assert (code, out) == (2, "") and "641 digits" in err
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_tableau_digit_check_is_exact_at_small_limits(monkeypatch):
+    """With the limit patched down to a few digits, the su check refuses
+    exactly when some two-row tableau count, by hook lengths, reaches
+    10^limit, for every n <= 200 and limit.  At n = 18, 25, 49, 66, 93, 130
+    and 187 only the peak count has the most digits, so a loop that stops
+    short of the peak is caught."""
+    for n in range(1, 201):
+        largest = max(hook_length_count((n - k, k)) for k in range(n // 2 + 1))
+        for limit in range(1, len(str(largest)) + 2):
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+            if largest >= 10**limit:
+                with pytest.raises(cli.CLIError, match=f"more than the {limit} digits"):
+                    cli._check_tableau_digits(n)
+            else:
+                cli._check_tableau_digits(n)
+
+
 @pytest.mark.parametrize("command", ["decompose", "capacity"])
 def test_label_entry_budget_exits_2_at_once(capsys, command):
     """2001 blocks, within MAX_BLOCKS, whose labels hold 4 004 001 entries.
@@ -485,7 +558,7 @@ def test_bounds_matches_enumerated_capacity(capsys, model, t, n, l):
     report = run_json(capsys, ["bounds", "--model", model, "--n", str(n), "--t", str(t),
                                "--l", l, "--eps", "0.2"])
     decomp = decompose(model, n, t, UNBOUNDED if l == "inf" else int(l))
-    b = m_eps_capacity_bounds(decomp, 0.2)
+    b = m_eps_bounds(capacity(decomp).value, 0.2)
     assert (report["lower_nats"], report["upper_nats"]) == (b.lower, b.upper)
 
 

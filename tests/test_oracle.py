@@ -1,18 +1,19 @@
+import ast
 import math
 import warnings
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from metrocap import distinguish, oracle
 from metrocap.capacity import capacity, su2_closed_form, su_capacity
 from metrocap.distinguish import mp_lattice
 from metrocap.oracle import (
     _EIG_FLOOR,
-    Codebook,
     DensityOperator,
     PureState,
-    codebook_from_lattice,
     empirical_mi,
     haar_su2,
     mp_optimal_state,
@@ -33,11 +34,35 @@ from metrocap.rep_core import UNBOUNDED, decompose
 from reference import grid_twirl
 
 
+def lattice_unitaries(n):
+    """The local unitaries of the (n+1)-point phase lattice codebook at t = 2."""
+    return [mp_unitary(theta, 2) for theta in mp_lattice(n, 2).elements]
+
+
 def tensor_power(u, n):
     out = u
     for _ in range(n - 1):
         out = np.kron(out, u)
     return out
+
+
+# ---------------------------------------------------------------- independence
+
+@pytest.mark.parametrize("module", [oracle, distinguish], ids=["oracle", "distinguish"])
+def test_cross_check_module_imports_nothing_from_the_package(module):
+    """The oracle and the distinguishability bounds check the exact layers
+    only while they share no code with them: no relative import, and no
+    import of metrocap."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported
+    assert not [name for name in imported
+                if name.startswith(".") or name.split(".")[0] == "metrocap"]
 
 
 # ---------------------------------------------------------------- types
@@ -65,20 +90,6 @@ def test_density_operator_psd_check():
     with pytest.raises(ValueError, match="negative eigenvalue"):
         von_neumann_entropy(rho)
     assert von_neumann_entropy(DensityOperator(np.diag([0.5, 0.5]), n=1, t=2)) == math.log(2)
-
-
-def test_codebook_validation():
-    Codebook(kind="mp", elements=((0.0,), (math.pi,)))
-    with pytest.raises(ValueError):
-        Codebook(kind="mp", elements=((2 * math.pi,),))  # outside [0, 2pi)
-    rng = np.random.default_rng(0)
-    Codebook(kind="su2", elements=(haar_su2(rng), np.eye(2)))
-    with pytest.raises(ValueError):
-        Codebook(kind="su2", elements=(2 * np.eye(2),))
-    with pytest.raises(ValueError):
-        Codebook(kind="su2", elements=(np.diag([1.0, 1j]),))  # det = i
-    with pytest.raises(ValueError):
-        Codebook(kind="what", elements=())
 
 
 # ---------------------------------------------------------------- unitaries
@@ -378,21 +389,19 @@ def test_von_neumann_entropy_values():
 # ---------------------------------------------------------------- srm
 
 def test_srm_single_element():
-    cb = Codebook(kind="mp", elements=((0.0,),))
-    assert srm_discrimination(cb, mp_optimal_state(3), 3, 2) == pytest.approx(1.0)
+    assert srm_discrimination([mp_unitary((0.0,), 2)], mp_optimal_state(3), 3, 2) == \
+        pytest.approx(1.0)
 
 
 def test_srm_fourier_codebook_perfect():
     for n in range(1, 9):
-        cb = codebook_from_lattice(mp_lattice(n, 2))
-        p = srm_discrimination(cb, mp_optimal_state(n), n, 2)
+        p = srm_discrimination(lattice_unitaries(n), mp_optimal_state(n), n, 2)
         assert abs(p - 1.0) < 1e-9
 
 
 def test_srm_noon_is_degenerate():
-    cb = codebook_from_lattice(mp_lattice(4, 2))
     with pytest.warns(RuntimeWarning, match="degenerate codebook"):
-        p = srm_discrimination(cb, noon_state(4), 4, 2)
+        p = srm_discrimination(lattice_unitaries(4), noon_state(4), 4, 2)
     assert p < 1.0
     # rank-2 span, 5 states; pseudo-root noise floor is sqrt(eps) ~ 1e-8
     assert p == pytest.approx(2.0 / 5.0, abs=1e-6)
@@ -404,33 +413,31 @@ def test_srm_matches_explicit_povm():
     n, t = 3, 2
     psi = random_pure_state(rng, n, t)
     thetas = tuple((float(x),) for x in sorted(rng.uniform(0, 2 * math.pi, size=4)))
-    cb = Codebook(kind="mp", elements=thetas)
-    states = [
-        tensor_power_apply(mp_unitary(th, t), n, psi).amplitudes for th in cb.elements
-    ]
+    unitaries = [mp_unitary(th, t) for th in thetas]
+    states = [tensor_power_apply(u, n, psi).amplitudes for u in unitaries]
     avg = sum(np.outer(v, v.conj()) for v in states)
     eigs, vecs = np.linalg.eigh(avg)
     inv_root = vecs @ np.diag([e**-0.5 if e > 1e-12 else 0.0 for e in eigs]) @ vecs.conj().T
     success = np.mean(
         [abs(np.vdot(v, inv_root @ np.outer(v, v.conj()) @ inv_root @ v)) for v in states]
     )
-    assert srm_discrimination(cb, psi, n, t) == pytest.approx(float(success), abs=1e-10)
+    assert srm_discrimination(unitaries, psi, n, t) == pytest.approx(float(success), abs=1e-10)
 
 
 def test_srm_su2_codebook_runs():
     rng = np.random.default_rng(53)
-    cb = Codebook(kind="su2", elements=tuple(haar_su2(rng) for _ in range(3)))
-    p = srm_discrimination(cb, su2_optimal_state(2), 2, 2)
+    unitaries = [haar_su2(rng) for _ in range(3)]
+    p = srm_discrimination(unitaries, su2_optimal_state(2), 2, 2)
     assert 0.0 <= p <= 1.0
 
 
 def test_srm_validation():
-    cb = Codebook(kind="mp", elements=())
     with pytest.raises(ValueError):
-        srm_discrimination(cb, mp_optimal_state(2), 2, 2)
-    cb = codebook_from_lattice(mp_lattice(2, 2))
+        srm_discrimination([], mp_optimal_state(2), 2, 2)
     with pytest.raises(ValueError):
-        srm_discrimination(cb, mp_optimal_state(2), 3, 2)
+        srm_discrimination(lattice_unitaries(2), mp_optimal_state(2), 3, 2)
+    with pytest.raises(ValueError, match="norm"):  # a non-unitary element
+        srm_discrimination([np.eye(2), 2 * np.eye(2)], mp_optimal_state(2), 2, 2)
 
 
 # ---------------------------------------------------------------- empirical MI
