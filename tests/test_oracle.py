@@ -431,13 +431,24 @@ def test_srm_su2_codebook_runs():
     assert 0.0 <= p <= 1.0
 
 
+def test_codebook_validation():
+    psi = mp_optimal_state(2)
+    srm_discrimination([mp_unitary((0.0,), 2), mp_unitary((math.pi,), 2)], psi, 2, 2)
+    rng = np.random.default_rng(0)
+    srm_discrimination([haar_su2(rng), np.eye(2)], psi, 2, 2)
+    with pytest.raises(ValueError):
+        srm_discrimination([], psi, 2, 2)
+    with pytest.raises(ValueError, match="norm"):  # a non-unitary element
+        srm_discrimination([2 * np.eye(2)], psi, 2, 2)
+    with pytest.raises(ValueError, match="shape"):  # not a local t x t unitary
+        srm_discrimination([np.eye(3)], psi, 2, 2)
+
+
 def test_srm_validation():
     with pytest.raises(ValueError):
         srm_discrimination([], mp_optimal_state(2), 2, 2)
     with pytest.raises(ValueError):
         srm_discrimination(lattice_unitaries(2), mp_optimal_state(2), 3, 2)
-    with pytest.raises(ValueError, match="norm"):  # a non-unitary element
-        srm_discrimination([np.eye(2), 2 * np.eye(2)], mp_optimal_state(2), 2, 2)
 
 
 # ---------------------------------------------------------------- empirical MI
