@@ -25,11 +25,8 @@ from .rep_core import (
     UNBOUNDED,
     Model,
     RefSize,
-    _check_block_budget,
-    _check_config,
+    _admit,
     decompose,
-    partition_count,
-    weight_count,
 )
 
 SCHEMA = "1"
@@ -196,11 +193,9 @@ def _build_decompose(cfg: RunConfig) -> dict:
     """Every block as a row (*label, dim, mult, eff_mult).  Requests are
     validated and their block budget checked first, so that the digit checks
     only see admitted requests."""
-    if _check_config(cfg.model, cfg.n, cfg.t, cfg.l) is Model.MULTI_PHASE:
-        _check_block_budget(weight_count(cfg.n, cfg.t), cfg.t)
+    if _admit(cfg.model, cfg.n, cfg.t, cfg.l) is Model.MULTI_PHASE:
         _check_multiplicity_digits(cfg.n, cfg.t)
     else:
-        _check_block_budget(partition_count(cfg.n, cfg.t), cfg.t)
         _check_tableau_digits(cfg.n)
     d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
     columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))

@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .capacity import capacity
+from .rep_core import Decomposition
+
 _RADIUS_TOL = 1e-10
 
 
@@ -54,6 +57,11 @@ def m_bounds_general(
     lower = s_alpha - (math.log(2.0) - math.log(eps)) / (alpha - 1.0)
     upper = s_beta + math.log1p(-eps) / (beta - 1.0)
     return RenyiBounds(alpha, beta, eps, lower, upper)
+
+
+def m_eps_capacity_bounds(decomp: Decomposition, eps: float) -> RenyiBounds:
+    """Capacity-based bracket of ``m_eps_bounds`` at R = capacity(decomp)."""
+    return m_eps_bounds(capacity(decomp).value, eps)
 
 
 def m_eps_bounds(r: float, eps: float) -> RenyiBounds:

@@ -272,14 +272,18 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     descending label order; arguments and the enumeration budget are checked
     before the first one is made.
     """
-    model = _check_config(model, n, t, l)
-    if model is Model.MULTI_PHASE:
-        _check_block_budget(weight_count(n, t), t)
-        rows = _weight_rows(n, t)
-    else:
-        _check_block_budget(partition_count(n, t), t)
-        rows = _su_rows(n, t, l)
+    model = _admit(model, n, t, l)
+    rows = _weight_rows(n, t) if model is Model.MULTI_PHASE else _su_rows(n, t, l)
     return Decomposition(model, n, t, l, tuple(rows))
+
+
+def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
+    """Check a decomposition request's arguments and its block budget (the
+    model's block count: weights for mp, partitions for su)."""
+    model = _check_config(model, n, t, l)
+    blocks = weight_count(n, t) if model is Model.MULTI_PHASE else partition_count(n, t)
+    _check_block_budget(blocks, t)
+    return model
 
 
 def partition_count(n: int, t: int, widest: Optional[int] = None) -> int:

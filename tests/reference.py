@@ -19,7 +19,8 @@ import numpy as np
 
 from metrocap.capacity import log_fraction
 from metrocap.cli import _CSV
-from metrocap.oracle import DensityOperator, _digit_counts
+from metrocap.distinguish import mp_lattice
+from metrocap.oracle import DensityOperator, _digit_counts, mp_unitary
 from metrocap.rep_core import _partition_rows
 
 
@@ -145,6 +146,12 @@ def grid_twirl(rho, n: int, t: int, N: int):
     v = np.exp(1j * (counts @ thetas.T))  # dim x N^(t-1)
     mask = (v @ v.conj().T) / v.shape[1]  # 1 where weights agree, else averages to 0
     return DensityOperator(rho.matrix * mask, n=n, t=t, ref_dim=rho.ref_dim)
+
+
+def lattice_unitaries(n: int, t: int = 2) -> list:
+    """The local unitaries of the phase lattice codebook of ``mp_lattice(n, t)``,
+    the codebook form ``srm_discrimination`` takes."""
+    return [mp_unitary(theta, t) for theta in mp_lattice(n, t).elements]
 
 
 def renyi_entropy(spectrum, alpha: float) -> float:

@@ -23,12 +23,11 @@ from metrocap.capacity import (
     su_square_sum,
     symmetric_subspace_mi,
 )
-from metrocap.distinguish import ball_volume_mp, m_eps_bounds, mp_lattice, radius_bound
+from metrocap.distinguish import ball_volume_mp, m_eps_capacity_bounds, radius_bound
 from metrocap.oracle import (
     empirical_mi,
     mp_optimal_state,
     mp_twirl,
-    mp_unitary,
     noon_state,
     pure_density,
     srm_discrimination,
@@ -37,14 +36,9 @@ from metrocap.oracle import (
     von_neumann_entropy,
 )
 from metrocap.rep_core import _weyl_dim_rows, decompose
-from reference import enumerated_square_sum
+from reference import enumerated_square_sum, lattice_unitaries
 
 CRITERIA = []
-
-
-def lattice_unitaries(n):
-    """The local unitaries of the (n+1)-point phase lattice codebook at t = 2."""
-    return [mp_unitary(theta, 2) for theta in mp_lattice(n, 2).elements]
 
 
 def criterion(number, description):
@@ -143,7 +137,7 @@ def check_srm_achievability():
         assert abs(success - 1.0) <= 1e-9, (n, success)
         log_m = math.log(n + 1)
         for eps in (0.1, 0.5):
-            b = m_eps_bounds(capacity(decompose("mp", n, 2, 1)).value, eps)
+            b = m_eps_capacity_bounds(decompose("mp", n, 2, 1), eps)
             assert b.lower <= log_m <= b.upper, (n, eps, b)
 
 

@@ -13,7 +13,7 @@ import pytest
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import capacity
-from metrocap.distinguish import m_eps_bounds
+from metrocap.distinguish import m_eps_bounds, m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import factorial_multinomial, hook_length_count, report_to_csv
 
@@ -558,7 +558,7 @@ def test_bounds_matches_enumerated_capacity(capsys, model, t, n, l):
     report = run_json(capsys, ["bounds", "--model", model, "--n", str(n), "--t", str(t),
                                "--l", l, "--eps", "0.2"])
     decomp = decompose(model, n, t, UNBOUNDED if l == "inf" else int(l))
-    b = m_eps_bounds(capacity(decomp).value, 0.2)
+    b = m_eps_capacity_bounds(decomp, 0.2)
     assert (report["lower_nats"], report["upper_nats"]) == (b.lower, b.upper)
 
 

@@ -9,7 +9,7 @@ from metrocap.distinguish import (
     RenyiBounds,
     ball_volume_mp,
     m_bounds_general,
-    m_eps_bounds,
+    m_eps_capacity_bounds,
     mp_lattice,
     radius_bound,
 )
@@ -120,10 +120,10 @@ def test_renyi_bounds_type_validation():
 
 
 def test_m_eps_capacity_bounds_known():
-    b = m_eps_bounds(capacity(decompose("mp", 3, 2, 1)).value, 0.5)
+    b = m_eps_capacity_bounds(decompose("mp", 3, 2, 1), 0.5)
     assert abs(b.lower - 0.0) < 1e-12
     assert abs(b.upper - math.log(8)) < 1e-12
-    b = m_eps_bounds(capacity(decompose("su", 2, 2, UNBOUNDED)).value, 0.5)
+    b = m_eps_capacity_bounds(decompose("su", 2, 2, UNBOUNDED), 0.5)
     assert abs(b.lower - math.log(2.5)) < 1e-12
     assert abs(b.upper - math.log(20)) < 1e-12
 
@@ -134,7 +134,7 @@ def test_m_eps_gap_is_model_independent():
         ("su", 4, 2, UNBOUNDED, 0.1),
         ("su", 3, 3, 2, 0.25),
     ]:
-        b = m_eps_bounds(capacity(decompose(model, n, t, l)).value, eps)
+        b = m_eps_capacity_bounds(decompose(model, n, t, l), eps)
         gap = (math.log(2) - math.log(eps)) - math.log1p(-eps)
         assert abs((b.upper - b.lower) - gap) < 1e-12
 
@@ -142,7 +142,7 @@ def test_m_eps_gap_is_model_independent():
 def test_m_eps_bracket_contains_capacity_shift():
     d = decompose("su", 5, 2, UNBOUNDED)
     r = capacity(d).value
-    b = m_eps_bounds(r, 0.1)
+    b = m_eps_capacity_bounds(d, 0.1)
     assert b.lower < r < b.upper
 
 

@@ -7,9 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metrocap import distinguish, oracle
+from metrocap import oracle
 from metrocap.capacity import capacity, su2_closed_form, su_capacity
-from metrocap.distinguish import mp_lattice
 from metrocap.oracle import (
     _EIG_FLOOR,
     DensityOperator,
@@ -31,12 +30,7 @@ from metrocap.oracle import (
     von_neumann_entropy,
 )
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import grid_twirl
-
-
-def lattice_unitaries(n):
-    """The local unitaries of the (n+1)-point phase lattice codebook at t = 2."""
-    return [mp_unitary(theta, 2) for theta in mp_lattice(n, 2).elements]
+from reference import grid_twirl, lattice_unitaries
 
 
 def tensor_power(u, n):
@@ -48,12 +42,10 @@ def tensor_power(u, n):
 
 # ---------------------------------------------------------------- independence
 
-@pytest.mark.parametrize("module", [oracle, distinguish], ids=["oracle", "distinguish"])
-def test_cross_check_module_imports_nothing_from_the_package(module):
-    """The oracle and the distinguishability bounds check the exact layers
-    only while they share no code with them: no relative import, and no
-    import of metrocap."""
-    tree = ast.parse(Path(module.__file__).read_text())
+def test_oracle_imports_nothing_from_the_package():
+    """The oracle checks the exact layers only while it shares no code with
+    them: no relative import, and no import of metrocap."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
