@@ -18,9 +18,11 @@ from .rep_core import (
     Decomposition,
     Model,
     RefSize,
+    _admit,
     _check_block_budget,
     _check_config,
     _partition_rows,
+    _weight_walk,
     _weyl_dim_rows,
     multiplicity_su,
     partition_count,
@@ -67,13 +69,51 @@ def capacity(decomp: Decomposition) -> CapacityReport:
     w_b = dim_b * eff_mult_b; it is returned exactly, reduced by gcd.  Value
     is in nats.
     """
-    weights = [(label, dim * eff) for label, dim, _, eff in decomp.rows]
+    return _weighted_report([(label, dim * eff) for label, dim, _, eff in decomp.rows])
+
+
+def _weighted_report(weights: list) -> CapacityReport:
+    """The report of the blocks' (label, w_b) pairs: p_b = w_b / sum w, each
+    reduced by its gcd."""
     total = sum(w for _, w in weights)
     p_rows = []
     for label, w in weights:
         g = gcd(w, total)
         p_rows.append((label, w // g, total // g))
     return CapacityReport(value=log_integer(total), support=total, p_rows=tuple(p_rows))
+
+
+def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> CapacityReport:
+    """capacity(decompose(model, n, t, l)), block for block, without the
+    decomposition: only the weights w_b = dim_b * eff_mult_b are made.
+
+    mp blocks are one-dimensional weights, each of weight 1, so every label of
+    the weight walk gets p = 1 / C(n+t-1, t-1).  A su shape of dimension d
+    has weight d^2 with an unbounded reference, and d min(l f, d) otherwise,
+    f from multiplicity_su given d.  The total is the sum of the weights.
+    Before any row is returned the walk is checked against a closed form:
+    its row count against C(n+t-1, t-1) (mp), and sum d^2 against the Cauchy
+    total C(n+t^2-1, t^2-1) (su).  Arguments and the block budget are checked
+    as in decompose, with the same messages.
+    """
+    model = _admit(model, n, t, l)
+    if model is Model.MULTI_PHASE:
+        total = weight_count(n, t)
+        p_rows = tuple([(label, 1, total) for label, _, _ in _weight_walk(n, t)])
+        if len(p_rows) != total:
+            raise ArithmeticError(f"{len(p_rows)} weights, expected C(n+t-1, t-1) = {total}")
+        return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
+    weights = []
+    squares = 0
+    for rows in _partition_rows(n, t):
+        dim = _weyl_dim_rows(rows)
+        square = dim * dim
+        squares += square
+        weights.append((rows, square if l is UNBOUNDED
+                        else dim * min(l * multiplicity_su(rows, n, dim), dim)))
+    if squares != su_square_sum(n, t):
+        raise ArithmeticError(f"the squared dimensions of n = {n}, t = {t} miss the Cauchy total")
+    return _weighted_report(weights)
 
 
 def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> int:
@@ -87,24 +127,30 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     _unsaturated_shapes walks from the first row down without visiting the
     saturated ones.  Their first rows are a run n, n-1, ..., c*, and the
     shapes with those first rows are counted under the block budgets before
-    any is visited.  Arguments are validated as in decompose, with the same
-    messages.
+    any is visited.  The walk hands over each shape's P, so f = d n! / P
+    needs no factorial table: the table of multiplicity_su holds
+    O(n^2 log n) bits, 9 GB at n = 10^5, t = 2, where this sum visits one
+    shape.  Arguments are validated as in decompose, with the same messages.
     """
     model = _check_config(model, n, t, l)
     if model is Model.MULTI_PHASE:
         return weight_count(n, t)
     if l is UNBOUNDED:
         return su_square_sum(n, t)
+    n_factorial = factorial(n)
     deficit = 0
-    for rows in _unsaturated_shapes(n, t, l):
+    for rows, prod in _unsaturated_shapes(n, t, l):
         dim = _weyl_dim_rows(rows)
-        deficit += dim * (dim - l * multiplicity_su(rows, n))
+        mult, r = divmod(dim * n_factorial, prod)  # f = d n! / P
+        if r:  # the quotient is always an integer; guard against misuse
+            raise ArithmeticError(f"non-integer tableau count for rows {rows}")
+        deficit += dim * (dim - l * mult)
     return su_square_sum(n, t) - deficit
 
 
-def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[int, ...]]:
-    """Rows of every shape of n into <= t rows with l f < d, in no particular
-    order.
+def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(rows, P) of every shape of n into <= t rows with l f < d, in no
+    particular order.
 
     With the shifted rows s_i = r_i + t-1-i (i = 0..t-1) the hook-length
     formula reads f = n! prod_{i<j} (s_i - s_j) / prod_i s_i! and the Weyl
@@ -152,7 +198,7 @@ def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[int, ...]]:
         rows, prod, boxes = stack.pop()
         i = len(rows)
         if not boxes:
-            yield rows + (0,) * (t - i)
+            yield rows + (0,) * (t - i), prod
             continue
         for r in range(min(rows[-1] if rows else n, boxes), -(-boxes // (t - i)) - 1, -1):
             here = prod * perm(r + t - 1 - i, r)

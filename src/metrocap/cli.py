@@ -191,13 +191,14 @@ def _check_tableau_digits(n: int) -> None:
 
 def _build_decompose(cfg: RunConfig) -> dict:
     """Every block as a row (*label, dim, mult, eff_mult).  Requests are
-    validated and their block budget checked first, so that the digit checks
-    only see admitted requests."""
-    if _admit(cfg.model, cfg.n, cfg.t, cfg.l) is Model.MULTI_PHASE:
+    validated and their block budget checked once, first, so that the digit
+    checks only see admitted requests."""
+    model = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
+    if model is Model.MULTI_PHASE:
         _check_multiplicity_digits(cfg.n, cfg.t)
     else:
         _check_tableau_digits(cfg.n)
-    d = decompose(cfg.model, cfg.n, cfg.t, cfg.l)
+    d = decompose(model, cfg.n, cfg.t, cfg.l, admitted=True)
     columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
     rows = [(*label, dim, mult, eff) for label, dim, mult, eff in d.rows]
     return _report(cfg, "model n t l", {"entries": Table(columns, rows)})
@@ -210,7 +211,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
     if cfg.format == "csv":  # the one CSV row shows no block weights: build no blocks
         support = cap.capacity_support(cfg.model, cfg.n, cfg.t, cfg.l)
     else:
-        r = cap.capacity(decompose(cfg.model, cfg.n, cfg.t, cfg.l))
+        r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
         support = r.support
         columns = (("label", _label(cfg.t)), ("p", '"%d/%d"'))
         rows = [(*label, num, den) for label, num, den in r.p_rows]

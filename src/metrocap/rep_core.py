@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, factorial
 from typing import Iterator, NamedTuple, Optional, Union
 
 
@@ -46,9 +46,11 @@ RefSize = Union[int, _UnboundedType]
 # decompose costs about 3 us per mp block at n = 400 and t = 3, 4.5 us at
 # n = 1400 (982 101 blocks in 4.5 s; the multinomials grow to 2800 bits), and
 # a whole mp decompose request about 11 us per block with its JSON report.  A
-# su block costs 14-16 us at n <= 280, but its integers grow with n: at t = 3
-# near the budget (n = 3400) about 0.36 ms, so the largest admitted su
-# requests run for minutes.  The label budget admits every t = 3 request under
+# whole su decompose request costs 10-14 us per block at n <= 280 (t = 3..5),
+# but f = d n! / P divides integers of n log n bits: 55 us per block at
+# n = 1000, t = 3, and at t = 3 near the budget (n = 3400) about 0.53 ms for
+# the dimension and multiplicity alone, so the largest admitted su requests
+# run for minutes.  The label budget admits every t = 3 request under
 # MAX_BLOCKS and one qudit at t = 2000 (a 44 MB report), and refuses e.g. two
 # qudits at t = 1400 (980 700 blocks of 1400 entries each).
 MAX_BLOCKS = 1_000_000
@@ -172,61 +174,84 @@ def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
     return q
 
 
-def multiplicity_su(rows: tuple[int, ...], n: int) -> int:
-    """Number of standard Young tableaux of the shape with non-increasing
-    ``rows``, by the Frobenius formula
-    n! * prod_{i<j} (l_i - l_j) / prod_i l_i! over the k occupied rows, with
-    shifted lengths l_i = lam_i + k - 1 - i.
+@lru_cache(maxsize=1)
+def _factorial_table(n: int, t: int) -> tuple[list[int], list[int]]:
+    """The factorials that multiplicity_su reads for shapes of n into t rows.
 
-    The l_i sum to n + k(k-1)/2, so n! / prod l_i! is taken as the multinomial
-    of the l_i (a running product of binomials) over (n+1)...(sum l_i): the one
-    division is by a product of k(k-1)/2 small factors.
+    ``fact[j]`` = (B+j)! / B! for B = t - min(n, t) <= B+j < n+t: every
+    factorial of P = prod_i (r_i+t-1-i)! / (t-1-i)! over the k occupied rows
+    lies there, since r_i >= 1 and i < k <= min(n, t), and both products of P
+    have k factors, so B! cancels.  ``scale[k]`` = n! prod_{i<k} (t-1-i)!/B!
+    is the numerator n! times the denominator of P for k occupied rows.
+
+    The n + min(n, t) entries grow with n, not with t, but each holds up to
+    n log n bits: O(n^2 log n) bits in all, 7 MB at n = 3461, t = 3 and
+    150 MB at n = 14 298, t = 2.  Kept for the last (n, t) only, the one
+    request a process answers.
     """
-    occupied = [r for r in rows if r > 0]
-    if sum(occupied) != n:
-        raise ValueError(f"partition fills {sum(occupied)} boxes, expected {n}")
-    k = len(occupied)
-    shifted = [r + k - 1 - i for i, r in enumerate(occupied)]
-    num = 1
-    filled = 0
-    for i in range(k):
-        li = shifted[i]
-        filled += li
-        num *= comb(filled, li)
-        for j in range(i + 1, k):
-            num *= li - shifted[j]
-    den = 1
-    for m in range(n + 1, filled + 1):
-        den *= m
-    q, r = divmod(num, den)
-    if r:  # the quotient is always an integer; guard against misuse
+    base = t - min(n, t)
+    fact = [1]
+    for m in range(base + 1, n + t):
+        fact.append(fact[-1] * m)
+    scale = [factorial(n)]
+    for i in range(min(n, t)):
+        scale.append(scale[-1] * fact[t - 1 - i - base])
+    return fact, scale
+
+
+def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None) -> int:
+    """Number of standard Young tableaux of the shape with non-increasing
+    ``rows`` (t = len(rows), zero-padded or not), as f = d n! / P.
+
+    By the hook-length and Weyl formulas in the shifted rows
+    s_i = r_i + t-1-i, f = n! prod_{i<j} (s_i - s_j) / prod_i s_i! and
+    d = prod_{i<j} (s_i - s_j) / prod_i (t-1-i)!, so d / f = P / n! with
+    P = prod_i (r_i+t-1-i)! / (t-1-i)!; zero rows add a factor 1.  P is read
+    from _factorial_table(n, t), one lookup per occupied row, and the one
+    division is exact.  ``dim`` is the Weyl dimension of ``rows`` when the
+    caller has it already; by default it is computed.
+    """
+    t = len(rows)
+    fact, scale = _factorial_table(n, t)
+    shift = min(n, t) - 1  # fact[r + shift - i] = (r+t-1-i)! / B!
+    prod = 1
+    k = filled = 0  # occupied rows and their boxes
+    for r in rows:
+        if not r:
+            break
+        prod *= fact[r + shift - k]
+        filled += r
+        k += 1
+    if filled != n:
+        raise ValueError(f"partition fills {filled} boxes, expected {n}")
+    if dim is None:
+        dim = _weyl_dim_rows(rows)
+    q, rem = divmod(dim * scale[k], prod)
+    if rem:  # the quotient is always an integer; guard against misuse
         raise ArithmeticError(f"non-integer tableau count for rows {rows}")
     return q
 
 
-def _weight_rows(n: int, t: int) -> Iterator[Row]:
-    """mp block rows (counts, 1, n! / prod counts!, 1) for every occupation
-    vector of n over t levels, lexicographically descending.
+def _weight_walk(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every occupation vector of n over t levels, lexicographically
+    descending, with the factor num / den that takes the multinomial
+    n! / prod counts! of the vector before it to its own (1 / 1 first).
 
     Iterative.  Each step takes one unit from the last level k < t-1 with a
     non-zero count and moves the last level's c units plus that one to level
-    k+1, which changes the multinomial by the factor counts[k] / (c + 1): one
-    small multiply and one exact division per weight, for any t.
+    k+1, which changes the multinomial by the factor counts[k] / (c + 1).
     """
     counts = [n] + [0] * (t - 1)
     last = t - 1
     live = [0] if n and last else []  # levels below `last` with a non-zero count
-    mult = 1
+    ck = moved = 1
     while True:
-        yield tuple(counts), 1, mult, 1
+        yield tuple(counts), ck, moved
         if not live:
             return
         k = live[-1]
         ck = counts[k]
         moved = counts[last] + 1
-        mult, r = divmod(mult * ck, moved)
-        if r:  # the multinomials are integers; guard against misuse
-            raise ArithmeticError(f"non-integer multinomial after {counts}")
         counts[k] = ck - 1
         if ck == 1:
             live.pop()
@@ -236,6 +261,18 @@ def _weight_rows(n: int, t: int) -> Iterator[Row]:
             live.append(k + 1)
         else:
             counts[last] = moved
+
+
+def _weight_rows(n: int, t: int) -> Iterator[Row]:
+    """mp block rows (counts, 1, n! / prod counts!, 1) for every occupation
+    vector of n over t levels, in the order of _weight_walk: one small
+    multiply and one exact division per weight, for any t."""
+    mult = 1
+    for counts, num, den in _weight_walk(n, t):
+        mult, r = divmod(mult * num, den)
+        if r:  # the multinomials are integers; guard against misuse
+            raise ArithmeticError(f"non-integer multinomial at {counts}")
+        yield counts, 1, mult, 1
 
 
 def _check_ref_size(l: RefSize) -> None:
@@ -257,22 +294,29 @@ def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model
 
 
 def _su_rows(n: int, t: int, l: RefSize) -> Iterator[Row]:
+    """su block rows (rows, dim, mult, eff_mult) for every partition of n into
+    at most t rows, in the order of _partition_rows: the Weyl dimension, then
+    the tableau count from it (multiplicity_su, f = d n! / P)."""
     unbounded = isinstance(l, _UnboundedType)
     for rows in _partition_rows(n, t):
         dim = _weyl_dim_rows(rows)
-        mult = multiplicity_su(rows, n)
+        mult = multiplicity_su(rows, n, dim)
         yield rows, dim, mult, dim if unbounded else min(l * mult, dim)
 
 
-def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposition:
+def decompose(model: Union[Model, str], n: int, t: int, l: RefSize, *,
+              admitted: bool = False) -> Decomposition:
     """Full isotypic list for one model with a reference system of size l.
 
     Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
     block at its full dimension.  Blocks come as raw rows in lexicographically
     descending label order; arguments and the enumeration budget are checked
-    before the first one is made.
+    (_admit) before the first one is made.  A caller that has run _admit on
+    these arguments already passes the Model it returned and
+    ``admitted=True``, and the check is not repeated.
     """
-    model = _admit(model, n, t, l)
+    if not admitted:
+        model = _admit(model, n, t, l)
     rows = _weight_rows(n, t) if model is Model.MULTI_PHASE else _su_rows(n, t, l)
     return Decomposition(model, n, t, l, tuple(rows))
 

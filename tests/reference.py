@@ -1,12 +1,12 @@
 """Slow, independent references for the closed forms and fast routes.
 
-The library computes tableau counts by the Frobenius formula, multinomials
-by updating the neighbouring weight's, SU(t) dimensions by the Weyl product
-with its zero-row tail telescoped, the sum of squared SU(t) dimensions by the
-Cauchy identity, the finite-reference SU(t) support as that sum minus the
-deficit of the unsaturated shapes, walked from the first row, and the phase
-twirl by exact weight equality, and writes report rows through one
-%-template per report; the tests check them against these brute
+The library computes tableau counts as d n! / P over a factorial table,
+multinomials by updating the neighbouring weight's, SU(t) dimensions by the
+Weyl product with its zero-row tail telescoped, the sum of squared SU(t)
+dimensions by the Cauchy identity, the finite-reference SU(t) support as
+that sum minus the deficit of the unsaturated shapes, walked from the first
+row, and the phase twirl by exact weight equality, and writes report rows
+through one %-template per report; the tests check them against these brute
 computations, never against themselves.
 """
 

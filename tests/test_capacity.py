@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from metrocap import capacity as capacity_module
 from metrocap.capacity import (
     _unsaturated_shapes,
+    block_capacity,
     capacity,
     capacity_support,
     fano_bound,
@@ -111,6 +112,31 @@ def test_capacity_support_matches_enumeration(model, n, t, l):
     assert capacity_support(model, n, t, l) == capacity(decompose(model, n, t, l)).support
 
 
+def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
+    """One wrong Weyl dimension moves sum d^2 off the Cauchy total, and one
+    lost weight moves the row count off C(n+t-1, t-1): both raise."""
+    weyl = capacity_module._weyl_dim_rows
+    monkeypatch.setattr(capacity_module, "_weyl_dim_rows",
+                        lambda rows: weyl(rows) + (rows == (3, 2, 1)))
+    for l in (UNBOUNDED, 3):
+        with pytest.raises(ArithmeticError, match="Cauchy total"):
+            block_capacity("su", 6, 3, l)
+    walk = capacity_module._weight_walk
+    monkeypatch.setattr(capacity_module, "_weight_walk", lambda n, t: list(walk(n, t))[1:])
+    with pytest.raises(ArithmeticError, match="expected C"):
+        block_capacity("mp", 6, 3, 1)
+
+
+def test_block_capacity_validates_like_decompose():
+    for args in [("xx", 3, 2, 1), ("su", 0, 2, 1), ("mp", 3, 1, 1), ("su", 3, 2, 0)]:
+        with pytest.raises(ValueError) as want:
+            decompose(*args)
+        with pytest.raises(ValueError, match=str(want.value)):
+            block_capacity(*args)
+    with pytest.raises(ValueError, match="MAX_BLOCKS"):
+        block_capacity("su", 2000, 4, 1)
+
+
 def test_capacity_support_validates_like_decompose():
     for args in [("xx", 2, 2, 1), ("mp", 0, 2, 1), ("su", 2, 1, UNBOUNDED), ("su", 2, 2, 0),
                  ("mp", 2, 2, True)]:
@@ -177,9 +203,12 @@ def test_unsaturated_walk_yields_exactly_the_unsaturated_shapes(t):
         shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
                   for rows in _partition_rows(n, t)]
         for l in (1, 2, 3, 4):
-            want = {rows for rows, f, d in shapes if l * f < d}
+            want = {rows: (f, d) for rows, f, d in shapes if l * f < d}
             got = list(_unsaturated_shapes(n, t, l))
-            assert len(got) == len(want) and set(got) == want, (n, t, l)
+            assert len(got) == len(want) and {rows for rows, _ in got} == set(want), (n, t, l)
+            for rows, prod in got:  # P = d n! / f, the quotient the support divides by
+                f, d = want[rows]
+                assert f * prod == d * math.factorial(n), (rows, prod)
 
 
 def test_unsaturated_walk_visits_few_shapes(budget_counts):
@@ -194,7 +223,7 @@ def test_deficit_visits_few_shapes(budget_counts):
     """Where n is large only the longest first rows remain: at t = 3 the
     support of n = 2000 keeps first rows 2000..1998 and counts 4 of its
     334 334 shapes."""
-    assert {rows[0] for rows in _unsaturated_shapes(2000, 3, 1)} == {2000, 1999, 1998}
+    assert {rows[0] for rows, _ in _unsaturated_shapes(2000, 3, 1)} == {2000, 1999, 1998}
     assert budget_counts == [1, 2, 4]
     assert partition_count(2000, 3) == 334334
     assert sum(partition_count(2000 - c, 2, c) for c in (2000, 1999, 1998)) == 4

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metrocap import capacity as capacity_module
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import capacity
@@ -197,11 +198,18 @@ def test_decompose_rows_stay_exact_when_huge(capsys):
     assert all(isinstance(e[k], str) for e in report["entries"] for k in ("dim", "mult"))
 
 
-@pytest.mark.parametrize("model,n,t,l",
-                         [("mp", 40, 3, "2"), ("su", 30, 3, "1"), ("su", 8, 4, "inf")])
+CAPACITY_JSON_GRID = [("mp", 40, 3, "2"), ("su", 30, 3, "1"), ("su", 8, 4, "inf")] + [
+    (model, n, t, l)
+    for model, sizes in (("mp", [(1, 2), (9, 2), (10, 3), (4, 6)]),
+                         ("su", [(1, 2), (9, 2), (15, 3), (9, 4), (5, 25)]))
+    for n, t in sizes for l in ("1", "2", "3", "inf")]
+
+
+@pytest.mark.parametrize("model,n,t,l", CAPACITY_JSON_GRID)
 def test_capacity_rows_match_library_capacity(capsys, model, n, t, l):
     """The CLI's p_b rows equal the exact fractions of capacity(decompose(...)),
-    entry for entry."""
+    entry for entry: the slow reference, which builds every block with its
+    multiplicity and checks the rows."""
     report = run_json(capsys, ["capacity", "--model", model, "--n", str(n), "--t", str(t),
                                "--l", l])
     r = capacity(decompose(model, n, t, UNBOUNDED if l == "inf" else int(l)))
@@ -210,6 +218,39 @@ def test_capacity_rows_match_library_capacity(capsys, model, n, t, l):
     assert report["optimal_p"] == [{"label": list(label), "p": f"{num}/{den}"}
                                    for label, num, den in r.p_rows]
     assert all(math.gcd(num, den) == 1 for _, num, den in r.p_rows)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not on this path")
+
+
+@pytest.mark.parametrize("model", ["mp", "su"])
+def test_capacity_json_builds_no_decomposition(capsys, monkeypatch, model):
+    """The JSON capacity report makes only the block weights: with the
+    Decomposition class patched to refuse, it still runs at any l, and a
+    decompose request (which needs the class) does not."""
+    want = {l: run_json(capsys, ["capacity", "--model", model, "--n", "7", "--t", "3", "--l", l])
+            for l in ("1", "3", "inf")}
+    monkeypatch.setattr(rep_core, "Decomposition", _refuse)
+    for l, report in want.items():
+        assert run_json(capsys, ["capacity", "--model", model, "--n", "7", "--t", "3",
+                                 "--l", l]) == report
+    with pytest.raises(AssertionError, match="not on this path"):
+        main(["decompose", "--model", model, "--n", "7", "--t", "3"])
+
+
+def test_capacity_json_at_unbounded_l_needs_no_multiplicity(capsys, monkeypatch):
+    """The weights are d^2 for su with an unbounded reference and 1 for mp
+    at any l, so neither report computes a tableau count."""
+    for module in (rep_core, capacity_module):
+        monkeypatch.setattr(module, "multiplicity_su", _refuse)
+    su = run_json(capsys, ["capacity", "--model", "su", "--n", "9", "--t", "3"])
+    assert su["support"] == str(math.comb(17, 8))
+    for l in ("1", "inf"):
+        mp = run_json(capsys, ["capacity", "--model", "mp", "--n", "9", "--t", "3", "--l", l])
+        assert mp["support"] == "55" and {e["p"] for e in mp["optimal_p"]} == {"1/55"}
+    with pytest.raises(AssertionError, match="not on this path"):
+        main(["capacity", "--model", "su", "--n", "9", "--t", "3", "--l", "1"])
 
 
 def test_base_two_divides_by_ln2(capsys):

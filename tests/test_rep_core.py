@@ -342,6 +342,48 @@ def test_multiplicity_su_takes_partition_rows():
         multiplicity_su((3, 2), 4)
 
 
+MULTIPLICITY_GRID = {t: range(13) for t in range(2, 9)} | {40: (1, 2, 5, 9, 14), 1000: (1, 2, 3, 7)}
+
+
+@pytest.mark.parametrize("t", sorted(MULTIPLICITY_GRID))
+def test_multiplicity_su_matches_hook_lengths_on_a_grid(t):
+    """f = d n! / P, with d computed or handed in, is the hook-length count
+    of every shape, zero-padded to t rows or given by its occupied rows only."""
+    for n in MULTIPLICITY_GRID[t]:
+        for rows in _partition_rows(n, t):
+            f = hook_length_count(rows)
+            assert multiplicity_su(rows, n) == f, rows
+            assert multiplicity_su(rows, n, pairwise_weyl_dim(rows)) == f, rows
+            if n:
+                assert multiplicity_su(tuple(r for r in rows if r), n) == f, rows
+
+
+def test_multiplicity_su_at_the_table_edges():
+    """One box at t = 2000 (the table holds two factors), and shapes at
+    n = 200 whose rows reach both ends of the table, t - min(n, t) and n+t-1."""
+    one_box = (1,) + (0,) * 1999
+    assert multiplicity_su(one_box, 1) == multiplicity_su(one_box, 1, 2000) == 1
+    for t in (2, 3, 250):
+        for shape in [(200,), (100, 100), (67, 67, 66), (1,) * 200]:
+            if len(shape) <= t:
+                rows = shape + (0,) * (t - len(shape))
+                assert multiplicity_su(rows, 200) == hook_length_count(rows), (t, shape[:3])
+
+
+def test_factorial_table_keeps_the_last_request_only():
+    rep_core._factorial_table.cache_clear()
+    multiplicity_su((3, 2, 0), 5)
+    multiplicity_su((2, 1, 1), 4)
+    info = rep_core._factorial_table.cache_info()
+    assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
+
+
+def test_multiplicity_su_guards_a_wrong_dimension():
+    """A dimension that d n! / P does not divide is caught by the remainder."""
+    with pytest.raises(ArithmeticError, match="non-integer tableau count"):
+        multiplicity_su((2, 1, 0), 3, 7)
+
+
 def test_row_generators_reach_large_t():
     """Iterative, so t far past the recursion limit works."""
     t = 1100
