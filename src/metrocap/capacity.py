@@ -3,13 +3,18 @@
 Capacities are logs of exact integer support sizes.  The integer is summed in
 arbitrary precision first and only then sent through log, so the float result
 is correctly rounded no matter how large n gets.
+
+``block_capacity`` gives the capacity with its optimal block weights (the
+``capacity`` report in JSON); ``capacity_support`` gives the support alone
+(``bounds``, ``capacity`` in CSV and every ``scaling`` row), and
+``scaling_fit`` the slope of a sweep.  ``capacity`` computes the same report
+from a whole decomposition: the slow route the other two are tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, gcd, perm
 from typing import Iterator, Sequence, Union
 
@@ -39,13 +44,6 @@ def log_integer(m: int) -> float:
     if m < 1:
         raise ValueError(f"need a positive integer, got {m}")
     return math.log(m)
-
-
-def log_fraction(q: Fraction) -> float:
-    """Natural log of a positive rational, as a difference of integer logs."""
-    if q <= 0:
-        raise ValueError(f"need a positive rational, got {q}")
-    return log_integer(q.numerator) - log_integer(q.denominator)
 
 
 @dataclass(frozen=True)
@@ -210,15 +208,6 @@ def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[tuple[int, ...
             stack.append((rows + (r,), here, boxes - r))
 
 
-def mp_capacity(n: int, t: int) -> float:
-    """log binomial(n+t-1, t-1): every weight block contributes one dimension."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    return log_integer(weight_count(n, t))
-
-
 def su_square_sum(n: int, t: int) -> int:
     """Exact sum of squared irrep dimensions over partitions of n into <= t rows.
 
@@ -229,84 +218,6 @@ def su_square_sum(n: int, t: int) -> int:
     if t < 2:
         raise ValueError("t must be at least 2")
     return comb(n + t * t - 1, t * t - 1)
-
-
-def su_capacity(n: int, t: int) -> float:
-    """log sum_lam dim_lam^2, the unbounded-reference SU(t) capacity."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return log_integer(su_square_sum(n, t))
-
-
-def su2_closed_form(n: int) -> int:
-    """Exact sum of squared SU(2) dimensions: (n+1)(n+2)(n+3)/6 = C(n+3, 3)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return comb(n + 3, 3)
-
-
-def su2_asymptote_residual(n: int) -> float:
-    """|log(sum of squared dims) - (3 log n - log 6)| for t = 2."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return abs(log_integer(su2_closed_form(n)) - (3.0 * math.log(n) - math.log(6.0)))
-
-
-def gapped_partitions(n: int, t: int, a) -> list[tuple[int, ...]]:
-    """Rows of the partitions of n into <= t rows, zero-padded, whose
-    consecutive row gaps are all >= n/(a*t).
-
-    ``a`` may be any rational in [2, 3] such that n/(a*t) is a positive integer.
-    """
-    a = Fraction(a)
-    if not Fraction(2) <= a <= Fraction(3):
-        raise ValueError(f"a must lie in [2, 3], got {a}")
-    gap = Fraction(n, t) / a
-    if gap.denominator != 1 or gap <= 0:
-        raise ValueError(f"n/(a*t) = {gap} must be a positive integer")
-    g = int(gap)
-    return [rows for rows in _partition_rows(n, t)
-            if all(rows[k] - rows[k + 1] >= g for k in range(t - 1))]
-
-
-def su_lower_bound(n: int, t: int, a) -> float:
-    """log(count of gapped partitions) + t(t-1) log(n/(a t^2)).
-
-    Counts the gap-constrained partitions exactly rather than through a
-    binomial estimate; each such partition has dim >= (n/(a t^2))^(t(t-1)/2).
-    """
-    lams = gapped_partitions(n, t, a)
-    if not lams:
-        raise ValueError(f"no gapped partitions for n={n}, t={t}, a={a}")
-    factor = Fraction(n) / (Fraction(a) * t * t)
-    return log_integer(len(lams)) + t * (t - 1) * log_fraction(factor)
-
-
-def symmetric_subspace_mi(n: int, t: int) -> float:
-    """2 log binomial(n+t-1, t-1): the reference-assisted symmetric-input value."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    return 2.0 * log_integer(comb(n + t - 1, t - 1))
-
-
-def fano_bound(mi: float, eps: float) -> float:
-    """(log 2 + mi) / (1 - eps): cap on log M at average error eps."""
-    if mi < 0:
-        raise ValueError("mutual information must be non-negative")
-    if not 0 <= eps < 1:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    return (math.log(2.0) + mi) / (1.0 - eps)
-
-
-def standard_scaling_baseline(model: Union[Model, str], n: int, t: int) -> float:
-    """(d/2) log n with d the parameter count: t-1 phases or t^2-1 generators."""
-    model = Model(model)
-    if n < 1:
-        raise ValueError("n must be positive")
-    d = (t - 1) if model is Model.MULTI_PHASE else (t * t - 1)
-    return 0.5 * d * math.log(n)
 
 
 def scaling_fit(points: Sequence[tuple]) -> float:

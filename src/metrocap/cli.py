@@ -26,6 +26,7 @@ from .rep_core import (
     Model,
     RefSize,
     _admit,
+    _check_config,
     decompose,
 )
 
@@ -37,11 +38,12 @@ _LN2 = math.log(2.0)
 # at t = 2 took 3.5 s and 125 MiB on a 2-vCPU Xeon VM (Python 3.11).
 MAX_SCALING_POINTS = 10_000
 
-# Most bits the binomials of a scaling sweep may hold together, estimated
-# from log-gamma before any is computed.  The cost of one binomial grows
-# faster than its size: C(n+t^2-1, t^2-1) took 0.97 s at 483 437 bits
-# (n = 10^5, t = 1000) and 3.2 s at 780 017 bits (n = 2 * 10^5), so the
-# budget keeps a sweep to seconds.
+# Most bits the support binomials of a report may hold together (every row
+# of a scaling sweep, or the one of bounds and CSV capacity), estimated from
+# log-gamma before any is computed.  The cost of one binomial grows faster
+# than its size: C(n+t^2-1, t^2-1) took 0.97 s at 483 437 bits (n = 10^5,
+# t = 1000) and 3.2 s at 780 017 bits (n = 2 * 10^5), so the budget keeps a
+# report to seconds.
 MAX_SCALING_BITS = 1_000_000
 
 
@@ -209,7 +211,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
     weight p = num/den as a row (*label, num, den)."""
     weights = {}
     if cfg.format == "csv":  # the one CSV row shows no block weights: build no blocks
-        support = cap.capacity_support(cfg.model, cfg.n, cfg.t, cfg.l)
+        support = _support(cfg)
     else:
         r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
         support = r.support
@@ -228,7 +230,7 @@ def _build_bounds(cfg: RunConfig) -> dict:
         raise CLIError(f"--eps must lie in (0, 1), got {cfg.eps}")
     if (cfg.alpha is None) != (cfg.beta is None):
         raise CLIError("--alpha and --beta must be given together")
-    r = cap.log_integer(cap.capacity_support(cfg.model, cfg.n, cfg.t, cfg.l))
+    r = cap.log_integer(_support(cfg))
     if cfg.alpha is None:
         b = dist.m_eps_bounds(r, cfg.eps)
     else:  # optimal twirled spectrum is flat
@@ -266,8 +268,7 @@ def _build_simulate(cfg: RunConfig) -> dict:
             raise CLIError(f"unknown codebook tag {cfg.codebook!r}")
         if model is not Model.MULTI_PHASE:
             raise CLIError("--codebook lattice needs --model mp")
-        lattice = dist.mp_lattice(cfg.n, cfg.t)
-        unitaries = [oracle.mp_unitary(theta, cfg.t) for theta in lattice.elements]
+        unitaries = [oracle.mp_unitary(theta, cfg.t) for theta in dist.mp_lattice(cfg.n, cfg.t)]
         success = oracle.srm_discrimination(unitaries, psi, cfg.n, cfg.t)
     return _report(cfg, "model n t log_base", {
         "state_tag": cfg.state,
@@ -278,9 +279,29 @@ def _build_simulate(cfg: RunConfig) -> dict:
     })
 
 
-def _binomial_bits(m: int, k: int) -> float:
-    """log2 C(m, k) from log-gamma: the size of a binomial before it is made."""
-    return (math.lgamma(m + 1) - math.lgamma(k + 1) - math.lgamma(m - k + 1)) / _LN2
+def _check_binomial_bits(model: Model, t: int, ns: range) -> int:
+    """The parameter count d (t-1 phases for mp, t^2-1 generators for su),
+    once the support binomials C(n+d, d) over ``ns`` are admitted: their
+    sizes, estimated from log-gamma before any is computed, may add up to
+    MAX_SCALING_BITS; more is refused, naming the estimate."""
+    d = t - 1 if model is Model.MULTI_PHASE else t * t - 1
+    bits = round(math.fsum((math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1))
+                           / _LN2 for n in ns))
+    if bits <= MAX_SCALING_BITS:
+        return d
+    if len(ns) == 1:
+        raise CLIError(f"the support C({ns[0] + d}, {d}) of about {bits} bits exceeds the "
+                       f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
+    raise CLIError(f"{len(ns)} binomials of about {bits} bits in all exceed the scaling "
+                   f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
+
+
+def _support(cfg: RunConfig) -> int:
+    """capacity_support of the request, once its arguments are valid and its
+    binomial, C(n+t^2-1, t^2-1) for su and C(n+t-1, t-1) for mp, is admitted."""
+    model = _check_config(cfg.model, cfg.n, cfg.t, cfg.l)
+    _check_binomial_bits(model, cfg.t, range(cfg.n, cfg.n + 1))
+    return cap.capacity_support(model, cfg.n, cfg.t, cfg.l)
 
 
 def _build_scaling(cfg: RunConfig) -> dict:
@@ -295,20 +316,15 @@ def _build_scaling(cfg: RunConfig) -> dict:
         raise CLIError(f"{len(ns)} n values exceed the scaling budget of "
                        f"{MAX_SCALING_POINTS} points (MAX_SCALING_POINTS)")
     model = Model(cfg.model)
-    if cfg.t < 2:  # as the capacity functions say, before the size estimate
+    if cfg.t < 2:  # as capacity_support says, before the size estimate
         raise CLIError("t must be at least 2")
-    d = cfg.t - 1 if model is Model.MULTI_PHASE else cfg.t * cfg.t - 1
-    bits = round(math.fsum(_binomial_bits(n + d, d) for n in ns))
-    if bits > MAX_SCALING_BITS:
-        raise CLIError(f"{len(ns)} binomials of about {bits} bits in all exceed the scaling "
-                       f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
-    value_fn = cap.mp_capacity if model is Model.MULTI_PHASE else cap.su_capacity
-    u = _unit(cfg.base)
-    rows = [(n, _scaled(value_fn(n, cfg.t), cfg.base),
-             _scaled(cap.standard_scaling_baseline(model, n, cfg.t), cfg.base)) for n in ns]
-    columns = (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
+    d = _check_binomial_bits(model, cfg.t, ns)
     # the exact paths behind the sweep: l = 1 for mp, unbounded for su
     l_eff = 1 if model is Model.MULTI_PHASE else UNBOUNDED
+    u = _unit(cfg.base)
+    rows = [(n, _scaled(cap.log_integer(cap.capacity_support(model, n, cfg.t, l_eff)), cfg.base),
+             _scaled(0.5 * d * math.log(n), cfg.base)) for n in ns]
+    columns = (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
     return _report(replace(cfg, l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),

@@ -1,8 +1,8 @@
-"""Distinguishability counts and estimation-radius bounds.
+"""Distinguishability brackets and the phase-lattice codebook.
 
 Two-sided bounds on the number of states distinguishable at error eps from
-Renyi entropies, plus the sup-metric ball-volume argument converting a count
-into a guaranteed estimation radius on the phase torus.
+Renyi entropies (the ``bounds`` report), and the (n+1)-per-axis phase
+lattice that ``simulate --codebook lattice`` discriminates.
 """
 
 from __future__ import annotations
@@ -10,12 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .capacity import capacity
 from .rep_core import Decomposition
-
-_RADIUS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,64 +74,9 @@ def m_eps_bounds(r: float, eps: float) -> RenyiBounds:
     return RenyiBounds(2.0, 0.0, eps, lower, upper)
 
 
-def ball_volume_mp(radius: float, t: int) -> float:
-    """Normalized volume of a sup-metric ball of given radius on the (t-1)-torus.
-
-    Each axis contributes min(1, radius/pi); the whole torus has volume 1.
-    """
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    return min(1.0, radius / math.pi) ** (t - 1)
-
-
-def radius_bound(m: float, ball_volume: Callable[[float], float]) -> float:
-    """Smallest radius whose ball volume reaches 1/m, by bisection to 1e-10.
-
-    Any m >= 1 distinguishable states force the estimation radius below this
-    value; ball_volume must be non-decreasing in the radius.
-    """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    target = 1.0 / m
-    hi = 1.0
-    while ball_volume(hi) < target:
-        hi *= 2.0
-        if hi > 1e30:
-            raise ValueError("ball volume never reaches 1/m")
-    lo = 0.0
-    while hi - lo > _RADIUS_TOL:
-        mid = 0.5 * (lo + hi)
-        if ball_volume(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class LatticeCodebook:
-    """Uniform product lattice on the (t-1)-torus with N points per axis."""
-
-    t: int
-    N: int
-    elements: tuple
-
-    def __post_init__(self):
-        if self.t < 2:
-            raise ValueError("t must be at least 2")
-        if self.N < 1:
-            raise ValueError("N must be positive")
-        if len(self.elements) != self.N ** (self.t - 1):
-            raise ValueError("element count must be N^(t-1)")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
-def mp_lattice(n: int, t: int) -> LatticeCodebook:
-    """The (n+1)-per-axis phase lattice {2 pi k / (n+1)} used at n copies.
+def mp_lattice(n: int, t: int) -> tuple[tuple[float, ...], ...]:
+    """The phase vectors of the (n+1)-per-axis lattice {2 pi k / (n+1)} on
+    the (t-1)-torus, the codebook used at n copies.
 
     Its covering radius pi/(n+1) realizes the 1/n estimation scaling.
     """
@@ -144,5 +86,4 @@ def mp_lattice(n: int, t: int) -> LatticeCodebook:
         raise ValueError("t must be at least 2")
     N = n + 1
     axis = [2.0 * math.pi * k / N for k in range(N)]
-    elements = tuple(itertools.product(axis, repeat=t - 1))
-    return LatticeCodebook(t=t, N=N, elements=elements)
+    return tuple(itertools.product(axis, repeat=t - 1))

@@ -270,9 +270,8 @@ def su2_optimal_state(n: int) -> PureState:
         dim_u = two_j + 1
         # sqrt(p_j / dim) on each of the dim entangled pairs
         amp = dim_u / math.sqrt(total) / math.sqrt(dim_u)
-        for i in range(dim_u):
-            col = off + i * mult + (i // ref)
-            schur_amps[col * ref + (i % ref)] = amp
+        for i in range(dim_u):  # projection i of multiplicity copy 0, reference state i
+            schur_amps[(off + i * mult) * ref + i] = amp
     full = (basis @ schur_amps.reshape(2**n, ref)).reshape(-1)
     return PureState(full, n=n, t=2, ref_dim=ref)
 
@@ -369,14 +368,6 @@ def empirical_mi(psi: PureState, model: str, n: int, t: int) -> float:
     """
     spectrum = twirled_spectrum(psi, model, n, t)
     return _spectrum_entropy(float(np.sum(spectrum)), spectrum)
-
-
-def haar_su2(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed SU(2) element."""
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    q = q * (r.diagonal() / np.abs(r.diagonal()))
-    return q / np.sqrt(np.linalg.det(q))
 
 
 def random_pure_state(

@@ -8,6 +8,13 @@ that sum minus the deficit of the unsaturated shapes, walked from the first
 row, and the phase twirl by exact weight equality, and writes report rows
 through one %-template per report; the tests check them against these brute
 computations, never against themselves.
+
+It also holds the paper's bounds that no command reports, which the
+acceptance criteria check against the capacities: the gapped-partition lower
+bound (``gapped_partitions``, ``su_lower_bound``, with ``log_fraction``), the
+Fano converse (``fano_bound``), the sup-metric ball volume and the radius it
+forces (``ball_volume_mp``, ``radius_bound``), and a Haar SU(2) sampler
+(``haar_su2``) for the invariance tests.
 """
 
 import itertools
@@ -17,7 +24,7 @@ from math import factorial
 
 import numpy as np
 
-from metrocap.capacity import log_fraction
+from metrocap.capacity import log_integer
 from metrocap.cli import _CSV
 from metrocap.distinguish import mp_lattice
 from metrocap.oracle import DensityOperator, _digit_counts, mp_unitary
@@ -106,6 +113,13 @@ def ssyt_count(rows, t: int) -> int:
     return rec(0)
 
 
+def log_fraction(q: Fraction) -> float:
+    """Natural log of a positive rational, as a difference of integer logs."""
+    if q <= 0:
+        raise ValueError(f"need a positive rational, got {q}")
+    return log_integer(q.numerator) - log_integer(q.denominator)
+
+
 def block_state_mi(p, decomp) -> float:
     """Mutual information H(p) + sum_b p_b log(dim_b * eff_mult_b) in nats of
     the block distribution ``p``, a mapping from row labels to probabilities.
@@ -133,6 +147,92 @@ def block_state_mi(p, decomp) -> float:
     return sum(float(c) * log_fraction(r) for r, c in groups.items())
 
 
+def gapped_partitions(n: int, t: int, a) -> list[tuple[int, ...]]:
+    """Rows of the partitions of n into <= t rows, zero-padded, whose
+    consecutive row gaps are all >= n/(a*t).
+
+    ``a`` may be any rational in [2, 3] such that n/(a*t) is a positive integer.
+    """
+    a = Fraction(a)
+    if not Fraction(2) <= a <= Fraction(3):
+        raise ValueError(f"a must lie in [2, 3], got {a}")
+    gap = Fraction(n, t) / a
+    if gap.denominator != 1 or gap <= 0:
+        raise ValueError(f"n/(a*t) = {gap} must be a positive integer")
+    g = int(gap)
+    return [rows for rows in _partition_rows(n, t)
+            if all(rows[k] - rows[k + 1] >= g for k in range(t - 1))]
+
+
+def su_lower_bound(n: int, t: int, a) -> float:
+    """log(count of gapped partitions) + t(t-1) log(n/(a t^2)).
+
+    Counts the gap-constrained partitions exactly rather than through a
+    binomial estimate; each such partition has dim >= (n/(a t^2))^(t(t-1)/2).
+    """
+    lams = gapped_partitions(n, t, a)
+    if not lams:
+        raise ValueError(f"no gapped partitions for n={n}, t={t}, a={a}")
+    factor = Fraction(n) / (Fraction(a) * t * t)
+    return log_integer(len(lams)) + t * (t - 1) * log_fraction(factor)
+
+
+def fano_bound(mi: float, eps: float) -> float:
+    """(log 2 + mi) / (1 - eps): cap on log M at average error eps."""
+    if mi < 0:
+        raise ValueError("mutual information must be non-negative")
+    if not 0 <= eps < 1:
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    return (math.log(2.0) + mi) / (1.0 - eps)
+
+
+def ball_volume_mp(radius: float, t: int) -> float:
+    """Normalized volume of a sup-metric ball of given radius on the (t-1)-torus.
+
+    Each axis contributes min(1, radius/pi); the whole torus has volume 1.
+    """
+    if radius < 0:
+        raise ValueError("radius must be non-negative")
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    return min(1.0, radius / math.pi) ** (t - 1)
+
+
+_RADIUS_TOL = 1e-10
+
+
+def radius_bound(m: float, ball_volume) -> float:
+    """Smallest radius whose ball volume reaches 1/m, by bisection to 1e-10.
+
+    Any m >= 1 distinguishable states force the estimation radius below this
+    value; ball_volume must be non-decreasing in the radius.
+    """
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    target = 1.0 / m
+    hi = 1.0
+    while ball_volume(hi) < target:
+        hi *= 2.0
+        if hi > 1e30:
+            raise ValueError("ball volume never reaches 1/m")
+    lo = 0.0
+    while hi - lo > _RADIUS_TOL:
+        mid = 0.5 * (lo + hi)
+        if ball_volume(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def haar_su2(rng: np.random.Generator) -> np.ndarray:
+    """One Haar-distributed SU(2) element."""
+    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / math.sqrt(2)
+    q, r = np.linalg.qr(z)
+    q = q * (r.diagonal() / np.abs(r.diagonal()))
+    return q / np.sqrt(np.linalg.det(q))
+
+
 def grid_twirl(rho, n: int, t: int, N: int):
     """Phase twirl of ``rho`` as the average of U rho U^dagger over the grid
     of N points per phase axis.  Matrix elements depend on each phase through
@@ -151,7 +251,7 @@ def grid_twirl(rho, n: int, t: int, N: int):
 def lattice_unitaries(n: int, t: int = 2) -> list:
     """The local unitaries of the phase lattice codebook of ``mp_lattice(n, t)``,
     the codebook form ``srm_discrimination`` takes."""
-    return [mp_unitary(theta, t) for theta in mp_lattice(n, t).elements]
+    return [mp_unitary(theta, t) for theta in mp_lattice(n, t)]
 
 
 def renyi_entropy(spectrum, alpha: float) -> float:

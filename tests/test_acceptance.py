@@ -11,19 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from metrocap.capacity import (
-    capacity,
-    fano_bound,
-    gapped_partitions,
-    scaling_fit,
-    su2_asymptote_residual,
-    su2_closed_form,
-    su_capacity,
-    su_lower_bound,
-    su_square_sum,
-    symmetric_subspace_mi,
-)
-from metrocap.distinguish import ball_volume_mp, m_eps_capacity_bounds, radius_bound
+from metrocap.capacity import capacity_support, log_integer, scaling_fit, su_square_sum
+from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.oracle import (
     empirical_mi,
     mp_optimal_state,
@@ -35,10 +24,29 @@ from metrocap.oracle import (
     su2_twirl,
     von_neumann_entropy,
 )
-from metrocap.rep_core import _weyl_dim_rows, decompose
-from reference import enumerated_square_sum, lattice_unitaries
+from metrocap.rep_core import UNBOUNDED, _weyl_dim_rows, decompose
+from reference import (
+    ball_volume_mp,
+    enumerated_square_sum,
+    fano_bound,
+    gapped_partitions,
+    lattice_unitaries,
+    radius_bound,
+    su_lower_bound,
+)
 
 CRITERIA = []
+
+
+def mp_capacity(n, t):
+    """The mp capacity a scaling row reports: log C(n+t-1, t-1)."""
+    return log_integer(capacity_support("mp", n, t, 1))
+
+
+def su_capacity(n, t):
+    """The su capacity a scaling row reports, at an unbounded reference:
+    log sum_lam dim_lam^2."""
+    return log_integer(capacity_support("su", n, t, UNBOUNDED))
 
 
 def criterion(number, description):
@@ -54,7 +62,8 @@ def check_su2_closed_forms():
     start = time.perf_counter()
     for n in range(1, 1001):
         expected = enumerated_square_sum(n, 2)
-        assert su_square_sum(n, 2) == su2_closed_form(n) == expected, f"mismatch at n={n}"
+        closed = (n + 1) * (n + 2) * (n + 3) // 6
+        assert su_square_sum(n, 2) == closed == expected, f"mismatch at n={n}"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"sweep took {elapsed:.2f} s"
 
@@ -62,7 +71,7 @@ def check_su2_closed_forms():
 @criterion(2, "asymptote residual |log sum - (3 log n - log 6)| <= 7/n for 10 <= n <= 1000")
 def check_asymptote_residual():
     for n in range(10, 1001):
-        r = su2_asymptote_residual(n)
+        r = abs(log_integer(su_square_sum(n, 2)) - (3.0 * math.log(n) - math.log(6.0)))
         assert r <= 7.0 / n, f"residual {r} above 7/{n}"
 
 
@@ -80,8 +89,6 @@ def check_su_slopes():
 
 @criterion(4, "MP capacity slope over n in [100, 1000]: (t-1) +- 0.1 for t in {2,3,4}")
 def check_mp_slopes():
-    from metrocap.capacity import mp_capacity
-
     for t in (2, 3, 4):
         slope = scaling_fit([(n, mp_capacity(n, t)) for n in range(100, 1001, 25)])
         assert abs(slope - (t - 1)) <= 0.1, f"t={t} slope {slope}"
@@ -163,9 +170,9 @@ def check_fano_consistency():
 
 @criterion(11, "symmetric-subspace value 2 log(n+1) < su_capacity(n, 2) for 2 <= n <= 100")
 def check_symmetric_subspace_comparison():
-    assert symmetric_subspace_mi(1, 2) == su_capacity(1, 2)
+    assert 2.0 * math.log(2) == su_capacity(1, 2)
     for n in range(2, 101):
-        assert symmetric_subspace_mi(n, 2) < su_capacity(n, 2), n
+        assert 2.0 * math.log(n + 1) < su_capacity(n, 2), n
 
 
 @criterion(12, "radius bound pi/(n+1) within 1e-9 up to n = 10^4: O(1/n) estimation radius")

@@ -12,20 +12,11 @@ from metrocap.capacity import (
     block_capacity,
     capacity,
     capacity_support,
-    fano_bound,
-    gapped_partitions,
-    log_fraction,
     log_integer,
-    mp_capacity,
     scaling_fit,
-    standard_scaling_baseline,
-    su2_asymptote_residual,
-    su2_closed_form,
-    su_capacity,
-    su_lower_bound,
     su_square_sum,
-    symmetric_subspace_mi,
 )
+from metrocap.cli import RunConfig, _build_scaling
 from metrocap.rep_core import (
     MAX_BLOCKS,
     UNBOUNDED,
@@ -38,9 +29,19 @@ from metrocap.rep_core import (
 from reference import (
     block_state_mi,
     enumerated_square_sum,
+    fano_bound,
+    gapped_partitions,
     hook_length_count,
+    log_fraction,
     pairwise_weyl_dim,
+    su_lower_bound,
 )
+
+
+def scaling_capacity(model, n, t):
+    """The capacity of a scaling row: log capacity_support at l = 1 for mp,
+    unbounded for su."""
+    return log_integer(capacity_support(model, n, t, 1 if model == "mp" else UNBOUNDED))
 
 
 # ---------------------------------------------------------------- exact logs
@@ -99,10 +100,8 @@ def test_capacity_optimal_p_exact():
 @pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 3), ("su", 2), ("su", 3)])
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
 def test_capacity_matches_closed_paths(model, n, t):
-    if model == "mp":
-        assert mp_capacity(n, t) == capacity(decompose("mp", n, t, 1)).value
-    else:
-        assert su_capacity(n, t) == capacity(decompose("su", n, t, UNBOUNDED)).value
+    l = 1 if model == "mp" else UNBOUNDED
+    assert scaling_capacity(model, n, t) == capacity(decompose(model, n, t, l)).value
 
 
 @pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 3), ("su", 2), ("su", 3), ("su", 4)])
@@ -308,19 +307,18 @@ def test_block_state_mi_validation():
 # ---------------------------------------------------------------- closed forms
 
 def test_mp_capacity_values():
-    assert mp_capacity(4, 2) == math.log(5)
-    assert mp_capacity(2, 3) == math.log(6)
-    assert mp_capacity(0, 2) == 0.0
+    assert scaling_capacity("mp", 4, 2) == math.log(5)
+    assert scaling_capacity("mp", 2, 3) == math.log(6)
     with pytest.raises(ValueError):
-        mp_capacity(-1, 2)
+        scaling_capacity("mp", 0, 2)
 
 
 def test_su_capacity_values():
-    assert su_capacity(2, 2) == math.log(10)
-    assert su_capacity(3, 2) == math.log(20)
-    assert su_capacity(2, 3) == math.log(45)
+    assert scaling_capacity("su", 2, 2) == math.log(10)
+    assert scaling_capacity("su", 3, 2) == math.log(20)
+    assert scaling_capacity("su", 2, 3) == math.log(45)
     with pytest.raises(ValueError):
-        su_capacity(0, 2)
+        scaling_capacity("su", 0, 2)
 
 
 def test_su_square_sum_needs_no_enumeration():
@@ -334,28 +332,30 @@ def test_su_square_sum_needs_no_enumeration():
 
 
 def test_su2_closed_form_values():
-    assert su2_closed_form(1) == 4
-    assert su2_closed_form(2) == 10
-    assert su2_closed_form(12) == 455
-    with pytest.raises(ValueError):
-        su2_closed_form(0)
+    assert su_square_sum(1, 2) == 4
+    assert su_square_sum(2, 2) == 10
+    assert su_square_sum(12, 2) == 455
 
 
 def test_su2_closed_form_single_polynomial():
     for n in range(1, 500):
-        assert su2_closed_form(n) == (n + 1) * (n + 2) * (n + 3) // 6
+        assert su_square_sum(n, 2) == (n + 1) * (n + 2) * (n + 3) // 6
 
 
 def test_su2_closed_form_matches_sum():
     for n in list(range(1, 60)) + [101, 256, 999]:
-        assert su_square_sum(n, 2) == su2_closed_form(n) == enumerated_square_sum(n, 2)
-        assert su_capacity(n, 2) == log_integer(su2_closed_form(n))
+        closed = (n + 1) * (n + 2) * (n + 3) // 6
+        assert su_square_sum(n, 2) == closed == enumerated_square_sum(n, 2)
+        assert scaling_capacity("su", n, 2) == log_integer(closed)
 
 
 def test_su2_asymptote_residual_examples():
-    assert su2_asymptote_residual(10) <= 0.7
-    assert su2_asymptote_residual(1000) <= 0.007
-    residuals = [su2_asymptote_residual(n) for n in range(10, 200)]
+    def residual(n):
+        return abs(log_integer(su_square_sum(n, 2)) - (3.0 * math.log(n) - math.log(6.0)))
+
+    assert residual(10) <= 0.7
+    assert residual(1000) <= 0.007
+    residuals = [residual(n) for n in range(10, 200)]
     assert all(a > b for a, b in zip(residuals, residuals[1:]))  # decreasing
 
 
@@ -386,12 +386,12 @@ def test_su_lower_bound_values():
 
 def test_su_lower_bound_below_capacity():
     for n, t, a in [(12, 2, 2), (12, 2, 3), (24, 2, 2), (18, 3, 3), (36, 3, 2)]:
-        assert su_lower_bound(n, t, a) <= su_capacity(n, t)
+        assert su_lower_bound(n, t, a) <= scaling_capacity("su", n, t)
 
 
 def test_su_lower_bound_gap_stays_bounded():
     # same 3 log n leading term: the defect must not grow with n
-    diffs = [su_capacity(n, 2) - su_lower_bound(n, 2, 2) for n in (12, 24, 48, 96)]
+    diffs = [scaling_capacity("su", n, 2) - su_lower_bound(n, 2, 2) for n in (12, 24, 48, 96)]
     assert all(d < 4.0 for d in diffs)
     assert all(a >= b for a, b in zip(diffs, diffs[1:]))
 
@@ -399,12 +399,13 @@ def test_su_lower_bound_gap_stays_bounded():
 # ---------------------------------------------------------------- misc values
 
 def test_symmetric_subspace_mi():
-    assert symmetric_subspace_mi(2, 2) == math.log(9)
-    assert symmetric_subspace_mi(1, 2) == su_capacity(1, 2) == math.log(4)
-    assert symmetric_subspace_mi(4, 2) == math.log(25)
-    assert su2_closed_form(4) == 3 * 5 * 7 // 3  # = 35 = 5*6*7/6
+    """2 log(n+1): the reference-assisted symmetric-input value at t = 2."""
+    assert 2.0 * math.log(3) == math.log(9)
+    assert 2.0 * math.log(2) == scaling_capacity("su", 1, 2) == math.log(4)
+    assert 2.0 * math.log(5) == math.log(25)
+    assert su_square_sum(4, 2) == 3 * 5 * 7 // 3  # = 35 = 5*6*7/6
     for n in range(2, 40):
-        assert symmetric_subspace_mi(n, 2) < su_capacity(n, 2)
+        assert 2.0 * math.log(n + 1) < scaling_capacity("su", n, 2)
 
 
 def test_fano_bound():
@@ -418,9 +419,11 @@ def test_fano_bound():
 
 
 def test_standard_scaling_baseline():
-    assert standard_scaling_baseline("mp", 100, 2) == 0.5 * math.log(100)
-    assert standard_scaling_baseline("su", 100, 2) == 1.5 * math.log(100)
-    assert standard_scaling_baseline("mp", 50, 4) == 1.5 * math.log(50)
+    """A scaling row's baseline is (d/2) log n, d = t-1 (mp) or t^2-1 (su)."""
+    for model, t, half_d in (("mp", 2, 0.5), ("su", 2, 1.5), ("mp", 4, 1.5)):
+        report = _build_scaling(RunConfig("scaling", model=model, t=t, n_range=(50, 100, 25)))
+        assert [row[2] for row in report["rows"].rows] == [half_d * math.log(n)
+                                                          for n in (50, 75, 100)]
 
 
 # ---------------------------------------------------------------- slope fits
@@ -440,7 +443,7 @@ def test_scaling_fit_validation():
 
 
 def test_scaling_fit_model_slopes():
-    pts = [(n, mp_capacity(n, 3)) for n in range(100, 1001, 50)]
+    pts = [(n, scaling_capacity("mp", n, 3)) for n in range(100, 1001, 50)]
     assert 1.9 <= scaling_fit(pts) <= 2.1
-    pts = [(n, su_capacity(n, 2)) for n in range(100, 1001, 50)]
+    pts = [(n, scaling_capacity("su", n, 2)) for n in range(100, 1001, 50)]
     assert 2.9 <= scaling_fit(pts) <= 3.1

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -660,6 +661,25 @@ def test_costly_scaling_sweep_exits_2_at_once(capsys, stop, low, high):
                         "(MAX_SCALING_BITS)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--model", "su", "--n", "1000000", "--t", "1000"],
+    ["bounds", "--model", "su", "--n", "1000000", "--t", "1000", "--l", "1"],
+    ["capacity", "--model", "su", "--n", "1000000", "--t", "1000", "--format", "csv"],
+    ["bounds", "--model", "mp", "--n", "1000000", "--t", "1000000"],
+])
+def test_oversized_support_exits_2_at_once(capsys, argv):
+    """bounds and CSV capacity compute one binomial, C(1 999 999, 999 999)
+    here, whose size is estimated first: log2 C(2m, m) is about
+    2m - log2(pi m) / 2, so it has some 1 999 988 bits."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the support C(1999999, 999999) of about ")
+    assert 1999980 < int(err.split()[7]) < 2000000
+    assert err.endswith(" bits exceeds the budget of 1000000 bits (MAX_SCALING_BITS)\n")
+
+
 def test_su_scaling_needs_no_block_budget(capsys):
     """The su sweep is a closed form, so sizes past the enumeration budget run."""
     start = time.perf_counter()
@@ -743,3 +763,49 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["support"] == "10"
     assert proc.stdout.endswith("\n")
+
+
+# ---------------------------------------------------------------- package surface
+
+# Public top-level names that no module of the package uses, each kept for a
+# reader outside it.
+UNUSED_BUT_KEPT = {
+    "distinguish.m_eps_capacity_bounds": "the benchmark tracer's wrapper test wraps its "
+                                         "capacity import",
+    "oracle.pure_density": "the dense reference route, which perfbench imports",
+    "oracle.mp_twirl": "the dense phase twirl the block route is tested against",
+    "oracle.su2_twirl": "the dense SU(2) twirl the block route is tested against",
+    "oracle.von_neumann_entropy": "the dense entropy the block route is tested against",
+    "oracle.random_pure_state": "random inputs of the dense cross-checks and of perfbench",
+}
+
+
+def test_every_public_name_is_used_or_kept():
+    """Each public top-level function, class or constant of the package is
+    named by some other top-level statement of it, or is one of the kept
+    references above: what only the tests use lives in tests/reference.py."""
+    statements = []  # (top-level statement, the names it refers to)
+    defined = {}  # "module.name" -> its defining statement
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names.update(alias.name for alias in node.names)
+            statements.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            else:
+                targets = [stmt.target.id] if isinstance(stmt, ast.AnnAssign) else []
+            defined.update({f"{path.stem}.{name}": stmt for name in targets
+                            if not name.startswith("_")})
+    unused = {qualified for qualified, definition in defined.items()
+              if not any(qualified.split(".")[1] in names
+                         for stmt, names in statements if stmt is not definition)}
+    assert unused == set(UNUSED_BUT_KEPT)

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from metrocap.capacity import capacity
-from metrocap.distinguish import (
-    LatticeCodebook,
-    RenyiBounds,
-    ball_volume_mp,
-    m_bounds_general,
-    m_eps_capacity_bounds,
-    mp_lattice,
-    radius_bound,
-)
+from metrocap.distinguish import RenyiBounds, m_bounds_general, m_eps_capacity_bounds, mp_lattice
 from metrocap.oracle import mp_optimal_state, su2_optimal_state, twirled_spectrum
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import renyi_entropy, shannon_entropy, torus_distance
+from reference import (
+    ball_volume_mp,
+    radius_bound,
+    renyi_entropy,
+    shannon_entropy,
+    torus_distance,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -184,21 +182,19 @@ def test_radius_bound_validation():
 
 def test_mp_lattice_small():
     lat = mp_lattice(3, 2)
-    phases = sorted(theta[0] for theta in lat.elements)
+    phases = sorted(theta[0] for theta in lat)
     expected = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+    assert len(lat) == 4
     assert all(abs(a - b) < 1e-15 for a, b in zip(phases, expected))
-    assert lat.N == 4
 
     lat1 = mp_lattice(1, 2)
-    assert sorted(th[0] for th in lat1.elements) == [0.0, math.pi]
+    assert sorted(th[0] for th in lat1) == [0.0, math.pi]
 
     lat9 = mp_lattice(2, 3)
-    assert len(lat9) == 9 and lat9.N == 3
+    assert len(lat9) == 9 and {th[1] for th in lat9} == {th[0] for th in mp_lattice(2, 2)}
 
 
 def test_lattice_type_validation():
-    with pytest.raises(ValueError):
-        LatticeCodebook(t=2, N=3, elements=((0.0,),))
     with pytest.raises(ValueError):
         mp_lattice(0, 2)
     with pytest.raises(ValueError):
@@ -207,12 +203,12 @@ def test_lattice_type_validation():
 
 def test_lattice_closed_under_addition():
     for n, t in [(2, 2), (3, 2), (2, 3)]:
-        lat = mp_lattice(n, t)
-        keyed = {tuple(round(p / (TWO_PI / lat.N)) % lat.N for p in th) for th in lat.elements}
-        for a in lat.elements:
-            for b in lat.elements:
+        lat, N = mp_lattice(n, t), n + 1
+        keyed = {tuple(round(p / (TWO_PI / N)) % N for p in th) for th in lat}
+        for a in lat:
+            for b in lat:
                 s = tuple((x + y) % TWO_PI for x, y in zip(a, b))
-                key = tuple(round(p / (TWO_PI / lat.N)) % lat.N for p in s)
+                key = tuple(round(p / (TWO_PI / N)) % N for p in s)
                 assert key in keyed
 
 
@@ -223,7 +219,7 @@ def test_lattice_covers_at_covering_radius():
         lat = mp_lattice(n, t)
         for _ in range(200):
             point = rng.uniform(0.0, TWO_PI, size=t - 1)
-            nearest = min(torus_distance(point, el) for el in lat.elements)
+            nearest = min(torus_distance(point, el) for el in lat)
             assert nearest <= math.pi / (n + 1) + 1e-12
 
 
@@ -231,7 +227,7 @@ def test_lattice_packing_inequality():
     # |codebook| * B(packing radius) <= 1, with equality for this lattice
     for n, t in [(1, 2), (4, 2), (2, 3), (3, 3)]:
         lat = mp_lattice(n, t)
-        packing = math.pi / lat.N  # half the nearest-neighbor distance 2pi/N
+        packing = math.pi / (n + 1)  # half the nearest-neighbor distance 2pi/(n+1)
         assert len(lat) * ball_volume_mp(packing, t) <= 1.0 + 1e-12
 
 

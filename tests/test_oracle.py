@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from metrocap import oracle
-from metrocap.capacity import capacity, su2_closed_form, su_capacity
+from metrocap.capacity import capacity, log_integer, su_square_sum
 from metrocap.oracle import (
     _EIG_FLOOR,
     DensityOperator,
     PureState,
     empirical_mi,
-    haar_su2,
     mp_optimal_state,
     mp_twirl,
     mp_unitary,
@@ -30,7 +29,7 @@ from metrocap.oracle import (
     von_neumann_entropy,
 )
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import grid_twirl, lattice_unitaries
+from reference import grid_twirl, haar_su2, lattice_unitaries
 
 
 def tensor_power(u, n):
@@ -363,7 +362,7 @@ def test_su2_optimal_state_blocks_maximally_entangled():
 def test_su2_optimal_twirled_entropy_matches_capacity():
     for n in (1, 2, 3, 4, 5):
         s = von_neumann_entropy(su2_twirl(pure_density(su2_optimal_state(n)), n))
-        assert abs(s - su_capacity(n, 2)) < 1e-6
+        assert abs(s - log_integer(su_square_sum(n, 2))) < 1e-6
 
 
 # ---------------------------------------------------------------- entropy
@@ -519,8 +518,8 @@ def test_twirled_spectrum_block_sizes():
     # su, optimal state: flat on sum_j d_j^2 eigenvalues
     spectrum = twirled_spectrum(su2_optimal_state(8), "su", 8, 2)
     kept = spectrum[spectrum > _EIG_FLOOR]
-    assert len(kept) == su2_closed_form(8)
-    assert np.abs(kept - 1.0 / su2_closed_form(8)).max() < 1e-15
+    assert len(kept) == su_square_sum(8, 2)
+    assert np.abs(kept - 1.0 / su_square_sum(8, 2)).max() < 1e-15
 
 
 def test_twirled_spectrum_validation():

