@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb, factorial, gcd, perm
+from math import comb, gcd
 from typing import Iterator, Sequence, Union
 
 from .rep_core import (
@@ -123,52 +123,44 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     the Cauchy sum C(n+t^2-1, t^2-1).  su with a finite l is that sum minus
     the deficit d (d - l f) of the unsaturated shapes (l f < d), which
     _unsaturated_shapes walks from the first row down without visiting the
-    saturated ones.  Their first rows are a run n, n-1, ..., c*, and the
-    shapes with those first rows are counted under the block budgets before
-    any is visited.  The walk hands over each shape's P, so f = d n! / P
-    needs no factorial table: the table of multiplicity_su holds
-    O(n^2 log n) bits, 9 GB at n = 10^5, t = 2, where this sum visits one
-    shape.  Arguments are validated as in decompose, with the same messages.
+    saturated ones, each f from multiplicity_su given d.  Their first rows
+    are a run n, n-1, ..., c*, and the shapes with those first rows are
+    counted under the block budgets before any is visited.  Arguments are
+    validated as in decompose, with the same messages.
     """
     model = _check_config(model, n, t, l)
     if model is Model.MULTI_PHASE:
         return weight_count(n, t)
     if l is UNBOUNDED:
         return su_square_sum(n, t)
-    n_factorial = factorial(n)
     deficit = 0
-    for rows, prod in _unsaturated_shapes(n, t, l):
+    for rows in _unsaturated_shapes(n, t, l):
         dim = _weyl_dim_rows(rows)
-        mult, r = divmod(dim * n_factorial, prod)  # f = d n! / P
-        if r:  # the quotient is always an integer; guard against misuse
-            raise ArithmeticError(f"non-integer tableau count for rows {rows}")
-        deficit += dim * (dim - l * mult)
+        deficit += dim * (dim - l * multiplicity_su(rows, n, dim))
     return su_square_sum(n, t) - deficit
 
 
-def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(rows, P) of every shape of n into <= t rows with l f < d, in no
+def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[int, ...]]:
+    """The rows of every shape of n into <= t rows with l f < d, in no
     particular order.
 
-    With the shifted rows s_i = r_i + t-1-i (i = 0..t-1) the hook-length
-    formula reads f = n! prod_{i<j} (s_i - s_j) / prod_i s_i! and the Weyl
-    formula d = prod_{i<j} (s_i - s_j) / prod_i (t-1-i)!, so
-
-        d / f = P / n!,  P = prod_i (r_i + t-1-i)! / (t-1-i)!,
-
-    and a shape is unsaturated exactly when P > l n!.  The rows are chosen
-    top-down, from the first.  Among the completions of fixed top rows by a
-    given number of boxes under a row cap, the greedy fill (every row as long
-    as the cap allows) majorizes every other, in r and so in s; log x! is
-    convex, so by Karamata's inequality the greedy fill has the largest P.  A
-    prefix whose greedy fill is saturated is dropped with every shape below
-    it.  With r chosen for the next row, the best completion is the greedy
-    fill under cap r, which falls in majorization as r falls, so the first
-    dropped r ends the loop over r.  For the first row this says that the
-    greedy fill G(c) = (c, ..., c, rest) has the largest P of the shapes with
-    first row c, and is itself one of them: the first rows of the unsaturated
-    shapes are exactly the run c = n, n-1, ..., c* before the first saturated
-    G(c).
+    By multiplicity_su, d / f = Q / M with the multinomial
+    M = n! / prod_i r_i! and Q = prod_i C(r_i+t-1-i, r_i), so a shape is
+    unsaturated exactly when Q > l M.  With the shifted rows
+    s_i = r_i + t-1-i, Q / M = P / n! for P = prod_i s_i! / (t-1-i)!.  The
+    rows are chosen top-down, from the first, and each prefix carries its
+    factors of Q and M.  Among the completions of fixed top rows by a given
+    number of boxes under a row cap, the greedy fill (every row as long as
+    the cap allows) majorizes every other, in r and so in s; log x! is
+    convex, so by Karamata's inequality the greedy fill has the largest P,
+    and so the largest Q / M.  A prefix whose greedy fill is saturated is
+    dropped with every shape below it.  With r chosen for the next row, the
+    best completion is the greedy fill under cap r, which falls in
+    majorization as r falls, so the first dropped r ends the loop over r.
+    For the first row this says that the greedy fill G(c) = (c, ..., c, rest)
+    has the largest Q / M of the shapes with first row c, and is itself one
+    of them: the first rows of the unsaturated shapes are exactly the run
+    c = n, n-1, ..., c* before the first saturated G(c).
 
     So the walk visits the unsaturated shapes, their prefixes and one dropped
     choice per prefix.  Each prefix it keeps is the top of its own greedy
@@ -180,32 +172,33 @@ def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[tuple[int, ...
     MAX_LABEL_ENTRIES shapes times t (each yield is a t-row label), are
     refused, naming the count.  Iterative, so any t works.
     """
-    limit = l * factorial(n)
 
-    def greedy(prod: int, i: int, boxes: int, cap: int) -> int:
-        """P of the prefix whose rows 0..i-1 give ``prod``, filled greedily."""
+    def greedy(q: int, m: int, i: int, boxes: int, cap: int) -> tuple[int, int]:
+        """(Q, M) of the prefix whose rows 0..i-1 give (q, m), filled greedily."""
         while boxes:
             r = min(cap, boxes)
-            prod *= perm(r + t - 1 - i, r)
+            q *= comb(r + t - 1 - i, r)
+            m *= comb(boxes, r)
             boxes, i = boxes - r, i + 1
-        return prod
+        return q, m
 
     shapes = 0
-    stack = [((), 1, n)]
+    stack = [((), 1, 1, n)]
     while stack:
-        rows, prod, boxes = stack.pop()
+        rows, q, m, boxes = stack.pop()
         i = len(rows)
         if not boxes:
-            yield rows + (0,) * (t - i), prod
+            yield rows + (0,) * (t - i)
             continue
         for r in range(min(rows[-1] if rows else n, boxes), -(-boxes // (t - i)) - 1, -1):
-            here = prod * perm(r + t - 1 - i, r)
-            if greedy(here, i + 1, boxes - r, r) <= limit:
+            here = q * comb(r + t - 1 - i, r), m * comb(boxes, r)
+            fill_q, fill_m = greedy(*here, i + 1, boxes - r, r)
+            if fill_q <= l * fill_m:
                 break
             if not rows:  # a first row: count its shapes before any is visited
                 shapes += partition_count(boxes - r, t - 1, r)
                 _check_block_budget(shapes, t)
-            stack.append((rows + (r,), here, boxes - r))
+            stack.append((rows + (r,), *here, boxes - r))
 
 
 def su_square_sum(n: int, t: int) -> int:

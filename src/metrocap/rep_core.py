@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
-from math import comb, factorial
+from functools import cached_property
+from math import comb
 from typing import Iterator, NamedTuple, Optional, Union
 
 
@@ -46,13 +46,14 @@ RefSize = Union[int, _UnboundedType]
 # decompose costs about 3 us per mp block at n = 400 and t = 3, 4.5 us at
 # n = 1400 (982 101 blocks in 4.5 s; the multinomials grow to 2800 bits), and
 # a whole mp decompose request about 11 us per block with its JSON report.  A
-# whole su decompose request costs 10-14 us per block at n <= 280 (t = 3..5),
-# but f = d n! / P divides integers of n log n bits: 55 us per block at
-# n = 1000, t = 3, and at t = 3 near the budget (n = 3400) about 0.53 ms for
-# the dimension and multiplicity alone, so the largest admitted su requests
-# run for minutes.  The label budget admits every t = 3 request under
-# MAX_BLOCKS and one qudit at t = 2000 (a 44 MB report), and refuses e.g. two
-# qudits at t = 1400 (980 700 blocks of 1400 entries each).
+# whole su decompose request costs 8-14 us per block at n <= 280 (t = 3..5),
+# but f = d M / Q builds the multinomial M, up to n log t bits, from
+# binomials whose cost grows with n: 46 us per block at n = 1000, t = 3, and
+# at t = 3 near the budget (n = 3400) about 0.28 ms for the dimension and
+# multiplicity alone, so the largest admitted su requests run for minutes.
+# The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
+# at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
+# (980 700 blocks of 1400 entries each).
 MAX_BLOCKS = 1_000_000
 MAX_LABEL_ENTRIES = 4_000_000
 
@@ -174,59 +175,34 @@ def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
     return q
 
 
-@lru_cache(maxsize=1)
-def _factorial_table(n: int, t: int) -> tuple[list[int], list[int]]:
-    """The factorials that multiplicity_su reads for shapes of n into t rows.
-
-    ``fact[j]`` = (B+j)! / B! for B = t - min(n, t) <= B+j < n+t: every
-    factorial of P = prod_i (r_i+t-1-i)! / (t-1-i)! over the k occupied rows
-    lies there, since r_i >= 1 and i < k <= min(n, t), and both products of P
-    have k factors, so B! cancels.  ``scale[k]`` = n! prod_{i<k} (t-1-i)!/B!
-    is the numerator n! times the denominator of P for k occupied rows.
-
-    The n + min(n, t) entries grow with n, not with t, but each holds up to
-    n log n bits: O(n^2 log n) bits in all, 7 MB at n = 3461, t = 3 and
-    150 MB at n = 14 298, t = 2.  Kept for the last (n, t) only, the one
-    request a process answers.
-    """
-    base = t - min(n, t)
-    fact = [1]
-    for m in range(base + 1, n + t):
-        fact.append(fact[-1] * m)
-    scale = [factorial(n)]
-    for i in range(min(n, t)):
-        scale.append(scale[-1] * fact[t - 1 - i - base])
-    return fact, scale
-
-
 def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None) -> int:
     """Number of standard Young tableaux of the shape with non-increasing
-    ``rows`` (t = len(rows), zero-padded or not), as f = d n! / P.
+    ``rows`` (t = len(rows), zero-padded or not), as f = d M / Q.
 
     By the hook-length and Weyl formulas in the shifted rows
     s_i = r_i + t-1-i, f = n! prod_{i<j} (s_i - s_j) / prod_i s_i! and
-    d = prod_{i<j} (s_i - s_j) / prod_i (t-1-i)!, so d / f = P / n! with
-    P = prod_i (r_i+t-1-i)! / (t-1-i)!; zero rows add a factor 1.  P is read
-    from _factorial_table(n, t), one lookup per occupied row, and the one
-    division is exact.  ``dim`` is the Weyl dimension of ``rows`` when the
-    caller has it already; by default it is computed.
+    d = prod_{i<j} (s_i - s_j) / prod_i (t-1-i)!, so d / f = Q / M with the
+    multinomial M = n! / prod_i r_i! and Q = prod_i C(r_i+t-1-i, r_i); zero
+    rows add a factor 1 to both.  M is the product of C(boxes, r_i) over the
+    occupied rows, boxes counting those of rows 0..i, and the one division,
+    by Q of at most about t^2 log(n+t) bits, is exact.  ``dim`` is the Weyl
+    dimension of ``rows`` when the caller has it already; by default it is
+    computed.
     """
     t = len(rows)
-    fact, scale = _factorial_table(n, t)
-    shift = min(n, t) - 1  # fact[r + shift - i] = (r+t-1-i)! / B!
-    prod = 1
-    k = filled = 0  # occupied rows and their boxes
-    for r in rows:
+    multinomial = binomials = 1
+    filled = 0
+    for i, r in enumerate(rows):
         if not r:
             break
-        prod *= fact[r + shift - k]
         filled += r
-        k += 1
+        multinomial *= comb(filled, r)
+        binomials *= comb(r + t - 1 - i, r)
     if filled != n:
         raise ValueError(f"partition fills {filled} boxes, expected {n}")
     if dim is None:
         dim = _weyl_dim_rows(rows)
-    q, rem = divmod(dim * scale[k], prod)
+    q, rem = divmod(dim * multinomial, binomials)
     if rem:  # the quotient is always an integer; guard against misuse
         raise ArithmeticError(f"non-integer tableau count for rows {rows}")
     return q
@@ -296,7 +272,7 @@ def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model
 def _su_rows(n: int, t: int, l: RefSize) -> Iterator[Row]:
     """su block rows (rows, dim, mult, eff_mult) for every partition of n into
     at most t rows, in the order of _partition_rows: the Weyl dimension, then
-    the tableau count from it (multiplicity_su, f = d n! / P)."""
+    the tableau count from it (multiplicity_su, f = d M / Q)."""
     unbounded = isinstance(l, _UnboundedType)
     for rows in _partition_rows(n, t):
         dim = _weyl_dim_rows(rows)
@@ -323,21 +299,29 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize, *,
 
 def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
     """Check a decomposition request's arguments and its block budget (the
-    model's block count: weights for mp, partitions for su)."""
+    model's block count: weights for mp, partitions for su).  The su count
+    stops once it passes a budget, and the refusal names the count reached."""
     model = _check_config(model, n, t, l)
-    blocks = weight_count(n, t) if model is Model.MULTI_PHASE else partition_count(n, t)
-    _check_block_budget(blocks, t)
+    if model is Model.MULTI_PHASE:
+        _check_block_budget(weight_count(n, t), t)
+    else:
+        budget = min(MAX_BLOCKS, MAX_LABEL_ENTRIES // t)  # blocks * t > L iff blocks > L // t
+        _check_block_budget(partition_count(n, t, above=budget), t, exact=False)
     return model
 
 
-def partition_count(n: int, t: int, widest: Optional[int] = None) -> int:
+def partition_count(n: int, t: int, widest: Optional[int] = None,
+                    above: Optional[int] = None) -> int:
     """Exact number of partitions of n into at most t parts, each at most
     ``widest`` (default n), in O(n t).
 
     By conjugation these are the partitions of n into parts of size <= t,
     counted by adding the part sizes 1..t one at a time: the coefficient of
     q^n in prod_i 1/(1 - q^i).  A row cap multiplies in the factors
-    (1 - q^(widest+i)) of the Gaussian binomial [widest+t choose t]_q.
+    (1 - q^(widest+i)) of the Gaussian binomial [widest+t choose t]_q.  After
+    each part size p the count is that of the partitions with parts <= p, so
+    it never falls; with ``above`` given, the count stops at the first part
+    size where it passes ``above`` and is then a lower bound.
     """
     counts = [1] + [0] * n
     for part in range(1, min(t, n) + 1):  # larger parts fit no partition of n
@@ -347,19 +331,23 @@ def partition_count(n: int, t: int, widest: Optional[int] = None) -> int:
             drop = widest + part
             for m in range(n, drop - 1, -1):
                 counts[m] -= counts[m - drop]
+        if above is not None and counts[n] > above:
+            break
     return counts[n]
 
 
-def _check_block_budget(blocks: int, t: int) -> None:
+def _check_block_budget(blocks: int, t: int, exact: bool = True) -> None:
     """Refuse an enumeration of more than MAX_BLOCKS blocks or MAX_LABEL_ENTRIES
-    label entries (blocks * t)."""
+    label entries (blocks * t); a count that is only a lower bound
+    (``exact=False``) is named as "at least"."""
+    count = blocks if exact else f"at least {blocks}"
     if blocks > MAX_BLOCKS:
         raise ValueError(
-            f"{blocks} blocks exceed the enumeration budget of {MAX_BLOCKS} (MAX_BLOCKS)"
+            f"{count} blocks exceed the enumeration budget of {MAX_BLOCKS} (MAX_BLOCKS)"
         )
     if blocks * t > MAX_LABEL_ENTRIES:
         raise ValueError(
-            f"{blocks} blocks of {t} label entries each exceed the budget of "
+            f"{count} blocks of {t} label entries each exceed the budget of "
             f"{MAX_LABEL_ENTRIES} label entries (MAX_LABEL_ENTRIES)"
         )
 

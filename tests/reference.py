@@ -1,6 +1,6 @@
 """Slow, independent references for the closed forms and fast routes.
 
-The library computes tableau counts as d n! / P over a factorial table,
+The library computes tableau counts as d M / Q from binomials per row,
 multinomials by updating the neighbouring weight's, SU(t) dimensions by the
 Weyl product with its zero-row tail telescoped, the sum of squared SU(t)
 dimensions by the Cauchy identity, the finite-reference SU(t) support as

@@ -339,7 +339,7 @@ def test_validation_failures_exit_2(capsys, argv, needle):
     [
         (["decompose", "--model", "mp", "--n", "1000", "--t", "6"], "8459043543951"),
         (["capacity", "--model", "mp", "--n", "1000", "--t", "6"], "8459043543951"),
-        (["decompose", "--model", "su", "--n", "1000", "--t", "6"], "12193703764"),
+        (["decompose", "--model", "su", "--n", "1000", "--t", "6"], "7049112"),
     ],
 )
 def test_block_budget_exits_2_at_once(capsys, argv, count):

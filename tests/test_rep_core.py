@@ -1,4 +1,5 @@
 import itertools
+import time
 from functools import lru_cache
 from math import comb, factorial
 
@@ -253,15 +254,33 @@ def test_decompose_validation():
 
 
 def test_decompose_block_budget(monkeypatch):
-    with pytest.raises(ValueError, match=f"{partition_count(1000, 6)} blocks .* of 1000000"):
+    """su counts its shapes one part size at a time (by conjugation, one row
+    count at a time) and refuses at the first count past a budget, naming it
+    as a lower bound: of the 12 193 703 764 partitions of 1000 into at most 6
+    parts, those into at most 4 already exceed MAX_BLOCKS.  mp names its
+    exact count."""
+    assert partition_count(1000, 3) <= rep_core.MAX_BLOCKS < partition_count(1000, 4) == 7049112
+    with pytest.raises(ValueError, match="^at least 7049112 blocks .* of 1000000"):
         decompose("su", 1000, 6, 1)
     monkeypatch.setattr(rep_core, "MAX_BLOCKS", 10)
     assert len(decompose("mp", 3, 3, 1).rows) == 10  # C(5, 2), at the budget
     assert len(decompose("su", 8, 3, 1).rows) == 10  # p(8, <= 3 parts)
-    with pytest.raises(ValueError, match="15 blocks .* budget of 10"):
+    with pytest.raises(ValueError, match="^15 blocks .* budget of 10"):
         decompose("mp", 4, 3, 1)
-    with pytest.raises(ValueError, match="12 blocks .* budget of 10"):
+    with pytest.raises(ValueError, match="^at least 12 blocks .* budget of 10"):
         decompose("su", 9, 3, 1)
+    with pytest.raises(ValueError, match="^at least 12 blocks .* budget of 10"):
+        decompose("su", 9, 5, 1)  # 23 shapes; those of at most 3 rows already pass
+
+
+def test_su_admission_stops_counting_at_the_budget():
+    """At n = t = 10^5 the partitions into at most 2 parts, n/2 + 1 of them,
+    already pass the 40 blocks of 10^5 label entries that MAX_LABEL_ENTRIES
+    allows, so the refusal comes after two part sizes, not 10^5."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^at least 50001 blocks of 100000 label entries"):
+        decompose("su", 100_000, 100_000, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_decompose_label_entry_budget(monkeypatch):
@@ -274,7 +293,7 @@ def test_decompose_label_entry_budget(monkeypatch):
     assert len(decompose("mp", 3, 3, 1).rows) == 10  # 30 entries, at the budget
     with pytest.raises(ValueError, match="6 blocks of 6 label entries .* budget of 30"):
         decompose("mp", 1, 6, 1)
-    with pytest.raises(ValueError, match="12 blocks of 3 label entries"):
+    with pytest.raises(ValueError, match="^at least 12 blocks of 3 label entries"):
         decompose("su", 9, 3, 1)
 
 
@@ -347,7 +366,7 @@ MULTIPLICITY_GRID = {t: range(13) for t in range(2, 9)} | {40: (1, 2, 5, 9, 14),
 
 @pytest.mark.parametrize("t", sorted(MULTIPLICITY_GRID))
 def test_multiplicity_su_matches_hook_lengths_on_a_grid(t):
-    """f = d n! / P, with d computed or handed in, is the hook-length count
+    """f = d M / Q, with d computed or handed in, is the hook-length count
     of every shape, zero-padded to t rows or given by its occupied rows only."""
     for n in MULTIPLICITY_GRID[t]:
         for rows in _partition_rows(n, t):
@@ -359,8 +378,9 @@ def test_multiplicity_su_matches_hook_lengths_on_a_grid(t):
 
 
 def test_multiplicity_su_at_the_table_edges():
-    """One box at t = 2000 (the table holds two factors), and shapes at
-    n = 200 whose rows reach both ends of the table, t - min(n, t) and n+t-1."""
+    """One box at t = 2000, and shapes at n = 200 with the longest and the
+    shortest first rows, where the binomials of Q and M are largest and
+    smallest."""
     one_box = (1,) + (0,) * 1999
     assert multiplicity_su(one_box, 1) == multiplicity_su(one_box, 1, 2000) == 1
     for t in (2, 3, 250):
@@ -370,16 +390,21 @@ def test_multiplicity_su_at_the_table_edges():
                 assert multiplicity_su(rows, 200) == hook_length_count(rows), (t, shape[:3])
 
 
-def test_factorial_table_keeps_the_last_request_only():
-    rep_core._factorial_table.cache_clear()
-    multiplicity_su((3, 2, 0), 5)
-    multiplicity_su((2, 1, 1), 4)
-    info = rep_core._factorial_table.cache_info()
-    assert (info.maxsize, info.currsize, info.misses) == (1, 1, 2)
+def test_two_row_tableau_counts_at_large_n():
+    """f of (n-k, k) is the ballot number C(n, k) - C(n, k-1), here at the
+    largest n whose su report is written.  The peak k is where the ratio
+    f(k+1) / f(k) = (n-k+1)(n-2k-1) / ((k+1)(n-2k+1)) falls below 1."""
+    n = 14298
+    peak = next(k for k in range(n // 2) if (n - k + 1) * (n - 2 * k - 1) < (k + 1) * (n - 2 * k + 1))
+    for k in (1, 2, 100, peak - 1, peak, peak + 1, n // 2 - 1, n // 2):
+        assert multiplicity_su((n - k, k), n) == comb(n, k) - comb(n, k - 1), k
+    f = [multiplicity_su((n - k, k), n) for k in (peak - 1, peak, peak + 1)]
+    assert f[0] < f[1] > f[2]
 
 
 def test_multiplicity_su_guards_a_wrong_dimension():
-    """A dimension that d n! / P does not divide is caught by the remainder."""
+    """A dimension for which d M / Q is not an integer is caught by the
+    remainder: M = 3 and Q = 12 for the shape (2, 1, 0)."""
     with pytest.raises(ArithmeticError, match="non-integer tableau count"):
         multiplicity_su((2, 1, 0), 3, 7)
 
