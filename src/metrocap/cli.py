@@ -2,7 +2,7 @@
 
 Emits decompositions, capacities, distinguishability bounds, oracle
 simulations and scaling sweeps as JSON or CSV on stdout.  Output is
-deterministic for a fixed config and seed; validation failures exit with
+deterministic for a fixed config; validation failures exit with
 status 2 and one diagnostic line on stderr.
 """
 
@@ -39,8 +39,8 @@ _LN2 = math.log(2.0)
 MAX_SCALING_POINTS = 10_000
 
 # Most bits the support binomials of a report may hold together (every row
-# of a scaling sweep, or the one of bounds and CSV capacity), estimated from
-# log-gamma before any is computed.  The cost of one binomial grows faster
+# of a scaling sweep, or the one of bounds and CSV capacity), estimated by
+# _binomial_bits before any is computed.  The cost of one binomial grows faster
 # than its size: C(n+t^2-1, t^2-1) took 0.97 s at 483 437 bits (n = 10^5,
 # t = 1000) and 3.2 s at 780 017 bits (n = 2 * 10^5), so the budget keeps a
 # report to seconds.
@@ -63,7 +63,6 @@ class RunConfig:
     beta: Optional[float] = None
     base: str = "e"
     format: str = "json"
-    seed: int = 0
     n_range: Optional[tuple] = None
     state: str = "bs4"
     codebook: Optional[str] = None
@@ -261,32 +260,51 @@ def _build_simulate(cfg: RunConfig) -> dict:
         psi = oracle.su2_optimal_state(cfg.n)
     else:
         raise CLIError(f"unknown state tag {cfg.state!r}")
-    entropy = oracle.empirical_mi(psi, model, cfg.n, cfg.t)
+    spectrum = oracle.twirled_spectrum(psi, model, cfg.n, cfg.t)
     success = None
     if cfg.codebook is not None:
         if cfg.codebook != "lattice":
             raise CLIError(f"unknown codebook tag {cfg.codebook!r}")
         if model is not Model.MULTI_PHASE:
             raise CLIError("--codebook lattice needs --model mp")
-        unitaries = [oracle.mp_unitary(theta, cfg.t) for theta in dist.mp_lattice(cfg.n, cfg.t)]
-        success = oracle.srm_discrimination(unitaries, psi, cfg.n, cfg.t)
+        success = oracle.lattice_srm_success(spectrum, cfg.n, cfg.t)
     return _report(cfg, "model n t log_base", {
         "state_tag": cfg.state,
         "codebook_tag": cfg.codebook,
-        "seed": cfg.seed,
         "success_prob": success,
-        f"entropy_{_unit(cfg.base)}": _scaled(entropy, cfg.base),
+        f"entropy_{_unit(cfg.base)}": _scaled(oracle.empirical_mi(spectrum), cfg.base),
     })
+
+
+def _binomial_bits(n: int, d: int) -> int:
+    """log2 C(n+d, d) to the nearest bit, estimated without computing it.
+
+    With k = min(n, d) and m = max(n, d), Stirling's formula gives
+
+        ln C(m+k, k) ~ k ln(1 + m/k) + m ln(1 + k/m) + ln((m+k) / (2 pi m k)) / 2,
+
+    off by less than 1/(6k).  No term is a difference of large numbers (a
+    log-gamma difference loses the size to cancellation past about 2^57),
+    and math.log reads ints of any size exactly.
+    """
+    k, m = (n, d) if n < d else (d, n)
+    r = k / m  # 0.0 once m/k passes float range, where m ln(1 + k/m) is k
+    log_k, log_mk = math.log(k), math.log(m + k)
+    rate = log_mk - log_k + (math.log1p(r) / r if r else 1.0)  # nats per unit of k
+    tail = (log_mk - math.log(m) - log_k - math.log(2 * math.pi)) / 2
+    if k < 1e300:
+        return round((k * rate + tail) / _LN2)
+    # k * rate passes float range: the product in integers, in units of 2^-32 bits
+    return (k * round(rate / _LN2 * 2**32) + round(tail / _LN2 * 2**32) + 2**31) >> 32
 
 
 def _check_binomial_bits(model: Model, t: int, ns: range) -> int:
     """The parameter count d (t-1 phases for mp, t^2-1 generators for su),
     once the support binomials C(n+d, d) over ``ns`` are admitted: their
-    sizes, estimated from log-gamma before any is computed, may add up to
+    sizes, estimated by _binomial_bits before any is computed, may add up to
     MAX_SCALING_BITS; more is refused, naming the estimate."""
     d = t - 1 if model is Model.MULTI_PHASE else t * t - 1
-    bits = round(math.fsum((math.lgamma(n + d + 1) - math.lgamma(d + 1) - math.lgamma(n + 1))
-                           / _LN2 for n in ns))
+    bits = sum(_binomial_bits(n, d) for n in ns)
     if bits <= MAX_SCALING_BITS:
         return d
     if len(ns) == 1:
@@ -319,6 +337,8 @@ def _build_scaling(cfg: RunConfig) -> dict:
     if cfg.t < 2:  # as capacity_support says, before the size estimate
         raise CLIError("t must be at least 2")
     d = _check_binomial_bits(model, cfg.t, ns)
+    if d > sys.float_info.max:
+        raise CLIError(f"the baseline (d/2) log n passes float range at d = {d}")
     # the exact paths behind the sweep: l = 1 for mp, unbounded for su
     l_eff = 1 if model is Model.MULTI_PHASE else UNBOUNDED
     u = _unit(cfg.base)
@@ -346,7 +366,7 @@ _CSV = {
     "decompose": ("entries", "model,n,t,l,label,dim,mult,eff_mult"),
     "capacity": (None, "model,n,t,l,log_base,capacity_{u}"),
     "bounds": (None, "model,n,t,l,alpha,beta,epsilon,lower_{u},upper_{u}"),
-    "simulate": (None, "model,n,t,state_tag,codebook_tag,seed,success_prob,entropy_{u}"),
+    "simulate": (None, "model,n,t,state_tag,codebook_tag,success_prob,entropy_{u}"),
     "scaling": ("rows", "model,n,t,l,capacity_{u},baseline_{u},fitted_slope"),
 }
 
@@ -446,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("simulate", "dense-matrix experiment at small n", with_l=False)
     sp.add_argument("--state", choices=["bs4", "noon", "bn1"], default="bs4")
     sp.add_argument("--codebook", choices=["lattice"], default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp = add("scaling", "capacity sweep against (d/2) log n", with_n=False, with_l=False)
     sp.add_argument("--n-range", required=True, metavar="START:STOP:STRIDE")
 

@@ -1,13 +1,11 @@
-"""Distinguishability brackets and the phase-lattice codebook.
+"""Distinguishability brackets.
 
 Two-sided bounds on the number of states distinguishable at error eps from
-Renyi entropies (the ``bounds`` report), and the (n+1)-per-axis phase
-lattice that ``simulate --codebook lattice`` discriminates.
+Renyi entropies (the ``bounds`` report).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,17 +71,3 @@ def m_eps_bounds(r: float, eps: float) -> RenyiBounds:
     upper = r - math.log1p(-eps)
     return RenyiBounds(2.0, 0.0, eps, lower, upper)
 
-
-def mp_lattice(n: int, t: int) -> tuple[tuple[float, ...], ...]:
-    """The phase vectors of the (n+1)-per-axis lattice {2 pi k / (n+1)} on
-    the (t-1)-torus, the codebook used at n copies.
-
-    Its covering radius pi/(n+1) realizes the 1/n estimation scaling.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    N = n + 1
-    axis = [2.0 * math.pi * k / N for k in range(N)]
-    return tuple(itertools.product(axis, repeat=t - 1))

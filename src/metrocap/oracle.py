@@ -1,14 +1,18 @@
 """Explicit-state simulation for small copy counts.
 
-Explicit states, exact twirls and square-root-measurement discrimination,
-kept deliberately independent of the combinatorial modules so the two routes
-can check each other: nothing is imported from the package, and a model is
-its plain tag, ``"mp"`` or ``"su"``.  The twirled spectrum of a pure input is
-taken block by block from its amplitudes (``twirled_spectrum``): weight
-classes of the product basis for ``mp``, Schur blocks for SU(2).  The dense
-density-matrix twirls (``mp_twirl``, ``su2_twirl``) and
-``von_neumann_entropy`` work in the computational product basis and are the
-reference the block route is checked against.  Dimensions are capped to keep dense linear algebra honest.
+Explicit states, exact twirls and the square-root-measurement success of the
+phase lattice codebook, kept deliberately independent of the combinatorial
+modules so the two routes can check each other: nothing is imported from the
+package, and a model is its plain tag, ``"mp"`` or ``"su"``.  The twirled
+spectrum of a pure input is taken block by block from its amplitudes
+(``twirled_spectrum``): weight classes of the product basis for ``mp``, Schur
+blocks for SU(2).  Both the entropy (``empirical_mi``) and the lattice SRM
+success (``lattice_srm_success``, a closed form in the weight masses) are read
+off that spectrum.  The dense density-matrix twirls (``mp_twirl``,
+``su2_twirl``) and ``von_neumann_entropy`` work in the computational product
+basis and are the reference the block route is checked against; the dense
+Gram-matrix SRM that checks the closed form lives in ``tests/reference.py``.
+Dimensions are capped to keep dense linear algebra honest.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Sequence
 
 import numpy as np
 
@@ -87,28 +90,6 @@ def pure_density(psi: PureState) -> DensityOperator:
     """Projector |psi><psi| as a DensityOperator."""
     v = psi.amplitudes
     return DensityOperator(np.outer(v, v.conj()), n=psi.n, t=psi.t, ref_dim=psi.ref_dim)
-
-
-def mp_unitary(theta: Sequence[float], t: int) -> np.ndarray:
-    """diag(1, e^{i theta_1}, ..., e^{i theta_{t-1}})."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    if theta.shape != (t - 1,):
-        raise ValueError(f"need {t - 1} phases, got {theta.shape[0]}")
-    return np.diag(np.exp(1j * np.concatenate(([0.0], theta))))
-
-
-def tensor_power_apply(u: np.ndarray, n: int, psi: PureState) -> PureState:
-    """Apply u on every one of the n factors, leaving the reference alone."""
-    u = np.asarray(u, dtype=complex)
-    t = psi.t
-    if u.shape != (t, t):
-        raise ValueError(f"unitary shape {u.shape} does not match local dim {t}")
-    if n != psi.n:
-        raise ValueError(f"copy count {n} does not match state metadata {psi.n}")
-    amps = psi.amplitudes.reshape((t,) * n + (psi.ref_dim,))
-    for axis in range(n):
-        amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [axis])), 0, axis)
-    return PureState(amps.reshape(-1), n=n, t=t, ref_dim=psi.ref_dim)
 
 
 def mp_optimal_state(n: int) -> PureState:
@@ -293,34 +274,6 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return _spectrum_entropy(tr, np.linalg.eigvalsh(rho.matrix))
 
 
-def srm_discrimination(unitaries: Sequence[np.ndarray], psi: PureState, n: int, t: int) -> float:
-    """Average success of the square-root measurement on {u_j^{x n}|psi>}.
-
-    The codebook is a sequence of local t x t unitaries u_j (``mp_unitary``
-    of each phase vector for mp); a non-unitary one fails the norm check of
-    its coded state.  Success = (1/M) sum_j sqrt(G)_{jj}^2 with G the Gram
-    matrix of the coded states; rank-deficient Gram matrices trigger a
-    degenerate-codebook warning and are handled through the pseudo-inverse
-    square root.
-    """
-    if len(unitaries) < 1:
-        raise ValueError("codebook must contain at least one element")
-    if (psi.n, psi.t) != (n, t):
-        raise ValueError("state metadata does not match (n, t)")
-    states = [tensor_power_apply(u, n, psi).amplitudes for u in unitaries]
-    gram = np.array([[np.vdot(a, b) for b in states] for a in states])
-    eigs, vecs = np.linalg.eigh(gram)
-    if float(eigs.min()) < _EIG_FLOOR:
-        warnings.warn(
-            f"degenerate codebook: Gram eigenvalue {eigs.min():.3e} below "
-            f"{_EIG_FLOOR}; measurement restricted to the span",
-            RuntimeWarning,
-        )
-    root = vecs @ np.diag(np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
-    diag = np.real(np.diag(root))
-    return float(np.mean(diag**2))
-
-
 def twirled_spectrum(psi: PureState, model: str, n: int, t: int) -> np.ndarray:
     """Eigenvalues of the twirled input |psi><psi|, taken block by block.
 
@@ -360,14 +313,42 @@ def twirled_spectrum(psi: PureState, model: str, n: int, t: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def empirical_mi(psi: PureState, model: str, n: int, t: int) -> float:
-    """Entropy of the twirled input: the accessible information of this state.
+def empirical_mi(spectrum: np.ndarray) -> float:
+    """Entropy of a twirled spectrum: the accessible information of the
+    input it was taken from.
 
-    Computed from ``twirled_spectrum``; it agrees with ``von_neumann_entropy``
-    of the dense ``mp_twirl``/``su2_twirl`` of ``pure_density(psi)``.
+    For ``twirled_spectrum(psi, model, n, t)`` it agrees with
+    ``von_neumann_entropy`` of the dense ``mp_twirl``/``su2_twirl`` of
+    ``pure_density(psi)``.
     """
-    spectrum = twirled_spectrum(psi, model, n, t)
     return _spectrum_entropy(float(np.sum(spectrum)), spectrum)
+
+
+def lattice_srm_success(spectrum: np.ndarray, n: int, t: int) -> float:
+    """Average square-root-measurement success on the phase lattice
+    {2 pi k / (n+1)}^(t-1), from the mp twirled spectrum of the input: one
+    mass p_w per weight w.
+
+    The M = (n+1)^(t-1) codewords are the input's orbit under Z_(n+1)^(t-1),
+    so their Gram matrix is group-circulant.  Weights are distinct mod n+1,
+    so its eigenvalues are M p_w, one per weight, and 0 at the characters no
+    weight reaches (some, at t >= 3).  The SRM success
+    (1/M) sum_j sqrt(G)_jj^2 is then (sum_w sqrt(p_w))^2 / M (Ban, Kurokawa,
+    Momose, Hirota, Int. J. Theor. Phys. 36, 1997).  A smallest eigenvalue
+    below 1e-12 is reported as a degenerate codebook.
+    """
+    m = (n + 1) ** (t - 1)
+    if len(spectrum) != comb(n + t - 1, t - 1):
+        raise ValueError(f"need one mass per weight, C({n + t - 1}, {t - 1}), "
+                         f"got {len(spectrum)}")
+    smallest = m * float(np.min(spectrum)) if len(spectrum) == m else 0.0
+    if smallest < _EIG_FLOOR:
+        warnings.warn(
+            f"degenerate codebook: Gram eigenvalue {smallest:.3e} below "
+            f"{_EIG_FLOOR}; measurement restricted to the span",
+            RuntimeWarning,
+        )
+    return float(np.sum(np.sqrt(spectrum))) ** 2 / m
 
 
 def random_pure_state(

@@ -43,7 +43,7 @@ def matrix() -> list[list[str]]:
             out.append(["scaling", "--model", "su", "--t", "3", "--n-range", "4:12:4"] + tail)
     out += [
         ["capacity", "--model", "su", "--n", "3", "--t", "2"],
-        ["simulate", "--model", "mp", "--n", "2", "--t", "2", "--seed", "7", "--format", "csv"],
+        ["simulate", "--model", "mp", "--n", "2", "--t", "2", "--format", "csv"],
         # validation failures: exit 2, one line on stderr
         ["bounds", "--model", "mp", "--n", "3", "--t", "2", "--eps", "1.5"],
         ["bounds", "--model", "mp", "--n", "3", "--t", "2", "--alpha", "2.0"],

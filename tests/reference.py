@@ -5,9 +5,16 @@ multinomials by updating the neighbouring weight's, SU(t) dimensions by the
 Weyl product with its zero-row tail telescoped, the sum of squared SU(t)
 dimensions by the Cauchy identity, the finite-reference SU(t) support as
 that sum minus the deficit of the unsaturated shapes, walked from the first
-row, and the phase twirl by exact weight equality, and writes report rows
-through one %-template per report; the tests check them against these brute
-computations, never against themselves.
+row, the phase twirl by exact weight equality, and the square-root
+measurement on the phase lattice as (sum_w sqrt(p_w))^2 / M over the weight
+masses, and writes report rows through one %-template per report; the tests
+check them against these brute computations, never against themselves.
+
+The dense square-root measurement is here: the lattice codebook
+(``mp_lattice``), its local unitaries (``mp_unitary``, ``lattice_unitaries``),
+their tensor powers on a state (``tensor_power_apply``), and the SRM success
+from the Gram matrix of the coded states and its eigensolve
+(``srm_discrimination``), which also takes codebooks of any local unitaries.
 
 It also holds the paper's bounds that no command reports, which the
 acceptance criteria check against the capacities: the gapped-partition lower
@@ -19,15 +26,16 @@ forces (``ball_volume_mp``, ``radius_bound``), and a Haar SU(2) sampler
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from math import factorial
+from typing import Sequence
 
 import numpy as np
 
 from metrocap.capacity import log_integer
 from metrocap.cli import _CSV
-from metrocap.distinguish import mp_lattice
-from metrocap.oracle import DensityOperator, _digit_counts, mp_unitary
+from metrocap.oracle import _EIG_FLOOR, DensityOperator, PureState, _digit_counts
 from metrocap.rep_core import _partition_rows
 
 
@@ -246,6 +254,71 @@ def grid_twirl(rho, n: int, t: int, N: int):
     v = np.exp(1j * (counts @ thetas.T))  # dim x N^(t-1)
     mask = (v @ v.conj().T) / v.shape[1]  # 1 where weights agree, else averages to 0
     return DensityOperator(rho.matrix * mask, n=n, t=t, ref_dim=rho.ref_dim)
+
+
+def mp_lattice(n: int, t: int) -> tuple[tuple[float, ...], ...]:
+    """The phase vectors of the (n+1)-per-axis lattice {2 pi k / (n+1)} on
+    the (t-1)-torus, the codebook used at n copies.
+
+    Its covering radius pi/(n+1) realizes the 1/n estimation scaling.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    N = n + 1
+    axis = [2.0 * math.pi * k / N for k in range(N)]
+    return tuple(itertools.product(axis, repeat=t - 1))
+
+
+def mp_unitary(theta: Sequence[float], t: int) -> np.ndarray:
+    """diag(1, e^{i theta_1}, ..., e^{i theta_{t-1}})."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.shape != (t - 1,):
+        raise ValueError(f"need {t - 1} phases, got {theta.shape[0]}")
+    return np.diag(np.exp(1j * np.concatenate(([0.0], theta))))
+
+
+def tensor_power_apply(u: np.ndarray, n: int, psi: PureState) -> PureState:
+    """Apply u on every one of the n factors, leaving the reference alone."""
+    u = np.asarray(u, dtype=complex)
+    t = psi.t
+    if u.shape != (t, t):
+        raise ValueError(f"unitary shape {u.shape} does not match local dim {t}")
+    if n != psi.n:
+        raise ValueError(f"copy count {n} does not match state metadata {psi.n}")
+    amps = psi.amplitudes.reshape((t,) * n + (psi.ref_dim,))
+    for axis in range(n):
+        amps = np.moveaxis(np.tensordot(u, amps, axes=([1], [axis])), 0, axis)
+    return PureState(amps.reshape(-1), n=n, t=t, ref_dim=psi.ref_dim)
+
+
+def srm_discrimination(unitaries: Sequence[np.ndarray], psi: PureState, n: int, t: int) -> float:
+    """Average success of the square-root measurement on {u_j^{x n}|psi>}.
+
+    The codebook is a sequence of local t x t unitaries u_j (``mp_unitary``
+    of each phase vector for mp); a non-unitary one fails the norm check of
+    its coded state.  Success = (1/M) sum_j sqrt(G)_{jj}^2 with G the Gram
+    matrix of the coded states; rank-deficient Gram matrices trigger a
+    degenerate-codebook warning and are handled through the pseudo-inverse
+    square root.
+    """
+    if len(unitaries) < 1:
+        raise ValueError("codebook must contain at least one element")
+    if (psi.n, psi.t) != (n, t):
+        raise ValueError("state metadata does not match (n, t)")
+    states = [tensor_power_apply(u, n, psi).amplitudes for u in unitaries]
+    gram = np.array([[np.vdot(a, b) for b in states] for a in states])
+    eigs, vecs = np.linalg.eigh(gram)
+    if float(eigs.min()) < _EIG_FLOOR:
+        warnings.warn(
+            f"degenerate codebook: Gram eigenvalue {eigs.min():.3e} below "
+            f"{_EIG_FLOOR}; measurement restricted to the span",
+            RuntimeWarning,
+        )
+    root = vecs @ np.diag(np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.conj().T
+    diag = np.real(np.diag(root))
+    return float(np.mean(diag**2))
 
 
 def lattice_unitaries(n: int, t: int = 2) -> list:

@@ -15,13 +15,14 @@ from metrocap.capacity import capacity_support, log_integer, scaling_fit, su_squ
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.oracle import (
     empirical_mi,
+    lattice_srm_success,
     mp_optimal_state,
     mp_twirl,
     noon_state,
     pure_density,
-    srm_discrimination,
     su2_optimal_state,
     su2_twirl,
+    twirled_spectrum,
     von_neumann_entropy,
 )
 from metrocap.rep_core import UNBOUNDED, _weyl_dim_rows, decompose
@@ -32,6 +33,7 @@ from reference import (
     gapped_partitions,
     lattice_unitaries,
     radius_bound,
+    srm_discrimination,
     su_lower_bound,
 )
 
@@ -137,11 +139,21 @@ def check_su2_twirl_entropies():
         assert abs(s - r) <= 1e-6, (n, s, r)
 
 
+def _lattice_runs(psi, n):
+    """(M, SRM success, twirled entropy) of the lattice codebook at n copies,
+    once from the closed form simulate uses and once from the dense Gram
+    matrix of the coded states."""
+    spectrum = twirled_spectrum(psi, "mp", n, 2)
+    mi = empirical_mi(spectrum)
+    return [(n + 1, lattice_srm_success(spectrum, n, 2), mi),
+            (n + 1, srm_discrimination(lattice_unitaries(n), psi, n, 2), mi)]
+
+
 @criterion(9, "SRM success 1 within 1e-9 on the Fourier codebook; log(n+1) inside the bracket")
 def check_srm_achievability():
     for n in range(1, 9):
-        success = srm_discrimination(lattice_unitaries(n), mp_optimal_state(n), n, 2)
-        assert abs(success - 1.0) <= 1e-9, (n, success)
+        for _, success, _ in _lattice_runs(mp_optimal_state(n), n):
+            assert abs(success - 1.0) <= 1e-9, (n, success)
         log_m = math.log(n + 1)
         for eps in (0.1, 0.5):
             b = m_eps_capacity_bounds(decompose("mp", n, 2, 1), eps)
@@ -152,17 +164,11 @@ def check_srm_achievability():
 def check_fano_consistency():
     runs = []
     for n in range(1, 9):
-        psi = mp_optimal_state(n)
-        runs.append((n + 1, srm_discrimination(lattice_unitaries(n), psi, n, 2),
-                     empirical_mi(psi, "mp", n, 2)))
+        runs += _lattice_runs(mp_optimal_state(n), n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # rank-deficient NOON runs
         for n in range(2, 9):
-            psi = noon_state(n)
-            runs.append(
-                (n + 1, srm_discrimination(lattice_unitaries(n), psi, n, 2),
-                 empirical_mi(psi, "mp", n, 2))
-            )
+            runs += _lattice_runs(noon_state(n), n)
     for m, success, mi in runs:
         observed_error = max(0.0, 1.0 - success)
         assert math.log(m) <= fano_bound(mi, observed_error) + 1e-9, (m, success, mi)

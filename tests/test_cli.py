@@ -613,7 +613,8 @@ def test_bounds_matches_enumerated_capacity(capsys, model, t, n, l):
 ])
 def test_simulate_needs_no_dense_twirl(capsys, monkeypatch, argv):
     """simulate takes the twirled spectrum block-wise: no density matrix,
-    dense twirl or full-dimension eigensolve."""
+    dense twirl or full-dimension eigensolve; the lattice SRM success is
+    read off it, with no coded state, Gram matrix or Gram eigensolve."""
     expected = run_cli(capsys, argv)
 
     def refuse(*args, **kwargs):
@@ -621,7 +622,10 @@ def test_simulate_needs_no_dense_twirl(capsys, monkeypatch, argv):
 
     for name in ("pure_density", "mp_twirl", "su2_twirl", "von_neumann_entropy"):
         monkeypatch.setattr(oracle, name, refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for name in ("vdot", "tensordot"):
+        monkeypatch.setattr(np, name, refuse)
     assert run_cli(capsys, argv) == expected
     assert expected[0] == 0
 
@@ -678,6 +682,88 @@ def test_oversized_support_exits_2_at_once(capsys, argv):
     assert err.startswith("error: the support C(1999999, 999999) of about ")
     assert 1999980 < int(err.split()[7]) < 2000000
     assert err.endswith(" bits exceeds the budget of 1000000 bits (MAX_SCALING_BITS)\n")
+
+
+def _log2_binomial(n, d):
+    """log2 C(n+d, d) from its product form, sum_j log2((m + j) / j) over
+    j <= k = min(n, d), with m = max(n, d)."""
+    k, m = sorted((n, d))
+    return math.fsum(math.log2(m + j) - math.log2(j) for j in range(1, k + 1))
+
+
+# (n, d) = (10^a, 10^b) up to 10^400 with min(n, d) <= 10^4 for the product
+# form, where the binomial has 1000 bits or more: 0.1% of it is a bit or more
+_GRID = [(a, b) for a in (0, 1, 2, 3, 4, 22, 100, 400) for b in (0, 1, 2, 3, 4, 22, 100, 400)
+         if min(a, b) <= 4 and _log2_binomial(10**a, 10**b) >= 1000]
+
+
+@pytest.mark.parametrize("a,b", _GRID, ids=[f"10^{a}-10^{b}" for a, b in _GRID])
+def test_binomial_bits_estimate_is_within_a_thousandth(a, b):
+    """The support-size estimate against the bit length of C(n+d, d)."""
+    n, d = 10**a, 10**b
+    bit_length = math.floor(_log2_binomial(n, d)) + 1
+    if min(n, d) == 1:  # C(m+1, 1) = m+1
+        assert bit_length == (n + d).bit_length()
+    assert abs(cli._binomial_bits(n, d) - bit_length) <= bit_length / 1000
+
+
+def test_binomial_bits_estimate_past_float_range():
+    """At k = m = 10^400, past float range, the estimate is the central
+    binomial's log2 C(2m, m) = 2m - log2(pi m) / 2 + O(1/m)."""
+    m = 10**400
+    half_log2_pi_m = (math.log2(m) + math.log2(math.pi)) / 2
+    assert abs(cli._binomial_bits(m, m) - 2 * m + round(half_log2_pi_m)) <= 1
+
+
+def test_support_past_float_range_is_refused_at_once(capsys):
+    """C(10^22 + 100 488, 100 488) has 5 819 095 bits: the estimate, free of
+    cancellation, refuses it before it is computed."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, ["bounds", "--model", "su", "--n", "10000000000000000000000", "--t", "317"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: the support C(10000000000000000100488, 100488) of about 5819095 "
+                   "bits exceeds the budget of 1000000 bits (MAX_SCALING_BITS)\n")
+
+
+def test_mp_support_past_float_range_runs(capsys):
+    """At n = 10^400 the mp support at t = 2 is C(n+1, 1) = n+1, some 1329 bits."""
+    n = 10**400
+    report = run_json(capsys, ["bounds", "--model", "mp", "--n", str(n), "--t", "2"])
+    b = m_eps_bounds(math.log(n + 1), 0.1)
+    assert (report["lower_nats"], report["upper_nats"]) == (b.lower, b.upper)
+    code, out, err = run_cli(
+        capsys, ["capacity", "--model", "mp", "--n", str(n), "--t", "2", "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert float(out.split(",")[-1]) == math.log(n + 1)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["bounds", "--model", "mp", "--n", "2", "--t", str(10**400)], 0),
+    (["bounds", "--model", "su", "--n", "2", "--t", str(10**400)], 0),
+    (["capacity", "--model", "su", "--n", "2", "--t", str(10**400), "--format", "csv"], 0),
+    (["bounds", "--model", "su", "--n", str(10**400), "--t", str(10**400)], 2),
+    (["capacity", "--model", "mp", "--n", str(10**400), "--t", "3", "--format", "csv"], 0),
+    (["capacity", "--model", "mp", "--n", str(10**400), "--t", str(10**400), "--format", "csv"],
+     2),
+    (["scaling", "--model", "su", "--t", str(10**400), "--n-range", "1:3:1"], 2),
+    (["scaling", "--model", "mp", "--t", "2", "--n-range", f"{10**400}:{10**400 + 2}:1"], 2),
+])
+def test_sizes_past_float_range_exit_0_or_2(capsys, argv, code):
+    """--n or --t past float range gives a report or a one-line refusal,
+    never a traceback."""
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    assert (err == "") if code == 0 else (out == "" and err.startswith("error: ")
+                                          and err.count("\n") == 1)
+
+
+def test_simulate_has_no_seed_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "mp", "--n", "2", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_su_scaling_needs_no_block_budget(capsys):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from metrocap.capacity import capacity
-from metrocap.distinguish import RenyiBounds, m_bounds_general, m_eps_capacity_bounds, mp_lattice
+from metrocap.distinguish import RenyiBounds, m_bounds_general, m_eps_capacity_bounds
 from metrocap.oracle import mp_optimal_state, su2_optimal_state, twirled_spectrum
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import (
     ball_volume_mp,
+    mp_lattice,
     radius_bound,
     renyi_entropy,
     shannon_entropy,

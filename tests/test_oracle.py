@@ -15,21 +15,26 @@ from metrocap.oracle import (
     PureState,
     empirical_mi,
     mp_optimal_state,
+    lattice_srm_success,
     mp_twirl,
-    mp_unitary,
     noon_state,
     pure_density,
     random_pure_state,
     schur_basis_su2,
-    srm_discrimination,
     su2_optimal_state,
     su2_twirl,
-    tensor_power_apply,
     twirled_spectrum,
     von_neumann_entropy,
 )
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import grid_twirl, haar_su2, lattice_unitaries
+from reference import (
+    grid_twirl,
+    haar_su2,
+    lattice_unitaries,
+    mp_unitary,
+    srm_discrimination,
+    tensor_power_apply,
+)
 
 
 def tensor_power(u, n):
@@ -442,16 +447,74 @@ def test_srm_validation():
         srm_discrimination(lattice_unitaries(2), mp_optimal_state(2), 3, 2)
 
 
+# ---------------------------------------------------------------- lattice SRM closed form
+
+def _warnings_of(fn, *args):
+    """fn(*args) and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = fn(*args)
+    return value, [str(w.message) for w in caught]
+
+
+# bs4 and noon at t = 2; random states at t = 2, 3, 4 with ref_dim 1 and 2.
+# Every t >= 3 codebook and every noon one has a rank-deficient Gram matrix.
+@pytest.mark.parametrize("state,n,t,ref", [
+    *[("bs4", n, 2, 1) for n in (1, 3, 6, 8)],
+    *[("noon", n, 2, 1) for n in (2, 4, 7, 8)],
+    *[("random", n, t, ref)
+      for t, ns in ((2, (1, 3, 6)), (3, (1, 2, 3)), (4, (1, 2, 3)))
+      for n in ns for ref in (1, 2)],
+])
+def test_lattice_srm_success_matches_dense(state, n, t, ref):
+    """The closed form against the dense Gram-matrix SRM of the coded states:
+    within 1e-10 at full rank, and within 1e-7 where the dense pseudo-root
+    works at its noise floor; the degenerate-codebook warning fires on the
+    same codebooks."""
+    if state == "bs4":
+        psi = mp_optimal_state(n)
+    elif state == "noon":
+        psi = noon_state(n)
+    else:
+        psi = random_pure_state(np.random.default_rng([n, t, ref, 1]), n, t, ref_dim=ref)
+    dense, dense_warnings = _warnings_of(srm_discrimination, lattice_unitaries(n, t), psi, n, t)
+    closed, closed_warnings = _warnings_of(
+        lattice_srm_success, twirled_spectrum(psi, "mp", n, t), n, t)
+    degenerate = t >= 3 or state == "noon"
+    assert bool(dense_warnings) == bool(closed_warnings) == degenerate
+    assert abs(closed - dense) < (1e-7 if degenerate else 1e-10)
+
+
+def test_lattice_srm_success_exact_values():
+    """bs4 is perfectly distinguishable; noon spreads over two weights, so
+    (2 sqrt(1/2))^2 / (n+1) = 2/(n+1); one lattice point always succeeds."""
+    for n in range(1, 13):
+        assert lattice_srm_success(twirled_spectrum(mp_optimal_state(n), "mp", n, 2), n, 2) \
+            == pytest.approx(1.0, abs=1e-15)
+    assert lattice_srm_success(twirled_spectrum(mp_optimal_state(3), "mp", 3, 2), 3, 2) == 1.0
+    with pytest.warns(RuntimeWarning, match="Gram eigenvalue 0.000e[+]00 below 1e-12"):
+        noon = lattice_srm_success(twirled_spectrum(noon_state(12), "mp", 12, 2), 12, 2)
+    assert noon == pytest.approx(2 / 13, abs=1e-15)
+
+
+def test_lattice_srm_success_validation():
+    spectrum = twirled_spectrum(mp_optimal_state(3), "mp", 3, 2)
+    with pytest.raises(ValueError, match="one mass per weight"):
+        lattice_srm_success(spectrum, 4, 2)
+    with pytest.raises(ValueError, match="one mass per weight"):
+        lattice_srm_success(twirled_spectrum(su2_optimal_state(2), "su", 2, 2), 2, 2)
+
+
 # ---------------------------------------------------------------- empirical MI
 
 def test_empirical_mi_examples():
-    assert empirical_mi(mp_optimal_state(3), "mp", 3, 2) == pytest.approx(
+    assert empirical_mi(twirled_spectrum(mp_optimal_state(3), "mp", 3, 2)) == pytest.approx(
         math.log(4), abs=1e-9
     )
-    assert empirical_mi(noon_state(3), "mp", 3, 2) == pytest.approx(
+    assert empirical_mi(twirled_spectrum(noon_state(3), "mp", 3, 2)) == pytest.approx(
         math.log(2), abs=1e-9
     )
-    assert empirical_mi(su2_optimal_state(2), "su", 2, 2) == pytest.approx(
+    assert empirical_mi(twirled_spectrum(su2_optimal_state(2), "su", 2, 2)) == pytest.approx(
         math.log(10), abs=1e-6
     )
 
@@ -461,33 +524,34 @@ def test_empirical_mi_never_beats_capacity():
     cap_mp = capacity(decompose("mp", 5, 2, 1)).value
     for _ in range(50):
         psi = random_pure_state(rng, 5, 2)
-        assert empirical_mi(psi, "mp", 5, 2) <= cap_mp + 1e-9
+        assert empirical_mi(twirled_spectrum(psi, "mp", 5, 2)) <= cap_mp + 1e-9
     cap_su = capacity(decompose("su", 4, 2, 1)).value
     for _ in range(50):
         psi = random_pure_state(rng, 4, 2)
-        assert empirical_mi(psi, "su", 4, 2) <= cap_su + 1e-9
+        assert empirical_mi(twirled_spectrum(psi, "su", 4, 2)) <= cap_su + 1e-9
 
 
 def test_empirical_mi_validation():
+    psi = random_pure_state(np.random.default_rng(1), 2, 3)
     with pytest.raises(ValueError):
-        empirical_mi(random_pure_state(np.random.default_rng(1), 2, 3), "su", 2, 3)
+        empirical_mi(twirled_spectrum(psi, "su", 2, 3))
 
 
 # ---------------------------------------------------------------- block route
 
 def _check_block_route(psi, model):
-    """twirled_spectrum and empirical_mi against eigvalsh and the entropy of
-    the dense twirl of pure_density(psi)."""
+    """twirled_spectrum and its empirical_mi against eigvalsh and the entropy
+    of the dense twirl of pure_density(psi)."""
     n, t = psi.n, psi.t
     rho = pure_density(psi)
     dense = mp_twirl(rho, n, t) if model == "mp" else su2_twirl(rho, n)
     want = np.linalg.eigvalsh(dense.matrix)
-    got = twirled_spectrum(psi, model, n, t)
+    spectrum = twirled_spectrum(psi, model, n, t)
     want = np.sort(want[want > _EIG_FLOOR])
-    got = np.sort(got[got > _EIG_FLOOR])
+    got = np.sort(spectrum[spectrum > _EIG_FLOOR])
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-12
-    assert abs(empirical_mi(psi, model, n, t) - von_neumann_entropy(dense)) < 1e-12
+    assert abs(empirical_mi(spectrum) - von_neumann_entropy(dense)) < 1e-12
 
 
 # n <= 6 and ref_dim <= 3, except mp at t = 3, n = 6, ref_dim >= 2, where the
