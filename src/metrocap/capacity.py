@@ -14,6 +14,7 @@ from a whole decomposition: the slow route the other two are tested against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator, Sequence, Union
@@ -26,7 +27,7 @@ from .rep_core import (
     _admit,
     _check_block_budget,
     _check_config,
-    _partition_rows,
+    _shape_rows,
     _weight_walk,
     _weyl_dim_rows,
     multiplicity_su,
@@ -88,7 +89,8 @@ def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> Capa
     mp blocks are one-dimensional weights, each of weight 1, so every label of
     the weight walk gets p = 1 / C(n+t-1, t-1).  A su shape of dimension d
     has weight d^2 with an unbounded reference, and d min(l f, d) otherwise,
-    f from multiplicity_su given d.  The total is the sum of the weights.
+    d and f from the shape walk _shape_rows.  The total is the sum of the
+    weights.
     Before any row is returned the walk is checked against a closed form:
     its row count against C(n+t-1, t-1) (mp), and sum d^2 against the Cauchy
     total C(n+t^2-1, t^2-1) (su).  Arguments and the block budget are checked
@@ -103,12 +105,10 @@ def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> Capa
         return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
     weights = []
     squares = 0
-    for rows in _partition_rows(n, t):
-        dim = _weyl_dim_rows(rows)
+    for rows, dim, mult in _shape_rows(n, t):
         square = dim * dim
         squares += square
-        weights.append((rows, square if l is UNBOUNDED
-                        else dim * min(l * multiplicity_su(rows, n, dim), dim)))
+        weights.append((rows, square if l is UNBOUNDED else dim * min(l * mult, dim)))
     if squares != su_square_sum(n, t):
         raise ArithmeticError(f"the squared dimensions of n = {n}, t = {t} miss the Cauchy total")
     return _weighted_report(weights)
@@ -214,12 +214,19 @@ def su_square_sum(n: int, t: int) -> int:
 
 
 def scaling_fit(points: Sequence[tuple]) -> float:
-    """Least-squares slope of value against log n over (n, value) pairs."""
+    """Least-squares slope of value against log n over (n, value) pairs.
+
+    Points whose float log n coincide, as equal n do and distinct n past
+    about 10^16 may, are refused with the coincident values named: the fit
+    could not tell those n apart.
+    """
     if len(points) < 3:
         raise ValueError("need at least three points to fit a slope")
     xs = [math.log(n) for n, _ in points]
     if len(set(xs)) != len(xs):
-        raise ValueError("n values must be distinct")
+        tied = sorted(x for x, count in Counter(xs).items() if count > 1)
+        raise ValueError(f"n values share the float log n = {', '.join(map(repr, tied))}, "
+                         "so no slope against log n can be fitted")
     ys = [v for _, v in points]
     k = len(xs)
     xbar = math.fsum(xs) / k

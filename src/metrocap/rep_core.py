@@ -46,11 +46,13 @@ RefSize = Union[int, _UnboundedType]
 # decompose costs about 3 us per mp block at n = 400 and t = 3, 4.5 us at
 # n = 1400 (982 101 blocks in 4.5 s; the multinomials grow to 2800 bits), and
 # a whole mp decompose request about 11 us per block with its JSON report.  A
-# whole su decompose request costs 8-14 us per block at n <= 280 (t = 3..5),
-# but f = d M / Q builds the multinomial M, up to n log t bits, from
-# binomials whose cost grows with n: 46 us per block at n = 1000, t = 3, and
-# at t = 3 near the budget (n = 3400) about 0.28 ms for the dimension and
-# multiplicity alone, so the largest admitted su requests run for minutes.
+# whole su decompose request costs 6-7 us per block at n <= 280 (t = 3..5)
+# and 11 us at n = 1000, t = 3 (CSV, in-process).  The shape walk's
+# dimension and tableau count take 2.7 us per shape at n = 1000, t = 3, and
+# 7.3 us at t = 3 near the budget (n = 3400, 7 s for 965 034 shapes), where
+# the multinomial it carries has grown to n log t bits.  A whole CSV request
+# at n = 2000, t = 3 (334 334 blocks, 256 MB) takes 6.5 s, most of it
+# writing the report.
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
 # (980 700 blocks of 1400 entries each).
@@ -118,37 +120,6 @@ class Decomposition:
         return tuple(map(IrrepEntry._make, self.rows))
 
 
-def _partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    """Raw row tuples of all partitions of n into at most t parts.
-
-    Lexicographically descending, zero-padded to length t.  Iterative: each
-    step lowers the rightmost row that can give a box to the rows below it
-    and refills those rows greedily, so any t works.
-    """
-    rows = [n] + [0] * (t - 1)
-    occupied = 1 if n else 0  # rows[occupied:] are all zero
-    while True:
-        yield tuple(rows)
-        below = 0  # boxes in the rows after k
-        for k in range(occupied - 1, -1, -1):
-            cap = rows[k] - 1
-            if below < cap * (t - 1 - k):  # room for below + 1 boxes at most cap each
-                break
-            below += rows[k]
-        else:
-            return
-        rows[k] = cap
-        full, rest = divmod(below + 1, cap)
-        end = k + 1 + full
-        rows[k + 1:end] = [cap] * full
-        if rest:
-            rows[end] = rest
-            end += 1
-        if end < occupied:
-            rows[end:occupied] = [0] * (occupied - end)
-        occupied = end
-
-
 def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
     """Exact dimension from the Weyl product over non-increasing rows: the
     factor (r_i - r_j + j - i) / (j - i) of every pair i < j.
@@ -206,6 +177,83 @@ def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None) ->
     if rem:  # the quotient is always an integer; guard against misuse
         raise ArithmeticError(f"non-integer tableau count for rows {rows}")
     return q
+
+
+def _shape_rows(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(rows, dim, f) for every partition of n into at most t rows, the rows
+    zero-padded to t and lexicographically descending: the Weyl dimension of
+    _weyl_dim_rows and the tableau count f = d M / Q of multiplicity_su, from
+    products carried down the rows instead of rebuilt per shape.
+
+    The rows are chosen top-down, from the first, on a stack.  A prefix of k
+    rows carries the Vandermonde V = prod_{i<j<k} (u_i - u_j) of its rows
+    u_i = r_i - i, its part of the multinomial M, prod_i C(boxes left before
+    row i, r_i), its part of Q, prod_i C(r_i+t-1-i, r_i), and
+    H = prod_{i<k} (r_i+k-1-i)! / r_i!, which is prod_{j<k} j! times
+    prod_i C(r_i+k-1-i, r_i) and which a next row multiplies by
+    prod_{i<k} (u_i + k).  A prefix that uses up the boxes with k < t rows is
+    a shape whose zero rows telescope as in _weyl_dim_rows: d = V Q / H.
+    Every other shape fills the last two rows (a, boxes - a) in one loop,
+    where the Weyl product runs over all t rows, d = V / prod_{j<t} j!, Q
+    gains C(a+1, a) = a+1, and the multinomial moves from C(boxes, a) to
+    C(boxes, a-1) by one multiply and one exact division.  Iterative, so any
+    t works; a non-integer dim or f raises ArithmeticError.
+    """
+    last = t - 2  # the rows above the last two
+    weyl_den = factorial = 1  # prod_{j<t} j!, the Weyl denominator of t rows
+    if t <= n + 1:  # else no shape reaches the last two rows
+        for j in range(1, t):
+            factorial *= j
+            weyl_den *= factorial
+    label = [0] * t  # a zero-padded label, its rows label[:used] set
+    used = 0
+    stack = [((), 1, 1, 1, 1, n)]  # rows of a prefix, its V, M, Q and H, boxes left
+    while stack:
+        rows, v, m, q, h, boxes = stack.pop()
+        k = len(rows)
+        if not boxes:  # k < t occupied rows: telescope the zero rows
+            dim, rem = divmod(v * q, h)
+            if rem:  # the product is always divisible; guard against misuse
+                raise ArithmeticError(f"non-integer dimension for rows {rows}")
+            f, rem = divmod(dim * m, q)
+            if rem:  # the quotient is always an integer; guard against misuse
+                raise ArithmeticError(f"non-integer tableau count for rows {rows}")
+            if k < used:
+                label[k:used] = [0] * (used - k)
+            label[:k] = rows
+            used = k
+            yield tuple(label), dim, f
+            continue
+        widest = min(rows[-1], boxes) if rows else boxes
+        shifted = [r - i for i, r in enumerate(rows)]
+        if k < last:  # push the next rows, the widest last so it comes first
+            for u in shifted:
+                h *= u + k
+            for r in range(-(-boxes // (t - k)), widest + 1):
+                x = r - k
+                w = v
+                for u in shifted:
+                    w *= u - x
+                stack.append((rows + (r,), w, m * comb(boxes, r),
+                              q * comb(r + t - 1 - k, r), h, boxes - r))
+            continue
+        m *= comb(boxes, widest)
+        for a in range(widest, boxes - boxes // 2 - 1, -1):
+            b = boxes - a
+            x, y = a - k, b - k - 1
+            w = v * (x - y)
+            for u in shifted:
+                w *= (u - x) * (u - y)
+            dim, rem = divmod(w, weyl_den)
+            if rem:  # the product is always divisible; guard against misuse
+                raise ArithmeticError(f"non-integer dimension for rows {rows + (a, b)}")
+            f, rem = divmod(dim * m, q * (a + 1))
+            if rem:  # the quotient is always an integer; guard against misuse
+                raise ArithmeticError(f"non-integer tableau count for rows {rows + (a, b)}")
+            yield rows + (a, b), dim, f
+            m, rem = divmod(m * a, b + 1)  # C(boxes, a) -> C(boxes, a-1)
+            if rem:  # binomials are integers; guard against misuse
+                raise ArithmeticError(f"non-integer binomial C({boxes}, {a - 1})")
 
 
 def _weight_walk(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -271,12 +319,10 @@ def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model
 
 def _su_rows(n: int, t: int, l: RefSize) -> Iterator[Row]:
     """su block rows (rows, dim, mult, eff_mult) for every partition of n into
-    at most t rows, in the order of _partition_rows: the Weyl dimension, then
-    the tableau count from it (multiplicity_su, f = d M / Q)."""
+    at most t rows, in the order of the shape walk _shape_rows that gives
+    dim and mult."""
     unbounded = isinstance(l, _UnboundedType)
-    for rows in _partition_rows(n, t):
-        dim = _weyl_dim_rows(rows)
-        mult = multiplicity_su(rows, n, dim)
+    for rows, dim, mult in _shape_rows(n, t):
         yield rows, dim, mult, dim if unbounded else min(l * mult, dim)
 
 

@@ -1,8 +1,10 @@
 """Slow, independent references for the closed forms and fast routes.
 
-The library computes tableau counts as d M / Q from binomials per row,
-multinomials by updating the neighbouring weight's, SU(t) dimensions by the
-Weyl product with its zero-row tail telescoped, the sum of squared SU(t)
+The library computes SU(t) dimensions and tableau counts (f = d M / Q) in
+one top-down walk over the shapes that carries the products of shared top
+rows, and per shape by the Weyl product with its zero-row tail telescoped
+and by binomials per row, multinomials by updating the neighbouring
+weight's, the sum of squared SU(t)
 dimensions by the Cauchy identity, the finite-reference SU(t) support as
 that sum minus the deficit of the unsaturated shapes, walked from the first
 row, the phase twirl by exact weight equality, and the square-root
@@ -15,6 +17,9 @@ The dense square-root measurement is here: the lattice codebook
 their tensor powers on a state (``tensor_power_apply``), and the SRM success
 from the Gram matrix of the coded states and its eigensolve
 (``srm_discrimination``), which also takes codebooks of any local unitaries.
+
+The shapes themselves come one at a time from ``partition_rows``, whose
+order the walk must keep.
 
 It also holds the paper's bounds that no command reports, which the
 acceptance criteria check against the capacities: the gapped-partition lower
@@ -29,14 +34,44 @@ import math
 import warnings
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from metrocap.capacity import log_integer
 from metrocap.cli import _CSV
 from metrocap.oracle import _EIG_FLOOR, DensityOperator, PureState, _digit_counts
-from metrocap.rep_core import _partition_rows
+
+
+def partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Raw row tuples of all partitions of n into at most t parts.
+
+    Lexicographically descending, zero-padded to length t.  Iterative: each
+    step lowers the rightmost row that can give a box to the rows below it
+    and refills those rows greedily, so any t works.
+    """
+    rows = [n] + [0] * (t - 1)
+    occupied = 1 if n else 0  # rows[occupied:] are all zero
+    while True:
+        yield tuple(rows)
+        below = 0  # boxes in the rows after k
+        for k in range(occupied - 1, -1, -1):
+            cap = rows[k] - 1
+            if below < cap * (t - 1 - k):  # room for below + 1 boxes at most cap each
+                break
+            below += rows[k]
+        else:
+            return
+        rows[k] = cap
+        full, rest = divmod(below + 1, cap)
+        end = k + 1 + full
+        rows[k + 1:end] = [cap] * full
+        if rest:
+            rows[end] = rest
+            end += 1
+        if end < occupied:
+            rows[end:occupied] = [0] * (occupied - end)
+        occupied = end
 
 
 def hook_length_count(rows) -> int:
@@ -73,7 +108,7 @@ def pairwise_weyl_dim(rows) -> int:
 def enumerated_square_sum(n: int, t: int) -> int:
     """Sum of squared SU(t) Weyl dimensions over every partition of n into at
     most t rows, enumerated one partition at a time."""
-    return sum(pairwise_weyl_dim(rows) ** 2 for rows in _partition_rows(n, t))
+    return sum(pairwise_weyl_dim(rows) ** 2 for rows in partition_rows(n, t))
 
 
 def enumerated_su_support(n: int, t: int, l: int) -> int:
@@ -81,7 +116,7 @@ def enumerated_su_support(n: int, t: int, l: int) -> int:
     every partition of n into at most t rows, from the pairwise Weyl product
     and the hook-length count."""
     total = 0
-    for rows in _partition_rows(n, t):
+    for rows in partition_rows(n, t):
         dim = pairwise_weyl_dim(rows)
         total += dim * min(l * hook_length_count(rows), dim)
     return total
@@ -168,7 +203,7 @@ def gapped_partitions(n: int, t: int, a) -> list[tuple[int, ...]]:
     if gap.denominator != 1 or gap <= 0:
         raise ValueError(f"n/(a*t) = {gap} must be a positive integer")
     g = int(gap)
-    return [rows for rows in _partition_rows(n, t)
+    return [rows for rows in partition_rows(n, t)
             if all(rows[k] - rows[k + 1] >= g for k in range(t - 1))]
 
 

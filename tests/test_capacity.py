@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metrocap import capacity as capacity_module
+from metrocap import rep_core
 from metrocap.capacity import (
     _unsaturated_shapes,
     block_capacity,
@@ -23,7 +24,6 @@ from metrocap.rep_core import (
     UNBOUNDED,
     Decomposition,
     Model,
-    _partition_rows,
     decompose,
     partition_count,
 )
@@ -35,6 +35,7 @@ from reference import (
     hook_length_count,
     log_fraction,
     pairwise_weyl_dim,
+    partition_rows,
     su_lower_bound,
 )
 
@@ -113,14 +114,22 @@ def test_capacity_support_matches_enumeration(model, n, t, l):
 
 
 def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
-    """One wrong Weyl dimension moves sum d^2 off the Cauchy total, and one
-    lost weight moves the row count off C(n+t-1, t-1): both raise."""
-    weyl = capacity_module._weyl_dim_rows
-    monkeypatch.setattr(capacity_module, "_weyl_dim_rows",
-                        lambda rows: weyl(rows) + (rows == (3, 2, 1)))
+    """One wrong Weyl dimension from the shape walk moves sum d^2 off the
+    Cauchy total, and sum d f off t^n in the Decomposition of decompose; one
+    lost weight moves the row count off C(n+t-1, t-1): all raise."""
+    walk = rep_core._shape_rows
+
+    def wrong_dim(n, t):
+        for rows, dim, f in walk(n, t):
+            yield rows, dim + (rows == (3, 2, 1)), f
+
+    for module in (capacity_module, rep_core):
+        monkeypatch.setattr(module, "_shape_rows", wrong_dim)
     for l in (UNBOUNDED, 3):
         with pytest.raises(ArithmeticError, match="Cauchy total"):
             block_capacity("su", 6, 3, l)
+        with pytest.raises(ValueError, match="do not fill"):
+            decompose("su", 6, 3, l)
     walk = capacity_module._weight_walk
     monkeypatch.setattr(capacity_module, "_weight_walk", lambda n, t: list(walk(n, t))[1:])
     with pytest.raises(ArithmeticError, match="expected C"):
@@ -184,7 +193,7 @@ def test_unsaturated_first_rows_are_a_run(t, budget_counts):
     enumeration."""
     for n in range(1, UNSATURATED_GRID[t] + 1):
         shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
-                  for rows in _partition_rows(n, t)]
+                  for rows in partition_rows(n, t)]
         for l in (1, 2, 3, 4):
             firsts = {rows[0] for rows, f, d in shapes if l * f < d}
             run = range(n, n - len(firsts), -1)
@@ -201,7 +210,7 @@ def test_unsaturated_walk_yields_exactly_the_unsaturated_shapes(t):
     brute hook-length count and pairwise Weyl product, and nothing else."""
     for n in range(1, UNSATURATED_GRID[t] + 1):
         shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
-                  for rows in _partition_rows(n, t)]
+                  for rows in partition_rows(n, t)]
         for l in (1, 2, 3, 4):
             want = {rows for rows, f, d in shapes if l * f < d}
             got = list(_unsaturated_shapes(n, t, l))
@@ -445,7 +454,8 @@ def test_scaling_fit_exact_line():
 def test_scaling_fit_validation():
     with pytest.raises(ValueError):
         scaling_fit([(10, 1.0), (20, 2.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n values share the float log n = 2\.302585092994046, "
+                                         "so no slope against log n can be fitted$"):
         scaling_fit([(10, 1.0), (10, 2.0), (20, 3.0)])
 
 

@@ -242,16 +242,22 @@ def test_capacity_json_builds_no_decomposition(capsys, monkeypatch, model):
 
 def test_capacity_json_at_unbounded_l_needs_no_multiplicity(capsys, monkeypatch):
     """The weights are d^2 for su with an unbounded reference and 1 for mp
-    at any l, so neither report computes a tableau count."""
+    at any l, so neither report reads a tableau count: with the shape walk
+    patched to give every f one too large, the su report at --l inf and the mp
+    reports are unchanged, and the su report at --l 1 is not."""
+    su_args = ["capacity", "--model", "su", "--n", "9", "--t", "3"]
+    want = {l: run_json(capsys, su_args + ["--l", l]) for l in ("1", "inf")}
+    walk = rep_core._shape_rows
+    monkeypatch.setattr(capacity_module, "_shape_rows",
+                        lambda n, t: ((rows, dim, f + 1) for rows, dim, f in walk(n, t)))
     for module in (rep_core, capacity_module):
         monkeypatch.setattr(module, "multiplicity_su", _refuse)
-    su = run_json(capsys, ["capacity", "--model", "su", "--n", "9", "--t", "3"])
-    assert su["support"] == str(math.comb(17, 8))
+    su = run_json(capsys, su_args)
+    assert su == want["inf"] and su["support"] == str(math.comb(17, 8))
     for l in ("1", "inf"):
         mp = run_json(capsys, ["capacity", "--model", "mp", "--n", "9", "--t", "3", "--l", l])
         assert mp["support"] == "55" and {e["p"] for e in mp["optimal_p"]} == {"1/55"}
-    with pytest.raises(AssertionError, match="not on this path"):
-        main(["capacity", "--model", "su", "--n", "9", "--t", "3", "--l", "1"])
+    assert run_json(capsys, su_args + ["--l", "1"]) != want["1"]
 
 
 def test_base_two_divides_by_ln2(capsys):
@@ -757,6 +763,17 @@ def test_sizes_past_float_range_exit_0_or_2(capsys, argv, code):
     assert got == code
     assert (err == "") if code == 0 else (out == "" and err.startswith("error: ")
                                           and err.count("\n") == 1)
+
+
+def test_scaling_refusal_names_the_coincident_log_n(capsys):
+    """Distinct n near 10^400 have one float log n, so no slope can be fitted,
+    and the refusal says so rather than calling the n equal."""
+    n = 10**400
+    argv = ["scaling", "--model", "mp", "--t", "2", "--n-range", f"{n}:{n + 2}:1"]
+    assert run_cli(capsys, argv) == (2, "", f"error: n values share the float log n = "
+                                            f"{math.log(n)!r}, so no slope against log n "
+                                            "can be fitted\n")
+    assert math.log(n) == math.log(n + 1) == math.log(n + 2)
 
 
 def test_simulate_has_no_seed_flag(capsys):

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 
 from metrocap.capacity import capacity_support, su_square_sum
 from metrocap.cli import Table, _label, main, render
-from metrocap.rep_core import _partition_rows, _weight_rows, multiplicity_su
+from metrocap.rep_core import _shape_rows, _weight_rows, _weyl_dim_rows, multiplicity_su
 from reference import (
     enumerated_square_sum,
     enumerated_su_support,
     factorial_multinomial,
     hook_length_count,
+    partition_rows,
     report_to_csv,
 )
 
@@ -53,13 +54,22 @@ def partitions(draw):
     """Any partition of n <= 30 into at most t <= 5 rows."""
     n = draw(st.integers(0, 30))
     t = draw(st.integers(1, 5))
-    return draw(st.sampled_from(list(_partition_rows(n, t))))
+    return draw(st.sampled_from(list(partition_rows(n, t))))
 
 
 @SMALL
 @given(rows=partitions())
 def test_frobenius_matches_hook_length(rows):
     assert multiplicity_su(rows, sum(rows)) == hook_length_count(rows)
+
+
+@SMALL
+@given(n=st.integers(0, 30), t=st.integers(2, 40))
+def test_shape_walk_matches_per_shape_formulas(n, t):
+    """The walk's carried products give, shape by shape and in order, the
+    Weyl dimension and tableau count computed from each shape alone."""
+    assert list(_shape_rows(n, t)) == [(rows, _weyl_dim_rows(rows), multiplicity_su(rows, n))
+                                       for rows in partition_rows(n, t)]
 
 
 @SMALL

@@ -11,7 +11,6 @@ from metrocap.rep_core import (
     Decomposition,
     IrrepEntry,
     Model,
-    _partition_rows,
     _weight_rows,
     _weyl_dim_rows,
     decompose,
@@ -19,7 +18,13 @@ from metrocap.rep_core import (
     partition_count,
     weight_count,
 )
-from reference import factorial_multinomial, hook_length_count, pairwise_weyl_dim, ssyt_count
+from reference import (
+    factorial_multinomial,
+    hook_length_count,
+    pairwise_weyl_dim,
+    partition_rows,
+    ssyt_count,
+)
 
 
 # ---------------------------------------------------------------- oracles
@@ -75,29 +80,31 @@ def test_decomposition_rejects_incomplete():
 # ---------------------------------------------------------------- enumeration
 
 def test_enumerate_partitions_small():
-    assert list(_partition_rows(2, 2)) == [(2, 0), (1, 1)]
-    assert list(_partition_rows(4, 3)) == [
+    assert list(partition_rows(2, 2)) == [(2, 0), (1, 1)]
+    assert list(partition_rows(4, 3)) == [
         (4, 0, 0),
         (3, 1, 0),
         (2, 2, 0),
         (2, 1, 1),
     ]
-    assert list(_partition_rows(0, 3)) == [(0, 0, 0)]
+    assert list(partition_rows(0, 3)) == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])
 def test_enumerate_partitions_brute(n, t):
-    got = list(_partition_rows(n, t))
+    got = list(partition_rows(n, t))
     assert set(got) == brute_partitions(n, t)
     assert got == sorted(got, reverse=True)  # lexicographically descending
     assert len(got) == len(set(got))
+    if t > 1:  # the library's shape walk serves t >= 2
+        assert [rows for rows, _, _ in rep_core._shape_rows(n, t)] == got
 
 
 def test_partition_count_bound_sweep():
     for t in range(1, 5):
         for n in range(51):
-            assert sum(1 for _ in _partition_rows(n, t)) == partition_count(n, t)
+            assert sum(1 for _ in partition_rows(n, t)) == partition_count(n, t)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -141,7 +148,7 @@ def test_weyl_dimension_known():
 def test_weyl_dimension_vs_ssyt():
     for t in range(2, 5):
         for n in range(9):
-            for rows in _partition_rows(n, t):
+            for rows in partition_rows(n, t):
                 assert _weyl_dim_rows(rows) == ssyt_count(rows, t)
 
 
@@ -150,7 +157,7 @@ def test_weyl_dimension_bound():
     for t in range(2, 5):
         for n in range(13):
             cap = (n + 1) ** (t * (t - 1) // 2)
-            for rows in _partition_rows(n, t):
+            for rows in partition_rows(n, t):
                 assert _weyl_dim_rows(rows) <= cap
 
 
@@ -159,7 +166,7 @@ def test_weyl_dimension_telescoped_tail_matches_pairwise_product(t):
     """Labels with zero rows take the telescoped binomial ratio, labels with
     every row occupied the plain product; both against every pair."""
     for n in range(13):
-        for rows in _partition_rows(n, t):
+        for rows in partition_rows(n, t):
             assert _weyl_dim_rows(rows) == pairwise_weyl_dim(rows), rows
 
 
@@ -180,7 +187,7 @@ def test_multiplicity_su_known():
 
 def test_multiplicity_su_vs_syt():
     for n in range(1, 9):
-        for rows in _partition_rows(n, n):
+        for rows in partition_rows(n, n):
             assert multiplicity_su(rows, n) == count_syt(rows)
 
 
@@ -369,7 +376,7 @@ def test_multiplicity_su_matches_hook_lengths_on_a_grid(t):
     """f = d M / Q, with d computed or handed in, is the hook-length count
     of every shape, zero-padded to t rows or given by its occupied rows only."""
     for n in MULTIPLICITY_GRID[t]:
-        for rows in _partition_rows(n, t):
+        for rows in partition_rows(n, t):
             f = hook_length_count(rows)
             assert multiplicity_su(rows, n) == f, rows
             assert multiplicity_su(rows, n, pairwise_weyl_dim(rows)) == f, rows
@@ -409,13 +416,49 @@ def test_multiplicity_su_guards_a_wrong_dimension():
         multiplicity_su((2, 1, 0), 3, 7)
 
 
+# ---------------------------------------------------------------- shape walk
+
+WALK_GRID = {t: range(41) for t in range(2, 9)} | {12: range(9), 40: (3, 11, 17),
+                                                  1000: (1, 2, 7, 20)}
+
+
+@pytest.mark.parametrize("t", sorted(WALK_GRID))
+def test_shape_walk_matches_the_per_shape_api(t):
+    """The walk gives every shape's rows, Weyl dimension and tableau count
+    as partition_rows, _weyl_dim_rows and multiplicity_su do, entry for
+    entry and in order; t > n gives labels that end in zero rows."""
+    for n in WALK_GRID[t]:
+        want = [(rows, _weyl_dim_rows(rows), multiplicity_su(rows, n))
+                for rows in partition_rows(n, t)]
+        assert list(rep_core._shape_rows(n, t)) == want, n
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 6, 9])
+def test_shape_walk_matches_brute_references(t):
+    """Each dimension is the pairwise Weyl product and each count the
+    hook-length count, neither of which the walk uses."""
+    for n in range(12):
+        for rows, dim, f in rep_core._shape_rows(n, t):
+            assert (dim, f) == (pairwise_weyl_dim(rows), hook_length_count(rows)), rows
+
+
+def test_shape_walk_guards_a_wrong_binomial(monkeypatch):
+    """Binomials one too large make Q and M wrong, and the remainder of
+    f = d M / Q says so, for a shape of the last-two-rows loop (t = 3) and
+    one whose zero rows telescope (t = 9), rather than a wrong count."""
+    monkeypatch.setattr(rep_core, "comb", lambda a, b: comb(a, b) + 1)
+    for n, t in ((6, 3), (3, 9)):
+        with pytest.raises(ArithmeticError, match="non-integer tableau count"):
+            list(rep_core._shape_rows(n, t))
+
+
 def test_row_generators_reach_large_t():
     """Iterative, so t far past the recursion limit works."""
     t = 1100
     assert sum(1 for _ in rep_core._weight_rows(1, t)) == weight_count(1, t) == t
     assert len(decompose("mp", 1, t, 1).rows) == t
     for n in (3, 10):
-        assert sum(1 for _ in rep_core._partition_rows(n, t)) == partition_count(n, t)
+        assert sum(1 for _ in rep_core._shape_rows(n, t)) == partition_count(n, t)
     assert len(decompose("su", 3, t, 1).rows) == partition_count(3, t) == 3
 
 
