@@ -4,8 +4,8 @@ The library computes SU(t) dimensions and tableau counts (f = d M / Q) in
 one top-down walk over the shapes that carries the products of shared top
 rows, and per shape by the Weyl product with its zero-row tail telescoped
 and by binomials per row, multinomials by updating the neighbouring
-weight's, the sum of squared SU(t)
-dimensions by the Cauchy identity, the finite-reference SU(t) support as
+weight's, the sum of squared SU(t) dimensions by the Cauchy identity, the
+finite-reference SU(t) support as
 that sum minus the deficit of the unsaturated shapes, walked from the first
 row, the phase twirl by exact weight equality, and the square-root
 measurement on the phase lattice as (sum_w sqrt(p_w))^2 / M over the weight
