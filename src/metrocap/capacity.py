@@ -89,8 +89,8 @@ def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> Capa
     mp blocks are one-dimensional weights, each of weight 1, so every label of
     the weight walk gets p = 1 / C(n+t-1, t-1).  A su shape of dimension d
     has weight d^2 with an unbounded reference, and d min(l f, d) otherwise,
-    d and f from the shape walk _shape_rows.  The total is the sum of the
-    weights.
+    d and f from the shape walk _shape_rows, which carries no multinomial
+    when l is unbounded.  The total is the sum of the weights.
     Before any row is returned the walk is checked against a closed form:
     its row count against C(n+t-1, t-1) (mp), and sum d^2 against the Cauchy
     total C(n+t^2-1, t^2-1) (su).  Arguments and the block budget are checked
@@ -105,7 +105,7 @@ def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> Capa
         return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
     weights = []
     squares = 0
-    for rows, dim, mult in _shape_rows(n, t):
+    for rows, dim, mult in _shape_rows(n, t, l is not UNBOUNDED):
         square = dim * dim
         squares += square
         weights.append((rows, square if l is UNBOUNDED else dim * min(l * mult, dim)))

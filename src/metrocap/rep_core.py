@@ -146,7 +146,8 @@ def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
     return q
 
 
-def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None) -> int:
+def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None,
+                    carried: Optional[tuple[int, int]] = None) -> int:
     """Number of standard Young tableaux of the shape with non-increasing
     ``rows`` (t = len(rows), zero-padded or not), as f = d M / Q.
 
@@ -158,19 +159,24 @@ def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None) ->
     occupied rows, boxes counting those of rows 0..i, and the one division,
     by Q of at most about t^2 log(n+t) bits, is exact.  ``dim`` is the Weyl
     dimension of ``rows`` when the caller has it already; by default it is
-    computed.
+    computed.  ``carried`` is the pair (M, Q) when the caller has built it,
+    as the shape walk _shape_rows does from prefix products; the rows are
+    then not read again.
     """
-    t = len(rows)
-    multinomial = binomials = 1
-    filled = 0
-    for i, r in enumerate(rows):
-        if not r:
-            break
-        filled += r
-        multinomial *= comb(filled, r)
-        binomials *= comb(r + t - 1 - i, r)
-    if filled != n:
-        raise ValueError(f"partition fills {filled} boxes, expected {n}")
+    if carried is None:
+        t = len(rows)
+        multinomial = binomials = 1
+        filled = 0
+        for i, r in enumerate(rows):
+            if not r:
+                break
+            filled += r
+            multinomial *= comb(filled, r)
+            binomials *= comb(r + t - 1 - i, r)
+        if filled != n:
+            raise ValueError(f"partition fills {filled} boxes, expected {n}")
+    else:
+        multinomial, binomials = carried
     if dim is None:
         dim = _weyl_dim_rows(rows)
     q, rem = divmod(dim * multinomial, binomials)
@@ -179,11 +185,13 @@ def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None) ->
     return q
 
 
-def _shape_rows(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _shape_rows(n: int, t: int, tableaux: bool = True
+                ) -> Iterator[tuple[tuple[int, ...], int, Optional[int]]]:
     """(rows, dim, f) for every partition of n into at most t rows, the rows
     zero-padded to t and lexicographically descending: the Weyl dimension of
-    _weyl_dim_rows and the tableau count f = d M / Q of multiplicity_su, from
-    products carried down the rows instead of rebuilt per shape.
+    _weyl_dim_rows and the tableau count of multiplicity_su, from products
+    carried down the rows instead of rebuilt per shape.  With ``tableaux``
+    false, f is None and the multinomial is not carried.
 
     The rows are chosen top-down, from the first, on a stack.  A prefix of k
     rows carries the Vandermonde V = prod_{i<j<k} (u_i - u_j) of its rows
@@ -196,8 +204,9 @@ def _shape_rows(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     Every other shape fills the last two rows (a, boxes - a) in one loop,
     where the Weyl product runs over all t rows, d = V / prod_{j<t} j!, Q
     gains C(a+1, a) = a+1, and the multinomial moves from C(boxes, a) to
-    C(boxes, a-1) by one multiply and one exact division.  Iterative, so any
-    t works; a non-integer dim or f raises ArithmeticError.
+    C(boxes, a-1) by one multiply and one exact division.  Each f is
+    multiplicity_su given d, M and Q.  Iterative, so any t works; a
+    non-integer dim or f raises ArithmeticError.
     """
     last = t - 2  # the rows above the last two
     weyl_den = factorial = 1  # prod_{j<t} j!, the Weyl denominator of t rows
@@ -215,14 +224,12 @@ def _shape_rows(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             dim, rem = divmod(v * q, h)
             if rem:  # the product is always divisible; guard against misuse
                 raise ArithmeticError(f"non-integer dimension for rows {rows}")
-            f, rem = divmod(dim * m, q)
-            if rem:  # the quotient is always an integer; guard against misuse
-                raise ArithmeticError(f"non-integer tableau count for rows {rows}")
             if k < used:
                 label[k:used] = [0] * (used - k)
             label[:k] = rows
             used = k
-            yield tuple(label), dim, f
+            shape = tuple(label)
+            yield shape, dim, multiplicity_su(shape, n, dim, (m, q)) if tableaux else None
             continue
         widest = min(rows[-1], boxes) if rows else boxes
         shifted = [r - i for i, r in enumerate(rows)]
@@ -234,10 +241,11 @@ def _shape_rows(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
                 w = v
                 for u in shifted:
                     w *= u - x
-                stack.append((rows + (r,), w, m * comb(boxes, r),
+                stack.append((rows + (r,), w, m * comb(boxes, r) if tableaux else m,
                               q * comb(r + t - 1 - k, r), h, boxes - r))
             continue
-        m *= comb(boxes, widest)
+        if tableaux:
+            m *= comb(boxes, widest)
         for a in range(widest, boxes - boxes // 2 - 1, -1):
             b = boxes - a
             x, y = a - k, b - k - 1
@@ -245,12 +253,13 @@ def _shape_rows(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             for u in shifted:
                 w *= (u - x) * (u - y)
             dim, rem = divmod(w, weyl_den)
+            shape = rows + (a, b)
             if rem:  # the product is always divisible; guard against misuse
-                raise ArithmeticError(f"non-integer dimension for rows {rows + (a, b)}")
-            f, rem = divmod(dim * m, q * (a + 1))
-            if rem:  # the quotient is always an integer; guard against misuse
-                raise ArithmeticError(f"non-integer tableau count for rows {rows + (a, b)}")
-            yield rows + (a, b), dim, f
+                raise ArithmeticError(f"non-integer dimension for rows {shape}")
+            if not tableaux:
+                yield shape, dim, None
+                continue
+            yield shape, dim, multiplicity_su(shape, n, dim, (m, q * (a + 1)))
             m, rem = divmod(m * a, b + 1)  # C(boxes, a) -> C(boxes, a-1)
             if rem:  # binomials are integers; guard against misuse
                 raise ArithmeticError(f"non-integer binomial C({boxes}, {a - 1})")

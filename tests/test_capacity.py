@@ -119,8 +119,8 @@ def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     lost weight moves the row count off C(n+t-1, t-1): all raise."""
     walk = rep_core._shape_rows
 
-    def wrong_dim(n, t):
-        for rows, dim, f in walk(n, t):
+    def wrong_dim(n, t, tableaux=True):
+        for rows, dim, f in walk(n, t, tableaux):
             yield rows, dim + (rows == (3, 2, 1)), f
 
     for module in (capacity_module, rep_core):

@@ -242,22 +242,19 @@ def test_capacity_json_builds_no_decomposition(capsys, monkeypatch, model):
 
 def test_capacity_json_at_unbounded_l_needs_no_multiplicity(capsys, monkeypatch):
     """The weights are d^2 for su with an unbounded reference and 1 for mp
-    at any l, so neither report reads a tableau count: with the shape walk
-    patched to give every f one too large, the su report at --l inf and the mp
-    reports are unchanged, and the su report at --l 1 is not."""
+    at any l, so neither report computes a tableau count: the shape walk
+    calls multiplicity_su for every f it gives, and not once at --l inf."""
     su_args = ["capacity", "--model", "su", "--n", "9", "--t", "3"]
-    want = {l: run_json(capsys, su_args + ["--l", l]) for l in ("1", "inf")}
-    walk = rep_core._shape_rows
-    monkeypatch.setattr(capacity_module, "_shape_rows",
-                        lambda n, t: ((rows, dim, f + 1) for rows, dim, f in walk(n, t)))
+    want = run_json(capsys, su_args)
     for module in (rep_core, capacity_module):
         monkeypatch.setattr(module, "multiplicity_su", _refuse)
     su = run_json(capsys, su_args)
-    assert su == want["inf"] and su["support"] == str(math.comb(17, 8))
+    assert su == want and su["support"] == str(math.comb(17, 8))
     for l in ("1", "inf"):
         mp = run_json(capsys, ["capacity", "--model", "mp", "--n", "9", "--t", "3", "--l", l])
         assert mp["support"] == "55" and {e["p"] for e in mp["optimal_p"]} == {"1/55"}
-    assert run_json(capsys, su_args + ["--l", "1"]) != want["1"]
+    with pytest.raises(AssertionError, match="not on this path"):
+        main(su_args + ["--l", "1"])
 
 
 def test_base_two_divides_by_ln2(capsys):

@@ -442,6 +442,23 @@ def test_shape_walk_matches_brute_references(t):
             assert (dim, f) == (pairwise_weyl_dim(rows), hook_length_count(rows)), rows
 
 
+def test_shape_walk_counts_tableaux_through_multiplicity_su(monkeypatch):
+    """Every f of the walk is one multiplicity_su call given the carried
+    products, in the walk's order; without tableaux the walk gives the same
+    rows and dimensions and calls it not once."""
+    calls = []
+    count = rep_core.multiplicity_su
+    monkeypatch.setattr(rep_core, "multiplicity_su",
+                        lambda rows, *args: calls.append(rows) or count(rows, *args))
+    for n, t in ((7, 4), (3, 9)):
+        shapes = list(rep_core._shape_rows(n, t))
+        assert calls == [rows for rows, _, _ in shapes]
+        calls.clear()
+        assert list(rep_core._shape_rows(n, t, False)) == [(rows, dim, None)
+                                                           for rows, dim, _ in shapes]
+        assert calls == []
+
+
 def test_shape_walk_guards_a_wrong_binomial(monkeypatch):
     """Binomials one too large make Q and M wrong, and the remainder of
     f = d M / Q says so, for a shape of the last-two-rows loop (t = 3) and
