@@ -48,11 +48,12 @@ RefSize = Union[int, _UnboundedType]
 # a whole mp decompose request about 11 us per block with its JSON report.  A
 # whole su decompose request costs 6-7 us per block at n <= 280 (t = 3..5)
 # and 11 us at n = 1000, t = 3 (CSV, in-process).  The shape walk's
-# dimension and tableau count take 2.7 us per shape at n = 1000, t = 3, and
-# 7.3 us at t = 3 near the budget (n = 3400, 7 s for 965 034 shapes), where
-# the multinomial it carries has grown to n log t bits.  A whole CSV request
-# at n = 2000, t = 3 (334 334 blocks, 256 MB) takes 6.5 s, most of it
-# writing the report.
+# dimension and tableau count take 2.5 us per shape at n = 1000, t = 3, and
+# 5.9 us at t = 3 near the budget (n = 3400, 5.7 s for 965 034 shapes), where
+# the multinomial it carries has grown to n log t bits; the dimension alone,
+# all that JSON capacity reads at an unbounded reference, takes 0.5 us.  A
+# whole CSV request at n = 2000, t = 3 (334 334 blocks, 256 MB) takes 6.5 s,
+# most of it writing the report.
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
 # (980 700 blocks of 1400 entries each).
