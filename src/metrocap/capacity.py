@@ -9,6 +9,8 @@ is correctly rounded no matter how large n gets.
 (``bounds``, ``capacity`` in CSV and every ``scaling`` row), and
 ``scaling_fit`` the slope of a sweep.  ``capacity`` computes the same report
 from a whole decomposition: the slow route the other two are tested against.
+Every su shape, the unsaturated ones of the finite-l support included, comes
+with its dimension and tableau count from the one shape walk of rep_core.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .rep_core import (
     UNBOUNDED,
@@ -25,13 +27,9 @@ from .rep_core import (
     Model,
     RefSize,
     _admit,
-    _check_block_budget,
     _check_config,
     _shape_rows,
     _weight_walk,
-    _weyl_dim_rows,
-    multiplicity_su,
-    partition_count,
     weight_count,
 )
 
@@ -121,84 +119,20 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     mp blocks are one-dimensional, so every weight counts once at any l:
     C(n+t-1, t-1).  su with an unbounded reference saturates every block:
     the Cauchy sum C(n+t^2-1, t^2-1).  su with a finite l is that sum minus
-    the deficit d (d - l f) of the unsaturated shapes (l f < d), which
-    _unsaturated_shapes walks from the first row down without visiting the
-    saturated ones, each f from multiplicity_su given d.  Their first rows
-    are a run n, n-1, ..., c*, and the shapes with those first rows are
-    counted under the block budgets before any is visited.  Arguments are
-    validated as in decompose, with the same messages.
+    the deficit d (d - l f) of the unsaturated shapes (l f < d), which the
+    shape walk _shape_rows gives with their d and f when handed l, without
+    visiting the saturated ones.  Their first rows are a run n, n-1, ..., c*,
+    and the shapes with those first rows are counted under the block budgets
+    before any is visited.  Arguments are validated as in decompose, with the
+    same messages.
     """
     model = _check_config(model, n, t, l)
     if model is Model.MULTI_PHASE:
         return weight_count(n, t)
     if l is UNBOUNDED:
         return su_square_sum(n, t)
-    deficit = 0
-    for rows in _unsaturated_shapes(n, t, l):
-        dim = _weyl_dim_rows(rows)
-        deficit += dim * (dim - l * multiplicity_su(rows, n, dim))
+    deficit = sum(dim * (dim - l * f) for _, dim, f in _shape_rows(n, t, l=l))
     return su_square_sum(n, t) - deficit
-
-
-def _unsaturated_shapes(n: int, t: int, l: int) -> Iterator[tuple[int, ...]]:
-    """The rows of every shape of n into <= t rows with l f < d, in no
-    particular order.
-
-    By multiplicity_su, d / f = Q / M with the multinomial
-    M = n! / prod_i r_i! and Q = prod_i C(r_i+t-1-i, r_i), so a shape is
-    unsaturated exactly when Q > l M.  With the shifted rows
-    s_i = r_i + t-1-i, Q / M = P / n! for P = prod_i s_i! / (t-1-i)!.  The
-    rows are chosen top-down, from the first, and each prefix carries its
-    factors of Q and M.  Among the completions of fixed top rows by a given
-    number of boxes under a row cap, the greedy fill (every row as long as
-    the cap allows) majorizes every other, in r and so in s; log x! is
-    convex, so by Karamata's inequality the greedy fill has the largest P,
-    and so the largest Q / M.  A prefix whose greedy fill is saturated is
-    dropped with every shape below it.  With r chosen for the next row, the
-    best completion is the greedy fill under cap r, which falls in
-    majorization as r falls, so the first dropped r ends the loop over r.
-    For the first row this says that the greedy fill G(c) = (c, ..., c, rest)
-    has the largest Q / M of the shapes with first row c, and is itself one
-    of them: the first rows of the unsaturated shapes are exactly the run
-    c = n, n-1, ..., c* before the first saturated G(c).
-
-    So the walk visits the unsaturated shapes, their prefixes and one dropped
-    choice per prefix.  Each prefix it keeps is the top of its own greedy
-    fill, a shape whose first row is in the run, and distinct prefixes of one
-    length top distinct shapes, so the walk keeps at most t prefixes per shape
-    with a first row in the run.  Those shapes, partition_count(n-c, t-1, c)
-    for each kept c, are counted as the first rows are kept, before any
-    longer prefix is visited; more than MAX_BLOCKS of them, or more than
-    MAX_LABEL_ENTRIES shapes times t (each yield is a t-row label), are
-    refused, naming the count.  Iterative, so any t works.
-    """
-
-    def greedy(q: int, m: int, i: int, boxes: int, cap: int) -> tuple[int, int]:
-        """(Q, M) of the prefix whose rows 0..i-1 give (q, m), filled greedily."""
-        while boxes:
-            r = min(cap, boxes)
-            q *= comb(r + t - 1 - i, r)
-            m *= comb(boxes, r)
-            boxes, i = boxes - r, i + 1
-        return q, m
-
-    shapes = 0
-    stack = [((), 1, 1, n)]
-    while stack:
-        rows, q, m, boxes = stack.pop()
-        i = len(rows)
-        if not boxes:
-            yield rows + (0,) * (t - i)
-            continue
-        for r in range(min(rows[-1] if rows else n, boxes), -(-boxes // (t - i)) - 1, -1):
-            here = q * comb(r + t - 1 - i, r), m * comb(boxes, r)
-            fill_q, fill_m = greedy(*here, i + 1, boxes - r, r)
-            if fill_q <= l * fill_m:
-                break
-            if not rows:  # a first row: count its shapes before any is visited
-                shapes += partition_count(boxes - r, t - 1, r)
-                _check_block_budget(shapes, t)
-            stack.append((rows + (r,), *here, boxes - r))
 
 
 def su_square_sum(n: int, t: int) -> int:

@@ -15,7 +15,8 @@ from .rep_core import Decomposition
 
 @dataclass(frozen=True)
 class RenyiBounds:
-    """Two-sided bracket on log M_eps.
+    """Two-sided bracket on log M_eps, as m_bounds_general or m_eps_bounds
+    made it from checked arguments.
 
     beta = 0 records the exact beta -> 0 limit of the upper bound.
     """
@@ -25,14 +26,6 @@ class RenyiBounds:
     epsilon: float
     lower: float
     upper: float
-
-    def __post_init__(self):
-        if not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha must lie in (1, 2], got {self.alpha}")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
 def m_bounds_general(

@@ -186,13 +186,15 @@ def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None,
     return q
 
 
-def _shape_rows(n: int, t: int, tableaux: bool = True
+def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
                 ) -> Iterator[tuple[tuple[int, ...], int, Optional[int]]]:
     """(rows, dim, f) for every partition of n into at most t rows, the rows
     zero-padded to t and lexicographically descending: the Weyl dimension of
     _weyl_dim_rows and the tableau count of multiplicity_su, from products
     carried down the rows instead of rebuilt per shape.  With ``tableaux``
-    false, f is None and the multinomial is not carried.
+    false, f is None and the multinomial is not carried.  With a reference
+    size ``l``, ``tableaux`` and n >= 1, only the unsaturated shapes
+    (l f < d) come, in the same order.
 
     The rows are chosen top-down, from the first, on a stack.  A prefix of k
     rows carries the Vandermonde V = prod_{i<j<k} (u_i - u_j) of its rows
@@ -208,7 +210,29 @@ def _shape_rows(n: int, t: int, tableaux: bool = True
     C(boxes, a-1) by one multiply and one exact division.  Each f is
     multiplicity_su given d, M and Q.  Iterative, so any t works; a
     non-integer dim or f raises ArithmeticError.
+
+    With ``l``, the saturated shapes are pruned.  As d / f = Q / M, a shape
+    is unsaturated exactly when Q > l M, and with the shifted rows
+    s_i = r_i + t-1-i, Q / M = P / n! for P = prod_i s_i! / (t-1-i)!.  Among
+    the completions of a prefix by its boxes under a row cap, the greedy fill
+    (every row as long as the cap allows) majorizes every other, in r and so
+    in s; log x! is convex, so by Karamata's inequality the greedy fill has
+    the largest P.  A next row r is kept while the greedy fill under cap r is
+    unsaturated, from the widest down: that fill falls in majorization as r
+    falls, so the first saturated one drops r and every narrower row.  In the
+    last-two-rows loop (a, boxes - a) falls in majorization as a falls, so the
+    loop stops at the first saturated shape.  For the first row this says
+    that the greedy fill (c, ..., c, rest) has the largest Q / M of the
+    shapes with first row c and is one of them: the first rows of the
+    unsaturated shapes are exactly a run n, n-1, ..., c*.  So each prefix
+    kept is the top of its own unsaturated greedy fill, and the walk keeps at
+    most t prefixes per shape with a first row in the run.  Those shapes,
+    partition_count(n-c, t-1, c) for each kept c, are counted as the first
+    rows are kept, before any longer prefix is visited; more than MAX_BLOCKS
+    of them, or more than MAX_LABEL_ENTRIES shapes times t, are refused,
+    naming the count.
     """
+    shapes = 0  # shapes under the kept first rows, for the budgets
     last = t - 2  # the rows above the last two
     weyl_den = factorial = 1  # prod_{j<t} j!, the Weyl denominator of t rows
     if t <= n + 1:  # else no shape reaches the last two rows
@@ -237,7 +261,24 @@ def _shape_rows(n: int, t: int, tableaux: bool = True
         if k < last:  # push the next rows, the widest last so it comes first
             for u in shifted:
                 h *= u + k
-            for r in range(-(-boxes // (t - k)), widest + 1):
+            floor = -(-boxes // (t - k))
+            if l is not None:  # keep the rows r whose greedy fill is unsaturated
+                r = widest
+                while r >= floor:
+                    fill_m, fill_q, i, left = m, q, k, boxes
+                    while left:
+                        s = min(r, left)
+                        fill_m *= comb(left, s)
+                        fill_q *= comb(s + t - 1 - i, s)
+                        i, left = i + 1, left - s
+                    if fill_q <= l * fill_m:
+                        break
+                    if not k:  # a first row: count its shapes before any is visited
+                        shapes += partition_count(boxes - r, t - 1, r)
+                        _check_block_budget(shapes, t)
+                    r -= 1
+                floor = r + 1
+            for r in range(floor, widest + 1):
                 x = r - k
                 w = v
                 for u in shifted:
@@ -260,7 +301,14 @@ def _shape_rows(n: int, t: int, tableaux: bool = True
             if not tableaux:
                 yield shape, dim, None
                 continue
-            yield shape, dim, multiplicity_su(shape, n, dim, (m, q * (a + 1)))
+            f = multiplicity_su(shape, n, dim, (m, q * (a + 1)))
+            if l is not None:
+                if l * f >= dim:
+                    break
+                if not k:  # t = 2: each shape is a first row
+                    shapes += partition_count(boxes - a, t - 1, a)
+                    _check_block_budget(shapes, t)
+            yield shape, dim, f
             m, rem = divmod(m * a, b + 1)  # C(boxes, a) -> C(boxes, a-1)
             if rem:  # binomials are integers; guard against misuse
                 raise ArithmeticError(f"non-integer binomial C({boxes}, {a - 1})")

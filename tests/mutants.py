@@ -1,0 +1,144 @@
+"""Mutation sweep of the exact walks: each listed fault must fail a test.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py
+
+For each entry of MUTANTS the sweep copies ``src`` to a temporary directory,
+replaces one exact snippet of one file there, and runs the exact-layer tests
+(tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py)
+against the copy with ``-x``, so a killed mutant stops at its first failing
+test.  The unmutated copy must pass first.  A mutant marked equivalent
+computes the same results by construction and is expected to pass every
+test; its reason says why.
+
+Exits 1 when a mutant that is not equivalent survives, when an equivalent one
+is killed, or when a snippet does not occur exactly once in its file, so the
+list cannot go stale silently.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+TESTS = ["tests/test_rep_core.py", "tests/test_capacity.py", "tests/test_properties.py"]
+TIMEOUT_S = 600  # a mutant that makes the tests run this long counts as killed
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to src/metrocap
+    snippet: str  # must occur exactly once in the file
+    replacement: str
+    reason: str
+    equivalent: bool = False
+
+
+MUTANTS = [
+    # The shape walk's pruning with a finite reference size l.
+    Mutant("rep_core.py", "if fill_q <= l * fill_m:", "if fill_q < l * fill_m:",
+           "keeps a row whose greedy fill is exactly saturated (Q = l M)"),
+    Mutant("rep_core.py", "if l * f >= dim:", "if l * f > dim:",
+           "yields last-two-rows shapes with l f = d"),
+    Mutant("rep_core.py", "floor = r + 1", "floor = r",
+           "the kept run starts one row too narrow, at a saturated greedy fill"),
+    Mutant("rep_core.py", "floor = r + 1", "floor = r + 2",
+           "the kept run starts one row too wide and loses its narrowest row"),
+    Mutant("rep_core.py", "s = min(r, left)", "s = left",
+           "the greedy fill ignores the row cap, so it is no longer a completion"),
+    Mutant("rep_core.py", "if not k:  # t = 2: each shape is a first row",
+           "if False:  # t = 2: each shape is a first row",
+           "at t = 2 the kept first rows are not counted under the budgets"),
+    Mutant("rep_core.py", "shapes += partition_count(boxes - r, t - 1, r)",
+           "shapes += partition_count(boxes - r, t - 1)",
+           "at t >= 3 the first rows' shapes are counted without the row cap"),
+    Mutant("rep_core.py", "shapes += partition_count(boxes - r, t - 1, r)",
+           "shapes += partition_count(boxes - r, t - 1, r - 1)",
+           "at t >= 3 the first rows' shapes are counted under a cap one too low"),
+    Mutant("capacity.py", "dim * (dim - l * f)", "dim * (dim - f)",
+           "the deficit ignores the reference size"),
+    # The shape walk and the tableau count without l.
+    Mutant("rep_core.py", "floor = -(-boxes // (t - k))", "floor = -(-boxes // (t - k)) + 1",
+           "the row floor one higher drops the shapes whose rows are all equal"),
+    Mutant("rep_core.py", "q * comb(r + t - 1 - k, r), h, boxes - r)",
+           "q * comb(r + t - k, r), h, boxes - r)",
+           "Q's shift off by one in the walk's chosen rows"),
+    Mutant("rep_core.py", "binomials *= comb(r + t - 1 - i, r)", "binomials *= comb(r + t - i, r)",
+           "Q's shift off by one in multiplicity_su"),
+    Mutant("rep_core.py", "multinomial *= comb(filled, r)",
+           "multinomial *= comb(filled, r) if filled < n else 1",
+           "M without its last occupied row in multiplicity_su"),
+    Mutant("rep_core.py", "if tableaux:\n            m *= comb(boxes, widest)",
+           "if tableaux:\n            m *= comb(boxes - 1, widest)",
+           "M of the last two rows starts from the wrong binomial"),
+    Mutant("rep_core.py", "raise ArithmeticError(f\"non-integer binomial C({boxes}, {a - 1})\")",
+           "pass",
+           "the binomial step's guard: m a / (b+1) is the prefix's M times C(boxes, a-1), so "
+           "it cannot fire on a correct walk, and a wrong comb trips the tableau-count guard "
+           "of the shape before it", equivalent=True),
+]
+
+
+def run(workdir: Path, mutant: Optional[Mutant] = None) -> tuple[bool, str]:
+    """Run the tests on a fresh copy of src, with one mutant applied if given;
+    (killed, note)."""
+    src = workdir / "src"
+    if src.exists():
+        shutil.rmtree(src)
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        target = src / "metrocap" / mutant.path
+        text = target.read_text()
+        count = text.count(mutant.snippet)
+        if count != 1:
+            raise LookupError(f"{mutant.path}: snippet occurs {count} times: {mutant.snippet!r}")
+        target.write_text(text.replace(mutant.snippet, mutant.replacement))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    where = subprocess.run([sys.executable, "-c", "import metrocap; print(metrocap.__file__)"],
+                           env=env, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not where.stdout.strip().startswith(str(src)):
+        raise RuntimeError(f"the tests would import metrocap from {where.stdout.strip()}")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+            env=env, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return True, f"timed out after {TIMEOUT_S} s"
+    if done.returncode == 0:
+        return False, "every test passed"
+    failed = [line for line in done.stdout.splitlines() if line.startswith("FAILED")]
+    return True, failed[0] if failed else f"pytest exited {done.returncode}"
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="metrocap-mutants-") as tmp:
+        failed, note = run(Path(tmp))
+        if failed:  # every mutant would count as killed
+            print(f"the unmutated source fails the tests: {note}")
+            return 1
+        for i, mutant in enumerate(MUTANTS, 1):
+            start = time.perf_counter()
+            try:
+                killed, note = run(Path(tmp), mutant)
+            except LookupError as exc:
+                killed, note = None, str(exc)
+            ok = killed is not None and killed != mutant.equivalent
+            bad += not ok
+            status = {None: "STALE", True: "killed", False: "survived"}[killed]
+            tag = "equivalent, " if mutant.equivalent else ""
+            print(f"{i:2d} {'ok ' if ok else 'BAD'} {status} ({tag}{time.perf_counter() - start:.1f} s) "
+                  f"{mutant.path}: {mutant.reason}\n     {note}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants as expected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

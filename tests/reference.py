@@ -6,8 +6,8 @@ rows, and per shape by the Weyl product with its zero-row tail telescoped
 and by binomials per row, multinomials by updating the neighbouring
 weight's, the sum of squared SU(t) dimensions by the Cauchy identity, the
 finite-reference SU(t) support as
-that sum minus the deficit of the unsaturated shapes, walked from the first
-row, the phase twirl by exact weight equality, and the square-root
+that sum minus the deficit of the unsaturated shapes, which the same walk
+yields when it prunes the saturated ones, the phase twirl by exact weight equality, and the square-root
 measurement on the phase lattice as (sum_w sqrt(p_w))^2 / M over the weight
 masses, and writes report rows through one %-template per report; the tests
 check them against these brute computations, never against themselves.

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from metrocap import capacity as capacity_module
 from metrocap import rep_core
 from metrocap.capacity import (
-    _unsaturated_shapes,
     block_capacity,
     capacity,
     capacity_support,
@@ -24,6 +23,7 @@ from metrocap.rep_core import (
     UNBOUNDED,
     Decomposition,
     Model,
+    _shape_rows,
     decompose,
     partition_count,
 )
@@ -177,9 +177,9 @@ UNSATURATED_GRID = {2: 40, 3: 40, 4: 25, 5: 18, 6: 12, 7: 10}
 
 @pytest.fixture
 def budget_counts(monkeypatch):
-    """The shape counts the deficit walk hands its block budget, in order."""
+    """The shape counts the pruned shape walk hands its block budget, in order."""
     counts = []
-    monkeypatch.setattr(capacity_module, "_check_block_budget",
+    monkeypatch.setattr(rep_core, "_check_block_budget",
                         lambda blocks, t: counts.append(blocks))
     return counts
 
@@ -200,28 +200,28 @@ def test_unsaturated_first_rows_are_a_run(t, budget_counts):
             assert firsts == set(run), (n, t, l)
             want = list(accumulate(sum(1 for rows, _, _ in shapes if rows[0] == c) for c in run))
             budget_counts.clear()
-            list(_unsaturated_shapes(n, t, l))
+            list(_shape_rows(n, t, l=l))
             assert budget_counts == want, (n, t, l)
 
 
 @pytest.mark.parametrize("t", sorted(UNSATURATED_GRID))
 def test_unsaturated_walk_yields_exactly_the_unsaturated_shapes(t):
     """The pruned walk yields each shape of n with l * f < d once, by the
-    brute hook-length count and pairwise Weyl product, and nothing else."""
+    brute hook-length count and pairwise Weyl product, with that d and f, in
+    label order, and nothing else."""
     for n in range(1, UNSATURATED_GRID[t] + 1):
         shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
                   for rows in partition_rows(n, t)]
         for l in (1, 2, 3, 4):
-            want = {rows for rows, f, d in shapes if l * f < d}
-            got = list(_unsaturated_shapes(n, t, l))
-            assert len(got) == len(want) and set(got) == want, (n, t, l)
+            want = [(rows, d, f) for rows, f, d in shapes if l * f < d]
+            assert list(_shape_rows(n, t, l=l)) == want, (n, t, l)
 
 
 def test_unsaturated_walk_visits_few_shapes(budget_counts):
     """At t = 5, n = 50 the walk counts the 27 shapes whose first rows start
     an unsaturated shape and yields the 15 unsaturated ones, of 3 765."""
     assert partition_count(50, 5) == 3765
-    assert sum(1 for _ in _unsaturated_shapes(50, 5, 1)) == 15
+    assert sum(1 for _ in _shape_rows(50, 5, l=1)) == 15
     assert budget_counts[-1] == 27
 
 
@@ -229,7 +229,7 @@ def test_deficit_visits_few_shapes(budget_counts):
     """Where n is large only the longest first rows remain: at t = 3 the
     support of n = 2000 keeps first rows 2000..1998 and counts 4 of its
     334 334 shapes."""
-    assert {rows[0] for rows in _unsaturated_shapes(2000, 3, 1)} == {2000, 1999, 1998}
+    assert {rows[0] for rows, _, _ in _shape_rows(2000, 3, l=1)} == {2000, 1999, 1998}
     assert budget_counts == [1, 2, 4]
     assert partition_count(2000, 3) == 334334
     assert sum(partition_count(2000 - c, 2, c) for c in (2000, 1999, 1998)) == 4

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metrocap import capacity as capacity_module
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import capacity
@@ -246,8 +245,7 @@ def test_capacity_json_at_unbounded_l_needs_no_multiplicity(capsys, monkeypatch)
     calls multiplicity_su for every f it gives, and not once at --l inf."""
     su_args = ["capacity", "--model", "su", "--n", "9", "--t", "3"]
     want = run_json(capsys, su_args)
-    for module in (rep_core, capacity_module):
-        monkeypatch.setattr(module, "multiplicity_su", _refuse)
+    monkeypatch.setattr(rep_core, "multiplicity_su", _refuse)
     su = run_json(capsys, su_args)
     assert su == want and su["support"] == str(math.comb(17, 8))
     for l in ("1", "inf"):

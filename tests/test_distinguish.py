@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metrocap.capacity import capacity
-from metrocap.distinguish import RenyiBounds, m_bounds_general, m_eps_capacity_bounds
+from metrocap.distinguish import m_bounds_general, m_eps_bounds, m_eps_capacity_bounds
 from metrocap.oracle import mp_optimal_state, su2_optimal_state, twirled_spectrum
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import (
@@ -96,26 +96,24 @@ def test_m_bounds_general_eps_limits():
 
 
 def test_m_bounds_general_validation():
-    for alpha, beta, eps in [
-        (1.0, 0.5, 0.5),
-        (2.5, 0.5, 0.5),
-        (2.0, 0.0, 0.5),
-        (2.0, 1.0, 0.5),
-        (2.0, 0.5, 0.0),
-        (2.0, 0.5, 1.0),
+    """Each out-of-range argument is refused with the message the CLI prints;
+    the RenyiBounds record returned checks nothing again."""
+    for alpha, beta, eps, message in [
+        (1.0, 0.5, 0.5, r"alpha must lie in \(1, 2\], got 1.0"),
+        (2.5, 0.5, 0.5, r"alpha must lie in \(1, 2\], got 2.5"),
+        (2.0, 0.0, 0.5, r"beta must lie in \(0, 1\), got 0.0"),
+        (2.0, 1.0, 0.5, r"beta must lie in \(0, 1\), got 1.0"),
+        (2.0, 0.5, 0.0, r"eps must lie in \(0, 1\), got 0.0"),
+        (2.0, 0.5, 1.0, r"eps must lie in \(0, 1\), got 1.0"),
     ]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             m_bounds_general(1.0, 1.0, alpha, beta, eps)
 
 
-def test_renyi_bounds_type_validation():
-    RenyiBounds(2.0, 0.0, 0.5, 0.0, 1.0)  # beta=0 marks the exact limit
-    with pytest.raises(ValueError):
-        RenyiBounds(1.0, 0.0, 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        RenyiBounds(2.0, 1.0, 0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        RenyiBounds(2.0, 0.0, 0.0, 0.0, 1.0)
+def test_m_eps_bounds_validation():
+    for eps in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=rf"^eps must lie in \(0, 1\), got {eps}$"):
+            m_eps_bounds(1.0, eps)
 
 
 def test_m_eps_capacity_bounds_known():

@@ -1,9 +1,10 @@
 """Property tests of the identities the exact paths and the report layer rely on.
 
-Sizes stay small (n <= 30, t <= 5), except in the JSON layout test, whose
-reports need at least 1000 rows, and in the row-table writer test, whose
-exact integers reach 10^400.  Examples are derandomized, so every run
-checks the same cases, in a few seconds.
+Sizes stay small (n <= 30, t <= 5), except in the shape-walk tests, which
+reach t = 40, in the JSON layout test, whose reports need at least 1000 rows,
+and in the row-table writer test, whose exact integers reach 10^400.
+Examples are derandomized, so every run checks the same cases, in a few
+seconds.
 """
 
 import contextlib
@@ -70,6 +71,15 @@ def test_shape_walk_matches_per_shape_formulas(n, t):
     Weyl dimension and tableau count computed from each shape alone."""
     assert list(_shape_rows(n, t)) == [(rows, _weyl_dim_rows(rows), multiplicity_su(rows, n))
                                        for rows in partition_rows(n, t)]
+
+
+@SMALL
+@given(n=st.integers(1, 30), t=st.integers(2, 40), l=st.integers(1, 6))
+def test_pruned_shape_walk_is_the_filtered_walk(n, t, l):
+    """Handed l, the walk yields exactly the shapes of the full walk with
+    l f < d, element for element and in order."""
+    assert list(_shape_rows(n, t, l=l)) == [(rows, d, f) for rows, d, f in _shape_rows(n, t)
+                                            if l * f < d]
 
 
 @SMALL
