@@ -140,7 +140,8 @@ def _refuse_digits(log_largest: float, limit: int) -> None:
 def _check_multiplicity_digits(n: int, t: int) -> None:
     """Refuse an mp report whose largest multiplicity has more decimal digits
     than the interpreter converts to a string (sys.get_int_max_str_digits(),
-    0 for no limit), before any block is made.
+    0 for no limit, as is an interpreter without it), before any block is
+    made.
 
     The largest multinomial n! / prod_k c_k! is the balanced occupation's:
     moving a unit from a count to one at least two smaller raises it.  It is
@@ -148,7 +149,7 @@ def _check_multiplicity_digits(n: int, t: int) -> None:
     one exact factor (a+j)/j at a time; the product never falls, so the loop
     stops once it reaches 10^limit.  The digit count named is from log-gamma.
     """
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
     if not limit:
         return
     q, extra = divmod(n, t)
@@ -177,7 +178,7 @@ def _check_tableau_digits(n: int) -> None:
     the default limit it cannot fire, since f_lambda <= t^n and the block
     budget caps t = 3 at n = 3461 (1652 digits).
     """
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
     if not limit:
         return
     peak = (n - math.isqrt(n + 1) + 1) // 2
@@ -191,15 +192,16 @@ def _check_tableau_digits(n: int) -> None:
 
 
 def _build_decompose(cfg: RunConfig) -> dict:
-    """Every block as a row (*label, dim, mult, eff_mult).  Requests are
-    validated and their block budget checked once, first, so that the digit
-    checks only see admitted requests."""
+    """Every block as a row (*label, dim, mult, eff_mult).  The request is
+    validated and its block budget checked first, so that the digit checks
+    only see admitted requests; decompose then admits it again, a small
+    fraction of the walk's cost."""
     model = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
     if model is Model.MULTI_PHASE:
         _check_multiplicity_digits(cfg.n, cfg.t)
     else:
         _check_tableau_digits(cfg.n)
-    d = decompose(model, cfg.n, cfg.t, cfg.l, admitted=True)
+    d = decompose(model, cfg.n, cfg.t, cfg.l)
     columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
     rows = [(*label, dim, mult, eff) for label, dim, mult, eff in d.rows]
     return _report(cfg, "model n t l", {"entries": Table(columns, rows)})
@@ -333,9 +335,7 @@ def _build_scaling(cfg: RunConfig) -> dict:
     if len(ns) > MAX_SCALING_POINTS:
         raise CLIError(f"{len(ns)} n values exceed the scaling budget of "
                        f"{MAX_SCALING_POINTS} points (MAX_SCALING_POINTS)")
-    model = Model(cfg.model)
-    if cfg.t < 2:  # as capacity_support says, before the size estimate
-        raise CLIError("t must be at least 2")
+    model = _check_config(cfg.model, start, cfg.t, UNBOUNDED)  # before the size estimate
     d = _check_binomial_bits(model, cfg.t, ns)
     if d > sys.float_info.max:
         raise CLIError(f"the baseline (d/2) log n passes float range at d = {d}")

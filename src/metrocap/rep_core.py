@@ -357,13 +357,6 @@ def _weight_rows(n: int, t: int) -> Iterator[Row]:
         yield counts, 1, mult, 1
 
 
-def _check_ref_size(l: RefSize) -> None:
-    if isinstance(l, _UnboundedType):
-        return
-    if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-        raise ValueError(f"reference size must be a positive integer or UNBOUNDED, got {l!r}")
-
-
 def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
     """Validate a (model, n, t, l) configuration; returns the model."""
     model = Model(model)  # rejects unsupported tags
@@ -371,34 +364,27 @@ def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model
         raise ValueError("n must be positive")
     if t < 2:
         raise ValueError("t must be at least 2")
-    _check_ref_size(l)
+    if l is not UNBOUNDED and (not isinstance(l, int) or isinstance(l, bool) or l < 1):
+        raise ValueError(f"reference size must be a positive integer or UNBOUNDED, got {l!r}")
     return model
 
 
-def _su_rows(n: int, t: int, l: RefSize) -> Iterator[Row]:
-    """su block rows (rows, dim, mult, eff_mult) for every partition of n into
-    at most t rows, in the order of the shape walk _shape_rows that gives
-    dim and mult."""
-    unbounded = isinstance(l, _UnboundedType)
-    for rows, dim, mult in _shape_rows(n, t):
-        yield rows, dim, mult, dim if unbounded else min(l * mult, dim)
-
-
-def decompose(model: Union[Model, str], n: int, t: int, l: RefSize, *,
-              admitted: bool = False) -> Decomposition:
+def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposition:
     """Full isotypic list for one model with a reference system of size l.
 
     Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
     block at its full dimension.  Blocks come as raw rows in lexicographically
-    descending label order; arguments and the enumeration budget are checked
-    (_admit) before the first one is made.  A caller that has run _admit on
-    these arguments already passes the Model it returned and
-    ``admitted=True``, and the check is not repeated.
+    descending label order: the weight walk's for mp, the shape walk
+    _shape_rows's for su.  Arguments and the enumeration budget are always
+    checked (_admit) before the first block is made.
     """
-    if not admitted:
-        model = _admit(model, n, t, l)
-    rows = _weight_rows(n, t) if model is Model.MULTI_PHASE else _su_rows(n, t, l)
-    return Decomposition(model, n, t, l, tuple(rows))
+    model = _admit(model, n, t, l)
+    if model is Model.MULTI_PHASE:
+        rows = tuple(_weight_rows(n, t))
+    else:
+        rows = tuple((shape, dim, mult, dim if l is UNBOUNDED else min(l * mult, dim))
+                     for shape, dim, mult in _shape_rows(n, t))
+    return Decomposition(model, n, t, l, rows)
 
 
 def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:

@@ -83,6 +83,20 @@ MUTANTS = [
            "the binomial step's guard: m a / (b+1) is the prefix's M times C(boxes, a-1), so "
            "it cannot fire on a correct walk, and a wrong comb trips the tableau-count guard "
            "of the shape before it", equivalent=True),
+    # The mp weight walk and its multinomials.
+    Mutant("rep_core.py", "moved = counts[last] + 1", "moved = counts[last]",
+           "the units moved to level k+1 lose the one taken from level k"),
+    Mutant("rep_core.py", "divmod(mult * num, den)", "divmod(mult * num, den + 1)",
+           "the multinomial step divides by one too many"),
+    Mutant("rep_core.py", "if k + 1 < last:", "if k + 1 <= last:",
+           "a move into the last level also empties it and marks it live"),
+    Mutant("rep_core.py", "            counts[last] = 0\n", "",
+           "the last level keeps its units when they move up to level k+1"),
+    # Admission and the su effective multiplicities.
+    Mutant("rep_core.py", "else min(l * mult, dim))", "else min(mult, dim))",
+           "su eff_mult ignores the reference size"),
+    Mutant("rep_core.py", "or l < 1):", "or l < 0):",
+           "a reference size of 0 is admitted"),
 ]
 
 

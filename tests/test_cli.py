@@ -325,6 +325,8 @@ def test_unknown_command_exits_2(capsys):
         (["bounds", "--model", "mp", "--n", "0", "--t", "2", "--eps", "1.5"], "eps"),
         (["bounds", "--model", "su", "--n", "0", "--t", "1"], "n must be positive"),
         (["bounds", "--model", "mp", "--n", "3", "--t", "1"], "t must be at least 2"),
+        # scaling checks t as the exact commands do
+        (["scaling", "--model", "su", "--t", "1", "--n-range", "1:3:1"], "t must be at least 2"),
     ],
 )
 def test_validation_failures_exit_2(capsys, argv, needle):
@@ -476,6 +478,35 @@ def test_tableau_digit_check_is_exact_at_small_limits(monkeypatch):
                     cli._check_tableau_digits(n)
             else:
                 cli._check_tableau_digits(n)
+
+
+@pytest.mark.parametrize("model", ["mp", "su"])
+def test_decompose_runs_without_int_max_str_digits(capsys, monkeypatch, model):
+    """Interpreters before 3.10.7 have no sys.get_int_max_str_digits and no
+    limit: the digit checks pass, and the report is the same bytes."""
+    argv = ["decompose", "--model", model, "--n", "5", "--t", "3", "--l", "2"]
+    with_limit = run_cli(capsys, argv)
+    assert with_limit[0] == 0
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run_cli(capsys, argv) == with_limit
+
+
+def test_no_digit_limit_writes_what_a_limit_refuses(capsys):
+    """Under a limit of 0 (none), decompose writes in full the requests that a
+    limit of 640 digits refuses: every weight or two-row shape at n = 2200."""
+    before = sys.get_int_max_str_digits()
+    try:
+        for model, rows in (("mp", 2201), ("su", 1101)):
+            argv = ["decompose", "--model", model, "--n", "2200", "--t", "2", "--format", "csv"]
+            sys.set_int_max_str_digits(640)
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, "") and "more than the 640 digits" in err
+            sys.set_int_max_str_digits(0)
+            code, out, err = run_cli(capsys, argv)
+            assert (code, err) == (0, "") and len(out.splitlines()) == rows + 1
+            assert max(len(line.split(",")[-2]) for line in out.splitlines()[1:]) > 640
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("command", ["decompose", "capacity"])
@@ -786,6 +817,14 @@ def test_su_scaling_needs_no_block_budget(capsys):
     assert [row["n"] for row in report["rows"]] == [1000, 1010, 1020]
     for row in report["rows"]:
         assert row["capacity_nats"] == math.log(math.comb(row["n"] + 35, 35))
+
+
+def test_scaling_from_n_0_names_n():
+    """A sweep's first n goes through the library's argument check: a sweep
+    from n = 0, which the parser refuses but a RunConfig built in code can
+    hold, names n before any size estimate."""
+    with pytest.raises(cli.CLIError, match="^n must be positive$"):
+        run(RunConfig(command="scaling", model="mp", t=2, n_range=(0, 20, 1)))
 
 
 def test_library_warning_is_one_line_without_path(capsys):
