@@ -26,7 +26,7 @@ from math import comb
 import numpy as np
 
 DENSE_DIM_CAP = 4096  # largest full Hilbert-space dimension handled densely
-SU2_COPY_CAP = 8
+SU2_COPY_CAP = 12
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -144,6 +144,43 @@ def mp_twirl(rho: DensityOperator, n: int, t: int) -> DensityOperator:
     return DensityOperator(rho.matrix * mask, n=n, t=t, ref_dim=rho.ref_dim)
 
 
+def _weight_classes(n: int):
+    """The weight classes of (C^2)^{x n} and the lowering table between them.
+
+    classes[w] lists, ascending, the indices x < 2^n with w set bits.  For
+    each w < n, lower[w] has one row per member y of class w+1, in class
+    order: the positions in class w of the w+1 indices y with one set bit
+    cleared.
+    """
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    ones = bits.sum(axis=1)
+    classes = [np.flatnonzero(ones == w) for w in range(n + 1)]
+    position = np.empty(2**n, dtype=np.intp)
+    for members in classes:
+        position[members] = np.arange(len(members))
+    lower = []
+    for w in range(n):
+        members = classes[w + 1]
+        set_bits = np.nonzero(bits[members])[1].reshape(len(members), w + 1)
+        lower.append(position[members[:, None] ^ (1 << set_bits)])
+    return classes, lower
+
+
+def _check_classes(basis: np.ndarray, classes, columns) -> None:
+    """Orthonormality of a basis whose every column lies in the rows of one
+    weight class, listed in columns[w]: basis^T basis is then block-diagonal
+    over the classes, so each class must hold C(n, w) columns whose Gram
+    matrix is the identity."""
+    for w, (rows, cols) in enumerate(zip(classes, columns)):
+        if len(cols) != len(rows):
+            raise ArithmeticError(
+                f"weight class {w} holds {len(cols)} columns, expected {len(rows)}")
+        part = basis[np.ix_(rows, cols)]
+        gram_err = np.abs(part.T @ part - np.eye(len(rows))).max()
+        if gram_err > 1e-10:
+            raise ArithmeticError(f"schur basis lost orthonormality: {gram_err}")
+
+
 @lru_cache(maxsize=None)
 def schur_basis_su2(n: int):
     """Orthonormal basis aligning (C^2)^{x n} with its total-spin blocks.
@@ -155,35 +192,35 @@ def schur_basis_su2(n: int):
     related by the lowering operator, which is what makes the factorization
     U_j x C^mult explicit.
 
-    The lowering operator J- is the 0/1 matrix adding one set bit; the
-    highest weights with k set bits are the SVD null space of J+ = J-^T
-    from k to k-1 set bits.
+    The lowering operator J- adds one set bit, so it maps the weight class
+    of the indices with w set bits to class w+1 and is never built: the
+    table lower[w] of ``_weight_classes`` lists, for each member of class
+    w+1, the positions of its w+1 preimages in class w, and a block of
+    columns on class w is lowered by gathering its rows along that table
+    and summing (C(n, w+1) (w+1) mult additions).  The highest weights with
+    k set bits are the SVD null space of the 0/1 raising map J+ = J-^T from
+    class k to class k-1, filled from lower[k-1].  Each column is written
+    once, into the rows of its class, so the orthonormality check is one
+    C(n, w) x C(n, w) Gram matrix per class (``_check_classes``) rather
+    than one of size 2^n.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > SU2_COPY_CAP:
         raise ValueError(f"n must stay <= {SU2_COPY_CAP} for dense feasibility")
-    d = 2**n
-    index = np.arange(d)
-    ones = np.zeros(d, dtype=int)
-    jminus = np.zeros((d, d))
-    for i in range(n):
-        bit = (index >> i) & 1
-        ones += bit
-        unset = index[bit == 0]
-        jminus[unset | (1 << i), unset] = 1.0
-    by_ones = [np.flatnonzero(ones == k) for k in range(n + 1)]
-
-    cols = []
+    classes, lower = _weight_classes(n)
+    basis = np.zeros((2**n, 2**n))
+    columns = [[] for _ in range(n + 1)]  # the columns written into each class
     blocks = []
     offset = 0
     for k in range(n // 2 + 1):
         two_j = n - 2 * k
-        idx_k = by_ones[k]
         if k == 0:
             null = np.eye(1)
         else:
-            raise_map = jminus[np.ix_(idx_k, by_ones[k - 1])].T
+            size = comb(n, k)
+            raise_map = np.zeros((comb(n, k - 1), size))
+            raise_map[lower[k - 1], np.arange(size)[:, None]] = 1.0
             _, s, vt = np.linalg.svd(raise_map)
             rank = int(np.sum(s > 1e-10))
             null = vt[rank:].T
@@ -191,22 +228,19 @@ def schur_basis_su2(n: int):
         expected = comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
         if mult != expected:
             raise ArithmeticError(f"multiplicity {mult} != {expected} at n={n}, k={k}")
-        highest = np.zeros((d, mult))
-        highest[idx_k, :] = null
-        block_cols = [highest]
-        vecs = highest
-        for two_m in range(two_j, -two_j, -2):
-            coef = math.sqrt((two_j + two_m) * (two_j - two_m + 2)) / 2.0
-            vecs = (jminus @ vecs) / coef
-            block_cols.append(vecs)
-        cols.append(np.concatenate(block_cols, axis=1))
+        vecs = null
+        for w in range(k, n - k + 1):  # class w holds projection m = n/2 - w
+            start = offset + (w - k) * mult
+            basis[classes[w], start : start + mult] = vecs
+            columns[w].extend(range(start, start + mult))
+            if w < n - k:
+                two_m = n - 2 * w
+                coef = math.sqrt((two_j + two_m) * (two_j - two_m + 2)) / 2.0
+                vecs = vecs[lower[w]].sum(axis=1) / coef
         blocks.append((two_j, mult, offset))
         offset += (two_j + 1) * mult
 
-    basis = np.concatenate(cols, axis=1)
-    gram_err = np.abs(basis.T @ basis - np.eye(d)).max()
-    if gram_err > 1e-10:
-        raise ArithmeticError(f"schur basis lost orthonormality: {gram_err}")
+    _check_classes(basis, classes, columns)
     return basis, tuple(blocks)
 
 

@@ -49,7 +49,7 @@ def matrix() -> list[list[str]]:
         ["bounds", "--model", "mp", "--n", "3", "--t", "2", "--alpha", "2.0"],
         ["capacity", "--model", "mp", "--n", "3", "--t", "2", "--l", "0"],
         ["capacity", "--model", "mp", "--n", "0", "--t", "2"],
-        ["simulate", "--model", "su", "--n", "9", "--t", "2", "--state", "bn1"],
+        ["simulate", "--model", "su", "--n", "13", "--t", "2", "--state", "bn1"],
         ["simulate", "--model", "mp", "--n", "13", "--t", "2", "--state", "bs4"],
         ["simulate", "--model", "mp", "--n", "2", "--t", "2", "--state", "bn1"],
         ["simulate", "--model", "su", "--n", "2", "--t", "2", "--state", "bs4",

@@ -1,14 +1,17 @@
-"""Mutation sweep of the exact walks: each listed fault must fail a test.
+"""Mutation sweep of the exact walks and the oracle's Schur basis: each
+listed fault must fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
     python tests/mutants.py
 
 For each entry of MUTANTS the sweep copies ``src`` to a temporary directory,
-replaces one exact snippet of one file there, and runs the exact-layer tests
-(tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py)
-against the copy with ``-x``, so a killed mutant stops at its first failing
-test.  The unmutated copy must pass first.  A mutant marked equivalent
+replaces one exact snippet of one file there, and runs the entry's test
+files against the copy with ``-x``, so a killed mutant stops at its first
+failing test.  By default those are the exact-layer tests
+(tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py);
+the oracle's mutants name tests/test_oracle.py.  The unmutated copy must
+pass every test file of the list first.  A mutant marked equivalent
 computes the same results by construction and is expected to pass every
 test; its reason says why.
 
@@ -29,7 +32,8 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-TESTS = ["tests/test_rep_core.py", "tests/test_capacity.py", "tests/test_properties.py"]
+TESTS = ("tests/test_rep_core.py", "tests/test_capacity.py", "tests/test_properties.py")
+ORACLE_TESTS = ("tests/test_oracle.py",)
 TIMEOUT_S = 600  # a mutant that makes the tests run this long counts as killed
 
 
@@ -39,6 +43,7 @@ class Mutant(NamedTuple):
     replacement: str
     reason: str
     equivalent: bool = False
+    tests: tuple[str, ...] = TESTS  # relative to the repository root
 
 
 MUTANTS = [
@@ -97,12 +102,26 @@ MUTANTS = [
            "su eff_mult ignores the reference size"),
     Mutant("rep_core.py", "or l < 1):", "or l < 0):",
            "a reference size of 0 is admitted"),
+    # The SU(2) Schur basis, built one weight class at a time.
+    Mutant("oracle.py", "coef = math.sqrt((two_j + two_m) * (two_j - two_m + 2)) / 2.0",
+           "coef = math.sqrt((two_j + two_m) * (two_j - two_m + 4)) / 2.0",
+           "the lowering coefficient uses j - m + 2 for j - m + 1", tests=ORACLE_TESTS),
+    Mutant("oracle.py", "lower.append(position[members[:, None] ^ (1 << set_bits)])",
+           "lower.append(position[members[:, None] ^ (1 << set_bits[:, 1:])])",
+           "the lowering table drops the lowest set bit of every index", tests=ORACLE_TESTS),
+    Mutant("oracle.py", "for w, (rows, cols) in enumerate(zip(classes, columns)):",
+           "for w, (rows, cols) in enumerate(zip(classes[:-1], columns)):",
+           "the orthonormality check skips the last weight class", tests=ORACLE_TESTS),
+    Mutant("oracle.py", "basis[classes[w], start : start + mult] = vecs",
+           "basis[classes[w][::-1], start : start + mult] = vecs",
+           "each class is written in reversed row order: still orthonormal class by class, "
+           "but no longer the lowering layout", tests=ORACLE_TESTS),
 ]
 
 
-def run(workdir: Path, mutant: Optional[Mutant] = None) -> tuple[bool, str]:
-    """Run the tests on a fresh copy of src, with one mutant applied if given;
-    (killed, note)."""
+def run(workdir: Path, tests, mutant: Optional[Mutant] = None) -> tuple[bool, str]:
+    """Run the test files on a fresh copy of src, with one mutant applied if
+    given; (killed, note)."""
     src = workdir / "src"
     if src.exists():
         shutil.rmtree(src)
@@ -121,7 +140,7 @@ def run(workdir: Path, mutant: Optional[Mutant] = None) -> tuple[bool, str]:
         raise RuntimeError(f"the tests would import metrocap from {where.stdout.strip()}")
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             env=env, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return True, f"timed out after {TIMEOUT_S} s"
@@ -134,14 +153,15 @@ def run(workdir: Path, mutant: Optional[Mutant] = None) -> tuple[bool, str]:
 def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="metrocap-mutants-") as tmp:
-        failed, note = run(Path(tmp))
+        every = list(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        failed, note = run(Path(tmp), every)
         if failed:  # every mutant would count as killed
             print(f"the unmutated source fails the tests: {note}")
             return 1
         for i, mutant in enumerate(MUTANTS, 1):
             start = time.perf_counter()
             try:
-                killed, note = run(Path(tmp), mutant)
+                killed, note = run(Path(tmp), mutant.tests, mutant)
             except LookupError as exc:
                 killed, note = None, str(exc)
             ok = killed is not None and killed != mutant.equivalent

@@ -27,6 +27,10 @@ bound (``gapped_partitions``, ``su_lower_bound``, with ``log_fraction``), the
 Fano converse (``fano_bound``), the sup-metric ball volume and the radius it
 forces (``ball_volume_mp``, ``radius_bound``), and a Haar SU(2) sampler
 (``haar_su2``) for the invariance tests.
+
+The SU(2) Schur basis, which the library builds one weight class at a time
+from gather tables, is built here from the dense lowering operator
+(``schur_basis_su2_dense``).
 """
 
 import itertools
@@ -274,6 +278,64 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     q = q * (r.diagonal() / np.abs(r.diagonal()))
     return q / np.sqrt(np.linalg.det(q))
+
+
+def schur_basis_su2_dense(n: int):
+    """The SU(2) Schur basis from the dense 2^n x 2^n lowering operator, in
+    the layout of ``oracle.schur_basis_su2``: (basis, blocks).
+
+    J- is the 0/1 matrix adding one set bit, filled index by index; the
+    highest weights with k set bits are the SVD null space of J+ = J-^T from
+    k to k-1 set bits, each is lowered by one dense product per spin
+    projection, and the whole basis is checked by its 2^n x 2^n Gram matrix.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    d = 2**n
+    index = np.arange(d)
+    ones = np.zeros(d, dtype=int)
+    jminus = np.zeros((d, d))
+    for i in range(n):
+        bit = (index >> i) & 1
+        ones += bit
+        unset = index[bit == 0]
+        jminus[unset | (1 << i), unset] = 1.0
+    by_ones = [np.flatnonzero(ones == k) for k in range(n + 1)]
+
+    cols = []
+    blocks = []
+    offset = 0
+    for k in range(n // 2 + 1):
+        two_j = n - 2 * k
+        idx_k = by_ones[k]
+        if k == 0:
+            null = np.eye(1)
+        else:
+            raise_map = jminus[np.ix_(idx_k, by_ones[k - 1])].T
+            _, s, vt = np.linalg.svd(raise_map)
+            rank = int(np.sum(s > 1e-10))
+            null = vt[rank:].T
+        mult = null.shape[1]
+        expected = math.comb(n, k) - (math.comb(n, k - 1) if k >= 1 else 0)
+        if mult != expected:
+            raise ArithmeticError(f"multiplicity {mult} != {expected} at n={n}, k={k}")
+        highest = np.zeros((d, mult))
+        highest[idx_k, :] = null
+        block_cols = [highest]
+        vecs = highest
+        for two_m in range(two_j, -two_j, -2):
+            coef = math.sqrt((two_j + two_m) * (two_j - two_m + 2)) / 2.0
+            vecs = (jminus @ vecs) / coef
+            block_cols.append(vecs)
+        cols.append(np.concatenate(block_cols, axis=1))
+        blocks.append((two_j, mult, offset))
+        offset += (two_j + 1) * mult
+
+    basis = np.concatenate(cols, axis=1)
+    gram_err = np.abs(basis.T @ basis - np.eye(d)).max()
+    if gram_err > 1e-10:
+        raise ArithmeticError(f"schur basis lost orthonormality: {gram_err}")
+    return basis, tuple(blocks)
 
 
 def grid_twirl(rho, n: int, t: int, N: int):

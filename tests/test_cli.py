@@ -314,7 +314,7 @@ def test_unknown_command_exits_2(capsys):
         (["bounds", "--model", "mp", "--n", "3", "--t", "2", "--alpha", "2.0"], "together"),
         (["capacity", "--model", "mp", "--n", "3", "--t", "2", "--l", "0"], "--l"),
         (["capacity", "--model", "mp", "--n", "0", "--t", "2"], "positive"),
-        (["simulate", "--model", "su", "--n", "9", "--t", "2", "--state", "bn1"], "8"),
+        (["simulate", "--model", "su", "--n", "13", "--t", "2", "--state", "bn1"], "12"),
         (["simulate", "--model", "mp", "--n", "13", "--t", "2", "--state", "bs4"], "4096"),
         (["simulate", "--model", "mp", "--n", "2", "--t", "2", "--state", "bn1"], "su"),
         (["simulate", "--model", "su", "--n", "2", "--t", "2", "--state", "bs4",

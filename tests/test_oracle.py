@@ -32,6 +32,7 @@ from reference import (
     haar_su2,
     lattice_unitaries,
     mp_unitary,
+    schur_basis_su2_dense,
     srm_discrimination,
     tensor_power_apply,
 )
@@ -172,7 +173,7 @@ def test_state_caps():
     with pytest.raises(ValueError):
         noon_state(0)
     with pytest.raises(ValueError):
-        su2_optimal_state(9)
+        su2_optimal_state(13)
 
 
 # ---------------------------------------------------------------- mp twirl
@@ -244,12 +245,118 @@ def test_mp_twirl_validation():
 # ---------------------------------------------------------------- schur basis
 
 def test_schur_basis_orthonormal_and_complete():
-    for n in range(1, 7):
+    for n in range(1, 11):
         basis, blocks = schur_basis_su2(n)
         d = 2**n
         assert basis.shape == (d, d)
         assert np.abs(basis.T @ basis - np.eye(d)).max() < 1e-10
         assert sum((two_j + 1) * mult for two_j, mult, _ in blocks) == d
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_schur_basis_matches_dense_reference(n):
+    """The weight-class build against the dense lowering operator: the same
+    blocks, and every column within 1e-12."""
+    basis, blocks = schur_basis_su2(n)
+    dense, dense_blocks = schur_basis_su2_dense(n)
+    assert blocks == dense_blocks
+    assert np.abs(basis - dense).max() < 1e-12
+
+
+def _popcounts(n):
+    return ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+
+
+def _lower(n, vecs):
+    """J- applied to the rows of vecs, J- adding one set bit: row y is the
+    sum of the rows y with one of its set bits cleared."""
+    index = np.arange(2**n)
+    out = np.zeros_like(vecs)
+    for i in range(n):
+        have = index[(index >> i) & 1 == 1]
+        out[have] += vecs[have ^ (1 << i)]
+    return out
+
+
+def _spin_lowering(two_j):
+    """The spin-j lowering matrix in the basis m = j, j-1, ..., -j."""
+    j = two_j / 2
+    out = np.zeros((two_j + 1, two_j + 1))
+    for i in range(two_j):
+        m = j - i
+        out[i + 1, i] = math.sqrt(j * (j + 1) - m * (m - 1))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_schur_basis_layout_of_jz(n):
+    """basis^T J_z basis is diagonal with m = j, ..., -j in each block, each
+    projection repeated over the multiplicity index (projection major); a
+    set bit is spin down, so J_z = n/2 - popcount."""
+    basis, blocks = schur_basis_su2(n)
+    inside = basis.T @ ((n / 2 - _popcounts(n))[:, None] * basis)
+    assert [off for _, _, off in blocks] == list(
+        np.cumsum([0] + [(two_j + 1) * mult for two_j, mult, _ in blocks])[:-1])
+    expected = np.concatenate([np.repeat(np.arange(two_j, -two_j - 1, -2) / 2, mult)
+                               for two_j, mult, _ in blocks])
+    assert np.abs(inside - np.diag(expected)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_schur_basis_layout_of_lowering(n):
+    """basis^T J- basis is the direct sum over blocks of the spin-j lowering
+    matrix (x) I_mult: what lets su2_twirl contract the projection index and
+    su2_optimal_state pair projection i of multiplicity copy 0 with
+    reference state i."""
+    basis, blocks = schur_basis_su2(n)
+    inside = basis.T @ _lower(n, basis)
+    expected = np.zeros_like(inside)
+    for two_j, mult, off in blocks:
+        width = (two_j + 1) * mult
+        expected[off : off + width, off : off + width] = np.kron(_spin_lowering(two_j),
+                                                                 np.eye(mult))
+    assert np.abs(inside - expected).max() < 1e-10
+
+
+def test_weight_class_tables():
+    """classes[w] are the indices with w set bits, ascending; row r of
+    lower[w] holds the positions in class w of member r of class w+1 with
+    each of its set bits cleared."""
+    for n in range(1, 7):
+        classes, lower = oracle._weight_classes(n)
+        pop = _popcounts(n)
+        assert len(classes) == n + 1 and len(lower) == n
+        for w, members in enumerate(classes):
+            assert list(members) == list(np.flatnonzero(pop == w))
+        for w, table in enumerate(lower):
+            assert table.shape == (comb(n, w + 1), w + 1)
+            for y, row in zip(classes[w + 1], table):
+                want = {list(classes[w]).index(y ^ (1 << i)) for i in range(n) if y >> i & 1}
+                assert sorted(row) == sorted(want)
+
+
+def test_class_check_sees_every_class():
+    """The build checks orthonormality only through _check_classes, one
+    weight class at a time: an entry off by 1e-6 in any class, or a class
+    one column short, must raise."""
+    n = 4
+    basis, blocks = schur_basis_su2(n)
+    classes = [np.flatnonzero(_popcounts(n) == w) for w in range(n + 1)]
+    columns = [[] for _ in range(n + 1)]
+    for two_j, mult, off in blocks:
+        k = (n - two_j) // 2
+        for i in range(two_j + 1):  # projection i lies in class k + i
+            columns[k + i] += range(off + i * mult, off + (i + 1) * mult)
+    oracle._check_classes(basis, classes, columns)
+    for w, (rows, cols) in enumerate(zip(classes, columns)):
+        bad = basis.copy()
+        bad[rows[-1], cols[-1]] += 1e-6
+        with pytest.raises(ArithmeticError, match="lost orthonormality"):
+            oracle._check_classes(bad, classes, columns)
+        short = [list(c) for c in columns]
+        short[w].pop()
+        with pytest.raises(ArithmeticError, match=f"weight class {w} holds"):
+            oracle._check_classes(basis, classes, short)
 
 
 def test_schur_basis_block_structure():
@@ -555,13 +662,15 @@ def _check_block_route(psi, model):
 
 
 # n <= 6 and ref_dim <= 3, except mp at t = 3, n = 6, ref_dim >= 2, where the
-# dense eigensolve of dimension 1458 or 2187 takes seconds
+# dense eigensolve of dimension 1458 or 2187 takes seconds; su also at
+# n = 7 ... 10 without a reference
 @pytest.mark.parametrize("model,t,n,ref", [
-    (model, t, n, ref)
-    for model, t in (("mp", 2), ("mp", 3), ("su", 2))
-    for n in range(1, 7)
-    for ref in (1, 2, 3)
-    if t**n * ref <= 1024
+    *[(model, t, n, ref)
+      for model, t in (("mp", 2), ("mp", 3), ("su", 2))
+      for n in range(1, 7)
+      for ref in (1, 2, 3)
+      if t**n * ref <= 1024],
+    *[("su", 2, n, 1) for n in range(7, 11)],
 ])
 def test_twirled_spectrum_matches_dense_random(model, t, n, ref):
     rng = np.random.default_rng([n, t, ref])
@@ -575,15 +684,25 @@ def test_twirled_spectrum_matches_dense_shipped(state, n, model):
     _check_block_route(state(n), model)
 
 
+# su up to n = 10 wherever the dense twirl has dimension <= 1024
+@pytest.mark.parametrize("state,n", [
+    *[(noon_state, n) for n in range(7, 11)],
+    (su2_optimal_state, 7),
+])
+def test_twirled_spectrum_matches_dense_shipped_su(state, n):
+    _check_block_route(state(n), "su")
+
+
 def test_twirled_spectrum_block_sizes():
     # mp: one eigenvalue per weight class, whatever the reference size
     psi = random_pure_state(np.random.default_rng(71), 3, 3, ref_dim=2)
     assert twirled_spectrum(psi, "mp", 3, 3).shape == (comb(5, 2),)
-    # su, optimal state: flat on sum_j d_j^2 eigenvalues
-    spectrum = twirled_spectrum(su2_optimal_state(8), "su", 8, 2)
-    kept = spectrum[spectrum > _EIG_FLOOR]
-    assert len(kept) == su_square_sum(8, 2)
-    assert np.abs(kept - 1.0 / su_square_sum(8, 2)).max() < 1e-15
+    # su, optimal state: flat on sum_j d_j^2 eigenvalues, up to the copy cap
+    for n in (8, oracle.SU2_COPY_CAP):
+        spectrum = twirled_spectrum(su2_optimal_state(n), "su", n, 2)
+        kept = spectrum[spectrum > _EIG_FLOOR]
+        assert len(kept) == su_square_sum(n, 2)
+        assert np.abs(kept - 1.0 / su_square_sum(n, 2)).max() < 1e-15
 
 
 def test_twirled_spectrum_validation():
