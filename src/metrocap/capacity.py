@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from math import comb, gcd
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .rep_core import (
     UNBOUNDED,
@@ -45,8 +44,7 @@ def log_integer(m: int) -> float:
     return math.log(m)
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     """Capacity in nats, the exact support whose log it is, and the block
     distribution that attains it.
 

@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple, Optional, Sequence
@@ -51,8 +50,7 @@ class CLIError(Exception):
     """Invalid configuration; maps to exit status 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     model: str = "mp"
     n: int = 1
@@ -345,7 +343,7 @@ def _build_scaling(cfg: RunConfig) -> dict:
     rows = [(n, _scaled(cap.log_integer(cap.capacity_support(model, n, cfg.t, l_eff)), cfg.base),
              _scaled(0.5 * d * math.log(n), cfg.base)) for n in ns]
     columns = (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
-    return _report(replace(cfg, l=l_eff), "model t l log_base", {
+    return _report(cfg._replace(l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
         "rows": Table(columns, rows),
@@ -474,12 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig from every field the subcommand defines; unset flags keep
-    the dataclass defaults."""
+    RunConfig's defaults."""
     fmt = args.format or os.environ.get("METROCAP_FORMAT", "json")
     if fmt not in ("json", "csv"):
         raise CLIError(f"METROCAP_FORMAT must be json or csv, got {fmt!r}")
-    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-              if getattr(args, f.name, None) is not None}
+    values = {name: getattr(args, name) for name in RunConfig._fields
+              if getattr(args, name, None) is not None}
     for name, parse in (("l", _parse_l), ("n_range", _parse_n_range)):
         if name in values:
             values[name] = parse(values[name])

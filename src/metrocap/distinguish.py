@@ -7,14 +7,13 @@ Renyi entropies (the ``bounds`` report).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .capacity import capacity
 from .rep_core import Decomposition
 
 
-@dataclass(frozen=True)
-class RenyiBounds:
+class RenyiBounds(NamedTuple):
     """Two-sided bracket on log M_eps, as m_bounds_general or m_eps_bounds
     made it from checked arguments.
 

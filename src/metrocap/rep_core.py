@@ -8,11 +8,10 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import comb
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
 class Model(str, Enum):
@@ -74,30 +73,34 @@ class IrrepEntry(NamedTuple):
     eff_mult: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Full isotypic decomposition of one model at given (n, t, l).
-
-    The blocks are raw rows (label, dim, mult, eff_mult), the labels plain
-    tuples: weight vectors for mp, zero-padded partitions for su.  The rows
-    are checked here, in any order: labels non-negative, partition labels
-    non-increasing, mp blocks one-dimensional, 1 <= eff_mult <= dim, no label
-    twice, and together they must fill the space: sum dim * mult = t^n.
-    """
-
+class _DecompositionFields(NamedTuple):
     model: Model
     n: int
     t: int
     l: RefSize
     rows: tuple[Row, ...]
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+
+class Decomposition(_DecompositionFields):
+    """Full isotypic decomposition of one model at given (n, t, l).
+
+    The blocks are raw rows (label, dim, mult, eff_mult), the labels plain
+    tuples: weight vectors for mp, zero-padded partitions for su.  The rows,
+    stored as a tuple whatever sequence is given, are checked on
+    construction, in any order: labels non-negative, partition labels
+    non-increasing, mp blocks one-dimensional, 1 <= eff_mult <= dim, no label
+    twice, and together they must fill the space: sum dim * mult = t^n.
+    The fields are read-only and two decompositions are equal when their
+    fields are.  No ``__slots__``: ``entries`` is cached in the instance dict.
+    """
+
+    def __new__(cls, model: Model, n: int, t: int, l: RefSize,
+                rows: Iterable[Row]) -> Decomposition:
+        rows = tuple(rows)
         labels = [row[0] for row in rows]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate irrep labels")
-        partitions = self.model is Model.SPECIAL_UNITARY
+        partitions = model is Model.SPECIAL_UNITARY
         filled = 0
         for label, dim, mult, eff in rows:
             if min(label) < 0:
@@ -112,8 +115,9 @@ class Decomposition:
             if not 1 <= eff <= dim:
                 raise ValueError(f"eff_mult {eff} outside [1, dim={dim}]")
             filled += dim * mult
-        if filled != self.t**self.n:
+        if filled != t**n:
             raise ValueError("blocks do not fill the full space")
+        return super().__new__(cls, model, n, t, l, rows)
 
     @cached_property
     def entries(self) -> tuple[IrrepEntry, ...]:

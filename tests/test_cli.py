@@ -858,6 +858,25 @@ def test_run_config_direct():
     assert run(cfg) == 0
 
 
+def test_config_from_args_keeps_defaults_of_unset_flags(monkeypatch):
+    """Fields a subcommand does not define, or flags left unset, take
+    RunConfig's defaults."""
+    monkeypatch.delenv("METROCAP_FORMAT", raising=False)
+    parse = cli.build_parser().parse_args
+    assert cli.config_from_args(parse(["capacity", "--model", "su", "--n", "3"])) == \
+        RunConfig("capacity", model="su", n=3)
+    assert cli.config_from_args(parse(["scaling", "--model", "mp", "--n-range", "1:9:4"])) == \
+        RunConfig("scaling", n_range=(1, 9, 4))
+
+
+def test_scaling_echoes_the_reference_it_sweeps():
+    """mp sweeps its exact path at l = 1, and the report echoes that l; the
+    config it was given is left as it was."""
+    cfg = RunConfig("scaling", model="mp", t=2, n_range=(10, 30, 10))
+    assert cli._build_scaling(cfg)["l"] == 1
+    assert cfg.l is UNBOUNDED
+
+
 def test_run_unknown_command_raises():
     from metrocap.cli import CLIError
 
@@ -888,6 +907,23 @@ def test_exact_commands_never_import_numpy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_loads_no_dataclasses_inspect_or_numpy():
+    """Start-up is most of a small exact request's wall time, so importing the
+    CLI loads none of dataclasses, the inspect machinery it pulls in, or
+    numpy.  Modules the interpreter loaded before the import do not count."""
+    script = """if True:
+        import sys
+        before = set(sys.modules)
+        import metrocap.cli
+        print(*sorted({"dataclasses", "inspect", "numpy"} & (set(sys.modules) - before)))
+    """
+    src = str(Path(rep_core.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_module_entry_point():

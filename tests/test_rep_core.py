@@ -356,6 +356,18 @@ def test_decomposition_rows_in_any_order():
     assert Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, rows).rows == tuple(rows)
 
 
+def test_decomposition_is_a_read_only_record():
+    """Fields cannot be reassigned, rows given as a list are kept as a tuple,
+    and decompositions with equal fields compare equal."""
+    d = decompose("su", 4, 3, 2)
+    with pytest.raises(AttributeError):
+        d.rows = ()
+    rebuilt = Decomposition(d.model, d.n, d.t, d.l, list(d.rows))
+    assert type(rebuilt.rows) is tuple
+    assert rebuilt == d and rebuilt is not d
+    assert d != decompose("su", 4, 3, 1)
+
+
 def test_decomposition_keeps_mp_blocks_one_dimensional():
     rows = [((2, 0), 2, 1, 1), ((1, 1), 1, 2, 1)]
     with pytest.raises(ValueError, match="one-dimensional"):
