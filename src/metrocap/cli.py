@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from functools import lru_cache
@@ -46,10 +45,6 @@ MAX_SCALING_POINTS = 10_000
 MAX_SCALING_BITS = 1_000_000
 
 
-class CLIError(Exception):
-    """Invalid configuration; maps to exit status 2."""
-
-
 class RunConfig(NamedTuple):
     command: str
     model: str = "mp"
@@ -80,22 +75,22 @@ def _parse_l(text: str) -> RefSize:
     try:
         value = int(text)
     except ValueError:
-        raise CLIError(f"--l must be a positive integer or 'inf', got {text!r}")
+        raise ValueError(f"--l must be a positive integer or 'inf', got {text!r}")
     if value < 1:
-        raise CLIError(f"--l must be positive, got {value}")
+        raise ValueError(f"--l must be positive, got {value}")
     return value
 
 
 def _parse_n_range(text: str) -> tuple:
     parts = text.split(":")
     if len(parts) != 3:
-        raise CLIError(f"--n-range must look like start:stop:stride, got {text!r}")
+        raise ValueError(f"--n-range must look like start:stop:stride, got {text!r}")
     try:
         start, stop, stride = (int(p) for p in parts)
     except ValueError:
-        raise CLIError(f"--n-range needs integers, got {text!r}")
+        raise ValueError(f"--n-range needs integers, got {text!r}")
     if start < 1 or stride < 1 or stop < start:
-        raise CLIError(f"--n-range needs 1 <= start <= stop and stride >= 1, got {text!r}")
+        raise ValueError(f"--n-range needs 1 <= start <= stop and stride >= 1, got {text!r}")
     return start, stop, stride
 
 
@@ -130,9 +125,9 @@ def _refuse_digits(log_largest: float, limit: int) -> None:
     """The refusal of a report whose largest multiplicity, of natural log
     ``log_largest``, reaches 10^limit."""
     digits = max(limit + 1, math.floor(log_largest / math.log(10)) + 1)
-    raise CLIError(f"the largest multiplicity has about {digits} digits, more than "
-                   f"the {limit} digits of the interpreter's limit for integer "
-                   f"string conversion (sys.get_int_max_str_digits())")
+    raise ValueError(f"the largest multiplicity has about {digits} digits, more than "
+                     f"the {limit} digits of the interpreter's limit for integer "
+                     f"string conversion (sys.get_int_max_str_digits())")
 
 
 def _check_multiplicity_digits(n: int, t: int) -> None:
@@ -226,9 +221,9 @@ def _build_capacity(cfg: RunConfig) -> dict:
 
 def _build_bounds(cfg: RunConfig) -> dict:
     if not 0.0 < cfg.eps < 1.0:
-        raise CLIError(f"--eps must lie in (0, 1), got {cfg.eps}")
+        raise ValueError(f"--eps must lie in (0, 1), got {cfg.eps}")
     if (cfg.alpha is None) != (cfg.beta is None):
-        raise CLIError("--alpha and --beta must be given together")
+        raise ValueError("--alpha and --beta must be given together")
     r = cap.log_integer(_support(cfg))
     if cfg.alpha is None:
         b = dist.m_eps_bounds(r, cfg.eps)
@@ -246,7 +241,7 @@ def _build_bounds(cfg: RunConfig) -> dict:
 
 def _build_simulate(cfg: RunConfig) -> dict:
     if cfg.t != 2:
-        raise CLIError("simulate ships t = 2 states only")
+        raise ValueError("simulate ships t = 2 states only")
     from . import oracle  # numpy, which only this command needs
 
     model = Model(cfg.model)
@@ -256,17 +251,17 @@ def _build_simulate(cfg: RunConfig) -> dict:
         psi = oracle.noon_state(cfg.n)
     elif cfg.state == "bn1":
         if model is not Model.SPECIAL_UNITARY:
-            raise CLIError("--state bn1 needs --model su")
+            raise ValueError("--state bn1 needs --model su")
         psi = oracle.su2_optimal_state(cfg.n)
     else:
-        raise CLIError(f"unknown state tag {cfg.state!r}")
+        raise ValueError(f"unknown state tag {cfg.state!r}")
     spectrum = oracle.twirled_spectrum(psi, model, cfg.n, cfg.t)
     success = None
     if cfg.codebook is not None:
         if cfg.codebook != "lattice":
-            raise CLIError(f"unknown codebook tag {cfg.codebook!r}")
+            raise ValueError(f"unknown codebook tag {cfg.codebook!r}")
         if model is not Model.MULTI_PHASE:
-            raise CLIError("--codebook lattice needs --model mp")
+            raise ValueError("--codebook lattice needs --model mp")
         success = oracle.lattice_srm_success(spectrum, cfg.n, cfg.t)
     return _report(cfg, "model n t log_base", {
         "state_tag": cfg.state,
@@ -308,10 +303,10 @@ def _check_binomial_bits(model: Model, t: int, ns: range) -> int:
     if bits <= MAX_SCALING_BITS:
         return d
     if len(ns) == 1:
-        raise CLIError(f"the support C({ns[0] + d}, {d}) of about {bits} bits exceeds the "
-                       f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
-    raise CLIError(f"{len(ns)} binomials of about {bits} bits in all exceed the scaling "
-                   f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
+        raise ValueError(f"the support C({ns[0] + d}, {d}) of about {bits} bits exceeds the "
+                         f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
+    raise ValueError(f"{len(ns)} binomials of about {bits} bits in all exceed the scaling "
+                     f"budget of {MAX_SCALING_BITS} bits (MAX_SCALING_BITS)")
 
 
 def _support(cfg: RunConfig) -> int:
@@ -325,18 +320,22 @@ def _support(cfg: RunConfig) -> int:
 def _build_scaling(cfg: RunConfig) -> dict:
     """One row (n, capacity, baseline) per n of the sweep, and the slope."""
     if cfg.n_range is None:
-        raise CLIError("scaling needs --n-range start:stop:stride")
+        raise ValueError("scaling needs --n-range start:stop:stride")
     start, stop, stride = cfg.n_range
     ns = range(start, stop + 1, stride)
     if len(ns) < 3:
-        raise CLIError("scaling needs at least three n values for a slope")
+        raise ValueError("scaling needs at least three n values for a slope")
     if len(ns) > MAX_SCALING_POINTS:
-        raise CLIError(f"{len(ns)} n values exceed the scaling budget of "
-                       f"{MAX_SCALING_POINTS} points (MAX_SCALING_POINTS)")
+        raise ValueError(f"{len(ns)} n values exceed the scaling budget of "
+                         f"{MAX_SCALING_POINTS} points (MAX_SCALING_POINTS)")
     model = _check_config(cfg.model, start, cfg.t, UNBOUNDED)  # before the size estimate
     d = _check_binomial_bits(model, cfg.t, ns)
-    if d > sys.float_info.max:
-        raise CLIError(f"the baseline (d/2) log n passes float range at d = {d}")
+    try:  # the largest baseline, at the last n, bounds every row's
+        finite = math.isfinite(_scaled(0.5 * d * math.log(ns[-1]), cfg.base))
+    except OverflowError:  # d itself passes float range
+        finite = False
+    if not finite:
+        raise ValueError(f"the baseline (d/2) log n passes float range at d = {d}")
     # the exact paths behind the sweep: l = 1 for mp, unbounded for su
     l_eff = 1 if model is Model.MULTI_PHASE else UNBOUNDED
     u = _unit(cfg.base)
@@ -415,18 +414,16 @@ def render(report: dict, fmt: str) -> str:
         template = ",".join([formats[c] if c in formats else _cell(report[c]).replace("%", "%%")
                              for c in header.split(",")]) + "\n"
         return header + "\n" + "".join(map(template.__mod__, table.rows))
-    raise CLIError(f"unknown format {fmt!r}")
+    raise ValueError(f"unknown format {fmt!r}")
 
 
 def run(config: RunConfig) -> int:
-    """Validate, compute and print one report.  Returns the exit status."""
+    """Validate, compute and print one report.  Returns the exit status; a
+    refused request, by the CLI or the library, raises ValueError."""
     builder = _BUILDERS.get(config.command)
     if builder is None:
-        raise CLIError(f"unknown command {config.command!r}")
-    try:
-        text = render(builder(config), config.format)
-    except ValueError as exc:  # library-level validation surfaces as exit 2
-        raise CLIError(str(exc))
+        raise ValueError(f"unknown command {config.command!r}")
+    text = render(builder(config), config.format)
     sys.stdout.write(text)
     return 0
 
@@ -448,22 +445,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", required=True, choices=["mp", "su"])
         if with_n:
             sp.add_argument("--n", required=True, type=int)
-        sp.add_argument("--t", type=int, default=2)
+        sp.add_argument("--t", type=int)
         if with_l:
-            sp.add_argument("--l", default="inf", help="reference size or 'inf'")
-        sp.add_argument("--base", choices=["e", "2"], default="e")
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
+            sp.add_argument("--l", help="reference size or 'inf'")
+        sp.add_argument("--base", choices=["e", "2"])
+        sp.add_argument("--format", choices=["json", "csv"])
         return sp
 
     add("decompose", "list irrep blocks with exact sizes")
     add("capacity", "capacity and optimal block weights")
     sp = add("bounds", "two-sided bracket on log M_eps")
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=None)
+    sp.add_argument("--eps", type=float)
+    sp.add_argument("--alpha", type=float)
+    sp.add_argument("--beta", type=float)
     sp = add("simulate", "dense-matrix experiment at small n", with_l=False)
-    sp.add_argument("--state", choices=["bs4", "noon", "bn1"], default="bs4")
-    sp.add_argument("--codebook", choices=["lattice"], default=None)
+    sp.add_argument("--state", choices=["bs4", "noon", "bn1"])
+    sp.add_argument("--codebook", choices=["lattice"])
     sp = add("scaling", "capacity sweep against (d/2) log n", with_n=False, with_l=False)
     sp.add_argument("--n-range", required=True, metavar="START:STOP:STRIDE")
 
@@ -473,15 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """RunConfig from every field the subcommand defines; unset flags keep
     RunConfig's defaults."""
-    fmt = args.format or os.environ.get("METROCAP_FORMAT", "json")
-    if fmt not in ("json", "csv"):
-        raise CLIError(f"METROCAP_FORMAT must be json or csv, got {fmt!r}")
     values = {name: getattr(args, name) for name in RunConfig._fields
               if getattr(args, name, None) is not None}
     for name, parse in (("l", _parse_l), ("n_range", _parse_n_range)):
         if name in values:
             values[name] = parse(values[name])
-    return RunConfig(**{**values, "format": fmt})
+    return RunConfig(**values)
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -497,7 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
             return run(config_from_args(args))
-    except CLIError as exc:
+    except ValueError as exc:  # every refusal, the CLI's and the library's
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -55,10 +55,6 @@ class PureState:
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {_NORM_TOL}")
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -273,10 +269,6 @@ def su2_twirl(rho: DensityOperator, n: int) -> DensityOperator:
 def su2_optimal_state(n: int) -> PureState:
     """Capacity-achieving SU(2) input: per-block maximally entangled states
     with the reference, block weighted by dim^2 / (sum of squared dims)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > SU2_COPY_CAP:
-        raise ValueError(f"n must stay <= {SU2_COPY_CAP} for dense feasibility")
     basis, blocks = schur_basis_su2(n)
     ref = n + 1  # >= every block dimension
     total = sum((two_j + 1) ** 2 for two_j, _, _ in blocks)

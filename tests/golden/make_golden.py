@@ -1,9 +1,8 @@
 """Write cli_golden.json: exit code, stdout and stderr of a fixed argv matrix.
 
-Each argv runs in-process through ``metrocap.cli.main`` with
-``METROCAP_FORMAT`` unset.  The fixture pins the CLI's bytes, so it is
-generated from a known-good tree and replayed by ``tests/test_cli.py``
-against the current one:
+Each argv runs in-process through ``metrocap.cli.main``.  The fixture pins
+the CLI's bytes, so it is generated from a known-good tree and replayed by
+``tests/test_cli.py`` against the current one:
 
     PYTHONPATH=<that tree>/src python tests/golden/make_golden.py
 """
@@ -13,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 from pathlib import Path
 
 FIXTURE = Path(__file__).with_name("cli_golden.json")
@@ -73,7 +71,6 @@ def record(argv: list[str]) -> dict:
 
 
 if __name__ == "__main__":
-    os.environ.pop("METROCAP_FORMAT", None)
     golden = {" ".join(argv): record(argv) for argv in matrix()}
     FIXTURE.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"{len(golden)} argv -> {FIXTURE}")

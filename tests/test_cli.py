@@ -273,26 +273,6 @@ def test_base_two_divides_by_ln2(capsys):
     assert slope_2 == pytest.approx(slope_e / LN2, rel=1e-12)
 
 
-def test_env_var_default_format(capsys, monkeypatch):
-    monkeypatch.setenv("METROCAP_FORMAT", "csv")
-    code, out, _ = run_cli(capsys, ["capacity", "--model", "mp", "--n", "3", "--t", "2"])
-    assert code == 0
-    assert out.startswith("model,n,t,l,log_base,capacity_nats")
-    # explicit flag still wins
-    code, out, _ = run_cli(
-        capsys,
-        ["capacity", "--model", "mp", "--n", "3", "--t", "2", "--format", "json"],
-    )
-    assert out.startswith("{")
-
-
-def test_env_var_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("METROCAP_FORMAT", "yaml")
-    code, _, err = run_cli(capsys, ["capacity", "--model", "mp", "--n", "3", "--t", "2"])
-    assert code == 2
-    assert "METROCAP_FORMAT" in err
-
-
 # ---------------------------------------------------------------- exit codes
 
 def test_unknown_model_exits_2(capsys):
@@ -327,6 +307,9 @@ def test_unknown_command_exits_2(capsys):
         (["bounds", "--model", "mp", "--n", "3", "--t", "1"], "t must be at least 2"),
         # scaling checks t as the exact commands do
         (["scaling", "--model", "su", "--t", "1", "--n-range", "1:3:1"], "t must be at least 2"),
+        (["simulate", "--model", "mp", "--n", "2", "--t", "3"], "simulate ships t = 2 states only"),
+        (["scaling", "--model", "mp", "--t", "2", "--n-range", "1:x:3"], "--n-range needs integers"),
+        (["simulate", "--model", "mp", "--n", "0", "--t", "2"], "n must be positive"),
     ],
 )
 def test_validation_failures_exit_2(capsys, argv, needle):
@@ -392,7 +375,7 @@ def test_multiplicity_digit_check_is_exact(capsys):
                 lo, hi = (mid, hi) if largest(mid) < 10**limit else (lo, mid)
             assert hi > 100, t
             cli._check_multiplicity_digits(lo, t)
-            with pytest.raises(cli.CLIError, match="641 digits, more than the 640 digits"):
+            with pytest.raises(ValueError, match="641 digits, more than the 640 digits"):
                 cli._check_multiplicity_digits(hi, t)
         # t = 2, the last of the loop: the largest of all weights, and the whole
         # command on both sides of the boundary
@@ -451,7 +434,7 @@ def test_tableau_digit_check_is_exact(capsys):
             lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
         assert hi > 100
         cli._check_tableau_digits(lo)
-        with pytest.raises(cli.CLIError, match="641 digits, more than the 640 digits"):
+        with pytest.raises(ValueError, match="641 digits, more than the 640 digits"):
             cli._check_tableau_digits(hi)
         argv = ["decompose", "--model", "su", "--format", "csv", "--n"]
         code, out, err = run_cli(capsys, argv + [str(lo), "--t", "2"])
@@ -474,7 +457,7 @@ def test_tableau_digit_check_is_exact_at_small_limits(monkeypatch):
         for limit in range(1, len(str(largest)) + 2):
             monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
             if largest >= 10**limit:
-                with pytest.raises(cli.CLIError, match=f"more than the {limit} digits"):
+                with pytest.raises(ValueError, match=f"more than the {limit} digits"):
                     cli._check_tableau_digits(n)
             else:
                 cli._check_tableau_digits(n)
@@ -781,6 +764,10 @@ def test_mp_support_past_float_range_runs(capsys):
      2),
     (["scaling", "--model", "su", "--t", str(10**400), "--n-range", "1:3:1"], 2),
     (["scaling", "--model", "mp", "--t", "2", "--n-range", f"{10**400}:{10**400 + 2}:1"], 2),
+    # d = t^2 - 1 fits a float, but (d/2) log n does not at the last n
+    (["scaling", "--model", "su", "--t", str(13 * 10**153), "--n-range", "7:9:1"], 2),
+    (["scaling", "--model", "su", "--t", str(13 * 10**153), "--base", "2", "--n-range", "5:7:1"],
+     2),
 ])
 def test_sizes_past_float_range_exit_0_or_2(capsys, argv, code):
     """--n or --t past float range gives a report or a one-line refusal,
@@ -823,7 +810,7 @@ def test_scaling_from_n_0_names_n():
     """A sweep's first n goes through the library's argument check: a sweep
     from n = 0, which the parser refuses but a RunConfig built in code can
     hold, names n before any size estimate."""
-    with pytest.raises(cli.CLIError, match="^n must be positive$"):
+    with pytest.raises(ValueError, match="^n must be positive$"):
         run(RunConfig(command="scaling", model="mp", t=2, n_range=(0, 20, 1)))
 
 
@@ -844,9 +831,8 @@ def test_library_warning_is_one_line_without_path(capsys):
 # ---------------------------------------------------------------- golden bytes
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_golden_bytes(capsys, monkeypatch, key):
+def test_golden_bytes(capsys, key):
     """stdout, stderr and exit code match the pinned fixture byte for byte."""
-    monkeypatch.delenv("METROCAP_FORMAT", raising=False)
     code, out, err = run_cli(capsys, key.split(" "))
     assert (code, out, err) == tuple(GOLDEN[key][k] for k in ("code", "stdout", "stderr"))
 
@@ -858,10 +844,9 @@ def test_run_config_direct():
     assert run(cfg) == 0
 
 
-def test_config_from_args_keeps_defaults_of_unset_flags(monkeypatch):
+def test_config_from_args_keeps_defaults_of_unset_flags():
     """Fields a subcommand does not define, or flags left unset, take
     RunConfig's defaults."""
-    monkeypatch.delenv("METROCAP_FORMAT", raising=False)
     parse = cli.build_parser().parse_args
     assert cli.config_from_args(parse(["capacity", "--model", "su", "--n", "3"])) == \
         RunConfig("capacity", model="su", n=3)
@@ -878,9 +863,7 @@ def test_scaling_echoes_the_reference_it_sweeps():
 
 
 def test_run_unknown_command_raises():
-    from metrocap.cli import CLIError
-
-    with pytest.raises(CLIError):
+    with pytest.raises(ValueError, match="unknown command 'nope'"):
         run(RunConfig(command="nope"))
 
 
