@@ -11,11 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import capacity as cap
 from . import distinguish as dist
@@ -43,6 +45,12 @@ MAX_SCALING_POINTS = 10_000
 # t = 1000) and 3.2 s at 780 017 bits (n = 2 * 10^5), so the budget keeps a
 # report to seconds.
 MAX_SCALING_BITS = 1_000_000
+
+# Most rows render formats and writes at once.  A report is held whole only
+# as the rows its builder reads (a Decomposition's, a CapacityReport's); the
+# text is written one chunk at a time, so the writer adds one chunk's rows and
+# text to that, whatever the report's length.
+CHUNK_ROWS = 4096
 
 
 class RunConfig(NamedTuple):
@@ -95,12 +103,18 @@ def _parse_n_range(text: str) -> tuple:
 
 
 class Table(NamedTuple):
-    """A report's row list: flat row tuples, and for each column its name and
-    the %-format of its cell as JSON writes it (``_label`` for a label,
-    which takes one tuple element per entry)."""
+    """A report's row list: for each column its name and the %-format of its
+    cell as JSON writes it (``_label`` for a label, which takes one tuple
+    element per entry), and the flat row tuples as an iterable of non-empty
+    lists of at most CHUNK_ROWS rows each, read once, in order, by render."""
 
     columns: tuple
-    rows: list
+    chunks: Iterable[list]
+
+
+def _slices(rows: Sequence) -> Iterator[Sequence]:
+    """``rows`` in consecutive slices of at most CHUNK_ROWS rows."""
+    return (rows[i:i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS))
 
 
 _EXACT = '"%d"'  # an exact integer, written as a decimal string
@@ -121,11 +135,11 @@ def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
     return {"schema": SCHEMA, "command": cfg.command, **echoed, **body}
 
 
-def _refuse_digits(log_largest: float, limit: int) -> None:
-    """The refusal of a report whose largest multiplicity, of natural log
-    ``log_largest``, reaches 10^limit."""
+def _refuse_digits(log_largest: float, limit: int, what: str = "multiplicity") -> None:
+    """The refusal of a report whose largest multiplicity (or ``what``), of
+    natural log ``log_largest``, reaches 10^limit."""
     digits = max(limit + 1, math.floor(log_largest / math.log(10)) + 1)
-    raise ValueError(f"the largest multiplicity has about {digits} digits, more than "
+    raise ValueError(f"the largest {what} has about {digits} digits, more than "
                      f"the {limit} digits of the interpreter's limit for integer "
                      f"string conversion (sys.get_int_max_str_digits())")
 
@@ -167,9 +181,9 @@ def _check_tableau_digits(n: int) -> None:
 
     At t = 2 these are all the multiplicities, so the check is exact.  At
     t >= 3 a longer shape may count more, so the check is sound but not
-    complete, and the writer's ValueError (exit 2) stays the backstop; under
-    the default limit it cannot fire, since f_lambda <= t^n and the block
-    budget caps t = 3 at n = 3461 (1652 digits).
+    complete, and _check_row_digits completes it once the rows are made;
+    under the default limit neither can fire at t >= 3, since f_lambda <= t^n
+    and the block budget caps t = 3 at n = 3461 (1652 digits).
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
     if not limit:
@@ -184,6 +198,20 @@ def _check_tableau_digits(n: int) -> None:
                            + math.log(n - 2 * peak + 1), limit)
 
 
+def _check_row_digits(rows: Sequence) -> None:
+    """Refuse a su report any of whose dims or multiplicities reaches
+    10^limit, once its rows are made and before any byte is written: the
+    check that _check_tableau_digits's two-row counts leave incomplete at
+    t >= 3.  eff_mult <= dim needs no check of its own."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    if not limit:
+        return
+    dim, mult = max(map(itemgetter(1), rows)), max(map(itemgetter(2), rows))
+    if max(dim, mult) >= 10**limit:
+        _refuse_digits(math.log(max(dim, mult)), limit,
+                       "dimension" if dim > mult else "multiplicity")
+
+
 def _build_decompose(cfg: RunConfig) -> dict:
     """Every block as a row (*label, dim, mult, eff_mult).  The request is
     validated and its block budget checked first, so that the digit checks
@@ -195,9 +223,12 @@ def _build_decompose(cfg: RunConfig) -> dict:
     else:
         _check_tableau_digits(cfg.n)
     d = decompose(model, cfg.n, cfg.t, cfg.l)
+    if model is Model.SPECIAL_UNITARY:
+        _check_row_digits(d.rows)
     columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
-    rows = [(*label, dim, mult, eff) for label, dim, mult, eff in d.rows]
-    return _report(cfg, "model n t l", {"entries": Table(columns, rows)})
+    chunks = ([(*label, dim, mult, eff) for label, dim, mult, eff in part]
+              for part in _slices(d.rows))
+    return _report(cfg, "model n t l", {"entries": Table(columns, chunks)})
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
@@ -210,8 +241,8 @@ def _build_capacity(cfg: RunConfig) -> dict:
         r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
         support = r.support
         columns = (("label", _label(cfg.t)), ("p", '"%d/%d"'))
-        rows = [(*label, num, den) for label, num, den in r.p_rows]
-        weights["optimal_p"] = Table(columns, rows)
+        chunks = ([(*label, num, den) for label, num, den in part] for part in _slices(r.p_rows))
+        weights["optimal_p"] = Table(columns, chunks)
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
         "support": str(support),
@@ -345,7 +376,7 @@ def _build_scaling(cfg: RunConfig) -> dict:
     return _report(cfg._replace(l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
-        "rows": Table(columns, rows),
+        "rows": Table(columns, [rows]),
     })
 
 
@@ -386,45 +417,59 @@ def _csv_format(fmt: str) -> str:
     return fmt.strip('"')
 
 
-def render(report: dict, fmt: str) -> str:
-    """The report as JSON (the layout of json.dumps(report, indent=2)) or as
-    CSV with LF line endings.
+def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
+    """Write the report through ``write`` as JSON (the layout of
+    json.dumps(report, indent=2)) or as CSV with LF line endings.
 
     A report is a dict in output order; its row list, if any, is a Table.
     The rows are written with one %-template per report and format, so each
     row is a single ``template % row``: for JSON the row's object, for CSV
-    its line with the report-level cells already in place.  The JSON
-    preamble is json.dumps itself; a report without rows is json.dumps whole.
+    its line with the report-level cells already in place.  Each chunk of
+    the Table is one call of ``write``, the JSON preamble or CSV header
+    joined to the first, so no more than one chunk's text exists at a time.
+    The JSON preamble is json.dumps itself; a report without rows is
+    json.dumps whole, in one call.
     """
     if fmt == "json":
         *head, (key, table) = report.items()
         if not isinstance(table, Table):
-            return json.dumps(report, indent=2) + "\n"
+            write(json.dumps(report, indent=2) + "\n")
+            return
         preamble = json.dumps(dict(head), indent=2)[:-2]  # without the closing "\n}"
         fields = ",\n".join(f"      {_json_str(name).replace('%', '%%')}: {f}"
                             for name, f in table.columns)
         template = f"    {{\n{fields}\n    }}"
-        body = ",\n".join(map(template.__mod__, table.rows))
-        return f"{preamble},\n  {_json_str(key)}: " + (f"[\n{body}\n  ]\n}}\n" if body else "[]\n}\n")
-    if fmt == "csv":
+        opening = f"{preamble},\n  {_json_str(key)}: ["
+        lead = opening + "\n"
+        for chunk in table.chunks:
+            write(lead + ",\n".join(map(template.__mod__, chunk)))
+            lead = ",\n"
+        write("\n  ]\n}\n" if lead == ",\n" else opening + "]\n}\n")
+    elif fmt == "csv":
         key, header = _CSV[report["command"]]
         header = header.format(u=_unit(report.get("log_base", "e")))
-        table = report[key] if key else Table((), [()])  # one row, all from the report
+        table = report[key] if key else Table((), [[()]])  # one row, all from the report
         formats = {name: _csv_format(f) for name, f in table.columns}
         template = ",".join([formats[c] if c in formats else _cell(report[c]).replace("%", "%%")
                              for c in header.split(",")]) + "\n"
-        return header + "\n" + "".join(map(template.__mod__, table.rows))
-    raise ValueError(f"unknown format {fmt!r}")
+        lead = header + "\n"
+        for chunk in table.chunks:
+            write(lead + "".join(map(template.__mod__, chunk)))
+            lead = ""
+        if lead:  # no rows: the header alone
+            write(lead)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def run(config: RunConfig) -> int:
-    """Validate, compute and print one report.  Returns the exit status; a
-    refused request, by the CLI or the library, raises ValueError."""
+    """Validate, compute and print one report on stdout, one chunk of rows
+    at a time (render).  Returns the exit status; a refused request, by the
+    CLI or the library, raises ValueError before any byte is written."""
     builder = _BUILDERS.get(config.command)
     if builder is None:
         raise ValueError(f"unknown command {config.command!r}")
-    text = render(builder(config), config.format)
-    sys.stdout.write(text)
+    render(builder(config), config.format, sys.stdout.write)
     return 0
 
 
@@ -490,10 +535,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            return run(config_from_args(args))
+            status = run(config_from_args(args))
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
     except ValueError as exc:  # every refusal, the CLI's and the library's
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Python's documented
+        # recipe: point stdout at devnull so that the flush at exit cannot
+        # raise again, and fail quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -51,8 +51,9 @@ RefSize = Union[int, _UnboundedType]
 # 5.9 us at t = 3 near the budget (n = 3400, 5.7 s for 965 034 shapes), where
 # the multinomial it carries has grown to n log t bits; the dimension alone,
 # all that JSON capacity reads at an unbounded reference, takes 0.5 us.  A
-# whole CSV request at n = 2000, t = 3 (334 334 blocks, 256 MB) takes 6.5 s,
-# most of it writing the report.
+# whole CSV request at n = 2000, t = 3 (334 334 blocks, 256 MB) takes 6-7 s,
+# 2.1 s of it making the rows and most of the rest writing the report, and
+# peaks at 228 MiB of RSS, since the report is written one chunk at a time.
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
 # (980 700 blocks of 1400 entries each).

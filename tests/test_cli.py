@@ -163,22 +163,66 @@ def test_json_csv_round_trip(capsys, argv):
     assert "\r" not in csv_out
 
 
+def _written(report: dict, fmt: str) -> list:
+    """Each string render writes, in order."""
+    out = []
+    render(report, fmt, out.append)
+    return out
+
+
 def test_row_table_writer_on_percent_signs_and_empty_tables():
     """Constant text of a template holds '%' only doubled: in a JSON key, a
     row-list key and a CSV cell from the report."""
-    rows = Table((("a%s", '"%d"'), ("b%%", "%r"), ("label", "[]")), [(10**30, 0.5), (-1, 1e300)])
+    rows = Table((("a%s", '"%d"'), ("b%%", "%r"), ("label", "[]")), [[(10**30, 0.5), (-1, 1e300)]])
     report = {"schema": "1%d", "rows%": rows}
     dict_form = {"schema": "1%d", "rows%": [
         {"a%s": str(10**30), "b%%": 0.5, "label": []}, {"a%s": "-1", "b%%": 1e300, "label": []}]}
-    assert render(report, "json") == json.dumps(dict_form, indent=2) + "\n"
-    assert render({**report, "rows%": Table(rows.columns, [])}, "json") == \
+    assert "".join(_written(report, "json")) == json.dumps(dict_form, indent=2) + "\n"
+    assert "".join(_written({**report, "rows%": Table(rows.columns, [])}, "json")) == \
         json.dumps({**dict_form, "rows%": []}, indent=2) + "\n"
     report = {"schema": "1", "command": "decompose", "model": "m%d%%", "n": 1, "t": 1, "l": "%s",
               "entries": Table((("label", '[\n        %d\n      ]'), ("dim", '"%d"'),
-                                ("mult", '"%d"'), ("eff_mult", '"%d"')), [(1, 1, 1, 1)])}
-    assert render(report, "csv") == "model,n,t,l,label,dim,mult,eff_mult\nm%d%%,1,1,%s,1,1,1,1\n"
-    assert render({**report, "entries": Table(report["entries"].columns, [])}, "csv") == \
-        "model,n,t,l,label,dim,mult,eff_mult\n"
+                                ("mult", '"%d"'), ("eff_mult", '"%d"')), [[(1, 1, 1, 1)]])}
+    assert "".join(_written(report, "csv")) == \
+        "model,n,t,l,label,dim,mult,eff_mult\nm%d%%,1,1,%s,1,1,1,1\n"
+    assert "".join(_written({**report, "entries": Table(report["entries"].columns, [])}, "csv")) \
+        == "model,n,t,l,label,dim,mult,eff_mult\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
+def test_row_table_writer_at_chunk_boundaries(count):
+    """Rows in the builders' slices of CHUNK_ROWS = 4096, around each edge:
+    JSON is json.dumps of the dict rows, CSV the dict-row reference on it,
+    and each write holds at most one chunk.  A report with no row table is
+    one write."""
+    assert cli.CHUNK_ROWS == 4096
+    rows = [(k, k % 7, k + 1, 3**k, k % 5) for k in range(count)]  # (*label, dim, mult, eff)
+    columns = (("label", cli._label(2)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
+    head = {"schema": "1", "command": "decompose", "model": "su", "n": 5, "t": 2, "l": "inf"}
+    report = {**head, "entries": Table(columns, list(cli._slices(rows)))}
+    dicts = [{"label": [a, b], "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
+             for a, b, dim, mult, eff in rows]
+    chunks = -(-count // cli.CHUNK_ROWS)
+    json_writes = _written(report, "json")
+    json_out = "".join(json_writes)
+    assert json_out == json.dumps({**head, "entries": dicts}, indent=2) + "\n"
+    assert len(json_writes) == chunks + 1  # the closing bracket is a write of its own
+    csv_writes = _written(report, "csv")
+    assert "".join(csv_writes) == report_to_csv(json.loads(json_out))
+    assert len(csv_writes) == max(chunks, 1)
+    assert max(w.count("\n") for w in csv_writes) <= cli.CHUNK_ROWS + 1  # and the header
+    assert len(_written(head, "json")) == 1
+
+
+def test_run_writes_a_long_report_in_chunks(monkeypatch):
+    """decompose --model mp --n 100 --t 3 has C(102, 2) = 5151 rows, more
+    than one chunk: run hands stdout more than one write, which together are
+    the whole report."""
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": staticmethod(writes.append)})())
+    assert run(RunConfig("decompose", model="mp", n=100, t=3, format="csv")) == 0
+    assert len(writes) > 1
+    assert len("".join(writes).splitlines()) == 5151 + 1
 
 
 def test_decompose_rows_json_round_trip(capsys):
@@ -461,6 +505,31 @@ def test_tableau_digit_check_is_exact_at_small_limits(monkeypatch):
                     cli._check_tableau_digits(n)
             else:
                 cli._check_tableau_digits(n)
+
+
+def test_unwritable_su_rows_exit_2_before_any_byte(capsys, monkeypatch):
+    """Under a limit of 20 digits, the largest two-row tableau count at
+    n = 50, t = 3 has 14 digits, which the two-row check admits, and the
+    largest three-row count 21: decompose refuses once the rows are made,
+    before writing.  At n = 49 the largest count has 20 digits and is
+    written.  At n = 10, t = 100 a dimension (17 digits) outgrows every
+    multiplicity (3), and the refusal names it."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 20)
+    argv = ["decompose", "--model", "su", "--t", "3", "--n"]
+    code, out, err = run_cli(capsys, argv + ["50"])
+    assert (code, out) == (2, "")
+    assert err == ("error: the largest multiplicity has about 21 digits, more than the "
+                   "20 digits of the interpreter's limit for integer string conversion "
+                   "(sys.get_int_max_str_digits())\n")
+    code, out, err = run_cli(capsys, argv + ["49"])
+    assert (code, err) == (0, "")
+    assert max(len(e["mult"]) for e in json.loads(out)["entries"]) == 20
+    argv = ["decompose", "--model", "su", "--n", "10", "--t", "100"]
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 16)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "") and "the largest dimension has about 17 digits" in err
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 17)
+    assert run_cli(capsys, argv)[::2] == (0, "")
 
 
 @pytest.mark.parametrize("model", ["mp", "su"])
@@ -919,6 +988,21 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["support"] == "10"
     assert proc.stdout.endswith("\n")
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    """A reader that closes the pipe early (as `| head -c 100` does) ends a
+    long report with exit 1 and nothing on stderr.  Buffered stdout, as an
+    interactive shell gives it: PYTHONUNBUFFERED is unset."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(rep_core.__file__).resolve().parents[1])
+    argv = ["decompose", "--model", "mp", "--n", "400", "--t", "3", "--format", "csv"]
+    with subprocess.Popen([sys.executable, "-m", "metrocap", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b"model,n,t,l,label,dim,mult,eff_mult\n")
+        proc.stdout.close()  # several MB are still to come, far past a pipe's buffer
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 # ---------------------------------------------------------------- package surface

@@ -176,7 +176,8 @@ def test_large_reports_have_the_stdlib_json_layout(argv):
 @st.composite
 def _tables(draw):
     """A decompose, capacity or scaling report as its builder hands it to
-    render, with its rows as a Table, and the same report as plain dicts."""
+    render, with its rows as a Table cut into non-empty chunks at any places,
+    and the same report as plain dicts."""
     command = draw(st.sampled_from(["decompose", "capacity", "scaling"]))
     width = draw(st.integers(1, 8))
     exact = st.integers(0, 10**400)
@@ -200,15 +201,26 @@ def _tables(draw):
         key, columns = "rows", (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
         rows = draw(st.lists(st.tuples(st.integers(), real, real), max_size=5))
         dicts = [{"n": n, f"capacity_{u}": c, f"baseline_{u}": b} for n, c, b in rows]
-    return {**head, key: Table(columns, rows)}, {**head, key: dicts}
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1)))) if len(rows) > 1 else []
+    ends = [0, *cuts, len(rows)]
+    chunks = [rows[i:j] for i, j in zip(ends, ends[1:]) if i < j]
+    return {**head, key: Table(columns, chunks)}, {**head, key: dicts}
+
+
+def _rendered(report: dict, fmt: str) -> str:
+    """What render writes, joined."""
+    out = []
+    render(report, fmt, out.append)
+    return "".join(out)
 
 
 @SMALL
 @given(reports=_tables())
 def test_row_table_writer_matches_stdlib(reports):
     """One %-template per report against json.dumps of the dict rows, and
-    its CSV against the dict-row reference on the parsed JSON."""
+    its CSV against the dict-row reference on the parsed JSON, with the rows
+    cut into chunks anywhere."""
     report, dict_form = reports
-    json_out = render(report, "json")
+    json_out = _rendered(report, "json")
     assert json_out == json.dumps(dict_form, indent=2) + "\n"
-    assert render(report, "csv") == report_to_csv(json.loads(json_out))
+    assert _rendered(report, "csv") == report_to_csv(json.loads(json_out))
