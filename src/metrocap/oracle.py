@@ -6,13 +6,15 @@ modules so the two routes can check each other: nothing is imported from the
 package, and a model is its plain tag, ``"mp"`` or ``"su"``.  The twirled
 spectrum of a pure input is taken block by block from its amplitudes
 (``twirled_spectrum``): weight classes of the product basis for ``mp``, Schur
-blocks for SU(2).  Both the entropy (``empirical_mi``) and the lattice SRM
-success (``lattice_srm_success``, a closed form in the weight masses) are read
-off that spectrum.  The dense density-matrix twirls (``mp_twirl``,
-``su2_twirl``) and ``von_neumann_entropy`` work in the computational product
-basis and are the reference the block route is checked against; the dense
-Gram-matrix SRM that checks the closed form lives in ``tests/reference.py``.
-Dimensions are capped to keep dense linear algebra honest.
+blocks for SU(2), whose basis (``schur_basis_su2``) is coupled one qubit at a
+time by Clebsch-Gordan coefficients.  Both the entropy (``empirical_mi``) and
+the lattice SRM success (``lattice_srm_success``, a closed form in the weight
+masses) are read off that spectrum.  The dense density-matrix twirls
+(``mp_twirl``, ``su2_twirl``) and ``von_neumann_entropy`` work in the
+computational product basis and are the reference the block route is checked
+against; the dense Gram-matrix SRM that checks the closed form, and the dense
+lowering-operator Schur basis, live in ``tests/reference.py``.  Dimensions are
+capped to keep dense linear algebra honest.
 """
 
 from __future__ import annotations
@@ -140,28 +142,6 @@ def mp_twirl(rho: DensityOperator, n: int, t: int) -> DensityOperator:
     return DensityOperator(rho.matrix * mask, n=n, t=t, ref_dim=rho.ref_dim)
 
 
-def _weight_classes(n: int):
-    """The weight classes of (C^2)^{x n} and the lowering table between them.
-
-    classes[w] lists, ascending, the indices x < 2^n with w set bits.  For
-    each w < n, lower[w] has one row per member y of class w+1, in class
-    order: the positions in class w of the w+1 indices y with one set bit
-    cleared.
-    """
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    ones = bits.sum(axis=1)
-    classes = [np.flatnonzero(ones == w) for w in range(n + 1)]
-    position = np.empty(2**n, dtype=np.intp)
-    for members in classes:
-        position[members] = np.arange(len(members))
-    lower = []
-    for w in range(n):
-        members = classes[w + 1]
-        set_bits = np.nonzero(bits[members])[1].reshape(len(members), w + 1)
-        lower.append(position[members[:, None] ^ (1 << set_bits)])
-    return classes, lower
-
-
 def _check_classes(basis: np.ndarray, classes, columns) -> None:
     """Orthonormality of a basis whose every column lies in the rows of one
     weight class, listed in columns[w]: basis^T basis is then block-diagonal
@@ -188,51 +168,65 @@ def schur_basis_su2(n: int):
     related by the lowering operator, which is what makes the factorization
     U_j x C^mult explicit.
 
-    The lowering operator J- adds one set bit, so it maps the weight class
-    of the indices with w set bits to class w+1 and is never built: the
-    table lower[w] of ``_weight_classes`` lists, for each member of class
-    w+1, the positions of its w+1 preimages in class w, and a block of
-    columns on class w is lowered by gathering its rows along that table
-    and summing (C(n, w+1) (w+1) mult additions).  The highest weights with
-    k set bits are the SVD null space of the 0/1 raising map J+ = J-^T from
-    class k to class k-1, filled from lower[k-1].  Each column is written
-    once, into the rows of its class, so the orthonormality check is one
-    C(n, w) x C(n, w) Gram matrix per class (``_check_classes``) rather
-    than one of size 2^n.
+    The blocks are coupled one qubit at a time, each new qubit the top bit
+    (the Schur transform of Bacon, Chuang and Harrow, PRL 97, 170502, 2006);
+    a set bit is spin down.  spins[two_j][i] holds the vectors of projection
+    m = j - i of k qubits, one column per multiplicity index, on the rows of
+    their weight class w: the C(k, w) indices with w set bits, ascending.
+    Those with the new bit clear are class w of k - 1 qubits and those with
+    it set follow as class w - 1, so a coupled vector is two old ones scaled
+    by the Clebsch-Gordan coefficients of j' (x) 1/2 and stacked:
+
+      up from j - 1/2:   sqrt((j + m) / 2j) |m - 1/2>|0> + sqrt((j - m) / 2j) |m + 1/2>|1>
+      down from j + 1/2: -sqrt((j - m + 1) / (2j + 2)) |m - 1/2>|0>
+                         + sqrt((j + m + 1) / (2j + 2)) |m + 1/2>|1>
+
+    and the multiplicity space of j is the one coupled up followed by the
+    one coupled down.  The coupling is orthogonal, so no null space is
+    sought.  Each vector is written once into the dense basis, into the rows
+    of its class, so the orthonormality check is one C(n, w) x C(n, w) Gram
+    matrix per class (``_check_classes``) rather than one of size 2^n.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if n > SU2_COPY_CAP:
         raise ValueError(f"n must stay <= {SU2_COPY_CAP} for dense feasibility")
-    classes, lower = _weight_classes(n)
+    spins = {0: [np.ones((1, 1))]}  # no qubit: one spin-0 vector
+    for k in range(1, n + 1):
+        coupled = {}
+        for two_j in range(k, -1, -2):
+            up, down = spins.get(two_j - 1), spins.get(two_j + 1)
+            mult_up = up[0].shape[1] if up else 0
+            mult = mult_up + (down[0].shape[1] if down else 0)
+            coupled[two_j] = []
+            for i in range(two_j + 1):
+                w = (k - two_j) // 2 + i
+                clear = comb(k - 1, w)  # the rows whose new bit is clear
+                vec = np.zeros((comb(k, w), mult))
+                if up and i < two_j:
+                    vec[:clear, :mult_up] = math.sqrt((two_j - i) / two_j) * up[i]
+                if up and i > 0:
+                    vec[clear:, :mult_up] = math.sqrt(i / two_j) * up[i - 1]
+                if down:
+                    vec[:clear, mult_up:] = -math.sqrt((i + 1) / (two_j + 2)) * down[i + 1]
+                    vec[clear:, mult_up:] = math.sqrt((two_j + 1 - i) / (two_j + 2)) * down[i]
+                coupled[two_j].append(vec)
+        spins = coupled
+
+    ones = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    classes = [np.flatnonzero(ones == w) for w in range(n + 1)]
     basis = np.zeros((2**n, 2**n))
     columns = [[] for _ in range(n + 1)]  # the columns written into each class
     blocks = []
     offset = 0
-    for k in range(n // 2 + 1):
-        two_j = n - 2 * k
-        if k == 0:
-            null = np.eye(1)
-        else:
-            size = comb(n, k)
-            raise_map = np.zeros((comb(n, k - 1), size))
-            raise_map[lower[k - 1], np.arange(size)[:, None]] = 1.0
-            _, s, vt = np.linalg.svd(raise_map)
-            rank = int(np.sum(s > 1e-10))
-            null = vt[rank:].T
-        mult = null.shape[1]
-        expected = comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
-        if mult != expected:
-            raise ArithmeticError(f"multiplicity {mult} != {expected} at n={n}, k={k}")
-        vecs = null
-        for w in range(k, n - k + 1):  # class w holds projection m = n/2 - w
-            start = offset + (w - k) * mult
-            basis[classes[w], start : start + mult] = vecs
+    for two_j in range(n, -1, -2):
+        vecs = spins.pop(two_j)  # freed once written
+        mult = vecs[0].shape[1]
+        for i, vec in enumerate(vecs):
+            w = (n - two_j) // 2 + i
+            start = offset + i * mult
+            basis[classes[w], start : start + mult] = vec
             columns[w].extend(range(start, start + mult))
-            if w < n - k:
-                two_m = n - 2 * w
-                coef = math.sqrt((two_j + two_m) * (two_j - two_m + 2)) / 2.0
-                vecs = vecs[lower[w]].sum(axis=1) / coef
         blocks.append((two_j, mult, offset))
         offset += (two_j + 1) * mult
 
@@ -272,14 +266,14 @@ def su2_optimal_state(n: int) -> PureState:
     basis, blocks = schur_basis_su2(n)
     ref = n + 1  # >= every block dimension
     total = sum((two_j + 1) ** 2 for two_j, _, _ in blocks)
-    schur_amps = np.zeros(2**n * ref, dtype=complex)
+    schur_amps = np.zeros((2**n, ref))  # real, as is the basis
     for two_j, mult, off in blocks:
         dim_u = two_j + 1
         # sqrt(p_j / dim) on each of the dim entangled pairs
         amp = dim_u / math.sqrt(total) / math.sqrt(dim_u)
         for i in range(dim_u):  # projection i of multiplicity copy 0, reference state i
-            schur_amps[(off + i * mult) * ref + i] = amp
-    full = (basis @ schur_amps.reshape(2**n, ref)).reshape(-1)
+            schur_amps[off + i * mult, i] = amp
+    full = (basis @ schur_amps).reshape(-1)
     return PureState(full, n=n, t=2, ref_dim=ref)
 
 
@@ -329,7 +323,9 @@ def twirled_spectrum(psi: PureState, model: str, n: int, t: int) -> np.ndarray:
         _, weight_class = np.unique(keys, return_inverse=True)
         return np.bincount(weight_class, weights=np.sum(np.abs(amps) ** 2, axis=1))
     basis, blocks = schur_basis_su2(n)
-    schur = basis.T @ amps
+    # real and imaginary parts apart: a real-by-complex product would make a
+    # complex copy of the basis
+    schur = basis.T @ amps.real + 1j * (basis.T @ amps.imag)
     parts = []
     for two_j, mult, off in blocks:
         dim_u = two_j + 1

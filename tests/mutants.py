@@ -102,18 +102,21 @@ MUTANTS = [
            "su eff_mult ignores the reference size"),
     Mutant("rep_core.py", "or l < 1):", "or l < 0):",
            "a reference size of 0 is admitted"),
-    # The SU(2) Schur basis, built one weight class at a time.
-    Mutant("oracle.py", "coef = math.sqrt((two_j + two_m) * (two_j - two_m + 2)) / 2.0",
-           "coef = math.sqrt((two_j + two_m) * (two_j - two_m + 4)) / 2.0",
-           "the lowering coefficient uses j - m + 2 for j - m + 1", tests=ORACLE_TESTS),
-    Mutant("oracle.py", "lower.append(position[members[:, None] ^ (1 << set_bits)])",
-           "lower.append(position[members[:, None] ^ (1 << set_bits[:, 1:])])",
-           "the lowering table drops the lowest set bit of every index", tests=ORACLE_TESTS),
+    # The SU(2) Schur basis, coupled one qubit at a time.
+    Mutant("oracle.py", "math.sqrt((two_j - i) / two_j) * up[i]",
+           "math.sqrt((two_j - i + 1) / two_j) * up[i]",
+           "the up coupling's sqrt((j + m) / 2j) reads j + m + 1", tests=ORACLE_TESTS),
+    Mutant("oracle.py", "= -math.sqrt((i + 1) / (two_j + 2)) * down[i + 1]",
+           "= math.sqrt((i + 1) / (two_j + 2)) * down[i + 1]",
+           "the down coupling loses its Condon-Shortley minus sign", tests=ORACLE_TESTS),
+    Mutant("oracle.py", "math.sqrt((two_j + 1 - i) / (two_j + 2)) * down[i]",
+           "math.sqrt((two_j + 2 - i) / (two_j + 2)) * down[i]",
+           "the down coupling's sqrt((j + m + 1) / (2j + 2)) reads j + m + 2", tests=ORACLE_TESTS),
     Mutant("oracle.py", "for w, (rows, cols) in enumerate(zip(classes, columns)):",
            "for w, (rows, cols) in enumerate(zip(classes[:-1], columns)):",
            "the orthonormality check skips the last weight class", tests=ORACLE_TESTS),
-    Mutant("oracle.py", "basis[classes[w], start : start + mult] = vecs",
-           "basis[classes[w][::-1], start : start + mult] = vecs",
+    Mutant("oracle.py", "basis[classes[w], start : start + mult] = vec",
+           "basis[classes[w][::-1], start : start + mult] = vec",
            "each class is written in reversed row order: still orthonormal class by class, "
            "but no longer the lowering layout", tests=ORACLE_TESTS),
 ]

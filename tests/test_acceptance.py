@@ -129,14 +129,18 @@ def check_mp_twirl_entropies():
         assert abs(noon - math.log(2)) <= 1e-9, (n, noon)
 
 
-@criterion(8, "SU(2) twirl of the optimal state matches capacity within 1e-6: log 4, 10, 20")
+@criterion(8, "SU(2) twirl of the optimal state matches capacity log C(n+3, 3): "
+              "dense twirl n <= 6 within 1e-6, block route n <= 12 within 1e-12")
 def check_su2_twirl_entropies():
-    expected = {1: 4, 2: 10, 3: 20}
-    for n in (1, 2, 3):
-        s = von_neumann_entropy(su2_twirl(pure_density(su2_optimal_state(n)), n))
+    for n in range(1, 13):
         r = su_capacity(n, 2)
-        assert r == math.log(expected[n]), (n, r)
-        assert abs(s - r) <= 1e-6, (n, s, r)
+        assert r == math.log(math.comb(n + 3, 3)), (n, r)
+        psi = su2_optimal_state(n)
+        s = empirical_mi(twirled_spectrum(psi, "su", n, 2))
+        assert abs(s - r) <= 1e-12, (n, s, r)
+        if n <= 6:
+            s = von_neumann_entropy(su2_twirl(pure_density(psi), n))
+            assert abs(s - r) <= 1e-6, (n, s, r)
 
 
 def _lattice_runs(psi, n):
