@@ -256,10 +256,9 @@ def _build_bounds(cfg: RunConfig) -> dict:
     if (cfg.alpha is None) != (cfg.beta is None):
         raise ValueError("--alpha and --beta must be given together")
     r = cap.log_integer(_support(cfg))
-    if cfg.alpha is None:
-        b = dist.m_eps_bounds(r, cfg.eps)
-    else:  # optimal twirled spectrum is flat
-        b = dist.m_bounds_general(r, r, cfg.alpha, cfg.beta, cfg.eps)
+    # the optimal twirled spectrum is flat: each Renyi entropy is the capacity
+    alpha = 2.0 if cfg.alpha is None else cfg.alpha
+    b = dist.m_bounds_general(r, r, alpha, cfg.beta, cfg.eps)
     u = _unit(cfg.base)
     return _report(cfg, "model n t l log_base", {
         "alpha": b.alpha,
@@ -388,14 +387,14 @@ _BUILDERS = {
     "scaling": _build_scaling,
 }
 
-# command -> (key of its row list, or None for a one-row report; CSV header).
-# A column that the rows lack is read from the report itself.
+# command -> CSV header.  A report that holds every column is one row; else its
+# last item holds the rows, and a column that they lack is read from the report.
 _CSV = {
-    "decompose": ("entries", "model,n,t,l,label,dim,mult,eff_mult"),
-    "capacity": (None, "model,n,t,l,log_base,capacity_{u}"),
-    "bounds": (None, "model,n,t,l,alpha,beta,epsilon,lower_{u},upper_{u}"),
-    "simulate": (None, "model,n,t,state_tag,codebook_tag,success_prob,entropy_{u}"),
-    "scaling": ("rows", "model,n,t,l,capacity_{u},baseline_{u},fitted_slope"),
+    "decompose": "model,n,t,l,label,dim,mult,eff_mult",
+    "capacity": "model,n,t,l,log_base,capacity_{u}",
+    "bounds": "model,n,t,l,alpha,beta,epsilon,lower_{u},upper_{u}",
+    "simulate": "model,n,t,state_tag,codebook_tag,success_prob,entropy_{u}",
+    "scaling": "model,n,t,l,capacity_{u},baseline_{u},fitted_slope",
 }
 
 
@@ -421,7 +420,7 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
     """Write the report through ``write`` as JSON (the layout of
     json.dumps(report, indent=2)) or as CSV with LF line endings.
 
-    A report is a dict in output order; its row list, if any, is a Table.
+    A report is a dict in output order; its row list, if any, is a Table, last.
     The rows are written with one %-template per report and format, so each
     row is a single ``template % row``: for JSON the row's object, for CSV
     its line with the report-level cells already in place.  Each chunk of
@@ -430,8 +429,8 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
     The JSON preamble is json.dumps itself; a report without rows is
     json.dumps whole, in one call.
     """
+    *head, (key, table) = report.items()
     if fmt == "json":
-        *head, (key, table) = report.items()
         if not isinstance(table, Table):
             write(json.dumps(report, indent=2) + "\n")
             return
@@ -446,12 +445,13 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
             lead = ",\n"
         write("\n  ]\n}\n" if lead == ",\n" else opening + "]\n}\n")
     elif fmt == "csv":
-        key, header = _CSV[report["command"]]
-        header = header.format(u=_unit(report.get("log_base", "e")))
-        table = report[key] if key else Table((), [[()]])  # one row, all from the report
+        header = _CSV[report["command"]].format(u=_unit(report.get("log_base", "e")))
+        names = header.split(",")
+        if set(names) <= report.keys():  # one row, all from the report
+            table = Table((), [[()]])
         formats = {name: _csv_format(f) for name, f in table.columns}
         template = ",".join([formats[c] if c in formats else _cell(report[c]).replace("%", "%%")
-                             for c in header.split(",")]) + "\n"
+                             for c in names]) + "\n"
         lead = header + "\n"
         for chunk in table.chunks:
             write(lead + "".join(map(template.__mod__, chunk)))

@@ -247,7 +247,9 @@ def su2_twirl(rho: DensityOperator, n: int) -> DensityOperator:
     basis, blocks = schur_basis_su2(n)
     r = rho.ref_dim
     w = basis if r == 1 else np.kron(basis, np.eye(r))
-    sigma = w.T @ rho.matrix @ w
+    # real and imaginary parts apart: a real-by-complex product would make a
+    # complex copy of w
+    sigma = w.T @ rho.matrix.real @ w + 1j * (w.T @ rho.matrix.imag @ w)
     out = np.zeros_like(sigma)
     for two_j, mult, off in blocks:
         dim_u = two_j + 1
@@ -257,7 +259,7 @@ def su2_twirl(rho: DensityOperator, n: int) -> DensityOperator:
         blk = sigma[lo:hi, lo:hi].reshape(dim_u, width, dim_u, width)
         reduced = np.einsum("iaib->ab", blk)
         out[lo:hi, lo:hi] = np.kron(np.eye(dim_u) / dim_u, reduced)
-    return DensityOperator(w @ out @ w.T, n=n, t=2, ref_dim=r)
+    return DensityOperator(w @ out.real @ w.T + 1j * (w @ out.imag @ w.T), n=n, t=2, ref_dim=r)
 
 
 def su2_optimal_state(n: int) -> PureState:

@@ -1,5 +1,5 @@
-"""Mutation sweep of the exact walks and the oracle's Schur basis: each
-listed fault must fail a test.
+"""Mutation sweep of the exact walks, the Renyi bracket and the oracle's
+Schur basis: each listed fault must fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -10,7 +10,8 @@ replaces one exact snippet of one file there, and runs the entry's test
 files against the copy with ``-x``, so a killed mutant stops at its first
 failing test.  By default those are the exact-layer tests
 (tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py);
-the oracle's mutants name tests/test_oracle.py.  The unmutated copy must
+the bracket's mutants name tests/test_distinguish.py and the oracle's
+tests/test_oracle.py.  The unmutated copy must
 pass every test file of the list first.  A mutant marked equivalent
 computes the same results by construction and is expected to pass every
 test; its reason says why.
@@ -34,6 +35,7 @@ from typing import NamedTuple, Optional
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_rep_core.py", "tests/test_capacity.py", "tests/test_properties.py")
 ORACLE_TESTS = ("tests/test_oracle.py",)
+BRACKET_TESTS = ("tests/test_distinguish.py",)
 TIMEOUT_S = 600  # a mutant that makes the tests run this long counts as killed
 
 
@@ -102,6 +104,13 @@ MUTANTS = [
            "su eff_mult ignores the reference size"),
     Mutant("rep_core.py", "or l < 1):", "or l < 0):",
            "a reference size of 0 is admitted"),
+    # The Renyi bracket on log M_eps.
+    Mutant("distinguish.py", "beta = 0.0", "beta = 0.5",
+           "the beta -> 0 limit takes beta = 1/2", tests=BRACKET_TESTS),
+    Mutant("distinguish.py", "/ (beta - 1.0)", "/ (1.0 - beta)",
+           "the upper bound's divisor changes sign", tests=BRACKET_TESTS),
+    Mutant("distinguish.py", "/ (alpha - 1.0)", "/ alpha",
+           "the lower bound divides by alpha, not alpha - 1", tests=BRACKET_TESTS),
     # The SU(2) Schur basis, coupled one qubit at a time.
     Mutant("oracle.py", "math.sqrt((two_j - i) / two_j) * up[i]",
            "math.sqrt((two_j - i + 1) / two_j) * up[i]",

@@ -472,10 +472,12 @@ def _csv_cell(value) -> str:
 def report_to_csv(report: dict) -> str:
     """CSV of a parsed JSON report, one dict row and one cell at a time; a
     column that a row lacks is read from the report itself."""
-    key, header = _CSV[report["command"]]
-    header = header.format(u="nats" if report.get("log_base", "e") == "e" else "bits")
+    header = _CSV[report["command"]].format(
+        u="nats" if report.get("log_base", "e") == "e" else "bits")
+    names = header.split(",")
+    *_, last = report.values()
     lines = [header]
-    for row in report[key] if key else [report]:
-        lines.append(",".join(_csv_cell(row[c] if c in row else report[c])
-                              for c in header.split(",")))
+    # a report that holds every column is one row; else its last item holds the rows
+    for row in [report] if set(names) <= report.keys() else last:
+        lines.append(",".join(_csv_cell(row[c] if c in row else report[c]) for c in names))
     return "\n".join(lines) + "\n"

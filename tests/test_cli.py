@@ -14,7 +14,7 @@ import pytest
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import capacity
-from metrocap.distinguish import m_eps_bounds, m_eps_capacity_bounds
+from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import factorial_multinomial, hook_length_count, report_to_csv
 
@@ -354,6 +354,9 @@ def test_unknown_command_exits_2(capsys):
         (["simulate", "--model", "mp", "--n", "2", "--t", "3"], "simulate ships t = 2 states only"),
         (["scaling", "--model", "mp", "--t", "2", "--n-range", "1:x:3"], "--n-range needs integers"),
         (["simulate", "--model", "mp", "--n", "0", "--t", "2"], "n must be positive"),
+        # the beta -> 0 limit is the default bracket's, and refused as a flag
+        (["bounds", "--model", "mp", "--n", "3", "--t", "2", "--alpha", "2", "--beta", "0"],
+         "error: beta must lie in (0, 1), got 0.0\n"),
     ],
 )
 def test_validation_failures_exit_2(capsys, argv, needle):
@@ -596,7 +599,7 @@ def test_finite_l_su_bounds_needs_no_enumeration(capsys):
     report = run_json(capsys, ["bounds", "--model", "su", "--n", "2000", "--t", "3", "--l", "1"])
     assert time.perf_counter() - start < 2.0
     support = math.comb(2008, 8) - 43932061005000
-    assert report["lower_nats"] == m_eps_bounds(math.log(support), 0.1).lower
+    assert report["lower_nats"] == math.log(support) - (LN2 - math.log(0.1))
 
 
 def test_finite_l_su_bounds_counts_only_the_first_rows_that_matter(capsys):
@@ -608,7 +611,7 @@ def test_finite_l_su_bounds_counts_only_the_first_rows_that_matter(capsys):
     report = run_json(capsys, ["bounds", "--model", "su", "--n", "87", "--t", "8", "--l", "1"])
     assert time.perf_counter() - start < 1.0
     support = 13672120764081890733648607260901736169613360
-    assert report["lower_nats"] == m_eps_bounds(math.log(support), 0.1).lower
+    assert report["lower_nats"] == math.log(support) - (LN2 - math.log(0.1))
 
 
 def test_finite_l_su_deficit_keeps_a_shape_budget(capsys, monkeypatch):
@@ -655,7 +658,7 @@ def test_large_t_finite_reference_does_not_recurse(capsys, command, l):
         assert report["support"] == str(support)
         assert report["capacity_nats"] == math.log(support)
     else:
-        assert report["lower_nats"] == m_eps_bounds(math.log(support), 0.1).lower
+        assert report["lower_nats"] == math.log(support) - (LN2 - math.log(0.1))
 
 
 @pytest.mark.parametrize("argv,support", [
@@ -815,8 +818,9 @@ def test_mp_support_past_float_range_runs(capsys):
     """At n = 10^400 the mp support at t = 2 is C(n+1, 1) = n+1, some 1329 bits."""
     n = 10**400
     report = run_json(capsys, ["bounds", "--model", "mp", "--n", str(n), "--t", "2"])
-    b = m_eps_bounds(math.log(n + 1), 0.1)
-    assert (report["lower_nats"], report["upper_nats"]) == (b.lower, b.upper)
+    r = math.log(n + 1)
+    assert (report["lower_nats"], report["upper_nats"]) == \
+        (r - (LN2 - math.log(0.1)), r - math.log1p(-0.1))
     code, out, err = run_cli(
         capsys, ["capacity", "--model", "mp", "--n", str(n), "--t", "2", "--format", "csv"])
     assert (code, err) == (0, "")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metrocap.capacity import capacity
-from metrocap.distinguish import m_bounds_general, m_eps_bounds, m_eps_capacity_bounds
+from metrocap.distinguish import m_bounds_general, m_eps_capacity_bounds
 from metrocap.oracle import mp_optimal_state, su2_optimal_state, twirled_spectrum
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import (
@@ -103,17 +103,20 @@ def test_m_bounds_general_validation():
         (2.5, 0.5, 0.5, r"alpha must lie in \(1, 2\], got 2.5"),
         (2.0, 0.0, 0.5, r"beta must lie in \(0, 1\), got 0.0"),
         (2.0, 1.0, 0.5, r"beta must lie in \(0, 1\), got 1.0"),
-        (2.0, 0.5, 0.0, r"eps must lie in \(0, 1\), got 0.0"),
-        (2.0, 0.5, 1.0, r"eps must lie in \(0, 1\), got 1.0"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             m_bounds_general(1.0, 1.0, alpha, beta, eps)
 
 
-def test_m_eps_bounds_validation():
-    for eps in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match=rf"^eps must lie in \(0, 1\), got {eps}$"):
-            m_eps_bounds(1.0, eps)
+def test_m_bounds_general_beta_limit_is_the_closed_form():
+    """beta=None at alpha = 2 is r - (log 2 - log eps) <= log M_eps <= r -
+    log(1 - eps), bit for bit, and records beta = 0."""
+    for r in (0.0, 1e-12, math.log(3), 5.0, 1e6):
+        for eps in (1e-300, 1e-30, 1e-3, 0.1, 0.5, 0.9, 1.0 - 2.0**-53):
+            b = m_bounds_general(r, r, 2.0, None, eps)
+            assert (b.alpha, b.beta, b.epsilon) == (2.0, 0.0, eps)
+            assert (b.lower, b.upper) == \
+                (r - (math.log(2.0) - math.log(eps)), r - math.log1p(-eps)), (r, eps)
 
 
 def test_m_eps_capacity_bounds_known():

@@ -374,8 +374,8 @@ def test_schur_basis_diagonalizes_casimir():
             jz += zi
             jp += pi
         jm = jp.T
-        casimir = jp @ jm + jz @ jz - jz  # wrong sign convention check below
         casimir = jm @ jp + jz @ jz + jz  # J^2 = J-J+ + Jz^2 + Jz
+        assert np.abs(jp @ jm + jz @ jz - jz - casimir).max() < 1e-12  # = J+J- + Jz^2 - Jz
         inside = basis.T @ casimir @ basis
         expected = np.zeros(d)
         for two_j, mult, off in blocks:
