@@ -9,6 +9,7 @@ status 2 and one diagnostic line on stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -530,8 +531,20 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one request from ``argv``; returns the exit status.
+
+    The cyclic garbage collector is paused while the request runs and its
+    output is flushed, and put back as it was found on every way out.  A
+    report holds no cycle (row and label tuples, ints, strings), so
+    reference counting frees it, and a collection would find only the few
+    objects of json.dumps's encoder closures; yet the tens of thousands of
+    row tuples of a large report trigger a hundred collections or more,
+    which scan the rows and free none of them.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
@@ -547,6 +560,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # raise again, and fail quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

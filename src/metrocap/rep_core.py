@@ -42,18 +42,22 @@ RefSize = Union[int, _UnboundedType]
 # Most blocks an enumeration may build, and most label entries (blocks times
 # t, one per level of every label) it may hold and a report may write; larger
 # requests are refused before they start.  On a 2-vCPU Xeon VM (Python 3.11)
-# decompose costs about 3 us per mp block at n = 400 and t = 3, 4.5 us at
-# n = 1400 (982 101 blocks in 4.5 s; the multinomials grow to 2800 bits), and
-# a whole mp decompose request about 11 us per block with its JSON report.  A
-# whole su decompose request costs 6-7 us per block at n <= 280 (t = 3..5)
-# and 11 us at n = 1000, t = 3 (CSV, in-process).  The shape walk's
-# dimension and tableau count take 2.5 us per shape at n = 1000, t = 3, and
-# 5.9 us at t = 3 near the budget (n = 3400, 5.7 s for 965 034 shapes), where
-# the multinomial it carries has grown to n log t bits; the dimension alone,
-# all that JSON capacity reads at an unbounded reference, takes 0.5 us.  A
-# whole CSV request at n = 2000, t = 3 (334 334 blocks, 256 MB) takes 6-7 s,
-# 2.1 s of it making the rows and most of the rest writing the report, and
-# peaks at 228 MiB of RSS, since the report is written one chunk at a time.
+# decompose costs about 1.3 us per mp block at n = 400 and t = 3, 2.6 us at
+# n = 1400 (982 101 blocks in 2.6 s; the multinomials grow to 2800 bits), and
+# a whole mp decompose request, in-process with its JSON report, about 2 us
+# per block at n = 250..400, t = 3.  A whole su decompose request costs
+# 3-4.5 us per block at n <= 280 (t = 3..5) and 7 us at n = 1000, t = 3
+# (CSV, in-process).  These request costs are with the cyclic collector
+# paused, as cli.main runs every request; left on, it made them 10-75%
+# longer (best of 3 each, a quarter at most sizes).
+# The shape walk's dimension and tableau count take 1.8 us per shape at
+# n = 1000, t = 3, and 5.3 us at t = 3 near the budget (n = 3400, 5.2 s for
+# 965 034 shapes), where the multinomial it carries has grown to n log t
+# bits; the dimension alone, all that JSON capacity reads at an unbounded
+# reference, takes 0.4 us.  A whole CSV request at n = 2000, t = 3 (334 334
+# blocks, 256 MB) takes 4.7-4.9 s, 1.5 s of it making the rows and most of
+# the rest writing the report, and peaks at 228 MiB of RSS, since the report
+# is written one chunk at a time.
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
 # (980 700 blocks of 1400 entries each).
@@ -95,8 +99,9 @@ class Decomposition(_DecompositionFields):
     fields are.  No ``__slots__``: ``entries`` is cached in the instance dict.
     """
 
-    def __new__(cls, model: Model, n: int, t: int, l: RefSize,
+    def __new__(cls, model: Union[Model, str], n: int, t: int, l: RefSize,
                 rows: Iterable[Row]) -> Decomposition:
+        model = Model(model)  # a tag "mp" or "su" is its Model; any other is refused
         rows = tuple(rows)
         labels = [row[0] for row in rows]
         if len(set(labels)) != len(labels):
@@ -167,9 +172,16 @@ def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None,
     dimension of ``rows`` when the caller has it already; by default it is
     computed.  ``carried`` is the pair (M, Q) when the caller has built it,
     as the shape walk _shape_rows does from prefix products; the rows are
-    then not read again.
+    then not read again; else they are checked as Decomposition checks a
+    partition label, and a bad one is refused with a ValueError naming it.
     """
     if carried is None:
+        if not rows:
+            raise ValueError(f"a label needs at least one row, got {rows}")
+        if min(rows) < 0:
+            raise ValueError(f"negative entry in label {rows}")
+        if any(map(int.__lt__, rows, rows[1:])):
+            raise ValueError(f"rows must be non-increasing, got {rows}")
         t = len(rows)
         multinomial = binomials = 1
         filled = 0

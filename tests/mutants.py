@@ -1,5 +1,6 @@
-"""Mutation sweep of the exact walks, the Renyi bracket and the oracle's
-Schur basis: each listed fault must fail a test.
+"""Mutation sweep of the exact walks, the Renyi bracket, the oracle's
+Schur basis and the CLI's collector pause: each listed fault must fail a
+test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -10,8 +11,8 @@ replaces one exact snippet of one file there, and runs the entry's test
 files against the copy with ``-x``, so a killed mutant stops at its first
 failing test.  By default those are the exact-layer tests
 (tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py);
-the bracket's mutants name tests/test_distinguish.py and the oracle's
-tests/test_oracle.py.  The unmutated copy must
+the bracket's mutants name tests/test_distinguish.py, the oracle's
+tests/test_oracle.py and the CLI's tests/test_cli.py.  The unmutated copy must
 pass every test file of the list first.  A mutant marked equivalent
 computes the same results by construction and is expected to pass every
 test; its reason says why.
@@ -36,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_rep_core.py", "tests/test_capacity.py", "tests/test_properties.py")
 ORACLE_TESTS = ("tests/test_oracle.py",)
 BRACKET_TESTS = ("tests/test_distinguish.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 TIMEOUT_S = 600  # a mutant that makes the tests run this long counts as killed
 
 
@@ -128,6 +130,11 @@ MUTANTS = [
            "basis[classes[w][::-1], start : start + mult] = vec",
            "each class is written in reversed row order: still orthonormal class by class, "
            "but no longer the lowering layout", tests=ORACLE_TESTS),
+    # main's pause of the cyclic garbage collector.
+    Mutant("cli.py", "gc.enable()", "pass",
+           "the pause is never restored: main leaves the collector off", tests=CLI_TESTS),
+    Mutant("cli.py", "gc.disable()", "pass",
+           "the pause is never taken: a large report runs the collector", tests=CLI_TESTS),
 ]
 
 

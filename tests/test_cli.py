@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -1007,6 +1008,77 @@ def test_closed_stdout_pipe_exits_1_quietly():
         proc.stdout.close()  # several MB are still to come, far past a pipe's buffer
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+# ---------------------------------------------------------------- garbage collection
+
+def _crash(cfg):
+    raise RuntimeError("not a refusal")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is one the caller opened, which main points at
+    devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
+    """main pauses the cyclic collector for the request and puts back the
+    state it found on every way out: exit 0, a refusal (exit 2), a closed
+    pipe (exit 1), and an error that is not a refusal."""
+    was = gc.isenabled()
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["capacity", "--model", "mp", "--n", "3"]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["decompose", "--model", "mp", "--n", "0"]) == 2
+        assert gc.isenabled() is enabled
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", _ClosedPipe(fd))
+            assert main(["capacity", "--model", "mp", "--n", "3"]) == 1
+        assert gc.isenabled() is enabled
+        monkeypatch.setitem(cli._BUILDERS, "capacity", _crash)
+        with pytest.raises(RuntimeError, match="not a refusal"):
+            main(["capacity", "--model", "mp", "--n", "3"])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+        os.close(fd)
+
+
+def test_a_large_report_runs_without_a_collection(capsys):
+    """The 31 626 row tuples of an mp report at n = 250, t = 3 trigger no
+    cyclic collection: they hold no cycle, so reference counting frees them
+    (the collector, left on, would run over a hundred passes)."""
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()  # the parse before the pause starts from an empty youngest generation
+    gc.callbacks.append(note)
+    try:
+        assert main(["decompose", "--model", "mp", "--n", "250", "--t", "3"]) == 0
+    finally:
+        gc.callbacks.remove(note)
+        if not was:
+            gc.disable()
+    assert starts == []
+    assert capsys.readouterr().out.count('"label"') == 31_626
 
 
 # ---------------------------------------------------------------- package surface

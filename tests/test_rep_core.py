@@ -374,10 +374,34 @@ def test_decomposition_keeps_mp_blocks_one_dimensional():
         Decomposition(Model.MULTI_PHASE, 2, 2, 1, rows)
 
 
+def test_decomposition_takes_a_string_tag_as_its_model():
+    """A tag is coerced to its Model before the rows are checked: "su" rows
+    are checked as partitions, and the record equals the enum one."""
+    su_rows = [((2, 0), 3, 1, 3), ((1, 1), 1, 1, 1)]
+    mp_rows = [((2, 0), 1, 1, 1), ((1, 1), 1, 2, 1), ((0, 2), 1, 1, 1)]
+    for model, rows in ((Model.SPECIAL_UNITARY, su_rows), (Model.MULTI_PHASE, mp_rows)):
+        d = Decomposition(model.value, 2, 2, 1, rows)
+        assert d == Decomposition(model, 2, 2, 1, rows) and d.model is model
+    with pytest.raises(ValueError, match="'xx' is not a valid Model"):
+        Decomposition("xx", 2, 2, 1, su_rows)
+
+
 def test_multiplicity_su_takes_partition_rows():
     assert multiplicity_su((3, 2, 0), 5) == multiplicity_su((3, 2), 5) == 5
     with pytest.raises(ValueError, match="fills 5 boxes, expected 4"):
         multiplicity_su((3, 2), 4)
+
+
+@pytest.mark.parametrize("rows, n, message", [
+    ((1, 2), 3, r"^rows must be non-increasing, got \(1, 2\)$"),
+    ((3, -1), 2, r"^negative entry in label \(3, -1\)$"),
+    ((), 0, r"^a label needs at least one row, got \(\)$"),
+])
+def test_multiplicity_su_refuses_a_bad_label(rows, n, message):
+    """Rows given without ``carried`` are checked as Decomposition checks a
+    partition label, and a bad one is named."""
+    with pytest.raises(ValueError, match=message):
+        multiplicity_su(rows, n)
 
 
 MULTIPLICITY_GRID = {t: range(13) for t in range(2, 9)} | {40: (1, 2, 5, 9, 14), 1000: (1, 2, 3, 7)}
