@@ -145,68 +145,31 @@ def _refuse_digits(log_largest: float, limit: int, what: str = "multiplicity") -
                      f"string conversion (sys.get_int_max_str_digits())")
 
 
-def _check_multiplicity_digits(n: int, t: int) -> None:
-    """Refuse an mp report whose largest multiplicity has more decimal digits
-    than the interpreter converts to a string (sys.get_int_max_str_digits(),
-    0 for no limit, as is an interpreter without it), before any block is
-    made.
-
-    The largest multinomial n! / prod_k c_k! is the balanced occupation's:
-    moving a unit from a count to one at least two smaller raises it.  It is
-    built level by level as the product of the binomials C(c_0+...+c_k, c_k),
-    one exact factor (a+j)/j at a time; the product never falls, so the loop
-    stops once it reaches 10^limit.  The digit count named is from log-gamma.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
-    if not limit:
-        return
-    q, extra = divmod(n, t)
-    counts = [q + 1] * extra + [q] * (t - extra)
-    ceiling = 10**limit
-    product, filled = 1, counts[0]
-    for c in counts[1:]:
-        for j in range(1, c + 1):
-            product = product * (filled + j) // j
-            if product >= ceiling:
-                _refuse_digits(math.lgamma(n + 1) - math.fsum(math.lgamma(k + 1) for k in counts),
-                               limit)
-        filled += c
+def _refuse_by_estimate(model: Model, n: int, t: int, limit: int) -> None:
+    """Refuse a report, before its blocks are made, when one block it holds
+    surely reaches 10^limit: the balanced occupation's multinomial for mp,
+    or for su the two-row tableau count f_k = n! (n-2k+1) / (k! (n-k+1)!) at
+    its peak k* (f_{k+1} >= f_k exactly when (n-2k)^2 >= n+2).  The log of
+    that block from log-gamma is within 2e-9 of the exact one up to the
+    largest n the block budget admits, so a refusal, which needs it to clear
+    the limit by a whole digit (ln 10), is sound.  Inside that margin
+    _check_row_digits decides, and may name a larger block of another shape."""
+    if model is Model.MULTI_PHASE:
+        q, extra = divmod(n, t)
+        log_block = (math.lgamma(n + 1) - extra * math.lgamma(q + 2)
+                     - (t - extra) * math.lgamma(q + 1))
+    else:
+        k = (n - math.isqrt(n + 1) + 1) // 2
+        log_block = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 2)
+                     + math.log(n - 2 * k + 1))
+    if log_block >= (limit + 1) * math.log(10):
+        _refuse_digits(log_block, limit)
 
 
-def _check_tableau_digits(n: int) -> None:
-    """As ``_check_multiplicity_digits``, for su: refuse a report whose two-row
-    tableau counts f_k = C(n,k) - C(n,k-1) = n! (n-2k+1) / (k! (n-k+1)!)
-    reach 10^limit.  f_{k+1} >= f_k exactly when (n-2k)^2 >= n+2, so the
-    binomials are built one exact factor at a time up to the peak k*, and the
-    loop stops at the first count that reaches 10^limit.
-
-    At t = 2 these are all the multiplicities, so the check is exact.  At
-    t >= 3 a longer shape may count more, so the check is sound but not
-    complete, and _check_row_digits completes it once the rows are made;
-    under the default limit neither can fire at t >= 3, since f_lambda <= t^n
-    and the block budget caps t = 3 at n = 3461 (1652 digits).
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
-    if not limit:
-        return
-    peak = (n - math.isqrt(n + 1) + 1) // 2
-    ceiling = 10**limit
-    below = binom = 1  # C(n, k-1) and C(n, k)
-    for k in range(1, peak + 1):
-        below, binom = binom, binom * (n - k + 1) // k
-        if binom - below >= ceiling:
-            _refuse_digits(math.lgamma(n + 1) - math.lgamma(peak + 1) - math.lgamma(n - peak + 2)
-                           + math.log(n - 2 * peak + 1), limit)
-
-
-def _check_row_digits(rows: Sequence) -> None:
-    """Refuse a su report any of whose dims or multiplicities reaches
-    10^limit, once its rows are made and before any byte is written: the
-    check that _check_tableau_digits's two-row counts leave incomplete at
-    t >= 3.  eff_mult <= dim needs no check of its own."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
-    if not limit:
-        return
+def _check_row_digits(rows: Sequence, limit: int) -> None:
+    """Refuse a report any of whose dims or multiplicities reaches 10^limit,
+    once its rows are made and before any byte is written: the one exact
+    digit rule.  eff_mult <= dim needs no check of its own."""
     dim, mult = max(map(itemgetter(1), rows)), max(map(itemgetter(2), rows))
     if max(dim, mult) >= 10**limit:
         _refuse_digits(math.log(max(dim, mult)), limit,
@@ -215,17 +178,23 @@ def _check_row_digits(rows: Sequence) -> None:
 
 def _build_decompose(cfg: RunConfig) -> dict:
     """Every block as a row (*label, dim, mult, eff_mult).  The request is
-    validated and its block budget checked first, so that the digit checks
-    only see admitted requests; decompose then admits it again, a small
-    fraction of the walk's cost."""
+    validated and its block budget checked first, so that the digit rule
+    only sees admitted requests; decompose then admits it again, a small
+    fraction of the walk's cost.
+
+    Each dim and mult is at most dim * mult <= sum dim * mult = t^n, the
+    fill Decomposition checks, so below 10^limit digits need no check, nor
+    without a limit (sys.get_int_max_str_digits() of 0, or an interpreter
+    before 3.10.7 without it).  Else _refuse_by_estimate may refuse at once,
+    and _check_row_digits decides on the rows."""
     model = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
-    if model is Model.MULTI_PHASE:
-        _check_multiplicity_digits(cfg.n, cfg.t)
-    else:
-        _check_tableau_digits(cfg.n)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    reach = limit and cfg.t**cfg.n >= 10**limit  # some block may reach the limit
+    if reach:
+        _refuse_by_estimate(model, cfg.n, cfg.t, limit)
     d = decompose(model, cfg.n, cfg.t, cfg.l)
-    if model is Model.SPECIAL_UNITARY:
-        _check_row_digits(d.rows)
+    if reach:
+        _check_row_digits(d.rows, limit)
     columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
     chunks = ([(*label, dim, mult, eff) for label, dim, mult, eff in part]
               for part in _slices(d.rows))
@@ -233,21 +202,19 @@ def _build_decompose(cfg: RunConfig) -> dict:
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
-    """The capacity and its support; in JSON also every block's optimal
+    """The capacity; in JSON also its support and every block's optimal
     weight p = num/den as a row (*label, num, den)."""
-    weights = {}
-    if cfg.format == "csv":  # the one CSV row shows no block weights: build no blocks
-        support = _support(cfg)
+    if cfg.format == "csv":  # the one CSV row shows neither: build no blocks, write no support
+        support, body = _support(cfg), {}
     else:
         r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
         support = r.support
         columns = (("label", _label(cfg.t)), ("p", '"%d/%d"'))
         chunks = ([(*label, num, den) for label, num, den in part] for part in _slices(r.p_rows))
-        weights["optimal_p"] = Table(columns, chunks)
+        body = {"support": str(support), "optimal_p": Table(columns, chunks)}
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
-        "support": str(support),
-        **weights,
+        **body,
     })
 
 
@@ -558,7 +525,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # The reader closed stdout (as `| head` does).  Python's documented
         # recipe: point stdout at devnull so that the flush at exit cannot
         # raise again, and fail quietly.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     finally:
         if collecting:

@@ -92,9 +92,10 @@ class Decomposition(_DecompositionFields):
     The blocks are raw rows (label, dim, mult, eff_mult), the labels plain
     tuples: weight vectors for mp, zero-padded partitions for su.  The rows,
     stored as a tuple whatever sequence is given, are checked on
-    construction, in any order: labels non-negative, partition labels
-    non-increasing, mp blocks one-dimensional, 1 <= eff_mult <= dim, no label
-    twice, and together they must fill the space: sum dim * mult = t^n.
+    construction, in any order: labels of t non-negative entries summing to
+    n, partition labels non-increasing, mp blocks one-dimensional,
+    1 <= eff_mult <= dim, no label twice, and together they must fill the
+    space: sum dim * mult = t^n.
     The fields are read-only and two decompositions are equal when their
     fields are.  No ``__slots__``: ``entries`` is cached in the instance dict.
     """
@@ -109,6 +110,8 @@ class Decomposition(_DecompositionFields):
         partitions = model is Model.SPECIAL_UNITARY
         filled = 0
         for label, dim, mult, eff in rows:
+            if len(label) != t:
+                raise ValueError(f"label {label} has {len(label)} entries, expected t = {t}")
             if min(label) < 0:
                 raise ValueError(f"negative entry in label {label}")
             if partitions:
@@ -116,6 +119,8 @@ class Decomposition(_DecompositionFields):
                     raise ValueError(f"rows must be non-increasing, got {label}")
             elif dim != 1:
                 raise ValueError("multi-phase blocks must be one-dimensional")
+            if sum(label) != n:
+                raise ValueError(f"label {label} sums to {sum(label)}, expected n = {n}")
             if dim < 1 or mult < 1:
                 raise ValueError("dim and mult must be positive")
             if not 1 <= eff <= dim:

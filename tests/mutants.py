@@ -1,6 +1,6 @@
 """Mutation sweep of the exact walks, the Renyi bracket, the oracle's
-Schur basis and the CLI's collector pause: each listed fault must fail a
-test.
+Schur basis, the CLI's collector pause, closed-pipe descriptor and digit
+rule: each listed fault must fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -135,6 +135,19 @@ MUTANTS = [
            "the pause is never restored: main leaves the collector off", tests=CLI_TESTS),
     Mutant("cli.py", "gc.disable()", "pass",
            "the pause is never taken: a large report runs the collector", tests=CLI_TESTS),
+    Mutant("cli.py", "os.close(devnull)", "pass",
+           "a closed-pipe request leaves its devnull descriptor open", tests=CLI_TESTS),
+    # decompose's digit rule: the t^n skip, the early refusal, the row scan.
+    Mutant("cli.py", "cfg.t**cfg.n >= 10**limit", "cfg.t**cfg.n < 10**limit",
+           "the t^n skip inverted: the rule runs only where no entry can reach the limit",
+           tests=CLI_TESTS),
+    Mutant("cli.py", ">= (limit + 1) * math.log(10)", ">= (limit - 1) * math.log(10)",
+           "the early refusal's margin drops below the limit: blocks a digit short are refused",
+           tests=CLI_TESTS),
+    Mutant("cli.py", "    if reach:\n        _check_row_digits(d.rows, limit)",
+           "    if reach and model is Model.SPECIAL_UNITARY:\n"
+           "        _check_row_digits(d.rows, limit)",
+           "the row scan never runs for mp", tests=CLI_TESTS),
 ]
 
 

@@ -19,7 +19,10 @@ from the Gram matrix of the coded states and its eigensolve
 (``srm_discrimination``), which also takes codebooks of any local unitaries.
 
 The shapes themselves come one at a time from ``partition_rows``, whose
-order the walk must keep.
+order the walk must keep; the occupation vectors from ``weight_vectors``.
+The largest dim or multiplicity of a whole decomposition, which the CLI's
+digit rule must refuse exactly past the interpreter's limit, is brute force
+over both (``largest_block_entry``).
 
 It also holds the paper's bounds that no command reports, which the
 acceptance criteria check against the capacities: the gapped-partition lower
@@ -132,6 +135,24 @@ def factorial_multinomial(counts) -> int:
     for c in counts:
         out //= factorial(c)
     return out
+
+
+def weight_vectors(n: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Every occupation vector of n over t levels, by stars and bars: the
+    t-1 bars among n+t-1 places, the counts between them."""
+    for bars in itertools.combinations(range(n + t - 1), t - 1):
+        ends = (-1, *bars, n + t - 1)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def largest_block_entry(model: str, n: int, t: int) -> int:
+    """The largest dim or multiplicity of any block of (n, t): for mp the
+    factorial multinomial of every occupation vector (each dim is 1), for su
+    the pairwise Weyl dimension and hook-length count of every partition."""
+    if model == "mp":
+        return max(map(factorial_multinomial, weight_vectors(n, t)))
+    return max(max(pairwise_weyl_dim(rows), hook_length_count(rows))
+               for rows in partition_rows(n, t))
 
 
 def ssyt_count(rows, t: int) -> int:

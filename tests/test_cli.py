@@ -14,10 +14,10 @@ import pytest
 
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
-from metrocap.capacity import capacity
+from metrocap.capacity import capacity, log_integer
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import factorial_multinomial, hook_length_count, report_to_csv
+from reference import factorial_multinomial, largest_block_entry, report_to_csv
 
 LN2 = math.log(2.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
@@ -386,9 +386,9 @@ def test_block_budget_exits_2_at_once(capsys, argv, count):
 
 def test_unwritable_mp_multiplicities_exit_2_at_once(capsys):
     """C(14292, 7146) has 4301 digits, one past the interpreter's default
-    limit for integer string conversion: decompose refuses before making any
-    block, naming both counts.  The capacity report writes no multiplicity
-    and still runs."""
+    limit for integer string conversion: decompose refuses before writing
+    any byte, naming both counts, and admits n = 14291.  The capacity report
+    writes no multiplicity and still runs."""
     argv = ["decompose", "--model", "mp", "--n", "14292", "--t", "2"]
     for extra in ([], ["--format", "csv"]):
         start = time.perf_counter()
@@ -398,42 +398,40 @@ def test_unwritable_mp_multiplicities_exit_2_at_once(capsys):
         assert err == ("error: the largest multiplicity has about 4301 digits, more than the "
                        "4300 digits of the interpreter's limit for integer string conversion "
                        "(sys.get_int_max_str_digits())\n")
+    cli._build_decompose(RunConfig("decompose", "mp", 14291, 2))
     code, out, err = run_cli(capsys, ["capacity", "--model", "mp", "--n", "14292", "--t", "2"])
     assert (code, err) == (0, "")
     assert json.loads(out)["support"] == "14293"
 
 
 def test_multiplicity_digit_check_is_exact(capsys):
-    """Under a limit of 640 digits, decompose refuses exactly from the first
-    n whose largest multinomial, the balanced one by brute factorials,
-    reaches 10^640.  At t = 2 every weight's multinomial is compared, and the
-    request below the boundary is written in full."""
+    """Under a limit of 640 digits, mp decompose at t = 2 refuses exactly
+    from the first n where the balanced multinomial, by brute factorials,
+    reaches 10^640; every weight's is compared on both sides of the boundary,
+    and the request below it is written in full."""
     limit = 640
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
     try:
-        for t in (7, 4, 3, 2):
-            def largest(n):
-                q, extra = divmod(n, t)
-                return factorial_multinomial([q + 1] * extra + [q] * (t - extra))
+        def balanced(n):
+            return factorial_multinomial((n - n // 2, n // 2))
 
-            lo, hi = 1, 4000  # largest(lo) < 10^limit <= largest(hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (mid, hi) if largest(mid) < 10**limit else (lo, mid)
-            assert hi > 100, t
-            cli._check_multiplicity_digits(lo, t)
-            with pytest.raises(ValueError, match="641 digits, more than the 640 digits"):
-                cli._check_multiplicity_digits(hi, t)
-        # t = 2, the last of the loop: the largest of all weights, and the whole
-        # command on both sides of the boundary
+        lo, hi = 1, 4000  # balanced(lo) < 10^limit <= balanced(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if balanced(mid) < 10**limit else (lo, mid)
+        assert hi > 100
+        # the balanced weight is the largest: every weight's multinomial, by brute factorials
         assert max(factorial_multinomial((k, hi - k)) for k in range(hi + 1)) >= 10**limit
         assert max(factorial_multinomial((k, lo - k)) for k in range(lo + 1)) < 10**limit
         argv = ["decompose", "--model", "mp", "--t", "2", "--format", "csv", "--n"]
         code, out, err = run_cli(capsys, argv + [str(lo)])
         assert (code, err) == (0, "") and len(out.splitlines()) == lo + 2
         code, out, err = run_cli(capsys, argv + [str(hi)])
-        assert (code, out) == (2, "") and "641 digits" in err
+        assert (code, out) == (2, "")
+        assert err == ("error: the largest multiplicity has about 641 digits, more than the "
+                       "640 digits of the interpreter's limit for integer string conversion "
+                       "(sys.get_int_max_str_digits())\n")
     finally:
         sys.set_int_max_str_digits(before)
 
@@ -441,7 +439,7 @@ def test_multiplicity_digit_check_is_exact(capsys):
 def test_unwritable_su_multiplicities_exit_2_at_once(capsys):
     """The largest two-row tableau count at n = 14299 has 4301 digits, and
     at n = 14298 4300: su decompose at t = 2 refuses from 14299 on before
-    making any block, where it used to enumerate for 20 s and then fail.  At
+    writing any byte, where it used to enumerate for 20 s and then fail.  At
     n = 20000 the message names the peak count's own 6017 digits."""
     argv = ["decompose", "--model", "su", "--n", "14299", "--t", "2"]
     for extra in ([], ["--format", "csv"]):
@@ -452,7 +450,7 @@ def test_unwritable_su_multiplicities_exit_2_at_once(capsys):
         assert err == ("error: the largest multiplicity has about 4301 digits, more than the "
                        "4300 digits of the interpreter's limit for integer string conversion "
                        "(sys.get_int_max_str_digits())\n")
-    cli._check_tableau_digits(14298)
+    cli._build_decompose(RunConfig("decompose", "su", 14298, 2))
     code, out, err = run_cli(capsys, ["decompose", "--model", "su", "--n", "20000", "--t", "2"])
     assert (code, out) == (2, "") and "about 6017 digits" in err
 
@@ -462,7 +460,9 @@ def test_tableau_digit_check_is_exact(capsys):
     first n where some two-row tableau count, n! (n-2k+1) / (k! (n-k+1)!)
     by brute factorials over every k, reaches 10^640.  At t = 2 these are all
     the multiplicities: the request below the boundary is written in full.
-    At t = 3 the same request is refused too."""
+    At t = 3 the same request is refused too; its two-row peak is inside the
+    early refusal's margin, so the rows decide, and the message names the
+    largest count, a longer shape's."""
     limit = 640
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(limit)
@@ -481,34 +481,91 @@ def test_tableau_digit_check_is_exact(capsys):
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
         assert hi > 100
-        cli._check_tableau_digits(lo)
-        with pytest.raises(ValueError, match="641 digits, more than the 640 digits"):
-            cli._check_tableau_digits(hi)
         argv = ["decompose", "--model", "su", "--format", "csv", "--n"]
         code, out, err = run_cli(capsys, argv + [str(lo), "--t", "2"])
         assert (code, err) == (0, "") and len(out.splitlines()) == lo // 2 + 2
-        for t in ("2", "3"):
-            code, out, err = run_cli(capsys, argv + [str(hi), "--t", t])
-            assert (code, out) == (2, "") and "641 digits" in err
+        code, out, err = run_cli(capsys, argv + [str(hi), "--t", "2"])
+        assert (code, out) == (2, "")
+        assert err == ("error: the largest multiplicity has about 641 digits, more than the "
+                       "640 digits of the interpreter's limit for integer string conversion "
+                       "(sys.get_int_max_str_digits())\n")
+        code, out, err = run_cli(capsys, argv + [str(hi), "--t", "3"])
+        assert (code, out) == (2, "") and "more than the 640 digits" in err
+        assert int(err.split("about ")[1].split()[0]) > 641
     finally:
         sys.set_int_max_str_digits(before)
 
 
+def _check_digit_rule_at_small_limits(monkeypatch, model, sizes):
+    """For every (t, n) of ``sizes`` and every limit up to one past the
+    digits of the largest dim or multiplicity (tests/reference.py, by brute
+    force), decompose's builder refuses exactly when that largest entry
+    reaches 10^limit, naming the limit.  The skip, the early refusal and the
+    row scan together decide; the limits patched down to a few digits keep
+    the walks small."""
+    for t, top in sizes:
+        for n in range(1, top + 1):
+            largest = largest_block_entry(model, n, t)
+            for limit in range(1, len(str(largest)) + 2):
+                monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+                cfg = RunConfig("decompose", model, n, t)
+                if largest >= 10**limit:
+                    with pytest.raises(ValueError, match=f"more than the {limit} digits"):
+                        cli._build_decompose(cfg)
+                else:
+                    cli._build_decompose(cfg)
+
+
+def test_multiplicity_digit_check_is_exact_at_small_limits(monkeypatch):
+    """The digit rule for mp, at t = 2, 3, 4 and patched limits.  At the
+    limit one below the largest multinomial's digits the estimate of the
+    balanced occupation is inside its margin, so only the row scan refuses."""
+    _check_digit_rule_at_small_limits(monkeypatch, "mp", [(2, 60), (3, 30), (4, 16)])
+
+
 def test_tableau_digit_check_is_exact_at_small_limits(monkeypatch):
-    """With the limit patched down to a few digits, the su check refuses
-    exactly when some two-row tableau count, by hook lengths, reaches
-    10^limit, for every n <= 200 and limit.  At n = 18, 25, 49, 66, 93, 130
-    and 187 only the peak count has the most digits, so a loop that stops
-    short of the peak is caught."""
-    for n in range(1, 201):
-        largest = max(hook_length_count((n - k, k)) for k in range(n // 2 + 1))
-        for limit in range(1, len(str(largest)) + 2):
-            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
-            if largest >= 10**limit:
-                with pytest.raises(ValueError, match=f"more than the {limit} digits"):
-                    cli._check_tableau_digits(n)
-            else:
-                cli._check_tableau_digits(n)
+    """The digit rule for su, at t = 2, 3, 4 and patched limits: at t >= 3
+    the largest entry is often a longer shape's count or a dimension, which
+    only the row scan sees."""
+    _check_digit_rule_at_small_limits(monkeypatch, "su", [(2, 80), (3, 30), (4, 18)])
+
+
+@pytest.mark.parametrize("model", ["mp", "su"])
+def test_early_digit_refusal_is_sound(model):
+    """Whenever the log-gamma estimate refuses before the walk, the largest
+    entry, by brute force (tests/reference.py), reaches 10^limit; the grid
+    holds both refusals and passes.  Past the brute sizes, up to n = 2400 at
+    t = 2, the estimated block itself, by exact binomials (the balanced
+    C(n, n//2); the two-row peak C(n, k) - C(n, k-1), the largest of them),
+    reaches 10^limit whenever a limit of 640 digits is refused."""
+    outcomes = set()
+    for t, top in ((2, 60), (3, 24), (4, 14), (5, 10)):
+        for n in range(1, top + 1):
+            largest = largest_block_entry(model, n, t)
+            for limit in range(1, len(str(largest)) + 2):
+                try:
+                    cli._refuse_by_estimate(rep_core.Model(model), n, t, limit)
+                    outcomes.add("pass")
+                except ValueError as exc:
+                    assert largest >= 10**limit, (n, t, limit, str(exc))
+                    outcomes.add("refuse")
+    assert outcomes == {"pass", "refuse"}
+    outcomes = set()
+    for n in range(2000, 2401, 8):
+        binomials = [1]  # C(n, k) for k = 0 .. n // 2
+        for k in range(1, n // 2 + 1):
+            binomials.append(binomials[-1] * (n - k + 1) // k)
+        if model == "mp":
+            block = binomials[-1]
+        else:
+            block = max(map(int.__sub__, binomials[1:], binomials))
+        try:
+            cli._refuse_by_estimate(rep_core.Model(model), n, 2, 640)
+            outcomes.add("pass")
+        except ValueError:
+            assert block >= 10**640, n
+            outcomes.add("refuse")
+    assert outcomes == {"pass", "refuse"}
 
 
 def test_unwritable_su_rows_exit_2_before_any_byte(capsys, monkeypatch):
@@ -590,6 +647,22 @@ def test_capacity_csv_needs_no_block_budget(capsys, t, n, support):
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "")
     assert out == f"model,n,t,l,log_base,capacity_nats\nmp,{n},{t},inf,e,{math.log(support)!r}\n"
+
+
+def test_capacity_csv_converts_no_support(capsys):
+    """The CSV capacity row shows no support, so a support past the
+    interpreter's default limit of 4300 digits, C(19999, 9999) at n = 10000,
+    t = 100, is never written as a string: the request runs, and its
+    capacity is the log of that support, the one bounds brackets."""
+    argv = ["--model", "su", "--n", "10000", "--t", "100"]
+    support = math.comb(19999, 9999)
+    assert support >= 10**4300
+    code, out, err = run_cli(capsys, ["capacity", *argv, "--format", "csv"])
+    assert (code, err) == (0, "")
+    value = float(out.splitlines()[1].split(",")[-1])
+    assert value == log_integer(support)
+    report = run_json(capsys, ["bounds", *argv])
+    assert report["lower_nats"] == value - (LN2 - math.log(0.1))
 
 
 def test_finite_l_su_bounds_needs_no_enumeration(capsys):
@@ -1079,6 +1152,21 @@ def test_a_large_report_runs_without_a_collection(capsys):
             gc.disable()
     assert starts == []
     assert capsys.readouterr().out.count('"label"') == 31_626
+
+
+def test_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
+    """main points a closed stdout at devnull and closes the descriptor it
+    opened for that, so closed-pipe requests run in-process leave the count
+    of open descriptors as they found it."""
+    fd = os.open(os.devnull, os.O_WRONLY)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        before = len(os.listdir("/dev/fd"))
+        for _ in range(3):
+            assert main(["capacity", "--model", "mp", "--n", "3"]) == 1
+        assert len(os.listdir("/dev/fd")) == before
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------- package surface

@@ -351,6 +351,21 @@ def test_decomposition_applies_every_block_check_to_rows(rows, message):
         Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, rows)
 
 
+@pytest.mark.parametrize("model,rows,message", [
+    ("su", [((2, 0, 0), 3, 1, 3), ((1, 1), 1, 1, 1)],
+     r"label \(2, 0, 0\) has 3 entries, expected t = 2"),
+    ("mp", [((2,), 1, 4, 1)], r"label \(2,\) has 1 entries, expected t = 2"),
+    ("su", [((), 1, 4, 1)], r"label \(\) has 0 entries, expected t = 2"),
+    ("mp", [((5, 0), 1, 2, 1), ((0, 7), 1, 2, 1)], r"label \(5, 0\) sums to 5, expected n = 2"),
+    ("su", [((2, 0), 3, 1, 3), ((1, 0), 1, 1, 1)], r"label \(1, 0\) sums to 1, expected n = 2"),
+], ids=["longer", "shorter", "empty", "mp-sum", "su-sum"])
+def test_decomposition_checks_labels_against_n_and_t(model, rows, message):
+    """Every label has t entries summing to n: a label of another length,
+    the empty one included, or of another sum is refused, naming it."""
+    with pytest.raises(ValueError, match=message):
+        Decomposition(model, 2, 2, 1, rows)
+
+
 def test_decomposition_rows_in_any_order():
     rows = [((1, 1), 1, 1, 1), ((2, 0), 3, 1, 3)]  # ascending labels fill the space too
     assert Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, rows).rows == tuple(rows)
