@@ -183,7 +183,7 @@ def _build_decompose(cfg: RunConfig) -> dict:
     fraction of the walk's cost.
 
     Each dim and mult is at most dim * mult <= sum dim * mult = t^n, the
-    fill Decomposition checks, so below 10^limit digits need no check, nor
+    fill decompose checks, so below 10^limit digits need no check, nor
     without a limit (sys.get_int_max_str_digits() of 0, or an interpreter
     before 3.10.7 without it).  Else _refuse_by_estimate may refuse at once,
     and _check_row_digits decides on the rows."""

@@ -90,12 +90,13 @@ class Decomposition(_DecompositionFields):
     """Full isotypic decomposition of one model at given (n, t, l).
 
     The blocks are raw rows (label, dim, mult, eff_mult), the labels plain
-    tuples: weight vectors for mp, zero-padded partitions for su.  The rows,
-    stored as a tuple whatever sequence is given, are checked on
+    tuples: weight vectors for mp, zero-padded partitions for su.  Rows from
+    outside, stored as a tuple whatever sequence is given, are checked on
     construction, in any order: labels of t non-negative entries summing to
     n, partition labels non-increasing, mp blocks one-dimensional,
     1 <= eff_mult <= dim, no label twice, and together they must fill the
-    space: sum dim * mult = t^n.
+    space: sum dim * mult = t^n.  decompose checks its own rows for the fill
+    only.
     The fields are read-only and two decompositions are equal when their
     fields are.  No ``__slots__``: ``entries`` is cached in the instance dict.
     """
@@ -108,7 +109,6 @@ class Decomposition(_DecompositionFields):
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate irrep labels")
         partitions = model is Model.SPECIAL_UNITARY
-        filled = 0
         for label, dim, mult, eff in rows:
             if len(label) != t:
                 raise ValueError(f"label {label} has {len(label)} entries, expected t = {t}")
@@ -125,15 +125,19 @@ class Decomposition(_DecompositionFields):
                 raise ValueError("dim and mult must be positive")
             if not 1 <= eff <= dim:
                 raise ValueError(f"eff_mult {eff} outside [1, dim={dim}]")
-            filled += dim * mult
-        if filled != t**n:
-            raise ValueError("blocks do not fill the full space")
+        _check_fill(rows, n, t)
         return super().__new__(cls, model, n, t, l, rows)
 
     @cached_property
     def entries(self) -> tuple[IrrepEntry, ...]:
         """The rows as IrrepEntry named tuples, for the benchmark tracer only."""
         return tuple(map(IrrepEntry._make, self.rows))
+
+
+def _check_fill(rows: tuple[Row, ...], n: int, t: int) -> None:
+    """Refuse rows whose sum dim * mult is not t^n."""
+    if sum(dim * mult for _, dim, mult, _ in rows) != t**n:
+        raise ValueError("blocks do not fill the full space")
 
 
 def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
@@ -399,6 +403,9 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     descending label order: the weight walk's for mp, the shape walk
     _shape_rows's for su.  Arguments and the enumeration budget are always
     checked (_admit) before the first block is made.
+    The walks make Decomposition's row rules true by construction, so only
+    the fill sum dim * mult = t^n is checked, and ``Decomposition._make``
+    builds the record without the row rules.
     """
     model = _admit(model, n, t, l)
     if model is Model.MULTI_PHASE:
@@ -406,7 +413,8 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     else:
         rows = tuple((shape, dim, mult, dim if l is UNBOUNDED else min(l * mult, dim))
                      for shape, dim, mult in _shape_rows(n, t))
-    return Decomposition(model, n, t, l, rows)
+    _check_fill(rows, n, t)
+    return Decomposition._make((model, n, t, l, rows))
 
 
 def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
@@ -433,8 +441,12 @@ def partition_count(n: int, t: int, widest: Optional[int] = None,
     (1 - q^(widest+i)) of the Gaussian binomial [widest+t choose t]_q.  After
     each part size p the count is that of the partitions with parts <= p, so
     it never falls; with ``above`` given, the count stops at the first part
-    size where it passes ``above`` and is then a lower bound.
+    size where it passes ``above`` and is then a lower bound; after part
+    sizes 1 and 2 it is n // 2 + 1, returned at once if that passes
+    ``above`` >= 1.
     """
+    if above is not None and widest is None and t >= 2 and n // 2 + 1 > above >= 1:
+        return n // 2 + 1
     counts = [1] + [0] * n
     for part in range(1, min(t, n) + 1):  # larger parts fit no partition of n
         for m in range(part, n + 1):

@@ -106,6 +106,12 @@ MUTANTS = [
            "su eff_mult ignores the reference size"),
     Mutant("rep_core.py", "or l < 1):", "or l < 0):",
            "a reference size of 0 is admitted"),
+    Mutant("rep_core.py", "return n // 2 + 1", "return n // 2",
+           "the su admission shortcut names one block too few"),
+    # decompose's one runtime check of its walks.
+    Mutant("rep_core.py", "    _check_fill(rows, n, t)\n    return Decomposition._make(",
+           "    return Decomposition._make(",
+           "decompose no longer checks that its blocks fill t^n"),
     # The Renyi bracket on log M_eps.
     Mutant("distinguish.py", "beta = 0.0", "beta = 0.5",
            "the beta -> 0 limit takes beta = 1/2", tests=BRACKET_TESTS),

@@ -24,6 +24,14 @@ The largest dim or multiplicity of a whole decomposition, which the CLI's
 digit rule must refuse exactly past the interpreter's limit, is brute force
 over both (``largest_block_entry``).
 
+Three counts check the shape walk's dimensions and tableau counts through
+Robinson-Schensted-Knuth, with no hook-length or Weyl formula: over shapes of
+at most t rows, sum f^2 counts the permutations of n with no decreasing
+subsequence longer than t, sum f the involutions among them
+(``short_decreasing_counts``, by patience sorting), and sum d the symmetric
+t x t matrices over the naturals whose entries on and above the diagonal,
+those above counted twice, add up to n (``symmetric_matrix_count``).
+
 It also holds the paper's bounds that no command reports, which the
 acceptance criteria check against the capacities: the gapped-partition lower
 bound (``gapped_partitions``, ``su_lower_bound``, with ``log_fraction``), the
@@ -36,6 +44,7 @@ from gather tables, is built here from the dense lowering operator
 (``schur_basis_su2_dense``).
 """
 
+import bisect
 import itertools
 import math
 import warnings
@@ -153,6 +162,38 @@ def largest_block_entry(model: str, n: int, t: int) -> int:
         return max(map(factorial_multinomial, weight_vectors(n, t)))
     return max(max(pairwise_weyl_dim(rows), hook_length_count(rows))
                for rows in partition_rows(n, t))
+
+
+def longest_decreasing(seq) -> int:
+    """Length of the longest strictly decreasing subsequence, by patience
+    sorting: each value goes on the leftmost pile whose top is not above it,
+    or starts a new pile, and the piles then number that length."""
+    tops = []  # negated pile tops, increasing
+    for x in seq:
+        i = bisect.bisect_left(tops, -x)
+        tops[i:i + 1] = [-x]
+    return len(tops)
+
+
+def short_decreasing_counts(n: int, t: int) -> tuple[int, int]:
+    """(permutations, involutions) of n with no decreasing subsequence longer
+    than t, by brute force over all n! permutations."""
+    perms = involutions = 0
+    for p in itertools.permutations(range(n)):
+        if longest_decreasing(p) <= t:
+            perms += 1
+            involutions += all(p[x] == i for i, x in enumerate(p))
+    return perms, involutions
+
+
+def symmetric_matrix_count(n: int, t: int) -> int:
+    """Symmetric t x t matrices over the naturals whose t diagonal entries
+    and e = C(t, 2) entries above it, those counted twice, add up to n: the
+    coefficient of q^n in (1-q)^(-t) (1-q^2)^(-e), summed over the total k
+    above the diagonal."""
+    e = math.comb(t, 2)
+    return sum(math.comb(n - 2 * k + t - 1, t - 1) * math.comb(k + e - 1, e - 1)
+               for k in range(n // 2 + 1))
 
 
 def ssyt_count(rows, t: int) -> int:

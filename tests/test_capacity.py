@@ -115,8 +115,8 @@ def test_capacity_support_matches_enumeration(model, n, t, l):
 
 def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     """One wrong Weyl dimension from the shape walk moves sum d^2 off the
-    Cauchy total, and sum d f off t^n in the Decomposition of decompose; one
-    lost weight moves the row count off C(n+t-1, t-1): all raise."""
+    Cauchy total, and sum d f off t^n in decompose; one lost weight moves the
+    row count off C(n+t-1, t-1), and sum mult off t^n: all raise."""
     walk = rep_core._shape_rows
 
     def wrong_dim(n, t, tableaux=True):
@@ -134,6 +134,10 @@ def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     monkeypatch.setattr(capacity_module, "_weight_walk", lambda n, t: list(walk(n, t))[1:])
     with pytest.raises(ArithmeticError, match="expected C"):
         block_capacity("mp", 6, 3, 1)
+    rows = rep_core._weight_rows
+    monkeypatch.setattr(rep_core, "_weight_rows", lambda n, t: list(rows(n, t))[1:])
+    with pytest.raises(ValueError, match="do not fill"):
+        decompose("mp", 6, 3, 1)
 
 
 def test_block_capacity_validates_like_decompose():

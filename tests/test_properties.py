@@ -24,6 +24,8 @@ from reference import (
     hook_length_count,
     partition_rows,
     report_to_csv,
+    short_decreasing_counts,
+    symmetric_matrix_count,
 )
 
 SMALL = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -71,6 +73,24 @@ def test_shape_walk_matches_per_shape_formulas(n, t):
     Weyl dimension and tableau count computed from each shape alone."""
     assert list(_shape_rows(n, t)) == [(rows, _weyl_dim_rows(rows), multiplicity_su(rows, n))
                                        for rows in partition_rows(n, t)]
+
+
+@SMALL
+@given(n=st.integers(0, 8), t=st.integers(2, 5))
+def test_shape_walk_counts_what_rsk_counts(n, t):
+    """By Robinson-Schensted-Knuth, over shapes of at most t rows sum f^2
+    counts the permutations with no decreasing subsequence longer than t,
+    and sum f the involutions among them."""
+    fs = [f for _, _, f in _shape_rows(n, t)]
+    assert (sum(f * f for f in fs), sum(fs)) == short_decreasing_counts(n, t)
+
+
+@SMALL
+@given(n=st.integers(0, 40), t=st.integers(2, 7))
+def test_shape_walk_dims_count_symmetric_matrices(n, t):
+    """sum d counts the semistandard tableaux with entries 1..t, which RSK
+    puts in bijection with the symmetric N-matrices of total n."""
+    assert sum(d for _, d, _ in _shape_rows(n, t, tableaux=False)) == symmetric_matrix_count(n, t)
 
 
 @SMALL

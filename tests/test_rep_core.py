@@ -240,11 +240,30 @@ def test_decompose_su_finite_reference():
 @pytest.mark.parametrize("t", [2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 7, 12])
 def test_decompose_completeness(model, n, t):
+    """The blocks fill the space, and the walk's rows pass every rule that
+    Decomposition checks on rows from outside."""
     d = decompose(model, n, t, 1)
     if model == "mp":
         assert sum(mult for _, _, mult, _ in d.rows) == t**n
     else:
         assert sum(dim * mult for _, dim, mult, _ in d.rows) == t**n
+    assert Decomposition(d.model, d.n, d.t, d.l, d.rows) == d
+
+
+def test_decompose_skips_the_row_rules(monkeypatch):
+    """decompose checks only the fill of its own walks' rows: with
+    Decomposition's constructor patched to refuse, it still returns a
+    Decomposition on both models."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row rules ran")
+
+    want = {model: decompose(model, 6, 3, 2) for model in ("mp", "su")}
+    monkeypatch.setattr(Decomposition, "__new__", refuse)
+    with pytest.raises(AssertionError, match="row rules ran"):
+        Decomposition("mp", 1, 2, 1, [((1, 0), 1, 1, 1), ((0, 1), 1, 1, 1)])
+    for model, d in want.items():
+        got = decompose(model, 6, 3, 2)
+        assert type(got) is Decomposition and got == d
 
 
 def test_decompose_validation():
@@ -283,11 +302,15 @@ def test_decompose_block_budget(monkeypatch):
 def test_su_admission_stops_counting_at_the_budget():
     """At n = t = 10^5 the partitions into at most 2 parts, n/2 + 1 of them,
     already pass the 40 blocks of 10^5 label entries that MAX_LABEL_ENTRIES
-    allows, so the refusal comes after two part sizes, not 10^5."""
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="^at least 50001 blocks of 100000 label entries"):
-        decompose("su", 100_000, 100_000, 1)
-    assert time.perf_counter() - start < 1.0
+    allows, so the refusal comes after two part sizes, not 10^5.  At
+    n = 20 000 001, t = 3 that count passes MAX_BLOCKS, and it is named
+    without a table of n counts."""
+    for n, t, match in [(100_000, 100_000, "^at least 50001 blocks of 100000 label entries"),
+                        (20_000_001, 3, "^at least 10000001 blocks exceed the enumeration")]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=match):
+            decompose("su", n, t, 1)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_decompose_label_entry_budget(monkeypatch):
