@@ -3,12 +3,12 @@
 Emits decompositions, capacities, distinguishability bounds, oracle
 simulations and scaling sweeps as JSON or CSV on stdout.  Output is
 deterministic for a fixed config; validation failures exit with
-status 2 and one diagnostic line on stderr.
+status 2 and one diagnostic line on stderr, and argparse's refusals with
+status 2 after its usage lines and its error line.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -18,6 +18,7 @@ import warnings
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import capacity as cap
@@ -441,48 +442,113 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+class _Flag(NamedTuple):
+    """One option of a subcommand, as argparse declares it."""
+
+    name: str
+    dest: str
+    type: Callable = str  # int, float, or str, which keeps the text
+    choices: Optional[tuple] = None
+    required: bool = False
+    help: Optional[str] = None
+    metavar: Optional[str] = None
+
+
+class _Command(NamedTuple):
+    """One subcommand: its summary line and its flags."""
+
+    help: str
+    flags: dict  # option string -> _Flag, in argparse's order
+    required: frozenset  # dests of the required flags
+
+
+def _command(summary: str, *flags: _Flag) -> _Command:
+    return _Command(summary, {f.name: f for f in flags},
+                    frozenset(f.dest for f in flags if f.required))
+
+
+_MODEL = _Flag("--model", "model", choices=("mp", "su"), required=True)
+_N = _Flag("--n", "n", int, required=True)
+_T = _Flag("--t", "t", int)
+_L = _Flag("--l", "l", help="reference size or 'inf'")
+_BASE = _Flag("--base", "base", choices=("e", "2"))
+_FORMAT = _Flag("--format", "format", choices=("json", "csv"))
+
+# Every subcommand and its flags, in the order of their help text: the one
+# declaration build_parser and _read_canonical read.
+_COMMANDS = {
+    "decompose": _command("list irrep blocks with exact sizes",
+                          _MODEL, _N, _T, _L, _BASE, _FORMAT),
+    "capacity": _command("capacity and optimal block weights",
+                         _MODEL, _N, _T, _L, _BASE, _FORMAT),
+    "bounds": _command("two-sided bracket on log M_eps",
+                       _MODEL, _N, _T, _L, _BASE, _FORMAT, _Flag("--eps", "eps", float),
+                       _Flag("--alpha", "alpha", float), _Flag("--beta", "beta", float)),
+    "simulate": _command("dense-matrix experiment at small n",
+                         _MODEL, _N, _T, _BASE, _FORMAT,
+                         _Flag("--state", "state", choices=("bs4", "noon", "bn1")),
+                         _Flag("--codebook", "codebook", choices=("lattice",))),
+    "scaling": _command("capacity sweep against (d/2) log n",
+                        _MODEL, _T, _BASE, _FORMAT,
+                        _Flag("--n-range", "n_range", required=True, metavar="START:STOP:STRIDE")),
+}
+
+
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused: building it
-    costs more than answering a small exact request."""
+def build_parser():
+    """The argparse parser of _COMMANDS, built on first use and then reused:
+    it reads every argv that _read_canonical declines, and is the one source
+    of help, usage and refusal text."""
+    import argparse  # with gettext, which only help and refusals need
+
     parser = argparse.ArgumentParser(
         prog="metrocap",
         description="Capacities, bounds and brute-force checks for "
         "tensor-power metrology models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(command, summary, with_n=True, with_l=True):
-        """One subcommand with the flags every command shares."""
-        sp = sub.add_parser(command, help=summary)
-        sp.add_argument("--model", required=True, choices=["mp", "su"])
-        if with_n:
-            sp.add_argument("--n", required=True, type=int)
-        sp.add_argument("--t", type=int)
-        if with_l:
-            sp.add_argument("--l", help="reference size or 'inf'")
-        sp.add_argument("--base", choices=["e", "2"])
-        sp.add_argument("--format", choices=["json", "csv"])
-        return sp
-
-    add("decompose", "list irrep blocks with exact sizes")
-    add("capacity", "capacity and optimal block weights")
-    sp = add("bounds", "two-sided bracket on log M_eps")
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp = add("simulate", "dense-matrix experiment at small n", with_l=False)
-    sp.add_argument("--state", choices=["bs4", "noon", "bn1"])
-    sp.add_argument("--codebook", choices=["lattice"])
-    sp = add("scaling", "capacity sweep against (d/2) log n", with_n=False, with_l=False)
-    sp.add_argument("--n-range", required=True, metavar="START:STOP:STRIDE")
-
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for f in command.flags.values():
+            sp.add_argument(f.name, dest=f.dest, type=f.type, choices=f.choices,
+                            required=f.required, help=f.help, metavar=f.metavar)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def _read_canonical(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The arguments of a canonical argv, read from _COMMANDS as argparse
+    would read them, or None for any other argv.
+
+    Canonical is a subcommand's exact name, then exact ``--flag value``
+    pairs: each flag the subcommand's, at most once, and each value not
+    starting with "-" (argparse may read such a value as an option), passing
+    the flag's type and choices; every required flag present.  Abbreviated
+    flags, ``--flag=value``, repeated flags, help and every refusal are
+    argparse's to read."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None or not len(argv) % 2:
+        return None
+    values = {"command": argv[0]}
+    for i in range(1, len(argv), 2):
+        flag, text = command.flags.get(argv[i]), argv[i + 1]
+        if flag is None or flag.dest in values or text.startswith("-"):
+            return None
+        try:
+            value = flag.type(text)
+        except ValueError:
+            return None
+        if flag.choices is not None and value not in flag.choices:
+            return None
+        values[flag.dest] = value
+    if not command.required <= values.keys():
+        return None
+    return SimpleNamespace(**values)
+
+
+def config_from_args(args) -> RunConfig:
     """RunConfig from every field the subcommand defines; unset flags keep
-    RunConfig's defaults."""
+    RunConfig's defaults.  ``args`` holds one attribute per parsed flag, as
+    argparse's namespace or _read_canonical's."""
     values = {name: getattr(args, name) for name in RunConfig._fields
               if getattr(args, name, None) is not None}
     for name, parse in (("l", _parse_l), ("n_range", _parse_n_range)):
@@ -507,9 +573,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     objects of json.dumps's encoder closures; yet the tens of thousands of
     row tuples of a large report trigger a hundred collections or more,
     which scan the rows and free none of them.
+
+    A canonical argv (_read_canonical) is read from the flag table; argparse
+    reads any other, and exits itself on help and on its refusals.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read_canonical(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -1,8 +1,10 @@
 """Write cli_golden.json: exit code, stdout and stderr of a fixed argv matrix.
 
-Each argv runs in-process through ``metrocap.cli.main``.  The fixture pins
-the CLI's bytes, so it is generated from a known-good tree and replayed by
-``tests/test_cli.py`` against the current one:
+Each argv runs in-process through ``metrocap.cli.main``, with ``COLUMNS=80``
+so that argparse's help and usage text wraps the same on every terminal; a
+``SystemExit`` (argparse's help and refusals) is recorded as the exit code.
+The fixture pins the CLI's bytes, so it is generated from a known-good tree
+and replayed by ``tests/test_cli.py`` against the current one:
 
     PYTHONPATH=<that tree>/src python tests/golden/make_golden.py
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 FIXTURE = Path(__file__).with_name("cli_golden.json")
@@ -57,6 +60,23 @@ def matrix() -> list[list[str]]:
         ["capacity", "--model", "mp", "--n", "3", "--t", "1"],
         ["decompose", "--model", "su", "--n", "3", "--t", "2", "--l", "x"],
         ["scaling", "--model", "su", "--t", "2", "--n-range", "0:20:1"],
+        # argparse's help text
+        ["--help"],
+        ["decompose", "--help"],
+        ["scaling", "--help"],
+        # argparse's refusals: usage lines, then one error line, exit 2
+        [],
+        ["frobnicate", "--model", "mp"],
+        ["capacity", "--n", "3", "--t", "2"],
+        ["capacity", "--model", "xx", "--n", "3", "--t", "2"],
+        ["capacity", "--model", "mp", "--n", "abc", "--t", "2"],
+        ["simulate", "--model", "mp", "--n", "3", "--t", "2", "--seed", "7"],
+        # forms argparse reads although they are not one exact --flag value pair each
+        ["capacity", "--mod", "mp", "--n", "3", "--t", "2"],
+        ["capacity", "--model", "mp", "--n=4", "--t", "2"],
+        ["scaling", "--model", "mp", "--t", "2", "--n", "10:50:10"],
+        ["capacity", "--model", "mp", "--n", "3", "--n", "4", "--t", "2"],
+        ["capacity", "--model", "mp", "--n", "3", "--t", "2", "--l", "-1"],
     ]
     return out
 
@@ -66,11 +86,15 @@ def record(argv: list[str]) -> dict:
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's help and refusals
+            code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = "80"
     golden = {" ".join(argv): record(argv) for argv in matrix()}
     FIXTURE.write_text(json.dumps(golden, indent=1) + "\n")
     print(f"{len(golden)} argv -> {FIXTURE}")

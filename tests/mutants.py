@@ -1,6 +1,6 @@
 """Mutation sweep of the exact walks, the Renyi bracket, the oracle's
-Schur basis, the CLI's collector pause, closed-pipe descriptor and digit
-rule: each listed fault must fail a test.
+Schur basis, the CLI's collector pause, closed-pipe descriptor, digit rule
+and argv table reader: each listed fault must fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -12,8 +12,9 @@ files against the copy with ``-x``, so a killed mutant stops at its first
 failing test.  By default those are the exact-layer tests
 (tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py);
 the bracket's mutants name tests/test_distinguish.py, the oracle's
-tests/test_oracle.py and the CLI's tests/test_cli.py.  The unmutated copy must
-pass every test file of the list first.  A mutant marked equivalent
+tests/test_oracle.py, the CLI's tests/test_cli.py and its argv table reader's
+tests/test_argv.py.  The unmutated copy must pass every test file of the
+list first.  A mutant marked equivalent
 computes the same results by construction and is expected to pass every
 test; its reason says why.
 
@@ -38,6 +39,7 @@ TESTS = ("tests/test_rep_core.py", "tests/test_capacity.py", "tests/test_propert
 ORACLE_TESTS = ("tests/test_oracle.py",)
 BRACKET_TESTS = ("tests/test_distinguish.py",)
 CLI_TESTS = ("tests/test_cli.py",)
+ARGV_TESTS = ("tests/test_argv.py",)
 TIMEOUT_S = 600  # a mutant that makes the tests run this long counts as killed
 
 
@@ -154,6 +156,23 @@ MUTANTS = [
            "    if reach and model is Model.SPECIAL_UNITARY:\n"
            "        _check_row_digits(d.rows, limit)",
            "the row scan never runs for mp", tests=CLI_TESTS),
+    # The argv table reader: what it must leave to argparse.
+    Mutant("cli.py", "if flag is None or flag.dest in values or", "if flag is None or",
+           "a repeated flag is read, where canonical argv give each flag once",
+           tests=ARGV_TESTS),
+    Mutant("cli.py", "if flag.choices is not None and value not in flag.choices:", "if False:",
+           "a value outside the flag's choices is read, where argparse refuses it",
+           tests=ARGV_TESTS),
+    Mutant("cli.py", "if not command.required <= values.keys():", "if False:",
+           "an argv without a required flag is read, where argparse refuses it",
+           tests=ARGV_TESTS),
+    Mutant("cli.py", ' or text.startswith("-"):', ":",
+           "a value starting with - is read, where argparse may read an option",
+           tests=ARGV_TESTS),
+    Mutant("cli.py", "flag, text = command.flags.get(argv[i]), argv[i + 1]",
+           "flag, text = {f.name: f for c in _COMMANDS.values()\n"
+           "                      for f in c.flags.values()}.get(argv[i]), argv[i + 1]",
+           "another subcommand's flag is read, where argparse refuses it", tests=ARGV_TESTS),
 ]
 
 

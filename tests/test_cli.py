@@ -980,9 +980,15 @@ def test_library_warning_is_one_line_without_path(capsys):
 # ---------------------------------------------------------------- golden bytes
 
 @pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_golden_bytes(capsys, key):
-    """stdout, stderr and exit code match the pinned fixture byte for byte."""
-    code, out, err = run_cli(capsys, key.split(" "))
+def test_golden_bytes(capsys, monkeypatch, key):
+    """stdout, stderr and exit code match the pinned fixture byte for byte,
+    argparse's help and refusals (a SystemExit) at the fixture's 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code, out, err = run_cli(capsys, key.split())
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        code, out, err = exc.code, captured.out, captured.err
     assert (code, out, err) == tuple(GOLDEN[key][k] for k in ("code", "stdout", "stderr"))
 
 
@@ -1043,13 +1049,15 @@ def test_exact_commands_never_import_numpy():
 
 def test_import_loads_no_dataclasses_inspect_or_numpy():
     """Start-up is most of a small exact request's wall time, so importing the
-    CLI loads none of dataclasses, the inspect machinery it pulls in, or
-    numpy.  Modules the interpreter loaded before the import do not count."""
+    CLI loads none of dataclasses, the inspect machinery it pulls in, numpy,
+    or argparse and the gettext it imports (only help and refusals need
+    them).  Modules the interpreter loaded before the import do not count."""
     script = """if True:
         import sys
         before = set(sys.modules)
         import metrocap.cli
-        print(*sorted({"dataclasses", "inspect", "numpy"} & (set(sys.modules) - before)))
+        added = set(sys.modules) - before
+        print(*sorted({"dataclasses", "inspect", "numpy", "argparse", "gettext"} & added))
     """
     src = str(Path(rep_core.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
