@@ -10,7 +10,8 @@ is correctly rounded no matter how large n gets.
 ``scaling_fit`` the slope of a sweep.  ``capacity`` computes the same report
 from a whole decomposition: the slow route the other two are tested against.
 Every su shape, the unsaturated ones of the finite-l support included, comes
-with its dimension and tableau count from the one shape walk of rep_core.
+with its dimension, and with its tableau count where one is read, from the
+one shape walk of rep_core.
 """
 
 from __future__ import annotations
@@ -84,13 +85,17 @@ def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> Capa
 
     mp blocks are one-dimensional weights, each of weight 1, so every label of
     the weight walk gets p = 1 / C(n+t-1, t-1).  A su shape of dimension d
-    has weight d^2 with an unbounded reference, and d min(l f, d) otherwise,
-    d and f from the shape walk _shape_rows, which carries no multinomial
-    when l is unbounded.  The total is the sum of the weights.
+    has weight d min(l f, d): d^2 when it saturates (l f >= d, every shape
+    with an unbounded reference), else d l f.  Every d comes from the shape
+    walk _shape_rows without the multinomial; at a finite l the unsaturated
+    shapes come with their f from the pruned walk _shape_rows(n, t, l=l), in
+    the same label order, and are merged in, so no saturated shape's
+    tableau count is made.  The total is the sum of the weights.
     Before any row is returned the walk is checked against a closed form:
     its row count against C(n+t-1, t-1) (mp), and sum d^2 against the Cauchy
-    total C(n+t^2-1, t^2-1) (su).  Arguments and the block budget are checked
-    as in decompose, with the same messages.
+    total C(n+t^2-1, t^2-1) (su); an unsaturated shape the merge does not
+    meet raises ArithmeticError, naming it.  Arguments and the block budget
+    are checked as in decompose, with the same messages.
     """
     model = _admit(model, n, t, l)
     if model is Model.MULTI_PHASE:
@@ -99,12 +104,21 @@ def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> Capa
         if len(p_rows) != total:
             raise ArithmeticError(f"{len(p_rows)} weights, expected C(n+t-1, t-1) = {total}")
         return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
+    unsaturated = iter(()) if l is UNBOUNDED else _shape_rows(n, t, l=l)
+    shape, _, f = next(unsaturated, (None, None, None))
     weights = []
     squares = 0
-    for rows, dim, mult in _shape_rows(n, t, l is not UNBOUNDED):
+    for rows, dim, _ in _shape_rows(n, t, False):
         square = dim * dim
         squares += square
-        weights.append((rows, square if l is UNBOUNDED else dim * min(l * mult, dim)))
+        if rows == shape:  # l f < d
+            weights.append((rows, dim * l * f))
+            shape, _, f = next(unsaturated, (None, None, None))
+        else:
+            weights.append((rows, square))
+    if shape is not None:
+        raise ArithmeticError(f"the unsaturated shape {shape} is not among the shapes of "
+                              f"n = {n}, t = {t} in label order")
     if squares != su_square_sum(n, t):
         raise ArithmeticError(f"the squared dimensions of n = {n}, t = {t} miss the Cauchy total")
     return _weighted_report(weights)

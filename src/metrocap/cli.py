@@ -108,7 +108,10 @@ class Table(NamedTuple):
     """A report's row list: for each column its name and the %-format of its
     cell as JSON writes it (``_label`` for a label, which takes one tuple
     element per entry), and the flat row tuples as an iterable of non-empty
-    lists of at most CHUNK_ROWS rows each, read once, in order, by render."""
+    lists of at most CHUNK_ROWS rows each, read once, in order, by render.
+    A format without a % field is a literal, the same in every row, which
+    takes no row field: mp decompose's dim and eff_mult ("1") and mp JSON
+    capacity's p ("1/support")."""
 
     columns: tuple
     chunks: Iterable[list]
@@ -178,10 +181,11 @@ def _check_row_digits(rows: Sequence, limit: int) -> None:
 
 
 def _build_decompose(cfg: RunConfig) -> dict:
-    """Every block as a row (*label, dim, mult, eff_mult).  The request is
-    validated and its block budget checked first, so that the digit rule
-    only sees admitted requests; decompose then admits it again, a small
-    fraction of the walk's cost.
+    """Every block as a row (*label, dim, mult, eff_mult); for mp the row is
+    (*label, mult), and dim and eff_mult, 1 in every block, are literals of
+    the row template.  The request is validated and its block budget checked
+    first, so that the digit rule only sees admitted requests; decompose
+    then admits it again, a small fraction of the walk's cost.
 
     Each dim and mult is at most dim * mult <= sum dim * mult = t^n, the
     fill decompose checks, so below 10^limit digits need no check, nor
@@ -196,22 +200,35 @@ def _build_decompose(cfg: RunConfig) -> dict:
     d = decompose(model, cfg.n, cfg.t, cfg.l)
     if reach:
         _check_row_digits(d.rows, limit)
-    columns = (("label", _label(cfg.t)), ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
-    chunks = ([(*label, dim, mult, eff) for label, dim, mult, eff in part]
-              for part in _slices(d.rows))
+    label_column = ("label", _label(cfg.t))
+    if model is Model.MULTI_PHASE:
+        columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
+        chunks = ([(*label, mult) for label, _, mult, _ in part] for part in _slices(d.rows))
+    else:
+        columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
+        chunks = ([(*label, dim, mult, eff) for label, dim, mult, eff in part]
+                  for part in _slices(d.rows))
     return _report(cfg, "model n t l", {"entries": Table(columns, chunks)})
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
     """The capacity; in JSON also its support and every block's optimal
-    weight p = num/den as a row (*label, num, den)."""
+    weight p = num/den as a row (*label, num, den); for mp the row is the
+    label alone, and p = 1/support, the same in every block, is a literal of
+    the row template."""
     if cfg.format == "csv":  # the one CSV row shows neither: build no blocks, write no support
         support, body = _support(cfg), {}
     else:
         r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
         support = r.support
-        columns = (("label", _label(cfg.t)), ("p", '"%d/%d"'))
-        chunks = ([(*label, num, den) for label, num, den in part] for part in _slices(r.p_rows))
+        label_column = ("label", _label(cfg.t))
+        if cfg.model == Model.MULTI_PHASE:
+            columns = (label_column, ("p", f'"1/{support}"'))
+            chunks = ([label for label, _, _ in part] for part in _slices(r.p_rows))
+        else:
+            columns = (label_column, ("p", '"%d/%d"'))
+            chunks = ([(*label, num, den) for label, num, den in part]
+                      for part in _slices(r.p_rows))
         body = {"support": str(support), "optimal_p": Table(columns, chunks)}
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),

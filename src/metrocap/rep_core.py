@@ -43,21 +43,25 @@ RefSize = Union[int, _UnboundedType]
 # t, one per level of every label) it may hold and a report may write; larger
 # requests are refused before they start.  On a 2-vCPU Xeon VM (Python 3.11)
 # decompose costs about 1.3 us per mp block at n = 400 and t = 3, 2.6 us at
-# n = 1400 (982 101 blocks in 2.6 s; the multinomials grow to 2800 bits), and
-# a whole mp decompose request, in-process with its JSON report, about 2 us
-# per block at n = 250..400, t = 3.  A whole su decompose request costs
-# 3-4.5 us per block at n <= 280 (t = 3..5) and 7 us at n = 1000, t = 3
-# (CSV, in-process).  These request costs are with the cyclic collector
-# paused, as cli.main runs every request; left on, it made them 10-75%
-# longer (best of 3 each, a quarter at most sizes).
+# n = 1400 (982 101 blocks in 2.6 s; the multinomials grow to 2800 bits).
+# In-process, best of 3-5, with the host's speed drifting by a third between
+# runs: a whole mp decompose request with its JSON report costs 1.6-2.7 us
+# per block at n = 250..400, t = 3, and a whole mp JSON capacity request
+# 0.7-1.3 us.  A whole su decompose request costs 2.8-3.7 us per block at
+# n <= 280 (t = 3..5) and 7 us at n = 1000, t = 3 (CSV).  These request
+# costs are with the cyclic collector paused, as cli.main runs every
+# request; left on, it made them 10-75% longer (best of 3 each, a quarter at
+# most sizes).
 # The shape walk's dimension and tableau count take 1.8 us per shape at
 # n = 1000, t = 3, and 5.3 us at t = 3 near the budget (n = 3400, 5.2 s for
 # 965 034 shapes), where the multinomial it carries has grown to n log t
-# bits; the dimension alone, all that JSON capacity reads at an unbounded
-# reference, takes 0.4 us.  A whole CSV request at n = 2000, t = 3 (334 334
-# blocks, 256 MB) takes 4.7-4.9 s, 1.5 s of it making the rows and most of
-# the rest writing the report, and peaks at 228 MiB of RSS, since the report
-# is written one chunk at a time.
+# bits; the dimension alone takes 0.4 us.  JSON capacity reads the tableau
+# count of the unsaturated shapes only, so a whole request at n = 3000,
+# t = 3 (751 501 shapes) costs 2.1-2.4 us per shape at l = 1 and unbounded
+# alike.  A whole CSV decompose request at n = 2000, t = 3 (334 334 blocks,
+# 256 MB) takes 4.7-4.9 s, 1.5 s of it making the rows and most of the rest
+# writing the report, and peaks at 228 MiB of RSS, since the report is
+# written one chunk at a time.
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
 # (980 700 blocks of 1400 entries each).

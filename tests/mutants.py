@@ -1,6 +1,7 @@
-"""Mutation sweep of the exact walks, the Renyi bracket, the oracle's
-Schur basis, the CLI's collector pause, closed-pipe descriptor, digit rule
-and argv table reader: each listed fault must fail a test.
+"""Mutation sweep of the exact walks, block_capacity's merge of the
+unsaturated shapes, the Renyi bracket, the oracle's Schur basis, the CLI's
+collector pause, closed-pipe descriptor, digit rule and argv table reader:
+each listed fault must fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -11,12 +12,12 @@ replaces one exact snippet of one file there, and runs the entry's test
 files against the copy with ``-x``, so a killed mutant stops at its first
 failing test.  By default those are the exact-layer tests
 (tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py);
-the bracket's mutants name tests/test_distinguish.py, the oracle's
-tests/test_oracle.py, the CLI's tests/test_cli.py and its argv table reader's
-tests/test_argv.py.  The unmutated copy must pass every test file of the
-list first.  A mutant marked equivalent
-computes the same results by construction and is expected to pass every
-test; its reason says why.
+the merge's mutants name tests/test_capacity.py, the bracket's
+tests/test_distinguish.py, the oracle's tests/test_oracle.py, the CLI's
+tests/test_cli.py and its argv table reader's tests/test_argv.py.  The
+unmutated copy must pass every test file of the list first.  A mutant marked
+equivalent computes the same results by construction and is expected to pass
+every test; its reason says why.
 
 Exits 1 when a mutant that is not equivalent survives, when an equivalent one
 is killed, or when a snippet does not occur exactly once in its file, so the
@@ -36,6 +37,7 @@ from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ("tests/test_rep_core.py", "tests/test_capacity.py", "tests/test_properties.py")
+CAPACITY_TESTS = ("tests/test_capacity.py",)
 ORACLE_TESTS = ("tests/test_oracle.py",)
 BRACKET_TESTS = ("tests/test_distinguish.py",)
 CLI_TESTS = ("tests/test_cli.py",)
@@ -75,6 +77,15 @@ MUTANTS = [
            "at t >= 3 the first rows' shapes are counted under a cap one too low"),
     Mutant("capacity.py", "dim * (dim - l * f)", "dim * (dim - f)",
            "the deficit ignores the reference size"),
+    # block_capacity's merge of the unsaturated shapes into the full shape walk.
+    Mutant("capacity.py", "weights.append((rows, dim * l * f))", "weights.append((rows, dim * dim))",
+           "an unsaturated shape weighs d^2, as if saturated", tests=CAPACITY_TESTS),
+    Mutant("capacity.py", "if shape is not None:", "if False:",
+           "an unsaturated shape the merge does not meet passes unnoticed",
+           tests=CAPACITY_TESTS),
+    Mutant("capacity.py", "else _shape_rows(n, t, l=l)", "else _shape_rows(n, t)",
+           "the pruned walk replaced by the full one: saturated shapes weigh d l f > d^2",
+           tests=CAPACITY_TESTS),
     # The shape walk and the tableau count without l.
     Mutant("rep_core.py", "floor = -(-boxes // (t - k))", "floor = -(-boxes // (t - k)) + 1",
            "the row floor one higher drops the shapes whose rows are all equal"),

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from metrocap.capacity import (
     scaling_fit,
     su_square_sum,
 )
-from metrocap.cli import RunConfig, _build_scaling
+from metrocap.cli import RunConfig, _build_scaling, main
 from metrocap.rep_core import (
     MAX_BLOCKS,
     UNBOUNDED,
@@ -119,8 +120,8 @@ def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     row count off C(n+t-1, t-1), and sum mult off t^n: all raise."""
     walk = rep_core._shape_rows
 
-    def wrong_dim(n, t, tableaux=True):
-        for rows, dim, f in walk(n, t, tableaux):
+    def wrong_dim(n, t, tableaux=True, l=None):  # the full walk and the pruned one
+        for rows, dim, f in walk(n, t, tableaux, l):
             yield rows, dim + (rows == (3, 2, 1)), f
 
     for module in (capacity_module, rep_core):
@@ -138,6 +139,69 @@ def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     monkeypatch.setattr(rep_core, "_weight_rows", lambda n, t: list(rows(n, t))[1:])
     with pytest.raises(ValueError, match="do not fill"):
         decompose("mp", 6, 3, 1)
+
+
+# t -> the sizes n of the block-capacity grid
+BLOCK_CAPACITY_GRID = {2: range(1, 15), 3: range(1, 15), 4: range(1, 11), 5: range(1, 9)}
+
+
+@pytest.mark.parametrize("t", sorted(BLOCK_CAPACITY_GRID))
+def test_block_capacity_matches_capacity_of_decompose(t):
+    """block_capacity, which merges the unsaturated shapes of the pruned walk
+    into the full walk, gives capacity(decompose(...)) at every n of the grid
+    and l = 1, 2, 3, inf; the grid holds exactly saturated shapes (l f = d),
+    whose weight is d^2 = d l f either way, and shapes on both sides of them."""
+    exact = 0
+    for n in BLOCK_CAPACITY_GRID[t]:
+        for l in (1, 2, 3, UNBOUNDED):
+            d = decompose("su", n, t, l)
+            assert block_capacity("su", n, t, l) == capacity(d), (n, t, l)
+            if l is not UNBOUNDED:
+                exact += sum(l * mult == dim for _, dim, mult, _ in d.rows)
+    assert exact
+
+
+def test_capacity_json_takes_tableau_counts_only_for_unsaturated_shapes(capsys, monkeypatch):
+    """At su n = 60, t = 5, l = 4 the JSON capacity report calls
+    multiplicity_su no more often than the CSV one, whose support walks only
+    the unsaturated shapes: far fewer than the 7 166 shapes it weighs."""
+    calls = []
+    count = rep_core.multiplicity_su
+
+    def counted(*args):
+        calls.append(args[0])
+        return count(*args)
+
+    monkeypatch.setattr(rep_core, "multiplicity_su", counted)
+    args = ["capacity", "--model", "su", "--n", "60", "--t", "5", "--l", "4"]
+    assert main(args + ["--format", "csv"]) == 0
+    support_calls = len(calls)
+    calls.clear()
+    capsys.readouterr()
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["optimal_p"]) == partition_count(60, 5) == 7166
+    assert 0 < len(calls) <= support_calls < 100
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_block_capacity_refuses_an_unsaturated_shape_it_does_not_meet(monkeypatch, where):
+    """A pruned walk that yields a shape the full walk lacks, before its
+    own shapes or after them, raises ArithmeticError naming the shape."""
+    walk = rep_core._shape_rows
+    stray = (4, 3, 0)  # 7 boxes, no shape of n = 6
+
+    def pruned_with_a_stray(n, t, tableaux=True, l=None):
+        if l is None:
+            yield from walk(n, t, tableaux)
+            return
+        rows = list(walk(n, t, tableaux, l))
+        yield from [(stray, 1, 1)] + rows if where == "first" else rows + [(stray, 1, 1)]
+
+    monkeypatch.setattr(capacity_module, "_shape_rows", pruned_with_a_stray)
+    with pytest.raises(ArithmeticError, match=r"unsaturated shape \(4, 3, 0\)"):
+        block_capacity("su", 6, 3, 1)
+    block_capacity("su", 6, 3, UNBOUNDED)  # no pruned walk at an unbounded reference
 
 
 def test_block_capacity_validates_like_decompose():

@@ -14,7 +14,7 @@ import pytest
 
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
-from metrocap.capacity import capacity, log_integer
+from metrocap.capacity import block_capacity, capacity, log_integer
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import factorial_multinomial, largest_block_entry, report_to_csv
@@ -263,6 +263,31 @@ def test_capacity_rows_match_library_capacity(capsys, model, n, t, l):
     assert report["optimal_p"] == [{"label": list(label), "p": f"{num}/{den}"}
                                    for label, num, den in r.p_rows]
     assert all(math.gcd(num, den) == 1 for _, num, den in r.p_rows)
+
+
+@pytest.mark.parametrize("n,t", [(1, 2), (12, 2), (9, 3), (100, 3), (4, 5)])
+def test_mp_literal_cells_match_the_library_rows(capsys, n, t):
+    """mp decompose writes dim and eff_mult, and mp JSON capacity writes p,
+    as literals of the row template, not read from the rows; each still
+    equals the library's row, cell for cell, in JSON and in CSV.
+    decompose --model mp --n 100 --t 3 has 5151 rows, more than CHUNK_ROWS."""
+    assert math.comb(100 + 2, 2) > cli.CHUNK_ROWS  # the (100, 3) reports span two chunks
+    for l in ("1", "inf"):
+        size = ["--model", "mp", "--n", str(n), "--t", str(t), "--l", l]
+        ref = UNBOUNDED if l == "inf" else int(l)
+        rows = decompose("mp", n, t, ref).rows
+        entries = run_json(capsys, ["decompose", *size])["entries"]
+        assert [(tuple(e["label"]), e["dim"], e["mult"], e["eff_mult"]) for e in entries] == \
+            [(label, str(dim), str(mult), str(eff)) for label, dim, mult, eff in rows]
+        code, out, err = run_cli(capsys, ["decompose", *size, "--format", "csv"])
+        assert code == 0, err
+        assert [line.split(",")[4:] for line in out.splitlines()[1:]] == \
+            [["|".join(map(str, label)), str(dim), str(mult), str(eff)]
+             for label, dim, mult, eff in rows]
+        p_rows = block_capacity("mp", n, t, ref).p_rows
+        optimal_p = run_json(capsys, ["capacity", *size])["optimal_p"]
+        assert [(tuple(e["label"]), e["p"]) for e in optimal_p] == \
+            [(label, f"{num}/{den}") for label, num, den in p_rows]
 
 
 def _refuse(*args, **kwargs):
