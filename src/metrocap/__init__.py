@@ -5,7 +5,6 @@ from .rep_core import (
     Decomposition,
     Model,
     decompose,
-    multiplicity_su,
 )
 
 __version__ = "0.1.0"
@@ -15,6 +14,5 @@ __all__ = [
     "Decomposition",
     "Model",
     "decompose",
-    "multiplicity_su",
     "__version__",
 ]

@@ -10,10 +10,10 @@ blocks for SU(2), whose basis (``schur_basis_su2``) is coupled one qubit at a
 time by Clebsch-Gordan coefficients.  Both the entropy (``empirical_mi``) and
 the lattice SRM success (``lattice_srm_success``, a closed form in the weight
 masses) are read off that spectrum.  The dense density-matrix twirls
-(``mp_twirl``, ``su2_twirl``) and ``von_neumann_entropy`` work in the
-computational product basis and are the reference the block route is checked
-against; the dense Gram-matrix SRM that checks the closed form, and the dense
-lowering-operator Schur basis, live in ``tests/reference.py``.  Dimensions are
+(``mp_twirl``, ``su2_twirl``) work in the computational product basis and
+are the reference the block route is checked against; the dense
+Gram-matrix SRM that checks the closed form, and the dense lowering-operator
+Schur basis, live in ``tests/reference.py``.  Dimensions are
 capped to keep dense linear algebra honest.
 """
 
@@ -279,23 +279,6 @@ def su2_optimal_state(n: int) -> PureState:
     return PureState(full, n=n, t=2, ref_dim=ref)
 
 
-def _spectrum_entropy(tr: float, eigs: np.ndarray) -> float:
-    """-sum eig log eig over eigenvalues above 1e-12, in nats, after checking
-    the trace and the sign of the spectrum."""
-    if abs(tr - 1.0) > 1e-8:
-        raise ValueError(f"trace {tr} deviates from 1 beyond 1e-8")
-    if float(eigs.min()) < -1e-10:
-        raise ValueError(f"negative eigenvalue {eigs.min()}")
-    kept = eigs[eigs > _EIG_FLOOR]
-    return float(-np.sum(kept * np.log(kept)))
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """-sum eig log eig over eigenvalues above 1e-12, in nats."""
-    tr = complex(np.trace(rho.matrix)).real
-    return _spectrum_entropy(tr, np.linalg.eigvalsh(rho.matrix))
-
-
 def twirled_spectrum(psi: PureState, model: str, n: int, t: int) -> np.ndarray:
     """Eigenvalues of the twirled input |psi><psi|, taken block by block.
 
@@ -338,14 +321,21 @@ def twirled_spectrum(psi: PureState, model: str, n: int, t: int) -> np.ndarray:
 
 
 def empirical_mi(spectrum: np.ndarray) -> float:
-    """Entropy of a twirled spectrum: the accessible information of the
-    input it was taken from.
+    """Entropy of a twirled spectrum, -sum eig log eig over eigenvalues above
+    1e-12 in nats, after checking its trace and sign: the accessible
+    information of the input it was taken from.
 
-    For ``twirled_spectrum(psi, model, n, t)`` it agrees with
-    ``von_neumann_entropy`` of the dense ``mp_twirl``/``su2_twirl`` of
+    For ``twirled_spectrum(psi, model, n, t)`` it agrees with the entropy of
+    the eigenvalues of the dense ``mp_twirl``/``su2_twirl`` of
     ``pure_density(psi)``.
     """
-    return _spectrum_entropy(float(np.sum(spectrum)), spectrum)
+    tr = float(np.sum(spectrum))
+    if abs(tr - 1.0) > 1e-8:
+        raise ValueError(f"trace {tr} deviates from 1 beyond 1e-8")
+    if float(spectrum.min()) < -1e-10:
+        raise ValueError(f"negative eigenvalue {spectrum.min()}")
+    kept = spectrum[spectrum > _EIG_FLOOR]
+    return float(-np.sum(kept * np.log(kept)))
 
 
 def lattice_srm_success(spectrum: np.ndarray, n: int, t: int) -> float:

@@ -144,87 +144,35 @@ def _check_fill(rows: tuple[Row, ...], n: int, t: int) -> None:
         raise ValueError("blocks do not fill the full space")
 
 
-def _weyl_dim_rows(rows: tuple[int, ...]) -> int:
-    """Exact dimension from the Weyl product over non-increasing rows: the
-    factor (r_i - r_j + j - i) / (j - i) of every pair i < j.
-
-    A pair of zero rows contributes 1.  Over the zero rows z <= j < t the
-    factors of an occupied row i telescope to C(r_i+t-1-i, r_i) / C(r_i+z-1-i, r_i),
-    so only pairs of occupied rows are multiplied out.
-    """
-    t = len(rows)
-    z = rows.index(0) if rows[-1] == 0 else t  # the occupied rows
-    num = 1
-    den = 1
-    for i in range(z):
-        ri = rows[i]
-        for j in range(i + 1, z):
-            num *= ri - rows[j] + j - i
-            den *= j - i
-        if z < t:
-            num *= comb(ri + t - 1 - i, ri)
-            den *= comb(ri + z - 1 - i, ri)
-    q, r = divmod(num, den)
-    if r:  # the product is always divisible; guard against misuse
-        raise ArithmeticError(f"non-integer dimension for rows {rows}")
-    return q
-
-
-def multiplicity_su(rows: tuple[int, ...], n: int, dim: Optional[int] = None,
-                    carried: Optional[tuple[int, int]] = None) -> int:
+def multiplicity_su(rows: tuple[int, ...], n: int, dim: int, carried: tuple[int, int]) -> int:
     """Number of standard Young tableaux of the shape with non-increasing
-    ``rows`` (t = len(rows), zero-padded or not), as f = d M / Q.
+    ``rows`` (zero-padded to t) of n boxes, as f = d M / Q, from its Weyl
+    dimension ``dim`` and the pair ``carried`` = (M, Q) that the shape walk
+    _shape_rows builds from prefix products.
 
     By the hook-length and Weyl formulas in the shifted rows
     s_i = r_i + t-1-i, f = n! prod_{i<j} (s_i - s_j) / prod_i s_i! and
     d = prod_{i<j} (s_i - s_j) / prod_i (t-1-i)!, so d / f = Q / M with the
     multinomial M = n! / prod_i r_i! and Q = prod_i C(r_i+t-1-i, r_i); zero
-    rows add a factor 1 to both.  M is the product of C(boxes, r_i) over the
-    occupied rows, boxes counting those of rows 0..i, and the one division,
-    by Q of at most about t^2 log(n+t) bits, is exact.  ``dim`` is the Weyl
-    dimension of ``rows`` when the caller has it already; by default it is
-    computed.  ``carried`` is the pair (M, Q) when the caller has built it,
-    as the shape walk _shape_rows does from prefix products; the rows are
-    then not read again; else they are checked as Decomposition checks a
-    partition label, and a bad one is refused with a ValueError naming it.
+    rows add a factor 1 to both.  The one division, by Q of at most about
+    t^2 log(n+t) bits, is exact; a remainder, which only wrong products can
+    leave, raises ArithmeticError naming the shape.
     """
-    if carried is None:
-        if not rows:
-            raise ValueError(f"a label needs at least one row, got {rows}")
-        if min(rows) < 0:
-            raise ValueError(f"negative entry in label {rows}")
-        if any(map(int.__lt__, rows, rows[1:])):
-            raise ValueError(f"rows must be non-increasing, got {rows}")
-        t = len(rows)
-        multinomial = binomials = 1
-        filled = 0
-        for i, r in enumerate(rows):
-            if not r:
-                break
-            filled += r
-            multinomial *= comb(filled, r)
-            binomials *= comb(r + t - 1 - i, r)
-        if filled != n:
-            raise ValueError(f"partition fills {filled} boxes, expected {n}")
-    else:
-        multinomial, binomials = carried
-    if dim is None:
-        dim = _weyl_dim_rows(rows)
+    multinomial, binomials = carried
     q, rem = divmod(dim * multinomial, binomials)
     if rem:  # the quotient is always an integer; guard against misuse
-        raise ArithmeticError(f"non-integer tableau count for rows {rows}")
+        raise ArithmeticError(f"non-integer tableau count for rows {rows} of {n} boxes")
     return q
 
 
 def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
                 ) -> Iterator[tuple[tuple[int, ...], int, Optional[int]]]:
     """(rows, dim, f) for every partition of n into at most t rows, the rows
-    zero-padded to t and lexicographically descending: the Weyl dimension of
-    _weyl_dim_rows and the tableau count of multiplicity_su, from products
-    carried down the rows instead of rebuilt per shape.  With ``tableaux``
-    false, f is None and the multinomial is not carried.  With a reference
-    size ``l``, ``tableaux`` and n >= 1, only the unsaturated shapes
-    (l f < d) come, in the same order.
+    zero-padded to t and lexicographically descending: the Weyl dimension and
+    the tableau count, from products carried down the rows instead of rebuilt
+    per shape.  With ``tableaux`` false, f is None and the multinomial is not
+    carried.  With a reference size ``l``, ``tableaux`` and n >= 1, only the
+    unsaturated shapes (l f < d) come, in the same order.
 
     The rows are chosen top-down, from the first, on a stack.  A prefix of k
     rows carries the Vandermonde V = prod_{i<j<k} (u_i - u_j) of its rows
@@ -233,12 +181,15 @@ def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
     H = prod_{i<k} (r_i+k-1-i)! / r_i!, which is prod_{j<k} j! times
     prod_i C(r_i+k-1-i, r_i) and which a next row multiplies by
     prod_{i<k} (u_i + k).  A prefix that uses up the boxes with k < t rows is
-    a shape whose zero rows telescope as in _weyl_dim_rows: d = V Q / H.
-    Every other shape fills the last two rows (a, boxes - a) in one loop,
-    where the Weyl product runs over all t rows, d = V / prod_{j<t} j!, Q
-    gains C(a+1, a) = a+1, and the multinomial moves from C(boxes, a) to
-    C(boxes, a-1) by one multiply and one exact division.  Each f is
-    multiplicity_su given d, M and Q.  Iterative, so any t works; a
+    a shape whose zero rows telescope: the Weyl factors of an occupied row i
+    over the zero rows k <= j < t multiply to C(r_i+t-1-i, r_i) /
+    C(r_i+k-1-i, r_i), so d = V Q / H, and the label is the rows followed by
+    t - k zeros.  Every other shape fills the last two rows (a, boxes - a) in
+    one loop, where the Weyl product runs over all t rows,
+    d = V / prod_{j<t} j!, Q gains C(a+1, a) = a+1, and the multinomial moves
+    from C(boxes, a) to C(boxes, a-1) by one multiply and one exact
+    division.  Each f is multiplicity_su given d, M and Q.  Iterative, so any
+    t works, and nothing of size t is made before the budgets are checked; a
     non-integer dim or f raises ArithmeticError.
 
     With ``l``, the saturated shapes are pruned.  As d / f = Q / M, a shape
@@ -264,13 +215,7 @@ def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
     """
     shapes = 0  # shapes under the kept first rows, for the budgets
     last = t - 2  # the rows above the last two
-    weyl_den = factorial = 1  # prod_{j<t} j!, the Weyl denominator of t rows
-    if t <= n + 1:  # else no shape reaches the last two rows
-        for j in range(1, t):
-            factorial *= j
-            weyl_den *= factorial
-    label = [0] * t  # a zero-padded label, its rows label[:used] set
-    used = 0
+    weyl_den = 0  # prod_{j<t} j!, the Weyl denominator of t rows, once a shape needs it
     stack = [((), 1, 1, 1, 1, n)]  # rows of a prefix, its V, M, Q and H, boxes left
     while stack:
         rows, v, m, q, h, boxes = stack.pop()
@@ -279,11 +224,7 @@ def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
             dim, rem = divmod(v * q, h)
             if rem:  # the product is always divisible; guard against misuse
                 raise ArithmeticError(f"non-integer dimension for rows {rows}")
-            if k < used:
-                label[k:used] = [0] * (used - k)
-            label[:k] = rows
-            used = k
-            shape = tuple(label)
+            shape = rows + (0,) * (t - k)
             yield shape, dim, multiplicity_su(shape, n, dim, (m, q)) if tableaux else None
             continue
         widest = min(rows[-1], boxes) if rows else boxes
@@ -316,6 +257,11 @@ def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
                 stack.append((rows + (r,), w, m * comb(boxes, r) if tableaux else m,
                               q * comb(r + t - 1 - k, r), h, boxes - r))
             continue
+        if not weyl_den:  # made here, after the first rows' budget check (t >= 3; 1 at t = 2)
+            weyl_den = factorial = 1
+            for j in range(1, t):
+                factorial *= j
+                weyl_den *= factorial
         if tableaux:
             m *= comb(boxes, widest)
         for a in range(widest, boxes - boxes // 2 - 1, -1):

@@ -92,11 +92,8 @@ MUTANTS = [
     Mutant("rep_core.py", "q * comb(r + t - 1 - k, r), h, boxes - r)",
            "q * comb(r + t - k, r), h, boxes - r)",
            "Q's shift off by one in the walk's chosen rows"),
-    Mutant("rep_core.py", "binomials *= comb(r + t - 1 - i, r)", "binomials *= comb(r + t - i, r)",
-           "Q's shift off by one in multiplicity_su"),
-    Mutant("rep_core.py", "multinomial *= comb(filled, r)",
-           "multinomial *= comb(filled, r) if filled < n else 1",
-           "M without its last occupied row in multiplicity_su"),
+    Mutant("rep_core.py", "shape = rows + (0,) * (t - k)", "shape = rows + (0,) * (t - k - 1)",
+           "a shape that ends before row t is padded with one zero row too few"),
     Mutant("rep_core.py", "if tableaux:\n            m *= comb(boxes, widest)",
            "if tableaux:\n            m *= comb(boxes - 1, widest)",
            "M of the last two rows starts from the wrong binomial"),

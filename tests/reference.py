@@ -1,16 +1,18 @@
 """Slow, independent references for the closed forms and fast routes.
 
-The library computes SU(t) dimensions and tableau counts (f = d M / Q) in
-one top-down walk over the shapes that carries the products of shared top
-rows, and per shape by the Weyl product with its zero-row tail telescoped
-and by binomials per row, multinomials by updating the neighbouring
-weight's, the sum of squared SU(t) dimensions by the Cauchy identity, the
-finite-reference SU(t) support as
-that sum minus the deficit of the unsaturated shapes, which the same walk
-yields when it prunes the saturated ones, the phase twirl by exact weight equality, and the square-root
-measurement on the phase lattice as (sum_w sqrt(p_w))^2 / M over the weight
-masses, and writes report rows through one %-template per report; the tests
-check them against these brute computations, never against themselves.
+The library computes SU(t) dimensions and tableau counts (f = d M / Q) only
+in one top-down walk over the shapes that carries the products of shared top
+rows, multinomials by updating the neighbouring weight's, the sum of squared
+SU(t) dimensions by the Cauchy identity, the finite-reference SU(t) support
+as that sum minus the deficit of the unsaturated shapes, which the same walk
+yields when it prunes the saturated ones, the phase twirl by exact weight
+equality, the entropy of a twirl from its block spectrum, and the
+square-root measurement on the phase lattice as (sum_w sqrt(p_w))^2 / M over
+the weight masses, and writes report rows through one %-template per report;
+the tests check them against these brute computations, never against
+themselves.  The finite-reference support is also the dimension of an orbit
+span, the numerical rank of random orbit vectors (``orbit_rank``), and a
+dense twirl's entropy comes from its full eigensolve (``dense_entropy``).
 
 The dense square-root measurement is here: the lattice codebook
 (``mp_lattice``), its local unitaries (``mp_unitary``, ``lattice_unitaries``),
@@ -342,6 +344,35 @@ def haar_su2(rng: np.random.Generator) -> np.ndarray:
     return q / np.sqrt(np.linalg.det(q))
 
 
+def orbit_rank(n: int, t: int, l: int, rng: np.random.Generator) -> int:
+    """Dimension of the span of the orbit (U^(x)n (x) I_l) psi of a random
+    psi in (C^t)^(x)n (x) C^l under Haar U(t): the numerical rank of
+    t^n l + 40 orbit vectors.
+
+    The span is the module the tensor-power algebra generates from psi; for
+    a generic psi it has dimension sum_lam d_lam min(l f_lam, d_lam), the
+    finite-reference su support, here counted with no Weyl, hook-length or
+    shape-walk formula.  A rank without a singular-value gap of 10^6 is
+    refused.
+    """
+    dim = t**n * l
+    psi = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)).reshape((t,) * n + (l,))
+    vectors = np.empty((dim + 40, dim), dtype=complex)
+    for k in range(dim + 40):
+        z = rng.standard_normal((t, t)) + 1j * rng.standard_normal((t, t))
+        q, r = np.linalg.qr(z)
+        u = q * (r.diagonal() / np.abs(r.diagonal()))
+        v = psi
+        for axis in range(n):
+            v = np.moveaxis(np.tensordot(u, v, axes=([1], [axis])), 0, axis)
+        vectors[k] = v.reshape(-1)
+    s = np.linalg.svd(vectors, compute_uv=False)
+    rank = int(np.sum(s > s[0] * 1e-9))
+    if rank < len(s) and s[rank - 1] < 1e6 * s[rank]:
+        raise ArithmeticError(f"no singular-value gap at rank {rank}: {s[rank - 1]}, {s[rank]}")
+    return rank
+
+
 def schur_basis_su2_dense(n: int):
     """The SU(2) Schur basis from the dense 2^n x 2^n lowering operator, in
     the layout of ``oracle.schur_basis_su2``: (basis, blocks).
@@ -508,6 +539,12 @@ def shannon_entropy(spectrum) -> float:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"spectrum sums to {total}, not 1")
     return -math.fsum(p * math.log(p) for p in spectrum if p > 1e-12)
+
+
+def dense_entropy(rho: DensityOperator) -> float:
+    """Von Neumann entropy of a dense density operator, in nats: the Shannon
+    entropy of its full eigensolve."""
+    return shannon_entropy(np.linalg.eigvalsh(rho.matrix))
 
 
 def torus_distance(x, y) -> float:

@@ -23,11 +23,11 @@ from metrocap.oracle import (
     su2_optimal_state,
     su2_twirl,
     twirled_spectrum,
-    von_neumann_entropy,
 )
-from metrocap.rep_core import UNBOUNDED, _weyl_dim_rows, decompose
+from metrocap.rep_core import UNBOUNDED, _shape_rows, decompose
 from reference import (
     ball_volume_mp,
+    dense_entropy,
     enumerated_square_sum,
     fano_bound,
     gapped_partitions,
@@ -115,17 +115,18 @@ def check_su_lower_bound():
                 bound = su_lower_bound(n, t, a)
                 assert bound <= su_capacity(n, t) + 1e-12, (n, t, a)
                 floor = (Fraction(n) / (a * t * t)) ** (t * (t - 1) // 2)
+                dims = {rows: dim for rows, dim, _ in _shape_rows(n, t, False)}
                 for rows in gapped_partitions(n, t, a):
-                    assert Fraction(_weyl_dim_rows(rows)) >= floor, (rows, n, t, a)
+                    assert Fraction(dims[rows]) >= floor, (rows, n, t, a)
     assert admissible >= 30, f"only {admissible} admissible (n, t, a) combinations"
 
 
 @criterion(7, "MP twirl entropies: step state -> log(n+1), NOON -> log 2, within 1e-9, n <= 8")
 def check_mp_twirl_entropies():
     for n in range(1, 9):
-        flat = von_neumann_entropy(mp_twirl(pure_density(mp_optimal_state(n)), n, 2))
+        flat = dense_entropy(mp_twirl(pure_density(mp_optimal_state(n)), n, 2))
         assert abs(flat - math.log(n + 1)) <= 1e-9, (n, flat)
-        noon = von_neumann_entropy(mp_twirl(pure_density(noon_state(n)), n, 2))
+        noon = dense_entropy(mp_twirl(pure_density(noon_state(n)), n, 2))
         assert abs(noon - math.log(2)) <= 1e-9, (n, noon)
 
 
@@ -139,7 +140,7 @@ def check_su2_twirl_entropies():
         s = empirical_mi(twirled_spectrum(psi, "su", n, 2))
         assert abs(s - r) <= 1e-12, (n, s, r)
         if n <= 6:
-            s = von_neumann_entropy(su2_twirl(pure_density(psi), n))
+            s = dense_entropy(su2_twirl(pure_density(psi), n))
             assert abs(s - r) <= 1e-6, (n, s, r)
 
 

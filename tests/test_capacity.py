@@ -1,9 +1,11 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +37,7 @@ from reference import (
     gapped_partitions,
     hook_length_count,
     log_fraction,
+    orbit_rank,
     pairwise_weyl_dim,
     partition_rows,
     su_lower_bound,
@@ -310,6 +313,42 @@ def test_deficit_at_a_million_boxes():
     start = time.perf_counter()
     assert capacity_support("su", n, 2, 1) == math.comb(n + 3, 3) - n * (n + 1)
     assert time.perf_counter() - start < 1.0
+
+
+def test_a_huge_t_support_refuses_before_it_allocates():
+    """At t = 10^7 a single shape of 5 boxes passes the label budget, and the
+    walk refuses it without making anything of size t: a zero-padded label
+    list alone would take 80 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_LABEL_ENTRIES"):
+            capacity_support("su", 5, 10**7, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_wide_support_refuses_before_its_weyl_denominator():
+    """At n = t = 1000 the unsaturated shapes pass the label budget, which
+    is checked before the walk builds prod_{j<t} j! for shapes of t rows
+    (about 8 s of products)."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="4508 blocks of 1000 label entries"):
+        capacity_support("su", 1000, 1000, 1)
+    assert time.perf_counter() - start < 2.0
+
+
+# (n, t, l): the orbit spans t^n l at (3, 4, 2) and less at every other point
+ORBIT_GRID = [(5, 2, 1), (4, 2, 3), (5, 3, 2), (6, 3, 1), (3, 4, 2), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("n,t,l", ORBIT_GRID)
+def test_support_is_the_dimension_of_an_orbit_span(n, t, l):
+    """The finite-reference su support is the rank of the orbit of a random
+    input under U^(x)n (x) I_l, which needs no Weyl dimension, tableau count
+    or shape."""
+    assert capacity_support("su", n, t, l) == orbit_rank(n, t, l, np.random.default_rng(n * t * l))
 
 
 def test_capacity_invariant_under_entry_order():

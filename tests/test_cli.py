@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import metrocap
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import block_capacity, capacity, log_integer
@@ -808,7 +809,7 @@ def test_simulate_needs_no_dense_twirl(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("dense route called")
 
-    for name in ("pure_density", "mp_twirl", "su2_twirl", "von_neumann_entropy"):
+    for name in ("pure_density", "mp_twirl", "su2_twirl"):
         monkeypatch.setattr(oracle, name, refuse)
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, refuse)
@@ -1206,17 +1207,23 @@ def test_a_closed_pipe_leaves_no_descriptor_open(monkeypatch):
 
 # ---------------------------------------------------------------- package surface
 
-# Public top-level names that no module of the package uses, each kept for a
-# reader outside it.
+# Public top-level names that no module of the package uses, each kept for
+# the benchmark test that imports it.
 UNUSED_BUT_KEPT = {
-    "distinguish.m_eps_capacity_bounds": "the benchmark tracer's wrapper test wraps its "
-                                         "capacity import",
-    "oracle.pure_density": "the dense reference route, which perfbench imports",
-    "oracle.mp_twirl": "the dense phase twirl the block route is tested against",
-    "oracle.su2_twirl": "the dense SU(2) twirl the block route is tested against",
-    "oracle.von_neumann_entropy": "the dense entropy the block route is tested against",
-    "oracle.random_pure_state": "random inputs of the dense cross-checks and of perfbench",
+    "distinguish.m_eps_capacity_bounds": "perfbench test_wrappers_are_restored_after_tracing_"
+                                         "even_on_error wraps its capacity import",
+    "oracle.pure_density": "perfbench test_twirl_useful_ratio_matches_a_direct_count",
+    "oracle.mp_twirl": "perfbench test_twirl_useful_ratio_matches_a_direct_count",
+    "oracle.su2_twirl": "perfbench test_twirl_useful_ratio_matches_a_direct_count",
+    "oracle.random_pure_state": "perfbench test_twirl_useful_ratio_matches_a_direct_count",
 }
+
+
+def test_the_package_exports_the_decomposition_api():
+    """The top-level names are the decomposition record, its entry point and
+    its arguments' types; the tableau count is the shape walk's own step."""
+    assert metrocap.__all__ == ["UNBOUNDED", "Decomposition", "Model", "decompose", "__version__"]
+    assert not hasattr(metrocap, "multiplicity_su")
 
 
 def test_every_public_name_is_used_or_kept():

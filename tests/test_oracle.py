@@ -24,10 +24,10 @@ from metrocap.oracle import (
     su2_optimal_state,
     su2_twirl,
     twirled_spectrum,
-    von_neumann_entropy,
 )
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import (
+    dense_entropy,
     grid_twirl,
     haar_su2,
     lattice_unitaries,
@@ -83,10 +83,14 @@ def test_density_operator_validation():
 
 
 def test_density_operator_psd_check():
-    rho = DensityOperator(np.diag([1.5, -0.5]), n=1, t=2)  # hermitian, trace 1
+    """A hermitian operator of trace 1 is accepted; its entropy refuses a
+    negative eigenvalue."""
+    rho = DensityOperator(np.diag([1.5, -0.5]), n=1, t=2)
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        von_neumann_entropy(rho)
-    assert von_neumann_entropy(DensityOperator(np.diag([0.5, 0.5]), n=1, t=2)) == math.log(2)
+        empirical_mi(np.linalg.eigvalsh(rho.matrix))
+    with pytest.raises(ValueError, match="deviates from 1"):
+        empirical_mi(np.array([0.5, 0.6]))
+    assert empirical_mi(np.linalg.eigvalsh(np.diag([0.5, 0.5]))) == math.log(2)
 
 
 # ---------------------------------------------------------------- unitaries
@@ -188,9 +192,9 @@ def test_mp_twirl_fixes_invariant_state():
 
 def test_mp_twirl_entropies():
     for n in range(1, 9):
-        flat = von_neumann_entropy(mp_twirl(pure_density(mp_optimal_state(n)), n, 2))
+        flat = dense_entropy(mp_twirl(pure_density(mp_optimal_state(n)), n, 2))
         assert abs(flat - math.log(n + 1)) < 1e-9
-        two = von_neumann_entropy(mp_twirl(pure_density(noon_state(n)), n, 2))
+        two = dense_entropy(mp_twirl(pure_density(noon_state(n)), n, 2))
         assert abs(two - math.log(2)) < 1e-9
 
 
@@ -463,20 +467,22 @@ def test_su2_optimal_state_blocks_maximally_entangled():
 
 def test_su2_optimal_twirled_entropy_matches_capacity():
     for n in (1, 2, 3, 4, 5):
-        s = von_neumann_entropy(su2_twirl(pure_density(su2_optimal_state(n)), n))
+        s = dense_entropy(su2_twirl(pure_density(su2_optimal_state(n)), n))
         assert abs(s - log_integer(su_square_sum(n, 2))) < 1e-6
 
 
 # ---------------------------------------------------------------- entropy
 
 def test_von_neumann_entropy_values():
-    assert von_neumann_entropy(pure_density(noon_state(2))) == pytest.approx(0.0, abs=1e-12)
-    assert von_neumann_entropy(DensityOperator(np.eye(8) / 8, n=3, t=2)) == pytest.approx(
-        math.log(8), abs=1e-12
-    )
-    rho = DensityOperator(np.diag([0.75, 0.25]), n=1, t=2)
-    expected = 0.75 * math.log(4 / 3) + 0.25 * math.log(4)
-    assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
+    """The entropy of a spectrum, empirical_mi, on the eigenvalues of a pure,
+    a maximally mixed and a diagonal state."""
+    for rho, expected in [
+        (pure_density(noon_state(2)), 0.0),
+        (DensityOperator(np.eye(8) / 8, n=3, t=2), math.log(8)),
+        (DensityOperator(np.diag([0.75, 0.25]), n=1, t=2),
+         0.75 * math.log(4 / 3) + 0.25 * math.log(4)),
+    ]:
+        assert empirical_mi(np.linalg.eigvalsh(rho.matrix)) == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------- srm
@@ -648,7 +654,7 @@ def _check_block_route(psi, model):
     got = np.sort(spectrum[spectrum > _EIG_FLOOR])
     assert got.shape == want.shape
     assert np.abs(got - want).max() < 1e-12
-    assert abs(empirical_mi(spectrum) - von_neumann_entropy(dense)) < 1e-12
+    assert abs(empirical_mi(spectrum) - dense_entropy(dense)) < 1e-12
 
 
 # n <= 6 and ref_dim <= 3, except mp at t = 3, n = 6, ref_dim >= 2, where the

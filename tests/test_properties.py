@@ -16,12 +16,13 @@ from hypothesis import strategies as st
 
 from metrocap.capacity import capacity_support, su_square_sum
 from metrocap.cli import Table, _label, main, render
-from metrocap.rep_core import _shape_rows, _weight_rows, _weyl_dim_rows, multiplicity_su
+from metrocap.rep_core import _shape_rows, _weight_rows
 from reference import (
     enumerated_square_sum,
     enumerated_su_support,
     factorial_multinomial,
     hook_length_count,
+    pairwise_weyl_dim,
     partition_rows,
     report_to_csv,
     short_decreasing_counts,
@@ -54,16 +55,18 @@ def test_su2_closed_form_matches_enumeration(n):
 
 @st.composite
 def partitions(draw):
-    """Any partition of n <= 30 into at most t <= 5 rows."""
+    """Any partition of n <= 30 into at most t <= 5 rows, zero-padded to t."""
     n = draw(st.integers(0, 30))
-    t = draw(st.integers(1, 5))
+    t = draw(st.integers(2, 5))
     return draw(st.sampled_from(list(partition_rows(n, t))))
 
 
 @SMALL
 @given(rows=partitions())
 def test_frobenius_matches_hook_length(rows):
-    assert multiplicity_su(rows, sum(rows)) == hook_length_count(rows)
+    """The walk's f = d M / Q of any shape is its hook-length count."""
+    walked = {shape: f for shape, _, f in _shape_rows(sum(rows), len(rows))}
+    assert walked[rows] == hook_length_count(rows)
 
 
 @SMALL
@@ -71,7 +74,7 @@ def test_frobenius_matches_hook_length(rows):
 def test_shape_walk_matches_per_shape_formulas(n, t):
     """The walk's carried products give, shape by shape and in order, the
     Weyl dimension and tableau count computed from each shape alone."""
-    assert list(_shape_rows(n, t)) == [(rows, _weyl_dim_rows(rows), multiplicity_su(rows, n))
+    assert list(_shape_rows(n, t)) == [(rows, pairwise_weyl_dim(rows), hook_length_count(rows))
                                        for rows in partition_rows(n, t)]
 
 

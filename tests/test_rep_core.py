@@ -12,7 +12,6 @@ from metrocap.rep_core import (
     IrrepEntry,
     Model,
     _weight_rows,
-    _weyl_dim_rows,
     decompose,
     multiplicity_su,
     partition_count,
@@ -137,19 +136,24 @@ def test_enumerate_weights_brute(n, t):
 
 # ---------------------------------------------------------------- dimensions
 
+def walk_rows(n, t):
+    """Each shape's (dim, f) from the shape walk, by its zero-padded rows."""
+    return {rows: (dim, f) for rows, dim, f in rep_core._shape_rows(n, t)}
+
+
 def test_weyl_dimension_known():
-    assert _weyl_dim_rows((1, 1)) == 1
-    assert _weyl_dim_rows((2, 0)) == 3
-    assert _weyl_dim_rows((2, 1, 0)) == 8
+    assert walk_rows(2, 2)[(1, 1)][0] == 1
+    assert walk_rows(2, 2)[(2, 0)][0] == 3
+    assert walk_rows(3, 3)[(2, 1, 0)][0] == 8
     for n in (1, 4, 17):
-        assert _weyl_dim_rows((n, 0)) == n + 1
+        assert walk_rows(n, 2)[(n, 0)][0] == n + 1
 
 
 def test_weyl_dimension_vs_ssyt():
     for t in range(2, 5):
         for n in range(9):
-            for rows in partition_rows(n, t):
-                assert _weyl_dim_rows(rows) == ssyt_count(rows, t)
+            for rows, dim, _ in rep_core._shape_rows(n, t):
+                assert dim == ssyt_count(rows, t), rows
 
 
 def test_weyl_dimension_bound():
@@ -157,38 +161,41 @@ def test_weyl_dimension_bound():
     for t in range(2, 5):
         for n in range(13):
             cap = (n + 1) ** (t * (t - 1) // 2)
-            for rows in partition_rows(n, t):
-                assert _weyl_dim_rows(rows) <= cap
+            for _, dim, _ in rep_core._shape_rows(n, t):
+                assert dim <= cap
 
 
 @pytest.mark.parametrize("t", [2, 3, 5, 8, 13, 21, 40])
 def test_weyl_dimension_telescoped_tail_matches_pairwise_product(t):
-    """Labels with zero rows take the telescoped binomial ratio, labels with
-    every row occupied the plain product; both against every pair."""
+    """Shapes with zero rows, whose tail the walk telescopes, and shapes with
+    every row occupied, which end in its last-two-rows loop; both against
+    every pair."""
     for n in range(13):
-        for rows in partition_rows(n, t):
-            assert _weyl_dim_rows(rows) == pairwise_weyl_dim(rows), rows
+        for rows, dim, _ in rep_core._shape_rows(n, t):
+            assert dim == pairwise_weyl_dim(rows), rows
 
 
 def test_weyl_dimension_at_large_t_matches_a_closed_form():
-    """One row of n boxes is Sym^n(C^t), of dimension C(n+t-1, n)."""
+    """One row of n boxes is Sym^n(C^t), of dimension C(n+t-1, n), and one
+    column of 3 boxes is Lambda^3(C^t), of dimension C(t, 3): the walk's first
+    and last shapes, each with one tableau."""
     for t in (100, 1000):
-        assert _weyl_dim_rows((20,) + (0,) * (t - 1)) == comb(20 + t - 1, 20)
-        assert _weyl_dim_rows((1,) * 3 + (0,) * (t - 3)) == comb(t, 3)  # Lambda^3
+        first = next(rep_core._shape_rows(20, t))
+        assert first == ((20,) + (0,) * (t - 1), comb(20 + t - 1, 20), 1)
+        *_, last = rep_core._shape_rows(3, t)
+        assert last == ((1,) * 3 + (0,) * (t - 3), comb(t, 3), 1)
 
 
 def test_multiplicity_su_known():
-    assert multiplicity_su((5, 0), 5) == 1
-    assert multiplicity_su((1, 1), 2) == 1
-    assert multiplicity_su((2, 1), 3) == 2
-    with pytest.raises(ValueError):
-        multiplicity_su((2, 1), 4)
+    assert walk_rows(5, 2)[(5, 0)][1] == 1
+    assert walk_rows(2, 2)[(1, 1)][1] == 1
+    assert walk_rows(3, 2)[(2, 1)][1] == 2
 
 
 def test_multiplicity_su_vs_syt():
     for n in range(1, 9):
-        for rows in partition_rows(n, n):
-            assert multiplicity_su(rows, n) == count_syt(rows)
+        for rows, _, f in rep_core._shape_rows(n, max(n, 2)):
+            assert f == count_syt(rows), rows
 
 
 def test_multiplicity_mp_known():
@@ -425,50 +432,41 @@ def test_decomposition_takes_a_string_tag_as_its_model():
 
 
 def test_multiplicity_su_takes_partition_rows():
-    assert multiplicity_su((3, 2, 0), 5) == multiplicity_su((3, 2), 5) == 5
-    with pytest.raises(ValueError, match="fills 5 boxes, expected 4"):
-        multiplicity_su((3, 2), 4)
+    """A shape's tableau count does not depend on its zero rows: (3, 2) has
+    5 at every t."""
+    for t in (2, 3, 9):
+        assert walk_rows(5, t)[(3, 2) + (0,) * (t - 2)][1] == 5
 
 
-@pytest.mark.parametrize("rows, n, message", [
-    ((1, 2), 3, r"^rows must be non-increasing, got \(1, 2\)$"),
-    ((3, -1), 2, r"^negative entry in label \(3, -1\)$"),
-    ((), 0, r"^a label needs at least one row, got \(\)$"),
-])
-def test_multiplicity_su_refuses_a_bad_label(rows, n, message):
-    """Rows given without ``carried`` are checked as Decomposition checks a
-    partition label, and a bad one is named."""
-    with pytest.raises(ValueError, match=message):
-        multiplicity_su(rows, n)
-
-
-MULTIPLICITY_GRID = {t: range(13) for t in range(2, 9)} | {40: (1, 2, 5, 9, 14), 1000: (1, 2, 3, 7)}
+MULTIPLICITY_GRID = {t: range(13) for t in range(2, 9)} | {40: (1, 2, 5, 9, 14),
+                                                          1000: (1, 2, 3, 7, 20)}
 
 
 @pytest.mark.parametrize("t", sorted(MULTIPLICITY_GRID))
 def test_multiplicity_su_matches_hook_lengths_on_a_grid(t):
-    """f = d M / Q, with d computed or handed in, is the hook-length count
-    of every shape, zero-padded to t rows or given by its occupied rows only."""
+    """The walk's f = d M / Q is the hook-length count of every shape,
+    whether the walk ends it by telescoping its zero rows or in its
+    last-two-rows loop."""
     for n in MULTIPLICITY_GRID[t]:
-        for rows in partition_rows(n, t):
-            f = hook_length_count(rows)
-            assert multiplicity_su(rows, n) == f, rows
-            assert multiplicity_su(rows, n, pairwise_weyl_dim(rows)) == f, rows
-            if n:
-                assert multiplicity_su(tuple(r for r in rows if r), n) == f, rows
+        for rows, _, f in rep_core._shape_rows(n, t):
+            assert f == hook_length_count(rows), rows
 
 
 def test_multiplicity_su_at_the_table_edges():
     """One box at t = 2000, and shapes at n = 200 with the longest and the
     shortest first rows, where the binomials of Q and M are largest and
-    smallest."""
-    one_box = (1,) + (0,) * 1999
-    assert multiplicity_su(one_box, 1) == multiplicity_su(one_box, 1, 2000) == 1
-    for t in (2, 3, 250):
-        for shape in [(200,), (100, 100), (67, 67, 66), (1,) * 200]:
+    smallest: among all shapes at t = 2 and 3, and at t = 250 the walk's
+    first shape, one row; its last, one column, at n = 30."""
+    assert list(rep_core._shape_rows(1, 2000)) == [((1,) + (0,) * 1999, 2000, 1)]
+    for t in (2, 3):
+        walked = walk_rows(200, t)
+        for shape in [(200,), (100, 100), (67, 67, 66)]:
             if len(shape) <= t:
                 rows = shape + (0,) * (t - len(shape))
-                assert multiplicity_su(rows, 200) == hook_length_count(rows), (t, shape[:3])
+                assert walked[rows][1] == hook_length_count(rows), (t, shape)
+    assert next(rep_core._shape_rows(200, 250)) == ((200,) + (0,) * 249, comb(449, 200), 1)
+    *_, last = rep_core._shape_rows(30, 250)
+    assert last == ((1,) * 30 + (0,) * 220, comb(250, 30), 1)
 
 
 def test_two_row_tableau_counts_at_large_n():
@@ -476,33 +474,40 @@ def test_two_row_tableau_counts_at_large_n():
     largest n whose su report is written.  The peak k is where the ratio
     f(k+1) / f(k) = (n-k+1)(n-2k-1) / ((k+1)(n-2k+1)) falls below 1."""
     n = 14298
+    shapes = list(rep_core._shape_rows(n, 2))  # (n-k, k) comes k-th
     peak = next(k for k in range(n // 2) if (n - k + 1) * (n - 2 * k - 1) < (k + 1) * (n - 2 * k + 1))
     for k in (1, 2, 100, peak - 1, peak, peak + 1, n // 2 - 1, n // 2):
-        assert multiplicity_su((n - k, k), n) == comb(n, k) - comb(n, k - 1), k
-    f = [multiplicity_su((n - k, k), n) for k in (peak - 1, peak, peak + 1)]
+        rows, _, f = shapes[k]
+        assert (rows, f) == ((n - k, k), comb(n, k) - comb(n, k - 1)), k
+    f = [shapes[k][2] for k in (peak - 1, peak, peak + 1)]
     assert f[0] < f[1] > f[2]
 
 
 def test_multiplicity_su_guards_a_wrong_dimension():
     """A dimension for which d M / Q is not an integer is caught by the
     remainder: M = 3 and Q = 12 for the shape (2, 1, 0)."""
+    assert multiplicity_su((2, 1, 0), 3, 8, (3, 12)) == 2
     with pytest.raises(ArithmeticError, match="non-integer tableau count"):
-        multiplicity_su((2, 1, 0), 3, 7)
+        multiplicity_su((2, 1, 0), 3, 7, (3, 12))
 
 
 # ---------------------------------------------------------------- shape walk
 
+# At t = 1000 the pairwise Weyl products of the 627 shapes of n = 20 take
+# 25 s; there the first shape's dimension is held to a closed form, and every
+# tableau count to its hook lengths (above).
 WALK_GRID = {t: range(41) for t in range(2, 9)} | {12: range(9), 40: (3, 11, 17),
-                                                  1000: (1, 2, 7, 20)}
+                                                  1000: (1, 2, 7)}
 
 
 @pytest.mark.parametrize("t", sorted(WALK_GRID))
 def test_shape_walk_matches_the_per_shape_api(t):
     """The walk gives every shape's rows, Weyl dimension and tableau count
-    as partition_rows, _weyl_dim_rows and multiplicity_su do, entry for
-    entry and in order; t > n gives labels that end in zero rows."""
+    as the per-shape references partition_rows, pairwise_weyl_dim and
+    hook_length_count do, entry for entry and in order; t > n gives labels
+    that end in zero rows."""
     for n in WALK_GRID[t]:
-        want = [(rows, _weyl_dim_rows(rows), multiplicity_su(rows, n))
+        want = [(rows, pairwise_weyl_dim(rows), hook_length_count(rows))
                 for rows in partition_rows(n, t)]
         assert list(rep_core._shape_rows(n, t)) == want, n
 
