@@ -138,7 +138,12 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     before any is visited.  Arguments are validated as in decompose, with the
     same messages.
     """
-    model = _check_config(model, n, t, l)
+    return _support_of(_check_config(model, n, t, l), n, t, l)
+
+
+def _support_of(model: Model, n: int, t: int, l: RefSize) -> int:
+    """capacity_support of arguments already validated (_check_config), as a
+    scaling sweep's rows are, once for the whole sweep."""
     if model is Model.MULTI_PHASE:
         return weight_count(n, t)
     if l is UNBOUNDED:

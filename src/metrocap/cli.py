@@ -16,8 +16,9 @@ import os
 import sys
 import warnings
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
+from operator import add, itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -50,8 +51,8 @@ MAX_SCALING_BITS = 1_000_000
 
 # Most rows render formats and writes at once.  A report is held whole only
 # as the rows its builder reads (a Decomposition's, a CapacityReport's); the
-# text is written one chunk at a time, so the writer adds one chunk's rows and
-# text to that, whatever the report's length.
+# text is written one chunk at a time, so the writer adds one chunk's cells,
+# template and text to that, whatever the report's length.
 CHUNK_ROWS = 4096
 
 
@@ -106,20 +107,28 @@ def _parse_n_range(text: str) -> tuple:
 
 class Table(NamedTuple):
     """A report's row list: for each column its name and the %-format of its
-    cell as JSON writes it (``_label`` for a label, which takes one tuple
-    element per entry), and the flat row tuples as an iterable of non-empty
-    lists of at most CHUNK_ROWS rows each, read once, in order, by render.
-    A format without a % field is a literal, the same in every row, which
-    takes no row field: mp decompose's dim and eff_mult ("1") and mp JSON
-    capacity's p ("1/support")."""
+    cell as JSON writes it (``_label`` for a label, which takes one cell per
+    entry), and the rows' cells as an iterable of flat tuples, read once, in
+    order, by render.  Each tuple holds the cells of at least one and at most
+    CHUNK_ROWS rows, row after row, one cell per % field of the formats.  A
+    format without a % field is a literal, the same in every row, which
+    takes no cell: mp decompose's dim and eff_mult ("1") and mp JSON
+    capacity's p ("1/support"); at least one format has a field."""
 
     columns: tuple
-    chunks: Iterable[list]
+    chunks: Iterable[tuple]
 
 
 def _slices(rows: Sequence) -> Iterator[Sequence]:
     """``rows`` in consecutive slices of at most CHUNK_ROWS rows."""
     return (rows[i:i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS))
+
+
+def _cells(part: Sequence, i: int, j: int) -> tuple:
+    """The flat cells of rows (label, ...): each row's label entries, then
+    its fields i to j-1, made by C-level iterators, with no Python loop."""
+    return tuple(chain.from_iterable(map(add, map(itemgetter(0), part),
+                                         map(itemgetter(slice(i, j)), part))))
 
 
 _EXACT = '"%d"'  # an exact integer, written as a decimal string
@@ -203,11 +212,10 @@ def _build_decompose(cfg: RunConfig) -> dict:
     label_column = ("label", _label(cfg.t))
     if model is Model.MULTI_PHASE:
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
-        chunks = ([(*label, mult) for label, _, mult, _ in part] for part in _slices(d.rows))
+        chunks = (_cells(part, 2, 3) for part in _slices(d.rows))
     else:
         columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
-        chunks = ([(*label, dim, mult, eff) for label, dim, mult, eff in part]
-                  for part in _slices(d.rows))
+        chunks = (_cells(part, 1, 4) for part in _slices(d.rows))
     return _report(cfg, "model n t l", {"entries": Table(columns, chunks)})
 
 
@@ -224,11 +232,11 @@ def _build_capacity(cfg: RunConfig) -> dict:
         label_column = ("label", _label(cfg.t))
         if cfg.model == Model.MULTI_PHASE:
             columns = (label_column, ("p", f'"1/{support}"'))
-            chunks = ([label for label, _, _ in part] for part in _slices(r.p_rows))
+            chunks = (tuple(chain.from_iterable(map(itemgetter(0), part)))
+                      for part in _slices(r.p_rows))
         else:
             columns = (label_column, ("p", '"%d/%d"'))
-            chunks = ([(*label, num, den) for label, num, den in part]
-                      for part in _slices(r.p_rows))
+            chunks = (_cells(part, 1, 3) for part in _slices(r.p_rows))
         body = {"support": str(support), "optimal_p": Table(columns, chunks)}
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
@@ -355,13 +363,13 @@ def _build_scaling(cfg: RunConfig) -> dict:
     # the exact paths behind the sweep: l = 1 for mp, unbounded for su
     l_eff = 1 if model is Model.MULTI_PHASE else UNBOUNDED
     u = _unit(cfg.base)
-    rows = [(n, _scaled(cap.log_integer(cap.capacity_support(model, n, cfg.t, l_eff)), cfg.base),
+    rows = [(n, _scaled(cap.log_integer(cap._support_of(model, n, cfg.t, l_eff)), cfg.base),
              _scaled(0.5 * d * math.log(n), cfg.base)) for n in ns]
     columns = (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
     return _report(cfg._replace(l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
-        "rows": Table(columns, [rows]),
+        "rows": Table(columns, [tuple(chain.from_iterable(part)) for part in _slices(rows)]),
     })
 
 
@@ -402,18 +410,42 @@ def _csv_format(fmt: str) -> str:
     return fmt.strip('"')
 
 
+def _write_chunks(table: Table, template: str, sep: str, lead: str,
+                  write: Callable[[str], object]) -> bool:
+    """Write each chunk of ``table`` as one ``%`` of a chunk template over
+    its cells: the row ``template`` once per row of the chunk, ``sep``
+    between rows and between chunks, ``lead`` before the first row, in the
+    first chunk's template so that no chunk's text is copied.  A later
+    chunk's template is built once per chunk size.  Returns whether any
+    chunk was written."""
+    width = sum(f.count("%") for _, f in table.columns)  # cells per row
+    chunks = iter(table.chunks)
+    cells = next(chunks, None)
+    if cells is None:
+        return False
+    write((lead.replace("%", "%%") + sep.join([template] * (len(cells) // width))) % cells)
+    size = 0
+    for cells in chunks:
+        rows = len(cells) // width
+        if rows != size:
+            size, chunk_template = rows, (sep + template) * rows
+        write(chunk_template % cells)
+    return True
+
+
 def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
     """Write the report through ``write`` as JSON (the layout of
     json.dumps(report, indent=2)) or as CSV with LF line endings.
 
     A report is a dict in output order; its row list, if any, is a Table, last.
-    The rows are written with one %-template per report and format, so each
-    row is a single ``template % row``: for JSON the row's object, for CSV
-    its line with the report-level cells already in place.  Each chunk of
-    the Table is one call of ``write``, the JSON preamble or CSV header
-    joined to the first, so no more than one chunk's text exists at a time.
-    The JSON preamble is json.dumps itself; a report without rows is
-    json.dumps whole, in one call.
+    The rows are written with one %-template per report and format: for JSON
+    the row's object, for CSV its line with the report-level cells already
+    in place.  Each chunk of the Table is one ``%`` of that template repeated
+    once per row over the chunk's flat cells (_write_chunks), and one call of
+    ``write``, the JSON preamble or CSV header joined to the first, so no
+    more than one chunk's text exists at a time.  The JSON preamble is
+    json.dumps itself; a report without rows is json.dumps whole, in one
+    call, and a CSV report whose one row is all from the report one line.
     """
     *head, (key, table) = report.items()
     if fmt == "json":
@@ -425,25 +457,21 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
                             for name, f in table.columns)
         template = f"    {{\n{fields}\n    }}"
         opening = f"{preamble},\n  {_json_str(key)}: ["
-        lead = opening + "\n"
-        for chunk in table.chunks:
-            write(lead + ",\n".join(map(template.__mod__, chunk)))
-            lead = ",\n"
-        write("\n  ]\n}\n" if lead == ",\n" else opening + "]\n}\n")
+        if _write_chunks(table, template, ",\n", opening + "\n", write):
+            write("\n  ]\n}\n")
+        else:
+            write(opening + "]\n}\n")
     elif fmt == "csv":
         header = _CSV[report["command"]].format(u=_unit(report.get("log_base", "e")))
         names = header.split(",")
         if set(names) <= report.keys():  # one row, all from the report
-            table = Table((), [[()]])
+            write(header + "\n" + ",".join([_cell(report[c]) for c in names]) + "\n")
+            return
         formats = {name: _csv_format(f) for name, f in table.columns}
         template = ",".join([formats[c] if c in formats else _cell(report[c]).replace("%", "%%")
                              for c in names]) + "\n"
-        lead = header + "\n"
-        for chunk in table.chunks:
-            write(lead + "".join(map(template.__mod__, chunk)))
-            lead = ""
-        if lead:  # no rows: the header alone
-            write(lead)
+        if not _write_chunks(table, template, "", header + "\n", write):
+            write(header + "\n")  # no rows: the header alone
     else:
         raise ValueError(f"unknown format {fmt!r}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from math import comb
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
@@ -44,11 +45,11 @@ RefSize = Union[int, _UnboundedType]
 # requests are refused before they start.  On a 2-vCPU Xeon VM (Python 3.11)
 # decompose costs about 1.3 us per mp block at n = 400 and t = 3, 2.6 us at
 # n = 1400 (982 101 blocks in 2.6 s; the multinomials grow to 2800 bits).
-# In-process, best of 3-5, with the host's speed drifting by a third between
-# runs: a whole mp decompose request with its JSON report costs 1.6-2.7 us
+# In-process, best of 5, with the host's speed drifting by a third between
+# runs: a whole mp decompose request with its JSON report costs 1.8-3.0 us
 # per block at n = 250..400, t = 3, and a whole mp JSON capacity request
-# 0.7-1.3 us.  A whole su decompose request costs 2.8-3.7 us per block at
-# n <= 280 (t = 3..5) and 7 us at n = 1000, t = 3 (CSV).  These request
+# 0.7-1.0 us.  A whole su decompose request costs 2.4-3.2 us per block at
+# n <= 280 (t = 3..5) and 6-9 us at n = 1000, t = 3 (CSV).  These request
 # costs are with the cyclic collector paused, as cli.main runs every
 # request; left on, it made them 10-75% longer (best of 3 each, a quarter at
 # most sizes).
@@ -60,7 +61,7 @@ RefSize = Union[int, _UnboundedType]
 # t = 3 (751 501 shapes) costs 2.1-2.4 us per shape at l = 1 and unbounded
 # alike.  A whole CSV decompose request at n = 2000, t = 3 (334 334 blocks,
 # 256 MB) takes 4.7-4.9 s, 1.5 s of it making the rows and most of the rest
-# writing the report, and peaks at 228 MiB of RSS, since the report is
+# writing the report, and peaks at 210 MiB of RSS, since the report is
 # written one chunk at a time.
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
@@ -140,7 +141,7 @@ class Decomposition(_DecompositionFields):
 
 def _check_fill(rows: tuple[Row, ...], n: int, t: int) -> None:
     """Refuse rows whose sum dim * mult is not t^n."""
-    if sum(dim * mult for _, dim, mult, _ in rows) != t**n:
+    if sum(map(mul, map(itemgetter(1), rows), map(itemgetter(2), rows))) != t**n:
         raise ValueError("blocks do not fill the full space")
 
 
@@ -321,16 +322,19 @@ def _weight_walk(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             counts[last] = moved
 
 
-def _weight_rows(n: int, t: int) -> Iterator[Row]:
+def _weight_rows(n: int, t: int) -> list[Row]:
     """mp block rows (counts, 1, n! / prod counts!, 1) for every occupation
     vector of n over t levels, in the order of _weight_walk: one small
     multiply and one exact division per weight, for any t."""
+    rows = []
+    append = rows.append
     mult = 1
     for counts, num, den in _weight_walk(n, t):
         mult, r = divmod(mult * num, den)
         if r:  # the multinomials are integers; guard against misuse
             raise ArithmeticError(f"non-integer multinomial at {counts}")
-        yield counts, 1, mult, 1
+        append((counts, 1, mult, 1))
+    return rows
 
 
 def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:

@@ -1,7 +1,7 @@
 """Mutation sweep of the exact walks, block_capacity's merge of the
 unsaturated shapes, the Renyi bracket, the oracle's Schur basis, the CLI's
-collector pause, closed-pipe descriptor, digit rule and argv table reader:
-each listed fault must fail a test.
+collector pause, closed-pipe descriptor, chunk writer, digit rule and argv
+table reader: each listed fault must fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -153,6 +153,14 @@ MUTANTS = [
            "the pause is never taken: a large report runs the collector", tests=CLI_TESTS),
     Mutant("cli.py", "os.close(devnull)", "pass",
            "a closed-pipe request leaves its devnull descriptor open", tests=CLI_TESTS),
+    # render's chunk writer: one % per chunk over its flat cells.
+    Mutant("cli.py", 'template, ",\\n", opening', 'template, ",", opening',
+           "JSON rows of a chunk, and the chunks, are joined without the newline",
+           tests=CLI_TESTS),
+    Mutant("cli.py", 'width = sum(f.count("%") for _, f in table.columns)',
+           'width = sum(f.count("%") for _, f in table.columns) - 1',
+           "the row width counted one field short: a chunk's cells are read as more rows",
+           tests=CLI_TESTS),
     # decompose's digit rule: the t^n skip, the early refusal, the row scan.
     Mutant("cli.py", "cfg.t**cfg.n >= 10**limit", "cfg.t**cfg.n < 10**limit",
            "the t^n skip inverted: the rule runs only where no entry can reach the limit",

@@ -545,7 +545,7 @@ def test_standard_scaling_baseline():
     """A scaling row's baseline is (d/2) log n, d = t-1 (mp) or t^2-1 (su)."""
     for model, t, half_d in (("mp", 2, 0.5), ("su", 2, 1.5), ("mp", 4, 1.5)):
         report = _build_scaling(RunConfig("scaling", model=model, t=t, n_range=(50, 100, 25)))
-        assert [row[2] for chunk in report["rows"].chunks for row in chunk] == \
+        assert [cell for chunk in report["rows"].chunks for cell in chunk[2::3]] == \
             [half_d * math.log(n) for n in (50, 75, 100)]
 
 

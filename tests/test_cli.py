@@ -3,10 +3,12 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +177,7 @@ def _written(report: dict, fmt: str) -> list:
 def test_row_table_writer_on_percent_signs_and_empty_tables():
     """Constant text of a template holds '%' only doubled: in a JSON key, a
     row-list key and a CSV cell from the report."""
-    rows = Table((("a%s", '"%d"'), ("b%%", "%r"), ("label", "[]")), [[(10**30, 0.5), (-1, 1e300)]])
+    rows = Table((("a%s", '"%d"'), ("b%%", "%r"), ("label", "[]")), [(10**30, 0.5, -1, 1e300)])
     report = {"schema": "1%d", "rows%": rows}
     dict_form = {"schema": "1%d", "rows%": [
         {"a%s": str(10**30), "b%%": 0.5, "label": []}, {"a%s": "-1", "b%%": 1e300, "label": []}]}
@@ -184,7 +186,7 @@ def test_row_table_writer_on_percent_signs_and_empty_tables():
         json.dumps({**dict_form, "rows%": []}, indent=2) + "\n"
     report = {"schema": "1", "command": "decompose", "model": "m%d%%", "n": 1, "t": 1, "l": "%s",
               "entries": Table((("label", '[\n        %d\n      ]'), ("dim", '"%d"'),
-                                ("mult", '"%d"'), ("eff_mult", '"%d"')), [[(1, 1, 1, 1)]])}
+                                ("mult", '"%d"'), ("eff_mult", '"%d"')), [(1, 1, 1, 1)])}
     assert "".join(_written(report, "csv")) == \
         "model,n,t,l,label,dim,mult,eff_mult\nm%d%%,1,1,%s,1,1,1,1\n"
     assert "".join(_written({**report, "entries": Table(report["entries"].columns, [])}, "csv")) \
@@ -201,7 +203,8 @@ def test_row_table_writer_at_chunk_boundaries(count):
     rows = [(k, k % 7, k + 1, 3**k, k % 5) for k in range(count)]  # (*label, dim, mult, eff)
     columns = (("label", cli._label(2)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
     head = {"schema": "1", "command": "decompose", "model": "su", "n": 5, "t": 2, "l": "inf"}
-    report = {**head, "entries": Table(columns, list(cli._slices(rows)))}
+    report = {**head, "entries": Table(columns, [tuple(chain.from_iterable(part))
+                                                 for part in cli._slices(rows)])}
     dicts = [{"label": [a, b], "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
              for a, b, dim, mult, eff in rows]
     chunks = -(-count // cli.CHUNK_ROWS)
@@ -214,6 +217,44 @@ def test_row_table_writer_at_chunk_boundaries(count):
     assert len(csv_writes) == max(chunks, 1)
     assert max(w.count("\n") for w in csv_writes) <= cli.CHUNK_ROWS + 1  # and the header
     assert len(_written(head, "json")) == 1
+
+
+def _row_counts(count: int) -> list:
+    """The row counts of ``count`` rows cut into chunks of at most CHUNK_ROWS."""
+    return [min(cli.CHUNK_ROWS, count - i) for i in range(0, count, cli.CHUNK_ROWS)]
+
+
+@pytest.mark.parametrize("cfg,key,count,width", [
+    (RunConfig("decompose", model="mp", n=100, t=3), "entries", math.comb(102, 2), 3 + 1),
+    (RunConfig("decompose", model="su", n=9, t=3, l=2), "entries",
+     len(decompose("su", 9, 3, 2).rows), 3 + 3),
+    (RunConfig("capacity", model="mp", n=100, t=3, l=1), "optimal_p", math.comb(102, 2), 3),
+    (RunConfig("capacity", model="su", n=9, t=4, l=1), "optimal_p",
+     len(decompose("su", 9, 4, 1).rows), 4 + 2),
+    (RunConfig("scaling", model="su", t=3, n_range=(2, 20, 3)), "rows", 7, 3),
+    (RunConfig("scaling", model="mp", t=2, n_range=(1, 5000, 1)), "rows", 5000, 3),
+])
+def test_every_builder_chunk_holds_rows_times_width_cells(cfg, key, count, width):
+    """Each chunk a builder hands render holds its rows times the width of
+    the row template, the % fields of the column formats (a label's one per
+    entry), literal columns (mp's dim, eff_mult and p) taking none."""
+    table = cli._BUILDERS[cfg.command](cfg)[key]
+    assert sum(len(re.findall("%[dr]", f)) for _, f in table.columns) == width
+    assert [len(cells) for cells in table.chunks] == [rows * width for rows in _row_counts(count)]
+
+
+def test_row_table_writer_reads_width_from_the_formats():
+    """A literal column takes no cell and a %% in a column name is no field:
+    the chunk's cells are read as rows of width 3."""
+    columns = (("b%%", "%r"), ("one", '"1"'), ("label", cli._label(2)))
+    rows = [(0.5, 1, 2), (-1.25, 3, 4), (1e300, 5, 6)]
+    dicts = [{"b%%": b, "one": "1", "label": [x, y]} for b, x, y in rows]
+    head = {"schema": "1"}
+    for cut in (1, 2, 3):
+        chunks = [tuple(chain.from_iterable(rows[:cut])), tuple(chain.from_iterable(rows[cut:]))]
+        report = {**head, "rows": Table(columns, [c for c in chunks if c])}
+        assert "".join(_written(report, "json")) == \
+            json.dumps({**head, "rows": dicts}, indent=2) + "\n"
 
 
 def test_run_writes_a_long_report_in_chunks(monkeypatch):

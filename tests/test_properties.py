@@ -10,6 +10,7 @@ seconds.
 import contextlib
 import io
 import json
+from itertools import chain
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,8 +200,8 @@ def test_large_reports_have_the_stdlib_json_layout(argv):
 @st.composite
 def _tables(draw):
     """A decompose, capacity or scaling report as its builder hands it to
-    render, with its rows as a Table cut into non-empty chunks at any places,
-    and the same report as plain dicts."""
+    render, with its rows as a Table of flat cells cut into non-empty chunks
+    at any places, and the same report as plain dicts."""
     command = draw(st.sampled_from(["decompose", "capacity", "scaling"]))
     width = draw(st.integers(1, 8))
     exact = st.integers(0, 10**400)
@@ -226,7 +227,7 @@ def _tables(draw):
         dicts = [{"n": n, f"capacity_{u}": c, f"baseline_{u}": b} for n, c, b in rows]
     cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1)))) if len(rows) > 1 else []
     ends = [0, *cuts, len(rows)]
-    chunks = [rows[i:j] for i, j in zip(ends, ends[1:]) if i < j]
+    chunks = [tuple(chain.from_iterable(rows[i:j])) for i, j in zip(ends, ends[1:]) if i < j]
     return {**head, key: Table(columns, chunks)}, {**head, key: dicts}
 
 
