@@ -5,7 +5,8 @@ arbitrary precision first and only then sent through log, so the float result
 is correctly rounded no matter how large n gets.
 
 ``block_capacity`` gives the capacity with its optimal block weights (the
-``capacity`` report in JSON); ``capacity_support`` gives the support alone
+su ``capacity`` report in JSON; the mp one writes its labels from the weight
+runs); ``capacity_support`` gives the support alone
 (``bounds``, ``capacity`` in CSV and every ``scaling`` row), and
 ``scaling_fit`` the slope of a sweep.  ``capacity`` computes the same report
 from a whole decomposition: the slow route the other two are tested against.

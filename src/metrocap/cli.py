@@ -16,7 +16,7 @@ import os
 import sys
 import warnings
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import add, itemgetter
 from types import SimpleNamespace
@@ -30,7 +30,10 @@ from .rep_core import (
     RefSize,
     _admit,
     _check_config,
+    _weight_runs,
+    _weight_walk,
     decompose,
+    weight_count,
 )
 
 SCHEMA = "1"
@@ -49,11 +52,13 @@ MAX_SCALING_POINTS = 10_000
 # report to seconds.
 MAX_SCALING_BITS = 1_000_000
 
-# Most rows render formats and writes at once.  A report is held whole only
-# as the rows its builder reads (a Decomposition's, a CapacityReport's); the
-# text is written one chunk at a time, so the writer adds one chunk's cells,
-# template and text to that, whatever the report's length.
-CHUNK_ROWS = 4096
+# Most cells render formats and writes at once: a chunk holds
+# max(1, CHUNK_CELLS // width) rows of ``width`` cells each, 4096 rows of mp
+# decompose at t = 3.  A report is held whole only as what its builder reads
+# (a Decomposition's rows, a CapacityReport's, the mp runs); the text is
+# written one chunk at a time, so the writer adds one chunk's cells, template
+# and text to that, whatever the report's length or t.
+CHUNK_CELLS = 16384
 
 
 class RunConfig(NamedTuple):
@@ -110,25 +115,39 @@ class Table(NamedTuple):
     cell as JSON writes it (``_label`` for a label, which takes one cell per
     entry), and the rows' cells as an iterable of flat tuples, read once, in
     order, by render.  Each tuple holds the cells of at least one and at most
-    CHUNK_ROWS rows, row after row, one cell per % field of the formats.  A
-    format without a % field is a literal, the same in every row, which
-    takes no cell: mp decompose's dim and eff_mult ("1") and mp JSON
+    max(1, CHUNK_CELLS // width) rows (_chunks), row after row, one cell per
+    % field of the formats, ``width`` of them per row.  A format without a %
+    field is a literal, the same in every row, which takes no cell: mp decompose's dim and eff_mult ("1") and mp JSON
     capacity's p ("1/support"); at least one format has a field."""
 
     columns: tuple
     chunks: Iterable[tuple]
 
 
-def _slices(rows: Sequence) -> Iterator[Sequence]:
-    """``rows`` in consecutive slices of at most CHUNK_ROWS rows."""
-    return (rows[i:i + CHUNK_ROWS] for i in range(0, len(rows), CHUNK_ROWS))
+def _chunks(cells: Iterable, width: int) -> Iterator[tuple]:
+    """The flat ``cells`` of rows of ``width`` cells each, in consecutive
+    tuples of max(1, CHUNK_CELLS // width) rows, the last one shorter."""
+    cells = iter(cells)
+    size = max(1, CHUNK_CELLS // width) * width
+    return iter(lambda: tuple(islice(cells, size)), ())
 
 
-def _cells(part: Sequence, i: int, j: int) -> tuple:
+def _row_cells(rows: Sequence, i: int, j: int) -> Iterator:
     """The flat cells of rows (label, ...): each row's label entries, then
     its fields i to j-1, made by C-level iterators, with no Python loop."""
-    return tuple(chain.from_iterable(map(add, map(itemgetter(0), part),
-                                         map(itemgetter(slice(i, j)), part))))
+    return chain.from_iterable(map(add, map(itemgetter(0), rows),
+                                   map(itemgetter(slice(i, j)), rows)))
+
+
+def _run_cells(runs: Iterable[tuple]) -> Iterator:
+    """The flat cells of the mp blocks of ``runs``, each (prefix, r, *columns)
+    as _weight_runs yields them: the rows (*prefix, a, r-a, *cells) for
+    a = r, ..., 0, a run's column cells in that order, made by C-level
+    iterators, each block's as one tuple dropped once its cells are read."""
+    rows = chain.from_iterable(
+        map(add, repeat(prefix), zip(range(r, -1, -1), range(r + 1), *columns))
+        for prefix, r, *columns in runs)
+    return chain.from_iterable(rows)
 
 
 _EXACT = '"%d"'  # an exact integer, written as a decimal string
@@ -166,7 +185,7 @@ def _refuse_by_estimate(model: Model, n: int, t: int, limit: int) -> None:
     that block from log-gamma is within 2e-9 of the exact one up to the
     largest n the block budget admits, so a refusal, which needs it to clear
     the limit by a whole digit (ln 10), is sound.  Inside that margin
-    _check_row_digits decides, and may name a larger block of another shape."""
+    _check_digits decides, and may name a larger block of another shape."""
     if model is Model.MULTI_PHASE:
         q, extra = divmod(n, t)
         log_block = (math.lgamma(n + 1) - extra * math.lgamma(q + 2)
@@ -179,11 +198,11 @@ def _refuse_by_estimate(model: Model, n: int, t: int, limit: int) -> None:
         _refuse_digits(log_block, limit)
 
 
-def _check_row_digits(rows: Sequence, limit: int) -> None:
-    """Refuse a report any of whose dims or multiplicities reaches 10^limit,
-    once its rows are made and before any byte is written: the one exact
-    digit rule.  eff_mult <= dim needs no check of its own."""
-    dim, mult = max(map(itemgetter(1), rows)), max(map(itemgetter(2), rows))
+def _check_digits(dim: int, mult: int, limit: int) -> None:
+    """Refuse a report whose largest dim ``dim`` or largest multiplicity
+    ``mult`` reaches 10^limit, once its blocks are made and before any byte
+    is written: the one exact digit rule.  eff_mult <= dim needs no check of
+    its own."""
     if max(dim, mult) >= 10**limit:
         _refuse_digits(math.log(max(dim, mult)), limit,
                        "dimension" if dim > mult else "multiplicity")
@@ -193,29 +212,38 @@ def _build_decompose(cfg: RunConfig) -> dict:
     """Every block as a row (*label, dim, mult, eff_mult); for mp the row is
     (*label, mult), and dim and eff_mult, 1 in every block, are literals of
     the row template.  The request is validated and its block budget checked
-    first, so that the digit rule only sees admitted requests; decompose
-    then admits it again, a small fraction of the walk's cost.
+    first, so that the digit rule only sees admitted requests; su's
+    decompose then admits it again, a small fraction of the walk's cost.
+    mp reads the runs of _weight_runs and holds no Decomposition or rows:
+    their multinomials are checked to fill t^n, as decompose checks its
+    rows, before any byte is written.
 
     Each dim and mult is at most dim * mult <= sum dim * mult = t^n, the
-    fill decompose checks, so below 10^limit digits need no check, nor
-    without a limit (sys.get_int_max_str_digits() of 0, or an interpreter
-    before 3.10.7 without it).  Else _refuse_by_estimate may refuse at once,
-    and _check_row_digits decides on the rows."""
+    fill checked, so below 10^limit digits need no check, nor without a
+    limit (sys.get_int_max_str_digits() of 0, or an interpreter before
+    3.10.7 without it).  Else _refuse_by_estimate may refuse at once, and
+    _check_digits decides on the blocks."""
     model = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     reach = limit and cfg.t**cfg.n >= 10**limit  # some block may reach the limit
     if reach:
         _refuse_by_estimate(model, cfg.n, cfg.t, limit)
-    d = decompose(model, cfg.n, cfg.t, cfg.l)
-    if reach:
-        _check_row_digits(d.rows, limit)
     label_column = ("label", _label(cfg.t))
     if model is Model.MULTI_PHASE:
+        runs = list(_weight_runs(cfg.n, cfg.t))
+        mults = list(map(itemgetter(2), runs))
+        if sum(map(sum, mults)) != cfg.t**cfg.n:
+            raise ValueError("blocks do not fill the full space")
+        if reach:
+            _check_digits(1, max(map(max, mults)), limit)
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
-        chunks = (_cells(part, 2, 3) for part in _slices(d.rows))
+        chunks = _chunks(_run_cells(runs), cfg.t + 1)
     else:
+        rows = decompose(model, cfg.n, cfg.t, cfg.l).rows
+        if reach:
+            _check_digits(max(map(itemgetter(1), rows)), max(map(itemgetter(2), rows)), limit)
         columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
-        chunks = (_cells(part, 1, 4) for part in _slices(d.rows))
+        chunks = _chunks(_row_cells(rows, 1, 4), cfg.t + 3)
     return _report(cfg, "model n t l", {"entries": Table(columns, chunks)})
 
 
@@ -223,20 +251,28 @@ def _build_capacity(cfg: RunConfig) -> dict:
     """The capacity; in JSON also its support and every block's optimal
     weight p = num/den as a row (*label, num, den); for mp the row is the
     label alone, and p = 1/support, the same in every block, is a literal of
-    the row template."""
+    the row template.  The mp labels are the runs of the weight walk over
+    t-1 levels, as _run_cells expands them; as block_capacity checks its
+    walk, their row count, sum (r+1), must be C(n+t-1, t-1) before any byte
+    is written."""
     if cfg.format == "csv":  # the one CSV row shows neither: build no blocks, write no support
         support, body = _support(cfg), {}
     else:
-        r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
-        support = r.support
         label_column = ("label", _label(cfg.t))
         if cfg.model == Model.MULTI_PHASE:
+            _admit(cfg.model, cfg.n, cfg.t, cfg.l)
+            support = weight_count(cfg.n, cfg.t)
+            runs = [(counts[:-1], counts[-1]) for counts, _, _ in _weight_walk(cfg.n, cfg.t - 1)]
+            blocks = sum(map(itemgetter(1), runs)) + len(runs)
+            if blocks != support:
+                raise ArithmeticError(f"{blocks} weights, expected C(n+t-1, t-1) = {support}")
             columns = (label_column, ("p", f'"1/{support}"'))
-            chunks = (tuple(chain.from_iterable(map(itemgetter(0), part)))
-                      for part in _slices(r.p_rows))
+            chunks = _chunks(_run_cells(runs), cfg.t)
         else:
+            r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
+            support = r.support
             columns = (label_column, ("p", '"%d/%d"'))
-            chunks = (_cells(part, 1, 3) for part in _slices(r.p_rows))
+            chunks = _chunks(_row_cells(r.p_rows, 1, 3), cfg.t + 2)
         body = {"support": str(support), "optimal_p": Table(columns, chunks)}
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
@@ -369,7 +405,7 @@ def _build_scaling(cfg: RunConfig) -> dict:
     return _report(cfg._replace(l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
-        "rows": Table(columns, [tuple(chain.from_iterable(part)) for part in _slices(rows)]),
+        "rows": Table(columns, _chunks(chain.from_iterable(rows), 3)),
     })
 
 

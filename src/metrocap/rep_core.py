@@ -11,7 +11,8 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from math import comb
-from operator import itemgetter, mul
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 
@@ -42,13 +43,15 @@ RefSize = Union[int, _UnboundedType]
 
 # Most blocks an enumeration may build, and most label entries (blocks times
 # t, one per level of every label) it may hold and a report may write; larger
-# requests are refused before they start.  On a 2-vCPU Xeon VM (Python 3.11)
-# decompose costs about 1.3 us per mp block at n = 400 and t = 3, 2.6 us at
-# n = 1400 (982 101 blocks in 2.6 s; the multinomials grow to 2800 bits).
-# In-process, best of 5, with the host's speed drifting by a third between
-# runs: a whole mp decompose request with its JSON report costs 1.8-3.0 us
+# requests are refused before they start.  On a 2-vCPU Xeon VM (Python 3.11),
+# in-process, best of 5, with the host's speed drifting by a third between
+# runs: the mp runs (_weight_runs) cost 0.25-0.30 us per block at n = 400 and
+# t = 3, and 1.05-1.12 us at n = 1400 (982 101 blocks in 1.1 s), most of it
+# multiplying each run's multinomial, grown to 2800 bits, into its binomial
+# row.  A whole mp decompose request with its JSON report costs 0.9-1.2 us
 # per block at n = 250..400, t = 3, and a whole mp JSON capacity request
-# 0.7-1.0 us.  A whole su decompose request costs 2.4-3.2 us per block at
+# 0.4-0.5 us; both read their cells from the runs and hold no rows.  A
+# whole su decompose request costs 2.4-3.2 us per block at
 # n <= 280 (t = 3..5) and 6-9 us at n = 1000, t = 3 (CSV).  These request
 # costs are with the cyclic collector paused, as cli.main runs every
 # request; left on, it made them 10-75% longer (best of 3 each, a quarter at
@@ -322,19 +325,50 @@ def _weight_walk(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
             counts[last] = moved
 
 
+def _weight_runs(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """The mp blocks of n over t >= 2 levels in runs, the blocks that share
+    their first t-2 levels: one (prefix, r, mults) per occupation vector
+    (prefix, r) of n over t-1 levels, in the order of _weight_walk(n, t-1).
+    The run's blocks are the labels prefix + (a, r-a) for a = r, ..., 0, in
+    the order of _weight_walk(n, t), and ``mults`` holds their multinomials
+    M C(r, a), where M = n! / (prod prefix! r!) is the run's own, one small
+    multiply and one exact division per run.
+
+    C(r, a) = C(r, r-a), so the binomial row reads the same for a falling.
+    When r rose by one from the run before, as it does at t >= 3 everywhere
+    but at a reset to r = 0, the row is the one before by one Pascal step;
+    else (the one run at t = 2, and every r = 0) it is built from
+    C(r, a) = C(r, a-1) (r-a+1) / a.  Only the multiply of M into the row
+    is made per block, by C-level iterators, with no Python loop; a run with
+    M = 1 hands out the row itself.
+    """
+    row = ()
+    mult = 1
+    for counts, num, den in _weight_walk(n, t - 1):
+        mult, rem = divmod(mult * num, den)
+        if rem:  # the multinomials are integers; guard against misuse
+            raise ArithmeticError(f"non-integer multinomial at {counts}")
+        r = counts[-1]
+        if row and r == len(row):  # r rose by one
+            row = tuple(map(add, row + (0,), (0,) + row))
+        else:
+            c, row = 1, [1]
+            for a in range(1, r + 1):
+                c = c * (r - a + 1) // a  # exact: C(r, a-1) (r-a+1) is a multiple of a
+                row.append(c)
+            row = tuple(row)
+        yield counts[:-1], r, row if mult == 1 else tuple(map(mul, repeat(mult), row))
+
+
 def _weight_rows(n: int, t: int) -> list[Row]:
     """mp block rows (counts, 1, n! / prod counts!, 1) for every occupation
-    vector of n over t levels, in the order of _weight_walk: one small
-    multiply and one exact division per weight, for any t."""
-    rows = []
-    append = rows.append
-    mult = 1
-    for counts, num, den in _weight_walk(n, t):
-        mult, r = divmod(mult * num, den)
-        if r:  # the multinomials are integers; guard against misuse
-            raise ArithmeticError(f"non-integer multinomial at {counts}")
-        append((counts, 1, mult, 1))
-    return rows
+    vector of n over t levels, in the order of _weight_walk: the runs of
+    _weight_runs expanded, for any t."""
+    if t == 1:
+        return [((n,), 1, 1, 1)]
+    return list(chain.from_iterable(
+        zip(map(prefix.__add__, zip(range(r, -1, -1), range(r + 1))), repeat(1), mults, repeat(1))
+        for prefix, r, mults in _weight_runs(n, t)))
 
 
 def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:

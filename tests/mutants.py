@@ -1,7 +1,7 @@
 """Mutation sweep of the exact walks, block_capacity's merge of the
 unsaturated shapes, the Renyi bracket, the oracle's Schur basis, the CLI's
-collector pause, closed-pipe descriptor, chunk writer, digit rule and argv
-table reader: each listed fault must fail a test.
+collector pause, closed-pipe descriptor, chunk writer, mp runs, digit rule
+and argv table reader: each listed fault must fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -111,6 +111,15 @@ MUTANTS = [
            "a move into the last level also empties it and marks it live"),
     Mutant("rep_core.py", "            counts[last] = 0\n", "",
            "the last level keeps its units when they move up to level k+1"),
+    # The mp runs: a binomial row per run, times the run's multinomial.
+    Mutant("rep_core.py", "row = tuple(map(add, row + (0,), (0,) + row))",
+           "row = tuple(map(add, row + (0,), (0, 0) + row))",
+           "the Pascal step shifted by one: C(r, a) takes C(r-1, a-2) for C(r-1, a-1)"),
+    Mutant("rep_core.py", "if row and r == len(row):  # r rose by one", "if row:  # r rose by one",
+           "the row of the run before is stepped even after a reset to r = 0"),
+    Mutant("rep_core.py", "zip(range(r, -1, -1), range(r + 1))), repeat(1)",
+           "zip(range(r + 1), range(r, -1, -1))), repeat(1)",
+           "_weight_rows expands a run in ascending a"),
     # Admission and the su effective multiplicities.
     Mutant("rep_core.py", "else min(l * mult, dim))", "else min(mult, dim))",
            "su eff_mult ignores the reference size"),
@@ -161,6 +170,14 @@ MUTANTS = [
            'width = sum(f.count("%") for _, f in table.columns) - 1',
            "the row width counted one field short: a chunk's cells are read as more rows",
            tests=CLI_TESTS),
+    # The CLI's mp reports from the runs, and their checks before any byte.
+    Mutant("cli.py", "zip(range(r, -1, -1), range(r + 1), *columns)",
+           "zip(range(r + 1), range(r, -1, -1), *columns)",
+           "the mp reports expand a run in ascending a", tests=CLI_TESTS),
+    Mutant("cli.py", "if sum(map(sum, mults)) != cfg.t**cfg.n:", "if False:",
+           "mp decompose writes runs whose multinomials do not fill t^n", tests=CLI_TESTS),
+    Mutant("cli.py", "if blocks != support:", "if False:",
+           "mp JSON capacity writes runs that miss a label", tests=CLI_TESTS),
     # decompose's digit rule: the t^n skip, the early refusal, the row scan.
     Mutant("cli.py", "cfg.t**cfg.n >= 10**limit", "cfg.t**cfg.n < 10**limit",
            "the t^n skip inverted: the rule runs only where no entry can reach the limit",
@@ -168,10 +185,8 @@ MUTANTS = [
     Mutant("cli.py", ">= (limit + 1) * math.log(10)", ">= (limit - 1) * math.log(10)",
            "the early refusal's margin drops below the limit: blocks a digit short are refused",
            tests=CLI_TESTS),
-    Mutant("cli.py", "    if reach:\n        _check_row_digits(d.rows, limit)",
-           "    if reach and model is Model.SPECIAL_UNITARY:\n"
-           "        _check_row_digits(d.rows, limit)",
-           "the row scan never runs for mp", tests=CLI_TESTS),
+    Mutant("cli.py", "        if reach:\n            _check_digits(1, max(map(max, mults)), limit)\n",
+           "", "the multinomial scan never runs for mp", tests=CLI_TESTS),
     # The argv table reader: what it must leave to argparse.
     Mutant("cli.py", "if flag is None or flag.dest in values or", "if flag is None or",
            "a repeated flag is read, where canonical argv give each flag once",

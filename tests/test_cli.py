@@ -20,7 +20,7 @@ from metrocap.cli import RunConfig, Table, main, render, run
 from metrocap.capacity import block_capacity, capacity, log_integer
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import factorial_multinomial, largest_block_entry, report_to_csv
+from reference import factorial_multinomial, largest_block_entry, report_to_csv, weight_vectors
 
 LN2 = math.log(2.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
@@ -195,19 +195,18 @@ def test_row_table_writer_on_percent_signs_and_empty_tables():
 
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
 def test_row_table_writer_at_chunk_boundaries(count):
-    """Rows in the builders' slices of CHUNK_ROWS = 4096, around each edge:
-    JSON is json.dumps of the dict rows, CSV the dict-row reference on it,
-    and each write holds at most one chunk.  A report with no row table is
-    one write."""
-    assert cli.CHUNK_ROWS == 4096
-    rows = [(k, k % 7, k + 1, 3**k, k % 5) for k in range(count)]  # (*label, dim, mult, eff)
-    columns = (("label", cli._label(2)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
-    head = {"schema": "1", "command": "decompose", "model": "su", "n": 5, "t": 2, "l": "inf"}
-    report = {**head, "entries": Table(columns, [tuple(chain.from_iterable(part))
-                                                 for part in cli._slices(rows)])}
-    dicts = [{"label": [a, b], "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
-             for a, b, dim, mult, eff in rows]
-    chunks = -(-count // cli.CHUNK_ROWS)
+    """Rows of width 4 in the builders' chunks of CHUNK_CELLS // 4 = 4096
+    rows, around each edge: JSON is json.dumps of the dict rows, CSV the
+    dict-row reference on it, and each write holds at most one chunk.  A
+    report with no row table is one write."""
+    assert cli.CHUNK_CELLS // 4 == 4096
+    rows = [(k, k % 7, 3**k, k % 5) for k in range(count)]  # (*label, dim, mult, eff)
+    columns = (("label", cli._label(1)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
+    head = {"schema": "1", "command": "decompose", "model": "su", "n": 5, "t": 1, "l": "inf"}
+    report = {**head, "entries": Table(columns, list(cli._chunks(chain.from_iterable(rows), 4)))}
+    dicts = [{"label": [a], "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
+             for a, dim, mult, eff in rows]
+    chunks = -(-count // 4096)
     json_writes = _written(report, "json")
     json_out = "".join(json_writes)
     assert json_out == json.dumps({**head, "entries": dicts}, indent=2) + "\n"
@@ -215,13 +214,15 @@ def test_row_table_writer_at_chunk_boundaries(count):
     csv_writes = _written(report, "csv")
     assert "".join(csv_writes) == report_to_csv(json.loads(json_out))
     assert len(csv_writes) == max(chunks, 1)
-    assert max(w.count("\n") for w in csv_writes) <= cli.CHUNK_ROWS + 1  # and the header
+    assert max(w.count("\n") for w in csv_writes) <= 4096 + 1  # and the header
     assert len(_written(head, "json")) == 1
 
 
-def _row_counts(count: int) -> list:
-    """The row counts of ``count`` rows cut into chunks of at most CHUNK_ROWS."""
-    return [min(cli.CHUNK_ROWS, count - i) for i in range(0, count, cli.CHUNK_ROWS)]
+def _row_counts(count: int, width: int) -> list:
+    """The row counts of ``count`` rows of ``width`` cells cut into chunks of
+    at most max(1, CHUNK_CELLS // width) rows."""
+    size = max(1, cli.CHUNK_CELLS // width)
+    return [min(size, count - i) for i in range(0, count, size)]
 
 
 @pytest.mark.parametrize("cfg,key,count,width", [
@@ -233,14 +234,18 @@ def _row_counts(count: int) -> list:
      len(decompose("su", 9, 4, 1).rows), 4 + 2),
     (RunConfig("scaling", model="su", t=3, n_range=(2, 20, 3)), "rows", 7, 3),
     (RunConfig("scaling", model="mp", t=2, n_range=(1, 5000, 1)), "rows", 5000, 3),
+    (RunConfig("decompose", model="mp", n=1, t=2000), "entries", 2000, 2000 + 1),
+    (RunConfig("decompose", model="su", n=2, t=20000), "entries", 2, 20000 + 3),
 ])
 def test_every_builder_chunk_holds_rows_times_width_cells(cfg, key, count, width):
     """Each chunk a builder hands render holds its rows times the width of
     the row template, the % fields of the column formats (a label's one per
-    entry), literal columns (mp's dim, eff_mult and p) taking none."""
+    entry), literal columns (mp's dim, eff_mult and p) taking none: the
+    chunks are cut by the cell budget, max(1, CHUNK_CELLS // width) rows."""
     table = cli._BUILDERS[cfg.command](cfg)[key]
     assert sum(len(re.findall("%[dr]", f)) for _, f in table.columns) == width
-    assert [len(cells) for cells in table.chunks] == [rows * width for rows in _row_counts(count)]
+    assert [len(cells) for cells in table.chunks] == \
+        [rows * width for rows in _row_counts(count, width)]
 
 
 def test_row_table_writer_reads_width_from_the_formats():
@@ -312,8 +317,8 @@ def test_mp_literal_cells_match_the_library_rows(capsys, n, t):
     """mp decompose writes dim and eff_mult, and mp JSON capacity writes p,
     as literals of the row template, not read from the rows; each still
     equals the library's row, cell for cell, in JSON and in CSV.
-    decompose --model mp --n 100 --t 3 has 5151 rows, more than CHUNK_ROWS."""
-    assert math.comb(100 + 2, 2) > cli.CHUNK_ROWS  # the (100, 3) reports span two chunks
+    decompose --model mp --n 100 --t 3 has 5151 rows, more than one chunk."""
+    assert math.comb(100 + 2, 2) > cli.CHUNK_CELLS // 4  # the (100, 3) decompose spans two
     for l in ("1", "inf"):
         size = ["--model", "mp", "--n", str(n), "--t", str(t), "--l", l]
         ref = UNBOUNDED if l == "inf" else int(l)
@@ -332,6 +337,45 @@ def test_mp_literal_cells_match_the_library_rows(capsys, n, t):
             [(label, f"{num}/{den}") for label, num, den in p_rows]
 
 
+# t = 2: the one run, its row built from scratch; t >= 3: rows by Pascal steps
+# and resets to r = 0; n = 1 at t = 2000: runs of one or two blocks
+MP_CELL_GRID = [(n, 2) for n in (1, 2, 3, 8, 61, 128, 300)] + \
+    [(n, t) for t, top in ((3, 40), (4, 14), (5, 9), (6, 7)) for n in (1, 2, 3, top)] + [(1, 2000)]
+
+
+@pytest.mark.parametrize("n,t", MP_CELL_GRID)
+def test_mp_cells_match_the_rows_and_factorial_multinomials(n, t):
+    """The cells of mp decompose, read from the weight runs, are the
+    flattened rows (*label, mult) of decompose(...).rows, the labels every
+    occupation vector by stars and bars (tests/reference.py) in descending
+    order, and each mult its multinomial by factorials; the cells of mp JSON
+    capacity are the same labels."""
+    rows = decompose("mp", n, t, 1).rows
+    cells = list(chain.from_iterable(
+        cli._build_decompose(RunConfig("decompose", "mp", n, t))["entries"].chunks))
+    assert cells == list(chain.from_iterable(label + (mult,) for label, _, mult, _ in rows))
+    labels = [tuple(cells[i:i + t]) for i in range(0, len(cells), t + 1)]
+    assert labels == sorted(weight_vectors(n, t), reverse=True)
+    assert cells[t::t + 1] == list(map(factorial_multinomial, labels))
+    p_cells = list(chain.from_iterable(
+        cli._build_capacity(RunConfig("capacity", "mp", n, t))["optimal_p"].chunks))
+    assert p_cells == list(chain.from_iterable(labels))
+
+
+def test_mp_reports_check_the_runs_before_any_byte(capsys, monkeypatch):
+    """One lost run moves the multinomials' sum off t^n and the label count
+    off C(n+t-1, t-1): mp decompose refuses, exit 2, and JSON capacity
+    raises, each before any byte is written."""
+    runs, walk = rep_core._weight_runs, rep_core._weight_walk
+    monkeypatch.setattr(cli, "_weight_runs", lambda n, t: list(runs(n, t))[1:])
+    code, out, err = run_cli(capsys, ["decompose", "--model", "mp", "--n", "6", "--t", "3"])
+    assert (code, out, err) == (2, "", "error: blocks do not fill the full space\n")
+    monkeypatch.setattr(cli, "_weight_walk", lambda n, t: list(walk(n, t))[1:])
+    with pytest.raises(ArithmeticError, match="expected C"):
+        main(["capacity", "--model", "mp", "--n", "6", "--t", "3"])
+    assert capsys.readouterr().out == ""
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("not on this path")
 
@@ -340,8 +384,9 @@ def _refuse(*args, **kwargs):
 def test_capacity_json_builds_no_decomposition(capsys, monkeypatch, model):
     """The JSON capacity report makes only the block weights: with the
     Decomposition class replaced by a stand-in whose constructor and
-    ``_make`` refuse, it still runs at any l, and a decompose request (which
-    builds its record through ``_make``) does not."""
+    ``_make`` refuse, it still runs at any l, and an su decompose request
+    (which builds its record through ``_make``) does not.  mp decompose
+    reads the weight runs and builds no record either."""
     want = {l: run_json(capsys, ["capacity", "--model", model, "--n", "7", "--t", "3", "--l", l])
             for l in ("1", "3", "inf")}
     monkeypatch.setattr(rep_core, "Decomposition", type("Refused", (), {
@@ -350,7 +395,9 @@ def test_capacity_json_builds_no_decomposition(capsys, monkeypatch, model):
         assert run_json(capsys, ["capacity", "--model", model, "--n", "7", "--t", "3",
                                  "--l", l]) == report
     with pytest.raises(AssertionError, match="not on this path"):
-        main(["decompose", "--model", model, "--n", "7", "--t", "3"])
+        main(["decompose", "--model", "su", "--n", "7", "--t", "3"])
+    assert len(run_json(capsys, ["decompose", "--model", "mp", "--n", "7", "--t", "3"])
+               ["entries"]) == math.comb(7 + 2, 2)
 
 
 def test_capacity_json_at_unbounded_l_needs_no_multiplicity(capsys, monkeypatch):
@@ -1208,9 +1255,10 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
 
 
 def test_a_large_report_runs_without_a_collection(capsys):
-    """The 31 626 row tuples of an mp report at n = 250, t = 3 trigger no
-    cyclic collection: they hold no cycle, so reference counting frees them
-    (the collector, left on, would run over a hundred passes)."""
+    """The 31 626 blocks of an mp report at n = 250, t = 3, made as weight
+    runs and cell tuples, trigger no cyclic collection: they hold no cycle,
+    so reference counting frees them (the collector, left on, would run
+    passes over them)."""
     starts = []
 
     def note(phase, info):

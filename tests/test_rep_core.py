@@ -548,6 +548,24 @@ def test_shape_walk_guards_a_wrong_binomial(monkeypatch):
             list(rep_core._shape_rows(n, t))
 
 
+@pytest.mark.parametrize("n,t", [(0, 2), (1, 2), (9, 2), (12, 3), (7, 4), (5, 6), (1, 2000)])
+def test_weight_runs_are_the_walk_by_its_last_two_levels(n, t):
+    """Each run is one occupation vector (prefix, r) of the walk over t-1
+    levels, in its order, with the multinomials of its blocks prefix + (a, r-a),
+    a = r .. 0: its own multinomial times the binomial row C(r, .), by
+    factorials.  Together the runs are the walk over t levels.  t = 1 has
+    no last two levels; its one row is the vector (n,)."""
+    runs = list(rep_core._weight_runs(n, t))
+    assert [prefix + (r,) for prefix, r, _ in runs] == \
+        [counts for counts, _, _ in rep_core._weight_walk(n, t - 1)]
+    for prefix, r, mults in runs:
+        assert list(mults) == [factorial_multinomial(prefix + (r,)) * comb(r, a)
+                               for a in range(r, -1, -1)]
+    assert [prefix + (a, r - a) for prefix, r, _ in runs for a in range(r, -1, -1)] == \
+        [counts for counts, _, _ in rep_core._weight_walk(n, t)]
+    assert _weight_rows(n, 1) == [((n,), 1, 1, 1)]
+
+
 def test_row_generators_reach_large_t():
     """Iterative, so t far past the recursion limit works."""
     t = 1100
