@@ -4,9 +4,9 @@ Capacities are logs of exact integer support sizes.  The integer is summed in
 arbitrary precision first and only then sent through log, so the float result
 is correctly rounded no matter how large n gets.
 
-``block_capacity`` gives the capacity with its optimal block weights (the
-su ``capacity`` report in JSON; the mp one writes its labels from the weight
-runs); ``capacity_support`` gives the support alone
+``block_capacity`` gives the su capacity with its optimal block weights
+(the su ``capacity`` report in JSON; the mp one writes its labels from the
+weight runs); ``capacity_support`` gives the support alone
 (``bounds``, ``capacity`` in CSV and every ``scaling`` row), and
 ``scaling_fit`` the slope of a sweep.  ``capacity`` computes the same report
 from a whole decomposition: the slow route the other two are tested against.
@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import repeat, tee
 from math import comb, gcd
-from typing import NamedTuple, Sequence, Union
+from operator import add, floordiv, itemgetter, mul
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .rep_core import (
     UNBOUNDED,
@@ -30,7 +32,6 @@ from .rep_core import (
     _admit,
     _check_config,
     _shape_rows,
-    _weight_walk,
     weight_count,
 )
 
@@ -50,13 +51,13 @@ class CapacityReport(NamedTuple):
     """Capacity in nats, the exact support whose log it is, and the block
     distribution that attains it.
 
-    ``p_rows`` holds p_b for each block as (label tuple, numerator,
-    denominator) in lowest terms, in the decomposition's row order.
+    ``p_rows`` holds p_b for each block as one flat row (*label, numerator,
+    denominator), in lowest terms, in the decomposition's row order.
     """
 
     value: float
     support: int
-    p_rows: tuple[tuple[tuple[int, ...], int, int], ...]
+    p_rows: tuple[tuple[int, ...], ...]
 
 
 def capacity(decomp: Decomposition) -> CapacityReport:
@@ -66,63 +67,66 @@ def capacity(decomp: Decomposition) -> CapacityReport:
     w_b = dim_b * eff_mult_b; it is returned exactly, reduced by gcd.  Value
     is in nats.
     """
-    return _weighted_report([(label, dim * eff) for label, dim, _, eff in decomp.rows])
+    rows = decomp.rows
+    weights = list(map(mul, map(itemgetter(-3), rows), map(itemgetter(-1), rows)))
+    total = sum(weights)
+    p_rows = tuple(_p_rows(map(itemgetter(slice(None, -3)), rows), weights, total))
+    return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
 
 
-def _weighted_report(weights: list) -> CapacityReport:
-    """The report of the blocks' (label, w_b) pairs: p_b = w_b / sum w, each
-    reduced by its gcd."""
-    total = sum(w for _, w in weights)
-    p_rows = []
-    for label, w in weights:
-        g = gcd(w, total)
-        p_rows.append((label, w // g, total // g))
-    return CapacityReport(value=log_integer(total), support=total, p_rows=tuple(p_rows))
+def _p_rows(labels: Iterable[tuple[int, ...]], weights: Iterable[int],
+            total: int) -> Iterator[tuple[int, ...]]:
+    """The flat rows (*label, w / g, total / g), g = gcd(w, total), of blocks
+    with these labels and weights w, in order: p = w / total in lowest terms,
+    made by C-level maps, with no Python loop per block.  Each input is read
+    once, as the rows are; the tees hold one item at a time."""
+    weights, reduced = tee(weights)
+    gcds, den_gcds = tee(map(gcd, reduced, repeat(total)))
+    return map(add, labels, zip(map(floordiv, weights, gcds),
+                                map(floordiv, repeat(total), den_gcds)))
 
 
 def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> CapacityReport:
-    """capacity(decompose(model, n, t, l)), block for block, without the
+    """capacity(decompose("su", n, t, l)), block for block, without the
     decomposition: only the weights w_b = dim_b * eff_mult_b are made.
 
-    mp blocks are one-dimensional weights, each of weight 1, so every label of
-    the weight walk gets p = 1 / C(n+t-1, t-1).  A su shape of dimension d
-    has weight d min(l f, d): d^2 when it saturates (l f >= d, every shape
-    with an unbounded reference), else d l f.  Every d comes from the shape
-    walk _shape_rows without the multinomial; at a finite l the unsaturated
-    shapes come with their f from the pruned walk _shape_rows(n, t, l=l), in
-    the same label order, and are merged in, so no saturated shape's
-    tableau count is made.  The total is the sum of the weights.
-    Before any row is returned the walk is checked against a closed form:
-    its row count against C(n+t-1, t-1) (mp), and sum d^2 against the Cauchy
-    total C(n+t^2-1, t^2-1) (su); an unsaturated shape the merge does not
-    meet raises ArithmeticError, naming it.  Arguments and the block budget
-    are checked as in decompose, with the same messages.
+    A su shape of dimension d has weight d min(l f, d): d^2 when it
+    saturates (l f >= d, every shape with an unbounded reference), else
+    d l f.  The total is the support: the Cauchy total C(n+t^2-1, t^2-1)
+    less the deficit of the unsaturated shapes, which the pruned walk gives
+    with their d and f, as capacity_support has it.  So each p row is made
+    as the full shape walk (without the multinomial) yields its shape, with
+    w = d^2, and no shape is held but as its p row; then the unsaturated
+    shapes, in the same label order, have their rows made again with
+    w = d l f, so no saturated shape's tableau count is made.
+    Before any row is returned the walk is checked against the closed form:
+    sum d^2 must be the Cauchy total; and an unsaturated shape that the full
+    walk does not hold after the one before, with the same d (its d^2 read
+    back from its row as num (total / den)), raises ArithmeticError, naming
+    it.  Arguments and the block budget are checked as in decompose,
+    with the same messages; mp, whose every block weighs 1, is refused.
     """
-    model = _admit(model, n, t, l)
-    if model is Model.MULTI_PHASE:
-        total = weight_count(n, t)
-        p_rows = tuple([(label, 1, total) for label, _, _ in _weight_walk(n, t)])
-        if len(p_rows) != total:
-            raise ArithmeticError(f"{len(p_rows)} weights, expected C(n+t-1, t-1) = {total}")
-        return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
-    unsaturated = iter(()) if l is UNBOUNDED else _shape_rows(n, t, l=l)
-    shape, _, f = next(unsaturated, (None, None, None))
-    weights = []
-    squares = 0
-    for rows, dim, _ in _shape_rows(n, t, False):
-        square = dim * dim
-        squares += square
-        if rows == shape:  # l f < d
-            weights.append((rows, dim * l * f))
-            shape, _, f = next(unsaturated, (None, None, None))
-        else:
-            weights.append((rows, square))
-    if shape is not None:
-        raise ArithmeticError(f"the unsaturated shape {shape} is not among the shapes of "
-                              f"n = {n}, t = {t} in label order")
-    if squares != su_square_sum(n, t):
+    if _admit(model, n, t, l) is Model.MULTI_PHASE:
+        raise ValueError("block_capacity weighs su shapes; every mp block weighs 1")
+    unsaturated = [] if l is UNBOUNDED else list(_shape_rows(n, t, l=l, prune=True))
+    squares = su_square_sum(n, t)
+    total = squares - _deficit(unsaturated)
+    shapes, dims = tee(_shape_rows(n, t, False))  # (*rows, d), read in step
+    weights, kept = tee(map(pow, map(itemgetter(-1), dims), repeat(2)))
+    p_rows = list(_p_rows(map(itemgetter(slice(None, -1)), shapes), weights, total))
+    if sum(kept) != squares:  # kept holds every d^2 until now, as a list would
         raise ArithmeticError(f"the squared dimensions of n = {n}, t = {t} miss the Cauchy total")
-    return _weighted_report(weights)
+    i, count = 0, len(p_rows)
+    for *shape, dim, _, eff in unsaturated:  # l f < d
+        shape = tuple(shape)
+        while i < count and p_rows[i][:-2] != shape:
+            i += 1
+        if i == count or p_rows[i][-2] * (total // p_rows[i][-1]) != dim * dim:
+            raise ArithmeticError(f"the unsaturated shape {shape} of dimension {dim} is not "
+                                  f"among the shapes of n = {n}, t = {t} in label order")
+        p_rows[i], = _p_rows((shape,), (dim * eff,), total)
+        i += 1
+    return CapacityReport(value=log_integer(total), support=total, p_rows=tuple(p_rows))
 
 
 def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> int:
@@ -149,8 +153,13 @@ def _support_of(model: Model, n: int, t: int, l: RefSize) -> int:
         return weight_count(n, t)
     if l is UNBOUNDED:
         return su_square_sum(n, t)
-    deficit = sum(dim * (dim - l * f) for _, dim, f in _shape_rows(n, t, l=l))
-    return su_square_sum(n, t) - deficit
+    return su_square_sum(n, t) - _deficit(_shape_rows(n, t, l=l, prune=True))
+
+
+def _deficit(unsaturated: Iterable[tuple[int, ...]]) -> int:
+    """sum d (d - l f) over the rows (*rows, d, f, l f) of the pruned walk:
+    how far the unsaturated shapes fall short of weighing d^2."""
+    return sum(dim * (dim - l_f) for *_, dim, f, l_f in unsaturated)
 
 
 def su_square_sum(n: int, t: int) -> int:

@@ -16,9 +16,9 @@ import os
 import sys
 import warnings
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import add, itemgetter
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -30,6 +30,7 @@ from .rep_core import (
     RefSize,
     _admit,
     _check_config,
+    _run_rows,
     _weight_runs,
     _weight_walk,
     decompose,
@@ -132,24 +133,6 @@ def _chunks(cells: Iterable, width: int) -> Iterator[tuple]:
     return iter(lambda: tuple(islice(cells, size)), ())
 
 
-def _row_cells(rows: Sequence, i: int, j: int) -> Iterator:
-    """The flat cells of rows (label, ...): each row's label entries, then
-    its fields i to j-1, made by C-level iterators, with no Python loop."""
-    return chain.from_iterable(map(add, map(itemgetter(0), rows),
-                                   map(itemgetter(slice(i, j)), rows)))
-
-
-def _run_cells(runs: Iterable[tuple]) -> Iterator:
-    """The flat cells of the mp blocks of ``runs``, each (prefix, r, *columns)
-    as _weight_runs yields them: the rows (*prefix, a, r-a, *cells) for
-    a = r, ..., 0, a run's column cells in that order, made by C-level
-    iterators, each block's as one tuple dropped once its cells are read."""
-    rows = chain.from_iterable(
-        map(add, repeat(prefix), zip(range(r, -1, -1), range(r + 1), *columns))
-        for prefix, r, *columns in runs)
-    return chain.from_iterable(rows)
-
-
 _EXACT = '"%d"'  # an exact integer, written as a decimal string
 
 
@@ -209,9 +192,10 @@ def _check_digits(dim: int, mult: int, limit: int) -> None:
 
 
 def _build_decompose(cfg: RunConfig) -> dict:
-    """Every block as a row (*label, dim, mult, eff_mult); for mp the row is
-    (*label, mult), and dim and eff_mult, 1 in every block, are literals of
-    the row template.  The request is validated and its block budget checked
+    """Every block as a row (*label, dim, mult, eff_mult), for su the flat
+    rows of decompose as they are; for mp the row is (*label, mult), and dim
+    and eff_mult, 1 in every block, are literals of the row template.  The
+    request is validated and its block budget checked
     first, so that the digit rule only sees admitted requests; su's
     decompose then admits it again, a small fraction of the walk's cost.
     mp reads the runs of _weight_runs and holds no Decomposition or rows:
@@ -237,13 +221,13 @@ def _build_decompose(cfg: RunConfig) -> dict:
         if reach:
             _check_digits(1, max(map(max, mults)), limit)
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
-        chunks = _chunks(_run_cells(runs), cfg.t + 1)
+        chunks = _chunks(chain.from_iterable(_run_rows(runs)), cfg.t + 1)
     else:
         rows = decompose(model, cfg.n, cfg.t, cfg.l).rows
         if reach:
-            _check_digits(max(map(itemgetter(1), rows)), max(map(itemgetter(2), rows)), limit)
+            _check_digits(max(map(itemgetter(-3), rows)), max(map(itemgetter(-2), rows)), limit)
         columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
-        chunks = _chunks(_row_cells(rows, 1, 4), cfg.t + 3)
+        chunks = _chunks(chain.from_iterable(rows), cfg.t + 3)
     return _report(cfg, "model n t l", {"entries": Table(columns, chunks)})
 
 
@@ -252,9 +236,9 @@ def _build_capacity(cfg: RunConfig) -> dict:
     weight p = num/den as a row (*label, num, den); for mp the row is the
     label alone, and p = 1/support, the same in every block, is a literal of
     the row template.  The mp labels are the runs of the weight walk over
-    t-1 levels, as _run_cells expands them; as block_capacity checks its
-    walk, their row count, sum (r+1), must be C(n+t-1, t-1) before any byte
-    is written."""
+    t-1 levels, as _run_rows expands them; their row count, sum (r+1), must
+    be C(n+t-1, t-1) before any byte is written.  The su rows are
+    block_capacity's flat p rows, written cell for cell."""
     if cfg.format == "csv":  # the one CSV row shows neither: build no blocks, write no support
         support, body = _support(cfg), {}
     else:
@@ -267,12 +251,12 @@ def _build_capacity(cfg: RunConfig) -> dict:
             if blocks != support:
                 raise ArithmeticError(f"{blocks} weights, expected C(n+t-1, t-1) = {support}")
             columns = (label_column, ("p", f'"1/{support}"'))
-            chunks = _chunks(_run_cells(runs), cfg.t)
+            chunks = _chunks(chain.from_iterable(_run_rows(runs)), cfg.t)
         else:
             r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
             support = r.support
             columns = (label_column, ("p", '"%d/%d"'))
-            chunks = _chunks(_row_cells(r.p_rows, 1, 3), cfg.t + 2)
+            chunks = _chunks(chain.from_iterable(r.p_rows), cfg.t + 2)
         body = {"support": str(support), "optimal_p": Table(columns, chunks)}
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),

@@ -51,29 +51,33 @@ RefSize = Union[int, _UnboundedType]
 # row.  A whole mp decompose request with its JSON report costs 0.9-1.2 us
 # per block at n = 250..400, t = 3, and a whole mp JSON capacity request
 # 0.4-0.5 us; both read their cells from the runs and hold no rows.  A
-# whole su decompose request costs 2.4-3.2 us per block at
-# n <= 280 (t = 3..5) and 6-9 us at n = 1000, t = 3 (CSV).  These request
-# costs are with the cyclic collector paused, as cli.main runs every
-# request; left on, it made them 10-75% longer (best of 3 each, a quarter at
-# most sizes).
+# whole su decompose request, its rows made flat by the shape walk and
+# written as they are, costs 1.6-2.3 us per block at n <= 280 (t = 3..5)
+# and 4.2-4.4 us at n = 1000, t = 3 (CSV).  These request costs are with the
+# cyclic collector paused, as cli.main runs every request; left on, it made
+# them 10-75% longer (best of 3 each, a quarter at most sizes).
 # The shape walk's dimension and tableau count take 1.8 us per shape at
 # n = 1000, t = 3, and 5.3 us at t = 3 near the budget (n = 3400, 5.2 s for
 # 965 034 shapes), where the multinomial it carries has grown to n log t
 # bits; the dimension alone takes 0.4 us.  JSON capacity reads the tableau
-# count of the unsaturated shapes only, so a whole request at n = 3000,
-# t = 3 (751 501 shapes) costs 2.1-2.4 us per shape at l = 1 and unbounded
-# alike.  A whole CSV decompose request at n = 2000, t = 3 (334 334 blocks,
-# 256 MB) takes 4.7-4.9 s, 1.5 s of it making the rows and most of the rest
-# writing the report, and peaks at 210 MiB of RSS, since the report is
-# written one chunk at a time.
+# count of the unsaturated shapes only and holds each shape only as its p
+# row, so a whole request at n = 3000, t = 3 (751 501 shapes) costs
+# 1.9-2.7 us per shape at l = 1 and unbounded alike and peaks at 207 MiB of
+# RSS.  A whole CSV decompose request at n = 2000, t = 3 (334 334 blocks,
+# 256 MB) takes 3.9-4.6 s, 1.2 s of it making the rows and most of the rest
+# writing the report, and peaks at 192 MiB of RSS, since the report is
+# written one chunk at a time (whole processes, the host's speed drifting
+# by a third between runs).
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
 # (980 700 blocks of 1400 entries each).
 MAX_BLOCKS = 1_000_000
 MAX_LABEL_ENTRIES = 4_000_000
 
-# One raw block: (label, dim, mult, eff_mult), the label a plain tuple.
-Row = tuple[tuple[int, ...], int, int, int]
+# One block as one flat tuple: the label's t entries, then dim, mult and
+# eff_mult.  The walks make it and the report writer reads its cells as they
+# are; Decomposition.rows and rows from outside have this layout.
+Row = tuple[int, ...]
 
 
 class IrrepEntry(NamedTuple):
@@ -97,14 +101,14 @@ class _DecompositionFields(NamedTuple):
 class Decomposition(_DecompositionFields):
     """Full isotypic decomposition of one model at given (n, t, l).
 
-    The blocks are raw rows (label, dim, mult, eff_mult), the labels plain
-    tuples: weight vectors for mp, zero-padded partitions for su.  Rows from
-    outside, stored as a tuple whatever sequence is given, are checked on
-    construction, in any order: labels of t non-negative entries summing to
-    n, partition labels non-increasing, mp blocks one-dimensional,
-    1 <= eff_mult <= dim, no label twice, and together they must fill the
-    space: sum dim * mult = t^n.  decompose checks its own rows for the fill
-    only.
+    The blocks are flat rows (*label, dim, mult, eff_mult), the label's t
+    entries first: weight vectors for mp, zero-padded partitions for su.
+    Rows from outside, stored as a tuple whatever sequence is given, are
+    checked on construction, in any order: labels of t non-negative entries
+    summing to n, partition labels non-increasing, mp blocks
+    one-dimensional, 1 <= eff_mult <= dim, no label twice, and together they
+    must fill the space: sum dim * mult = t^n.  decompose checks its own rows
+    for the fill only.
     The fields are read-only and two decompositions are equal when their
     fields are.  No ``__slots__``: ``entries`` is cached in the instance dict.
     """
@@ -113,13 +117,15 @@ class Decomposition(_DecompositionFields):
                 rows: Iterable[Row]) -> Decomposition:
         model = Model(model)  # a tag "mp" or "su" is its Model; any other is refused
         rows = tuple(rows)
-        labels = [row[0] for row in rows]
+        labels = [row[:-3] for row in rows]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate irrep labels")
         partitions = model is Model.SPECIAL_UNITARY
-        for label, dim, mult, eff in rows:
-            if len(label) != t:
-                raise ValueError(f"label {label} has {len(label)} entries, expected t = {t}")
+        for label, row in zip(labels, rows):
+            if len(row) != t + 3:
+                raise ValueError(f"label {label} has {max(len(row) - 3, 0)} entries, "
+                                 f"expected t = {t}")
+            dim, mult, eff = row[-3:]
             if min(label) < 0:
                 raise ValueError(f"negative entry in label {label}")
             if partitions:
@@ -139,12 +145,15 @@ class Decomposition(_DecompositionFields):
     @cached_property
     def entries(self) -> tuple[IrrepEntry, ...]:
         """The rows as IrrepEntry named tuples, for the benchmark tracer only."""
-        return tuple(map(IrrepEntry._make, self.rows))
+        rows = self.rows
+        return tuple(map(IrrepEntry, map(itemgetter(slice(None, -3)), rows),
+                         map(itemgetter(-3), rows), map(itemgetter(-2), rows),
+                         map(itemgetter(-1), rows)))
 
 
 def _check_fill(rows: tuple[Row, ...], n: int, t: int) -> None:
     """Refuse rows whose sum dim * mult is not t^n."""
-    if sum(map(mul, map(itemgetter(1), rows), map(itemgetter(2), rows))) != t**n:
+    if sum(map(mul, map(itemgetter(-3), rows), map(itemgetter(-2), rows))) != t**n:
         raise ValueError("blocks do not fill the full space")
 
 
@@ -169,35 +178,38 @@ def multiplicity_su(rows: tuple[int, ...], n: int, dim: int, carried: tuple[int,
     return q
 
 
-def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
-                ) -> Iterator[tuple[tuple[int, ...], int, Optional[int]]]:
-    """(rows, dim, f) for every partition of n into at most t rows, the rows
-    zero-padded to t and lexicographically descending: the Weyl dimension and
-    the tableau count, from products carried down the rows instead of rebuilt
-    per shape.  With ``tableaux`` false, f is None and the multinomial is not
-    carried.  With a reference size ``l``, ``tableaux`` and n >= 1, only the
-    unsaturated shapes (l f < d) come, in the same order.
+def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None,
+                prune: bool = False) -> Iterator[Row]:
+    """The su block row (*rows, dim, f, eff) of every partition of n into at
+    most t rows, the rows zero-padded to t and lexicographically descending:
+    the Weyl dimension d, the tableau count f and eff = min(l f, d), from
+    products carried down the rows instead of rebuilt per shape; eff is d
+    without a reference size ``l`` (an unbounded one).  With ``tableaux``
+    false each row is (*rows, dim) and the multinomial is not carried.  With
+    ``prune``, an ``l`` and n >= 1, only the unsaturated shapes (l f < d)
+    come, in the same order.
 
     The rows are chosen top-down, from the first, on a stack.  A prefix of k
-    rows carries the Vandermonde V = prod_{i<j<k} (u_i - u_j) of its rows
-    u_i = r_i - i, its part of the multinomial M, prod_i C(boxes left before
-    row i, r_i), its part of Q, prod_i C(r_i+t-1-i, r_i), and
-    H = prod_{i<k} (r_i+k-1-i)! / r_i!, which is prod_{j<k} j! times
-    prod_i C(r_i+k-1-i, r_i) and which a next row multiplies by
-    prod_{i<k} (u_i + k).  A prefix that uses up the boxes with k < t rows is
-    a shape whose zero rows telescope: the Weyl factors of an occupied row i
-    over the zero rows k <= j < t multiply to C(r_i+t-1-i, r_i) /
-    C(r_i+k-1-i, r_i), so d = V Q / H, and the label is the rows followed by
-    t - k zeros.  Every other shape fills the last two rows (a, boxes - a) in
-    one loop, where the Weyl product runs over all t rows,
-    d = V / prod_{j<t} j!, Q gains C(a+1, a) = a+1, and the multinomial moves
-    from C(boxes, a) to C(boxes, a-1) by one multiply and one exact
-    division.  Each f is multiplicity_su given d, M and Q.  Iterative, so any
-    t works, and nothing of size t is made before the budgets are checked; a
+    rows carries its shifted rows u_i = r_i - i, their Vandermonde
+    V = prod_{i<j<k} (u_i - u_j), its part of the multinomial M,
+    prod_i C(boxes left before row i, r_i), its part of Q,
+    prod_i C(r_i+t-1-i, r_i), and H = prod_{i<k} (r_i+k-1-i)! / r_i!, which
+    is prod_{j<k} j! times prod_i C(r_i+k-1-i, r_i) and which a next row
+    multiplies by prod_{i<k} (u_i + k).  A prefix that uses up the boxes with
+    k < t rows is a shape whose zero rows telescope: the Weyl factors of an
+    occupied row i over the zero rows k <= j < t multiply to
+    C(r_i+t-1-i, r_i) / C(r_i+k-1-i, r_i), so d = V Q / H, and the label is
+    the rows followed by t - k zeros.  Every other shape fills the last two
+    rows (a, boxes - a) in one loop, where the Weyl product runs over all t
+    rows, d = V / prod_{j<t} j!, Q gains C(a+1, a) = a+1, and the
+    multinomial moves from C(boxes, a) to C(boxes, a-1) by one multiply and
+    one exact division.  Each f is multiplicity_su given d, M and Q, and each
+    row is made once, whole, as it is yielded.  Iterative, so any t works,
+    and nothing of size t is made before the budgets are checked; a
     non-integer dim or f raises ArithmeticError.
 
-    With ``l``, the saturated shapes are pruned.  As d / f = Q / M, a shape
-    is unsaturated exactly when Q > l M, and with the shifted rows
+    With ``prune``, the saturated shapes are pruned.  As d / f = Q / M, a
+    shape is unsaturated exactly when Q > l M, and with the shifted rows
     s_i = r_i + t-1-i, Q / M = P / n! for P = prod_i s_i! / (t-1-i)!.  Among
     the completions of a prefix by its boxes under a row cap, the greedy fill
     (every row as long as the cap allows) majorizes every other, in r and so
@@ -220,24 +232,27 @@ def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
     shapes = 0  # shapes under the kept first rows, for the budgets
     last = t - 2  # the rows above the last two
     weyl_den = 0  # prod_{j<t} j!, the Weyl denominator of t rows, once a shape needs it
-    stack = [((), 1, 1, 1, 1, n)]  # rows of a prefix, its V, M, Q and H, boxes left
+    stack = [((), (), 1, 1, 1, 1, n)]  # rows of a prefix, their u_i, its V, M, Q and H, boxes left
     while stack:
-        rows, v, m, q, h, boxes = stack.pop()
+        rows, shifted, v, m, q, h, boxes = stack.pop()
         k = len(rows)
         if not boxes:  # k < t occupied rows: telescope the zero rows
             dim, rem = divmod(v * q, h)
             if rem:  # the product is always divisible; guard against misuse
                 raise ArithmeticError(f"non-integer dimension for rows {rows}")
             shape = rows + (0,) * (t - k)
-            yield shape, dim, multiplicity_su(shape, n, dim, (m, q)) if tableaux else None
+            if not tableaux:
+                yield shape + (dim,)
+                continue
+            f = multiplicity_su(shape, n, dim, (m, q))
+            yield shape + (dim, f, dim if l is None else min(l * f, dim))
             continue
         widest = min(rows[-1], boxes) if rows else boxes
-        shifted = [r - i for i, r in enumerate(rows)]
         if k < last:  # push the next rows, the widest last so it comes first
             for u in shifted:
                 h *= u + k
             floor = -(-boxes // (t - k))
-            if l is not None:  # keep the rows r whose greedy fill is unsaturated
+            if prune:  # keep the rows r whose greedy fill is unsaturated
                 r = widest
                 while r >= floor:
                     fill_m, fill_q, i, left = m, q, k, boxes
@@ -258,7 +273,8 @@ def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
                 w = v
                 for u in shifted:
                     w *= u - x
-                stack.append((rows + (r,), w, m * comb(boxes, r) if tableaux else m,
+                stack.append((rows + (r,), shifted + (x,), w,
+                              m * comb(boxes, r) if tableaux else m,
                               q * comb(r + t - 1 - k, r), h, boxes - r))
             continue
         if not weyl_den:  # made here, after the first rows' budget check (t >= 3; 1 at t = 2)
@@ -279,16 +295,21 @@ def _shape_rows(n: int, t: int, tableaux: bool = True, l: Optional[int] = None
             if rem:  # the product is always divisible; guard against misuse
                 raise ArithmeticError(f"non-integer dimension for rows {shape}")
             if not tableaux:
-                yield shape, dim, None
+                yield shape + (dim,)
                 continue
             f = multiplicity_su(shape, n, dim, (m, q * (a + 1)))
-            if l is not None:
-                if l * f >= dim:
-                    break
-                if not k:  # t = 2: each shape is a first row
+            if l is None:
+                eff = dim
+            else:
+                eff = l * f
+                if eff >= dim:  # saturated
+                    if prune:
+                        break
+                    eff = dim
+                elif prune and not k:  # t = 2: each shape is a first row
                     shapes += partition_count(boxes - a, t - 1, a)
                     _check_block_budget(shapes, t)
-            yield shape, dim, f
+            yield shape + (dim, f, eff)
             m, rem = divmod(m * a, b + 1)  # C(boxes, a) -> C(boxes, a-1)
             if rem:  # binomials are integers; guard against misuse
                 raise ArithmeticError(f"non-integer binomial C({boxes}, {a - 1})")
@@ -360,15 +381,24 @@ def _weight_runs(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, tuple[i
         yield counts[:-1], r, row if mult == 1 else tuple(map(mul, repeat(mult), row))
 
 
-def _weight_rows(n: int, t: int) -> list[Row]:
-    """mp block rows (counts, 1, n! / prod counts!, 1) for every occupation
+def _run_rows(runs: Iterable[tuple]) -> Iterator[Row]:
+    """The flat rows of the mp blocks of ``runs``, each (prefix, r, *columns)
+    as _weight_runs yields them with its columns: the rows
+    (*prefix, a, r-a, *cells) for a = r, ..., 0, a run's column cells in
+    that order, made by C-level iterators, with no Python loop per block."""
+    return chain.from_iterable(
+        map(add, repeat(prefix), zip(range(r, -1, -1), range(r + 1), *columns))
+        for prefix, r, *columns in runs)
+
+
+def _weight_rows(n: int, t: int) -> tuple[Row, ...]:
+    """mp block rows (*counts, 1, n! / prod counts!, 1) for every occupation
     vector of n over t levels, in the order of _weight_walk: the runs of
-    _weight_runs expanded, for any t."""
+    _weight_runs expanded by _run_rows, for any t."""
     if t == 1:
-        return [((n,), 1, 1, 1)]
-    return list(chain.from_iterable(
-        zip(map(prefix.__add__, zip(range(r, -1, -1), range(r + 1))), repeat(1), mults, repeat(1))
-        for prefix, r, mults in _weight_runs(n, t)))
+        return ((n, 1, 1, 1),)
+    return tuple(_run_rows((prefix, r, repeat(1), mults, repeat(1))
+                           for prefix, r, mults in _weight_runs(n, t)))
 
 
 def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
@@ -387,10 +417,11 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     """Full isotypic list for one model with a reference system of size l.
 
     Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
-    block at its full dimension.  Blocks come as raw rows in lexicographically
-    descending label order: the weight walk's for mp, the shape walk
-    _shape_rows's for su.  Arguments and the enumeration budget are always
-    checked (_admit) before the first block is made.
+    block at its full dimension.  Blocks come as flat rows
+    (*label, dim, mult, eff_mult) in lexicographically descending label
+    order, collected as the walks make them: the weight runs' for mp, the
+    shape walk _shape_rows's for su.  Arguments and the enumeration budget
+    are always checked (_admit) before the first block is made.
     The walks make Decomposition's row rules true by construction, so only
     the fill sum dim * mult = t^n is checked, and ``Decomposition._make``
     builds the record without the row rules.
@@ -399,8 +430,7 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     if model is Model.MULTI_PHASE:
         rows = tuple(_weight_rows(n, t))
     else:
-        rows = tuple((shape, dim, mult, dim if l is UNBOUNDED else min(l * mult, dim))
-                     for shape, dim, mult in _shape_rows(n, t))
+        rows = tuple(_shape_rows(n, t, l=None if l is UNBOUNDED else l))
     _check_fill(rows, n, t)
     return Decomposition._make((model, n, t, l, rows))
 

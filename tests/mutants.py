@@ -1,5 +1,5 @@
-"""Mutation sweep of the exact walks, block_capacity's merge of the
-unsaturated shapes, the Renyi bracket, the oracle's Schur basis, the CLI's
+"""Mutation sweep of the exact walks, block_capacity's unsaturated rows and
+p reduction, the Renyi bracket, the oracle's Schur basis, the CLI's
 collector pause, closed-pipe descriptor, chunk writer, mp runs, digit rule
 and argv table reader: each listed fault must fail a test.
 
@@ -12,7 +12,8 @@ replaces one exact snippet of one file there, and runs the entry's test
 files against the copy with ``-x``, so a killed mutant stops at its first
 failing test.  By default those are the exact-layer tests
 (tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py);
-the merge's mutants name tests/test_capacity.py, the bracket's
+block_capacity's mutants name tests/test_capacity.py, or the one test there
+that kills them (path::test), as do the effective multiplicities', the bracket's
 tests/test_distinguish.py, the oracle's tests/test_oracle.py, the CLI's
 tests/test_cli.py and its argv table reader's tests/test_argv.py.  The
 unmutated copy must pass every test file of the list first.  A mutant marked
@@ -58,7 +59,7 @@ MUTANTS = [
     # The shape walk's pruning with a finite reference size l.
     Mutant("rep_core.py", "if fill_q <= l * fill_m:", "if fill_q < l * fill_m:",
            "keeps a row whose greedy fill is exactly saturated (Q = l M)"),
-    Mutant("rep_core.py", "if l * f >= dim:", "if l * f > dim:",
+    Mutant("rep_core.py", "if eff >= dim:  # saturated", "if eff > dim:  # saturated",
            "yields last-two-rows shapes with l f = d"),
     Mutant("rep_core.py", "floor = r + 1", "floor = r",
            "the kept run starts one row too narrow, at a saturated greedy fill"),
@@ -66,8 +67,8 @@ MUTANTS = [
            "the kept run starts one row too wide and loses its narrowest row"),
     Mutant("rep_core.py", "s = min(r, left)", "s = left",
            "the greedy fill ignores the row cap, so it is no longer a completion"),
-    Mutant("rep_core.py", "if not k:  # t = 2: each shape is a first row",
-           "if False:  # t = 2: each shape is a first row",
+    Mutant("rep_core.py", "elif prune and not k:  # t = 2: each shape is a first row",
+           "elif False:  # t = 2: each shape is a first row",
            "at t = 2 the kept first rows are not counted under the budgets"),
     Mutant("rep_core.py", "shapes += partition_count(boxes - r, t - 1, r)",
            "shapes += partition_count(boxes - r, t - 1)",
@@ -75,17 +76,30 @@ MUTANTS = [
     Mutant("rep_core.py", "shapes += partition_count(boxes - r, t - 1, r)",
            "shapes += partition_count(boxes - r, t - 1, r - 1)",
            "at t >= 3 the first rows' shapes are counted under a cap one too low"),
-    Mutant("capacity.py", "dim * (dim - l * f)", "dim * (dim - f)",
+    Mutant("capacity.py", "dim * (dim - l_f)", "dim * (dim - f)",
            "the deficit ignores the reference size"),
-    # block_capacity's merge of the unsaturated shapes into the full shape walk.
-    Mutant("capacity.py", "weights.append((rows, dim * l * f))", "weights.append((rows, dim * dim))",
+    # block_capacity: the unsaturated shapes' p rows put in place of their d^2 ones.
+    Mutant("capacity.py", "_p_rows((shape,), (dim * eff,), total)",
+           "_p_rows((shape,), (dim * dim,), total)",
            "an unsaturated shape weighs d^2, as if saturated", tests=CAPACITY_TESTS),
-    Mutant("capacity.py", "if shape is not None:", "if False:",
-           "an unsaturated shape the merge does not meet passes unnoticed",
-           tests=CAPACITY_TESTS),
-    Mutant("capacity.py", "else _shape_rows(n, t, l=l)", "else _shape_rows(n, t)",
-           "the pruned walk replaced by the full one: saturated shapes weigh d l f > d^2",
-           tests=CAPACITY_TESTS),
+    Mutant("capacity.py", "if i == count or p_rows[i][-2] * (total // p_rows[i][-1]) != dim * dim:",
+           "if i == count:",
+           "an unsaturated shape of another dimension than the full walk's passes unnoticed",
+           tests=(f"{CAPACITY_TESTS[0]}::test_block_capacity_refuses_an_unsaturated_shape_it_"
+                  "does_not_meet",)),
+    Mutant("capacity.py", "list(_shape_rows(n, t, l=l, prune=True))", "list(_shape_rows(n, t, l=l))",
+           "the unpruned walk handed l: every shape's tableau count is made, the saturated "
+           "shapes' rows made twice",
+           tests=(f"{CAPACITY_TESTS[0]}::test_capacity_json_takes_tableau_counts_only_for_"
+                  "unsaturated_shapes",)),
+    Mutant("capacity.py", "if sum(kept) != squares:", "if False:",
+           "the full walk's sum d^2 is not checked against the Cauchy total",
+           tests=(f"{CAPACITY_TESTS[0]}::test_block_capacity_checks_the_walk_against_the_"
+                  "closed_forms",)),
+    # The one reduction of every p row, for capacity() and block_capacity alike.
+    Mutant("capacity.py", "map(floordiv, repeat(total), den_gcds)", "repeat(total)",
+           "each p keeps the unreduced denominator sum w",
+           tests=(f"{CAPACITY_TESTS[0]}::test_capacity_optimal_p_exact",)),
     # The shape walk and the tableau count without l.
     Mutant("rep_core.py", "floor = -(-boxes // (t - k))", "floor = -(-boxes // (t - k)) + 1",
            "the row floor one higher drops the shapes whose rows are all equal"),
@@ -117,20 +131,32 @@ MUTANTS = [
            "the Pascal step shifted by one: C(r, a) takes C(r-1, a-2) for C(r-1, a-1)"),
     Mutant("rep_core.py", "if row and r == len(row):  # r rose by one", "if row:  # r rose by one",
            "the row of the run before is stepped even after a reset to r = 0"),
-    Mutant("rep_core.py", "zip(range(r, -1, -1), range(r + 1))), repeat(1)",
-           "zip(range(r + 1), range(r, -1, -1))), repeat(1)",
-           "_weight_rows expands a run in ascending a"),
-    # Admission and the su effective multiplicities.
-    Mutant("rep_core.py", "else min(l * mult, dim))", "else min(mult, dim))",
+    Mutant("rep_core.py", "zip(range(r, -1, -1), range(r + 1), *columns)",
+           "zip(range(r + 1), range(r, -1, -1), *columns)",
+           "_run_rows expands a run in ascending a, for decompose and the CLI's mp reports"),
+    # Admission and the su effective multiplicities, made in the shape walk.
+    Mutant("rep_core.py", "eff = l * f\n", "eff = f\n",
            "su eff_mult ignores the reference size"),
+    Mutant("rep_core.py", "                        break\n                    eff = dim\n",
+           "                        break\n",
+           "a saturated shape's eff is written as l f, past its dimension",
+           tests=("tests/test_rep_core.py::test_rows_match_slow_references",)),
+    Mutant("rep_core.py", "eff = l * f\n", "eff = dim\n",
+           "an unsaturated shape's eff is written as d, as if saturated",
+           tests=("tests/test_rep_core.py::test_rows_match_slow_references",)),
+    Mutant("rep_core.py", "dim if l is None else min(l * f, dim)", "dim",
+           "a shape whose zero rows telescope gets eff = d, saturated or not",
+           tests=("tests/test_rep_core.py::test_rows_match_slow_references",)),
     Mutant("rep_core.py", "or l < 1):", "or l < 0):",
            "a reference size of 0 is admitted"),
     Mutant("rep_core.py", "return n // 2 + 1", "return n // 2",
            "the su admission shortcut names one block too few"),
-    # decompose's one runtime check of its walks.
+    # decompose's one runtime check of its walks: a wrong su dimension.
     Mutant("rep_core.py", "    _check_fill(rows, n, t)\n    return Decomposition._make(",
            "    return Decomposition._make(",
-           "decompose no longer checks that its blocks fill t^n"),
+           "decompose no longer checks that its su blocks fill t^n",
+           tests=(f"{CAPACITY_TESTS[0]}::test_block_capacity_checks_the_walk_against_the_"
+                  "closed_forms",)),
     # The Renyi bracket on log M_eps.
     Mutant("distinguish.py", "beta = 0.0", "beta = 0.5",
            "the beta -> 0 limit takes beta = 1/2", tests=BRACKET_TESTS),
@@ -171,9 +197,6 @@ MUTANTS = [
            "the row width counted one field short: a chunk's cells are read as more rows",
            tests=CLI_TESTS),
     # The CLI's mp reports from the runs, and their checks before any byte.
-    Mutant("cli.py", "zip(range(r, -1, -1), range(r + 1), *columns)",
-           "zip(range(r + 1), range(r, -1, -1), *columns)",
-           "the mp reports expand a run in ascending a", tests=CLI_TESTS),
     Mutant("cli.py", "if sum(map(sum, mults)) != cfg.t**cfg.n:", "if False:",
            "mp decompose writes runs whose multinomials do not fill t^n", tests=CLI_TESTS),
     Mutant("cli.py", "if blocks != support:", "if False:",

@@ -239,7 +239,7 @@ def block_state_mi(p, decomp) -> float:
     ratio (dim * eff_mult) / p_b before any float log is taken, so feeding the
     optimal distribution reproduces capacity().value bit for bit.
     """
-    sizes = {label: dim * eff for label, dim, _, eff in decomp.rows}
+    sizes = {row[:-3]: row[-3] * row[-1] for row in decomp.rows}
     groups = {}
     total = Fraction(0)
     for label, prob in p.items():

@@ -115,7 +115,7 @@ def check_su_lower_bound():
                 bound = su_lower_bound(n, t, a)
                 assert bound <= su_capacity(n, t) + 1e-12, (n, t, a)
                 floor = (Fraction(n) / (a * t * t)) ** (t * (t - 1) // 2)
-                dims = {rows: dim for rows, dim, _ in _shape_rows(n, t, False)}
+                dims = {row[:-1]: row[-1] for row in _shape_rows(n, t, False)}
                 for rows in gapped_partitions(n, t, a):
                     assert Fraction(dims[rows]) >= floor, (rows, n, t, a)
     assert admissible >= 30, f"only {admissible} admissible (n, t, a) combinations"

@@ -89,18 +89,21 @@ def test_capacity_known_values():
 
 def optimal_p(report):
     """The report's block distribution as exact fractions keyed by label."""
-    return {label: Fraction(num, den) for label, num, den in report.p_rows}
+    return {row[:-2]: Fraction(*row[-2:]) for row in report.p_rows}
 
 
 def test_capacity_single_trivial_block_is_zero():
-    trivial = Decomposition(Model.MULTI_PHASE, 0, 2, 1, (((0, 0), 1, 1, 1),))
+    trivial = Decomposition(Model.MULTI_PHASE, 0, 2, 1, ((0, 0, 1, 1, 1),))
     assert capacity(trivial).value == 0.0
 
 
 def test_capacity_optimal_p_exact():
     r = capacity(decompose("su", 2, 2, UNBOUNDED))
-    assert r.p_rows == (((2, 0), 9, 10), ((1, 1), 1, 10))
+    assert r.p_rows == ((2, 0, 9, 10), (1, 1, 1, 10))
     assert sum(optimal_p(r).values()) == 1
+    # weights 16 and 4 of 20: each p reduced by its own gcd, 4 and 4
+    assert capacity(decompose("su", 3, 2, UNBOUNDED)).p_rows == ((3, 0, 4, 5), (2, 1, 1, 5))
+    assert block_capacity("su", 3, 2, UNBOUNDED).p_rows == ((3, 0, 4, 5), (2, 1, 1, 5))
 
 
 @pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 3), ("su", 2), ("su", 3)])
@@ -119,13 +122,14 @@ def test_capacity_support_matches_enumeration(model, n, t, l):
 
 def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     """One wrong Weyl dimension from the shape walk moves sum d^2 off the
-    Cauchy total, and sum d f off t^n in decompose; one lost weight moves the
-    row count off C(n+t-1, t-1), and sum mult off t^n: all raise."""
+    Cauchy total, and sum d f off t^n in decompose; one lost weight moves
+    sum mult off t^n: all raise.  block_capacity weighs su shapes only and
+    refuses mp, whose labels the CLI writes from the weight runs."""
     walk = rep_core._shape_rows
 
-    def wrong_dim(n, t, tableaux=True, l=None):  # the full walk and the pruned one
-        for rows, dim, f in walk(n, t, tableaux, l):
-            yield rows, dim + (rows == (3, 2, 1)), f
+    def wrong_dim(n, t, *args, **kwargs):  # the full walk and the pruned one
+        for row in walk(n, t, *args, **kwargs):
+            yield row[:t] + (row[t] + (row[:t] == (3, 2, 1)),) + row[t + 1:]
 
     for module in (capacity_module, rep_core):
         monkeypatch.setattr(module, "_shape_rows", wrong_dim)
@@ -134,9 +138,7 @@ def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
             block_capacity("su", 6, 3, l)
         with pytest.raises(ValueError, match="do not fill"):
             decompose("su", 6, 3, l)
-    walk = capacity_module._weight_walk
-    monkeypatch.setattr(capacity_module, "_weight_walk", lambda n, t: list(walk(n, t))[1:])
-    with pytest.raises(ArithmeticError, match="expected C"):
+    with pytest.raises(ValueError, match="block_capacity weighs su shapes"):
         block_capacity("mp", 6, 3, 1)
     rows = rep_core._weight_rows
     monkeypatch.setattr(rep_core, "_weight_rows", lambda n, t: list(rows(n, t))[1:])
@@ -160,7 +162,7 @@ def test_block_capacity_matches_capacity_of_decompose(t):
             d = decompose("su", n, t, l)
             assert block_capacity("su", n, t, l) == capacity(d), (n, t, l)
             if l is not UNBOUNDED:
-                exact += sum(l * mult == dim for _, dim, mult, _ in d.rows)
+                exact += sum(l * mult == dim for *_, dim, mult, _ in d.rows)
     assert exact
 
 
@@ -187,22 +189,26 @@ def test_capacity_json_takes_tableau_counts_only_for_unsaturated_shapes(capsys, 
     assert 0 < len(calls) <= support_calls < 100
 
 
-@pytest.mark.parametrize("where", ["first", "last"])
+@pytest.mark.parametrize("where", ["first", "last", "dim"])
 def test_block_capacity_refuses_an_unsaturated_shape_it_does_not_meet(monkeypatch, where):
     """A pruned walk that yields a shape the full walk lacks, before its
-    own shapes or after them, raises ArithmeticError naming the shape."""
+    own shapes or after them, or a shape of the full walk with another
+    dimension, raises ArithmeticError naming the shape."""
     walk = rep_core._shape_rows
-    stray = (4, 3, 0)  # 7 boxes, no shape of n = 6
+    stray = (4, 3, 0, 1, 1, 1)  # 7 boxes, no shape of n = 6
 
-    def pruned_with_a_stray(n, t, tableaux=True, l=None):
-        if l is None:
-            yield from walk(n, t, tableaux)
-            return
-        rows = list(walk(n, t, tableaux, l))
-        yield from [(stray, 1, 1)] + rows if where == "first" else rows + [(stray, 1, 1)]
+    def pruned_with_a_stray(n, t, tableaux=True, l=None, prune=False):
+        rows = list(walk(n, t, tableaux, l, prune))
+        if not prune:
+            yield from rows
+        elif where == "dim":  # (6, 0, 0) of dimension 28 comes first
+            yield from [rows[0][:3] + (29,) + rows[0][4:]] + rows[1:]
+        else:
+            yield from [stray] + rows if where == "first" else rows + [stray]
 
     monkeypatch.setattr(capacity_module, "_shape_rows", pruned_with_a_stray)
-    with pytest.raises(ArithmeticError, match=r"unsaturated shape \(4, 3, 0\)"):
+    shape = r"\(6, 0, 0\) of dimension 29" if where == "dim" else r"\(4, 3, 0\) of dimension 1"
+    with pytest.raises(ArithmeticError, match=f"unsaturated shape {shape} is not among"):
         block_capacity("su", 6, 3, 1)
     block_capacity("su", 6, 3, UNBOUNDED)  # no pruned walk at an unbounded reference
 
@@ -236,7 +242,7 @@ def test_deficit_support_matches_enumerated_blocks(t):
     """Cauchy total minus the deficit == sum dim * eff over decompose rows,
     at every n of the grid and l = 1..4."""
     for n in range(1, DEFICIT_GRID[t] + 1):
-        blocks = [(dim, mult) for _, dim, mult, _ in decompose("su", n, t, UNBOUNDED).rows]
+        blocks = [(dim, mult) for *_, dim, mult, _ in decompose("su", n, t, UNBOUNDED).rows]
         for l in (1, 2, 3, 4):
             want = sum(dim * min(l * mult, dim) for dim, mult in blocks)
             assert capacity_support("su", n, t, l) == want, (n, t, l)
@@ -271,28 +277,31 @@ def test_unsaturated_first_rows_are_a_run(t, budget_counts):
             assert firsts == set(run), (n, t, l)
             want = list(accumulate(sum(1 for rows, _, _ in shapes if rows[0] == c) for c in run))
             budget_counts.clear()
-            list(_shape_rows(n, t, l=l))
+            list(_shape_rows(n, t, l=l, prune=True))
             assert budget_counts == want, (n, t, l)
 
 
 @pytest.mark.parametrize("t", sorted(UNSATURATED_GRID))
 def test_unsaturated_walk_yields_exactly_the_unsaturated_shapes(t):
     """The pruned walk yields each shape of n with l * f < d once, by the
-    brute hook-length count and pairwise Weyl product, with that d and f, in
-    label order, and nothing else."""
+    brute hook-length count and pairwise Weyl product, with that d and f and
+    eff = l f, in label order, and nothing else; unpruned, the same l gives
+    every shape with eff = min(l f, d)."""
     for n in range(1, UNSATURATED_GRID[t] + 1):
         shapes = [(rows, hook_length_count(rows), pairwise_weyl_dim(rows))
                   for rows in partition_rows(n, t)]
         for l in (1, 2, 3, 4):
-            want = [(rows, d, f) for rows, f, d in shapes if l * f < d]
-            assert list(_shape_rows(n, t, l=l)) == want, (n, t, l)
+            want = [rows + (d, f, l * f) for rows, f, d in shapes if l * f < d]
+            assert list(_shape_rows(n, t, l=l, prune=True)) == want, (n, t, l)
+            assert list(_shape_rows(n, t, l=l)) == \
+                [rows + (d, f, min(l * f, d)) for rows, f, d in shapes], (n, t, l)
 
 
 def test_unsaturated_walk_visits_few_shapes(budget_counts):
     """At t = 5, n = 50 the walk counts the 27 shapes whose first rows start
     an unsaturated shape and yields the 15 unsaturated ones, of 3 765."""
     assert partition_count(50, 5) == 3765
-    assert sum(1 for _ in _shape_rows(50, 5, l=1)) == 15
+    assert sum(1 for _ in _shape_rows(50, 5, l=1, prune=True)) == 15
     assert budget_counts[-1] == 27
 
 
@@ -300,7 +309,7 @@ def test_deficit_visits_few_shapes(budget_counts):
     """Where n is large only the longest first rows remain: at t = 3 the
     support of n = 2000 keeps first rows 2000..1998 and counts 4 of its
     334 334 shapes."""
-    assert {rows[0] for rows, _, _ in _shape_rows(2000, 3, l=1)} == {2000, 1999, 1998}
+    assert {row[0] for row in _shape_rows(2000, 3, l=1, prune=True)} == {2000, 1999, 1998}
     assert budget_counts == [1, 2, 4]
     assert partition_count(2000, 3) == 334334
     assert sum(partition_count(2000 - c, 2, c) for c in (2000, 1999, 1998)) == 4
@@ -376,13 +385,13 @@ def test_block_state_mi_equals_capacity_at_optimum():
 
 def test_block_state_mi_point_mass():
     d = decompose("su", 2, 2, UNBOUNDED)
-    lam = d.rows[0][0]  # dim 3, eff 3
+    lam = d.rows[0][:2]  # dim 3, eff 3
     assert block_state_mi({lam: Fraction(1)}, d) == math.log(9)
 
 
 def test_block_state_mi_noon_support():
     d = decompose("mp", 3, 2, 1)
-    extremes = [label for label, _, mult, _ in d.rows if mult == 1]
+    extremes = [row[:2] for row in d.rows if row[-2] == 1]
     p = {label: Fraction(1, 2) for label in extremes}
     assert abs(block_state_mi(p, d) - math.log(2)) < 1e-15
 
@@ -390,7 +399,7 @@ def test_block_state_mi_noon_support():
 def test_block_state_mi_handwritten():
     # p = (1/2, 1/2) on su n=2 blocks with l=1: H(p) + (1/2) log 3
     d = decompose("su", 2, 2, 1)
-    p = {label: Fraction(1, 2) for label, _, _, _ in d.rows}
+    p = {row[:2]: Fraction(1, 2) for row in d.rows}
     expected = math.log(2) + 0.5 * math.log(3)
     assert abs(block_state_mi(p, d) - expected) < 1e-15
 
@@ -406,7 +415,7 @@ def block_distributions(draw):
     weights = draw(st.lists(st.integers(0, 20), min_size=len(d.rows), max_size=len(d.rows))
                    .filter(any))
     total = sum(weights)
-    return d, {label: Fraction(w, total) for (label, _, _, _), w in zip(d.rows, weights)}
+    return d, {row[:t]: Fraction(w, total) for row, w in zip(d.rows, weights)}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -418,7 +427,7 @@ def test_block_state_mi_never_beats_capacity(case):
 
 def test_block_state_mi_validation():
     d = decompose("mp", 2, 2, 1)
-    labels = [label for label, _, _, _ in d.rows]
+    labels = [row[:2] for row in d.rows]
     with pytest.raises(ValueError):
         block_state_mi({labels[0]: Fraction(1, 2)}, d)  # unnormalized
     with pytest.raises(ValueError):

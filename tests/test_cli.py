@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
@@ -17,10 +18,18 @@ import pytest
 import metrocap
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
-from metrocap.capacity import block_capacity, capacity, log_integer
+from metrocap.capacity import capacity, log_integer
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
-from reference import factorial_multinomial, largest_block_entry, report_to_csv, weight_vectors
+from reference import (
+    factorial_multinomial,
+    hook_length_count,
+    largest_block_entry,
+    pairwise_weyl_dim,
+    partition_rows,
+    report_to_csv,
+    weight_vectors,
+)
 
 LN2 = math.log(2.0)
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli_golden.json").read_text())
@@ -294,22 +303,46 @@ CAPACITY_JSON_GRID = [("mp", 40, 3, "2"), ("su", 30, 3, "1"), ("su", 8, 4, "inf"
     (model, n, t, l)
     for model, sizes in (("mp", [(1, 2), (9, 2), (10, 3), (4, 6)]),
                          ("su", [(1, 2), (9, 2), (15, 3), (9, 4), (5, 25)]))
-    for n, t in sizes for l in ("1", "2", "3", "inf")]
+    for n, t in sizes for l in ("1", "2", "3", "inf")] + [
+    ("su", n, t, l) for n, t in ((1, 3), (1, 4), (12, 5), (1, 7), (8, 7), (20, 1000))
+    for l in ("1", "2", "inf")]
 
 
 @pytest.mark.parametrize("model,n,t,l", CAPACITY_JSON_GRID)
 def test_capacity_rows_match_library_capacity(capsys, model, n, t, l):
     """The CLI's p_b rows equal the exact fractions of capacity(decompose(...)),
     entry for entry: the slow reference, which builds every block with its
-    multiplicity and checks the rows."""
-    report = run_json(capsys, ["capacity", "--model", model, "--n", str(n), "--t", str(t),
-                               "--l", l])
-    r = capacity(decompose(model, n, t, UNBOUNDED if l == "inf" else int(l)))
+    multiplicity and checks the rows.  For su the decompose report's rows
+    are decompose(...).rows, cell for cell, and both match the per-shape
+    references: the labels partition_rows in order, each mult the
+    hook-length count, each dim the pairwise Weyl product (below t = 1000,
+    where 627 of them take 25 s; there the fill and the Cauchy total hold
+    them), eff min(l mult, dim), and each p dim eff / support in lowest
+    terms.  t = 1000 at n = 20 telescopes the zero tail of every shape."""
+    args = ["--model", model, "--n", str(n), "--t", str(t), "--l", l]
+    report = run_json(capsys, ["capacity", *args])
+    ref = UNBOUNDED if l == "inf" else int(l)
+    d = decompose(model, n, t, ref)
+    r = capacity(d)
     assert report["capacity_nats"] == r.value
     assert report["support"] == str(r.support)
-    assert report["optimal_p"] == [{"label": list(label), "p": f"{num}/{den}"}
-                                   for label, num, den in r.p_rows]
-    assert all(math.gcd(num, den) == 1 for _, num, den in r.p_rows)
+    assert report["optimal_p"] == [{"label": list(row[:t]), "p": f"{row[t]}/{row[t + 1]}"}
+                                   for row in r.p_rows]
+    assert all(math.gcd(num, den) == 1 for *_, num, den in r.p_rows)
+    if model == "mp":
+        return
+    entries = run_json(capsys, ["decompose", *args])["entries"]
+    assert [(*e["label"], int(e["dim"]), int(e["mult"]), int(e["eff_mult"]))
+            for e in entries] == list(d.rows)
+    labels = list(partition_rows(n, t))
+    assert [row[:t] for row in d.rows] == [row[:t] for row in r.p_rows] == labels
+    for label, row, p in zip(labels, d.rows, report["optimal_p"]):
+        dim, mult, eff = row[t:]
+        assert mult == hook_length_count(label), label
+        if t < 1000:
+            assert dim == pairwise_weyl_dim(label), label
+        assert eff == (dim if ref is UNBOUNDED else min(ref * mult, dim)), label
+        assert Fraction(p["p"]) == Fraction(dim * eff, r.support), label
 
 
 @pytest.mark.parametrize("n,t", [(1, 2), (12, 2), (9, 3), (100, 3), (4, 5)])
@@ -324,17 +357,16 @@ def test_mp_literal_cells_match_the_library_rows(capsys, n, t):
         ref = UNBOUNDED if l == "inf" else int(l)
         rows = decompose("mp", n, t, ref).rows
         entries = run_json(capsys, ["decompose", *size])["entries"]
-        assert [(tuple(e["label"]), e["dim"], e["mult"], e["eff_mult"]) for e in entries] == \
-            [(label, str(dim), str(mult), str(eff)) for label, dim, mult, eff in rows]
+        assert [(*e["label"], e["dim"], e["mult"], e["eff_mult"]) for e in entries] == \
+            [(*row[:t], *map(str, row[t:])) for row in rows]
         code, out, err = run_cli(capsys, ["decompose", *size, "--format", "csv"])
         assert code == 0, err
         assert [line.split(",")[4:] for line in out.splitlines()[1:]] == \
-            [["|".join(map(str, label)), str(dim), str(mult), str(eff)]
-             for label, dim, mult, eff in rows]
-        p_rows = block_capacity("mp", n, t, ref).p_rows
+            [["|".join(map(str, row[:t])), *map(str, row[t:])] for row in rows]
+        p_rows = capacity(decompose("mp", n, t, ref)).p_rows
         optimal_p = run_json(capsys, ["capacity", *size])["optimal_p"]
-        assert [(tuple(e["label"]), e["p"]) for e in optimal_p] == \
-            [(label, f"{num}/{den}") for label, num, den in p_rows]
+        assert [(*e["label"], e["p"]) for e in optimal_p] == \
+            [(*row[:t], f"{row[t]}/{row[t + 1]}") for row in p_rows]
 
 
 # t = 2: the one run, its row built from scratch; t >= 3: rows by Pascal steps
@@ -353,7 +385,7 @@ def test_mp_cells_match_the_rows_and_factorial_multinomials(n, t):
     rows = decompose("mp", n, t, 1).rows
     cells = list(chain.from_iterable(
         cli._build_decompose(RunConfig("decompose", "mp", n, t))["entries"].chunks))
-    assert cells == list(chain.from_iterable(label + (mult,) for label, _, mult, _ in rows))
+    assert cells == list(chain.from_iterable(row[:t] + row[-2:-1] for row in rows))
     labels = [tuple(cells[i:i + t]) for i in range(0, len(cells), t + 1)]
     assert labels == sorted(weight_vectors(n, t), reverse=True)
     assert cells[t::t + 1] == list(map(factorial_multinomial, labels))

@@ -66,7 +66,7 @@ def partitions(draw):
 @given(rows=partitions())
 def test_frobenius_matches_hook_length(rows):
     """The walk's f = d M / Q of any shape is its hook-length count."""
-    walked = {shape: f for shape, _, f in _shape_rows(sum(rows), len(rows))}
+    walked = {row[:len(rows)]: row[-2] for row in _shape_rows(sum(rows), len(rows))}
     assert walked[rows] == hook_length_count(rows)
 
 
@@ -75,7 +75,8 @@ def test_frobenius_matches_hook_length(rows):
 def test_shape_walk_matches_per_shape_formulas(n, t):
     """The walk's carried products give, shape by shape and in order, the
     Weyl dimension and tableau count computed from each shape alone."""
-    assert list(_shape_rows(n, t)) == [(rows, pairwise_weyl_dim(rows), hook_length_count(rows))
+    assert list(_shape_rows(n, t)) == [rows + (pairwise_weyl_dim(rows), hook_length_count(rows),
+                                               pairwise_weyl_dim(rows))
                                        for rows in partition_rows(n, t)]
 
 
@@ -85,7 +86,7 @@ def test_shape_walk_counts_what_rsk_counts(n, t):
     """By Robinson-Schensted-Knuth, over shapes of at most t rows sum f^2
     counts the permutations with no decreasing subsequence longer than t,
     and sum f the involutions among them."""
-    fs = [f for _, _, f in _shape_rows(n, t)]
+    fs = [row[-2] for row in _shape_rows(n, t)]
     assert (sum(f * f for f in fs), sum(fs)) == short_decreasing_counts(n, t)
 
 
@@ -94,16 +95,17 @@ def test_shape_walk_counts_what_rsk_counts(n, t):
 def test_shape_walk_dims_count_symmetric_matrices(n, t):
     """sum d counts the semistandard tableaux with entries 1..t, which RSK
     puts in bijection with the symmetric N-matrices of total n."""
-    assert sum(d for _, d, _ in _shape_rows(n, t, tableaux=False)) == symmetric_matrix_count(n, t)
+    assert sum(row[-1] for row in _shape_rows(n, t, tableaux=False)) == \
+        symmetric_matrix_count(n, t)
 
 
 @SMALL
 @given(n=st.integers(1, 30), t=st.integers(2, 40), l=st.integers(1, 6))
 def test_pruned_shape_walk_is_the_filtered_walk(n, t, l):
-    """Handed l, the walk yields exactly the shapes of the full walk with
-    l f < d, element for element and in order."""
-    assert list(_shape_rows(n, t, l=l)) == [(rows, d, f) for rows, d, f in _shape_rows(n, t)
-                                            if l * f < d]
+    """Handed l and pruned, the walk yields exactly the rows of the full
+    walk handed l with eff = l f < d, element for element and in order."""
+    assert list(_shape_rows(n, t, l=l, prune=True)) == \
+        [row for row in _shape_rows(n, t, l=l) if row[-1] < row[-3]]
 
 
 @SMALL
@@ -111,7 +113,8 @@ def test_pruned_shape_walk_is_the_filtered_walk(n, t, l):
 def test_multinomial_matches_factorials(counts):
     """The multinomial of any one occupation vector, in its weight row."""
     counts = tuple(counts)
-    (mult,) = [m for c, _, m, _ in _weight_rows(sum(counts), len(counts)) if c == counts]
+    (mult,) = [row[-2] for row in _weight_rows(sum(counts), len(counts))
+               if row[:-3] == counts]
     assert mult == factorial_multinomial(counts)
 
 
@@ -119,7 +122,7 @@ def test_multinomial_matches_factorials(counts):
 @given(n=st.integers(0, 25), t=st.integers(1, 5))
 def test_incremental_multinomials_match_factorials(n, t):
     """Each weight's multinomial, updated from the one before, is exact."""
-    for counts, _, mult, _ in _weight_rows(n, t):
+    for *counts, _, mult, _ in _weight_rows(n, t):
         assert mult == factorial_multinomial(counts)
 
 

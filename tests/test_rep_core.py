@@ -2,6 +2,7 @@ import itertools
 import time
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 
 import pytest
 
@@ -61,19 +62,19 @@ def count_syt(rows):
 
 def test_partition_checks_sign_before_order():
     with pytest.raises(ValueError, match="negative entry"):
-        Decomposition(Model.SPECIAL_UNITARY, 4, 3, 1, [((1, -1, 2), 1, 1, 1)])  # breaks both rules
+        Decomposition(Model.SPECIAL_UNITARY, 4, 3, 1, [(1, -1, 2, 1, 1, 1)])  # breaks both rules
 
 
 def test_weight_vector_validation():
     with pytest.raises(ValueError, match="negative entry"):
-        Decomposition(Model.MULTI_PHASE, 1, 2, 1, [((2, -1), 1, 1, 1)])
+        Decomposition(Model.MULTI_PHASE, 1, 2, 1, [(2, -1, 1, 1, 1)])
 
 
 def test_decomposition_rejects_incomplete():
     with pytest.raises(ValueError, match="do not fill"):
-        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, [((2, 0), 3, 1, 3)])
+        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, [(2, 0, 3, 1, 3)])
     with pytest.raises(ValueError, match="duplicate"):
-        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, [((2, 0), 3, 1, 3), ((2, 0), 1, 1, 1)])
+        Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, [(2, 0, 3, 1, 3), (2, 0, 1, 1, 1)])
 
 
 # ---------------------------------------------------------------- enumeration
@@ -97,7 +98,7 @@ def test_enumerate_partitions_brute(n, t):
     assert got == sorted(got, reverse=True)  # lexicographically descending
     assert len(got) == len(set(got))
     if t > 1:  # the library's shape walk serves t >= 2
-        assert [rows for rows, _, _ in rep_core._shape_rows(n, t)] == got
+        assert [row[:t] for row in rep_core._shape_rows(n, t)] == got
 
 
 def test_partition_count_bound_sweep():
@@ -116,7 +117,7 @@ def test_partitions_under_a_row_cap_match_brute(n, t):
 
 
 def weights(n, t):
-    return [counts for counts, _, _, _ in _weight_rows(n, t)]
+    return [row[:t] for row in _weight_rows(n, t)]
 
 
 def test_enumerate_weights_small():
@@ -136,9 +137,14 @@ def test_enumerate_weights_brute(n, t):
 
 # ---------------------------------------------------------------- dimensions
 
+def walk(n, t, **kwargs):
+    """The shape walk's flat rows (*rows, dim, f, eff) as (rows, dim, f, eff)."""
+    return [(row[:t], *row[t:]) for row in rep_core._shape_rows(n, t, **kwargs)]
+
+
 def walk_rows(n, t):
     """Each shape's (dim, f) from the shape walk, by its zero-padded rows."""
-    return {rows: (dim, f) for rows, dim, f in rep_core._shape_rows(n, t)}
+    return {rows: (dim, f) for rows, dim, f, _ in walk(n, t)}
 
 
 def test_weyl_dimension_known():
@@ -152,7 +158,7 @@ def test_weyl_dimension_known():
 def test_weyl_dimension_vs_ssyt():
     for t in range(2, 5):
         for n in range(9):
-            for rows, dim, _ in rep_core._shape_rows(n, t):
+            for rows, dim, _, _ in walk(n, t):
                 assert dim == ssyt_count(rows, t), rows
 
 
@@ -161,7 +167,7 @@ def test_weyl_dimension_bound():
     for t in range(2, 5):
         for n in range(13):
             cap = (n + 1) ** (t * (t - 1) // 2)
-            for _, dim, _ in rep_core._shape_rows(n, t):
+            for _, dim, _, _ in walk(n, t):
                 assert dim <= cap
 
 
@@ -171,7 +177,7 @@ def test_weyl_dimension_telescoped_tail_matches_pairwise_product(t):
     every row occupied, which end in its last-two-rows loop; both against
     every pair."""
     for n in range(13):
-        for rows, dim, _ in rep_core._shape_rows(n, t):
+        for rows, dim, _, _ in walk(n, t):
             assert dim == pairwise_weyl_dim(rows), rows
 
 
@@ -181,9 +187,9 @@ def test_weyl_dimension_at_large_t_matches_a_closed_form():
     and last shapes, each with one tableau."""
     for t in (100, 1000):
         first = next(rep_core._shape_rows(20, t))
-        assert first == ((20,) + (0,) * (t - 1), comb(20 + t - 1, 20), 1)
+        assert first == (20,) + (0,) * (t - 1) + (comb(20 + t - 1, 20), 1, comb(20 + t - 1, 20))
         *_, last = rep_core._shape_rows(3, t)
-        assert last == ((1,) * 3 + (0,) * (t - 3), comb(t, 3), 1)
+        assert last == (1,) * 3 + (0,) * (t - 3) + (comb(t, 3), 1, comb(t, 3))
 
 
 def test_multiplicity_su_known():
@@ -194,21 +200,21 @@ def test_multiplicity_su_known():
 
 def test_multiplicity_su_vs_syt():
     for n in range(1, 9):
-        for rows, _, f in rep_core._shape_rows(n, max(n, 2)):
+        for rows, _, f, _ in walk(n, max(n, 2)):
             assert f == count_syt(rows), rows
 
 
 def test_multiplicity_mp_known():
-    mult = {counts: m for counts, _, m, _ in _weight_rows(4, 2)}
+    mult = {row[:2]: row[-2] for row in _weight_rows(4, 2)}
     assert mult[(4, 0)] == 1
     assert mult[(2, 2)] == 6
-    assert {counts: m for counts, _, m, _ in _weight_rows(3, 3)}[(1, 1, 1)] == 6
+    assert {row[:3]: row[-2] for row in _weight_rows(3, 3)}[(1, 1, 1)] == 6
 
 
 @pytest.mark.parametrize("n,t", [(4, 2), (5, 2), (4, 3)])
 def test_multiplicity_mp_brute(n, t):
     strings = list(itertools.product(range(t), repeat=n))
-    for counts, _, mult, _ in _weight_rows(n, t):
+    for *counts, _, mult, _ in _weight_rows(n, t):
         hits = sum(
             1
             for s in strings
@@ -221,24 +227,23 @@ def test_multiplicity_mp_brute(n, t):
 
 def test_decompose_su_example():
     d = decompose("su", 2, 2, UNBOUNDED)
-    table = {label: (dim, mult, eff) for label, dim, mult, eff in d.rows}
-    assert table == {(2, 0): (3, 1, 3), (1, 1): (1, 1, 1)}
+    assert d.rows == ((2, 0, 3, 1, 3), (1, 1, 1, 1, 1))
 
 
 def test_decompose_mp_example():
     d = decompose("mp", 3, 2, 1)
     assert len(d.rows) == 4
-    assert all(dim == 1 and eff == 1 for _, dim, _, eff in d.rows)
-    assert sorted(mult for _, _, mult, _ in d.rows) == [1, 1, 3, 3]
+    assert all(dim == 1 and eff == 1 for *_, dim, _, eff in d.rows)
+    assert sorted(mult for *_, mult, _ in d.rows) == [1, 1, 3, 3]
 
 
 def test_decompose_su_finite_reference():
     d = decompose(Model.SPECIAL_UNITARY, 3, 2, 1)
-    table = {label: (dim, mult, eff) for label, dim, mult, eff in d.rows}
+    table = {row[:2]: row[2:] for row in d.rows}
     assert table[(2, 1)] == (2, 2, 2)
     assert table[(3, 0)][2] == 1  # min(1*1, 4)
     d2 = decompose("su", 4, 2, 2)
-    table2 = {label: eff for label, _, _, eff in d2.rows}
+    table2 = {row[:2]: row[-1] for row in d2.rows}
     assert table2[(3, 1)] == 3  # min(2*3, 3) saturates
     assert table2[(2, 2)] == 1  # min(2*2, 1)
 
@@ -251,9 +256,9 @@ def test_decompose_completeness(model, n, t):
     Decomposition checks on rows from outside."""
     d = decompose(model, n, t, 1)
     if model == "mp":
-        assert sum(mult for _, _, mult, _ in d.rows) == t**n
+        assert sum(mult for *_, mult, _ in d.rows) == t**n
     else:
-        assert sum(dim * mult for _, dim, mult, _ in d.rows) == t**n
+        assert sum(dim * mult for *_, dim, mult, _ in d.rows) == t**n
     assert Decomposition(d.model, d.n, d.t, d.l, d.rows) == d
 
 
@@ -267,7 +272,7 @@ def test_decompose_skips_the_row_rules(monkeypatch):
     want = {model: decompose(model, 6, 3, 2) for model in ("mp", "su")}
     monkeypatch.setattr(Decomposition, "__new__", refuse)
     with pytest.raises(AssertionError, match="row rules ran"):
-        Decomposition("mp", 1, 2, 1, [((1, 0), 1, 1, 1), ((0, 1), 1, 1, 1)])
+        Decomposition("mp", 1, 2, 1, [(1, 0, 1, 1, 1), (0, 1, 1, 1, 1)])
     for model, d in want.items():
         got = decompose(model, 6, 3, 2)
         assert type(got) is Decomposition and got == d
@@ -341,16 +346,16 @@ def test_decompose_label_entry_budget(monkeypatch):
 @pytest.mark.parametrize("l", [1, 2, UNBOUNDED])
 def test_rows_match_slow_references(model, n, t, l):
     rows = decompose(model, n, t, l).rows
-    labels = [label for label, _, _, _ in rows]
+    assert all(type(row) is tuple and len(row) == t + 3 for row in rows)
+    labels = [row[:t] for row in rows]
     assert labels == sorted(labels, reverse=True)
-    assert all(type(label) is tuple for label in labels)
     if model == "mp":
         assert set(labels) == brute_weights(n, t)
-        for label, dim, mult, eff in rows:
-            assert (dim, mult, eff) == (1, factorial_multinomial(label), 1)
+        for label, row in zip(labels, rows):
+            assert row[t:] == (1, factorial_multinomial(label), 1)
         return
     assert set(labels) == brute_partitions(n, t)
-    for label, dim, mult, eff in rows:
+    for label, (dim, mult, eff) in zip(labels, map(itemgetter(slice(t, None)), rows)):
         assert dim == ssyt_count(label, t)
         assert mult == hook_length_count(label)
         assert eff == (dim if l is UNBOUNDED else min(l * mult, dim))
@@ -360,21 +365,21 @@ def test_rows_match_slow_references(model, n, t, l):
 @pytest.mark.parametrize("l", [1, 3, UNBOUNDED])
 def test_entries_wrap_the_rows(model, l):
     d = decompose(model, 9, 3, l)
-    assert d.entries == d.rows
-    assert [(e.label, e.dim, e.mult, e.eff_mult) for e in d.entries] == list(d.rows)
+    assert [(*e.label, e.dim, e.mult, e.eff_mult) for e in d.entries] == list(d.rows)
+    assert all(len(e.label) == 3 for e in d.entries)
     assert all(type(e) is IrrepEntry for e in d.entries)
     assert d.entries is d.entries  # built once
 
 
 @pytest.mark.parametrize("rows,message", [
-    ([((2, -1), 1, 1, 1)], "negative entry"),
-    ([((1, 2), 1, 1, 1)], "non-increasing"),
-    ([((2, 0), 3, 1, 3), ((2, 0), 3, 1, 3)], "duplicate"),
-    ([((2, 0), 0, 1, 1)], "positive"),
-    ([((2, 0), 3, 0, 1)], "positive"),
-    ([((2, 0), 3, 1, 4)], "eff_mult 4 outside"),
-    ([((2, 0), 3, 1, 0)], "eff_mult 0 outside"),
-    ([((2, 0), 3, 1, 3)], "do not fill"),
+    ([(2, -1, 1, 1, 1)], "negative entry"),
+    ([(1, 2, 1, 1, 1)], "non-increasing"),
+    ([(2, 0, 3, 1, 3), (2, 0, 3, 1, 3)], "duplicate"),
+    ([(2, 0, 0, 1, 1)], "positive"),
+    ([(2, 0, 3, 0, 1)], "positive"),
+    ([(2, 0, 3, 1, 4)], "eff_mult 4 outside"),
+    ([(2, 0, 3, 1, 0)], "eff_mult 0 outside"),
+    ([(2, 0, 3, 1, 3)], "do not fill"),
 ])
 def test_decomposition_applies_every_block_check_to_rows(rows, message):
     with pytest.raises(ValueError, match=message):
@@ -382,12 +387,12 @@ def test_decomposition_applies_every_block_check_to_rows(rows, message):
 
 
 @pytest.mark.parametrize("model,rows,message", [
-    ("su", [((2, 0, 0), 3, 1, 3), ((1, 1), 1, 1, 1)],
+    ("su", [(2, 0, 0, 3, 1, 3), (1, 1, 1, 1, 1)],
      r"label \(2, 0, 0\) has 3 entries, expected t = 2"),
-    ("mp", [((2,), 1, 4, 1)], r"label \(2,\) has 1 entries, expected t = 2"),
-    ("su", [((), 1, 4, 1)], r"label \(\) has 0 entries, expected t = 2"),
-    ("mp", [((5, 0), 1, 2, 1), ((0, 7), 1, 2, 1)], r"label \(5, 0\) sums to 5, expected n = 2"),
-    ("su", [((2, 0), 3, 1, 3), ((1, 0), 1, 1, 1)], r"label \(1, 0\) sums to 1, expected n = 2"),
+    ("mp", [(2, 1, 4, 1)], r"label \(2,\) has 1 entries, expected t = 2"),
+    ("su", [(1, 4, 1)], r"label \(\) has 0 entries, expected t = 2"),
+    ("mp", [(5, 0, 1, 2, 1), (0, 7, 1, 2, 1)], r"label \(5, 0\) sums to 5, expected n = 2"),
+    ("su", [(2, 0, 3, 1, 3), (1, 0, 1, 1, 1)], r"label \(1, 0\) sums to 1, expected n = 2"),
 ], ids=["longer", "shorter", "empty", "mp-sum", "su-sum"])
 def test_decomposition_checks_labels_against_n_and_t(model, rows, message):
     """Every label has t entries summing to n: a label of another length,
@@ -397,7 +402,7 @@ def test_decomposition_checks_labels_against_n_and_t(model, rows, message):
 
 
 def test_decomposition_rows_in_any_order():
-    rows = [((1, 1), 1, 1, 1), ((2, 0), 3, 1, 3)]  # ascending labels fill the space too
+    rows = [(1, 1, 1, 1, 1), (2, 0, 3, 1, 3)]  # ascending labels fill the space too
     assert Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, rows).rows == tuple(rows)
 
 
@@ -414,7 +419,7 @@ def test_decomposition_is_a_read_only_record():
 
 
 def test_decomposition_keeps_mp_blocks_one_dimensional():
-    rows = [((2, 0), 2, 1, 1), ((1, 1), 1, 2, 1)]
+    rows = [(2, 0, 2, 1, 1), (1, 1, 1, 2, 1)]
     with pytest.raises(ValueError, match="one-dimensional"):
         Decomposition(Model.MULTI_PHASE, 2, 2, 1, rows)
 
@@ -422,8 +427,8 @@ def test_decomposition_keeps_mp_blocks_one_dimensional():
 def test_decomposition_takes_a_string_tag_as_its_model():
     """A tag is coerced to its Model before the rows are checked: "su" rows
     are checked as partitions, and the record equals the enum one."""
-    su_rows = [((2, 0), 3, 1, 3), ((1, 1), 1, 1, 1)]
-    mp_rows = [((2, 0), 1, 1, 1), ((1, 1), 1, 2, 1), ((0, 2), 1, 1, 1)]
+    su_rows = [(2, 0, 3, 1, 3), (1, 1, 1, 1, 1)]
+    mp_rows = [(2, 0, 1, 1, 1), (1, 1, 1, 2, 1), (0, 2, 1, 1, 1)]
     for model, rows in ((Model.SPECIAL_UNITARY, su_rows), (Model.MULTI_PHASE, mp_rows)):
         d = Decomposition(model.value, 2, 2, 1, rows)
         assert d == Decomposition(model, 2, 2, 1, rows) and d.model is model
@@ -448,7 +453,7 @@ def test_multiplicity_su_matches_hook_lengths_on_a_grid(t):
     whether the walk ends it by telescoping its zero rows or in its
     last-two-rows loop."""
     for n in MULTIPLICITY_GRID[t]:
-        for rows, _, f in rep_core._shape_rows(n, t):
+        for rows, _, f, _ in walk(n, t):
             assert f == hook_length_count(rows), rows
 
 
@@ -457,16 +462,17 @@ def test_multiplicity_su_at_the_table_edges():
     shortest first rows, where the binomials of Q and M are largest and
     smallest: among all shapes at t = 2 and 3, and at t = 250 the walk's
     first shape, one row; its last, one column, at n = 30."""
-    assert list(rep_core._shape_rows(1, 2000)) == [((1,) + (0,) * 1999, 2000, 1)]
+    assert list(rep_core._shape_rows(1, 2000)) == [(1,) + (0,) * 1999 + (2000, 1, 2000)]
     for t in (2, 3):
         walked = walk_rows(200, t)
         for shape in [(200,), (100, 100), (67, 67, 66)]:
             if len(shape) <= t:
                 rows = shape + (0,) * (t - len(shape))
                 assert walked[rows][1] == hook_length_count(rows), (t, shape)
-    assert next(rep_core._shape_rows(200, 250)) == ((200,) + (0,) * 249, comb(449, 200), 1)
+    assert next(rep_core._shape_rows(200, 250)) == \
+        (200,) + (0,) * 249 + (comb(449, 200), 1, comb(449, 200))
     *_, last = rep_core._shape_rows(30, 250)
-    assert last == ((1,) * 30 + (0,) * 220, comb(250, 30), 1)
+    assert last == (1,) * 30 + (0,) * 220 + (comb(250, 30), 1, comb(250, 30))
 
 
 def test_two_row_tableau_counts_at_large_n():
@@ -474,10 +480,10 @@ def test_two_row_tableau_counts_at_large_n():
     largest n whose su report is written.  The peak k is where the ratio
     f(k+1) / f(k) = (n-k+1)(n-2k-1) / ((k+1)(n-2k+1)) falls below 1."""
     n = 14298
-    shapes = list(rep_core._shape_rows(n, 2))  # (n-k, k) comes k-th
+    shapes = walk(n, 2)  # (n-k, k) comes k-th
     peak = next(k for k in range(n // 2) if (n - k + 1) * (n - 2 * k - 1) < (k + 1) * (n - 2 * k + 1))
     for k in (1, 2, 100, peak - 1, peak, peak + 1, n // 2 - 1, n // 2):
-        rows, _, f = shapes[k]
+        rows, _, f, _ = shapes[k]
         assert (rows, f) == ((n - k, k), comb(n, k) - comb(n, k - 1)), k
     f = [shapes[k][2] for k in (peak - 1, peak, peak + 1)]
     assert f[0] < f[1] > f[2]
@@ -507,7 +513,7 @@ def test_shape_walk_matches_the_per_shape_api(t):
     hook_length_count do, entry for entry and in order; t > n gives labels
     that end in zero rows."""
     for n in WALK_GRID[t]:
-        want = [(rows, pairwise_weyl_dim(rows), hook_length_count(rows))
+        want = [rows + (pairwise_weyl_dim(rows), hook_length_count(rows), pairwise_weyl_dim(rows))
                 for rows in partition_rows(n, t)]
         assert list(rep_core._shape_rows(n, t)) == want, n
 
@@ -517,7 +523,7 @@ def test_shape_walk_matches_brute_references(t):
     """Each dimension is the pairwise Weyl product and each count the
     hook-length count, neither of which the walk uses."""
     for n in range(12):
-        for rows, dim, f in rep_core._shape_rows(n, t):
+        for rows, dim, f, _ in walk(n, t):
             assert (dim, f) == (pairwise_weyl_dim(rows), hook_length_count(rows)), rows
 
 
@@ -531,10 +537,9 @@ def test_shape_walk_counts_tableaux_through_multiplicity_su(monkeypatch):
                         lambda rows, *args: calls.append(rows) or count(rows, *args))
     for n, t in ((7, 4), (3, 9)):
         shapes = list(rep_core._shape_rows(n, t))
-        assert calls == [rows for rows, _, _ in shapes]
+        assert calls == [row[:t] for row in shapes]
         calls.clear()
-        assert list(rep_core._shape_rows(n, t, False)) == [(rows, dim, None)
-                                                           for rows, dim, _ in shapes]
+        assert list(rep_core._shape_rows(n, t, False)) == [row[:t + 1] for row in shapes]
         assert calls == []
 
 
@@ -563,7 +568,7 @@ def test_weight_runs_are_the_walk_by_its_last_two_levels(n, t):
                                for a in range(r, -1, -1)]
     assert [prefix + (a, r - a) for prefix, r, _ in runs for a in range(r, -1, -1)] == \
         [counts for counts, _, _ in rep_core._weight_walk(n, t)]
-    assert _weight_rows(n, 1) == [((n,), 1, 1, 1)]
+    assert _weight_rows(n, 1) == ((n, 1, 1, 1),)
 
 
 def test_row_generators_reach_large_t():
@@ -577,5 +582,5 @@ def test_row_generators_reach_large_t():
 
 
 def test_multinomials_stay_exact_when_huge():
-    mults = [mult for _, _, mult, _ in decompose("mp", 60, 2, 1).rows]
+    mults = [mult for *_, mult, _ in decompose("mp", 60, 2, 1).rows]
     assert mults == [comb(60, k) for k in range(61)]  # far past float precision
