@@ -86,7 +86,7 @@ def _p_rows(labels: Iterable[tuple[int, ...]], weights: Iterable[int],
                                 map(floordiv, repeat(total), den_gcds)))
 
 
-def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> CapacityReport:
+def block_capacity(n: int, t: int, l: RefSize) -> CapacityReport:
     """capacity(decompose("su", n, t, l)), block for block, without the
     decomposition: only the weights w_b = dim_b * eff_mult_b are made.
 
@@ -103,11 +103,10 @@ def block_capacity(model: Union[Model, str], n: int, t: int, l: RefSize) -> Capa
     sum d^2 must be the Cauchy total; and an unsaturated shape that the full
     walk does not hold after the one before, with the same d (its d^2 read
     back from its row as num (total / den)), raises ArithmeticError, naming
-    it.  Arguments and the block budget are checked as in decompose,
-    with the same messages; mp, whose every block weighs 1, is refused.
+    it.  Arguments and the block budget are checked as in su decompose,
+    with the same messages.
     """
-    if _admit(model, n, t, l) is Model.MULTI_PHASE:
-        raise ValueError("block_capacity weighs su shapes; every mp block weighs 1")
+    _admit("su", n, t, l)
     unsaturated = [] if l is UNBOUNDED else list(_shape_rows(n, t, l=l, prune=True))
     squares = su_square_sum(n, t)
     total = squares - _deficit(unsaturated)

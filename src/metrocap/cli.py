@@ -53,6 +53,17 @@ MAX_SCALING_POINTS = 10_000
 # report to seconds.
 MAX_SCALING_BITS = 1_000_000
 
+# Most conversion work a decompose report may take, in digit^2: the sum of
+# D^2 over the integers it writes, D a number's decimal digit count, as
+# _digit_work bounds it before any block is made.  CPython's int to str
+# conversion is quadratic in D, about 1.6e-11 s per digit^2 in whole
+# processes on a 2-vCPU Xeon VM (Python 3.11), and the bound is 1.7-2.7
+# times the real sum (1.7 near the budget).  So the budget admits su
+# n <= 2140 and mp n <= 1368 at t = 3 (CSV 5.8 s at 226 MiB and JSON 6.2 s
+# at 258 MiB, whole processes, the slowest admitted), and mp n <= 16403 and
+# su n <= 20665 at t = 2; at t >= 4 MAX_BLOCKS refuses first.
+MAX_DIGIT_WORK = 4 * 10**11
+
 # Most cells render formats and writes at once: a chunk holds
 # max(1, CHUNK_CELLS // width) rows of ``width`` cells each, 4096 rows of mp
 # decompose at t = 3.  A report is held whole only as what its builder reads
@@ -151,81 +162,48 @@ def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
     return {"schema": SCHEMA, "command": cfg.command, **echoed, **body}
 
 
-def _refuse_digits(log_largest: float, limit: int, what: str = "multiplicity") -> None:
-    """The refusal of a report whose largest multiplicity (or ``what``), of
-    natural log ``log_largest``, reaches 10^limit."""
-    digits = max(limit + 1, math.floor(log_largest / math.log(10)) + 1)
-    raise ValueError(f"the largest {what} has about {digits} digits, more than "
-                     f"the {limit} digits of the interpreter's limit for integer "
-                     f"string conversion (sys.get_int_max_str_digits())")
-
-
-def _refuse_by_estimate(model: Model, n: int, t: int, limit: int) -> None:
-    """Refuse a report, before its blocks are made, when one block it holds
-    surely reaches 10^limit: the balanced occupation's multinomial for mp,
-    or for su the two-row tableau count f_k = n! (n-2k+1) / (k! (n-k+1)!) at
-    its peak k* (f_{k+1} >= f_k exactly when (n-2k)^2 >= n+2).  The log of
-    that block from log-gamma is within 2e-9 of the exact one up to the
-    largest n the block budget admits, so a refusal, which needs it to clear
-    the limit by a whole digit (ln 10), is sound.  Inside that margin
-    _check_digits decides, and may name a larger block of another shape."""
+def _digit_work(model: Model, n: int, t: int, blocks: int) -> int:
+    """An upper bound, from closed forms, of sum D^2 over the dim, mult and
+    eff_mult cells of the decompose report of ``blocks`` blocks, D a cell's
+    decimal digit count.  Every mult is at most dim * mult <= t^n, of
+    floor(n log10 t) + 1 digits (the float product is within 1e-9 of the
+    exact log under the block budget, far less than the 1e-6 added).  Every
+    su dim, and eff_mult <= dim, is at most isqrt(C(n+t^2-1, t^2-1)), as
+    sum dim^2 is that Cauchy total, whose log _binomial_bits estimates within
+    a quarter of a digit: a whole digit of margin.  mp writes dim and eff_mult
+    as literals."""
+    mult = math.floor(n * math.log10(t) + 1e-6) + 1
     if model is Model.MULTI_PHASE:
-        q, extra = divmod(n, t)
-        log_block = (math.lgamma(n + 1) - extra * math.lgamma(q + 2)
-                     - (t - extra) * math.lgamma(q + 1))
-    else:
-        k = (n - math.isqrt(n + 1) + 1) // 2
-        log_block = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 2)
-                     + math.log(n - 2 * k + 1))
-    if log_block >= (limit + 1) * math.log(10):
-        _refuse_digits(log_block, limit)
-
-
-def _check_digits(dim: int, mult: int, limit: int) -> None:
-    """Refuse a report whose largest dim ``dim`` or largest multiplicity
-    ``mult`` reaches 10^limit, once its blocks are made and before any byte
-    is written: the one exact digit rule.  eff_mult <= dim needs no check of
-    its own."""
-    if max(dim, mult) >= 10**limit:
-        _refuse_digits(math.log(max(dim, mult)), limit,
-                       "dimension" if dim > mult else "multiplicity")
+        return blocks * mult * mult
+    dim = math.floor(_binomial_bits(n, t * t - 1) * math.log10(2) / 2) + 2
+    return blocks * (mult * mult + 2 * dim * dim)
 
 
 def _build_decompose(cfg: RunConfig) -> dict:
     """Every block as a row (*label, dim, mult, eff_mult), for su the flat
     rows of decompose as they are; for mp the row is (*label, mult), and dim
     and eff_mult, 1 in every block, are literals of the row template.  The
-    request is validated and its block budget checked
-    first, so that the digit rule only sees admitted requests; su's
-    decompose then admits it again, a small fraction of the walk's cost.
+    request is validated and its block budget and digit work
+    (_digit_work, at most MAX_DIGIT_WORK) checked first; su's decompose then
+    admits it again, a small fraction of the walk's cost.
     mp reads the runs of _weight_runs and holds no Decomposition or rows:
     their multinomials are checked to fill t^n, as decompose checks its
-    rows, before any byte is written.
-
-    Each dim and mult is at most dim * mult <= sum dim * mult = t^n, the
-    fill checked, so below 10^limit digits need no check, nor without a
-    limit (sys.get_int_max_str_digits() of 0, or an interpreter before
-    3.10.7 without it).  Else _refuse_by_estimate may refuse at once, and
-    _check_digits decides on the blocks."""
-    model = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    reach = limit and cfg.t**cfg.n >= 10**limit  # some block may reach the limit
-    if reach:
-        _refuse_by_estimate(model, cfg.n, cfg.t, limit)
+    rows, before any byte is written."""
+    model, blocks = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
+    work = _digit_work(model, cfg.n, cfg.t, blocks)
+    if work > MAX_DIGIT_WORK:
+        raise ValueError(f"the report's integers need about {work} digit^2 of decimal "
+                         f"conversion (the sum of their squared digit counts), more than "
+                         f"the budget of {MAX_DIGIT_WORK} (MAX_DIGIT_WORK)")
     label_column = ("label", _label(cfg.t))
     if model is Model.MULTI_PHASE:
         runs = list(_weight_runs(cfg.n, cfg.t))
-        mults = list(map(itemgetter(2), runs))
-        if sum(map(sum, mults)) != cfg.t**cfg.n:
+        if sum(map(sum, map(itemgetter(2), runs))) != cfg.t**cfg.n:
             raise ValueError("blocks do not fill the full space")
-        if reach:
-            _check_digits(1, max(map(max, mults)), limit)
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
         chunks = _chunks(chain.from_iterable(_run_rows(runs)), cfg.t + 1)
     else:
         rows = decompose(model, cfg.n, cfg.t, cfg.l).rows
-        if reach:
-            _check_digits(max(map(itemgetter(-3), rows)), max(map(itemgetter(-2), rows)), limit)
         columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
         chunks = _chunks(chain.from_iterable(rows), cfg.t + 3)
     return _report(cfg, "model n t l", {"entries": Table(columns, chunks)})
@@ -243,7 +221,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
         support, body = _support(cfg), {}
     else:
         label_column = ("label", _label(cfg.t))
-        if cfg.model == Model.MULTI_PHASE:
+        if Model(cfg.model) is Model.MULTI_PHASE:  # an unknown tag is refused as _admit does
             _admit(cfg.model, cfg.n, cfg.t, cfg.l)
             support = weight_count(cfg.n, cfg.t)
             runs = [(counts[:-1], counts[-1]) for counts, _, _ in _weight_walk(cfg.n, cfg.t - 1)]
@@ -253,7 +231,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
             columns = (label_column, ("p", f'"1/{support}"'))
             chunks = _chunks(chain.from_iterable(_run_rows(runs)), cfg.t)
         else:
-            r = cap.block_capacity(cfg.model, cfg.n, cfg.t, cfg.l)
+            r = cap.block_capacity(cfg.n, cfg.t, cfg.l)
             support = r.support
             columns = (label_column, ("p", '"%d/%d"'))
             chunks = _chunks(chain.from_iterable(r.p_rows), cfg.t + 2)
@@ -503,7 +481,18 @@ def run(config: RunConfig) -> int:
     builder = _BUILDERS.get(config.command)
     if builder is None:
         raise ValueError(f"unknown command {config.command!r}")
-    render(builder(config), config.format, sys.stdout.write)
+    report = builder(config)
+    # The interpreter's digit limit on int to str (none before CPython
+    # 3.10.7) is lifted for the report's integers, whose conversion work the
+    # builders bound, and put back on every way out; argv keeps it.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        render(report, config.format, sys.stdout.write)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 

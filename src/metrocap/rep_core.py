@@ -59,7 +59,10 @@ RefSize = Union[int, _UnboundedType]
 # The shape walk's dimension and tableau count take 1.8 us per shape at
 # n = 1000, t = 3, and 5.3 us at t = 3 near the budget (n = 3400, 5.2 s for
 # 965 034 shapes), where the multinomial it carries has grown to n log t
-# bits; the dimension alone takes 0.4 us.  JSON capacity reads the tableau
+# bits; the dimension alone takes 0.4 us.  su decompose stops short of
+# that: writing the integers of n = 3400, t = 3 (1.2 GB) takes 37 s, and
+# the CLI's digit-work budget (cli.MAX_DIGIT_WORK) refuses t = 3 past
+# n = 2140, as it refuses mp past n = 1368.  JSON capacity reads the tableau
 # count of the unsaturated shapes only and holds each shape only as its p
 # row, so a whole request at n = 3000, t = 3 (751 501 shapes) costs
 # 1.9-2.7 us per shape at l = 1 and unbounded alike and peaks at 207 MiB of
@@ -118,13 +121,14 @@ class Decomposition(_DecompositionFields):
         model = Model(model)  # a tag "mp" or "su" is its Model; any other is refused
         rows = tuple(rows)
         labels = [row[:-3] for row in rows]
+        for label, row in zip(labels, rows):  # before the duplicates: short rows share ()
+            if len(row) != t + 3:
+                raise ValueError(f"label {label} has {max(len(row) - 3, 0)} entries, "
+                                 f"expected t = {t}")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate irrep labels")
         partitions = model is Model.SPECIAL_UNITARY
         for label, row in zip(labels, rows):
-            if len(row) != t + 3:
-                raise ValueError(f"label {label} has {max(len(row) - 3, 0)} entries, "
-                                 f"expected t = {t}")
             dim, mult, eff = row[-3:]
             if min(label) < 0:
                 raise ValueError(f"negative entry in label {label}")
@@ -393,10 +397,8 @@ def _run_rows(runs: Iterable[tuple]) -> Iterator[Row]:
 
 def _weight_rows(n: int, t: int) -> tuple[Row, ...]:
     """mp block rows (*counts, 1, n! / prod counts!, 1) for every occupation
-    vector of n over t levels, in the order of _weight_walk: the runs of
-    _weight_runs expanded by _run_rows, for any t."""
-    if t == 1:
-        return ((n, 1, 1, 1),)
+    vector of n over t >= 2 levels, in the order of _weight_walk: the runs of
+    _weight_runs expanded by _run_rows."""
     return tuple(_run_rows((prefix, r, repeat(1), mults, repeat(1))
                            for prefix, r, mults in _weight_runs(n, t)))
 
@@ -426,7 +428,7 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     the fill sum dim * mult = t^n is checked, and ``Decomposition._make``
     builds the record without the row rules.
     """
-    model = _admit(model, n, t, l)
+    model, _ = _admit(model, n, t, l)
     if model is Model.MULTI_PHASE:
         rows = tuple(_weight_rows(n, t))
     else:
@@ -435,17 +437,20 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     return Decomposition._make((model, n, t, l, rows))
 
 
-def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
+def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> tuple[Model, int]:
     """Check a decomposition request's arguments and its block budget (the
-    model's block count: weights for mp, partitions for su).  The su count
-    stops once it passes a budget, and the refusal names the count reached."""
+    model's block count: weights for mp, partitions for su); returns the
+    model and its exact block count.  The su count stops once it passes a
+    budget, and the refusal names the count reached."""
     model = _check_config(model, n, t, l)
     if model is Model.MULTI_PHASE:
-        _check_block_budget(weight_count(n, t), t)
+        blocks = weight_count(n, t)
+        _check_block_budget(blocks, t)
     else:
         budget = min(MAX_BLOCKS, MAX_LABEL_ENTRIES // t)  # blocks * t > L iff blocks > L // t
-        _check_block_budget(partition_count(n, t, above=budget), t, exact=False)
-    return model
+        blocks = partition_count(n, t, above=budget)
+        _check_block_budget(blocks, t, exact=False)
+    return model, blocks
 
 
 def partition_count(n: int, t: int, widest: Optional[int] = None,

@@ -1,7 +1,8 @@
 """Mutation sweep of the exact walks, block_capacity's unsaturated rows and
 p reduction, the Renyi bracket, the oracle's Schur basis, the CLI's
-collector pause, closed-pipe descriptor, chunk writer, mp runs, digit rule
-and argv table reader: each listed fault must fail a test.
+collector pause, closed-pipe descriptor, chunk writer, mp runs, digit-work
+budget, lifted digit limit and argv table reader: each listed fault must
+fail a test.
 
 Run from anywhere, with pytest and hypothesis installed:
 
@@ -197,19 +198,21 @@ MUTANTS = [
            "the row width counted one field short: a chunk's cells are read as more rows",
            tests=CLI_TESTS),
     # The CLI's mp reports from the runs, and their checks before any byte.
-    Mutant("cli.py", "if sum(map(sum, mults)) != cfg.t**cfg.n:", "if False:",
+    Mutant("cli.py", "if sum(map(sum, map(itemgetter(2), runs))) != cfg.t**cfg.n:", "if False:",
            "mp decompose writes runs whose multinomials do not fill t^n", tests=CLI_TESTS),
     Mutant("cli.py", "if blocks != support:", "if False:",
            "mp JSON capacity writes runs that miss a label", tests=CLI_TESTS),
-    # decompose's digit rule: the t^n skip, the early refusal, the row scan.
-    Mutant("cli.py", "cfg.t**cfg.n >= 10**limit", "cfg.t**cfg.n < 10**limit",
-           "the t^n skip inverted: the rule runs only where no entry can reach the limit",
-           tests=CLI_TESTS),
-    Mutant("cli.py", ">= (limit + 1) * math.log(10)", ">= (limit - 1) * math.log(10)",
-           "the early refusal's margin drops below the limit: blocks a digit short are refused",
-           tests=CLI_TESTS),
-    Mutant("cli.py", "        if reach:\n            _check_digits(1, max(map(max, mults)), limit)\n",
-           "", "the multinomial scan never runs for mp", tests=CLI_TESTS),
+    # decompose's digit-work budget, and the digit limit lifted for render.
+    Mutant("cli.py", "if work > MAX_DIGIT_WORK:", "if work <= MAX_DIGIT_WORK:",
+           "the budget comparison inverted: only the reports over the budget are written",
+           tests=(f"{CLI_TESTS[0]}::test_digit_work_budget_exits_2_at_once",)),
+    Mutant("cli.py", "work = _digit_work(model, cfg.n, cfg.t, blocks)", "work = 0",
+           "the estimate dropped: every report under the block budget is written",
+           tests=(f"{CLI_TESTS[0]}::test_digit_work_budget_exits_2_at_once",)),
+    Mutant("cli.py", "sys.set_int_max_str_digits(0)", "pass",
+           "the limit not lifted: a report's integers past the interpreter's limit fail "
+           "in render", tests=(f"{CLI_TESTS[0]}::test_reports_are_the_same_bytes_under_any_"
+                               "digit_limit",)),
     # The argv table reader: what it must leave to argparse.
     Mutant("cli.py", "if flag is None or flag.dest in values or", "if flag is None or",
            "a repeated flag is read, where canonical argv give each flag once",

@@ -22,9 +22,9 @@ from the Gram matrix of the coded states and its eigensolve
 
 The shapes themselves come one at a time from ``partition_rows``, whose
 order the walk must keep; the occupation vectors from ``weight_vectors``.
-The largest dim or multiplicity of a whole decomposition, which the CLI's
-digit rule must refuse exactly past the interpreter's limit, is brute force
-over both (``largest_block_entry``).
+The conversion work of a decompose report, the sum of squared digit counts
+of the integers it writes, which the CLI's closed-form estimate must bound,
+is brute force over both (``digit_work``).
 
 Three counts check the shape walk's dimensions and tableau counts through
 Robinson-Schensted-Knuth, with no hook-length or Weyl formula: over shapes of
@@ -116,9 +116,8 @@ def pairwise_weyl_dim(rows) -> int:
     for i in range(t):
         if not rows[i]:
             break
-        for j in range(i + 1, t):
-            num *= rows[i] - rows[j] + j - i
-            den *= j - i
+        num *= math.prod(rows[i] - rows[j] + j - i for j in range(i + 1, t))
+        den *= math.prod(range(1, t - i))  # j - i for j = i+1 .. t-1
     assert num % den == 0
     return num // den
 
@@ -156,13 +155,16 @@ def weight_vectors(n: int, t: int) -> Iterator[tuple[int, ...]]:
         yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
 
 
-def largest_block_entry(model: str, n: int, t: int) -> int:
-    """The largest dim or multiplicity of any block of (n, t): for mp the
-    factorial multinomial of every occupation vector (each dim is 1), for su
-    the pairwise Weyl dimension and hook-length count of every partition."""
+def digit_work(model: str, n: int, t: int) -> int:
+    """Sum of D^2 over the integers a decompose report of (n, t) with an
+    unbounded reference writes, D an integer's decimal digit count: for mp
+    the factorial multinomial of every occupation vector (its dim and
+    eff_mult are the literal 1), for su every partition's pairwise Weyl
+    dimension, twice (eff_mult = dim), and its hook-length count.  A finite
+    reference writes eff_mult <= dim, so no more."""
     if model == "mp":
-        return max(map(factorial_multinomial, weight_vectors(n, t)))
-    return max(max(pairwise_weyl_dim(rows), hook_length_count(rows))
+        return sum(len(str(factorial_multinomial(c))) ** 2 for c in weight_vectors(n, t))
+    return sum(2 * len(str(pairwise_weyl_dim(rows))) ** 2 + len(str(hook_length_count(rows))) ** 2
                for rows in partition_rows(n, t))
 
 

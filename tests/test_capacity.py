@@ -103,7 +103,7 @@ def test_capacity_optimal_p_exact():
     assert sum(optimal_p(r).values()) == 1
     # weights 16 and 4 of 20: each p reduced by its own gcd, 4 and 4
     assert capacity(decompose("su", 3, 2, UNBOUNDED)).p_rows == ((3, 0, 4, 5), (2, 1, 1, 5))
-    assert block_capacity("su", 3, 2, UNBOUNDED).p_rows == ((3, 0, 4, 5), (2, 1, 1, 5))
+    assert block_capacity(3, 2, UNBOUNDED).p_rows == ((3, 0, 4, 5), (2, 1, 1, 5))
 
 
 @pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 3), ("su", 2), ("su", 3)])
@@ -123,8 +123,7 @@ def test_capacity_support_matches_enumeration(model, n, t, l):
 def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     """One wrong Weyl dimension from the shape walk moves sum d^2 off the
     Cauchy total, and sum d f off t^n in decompose; one lost weight moves
-    sum mult off t^n: all raise.  block_capacity weighs su shapes only and
-    refuses mp, whose labels the CLI writes from the weight runs."""
+    sum mult off t^n: all raise."""
     walk = rep_core._shape_rows
 
     def wrong_dim(n, t, *args, **kwargs):  # the full walk and the pruned one
@@ -135,11 +134,9 @@ def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
         monkeypatch.setattr(module, "_shape_rows", wrong_dim)
     for l in (UNBOUNDED, 3):
         with pytest.raises(ArithmeticError, match="Cauchy total"):
-            block_capacity("su", 6, 3, l)
+            block_capacity(6, 3, l)
         with pytest.raises(ValueError, match="do not fill"):
             decompose("su", 6, 3, l)
-    with pytest.raises(ValueError, match="block_capacity weighs su shapes"):
-        block_capacity("mp", 6, 3, 1)
     rows = rep_core._weight_rows
     monkeypatch.setattr(rep_core, "_weight_rows", lambda n, t: list(rows(n, t))[1:])
     with pytest.raises(ValueError, match="do not fill"):
@@ -160,7 +157,7 @@ def test_block_capacity_matches_capacity_of_decompose(t):
     for n in BLOCK_CAPACITY_GRID[t]:
         for l in (1, 2, 3, UNBOUNDED):
             d = decompose("su", n, t, l)
-            assert block_capacity("su", n, t, l) == capacity(d), (n, t, l)
+            assert block_capacity(n, t, l) == capacity(d), (n, t, l)
             if l is not UNBOUNDED:
                 exact += sum(l * mult == dim for *_, dim, mult, _ in d.rows)
     assert exact
@@ -209,18 +206,18 @@ def test_block_capacity_refuses_an_unsaturated_shape_it_does_not_meet(monkeypatc
     monkeypatch.setattr(capacity_module, "_shape_rows", pruned_with_a_stray)
     shape = r"\(6, 0, 0\) of dimension 29" if where == "dim" else r"\(4, 3, 0\) of dimension 1"
     with pytest.raises(ArithmeticError, match=f"unsaturated shape {shape} is not among"):
-        block_capacity("su", 6, 3, 1)
-    block_capacity("su", 6, 3, UNBOUNDED)  # no pruned walk at an unbounded reference
+        block_capacity(6, 3, 1)
+    block_capacity(6, 3, UNBOUNDED)  # no pruned walk at an unbounded reference
 
 
 def test_block_capacity_validates_like_decompose():
-    for args in [("xx", 3, 2, 1), ("su", 0, 2, 1), ("mp", 3, 1, 1), ("su", 3, 2, 0)]:
+    for args in [(0, 2, 1), (3, 1, 1), (3, 2, 0)]:
         with pytest.raises(ValueError) as want:
-            decompose(*args)
+            decompose("su", *args)
         with pytest.raises(ValueError, match=str(want.value)):
             block_capacity(*args)
     with pytest.raises(ValueError, match="MAX_BLOCKS"):
-        block_capacity("su", 2000, 4, 1)
+        block_capacity(2000, 4, 1)
 
 
 def test_capacity_support_validates_like_decompose():

@@ -22,9 +22,9 @@ from metrocap.capacity import capacity, log_integer
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import (
+    digit_work,
     factorial_multinomial,
     hook_length_count,
-    largest_block_entry,
     pairwise_weyl_dim,
     partition_rows,
     report_to_csv,
@@ -532,219 +532,59 @@ def test_block_budget_exits_2_at_once(capsys, argv, count):
     assert err.startswith("error:") and count in err and "1000000" in err
 
 
-def test_unwritable_mp_multiplicities_exit_2_at_once(capsys):
-    """C(14292, 7146) has 4301 digits, one past the interpreter's default
-    limit for integer string conversion: decompose refuses before writing
-    any byte, naming both counts, and admits n = 14291.  The capacity report
-    writes no multiplicity and still runs."""
-    argv = ["decompose", "--model", "mp", "--n", "14292", "--t", "2"]
-    for extra in ([], ["--format", "csv"]):
+def test_digit_work_budget_exits_2_at_once(capsys):
+    """Reports whose integers would take more than MAX_DIGIT_WORK digit^2 to
+    convert are refused before any block is made, naming the estimate: for
+    mp the blocks C(n+t-1, t-1) times the squared digits of t^n (30103 of
+    2^100000, 668 of 3^1400, 4939 of 2^16404).  Without the budget su
+    n = 3400, t = 3 wrote 1.2 GB in 37 s.  mp n = 16403, t = 2, of estimate
+    16404 * 4938^2, just under the budget, is admitted; the boundary is
+    checked first, on the builder alone, which writes nothing."""
+    cli._build_decompose(RunConfig("decompose", "mp", 16403, 2))
+    with pytest.raises(ValueError, match="MAX_DIGIT_WORK"):
+        cli._build_decompose(RunConfig("decompose", "mp", 16404, 2))
+    refused = [
+        (["decompose", "--model", "mp", "--n", "16404", "--t", "2"], 16405 * 4939**2),
+        (["decompose", "--model", "mp", "--n", "100000", "--t", "2"], 100001 * 30103**2),
+        (["decompose", "--model", "mp", "--n", "1400", "--t", "3"], math.comb(1402, 2) * 668**2),
+        (["decompose", "--model", "su", "--n", "3400", "--t", "3", "--format", "csv"], None),
+    ]
+    for argv, work in refused:
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, argv + extra)
-        assert time.perf_counter() - start < 0.5
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert err == ("error: the largest multiplicity has about 4301 digits, more than the "
-                       "4300 digits of the interpreter's limit for integer string conversion "
-                       "(sys.get_int_max_str_digits())\n")
-    cli._build_decompose(RunConfig("decompose", "mp", 14291, 2))
-    code, out, err = run_cli(capsys, ["capacity", "--model", "mp", "--n", "14292", "--t", "2"])
-    assert (code, err) == (0, "")
-    assert json.loads(out)["support"] == "14293"
-
-
-def test_multiplicity_digit_check_is_exact(capsys):
-    """Under a limit of 640 digits, mp decompose at t = 2 refuses exactly
-    from the first n where the balanced multinomial, by brute factorials,
-    reaches 10^640; every weight's is compared on both sides of the boundary,
-    and the request below it is written in full."""
-    limit = 640
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        def balanced(n):
-            return factorial_multinomial((n - n // 2, n // 2))
-
-        lo, hi = 1, 4000  # balanced(lo) < 10^limit <= balanced(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if balanced(mid) < 10**limit else (lo, mid)
-        assert hi > 100
-        # the balanced weight is the largest: every weight's multinomial, by brute factorials
-        assert max(factorial_multinomial((k, hi - k)) for k in range(hi + 1)) >= 10**limit
-        assert max(factorial_multinomial((k, lo - k)) for k in range(lo + 1)) < 10**limit
-        argv = ["decompose", "--model", "mp", "--t", "2", "--format", "csv", "--n"]
-        code, out, err = run_cli(capsys, argv + [str(lo)])
-        assert (code, err) == (0, "") and len(out.splitlines()) == lo + 2
-        code, out, err = run_cli(capsys, argv + [str(hi)])
-        assert (code, out) == (2, "")
-        assert err == ("error: the largest multiplicity has about 641 digits, more than the "
-                       "640 digits of the interpreter's limit for integer string conversion "
-                       "(sys.get_int_max_str_digits())\n")
-    finally:
-        sys.set_int_max_str_digits(before)
-
-
-def test_unwritable_su_multiplicities_exit_2_at_once(capsys):
-    """The largest two-row tableau count at n = 14299 has 4301 digits, and
-    at n = 14298 4300: su decompose at t = 2 refuses from 14299 on before
-    writing any byte, where it used to enumerate for 20 s and then fail.  At
-    n = 20000 the message names the peak count's own 6017 digits."""
-    argv = ["decompose", "--model", "su", "--n", "14299", "--t", "2"]
-    for extra in ([], ["--format", "csv"]):
-        start = time.perf_counter()
-        code, out, err = run_cli(capsys, argv + extra)
-        assert time.perf_counter() - start < 0.5
-        assert (code, out) == (2, "")
-        assert err == ("error: the largest multiplicity has about 4301 digits, more than the "
-                       "4300 digits of the interpreter's limit for integer string conversion "
-                       "(sys.get_int_max_str_digits())\n")
-    cli._build_decompose(RunConfig("decompose", "su", 14298, 2))
-    code, out, err = run_cli(capsys, ["decompose", "--model", "su", "--n", "20000", "--t", "2"])
-    assert (code, out) == (2, "") and "about 6017 digits" in err
-
-
-def test_tableau_digit_check_is_exact(capsys):
-    """Under a limit of 640 digits, su decompose refuses exactly from the
-    first n where some two-row tableau count, n! (n-2k+1) / (k! (n-k+1)!)
-    by brute factorials over every k, reaches 10^640.  At t = 2 these are all
-    the multiplicities: the request below the boundary is written in full.
-    At t = 3 the same request is refused too; its two-row peak is inside the
-    early refusal's margin, so the rows decide, and the message names the
-    largest count, a longer shape's."""
-    limit = 640
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        factorials = [1]
-        for m in range(1, 4002):
-            factorials.append(factorials[-1] * m)
-
-        def reaches(n):  # f_k >= 10^limit for some k, without a division
-            return any(factorials[n] * (n - 2 * k + 1)
-                       >= 10**limit * factorials[k] * factorials[n - k + 1]
-                       for k in range(n // 2, -1, -1))
-
-        lo, hi = 1, 4000  # not reaches(lo), reaches(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if reaches(mid) else (mid, hi)
-        assert hi > 100
-        argv = ["decompose", "--model", "su", "--format", "csv", "--n"]
-        code, out, err = run_cli(capsys, argv + [str(lo), "--t", "2"])
-        assert (code, err) == (0, "") and len(out.splitlines()) == lo // 2 + 2
-        code, out, err = run_cli(capsys, argv + [str(hi), "--t", "2"])
-        assert (code, out) == (2, "")
-        assert err == ("error: the largest multiplicity has about 641 digits, more than the "
-                       "640 digits of the interpreter's limit for integer string conversion "
-                       "(sys.get_int_max_str_digits())\n")
-        code, out, err = run_cli(capsys, argv + [str(hi), "--t", "3"])
-        assert (code, out) == (2, "") and "more than the 640 digits" in err
-        assert int(err.split("about ")[1].split()[0]) > 641
-    finally:
-        sys.set_int_max_str_digits(before)
-
-
-def _check_digit_rule_at_small_limits(monkeypatch, model, sizes):
-    """For every (t, n) of ``sizes`` and every limit up to one past the
-    digits of the largest dim or multiplicity (tests/reference.py, by brute
-    force), decompose's builder refuses exactly when that largest entry
-    reaches 10^limit, naming the limit.  The skip, the early refusal and the
-    row scan together decide; the limits patched down to a few digits keep
-    the walks small."""
-    for t, top in sizes:
-        for n in range(1, top + 1):
-            largest = largest_block_entry(model, n, t)
-            for limit in range(1, len(str(largest)) + 2):
-                monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
-                cfg = RunConfig("decompose", model, n, t)
-                if largest >= 10**limit:
-                    with pytest.raises(ValueError, match=f"more than the {limit} digits"):
-                        cli._build_decompose(cfg)
-                else:
-                    cli._build_decompose(cfg)
-
-
-def test_multiplicity_digit_check_is_exact_at_small_limits(monkeypatch):
-    """The digit rule for mp, at t = 2, 3, 4 and patched limits.  At the
-    limit one below the largest multinomial's digits the estimate of the
-    balanced occupation is inside its margin, so only the row scan refuses."""
-    _check_digit_rule_at_small_limits(monkeypatch, "mp", [(2, 60), (3, 30), (4, 16)])
-
-
-def test_tableau_digit_check_is_exact_at_small_limits(monkeypatch):
-    """The digit rule for su, at t = 2, 3, 4 and patched limits: at t >= 3
-    the largest entry is often a longer shape's count or a dimension, which
-    only the row scan sees."""
-    _check_digit_rule_at_small_limits(monkeypatch, "su", [(2, 80), (3, 30), (4, 18)])
+        estimate = int(re.fullmatch(
+            r"error: the report's integers need about (\d+) digit\^2 of decimal conversion "
+            r"\(the sum of their squared digit counts\), more than the budget of "
+            r"400000000000 \(MAX_DIGIT_WORK\)\n", err)[1])
+        assert estimate > cli.MAX_DIGIT_WORK == 4 * 10**11
+        assert work is None or estimate == work
 
 
 @pytest.mark.parametrize("model", ["mp", "su"])
 def test_early_digit_refusal_is_sound(model):
-    """Whenever the log-gamma estimate refuses before the walk, the largest
-    entry, by brute force (tests/reference.py), reaches 10^limit; the grid
-    holds both refusals and passes.  Past the brute sizes, up to n = 2400 at
-    t = 2, the estimated block itself, by exact binomials (the balanced
-    C(n, n//2); the two-row peak C(n, k) - C(n, k-1), the largest of them),
-    reaches 10^limit whenever a limit of 640 digits is refused."""
-    outcomes = set()
-    for t, top in ((2, 60), (3, 24), (4, 14), (5, 10)):
-        for n in range(1, top + 1):
-            largest = largest_block_entry(model, n, t)
-            for limit in range(1, len(str(largest)) + 2):
-                try:
-                    cli._refuse_by_estimate(rep_core.Model(model), n, t, limit)
-                    outcomes.add("pass")
-                except ValueError as exc:
-                    assert largest >= 10**limit, (n, t, limit, str(exc))
-                    outcomes.add("refuse")
-    assert outcomes == {"pass", "refuse"}
-    outcomes = set()
-    for n in range(2000, 2401, 8):
-        binomials = [1]  # C(n, k) for k = 0 .. n // 2
-        for k in range(1, n // 2 + 1):
-            binomials.append(binomials[-1] * (n - k + 1) // k)
-        if model == "mp":
-            block = binomials[-1]
-        else:
-            block = max(map(int.__sub__, binomials[1:], binomials))
-        try:
-            cli._refuse_by_estimate(rep_core.Model(model), n, 2, 640)
-            outcomes.add("pass")
-        except ValueError:
-            assert block >= 10**640, n
-            outcomes.add("refuse")
-    assert outcomes == {"pass", "refuse"}
-
-
-def test_unwritable_su_rows_exit_2_before_any_byte(capsys, monkeypatch):
-    """Under a limit of 20 digits, the largest two-row tableau count at
-    n = 50, t = 3 has 14 digits, which the two-row check admits, and the
-    largest three-row count 21: decompose refuses once the rows are made,
-    before writing.  At n = 49 the largest count has 20 digits and is
-    written.  At n = 10, t = 100 a dimension (17 digits) outgrows every
-    multiplicity (3), and the refusal names it."""
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 20)
-    argv = ["decompose", "--model", "su", "--t", "3", "--n"]
-    code, out, err = run_cli(capsys, argv + ["50"])
-    assert (code, out) == (2, "")
-    assert err == ("error: the largest multiplicity has about 21 digits, more than the "
-                   "20 digits of the interpreter's limit for integer string conversion "
-                   "(sys.get_int_max_str_digits())\n")
-    code, out, err = run_cli(capsys, argv + ["49"])
-    assert (code, err) == (0, "")
-    assert max(len(e["mult"]) for e in json.loads(out)["entries"]) == 20
-    argv = ["decompose", "--model", "su", "--n", "10", "--t", "100"]
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 16)
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out) == (2, "") and "the largest dimension has about 17 digits" in err
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 17)
-    assert run_cli(capsys, argv)[::2] == (0, "")
+    """The digit-work estimate, made before any block exists, is at least
+    the sum of squared digit counts of the integers decompose writes, by
+    brute force (tests/reference.py), on a grid from one block to large n
+    and, for su, t = 1000; at the larger sizes it is within a factor of 4
+    of it."""
+    grid = {2: (1, 2, 3, 10, 99, 400), 3: (1, 2, 5, 31, 90), 4: (1, 3, 12, 30), 5: (1, 4, 16, 25)}
+    if model == "su":
+        grid[1000] = (20,)
+    for t, sizes in grid.items():
+        for n in sizes:
+            admitted, blocks = rep_core._admit(model, n, t, UNBOUNDED)
+            estimate, real = cli._digit_work(admitted, n, t, blocks), digit_work(model, n, t)
+            assert real <= estimate, (n, t, real, estimate)
+            if n >= 90:
+                assert estimate <= 4 * real, (n, t, real, estimate)
 
 
 @pytest.mark.parametrize("model", ["mp", "su"])
 def test_decompose_runs_without_int_max_str_digits(capsys, monkeypatch, model):
     """Interpreters before 3.10.7 have no sys.get_int_max_str_digits and no
-    limit: the digit checks pass, and the report is the same bytes."""
+    limit: run lifts none, and the report is the same bytes."""
     argv = ["decompose", "--model", model, "--n", "5", "--t", "3", "--l", "2"]
     with_limit = run_cli(capsys, argv)
     assert with_limit[0] == 0
@@ -752,22 +592,36 @@ def test_decompose_runs_without_int_max_str_digits(capsys, monkeypatch, model):
     assert run_cli(capsys, argv) == with_limit
 
 
-def test_no_digit_limit_writes_what_a_limit_refuses(capsys):
-    """Under a limit of 0 (none), decompose writes in full the requests that a
-    limit of 640 digits refuses: every weight or two-row shape at n = 2200."""
+@pytest.mark.parametrize("argv,code,digits", [
+    (["decompose", "--model", "mp", "--n", "2200", "--t", "2", "--format", "csv"], 0, 661),
+    (["decompose", "--model", "su", "--n", "2200", "--t", "2"], 0, 659),
+    (["decompose", "--model", "su", "--n", "14299", "--t", "2", "--format", "csv"], 0, 4301),
+    (["decompose", "--model", "su", "--n", "40", "--t", "4", "--l", "2"], 0, 19),
+    (["capacity", "--model", "mp", "--n", "14292", "--t", "2"], 0, 15),
+    (["capacity", "--model", "su", "--n", "30", "--t", "3", "--l", "2"], 0, 15),
+    (["bounds", "--model", "mp", "--n", "1" + "0" * 600, "--t", "2"], 0, 601),
+    (["decompose", "--model", "mp", "--n", "1400", "--t", "3"], 2, 12),
+], ids=["mp-2200", "su-2200", "su-14299", "su-40-t4", "capacity-mp", "capacity-su", "bounds",
+        "refused"])
+def test_reports_are_the_same_bytes_under_any_digit_limit(capsys, argv, code, digits):
+    """The interpreter's limit on int to str digits, 0 (none), 640 or the
+    default of 4300, decides nothing: the request gives the same stdout,
+    stderr and exit code under all three, its longest run of digits
+    ``digits`` long: past 640 (C(2200, 1100) has 661) and, at su n = 14299,
+    t = 2, past 4300.  The limit is back as it was after each."""
     before = sys.get_int_max_str_digits()
+    outputs = []
     try:
-        for model, rows in (("mp", 2201), ("su", 1101)):
-            argv = ["decompose", "--model", model, "--n", "2200", "--t", "2", "--format", "csv"]
-            sys.set_int_max_str_digits(640)
-            code, out, err = run_cli(capsys, argv)
-            assert (code, out) == (2, "") and "more than the 640 digits" in err
-            sys.set_int_max_str_digits(0)
-            code, out, err = run_cli(capsys, argv)
-            assert (code, err) == (0, "") and len(out.splitlines()) == rows + 1
-            assert max(len(line.split(",")[-2]) for line in out.splitlines()[1:]) > 640
+        for limit in (0, 640, 4300):
+            sys.set_int_max_str_digits(limit)
+            outputs.append(run_cli(capsys, argv))
+            assert sys.get_int_max_str_digits() == limit
     finally:
         sys.set_int_max_str_digits(before)
+    assert outputs[0] == outputs[1] == outputs[2]
+    status, out, err = outputs[0]
+    assert status == code
+    assert max(map(len, re.findall(r"\d+", out + err))) == digits
 
 
 @pytest.mark.parametrize("command", ["decompose", "capacity"])
@@ -1245,6 +1099,17 @@ def _crash(cfg):
     raise RuntimeError("not a refusal")
 
 
+def _crash_in_render(cfg):
+    """A report whose rows fail once render reads them, while the digit
+    limit is lifted."""
+    def cells():
+        assert sys.get_int_max_str_digits() == 0
+        raise RuntimeError("not a refusal, while writing")
+        yield
+
+    return cli._report(cfg, "model", {"rows": Table((("n", "%d"),), cells())})
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: every write raises BrokenPipeError.
     Its file descriptor is one the caller opened, which main points at
@@ -1262,27 +1127,41 @@ class _ClosedPipe:
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
-    """main pauses the cyclic collector for the request and puts back the
-    state it found on every way out: exit 0, a refusal (exit 2), a closed
-    pipe (exit 1), and an error that is not a refusal."""
-    was = gc.isenabled()
+    """main pauses the cyclic collector for the request, and run lifts the
+    interpreter's digit limit (here 640 digits, or 0 for none) while the
+    report is written; both are put back as found on every way out: exit 0,
+    a refusal (exit 2), a closed pipe while writing (exit 1), argparse's
+    refusal, and an error that is not a refusal, in the builder or while
+    writing."""
+    was, before = gc.isenabled(), sys.get_int_max_str_digits()
+    limit = 640 if enabled else 0
     fd = os.open(os.devnull, os.O_WRONLY)
+
+    def as_found():
+        return gc.isenabled() is enabled and sys.get_int_max_str_digits() == limit
+
     try:
         (gc.enable if enabled else gc.disable)()
+        sys.set_int_max_str_digits(limit)
         assert main(["capacity", "--model", "mp", "--n", "3"]) == 0
-        assert gc.isenabled() is enabled
+        assert as_found()
         assert main(["decompose", "--model", "mp", "--n", "0"]) == 2
-        assert gc.isenabled() is enabled
+        assert as_found()
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", _ClosedPipe(fd))
             assert main(["capacity", "--model", "mp", "--n", "3"]) == 1
-        assert gc.isenabled() is enabled
-        monkeypatch.setitem(cli._BUILDERS, "capacity", _crash)
-        with pytest.raises(RuntimeError, match="not a refusal"):
-            main(["capacity", "--model", "mp", "--n", "3"])
-        assert gc.isenabled() is enabled
+        assert as_found()
+        with pytest.raises(SystemExit):
+            main(["capacity", "--model", "mp"])
+        assert as_found()
+        for builder, message in ((_crash, "not a refusal$"), (_crash_in_render, "while writing")):
+            monkeypatch.setitem(cli._BUILDERS, "capacity", builder)
+            with pytest.raises(RuntimeError, match=message):
+                main(["capacity", "--model", "mp", "--n", "3"])
+            assert as_found()
     finally:
         (gc.enable if was else gc.disable)()
+        sys.set_int_max_str_digits(before)
         os.close(fd)
 
 

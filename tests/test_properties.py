@@ -109,9 +109,10 @@ def test_pruned_shape_walk_is_the_filtered_walk(n, t, l):
 
 
 @SMALL
-@given(counts=st.lists(st.integers(0, 6), min_size=1, max_size=5))
+@given(counts=st.lists(st.integers(0, 6), min_size=2, max_size=5))
 def test_multinomial_matches_factorials(counts):
-    """The multinomial of any one occupation vector, in its weight row."""
+    """The multinomial of any one occupation vector of t >= 2 levels, in its
+    weight row."""
     counts = tuple(counts)
     (mult,) = [row[-2] for row in _weight_rows(sum(counts), len(counts))
                if row[:-3] == counts]
@@ -119,7 +120,7 @@ def test_multinomial_matches_factorials(counts):
 
 
 @SMALL
-@given(n=st.integers(0, 25), t=st.integers(1, 5))
+@given(n=st.integers(0, 25), t=st.integers(2, 5))
 def test_incremental_multinomials_match_factorials(n, t):
     """Each weight's multinomial, updated from the one before, is exact."""
     for *counts, _, mult, _ in _weight_rows(n, t):

@@ -391,12 +391,14 @@ def test_decomposition_applies_every_block_check_to_rows(rows, message):
      r"label \(2, 0, 0\) has 3 entries, expected t = 2"),
     ("mp", [(2, 1, 4, 1)], r"label \(2,\) has 1 entries, expected t = 2"),
     ("su", [(1, 4, 1)], r"label \(\) has 0 entries, expected t = 2"),
+    ("mp", [(1, 1, 1), (2, 1, 1)], r"label \(\) has 0 entries, expected t = 2"),
     ("mp", [(5, 0, 1, 2, 1), (0, 7, 1, 2, 1)], r"label \(5, 0\) sums to 5, expected n = 2"),
     ("su", [(2, 0, 3, 1, 3), (1, 0, 1, 1, 1)], r"label \(1, 0\) sums to 1, expected n = 2"),
-], ids=["longer", "shorter", "empty", "mp-sum", "su-sum"])
+], ids=["longer", "shorter", "empty", "empty-twice", "mp-sum", "su-sum"])
 def test_decomposition_checks_labels_against_n_and_t(model, rows, message):
     """Every label has t entries summing to n: a label of another length,
-    the empty one included, or of another sum is refused, naming it."""
+    the empty one included, or of another sum is refused, naming it.  The
+    lengths come before the duplicates: two short rows share the label ()."""
     with pytest.raises(ValueError, match=message):
         Decomposition(model, 2, 2, 1, rows)
 
@@ -558,8 +560,7 @@ def test_weight_runs_are_the_walk_by_its_last_two_levels(n, t):
     """Each run is one occupation vector (prefix, r) of the walk over t-1
     levels, in its order, with the multinomials of its blocks prefix + (a, r-a),
     a = r .. 0: its own multinomial times the binomial row C(r, .), by
-    factorials.  Together the runs are the walk over t levels.  t = 1 has
-    no last two levels; its one row is the vector (n,)."""
+    factorials.  Together the runs are the walk over t levels."""
     runs = list(rep_core._weight_runs(n, t))
     assert [prefix + (r,) for prefix, r, _ in runs] == \
         [counts for counts, _, _ in rep_core._weight_walk(n, t - 1)]
@@ -568,7 +569,6 @@ def test_weight_runs_are_the_walk_by_its_last_two_levels(n, t):
                                for a in range(r, -1, -1)]
     assert [prefix + (a, r - a) for prefix, r, _ in runs for a in range(r, -1, -1)] == \
         [counts for counts, _, _ in rep_core._weight_walk(n, t)]
-    assert _weight_rows(n, 1) == ((n, 1, 1, 1),)
 
 
 def test_row_generators_reach_large_t():
