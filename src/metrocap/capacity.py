@@ -9,20 +9,20 @@ is correctly rounded no matter how large n gets.
 weight runs); ``capacity_support`` gives the support alone
 (``bounds``, ``capacity`` in CSV and every ``scaling`` row), and
 ``scaling_fit`` the slope of a sweep.  ``capacity`` computes the same report
-from a whole decomposition: the slow route the other two are tested against.
-Every su shape, the unsaturated ones of the finite-l support included, comes
-with its dimension, and with its tableau count where one is read, from the
-one shape walk of rep_core.
+from a whole decomposition, with a reduction of its own: the slow route the
+other two are tested against.  Every su shape, the unsaturated ones of the
+finite-l support included, comes with its dimension, and with its tableau
+count where one is read, from the one shape walk of rep_core;
+block_capacity weighs, merges and checks each shape in one pass as the walk
+yields it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import repeat, tee
 from math import comb, gcd
-from operator import add, floordiv, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .rep_core import (
     UNBOUNDED,
@@ -67,23 +67,11 @@ def capacity(decomp: Decomposition) -> CapacityReport:
     w_b = dim_b * eff_mult_b; it is returned exactly, reduced by gcd.  Value
     is in nats.
     """
-    rows = decomp.rows
-    weights = list(map(mul, map(itemgetter(-3), rows), map(itemgetter(-1), rows)))
+    weights = [row[-3] * row[-1] for row in decomp.rows]
     total = sum(weights)
-    p_rows = tuple(_p_rows(map(itemgetter(slice(None, -3)), rows), weights, total))
+    p_rows = tuple(row[:-3] + (w // gcd(w, total), total // gcd(w, total))
+                   for row, w in zip(decomp.rows, weights))
     return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
-
-
-def _p_rows(labels: Iterable[tuple[int, ...]], weights: Iterable[int],
-            total: int) -> Iterator[tuple[int, ...]]:
-    """The flat rows (*label, w / g, total / g), g = gcd(w, total), of blocks
-    with these labels and weights w, in order: p = w / total in lowest terms,
-    made by C-level maps, with no Python loop per block.  Each input is read
-    once, as the rows are; the tees hold one item at a time."""
-    weights, reduced = tee(weights)
-    gcds, den_gcds = tee(map(gcd, reduced, repeat(total)))
-    return map(add, labels, zip(map(floordiv, weights, gcds),
-                                map(floordiv, repeat(total), den_gcds)))
 
 
 def block_capacity(n: int, t: int, l: RefSize) -> CapacityReport:
@@ -94,37 +82,38 @@ def block_capacity(n: int, t: int, l: RefSize) -> CapacityReport:
     saturates (l f >= d, every shape with an unbounded reference), else
     d l f.  The total is the support: the Cauchy total C(n+t^2-1, t^2-1)
     less the deficit of the unsaturated shapes, which the pruned walk gives
-    with their d and f, as capacity_support has it.  So each p row is made
-    as the full shape walk (without the multinomial) yields its shape, with
-    w = d^2, and no shape is held but as its p row; then the unsaturated
-    shapes, in the same label order, have their rows made again with
-    w = d l f, so no saturated shape's tableau count is made.
-    Before any row is returned the walk is checked against the closed form:
-    sum d^2 must be the Cauchy total; and an unsaturated shape that the full
-    walk does not hold after the one before, with the same d (its d^2 read
-    back from its row as num (total / den)), raises ArithmeticError, naming
-    it.  Arguments and the block budget are checked as in su decompose,
-    with the same messages.
+    with their d and f, as capacity_support has it.  The full shape walk
+    (without the multinomial) is then read once: each shape weighs d^2,
+    unless it is the next unsaturated shape, with the same rows and the
+    same d, which weighs d l f; so no saturated shape's tableau count is
+    made, and each shape is held only as its p row (*rows, w / g, total / g),
+    g = gcd(w, total).  Before any row is returned the walk is checked
+    against the closed form: sum d^2 must be the Cauchy total; and an
+    unsaturated shape that the full walk does not hold after the one before,
+    with the same d, raises ArithmeticError, naming it.  Arguments and the
+    block budget are checked as in su decompose, with the same messages.
     """
     _admit("su", n, t, l)
     unsaturated = [] if l is UNBOUNDED else list(_shape_rows(n, t, l=l, prune=True))
     squares = su_square_sum(n, t)
     total = squares - _deficit(unsaturated)
-    shapes, dims = tee(_shape_rows(n, t, False))  # (*rows, d), read in step
-    weights, kept = tee(map(pow, map(itemgetter(-1), dims), repeat(2)))
-    p_rows = list(_p_rows(map(itemgetter(slice(None, -1)), shapes), weights, total))
-    if sum(kept) != squares:  # kept holds every d^2 until now, as a list would
+    pending = iter(unsaturated)  # rows (*rows, d, f, l f), met in label order
+    due = next(pending, ())
+    p_rows, walked = [], 0
+    for shape in _shape_rows(n, t, False):  # (*rows, d)
+        dim = shape[-1]
+        w = dim * dim
+        walked += w
+        if shape == due[:-2]:  # the next unsaturated shape: l f < d
+            w = dim * due[-1]
+            due = next(pending, ())
+        g = gcd(w, total)
+        p_rows.append(shape[:-1] + (w // g, total // g))
+    if walked != squares:
         raise ArithmeticError(f"the squared dimensions of n = {n}, t = {t} miss the Cauchy total")
-    i, count = 0, len(p_rows)
-    for *shape, dim, _, eff in unsaturated:  # l f < d
-        shape = tuple(shape)
-        while i < count and p_rows[i][:-2] != shape:
-            i += 1
-        if i == count or p_rows[i][-2] * (total // p_rows[i][-1]) != dim * dim:
-            raise ArithmeticError(f"the unsaturated shape {shape} of dimension {dim} is not "
-                                  f"among the shapes of n = {n}, t = {t} in label order")
-        p_rows[i], = _p_rows((shape,), (dim * eff,), total)
-        i += 1
+    if due:
+        raise ArithmeticError(f"the unsaturated shape {due[:-3]} of dimension {due[-3]} is not "
+                              f"among the shapes of n = {n}, t = {t} in label order")
     return CapacityReport(value=log_integer(total), support=total, p_rows=tuple(p_rows))
 
 

@@ -34,7 +34,6 @@ from .rep_core import (
     _weight_runs,
     _weight_walk,
     decompose,
-    weight_count,
 )
 
 SCHEMA = "1"
@@ -222,8 +221,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
     else:
         label_column = ("label", _label(cfg.t))
         if Model(cfg.model) is Model.MULTI_PHASE:  # an unknown tag is refused as _admit does
-            _admit(cfg.model, cfg.n, cfg.t, cfg.l)
-            support = weight_count(cfg.n, cfg.t)
+            _, support = _admit(cfg.model, cfg.n, cfg.t, cfg.l)  # C(n+t-1, t-1) weights
             runs = [(counts[:-1], counts[-1]) for counts, _, _ in _weight_walk(cfg.n, cfg.t - 1)]
             blocks = sum(map(itemgetter(1), runs)) + len(runs)
             if blocks != support:

@@ -63,14 +63,14 @@ RefSize = Union[int, _UnboundedType]
 # that: writing the integers of n = 3400, t = 3 (1.2 GB) takes 37 s, and
 # the CLI's digit-work budget (cli.MAX_DIGIT_WORK) refuses t = 3 past
 # n = 2140, as it refuses mp past n = 1368.  JSON capacity reads the tableau
-# count of the unsaturated shapes only and holds each shape only as its p
-# row, so a whole request at n = 3000, t = 3 (751 501 shapes) costs
-# 1.9-2.7 us per shape at l = 1 and unbounded alike and peaks at 207 MiB of
-# RSS.  A whole CSV decompose request at n = 2000, t = 3 (334 334 blocks,
-# 256 MB) takes 3.9-4.6 s, 1.2 s of it making the rows and most of the rest
-# writing the report, and peaks at 192 MiB of RSS, since the report is
-# written one chunk at a time (whole processes, the host's speed drifting
-# by a third between runs).
+# count of the unsaturated shapes only and, in one pass over the walk, holds
+# each shape only as its p row, so a whole request at n = 3000, t = 3
+# (751 501 shapes) takes 1.7-3.0 s at l = 1 and unbounded alike and peaks at
+# 177 MiB of RSS.  A whole CSV decompose request at n = 2000, t = 3
+# (334 334 blocks, 256 MB) takes 3.9-4.6 s, 1.2 s of it making the rows and
+# most of the rest writing the report, and peaks at 192 MiB of RSS, since
+# the report is written one chunk at a time (whole processes, the host's
+# speed drifting by a third between runs).
 # The label budget admits every t = 3 request under MAX_BLOCKS and one qudit
 # at t = 2000 (a 44 MB report), and refuses e.g. two qudits at t = 1400
 # (980 700 blocks of 1400 entries each).
@@ -466,10 +466,13 @@ def partition_count(n: int, t: int, widest: Optional[int] = None,
     it never falls; with ``above`` given, the count stops at the first part
     size where it passes ``above`` and is then a lower bound; after part
     sizes 1 and 2 it is n // 2 + 1, returned at once if that passes
-    ``above`` >= 1.
+    ``above`` >= 1.  Without a row cap the counts of t = 2 and t = 3 are
+    closed forms, n // 2 + 1 and round((n+3)^2 / 12), and no list is made.
     """
-    if above is not None and widest is None and t >= 2 and n // 2 + 1 > above >= 1:
+    if widest is None and (t == 2 or above is not None and t > 2 and n // 2 + 1 > above >= 1):
         return n // 2 + 1
+    if widest is None and t == 3:  # the nearest integer to (n+3)^2 / 12
+        return ((n + 3) ** 2 + 6) // 12
     counts = [1] + [0] * n
     for part in range(1, min(t, n) + 1):  # larger parts fit no partition of n
         for m in range(part, n + 1):

@@ -11,8 +11,10 @@ Run from anywhere, with pytest and hypothesis installed:
 For each entry of MUTANTS the sweep copies ``src`` to a temporary directory,
 replaces one exact snippet of one file there, and runs the entry's test
 files against the copy with ``-x``, so a killed mutant stops at its first
-failing test.  By default those are the exact-layer tests
-(tests/test_rep_core.py, tests/test_capacity.py, tests/test_properties.py);
+failing test, under a 2 GiB cap on the run's address space (RLIMIT_AS), so a
+mutant that admits an infeasible request dies of a MemoryError.  By default
+those are the exact-layer tests (tests/test_rep_core.py,
+tests/test_capacity.py, tests/test_properties.py);
 block_capacity's mutants name tests/test_capacity.py, or the one test there
 that kills them (path::test), as do the effective multiplicities', the bracket's
 tests/test_distinguish.py, the oracle's tests/test_oracle.py, the CLI's
@@ -29,6 +31,7 @@ list cannot go stale silently.  pytest does not collect this file.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -45,6 +48,7 @@ BRACKET_TESTS = ("tests/test_distinguish.py",)
 CLI_TESTS = ("tests/test_cli.py",)
 ARGV_TESTS = ("tests/test_argv.py",)
 TIMEOUT_S = 600  # a mutant that makes the tests run this long counts as killed
+MEMORY_CAP = 2 << 30  # bytes of address space per test run: a mutant that passes it dies
 
 
 class Mutant(NamedTuple):
@@ -79,12 +83,10 @@ MUTANTS = [
            "at t >= 3 the first rows' shapes are counted under a cap one too low"),
     Mutant("capacity.py", "dim * (dim - l_f)", "dim * (dim - f)",
            "the deficit ignores the reference size"),
-    # block_capacity: the unsaturated shapes' p rows put in place of their d^2 ones.
-    Mutant("capacity.py", "_p_rows((shape,), (dim * eff,), total)",
-           "_p_rows((shape,), (dim * dim,), total)",
+    # block_capacity: the one pass that weighs, merges and checks each shape.
+    Mutant("capacity.py", "w = dim * due[-1]", "w = dim * dim",
            "an unsaturated shape weighs d^2, as if saturated", tests=CAPACITY_TESTS),
-    Mutant("capacity.py", "if i == count or p_rows[i][-2] * (total // p_rows[i][-1]) != dim * dim:",
-           "if i == count:",
+    Mutant("capacity.py", "if shape == due[:-2]:", "if shape[:-1] == due[:-3]:",
            "an unsaturated shape of another dimension than the full walk's passes unnoticed",
            tests=(f"{CAPACITY_TESTS[0]}::test_block_capacity_refuses_an_unsaturated_shape_it_"
                   "does_not_meet",)),
@@ -93,13 +95,16 @@ MUTANTS = [
            "shapes' rows made twice",
            tests=(f"{CAPACITY_TESTS[0]}::test_capacity_json_takes_tableau_counts_only_for_"
                   "unsaturated_shapes",)),
-    Mutant("capacity.py", "if sum(kept) != squares:", "if False:",
+    Mutant("capacity.py", "if walked != squares:", "if False:",
            "the full walk's sum d^2 is not checked against the Cauchy total",
            tests=(f"{CAPACITY_TESTS[0]}::test_block_capacity_checks_the_walk_against_the_"
                   "closed_forms",)),
-    # The one reduction of every p row, for capacity() and block_capacity alike.
-    Mutant("capacity.py", "map(floordiv, repeat(total), den_gcds)", "repeat(total)",
-           "each p keeps the unreduced denominator sum w",
+    Mutant("capacity.py", "g = gcd(w, total)\n", "g = 1\n",
+           "block_capacity's p keep the unreduced denominator sum w",
+           tests=(f"{CAPACITY_TESTS[0]}::test_capacity_optimal_p_exact",)),
+    # capacity()'s own reduction, the slow reference's.
+    Mutant("capacity.py", "total // gcd(w, total))", "total)",
+           "capacity()'s p keep the unreduced denominator sum w",
            tests=(f"{CAPACITY_TESTS[0]}::test_capacity_optimal_p_exact",)),
     # The shape walk and the tableau count without l.
     Mutant("rep_core.py", "floor = -(-boxes // (t - k))", "floor = -(-boxes // (t - k)) + 1",
@@ -151,7 +156,9 @@ MUTANTS = [
     Mutant("rep_core.py", "or l < 1):", "or l < 0):",
            "a reference size of 0 is admitted"),
     Mutant("rep_core.py", "return n // 2 + 1", "return n // 2",
-           "the su admission shortcut names one block too few"),
+           "the t = 2 count and the su admission shortcut name one block too few"),
+    Mutant("rep_core.py", "return ((n + 3) ** 2 + 6) // 12", "return ((n + 3) ** 2) // 12",
+           "the t = 3 count rounds down, one too few where (n+3)^2 mod 12 >= 6"),
     # decompose's one runtime check of its walks: a wrong su dimension.
     Mutant("rep_core.py", "    _check_fill(rows, n, t)\n    return Decomposition._make(",
            "    return Decomposition._make(",
@@ -233,6 +240,13 @@ MUTANTS = [
 ]
 
 
+def _cap_memory() -> None:
+    """Cap the test run's address space, in the child before pytest starts:
+    a mutant that admits an infeasible request then fails at once with a
+    MemoryError instead of growing until the timeout."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def run(workdir: Path, tests, mutant: Optional[Mutant] = None) -> tuple[bool, str]:
     """Run the test files on a fresh copy of src, with one mutant applied if
     given; (killed, note)."""
@@ -255,7 +269,8 @@ def run(workdir: Path, tests, mutant: Optional[Mutant] = None) -> tuple[bool, st
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            env=env, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S)
+            env=env, cwd=ROOT, capture_output=True, text=True, timeout=TIMEOUT_S,
+            preexec_fn=_cap_memory)
     except subprocess.TimeoutExpired:
         return True, f"timed out after {TIMEOUT_S} s"
     if done.returncode == 0:

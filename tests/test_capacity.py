@@ -186,11 +186,11 @@ def test_capacity_json_takes_tableau_counts_only_for_unsaturated_shapes(capsys, 
     assert 0 < len(calls) <= support_calls < 100
 
 
-@pytest.mark.parametrize("where", ["first", "last", "dim"])
+@pytest.mark.parametrize("where", ["first", "last", "dim", "twice"])
 def test_block_capacity_refuses_an_unsaturated_shape_it_does_not_meet(monkeypatch, where):
     """A pruned walk that yields a shape the full walk lacks, before its
-    own shapes or after them, or a shape of the full walk with another
-    dimension, raises ArithmeticError naming the shape."""
+    own shapes or after them, a shape of the full walk with another
+    dimension, or one shape twice, raises ArithmeticError naming the shape."""
     walk = rep_core._shape_rows
     stray = (4, 3, 0, 1, 1, 1)  # 7 boxes, no shape of n = 6
 
@@ -200,11 +200,14 @@ def test_block_capacity_refuses_an_unsaturated_shape_it_does_not_meet(monkeypatc
             yield from rows
         elif where == "dim":  # (6, 0, 0) of dimension 28 comes first
             yield from [rows[0][:3] + (29,) + rows[0][4:]] + rows[1:]
+        elif where == "twice":
+            yield from rows[:1] + rows
         else:
             yield from [stray] + rows if where == "first" else rows + [stray]
 
     monkeypatch.setattr(capacity_module, "_shape_rows", pruned_with_a_stray)
-    shape = r"\(6, 0, 0\) of dimension 29" if where == "dim" else r"\(4, 3, 0\) of dimension 1"
+    shape = {"dim": r"\(6, 0, 0\) of dimension 29",
+             "twice": r"\(6, 0, 0\) of dimension 28"}.get(where, r"\(4, 3, 0\) of dimension 1")
     with pytest.raises(ArithmeticError, match=f"unsaturated shape {shape} is not among"):
         block_capacity(6, 3, 1)
     block_capacity(6, 3, UNBOUNDED)  # no pruned walk at an unbounded reference

@@ -107,6 +107,18 @@ def test_partition_count_bound_sweep():
             assert sum(1 for _ in partition_rows(n, t)) == partition_count(n, t)
 
 
+def test_partition_count_closed_forms_at_t_2_and_3():
+    """Without a row cap, t = 2 and t = 3 are counted in closed form: the
+    same as the loop, which a cap of n leaves exact, and at n = 10^12,
+    where the loop's list of n + 1 counts could not be made."""
+    for n in range(600):
+        assert partition_count(n, 2) == partition_count(n, 2, n) == n // 2 + 1
+        assert partition_count(n, 3) == partition_count(n, 3, n)
+    n = 10**12
+    assert partition_count(n, 2) == n // 2 + 1
+    assert partition_count(n, 3) == ((n + 3) ** 2 + 6) // 12
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])
 def test_partitions_under_a_row_cap_match_brute(n, t):
