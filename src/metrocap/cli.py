@@ -58,8 +58,8 @@ MAX_SCALING_BITS = 1_000_000
 # conversion is quadratic in D, about 1.6e-11 s per digit^2 in whole
 # processes on a 2-vCPU Xeon VM (Python 3.11), and the bound is 1.7-2.7
 # times the real sum (1.7 near the budget).  So the budget admits su
-# n <= 2140 and mp n <= 1368 at t = 3 (CSV 5.8 s at 226 MiB and JSON 6.2 s
-# at 258 MiB, whole processes, the slowest admitted), and mp n <= 16403 and
+# n <= 2140 and mp n <= 1368 at t = 3 (su CSV 5.8 s at 226 MiB, mp JSON at
+# 143 MiB, whole processes, the slowest admitted), and mp n <= 16403 and
 # su n <= 20665 at t = 2; at t >= 4 MAX_BLOCKS refuses first.
 MAX_DIGIT_WORK = 4 * 10**11
 
@@ -128,8 +128,11 @@ class Table(NamedTuple):
     order, by render.  Each tuple holds the cells of at least one and at most
     max(1, CHUNK_CELLS // width) rows (_chunks), row after row, one cell per
     % field of the formats, ``width`` of them per row.  A format without a %
-    field is a literal, the same in every row, which takes no cell: mp decompose's dim and eff_mult ("1") and mp JSON
-    capacity's p ("1/support"); at least one format has a field."""
+    field is a literal, the same in every row, which takes no cell: mp
+    decompose's dim and eff_mult ("1") and mp JSON capacity's p
+    ("1/support"); at least one format has a field.  The formats are applied
+    as bytes formats (_write_chunks), where %d, "%d/%d" and %r of a float
+    give the text they give in str; a cell is an int or a float."""
 
     columns: tuple
     chunks: Iterable[tuple]
@@ -413,19 +416,28 @@ def _write_chunks(table: Table, template: str, sep: str, lead: str,
     between rows and between chunks, ``lead`` before the first row, in the
     first chunk's template so that no chunk's text is copied.  A later
     chunk's template is built once per chunk size.  Returns whether any
-    chunk was written."""
+    chunk was written.
+
+    The templates are bytes, encoded once as UTF-8 with "surrogatepass" (any
+    str round-trips), and each chunk's text is decoded back for ``write``:
+    bytes ``%`` copies the literal text between fields whole, where str
+    ``%`` reads it one character at a time.  ``%d`` and ``%%`` mean the same
+    in bytes, and ``%r`` is ``%a``, the same text for floats."""
     width = sum(f.count("%") for _, f in table.columns)  # cells per row
     chunks = iter(table.chunks)
     cells = next(chunks, None)
     if cells is None:
         return False
-    write((lead.replace("%", "%%") + sep.join([template] * (len(cells) // width))) % cells)
+    lead, template, sep = (s.encode("utf-8", "surrogatepass")
+                           for s in (lead.replace("%", "%%"), template, sep))
+    text = (lead + sep.join([template] * (len(cells) // width))) % cells
+    write(text.decode("utf-8", "surrogatepass"))
     size = 0
     for cells in chunks:
         rows = len(cells) // width
         if rows != size:
             size, chunk_template = rows, (sep + template) * rows
-        write(chunk_template % cells)
+        write((chunk_template % cells).decode("utf-8", "surrogatepass"))
     return True
 
 
@@ -436,10 +448,11 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
     A report is a dict in output order; its row list, if any, is a Table, last.
     The rows are written with one %-template per report and format: for JSON
     the row's object, for CSV its line with the report-level cells already
-    in place.  Each chunk of the Table is one ``%`` of that template repeated
-    once per row over the chunk's flat cells (_write_chunks), and one call of
-    ``write``, the JSON preamble or CSV header joined to the first, so no
-    more than one chunk's text exists at a time.  The JSON preamble is
+    in place.  Each chunk of the Table is one bytes ``%`` of that template
+    repeated once per row over the chunk's flat cells (_write_chunks),
+    decoded to one str for one call of ``write``, the JSON preamble or CSV
+    header joined to the first, so no more than one chunk's text exists at a
+    time, as bytes and as str.  The JSON preamble is
     json.dumps itself; a report without rows is json.dumps whole, in one
     call, and a CSV report whose one row is all from the report one line.
     """

@@ -45,12 +45,12 @@ RefSize = Union[int, _UnboundedType]
 # t, one per level of every label) it may hold and a report may write; larger
 # requests are refused before they start.  On a 2-vCPU Xeon VM (Python 3.11),
 # in-process, best of 5, with the host's speed drifting by a third between
-# runs: the mp runs (_weight_runs) cost 0.25-0.30 us per block at n = 400 and
-# t = 3, and 1.05-1.12 us at n = 1400 (982 101 blocks in 1.1 s), most of it
-# multiplying each run's multinomial, grown to 2800 bits, into its binomial
-# row.  A whole mp decompose request with its JSON report costs 0.9-1.2 us
-# per block at n = 250..400, t = 3, and a whole mp JSON capacity request
-# 0.4-0.5 us; both read their cells from the runs and hold no rows.  A
+# runs: the mp runs (_weight_runs) cost 0.13 us per block at n = 400 and
+# t = 3, and 0.47 us at n = 1400 (982 101 blocks in 0.46 s), most of it
+# multiplying each run's multinomial, grown to 2800 bits, into half its
+# binomial row.  A whole mp decompose request with its JSON report costs
+# 0.67-0.89 us per block at n = 250..400, t = 3, and a whole mp JSON capacity
+# request 0.25-0.27 us; both read their cells from the runs and hold no rows.  A
 # whole su decompose request, its rows made flat by the shape walk and
 # written as they are, costs 1.6-2.3 us per block at n <= 280 (t = 3..5)
 # and 4.2-4.4 us at n = 1000, t = 3 (CSV).  These request costs are with the
@@ -363,9 +363,10 @@ def _weight_runs(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, tuple[i
     When r rose by one from the run before, as it does at t >= 3 everywhere
     but at a reset to r = 0, the row is the one before by one Pascal step;
     else (the one run at t = 2, and every r = 0) it is built from
-    C(r, a) = C(r, a-1) (r-a+1) / a.  Only the multiply of M into the row
-    is made per block, by C-level iterators, with no Python loop; a run with
-    M = 1 hands out the row itself.
+    C(r, a) = C(r, a-1) (r-a+1) / a.  M is multiplied into the row's first
+    half only, a <= r/2, by C-level iterators, with no Python loop, and the
+    second half is the first mirrored: the same int objects, so a list of
+    runs holds half the big ints.  A run with M = 1 hands out the row itself.
     """
     row = ()
     mult = 1
@@ -382,7 +383,11 @@ def _weight_runs(n: int, t: int) -> Iterator[tuple[tuple[int, ...], int, tuple[i
                 c = c * (r - a + 1) // a  # exact: C(r, a-1) (r-a+1) is a multiple of a
                 row.append(c)
             row = tuple(row)
-        yield counts[:-1], r, row if mult == 1 else tuple(map(mul, repeat(mult), row))
+        if mult == 1:
+            yield counts[:-1], r, row
+        else:
+            half = tuple(map(mul, repeat(mult), row[:r // 2 + 1]))
+            yield counts[:-1], r, half + half[:(r + 1) // 2][::-1]
 
 
 def _run_rows(runs: Iterable[tuple]) -> Iterator[Row]:
@@ -469,6 +474,8 @@ def partition_count(n: int, t: int, widest: Optional[int] = None,
     ``above`` >= 1.  Without a row cap the counts of t = 2 and t = 3 are
     closed forms, n // 2 + 1 and round((n+3)^2 / 12), and no list is made.
     """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if widest is None and (t == 2 or above is not None and t > 2 and n // 2 + 1 > above >= 1):
         return n // 2 + 1
     if widest is None and t == 3:  # the nearest integer to (n+3)^2 / 12

@@ -131,12 +131,15 @@ MUTANTS = [
            "a move into the last level also empties it and marks it live"),
     Mutant("rep_core.py", "            counts[last] = 0\n", "",
            "the last level keeps its units when they move up to level k+1"),
-    # The mp runs: a binomial row per run, times the run's multinomial.
+    # The mp runs: a binomial row per run, half of it times the run's multinomial, mirrored.
     Mutant("rep_core.py", "row = tuple(map(add, row + (0,), (0,) + row))",
            "row = tuple(map(add, row + (0,), (0, 0) + row))",
            "the Pascal step shifted by one: C(r, a) takes C(r-1, a-2) for C(r-1, a-1)"),
     Mutant("rep_core.py", "if row and r == len(row):  # r rose by one", "if row:  # r rose by one",
            "the row of the run before is stepped even after a reset to r = 0"),
+    Mutant("rep_core.py", "half + half[:(r + 1) // 2][::-1]", "half + half[:r // 2 + 1][::-1]",
+           "the mirror off by one: at even r the middle multinomial is written twice",
+           tests=("tests/test_rep_core.py::test_weight_runs_are_the_walk_by_its_last_two_levels",)),
     Mutant("rep_core.py", "zip(range(r, -1, -1), range(r + 1), *columns)",
            "zip(range(r + 1), range(r, -1, -1), *columns)",
            "_run_rows expands a run in ascending a, for decompose and the CLI's mp reports"),
@@ -196,7 +199,7 @@ MUTANTS = [
            "the pause is never taken: a large report runs the collector", tests=CLI_TESTS),
     Mutant("cli.py", "os.close(devnull)", "pass",
            "a closed-pipe request leaves its devnull descriptor open", tests=CLI_TESTS),
-    # render's chunk writer: one % per chunk over its flat cells.
+    # render's chunk writer: one bytes % per chunk over its flat cells, decoded for write.
     Mutant("cli.py", 'template, ",\\n", opening', 'template, ",", opening',
            "JSON rows of a chunk, and the chunks, are joined without the newline",
            tests=CLI_TESTS),
@@ -204,6 +207,10 @@ MUTANTS = [
            'width = sum(f.count("%") for _, f in table.columns) - 1',
            "the row width counted one field short: a chunk's cells are read as more rows",
            tests=CLI_TESTS),
+    Mutant("cli.py", 's.encode("utf-8", "surrogatepass")', 's.encode("utf-8", "strict")',
+           "the templates encoded strictly: a report-level cell holding a lone surrogate, "
+           "which the str writer wrote, raises",
+           tests=(f"{CLI_TESTS[0]}::test_row_table_writer_round_trips_any_text_and_float_cells",)),
     # The CLI's mp reports from the runs, and their checks before any byte.
     Mutant("cli.py", "if sum(map(sum, map(itemgetter(2), runs))) != cfg.t**cfg.n:", "if False:",
            "mp decompose writes runs whose multinomials do not fill t^n", tests=CLI_TESTS),

@@ -202,6 +202,29 @@ def test_row_table_writer_on_percent_signs_and_empty_tables():
         == "model,n,t,l,label,dim,mult,eff_mult\n"
 
 
+def test_row_table_writer_round_trips_any_text_and_float_cells():
+    """The chunks are formatted as bytes and written as str, one write per
+    chunk: report-level CSV cells of non-ASCII text and a lone surrogate
+    reach every chunk unchanged, %r float cells read as repr, and a '%' in a
+    JSON key stays literal."""
+    count = cli.CHUNK_CELLS // 4 + 5  # two chunks of rows of width 4
+    columns = (("label", cli._label(1)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
+    rows = [(k, 1, 3**k, 1) for k in range(count)]
+    report = {"schema": "1", "command": "decompose", "model": "µ-\ud800", "n": 2, "t": 1,
+              "l": "∞%d", "entries": Table(columns, cli._chunks(chain.from_iterable(rows), 4))}
+    writes = _written(report, "csv")
+    assert [type(w) for w in writes] == [str, str]
+    assert "".join(writes) == "model,n,t,l,label,dim,mult,eff_mult\n" + "".join(
+        f"µ-\ud800,2,1,∞%d,{k},1,{3**k},1\n" for k in range(count))
+    floats = (0.1, -0.0, 1e300, 5e-324)
+    table = Table((("%d µ%", "%r"), ("n%", "%d")), [tuple(chain.from_iterable(
+        (x, k) for k, x in enumerate(floats)))])
+    writes = _written({"schema": "1%", "rows%r": table}, "json")
+    assert [type(w) for w in writes] == [str, str]
+    assert "".join(writes) == json.dumps({"schema": "1%", "rows%r": [
+        {"%d µ%": x, "n%": k} for k, x in enumerate(floats)]}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
 def test_row_table_writer_at_chunk_boundaries(count):
     """Rows of width 4 in the builders' chunks of CHUNK_CELLS // 4 = 4096

@@ -119,6 +119,16 @@ def test_partition_count_closed_forms_at_t_2_and_3():
     assert partition_count(n, 3) == ((n + 3) ** 2 + 6) // 12
 
 
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_partition_count_refuses_a_negative_n(t):
+    """n < 0 is refused before the closed forms and the loop alike, where
+    it used to read 1, 0 or an IndexError depending on t and the cap."""
+    for n in (-1, -3):
+        for widest, above in ((None, None), (2, None), (None, 1), (2, 1)):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                partition_count(n, t, widest, above)
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 5, 9, 12])
 def test_partitions_under_a_row_cap_match_brute(n, t):
@@ -579,6 +589,8 @@ def test_weight_runs_are_the_walk_by_its_last_two_levels(n, t):
     for prefix, r, mults in runs:
         assert list(mults) == [factorial_multinomial(prefix + (r,)) * comb(r, a)
                                for a in range(r, -1, -1)]
+        if factorial_multinomial(prefix + (r,)) > 1:  # made for half the row, then mirrored
+            assert all(mults[a] is mults[r - a] for a in range(r + 1))
     assert [prefix + (a, r - a) for prefix, r, _ in runs for a in range(r, -1, -1)] == \
         [counts for counts, _, _ in rep_core._weight_walk(n, t)]
 
