@@ -30,6 +30,7 @@ from .rep_core import (
     RefSize,
     _admit,
     _check_config,
+    _check_fill,
     _run_rows,
     _weight_runs,
     _weight_walk,
@@ -189,8 +190,8 @@ def _build_decompose(cfg: RunConfig) -> dict:
     (_digit_work, at most MAX_DIGIT_WORK) checked first; su's decompose then
     admits it again, a small fraction of the walk's cost.
     mp reads the runs of _weight_runs and holds no Decomposition or rows:
-    their multinomials are checked to fill t^n, as decompose checks its
-    rows, before any byte is written."""
+    their multinomials are checked to fill t^n by decompose's own fill
+    check (_check_fill), before any byte is written."""
     model, blocks = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
     work = _digit_work(model, cfg.n, cfg.t, blocks)
     if work > MAX_DIGIT_WORK:
@@ -200,8 +201,7 @@ def _build_decompose(cfg: RunConfig) -> dict:
     label_column = ("label", _label(cfg.t))
     if model is Model.MULTI_PHASE:
         runs = list(_weight_runs(cfg.n, cfg.t))
-        if sum(map(sum, map(itemgetter(2), runs))) != cfg.t**cfg.n:
-            raise ValueError("blocks do not fill the full space")
+        _check_fill(sum(map(sum, map(itemgetter(2), runs))), cfg.n, cfg.t)
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
         chunks = _chunks(chain.from_iterable(_run_rows(runs)), cfg.t + 1)
     else:

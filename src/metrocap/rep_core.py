@@ -9,7 +9,6 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
 from math import comb
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
@@ -79,7 +78,7 @@ MAX_LABEL_ENTRIES = 4_000_000
 
 # One block as one flat tuple: the label's t entries, then dim, mult and
 # eff_mult.  The walks make it and the report writer reads its cells as they
-# are; Decomposition.rows and rows from outside have this layout.
+# are; Decomposition.rows has this layout.
 Row = tuple[int, ...]
 
 
@@ -93,71 +92,36 @@ class IrrepEntry(NamedTuple):
     eff_mult: int
 
 
-class _DecompositionFields(NamedTuple):
+class Decomposition(NamedTuple):
+    """Full isotypic decomposition of one model at given (n, t, l).
+
+    The blocks are flat rows (*label, dim, mult, eff_mult), the label's t
+    entries first: weight vectors for mp, zero-padded partitions for su.
+    A plain record, its fields stored as given: decompose builds it from
+    its walks' rows once their fill is checked, and a record built from
+    outside is not checked at all; tests/reference.py::check_rows holds the
+    row rules.
+    """
+
     model: Model
     n: int
     t: int
     l: RefSize
     rows: tuple[Row, ...]
 
-
-class Decomposition(_DecompositionFields):
-    """Full isotypic decomposition of one model at given (n, t, l).
-
-    The blocks are flat rows (*label, dim, mult, eff_mult), the label's t
-    entries first: weight vectors for mp, zero-padded partitions for su.
-    Rows from outside, stored as a tuple whatever sequence is given, are
-    checked on construction, in any order: labels of t non-negative entries
-    summing to n, partition labels non-increasing, mp blocks
-    one-dimensional, 1 <= eff_mult <= dim, no label twice, and together they
-    must fill the space: sum dim * mult = t^n.  decompose checks its own rows
-    for the fill only.
-    The fields are read-only and two decompositions are equal when their
-    fields are.  No ``__slots__``: ``entries`` is cached in the instance dict.
-    """
-
-    def __new__(cls, model: Union[Model, str], n: int, t: int, l: RefSize,
-                rows: Iterable[Row]) -> Decomposition:
-        model = Model(model)  # a tag "mp" or "su" is its Model; any other is refused
-        rows = tuple(rows)
-        labels = [row[:-3] for row in rows]
-        for label, row in zip(labels, rows):  # before the duplicates: short rows share ()
-            if len(row) != t + 3:
-                raise ValueError(f"label {label} has {max(len(row) - 3, 0)} entries, "
-                                 f"expected t = {t}")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate irrep labels")
-        partitions = model is Model.SPECIAL_UNITARY
-        for label, row in zip(labels, rows):
-            dim, mult, eff = row[-3:]
-            if min(label) < 0:
-                raise ValueError(f"negative entry in label {label}")
-            if partitions:
-                if any(map(int.__lt__, label, label[1:])):
-                    raise ValueError(f"rows must be non-increasing, got {label}")
-            elif dim != 1:
-                raise ValueError("multi-phase blocks must be one-dimensional")
-            if sum(label) != n:
-                raise ValueError(f"label {label} sums to {sum(label)}, expected n = {n}")
-            if dim < 1 or mult < 1:
-                raise ValueError("dim and mult must be positive")
-            if not 1 <= eff <= dim:
-                raise ValueError(f"eff_mult {eff} outside [1, dim={dim}]")
-        _check_fill(rows, n, t)
-        return super().__new__(cls, model, n, t, l, rows)
-
-    @cached_property
+    @property
     def entries(self) -> tuple[IrrepEntry, ...]:
-        """The rows as IrrepEntry named tuples, for the benchmark tracer only."""
+        """The rows as IrrepEntry named tuples, for the benchmark tracer only,
+        built on each read."""
         rows = self.rows
         return tuple(map(IrrepEntry, map(itemgetter(slice(None, -3)), rows),
                          map(itemgetter(-3), rows), map(itemgetter(-2), rows),
                          map(itemgetter(-1), rows)))
 
 
-def _check_fill(rows: tuple[Row, ...], n: int, t: int) -> None:
-    """Refuse rows whose sum dim * mult is not t^n."""
-    if sum(map(mul, map(itemgetter(-3), rows), map(itemgetter(-2), rows))) != t**n:
+def _check_fill(total: int, n: int, t: int) -> None:
+    """Refuse blocks whose sum dim * mult, ``total``, is not t^n."""
+    if total != t**n:
         raise ValueError("blocks do not fill the full space")
 
 
@@ -429,17 +393,17 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     order, collected as the walks make them: the weight runs' for mp, the
     shape walk _shape_rows's for su.  Arguments and the enumeration budget
     are always checked (_admit) before the first block is made.
-    The walks make Decomposition's row rules true by construction, so only
-    the fill sum dim * mult = t^n is checked, and ``Decomposition._make``
-    builds the record without the row rules.
+    The walks make every row a well-formed block by construction, so only
+    the fill sum dim * mult = t^n is checked at run time; the tests hold the
+    walks' rows to the full row rules (tests/reference.py::check_rows).
     """
     model, _ = _admit(model, n, t, l)
     if model is Model.MULTI_PHASE:
         rows = tuple(_weight_rows(n, t))
     else:
         rows = tuple(_shape_rows(n, t, l=None if l is UNBOUNDED else l))
-    _check_fill(rows, n, t)
-    return Decomposition._make((model, n, t, l, rows))
+    _check_fill(sum(map(mul, map(itemgetter(-3), rows), map(itemgetter(-2), rows))), n, t)
+    return Decomposition(model, n, t, l, rows)
 
 
 def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> tuple[Model, int]:

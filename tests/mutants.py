@@ -4,7 +4,8 @@ collector pause, closed-pipe descriptor, chunk writer, mp runs, digit-work
 budget, lifted digit limit and argv table reader: each listed fault must
 fail a test.
 
-Run from anywhere, with pytest and hypothesis installed:
+The list holds 61 mutants.  Run from anywhere, with pytest and hypothesis
+installed:
 
     python tests/mutants.py
 
@@ -114,6 +115,10 @@ MUTANTS = [
            "Q's shift off by one in the walk's chosen rows"),
     Mutant("rep_core.py", "shape = rows + (0,) * (t - k)", "shape = rows + (0,) * (t - k - 1)",
            "a shape that ends before row t is padded with one zero row too few"),
+    Mutant("rep_core.py", "shape = rows + (0,) * (t - k)", "shape = (0,) * (t - k) + rows",
+           "a shape that ends before row t gets its zero rows first: d and f, and so the "
+           "fill, unchanged, but the label no longer non-increasing",
+           tests=("tests/test_properties.py::test_decompose_rows_keep_the_row_rules",)),
     Mutant("rep_core.py", "if tableaux:\n            m *= comb(boxes, widest)",
            "if tableaux:\n            m *= comb(boxes - 1, widest)",
            "M of the last two rows starts from the wrong binomial"),
@@ -163,8 +168,9 @@ MUTANTS = [
     Mutant("rep_core.py", "return ((n + 3) ** 2 + 6) // 12", "return ((n + 3) ** 2) // 12",
            "the t = 3 count rounds down, one too few where (n+3)^2 mod 12 >= 6"),
     # decompose's one runtime check of its walks: a wrong su dimension.
-    Mutant("rep_core.py", "    _check_fill(rows, n, t)\n    return Decomposition._make(",
-           "    return Decomposition._make(",
+    Mutant("rep_core.py", "    _check_fill(sum(map(mul, map(itemgetter(-3), rows), "
+           "map(itemgetter(-2), rows))), n, t)\n    return Decomposition(",
+           "    return Decomposition(",
            "decompose no longer checks that its su blocks fill t^n",
            tests=(f"{CAPACITY_TESTS[0]}::test_block_capacity_checks_the_walk_against_the_"
                   "closed_forms",)),
@@ -212,7 +218,7 @@ MUTANTS = [
            "which the str writer wrote, raises",
            tests=(f"{CLI_TESTS[0]}::test_row_table_writer_round_trips_any_text_and_float_cells",)),
     # The CLI's mp reports from the runs, and their checks before any byte.
-    Mutant("cli.py", "if sum(map(sum, map(itemgetter(2), runs))) != cfg.t**cfg.n:", "if False:",
+    Mutant("cli.py", "_check_fill(sum(map(sum, map(itemgetter(2), runs))), cfg.n, cfg.t)", "pass",
            "mp decompose writes runs whose multinomials do not fill t^n", tests=CLI_TESTS),
     Mutant("cli.py", "if blocks != support:", "if False:",
            "mp JSON capacity writes runs that miss a label", tests=CLI_TESTS),

@@ -22,6 +22,11 @@ from the Gram matrix of the coded states and its eigensolve
 
 The shapes themselves come one at a time from ``partition_rows``, whose
 order the walk must keep; the occupation vectors from ``weight_vectors``.
+The rules every block row of a decomposition keeps (labels of t entries
+summing to n, su labels non-increasing, mp blocks one-dimensional, positive
+dim and mult, 1 <= eff_mult <= dim, distinct labels and the fill), which the
+walks make true by construction and ``decompose`` checks only the fill of,
+are ``check_rows``, run on the walks' own rows.
 The conversion work of a decompose report, the sum of squared digit counts
 of the integers it writes, which the CLI's closed-form estimate must bound,
 is brute force over both (``digit_work``).
@@ -59,6 +64,7 @@ import numpy as np
 from metrocap.capacity import log_integer
 from metrocap.cli import _CSV
 from metrocap.oracle import _EIG_FLOOR, DensityOperator, PureState, _digit_counts
+from metrocap.rep_core import Model
 
 
 def partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -153,6 +159,43 @@ def weight_vectors(n: int, t: int) -> Iterator[tuple[int, ...]]:
     for bars in itertools.combinations(range(n + t - 1), t - 1):
         ends = (-1, *bars, n + t - 1)
         yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+def check_rows(model, n: int, t: int, rows) -> None:
+    """The rules every block row (*label, dim, mult, eff_mult) of a
+    decomposition of (n, t) keeps, in any order: each label has t
+    non-negative entries summing to n, non-increasing for su (a partition);
+    mp blocks are one-dimensional; dim >= 1, mult >= 1 and
+    1 <= eff_mult <= dim; no label comes twice; and together the blocks fill
+    the space, sum dim * mult = t^n.  decompose's walks make them true by
+    construction and check only the fill.  Raises ValueError naming the
+    first rule broken; the lengths come before the duplicates, since short
+    rows share the label ()."""
+    labels = [row[:-3] for row in rows]
+    for label, row in zip(labels, rows):
+        if len(row) != t + 3:
+            raise ValueError(f"label {label} has {max(len(row) - 3, 0)} entries, "
+                             f"expected t = {t}")
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate irrep labels")
+    partitions = Model(model) is Model.SPECIAL_UNITARY
+    for label, row in zip(labels, rows):
+        dim, mult, eff = row[-3:]
+        if min(label) < 0:
+            raise ValueError(f"negative entry in label {label}")
+        if partitions:
+            if any(a < b for a, b in zip(label, label[1:])):
+                raise ValueError(f"rows must be non-increasing, got {label}")
+        elif dim != 1:
+            raise ValueError("multi-phase blocks must be one-dimensional")
+        if sum(label) != n:
+            raise ValueError(f"label {label} sums to {sum(label)}, expected n = {n}")
+        if dim < 1 or mult < 1:
+            raise ValueError("dim and mult must be positive")
+        if not 1 <= eff <= dim:
+            raise ValueError(f"eff_mult {eff} outside [1, dim={dim}]")
+    if sum(row[-3] * row[-2] for row in rows) != t**n:
+        raise ValueError("blocks do not fill the full space")
 
 
 def digit_work(model: str, n: int, t: int) -> int:

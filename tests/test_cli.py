@@ -438,14 +438,13 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("model", ["mp", "su"])
 def test_capacity_json_builds_no_decomposition(capsys, monkeypatch, model):
     """The JSON capacity report makes only the block weights: with the
-    Decomposition class replaced by a stand-in whose constructor and
-    ``_make`` refuse, it still runs at any l, and an su decompose request
-    (which builds its record through ``_make``) does not.  mp decompose
-    reads the weight runs and builds no record either."""
+    Decomposition class replaced by a stand-in whose constructor refuses, it
+    still runs at any l, and an su decompose request (which builds its
+    record) does not.  mp decompose reads the weight runs and builds no
+    record either."""
     want = {l: run_json(capsys, ["capacity", "--model", model, "--n", "7", "--t", "3", "--l", l])
             for l in ("1", "3", "inf")}
-    monkeypatch.setattr(rep_core, "Decomposition", type("Refused", (), {
-        "__new__": _refuse, "_make": staticmethod(_refuse)}))
+    monkeypatch.setattr(rep_core, "Decomposition", type("Refused", (), {"__new__": _refuse}))
     for l, report in want.items():
         assert run_json(capsys, ["capacity", "--model", model, "--n", "7", "--t", "3",
                                  "--l", l]) == report

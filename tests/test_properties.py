@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from metrocap.capacity import capacity_support, su_square_sum
 from metrocap.cli import Table, _label, main, render
-from metrocap.rep_core import _shape_rows, _weight_rows
+from metrocap.rep_core import UNBOUNDED, _shape_rows, _weight_rows, decompose
 from reference import (
+    check_rows,
     enumerated_square_sum,
     enumerated_su_support,
     factorial_multinomial,
@@ -125,6 +126,16 @@ def test_incremental_multinomials_match_factorials(n, t):
     """Each weight's multinomial, updated from the one before, is exact."""
     for *counts, _, mult, _ in _weight_rows(n, t):
         assert mult == factorial_multinomial(counts)
+
+
+@SMALL
+@given(model=st.sampled_from(["mp", "su"]), n=st.integers(1, 12), t=st.integers(2, 5),
+       l=st.one_of(st.integers(1, 6), st.just(UNBOUNDED)))
+def test_decompose_rows_keep_the_row_rules(model, n, t, l):
+    """decompose checks only the fill at run time; the rows its walks make
+    keep every other row rule too (check_rows), on both models, with a
+    finite or unbounded reference."""
+    check_rows(model, n, t, decompose(model, n, t, l).rows)
 
 
 def _cli(argv):
