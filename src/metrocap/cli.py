@@ -20,7 +20,7 @@ from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import capacity as cap
 from . import distinguish as dist
@@ -64,12 +64,12 @@ MAX_SCALING_BITS = 1_000_000
 # su n <= 20665 at t = 2; at t >= 4 MAX_BLOCKS refuses first.
 MAX_DIGIT_WORK = 4 * 10**11
 
-# Most cells render formats and writes at once: a chunk holds
-# max(1, CHUNK_CELLS // width) rows of ``width`` cells each, 4096 rows of mp
-# decompose at t = 3.  A report is held whole only as what its builder reads
-# (a Decomposition's rows, a CapacityReport's, the mp runs); the text is
-# written one chunk at a time, so the writer adds one chunk's cells, template
-# and text to that, whatever the report's length or t.
+# Most cells render formats and writes at once: _write_chunks cuts a report's
+# rows into chunks of max(1, CHUNK_CELLS // width) rows of ``width`` cells
+# each, 4096 rows of mp decompose at t = 3.  A report is held whole only as
+# what its builder reads (a Decomposition's rows, a CapacityReport's, the mp
+# runs); the text is written one chunk at a time, so the writer adds one
+# chunk's cells, template and text to that, whatever the report's length or t.
 CHUNK_CELLS = 16384
 
 
@@ -125,26 +125,17 @@ def _parse_n_range(text: str) -> tuple:
 class Table(NamedTuple):
     """A report's row list: for each column its name and the %-format of its
     cell as JSON writes it (``_label`` for a label, which takes one cell per
-    entry), and the rows' cells as an iterable of flat tuples, read once, in
-    order, by render.  Each tuple holds the cells of at least one and at most
-    max(1, CHUNK_CELLS // width) rows (_chunks), row after row, one cell per
-    % field of the formats, ``width`` of them per row.  A format without a %
-    field is a literal, the same in every row, which takes no cell: mp
-    decompose's dim and eff_mult ("1") and mp JSON capacity's p
-    ("1/support"); at least one format has a field.  The formats are applied
-    as bytes formats (_write_chunks), where %d, "%d/%d" and %r of a float
-    give the text they give in str; a cell is an int or a float."""
+    entry), and the rows as an iterable of flat tuples, read once, in order,
+    by render: one cell per % field of the formats, in column order.  A
+    format without a % field is a literal, the same in every row, which
+    takes no cell: mp decompose's dim and eff_mult ("1") and mp JSON
+    capacity's p ("1/support"); at least one format has a field.  The
+    formats are applied as bytes formats (_write_chunks), where %d, "%d/%d"
+    and %r of a float give the text they give in str; a cell is an int or a
+    float."""
 
     columns: tuple
-    chunks: Iterable[tuple]
-
-
-def _chunks(cells: Iterable, width: int) -> Iterator[tuple]:
-    """The flat ``cells`` of rows of ``width`` cells each, in consecutive
-    tuples of max(1, CHUNK_CELLS // width) rows, the last one shorter."""
-    cells = iter(cells)
-    size = max(1, CHUNK_CELLS // width) * width
-    return iter(lambda: tuple(islice(cells, size)), ())
+    rows: Iterable[tuple]
 
 
 _EXACT = '"%d"'  # an exact integer, written as a decimal string
@@ -203,12 +194,11 @@ def _build_decompose(cfg: RunConfig) -> dict:
         runs = list(_weight_runs(cfg.n, cfg.t))
         _check_fill(sum(map(sum, map(itemgetter(2), runs))), cfg.n, cfg.t)
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
-        chunks = _chunks(chain.from_iterable(_run_rows(runs)), cfg.t + 1)
+        rows = _run_rows(runs)
     else:
         rows = decompose(model, cfg.n, cfg.t, cfg.l).rows
         columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
-        chunks = _chunks(chain.from_iterable(rows), cfg.t + 3)
-    return _report(cfg, "model n t l", {"entries": Table(columns, chunks)})
+    return _report(cfg, "model n t l", {"entries": Table(columns, rows)})
 
 
 def _build_capacity(cfg: RunConfig) -> dict:
@@ -230,13 +220,12 @@ def _build_capacity(cfg: RunConfig) -> dict:
             if blocks != support:
                 raise ArithmeticError(f"{blocks} weights, expected C(n+t-1, t-1) = {support}")
             columns = (label_column, ("p", f'"1/{support}"'))
-            chunks = _chunks(chain.from_iterable(_run_rows(runs)), cfg.t)
+            rows = _run_rows(runs)
         else:
             r = cap.block_capacity(cfg.n, cfg.t, cfg.l)
-            support = r.support
+            support, rows = r.support, r.p_rows
             columns = (label_column, ("p", '"%d/%d"'))
-            chunks = _chunks(chain.from_iterable(r.p_rows), cfg.t + 2)
-        body = {"support": str(support), "optimal_p": Table(columns, chunks)}
+        body = {"support": str(support), "optimal_p": Table(columns, rows)}
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
         **body,
@@ -263,28 +252,27 @@ def _build_bounds(cfg: RunConfig) -> dict:
 
 
 def _build_simulate(cfg: RunConfig) -> dict:
+    """The twirled spectrum's entropy of the requested state and, with a
+    codebook, the lattice SRM success.  Every flag combination is checked
+    before the oracle (numpy) is imported or any state built."""
     if cfg.t != 2:
         raise ValueError("simulate ships t = 2 states only")
+    model = Model(cfg.model)
+    if cfg.state not in ("bs4", "noon", "bn1"):
+        raise ValueError(f"unknown state tag {cfg.state!r}")
+    if cfg.state == "bn1" and model is not Model.SPECIAL_UNITARY:
+        raise ValueError("--state bn1 needs --model su")
+    if cfg.codebook not in (None, "lattice"):
+        raise ValueError(f"unknown codebook tag {cfg.codebook!r}")
+    if cfg.codebook is not None and model is not Model.MULTI_PHASE:
+        raise ValueError("--codebook lattice needs --model mp")
     from . import oracle  # numpy, which only this command needs
 
-    model = Model(cfg.model)
-    if cfg.state == "bs4":
-        psi = oracle.mp_optimal_state(cfg.n)
-    elif cfg.state == "noon":
-        psi = oracle.noon_state(cfg.n)
-    elif cfg.state == "bn1":
-        if model is not Model.SPECIAL_UNITARY:
-            raise ValueError("--state bn1 needs --model su")
-        psi = oracle.su2_optimal_state(cfg.n)
-    else:
-        raise ValueError(f"unknown state tag {cfg.state!r}")
-    spectrum = oracle.twirled_spectrum(psi, model, cfg.n, cfg.t)
+    state = {"bs4": oracle.mp_optimal_state, "noon": oracle.noon_state,
+             "bn1": oracle.su2_optimal_state}[cfg.state]
+    spectrum = oracle.twirled_spectrum(state(cfg.n), model, cfg.n, cfg.t)
     success = None
     if cfg.codebook is not None:
-        if cfg.codebook != "lattice":
-            raise ValueError(f"unknown codebook tag {cfg.codebook!r}")
-        if model is not Model.MULTI_PHASE:
-            raise ValueError("--codebook lattice needs --model mp")
         success = oracle.lattice_srm_success(spectrum, cfg.n, cfg.t)
     return _report(cfg, "model n t log_base", {
         "state_tag": cfg.state,
@@ -368,7 +356,7 @@ def _build_scaling(cfg: RunConfig) -> dict:
     return _report(cfg._replace(l=l_eff), "model t l log_base", {
         "n_range": f"{start}:{stop}:{stride}",
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
-        "rows": Table(columns, _chunks(chain.from_iterable(rows), 3)),
+        "rows": Table(columns, rows),
     })
 
 
@@ -411,12 +399,13 @@ def _csv_format(fmt: str) -> str:
 
 def _write_chunks(table: Table, template: str, sep: str, lead: str,
                   write: Callable[[str], object]) -> bool:
-    """Write each chunk of ``table`` as one ``%`` of a chunk template over
-    its cells: the row ``template`` once per row of the chunk, ``sep``
-    between rows and between chunks, ``lead`` before the first row, in the
-    first chunk's template so that no chunk's text is copied.  A later
-    chunk's template is built once per chunk size.  Returns whether any
-    chunk was written.
+    """Write ``lead`` and then the rows of ``table`` in chunks of
+    max(1, CHUNK_CELLS // width) rows, width the % fields of its formats:
+    each chunk is one ``%`` of a chunk template over the chunk's flat cells,
+    the row ``template`` once per row, ``sep`` between rows and between
+    chunks.  A later chunk's template is built once per chunk size.  Returns
+    whether any row was written; a table without rows writes nothing, not
+    even ``lead``.
 
     The templates are bytes, encoded once as UTF-8 with "surrogatepass" (any
     str round-trips), and each chunk's text is decoded back for ``write``:
@@ -424,14 +413,15 @@ def _write_chunks(table: Table, template: str, sep: str, lead: str,
     ``%`` reads it one character at a time.  ``%d`` and ``%%`` mean the same
     in bytes, and ``%r`` is ``%a``, the same text for floats."""
     width = sum(f.count("%") for _, f in table.columns)  # cells per row
-    chunks = iter(table.chunks)
+    flat = chain.from_iterable(table.rows)
+    budget = max(1, CHUNK_CELLS // width) * width  # the cells of whole rows
+    chunks = iter(lambda: tuple(islice(flat, budget)), ())
     cells = next(chunks, None)
     if cells is None:
         return False
-    lead, template, sep = (s.encode("utf-8", "surrogatepass")
-                           for s in (lead.replace("%", "%%"), template, sep))
-    text = (lead + sep.join([template] * (len(cells) // width))) % cells
-    write(text.decode("utf-8", "surrogatepass"))
+    template, sep = (s.encode("utf-8", "surrogatepass") for s in (template, sep))
+    write(lead)
+    write((sep.join([template] * (len(cells) // width)) % cells).decode("utf-8", "surrogatepass"))
     size = 0
     for cells in chunks:
         rows = len(cells) // width
@@ -448,13 +438,13 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
     A report is a dict in output order; its row list, if any, is a Table, last.
     The rows are written with one %-template per report and format: for JSON
     the row's object, for CSV its line with the report-level cells already
-    in place.  Each chunk of the Table is one bytes ``%`` of that template
-    repeated once per row over the chunk's flat cells (_write_chunks),
-    decoded to one str for one call of ``write``, the JSON preamble or CSV
-    header joined to the first, so no more than one chunk's text exists at a
-    time, as bytes and as str.  The JSON preamble is
-    json.dumps itself; a report without rows is json.dumps whole, in one
-    call, and a CSV report whose one row is all from the report one line.
+    in place.  _write_chunks writes the JSON preamble or CSV header, then
+    cuts the Table's rows into chunks, each one bytes ``%`` of that template
+    repeated once per row over the chunk's flat cells, decoded to one str for
+    one call of ``write``, so no more than one chunk's text exists at a time,
+    as bytes and as str.  The JSON preamble is json.dumps itself; a report
+    without rows is json.dumps whole, in one call, and a CSV report whose one
+    row is all from the report one line.
     """
     *head, (key, table) = report.items()
     if fmt == "json":

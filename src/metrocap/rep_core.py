@@ -120,9 +120,10 @@ class Decomposition(NamedTuple):
 
 
 def _check_fill(total: int, n: int, t: int) -> None:
-    """Refuse blocks whose sum dim * mult, ``total``, is not t^n."""
+    """Check that the blocks' sum dim * mult, ``total``, is t^n: a walk's
+    self-check, which no valid input fails, so it raises ArithmeticError."""
     if total != t**n:
-        raise ValueError("blocks do not fill the full space")
+        raise ArithmeticError("blocks do not fill the full space")
 
 
 def multiplicity_su(rows: tuple[int, ...], n: int, dim: int, carried: tuple[int, int]) -> int:

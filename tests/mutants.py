@@ -4,7 +4,7 @@ collector pause, closed-pipe descriptor, chunk writer, mp runs, digit-work
 budget, lifted digit limit and argv table reader: each listed fault must
 fail a test.
 
-The list holds 61 mutants.  Run from anywhere, with pytest and hypothesis
+The list holds 62 mutants.  Run from anywhere, with pytest and hypothesis
 installed:
 
     python tests/mutants.py
@@ -213,6 +213,11 @@ MUTANTS = [
            'width = sum(f.count("%") for _, f in table.columns) - 1',
            "the row width counted one field short: a chunk's cells are read as more rows",
            tests=CLI_TESTS),
+    Mutant("cli.py", "budget = max(1, CHUNK_CELLS // width) * width",
+           "budget = max(1, CHUNK_CELLS // width)",
+           "chunks cut by cells, not whole rows: a chunk holds a width-th of its rows, or a "
+           "row's cells split across two chunks",
+           tests=(f"{CLI_TESTS[0]}::test_every_builder_chunk_holds_rows_times_width_cells",)),
     Mutant("cli.py", 's.encode("utf-8", "surrogatepass")', 's.encode("utf-8", "strict")',
            "the templates encoded strictly: a report-level cell holding a lone surrogate, "
            "which the str writer wrote, raises",

@@ -135,11 +135,11 @@ def test_block_capacity_checks_the_walk_against_the_closed_forms(monkeypatch):
     for l in (UNBOUNDED, 3):
         with pytest.raises(ArithmeticError, match="Cauchy total"):
             block_capacity(6, 3, l)
-        with pytest.raises(ValueError, match="do not fill"):
+        with pytest.raises(ArithmeticError, match="do not fill"):
             decompose("su", 6, 3, l)
     rows = rep_core._weight_rows
     monkeypatch.setattr(rep_core, "_weight_rows", lambda n, t: list(rows(n, t))[1:])
-    with pytest.raises(ValueError, match="do not fill"):
+    with pytest.raises(ArithmeticError, match="do not fill"):
         decompose("mp", 6, 3, 1)
 
 
@@ -554,7 +554,7 @@ def test_standard_scaling_baseline():
     """A scaling row's baseline is (d/2) log n, d = t-1 (mp) or t^2-1 (su)."""
     for model, t, half_d in (("mp", 2, 0.5), ("su", 2, 1.5), ("mp", 4, 1.5)):
         report = _build_scaling(RunConfig("scaling", model=model, t=t, n_range=(50, 100, 25)))
-        assert [cell for chunk in report["rows"].chunks for cell in chunk[2::3]] == \
+        assert [baseline for _, _, baseline in report["rows"].rows] == \
             [half_d * math.log(n) for n in (50, 75, 100)]
 
 

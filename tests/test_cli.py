@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -128,6 +129,29 @@ def test_simulate_bn1(capsys):
     assert report["entropy_nats"] == pytest.approx(math.log(10), abs=1e-6)
 
 
+def test_simulate_refuses_flag_combinations_before_any_state(capsys, monkeypatch):
+    """Each flag combination simulate refuses is refused with its own
+    message before any state or spectrum is made, at n past the dense cap
+    (2^40) too; the tags that argparse never passes raise from run."""
+    for name in ("mp_optimal_state", "noon_state", "su2_optimal_state", "twirled_spectrum"):
+        monkeypatch.setattr(oracle, name, _refuse)
+    for flags, message in [
+        (["--model", "mp", "--t", "3", "--state", "bs4"], "simulate ships t = 2 states only"),
+        (["--model", "mp", "--t", "2", "--state", "bn1"], "--state bn1 needs --model su"),
+        (["--model", "su", "--t", "2", "--state", "noon", "--codebook", "lattice"],
+         "--codebook lattice needs --model mp"),
+        (["--model", "mp", "--t", "2", "--state", "bn1", "--codebook", "lattice"],
+         "--state bn1 needs --model su"),
+    ]:
+        for n in ("12", "40"):
+            assert run_cli(capsys, ["simulate", "--n", n, *flags]) == \
+                (2, "", f"error: {message}\n")
+    with pytest.raises(ValueError, match="^unknown state tag 'ghz'$"):
+        run(RunConfig("simulate", "mp", 12, 2, state="ghz"))
+    with pytest.raises(ValueError, match="^unknown codebook tag 'grid'$"):
+        run(RunConfig("simulate", "mp", 12, 2, codebook="grid"))
+
+
 def test_scaling_command_slope(capsys):
     code, out, err = run_cli(
         capsys,
@@ -186,7 +210,7 @@ def _written(report: dict, fmt: str) -> list:
 def test_row_table_writer_on_percent_signs_and_empty_tables():
     """Constant text of a template holds '%' only doubled: in a JSON key, a
     row-list key and a CSV cell from the report."""
-    rows = Table((("a%s", '"%d"'), ("b%%", "%r"), ("label", "[]")), [(10**30, 0.5, -1, 1e300)])
+    rows = Table((("a%s", '"%d"'), ("b%%", "%r"), ("label", "[]")), [(10**30, 0.5), (-1, 1e300)])
     report = {"schema": "1%d", "rows%": rows}
     dict_form = {"schema": "1%d", "rows%": [
         {"a%s": str(10**30), "b%%": 0.5, "label": []}, {"a%s": "-1", "b%%": 1e300, "label": []}]}
@@ -204,50 +228,24 @@ def test_row_table_writer_on_percent_signs_and_empty_tables():
 
 def test_row_table_writer_round_trips_any_text_and_float_cells():
     """The chunks are formatted as bytes and written as str, one write per
-    chunk: report-level CSV cells of non-ASCII text and a lone surrogate
-    reach every chunk unchanged, %r float cells read as repr, and a '%' in a
-    JSON key stays literal."""
+    chunk after the lead's: report-level CSV cells of non-ASCII text and a
+    lone surrogate reach every chunk unchanged, %r float cells read as repr,
+    and a '%' in a JSON key stays literal."""
     count = cli.CHUNK_CELLS // 4 + 5  # two chunks of rows of width 4
     columns = (("label", cli._label(1)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
     rows = [(k, 1, 3**k, 1) for k in range(count)]
     report = {"schema": "1", "command": "decompose", "model": "µ-\ud800", "n": 2, "t": 1,
-              "l": "∞%d", "entries": Table(columns, cli._chunks(chain.from_iterable(rows), 4))}
+              "l": "∞%d", "entries": Table(columns, rows)}
     writes = _written(report, "csv")
-    assert [type(w) for w in writes] == [str, str]
+    assert [type(w) for w in writes] == [str, str, str]
     assert "".join(writes) == "model,n,t,l,label,dim,mult,eff_mult\n" + "".join(
         f"µ-\ud800,2,1,∞%d,{k},1,{3**k},1\n" for k in range(count))
     floats = (0.1, -0.0, 1e300, 5e-324)
-    table = Table((("%d µ%", "%r"), ("n%", "%d")), [tuple(chain.from_iterable(
-        (x, k) for k, x in enumerate(floats)))])
+    table = Table((("%d µ%", "%r"), ("n%", "%d")), [(x, k) for k, x in enumerate(floats)])
     writes = _written({"schema": "1%", "rows%r": table}, "json")
-    assert [type(w) for w in writes] == [str, str]
+    assert [type(w) for w in writes] == [str, str, str]
     assert "".join(writes) == json.dumps({"schema": "1%", "rows%r": [
         {"%d µ%": x, "n%": k} for k, x in enumerate(floats)]}, indent=2) + "\n"
-
-
-@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
-def test_row_table_writer_at_chunk_boundaries(count):
-    """Rows of width 4 in the builders' chunks of CHUNK_CELLS // 4 = 4096
-    rows, around each edge: JSON is json.dumps of the dict rows, CSV the
-    dict-row reference on it, and each write holds at most one chunk.  A
-    report with no row table is one write."""
-    assert cli.CHUNK_CELLS // 4 == 4096
-    rows = [(k, k % 7, 3**k, k % 5) for k in range(count)]  # (*label, dim, mult, eff)
-    columns = (("label", cli._label(1)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
-    head = {"schema": "1", "command": "decompose", "model": "su", "n": 5, "t": 1, "l": "inf"}
-    report = {**head, "entries": Table(columns, list(cli._chunks(chain.from_iterable(rows), 4)))}
-    dicts = [{"label": [a], "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
-             for a, dim, mult, eff in rows]
-    chunks = -(-count // 4096)
-    json_writes = _written(report, "json")
-    json_out = "".join(json_writes)
-    assert json_out == json.dumps({**head, "entries": dicts}, indent=2) + "\n"
-    assert len(json_writes) == chunks + 1  # the closing bracket is a write of its own
-    csv_writes = _written(report, "csv")
-    assert "".join(csv_writes) == report_to_csv(json.loads(json_out))
-    assert len(csv_writes) == max(chunks, 1)
-    assert max(w.count("\n") for w in csv_writes) <= 4096 + 1  # and the header
-    assert len(_written(head, "json")) == 1
 
 
 def _row_counts(count: int, width: int) -> list:
@@ -255,6 +253,29 @@ def _row_counts(count: int, width: int) -> list:
     at most max(1, CHUNK_CELLS // width) rows."""
     size = max(1, cli.CHUNK_CELLS // width)
     return [min(size, count - i) for i in range(0, count, size)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
+def test_row_table_writer_at_chunk_boundaries(count):
+    """Rows of width 4, cut by the writer into chunks of CHUNK_CELLS // 4 =
+    4096 rows, around each edge: JSON is json.dumps of the dict rows, CSV
+    the dict-row reference on it, and each write after the lead holds one
+    chunk.  A report with no row table is one write."""
+    assert cli.CHUNK_CELLS // 4 == 4096
+    rows = [(k, k % 7, 3**k, k % 5) for k in range(count)]  # (*label, dim, mult, eff)
+    columns = (("label", cli._label(1)), ("dim", '"%d"'), ("mult", '"%d"'), ("eff_mult", '"%d"'))
+    head = {"schema": "1", "command": "decompose", "model": "su", "n": 5, "t": 1, "l": "inf"}
+    dicts = [{"label": [a], "dim": str(dim), "mult": str(mult), "eff_mult": str(eff)}
+             for a, dim, mult, eff in rows]
+    json_writes = _written({**head, "entries": Table(columns, iter(rows))}, "json")
+    json_out = "".join(json_writes)
+    assert json_out == json.dumps({**head, "entries": dicts}, indent=2) + "\n"
+    # the lead and the closing bracket are writes of their own; no rows, one write
+    assert len(json_writes) == (len(_row_counts(count, 4)) + 2 if count else 1)
+    csv_writes = _written({**head, "entries": Table(columns, iter(rows))}, "csv")
+    assert "".join(csv_writes) == report_to_csv(json.loads(json_out))
+    assert [w.count("\n") for w in csv_writes] == [1] + _row_counts(count, 4)  # the header first
+    assert len(_written(head, "json")) == 1
 
 
 @pytest.mark.parametrize("cfg,key,count,width", [
@@ -270,28 +291,32 @@ def _row_counts(count: int, width: int) -> list:
     (RunConfig("decompose", model="su", n=2, t=20000), "entries", 2, 20000 + 3),
 ])
 def test_every_builder_chunk_holds_rows_times_width_cells(cfg, key, count, width):
-    """Each chunk a builder hands render holds its rows times the width of
-    the row template, the % fields of the column formats (a label's one per
-    entry), literal columns (mp's dim, eff_mult and p) taking none: the
-    chunks are cut by the cell budget, max(1, CHUNK_CELLS // width) rows."""
+    """Each row a builder hands render holds one cell per % field of the
+    column formats (a label's one per entry), literal columns (mp's dim,
+    eff_mult and p) taking none; the JSON writer cuts them into chunks of
+    max(1, CHUNK_CELLS // width) rows, one write each after the lead."""
     table = cli._BUILDERS[cfg.command](cfg)[key]
     assert sum(len(re.findall("%[dr]", f)) for _, f in table.columns) == width
-    assert [len(cells) for cells in table.chunks] == \
-        [rows * width for rows in _row_counts(count, width)]
+    assert Counter(map(len, table.rows)) == {width: count}
+    objects = []  # the row objects of each write
+    report = cli._BUILDERS[cfg.command](cfg)
+    render(report, "json", lambda text: objects.append(text.count("    {\n")))
+    assert objects[1:-1] == _row_counts(count, width)
 
 
-def test_row_table_writer_reads_width_from_the_formats():
+def test_row_table_writer_reads_width_from_the_formats(monkeypatch):
     """A literal column takes no cell and a %% in a column name is no field:
-    the chunk's cells are read as rows of width 3."""
+    each row's cells are read as width 3, in chunks of one, two and three
+    rows."""
     columns = (("b%%", "%r"), ("one", '"1"'), ("label", cli._label(2)))
     rows = [(0.5, 1, 2), (-1.25, 3, 4), (1e300, 5, 6)]
     dicts = [{"b%%": b, "one": "1", "label": [x, y]} for b, x, y in rows]
     head = {"schema": "1"}
-    for cut in (1, 2, 3):
-        chunks = [tuple(chain.from_iterable(rows[:cut])), tuple(chain.from_iterable(rows[cut:]))]
-        report = {**head, "rows": Table(columns, [c for c in chunks if c])}
-        assert "".join(_written(report, "json")) == \
-            json.dumps({**head, "rows": dicts}, indent=2) + "\n"
+    for size in (1, 2, 3):
+        monkeypatch.setattr(cli, "CHUNK_CELLS", 3 * size)
+        writes = _written({**head, "rows": Table(columns, rows)}, "json")
+        assert "".join(writes) == json.dumps({**head, "rows": dicts}, indent=2) + "\n"
+        assert len(writes) == -(-3 // size) + 2
 
 
 def test_run_writes_a_long_report_in_chunks(monkeypatch):
@@ -407,28 +432,30 @@ def test_mp_cells_match_the_rows_and_factorial_multinomials(n, t):
     capacity are the same labels."""
     rows = decompose("mp", n, t, 1).rows
     cells = list(chain.from_iterable(
-        cli._build_decompose(RunConfig("decompose", "mp", n, t))["entries"].chunks))
+        cli._build_decompose(RunConfig("decompose", "mp", n, t))["entries"].rows))
     assert cells == list(chain.from_iterable(row[:t] + row[-2:-1] for row in rows))
     labels = [tuple(cells[i:i + t]) for i in range(0, len(cells), t + 1)]
     assert labels == sorted(weight_vectors(n, t), reverse=True)
     assert cells[t::t + 1] == list(map(factorial_multinomial, labels))
     p_cells = list(chain.from_iterable(
-        cli._build_capacity(RunConfig("capacity", "mp", n, t))["optimal_p"].chunks))
+        cli._build_capacity(RunConfig("capacity", "mp", n, t))["optimal_p"].rows))
     assert p_cells == list(chain.from_iterable(labels))
 
 
 def test_mp_reports_check_the_runs_before_any_byte(capsys, monkeypatch):
     """One lost run moves the multinomials' sum off t^n and the label count
-    off C(n+t-1, t-1): mp decompose refuses, exit 2, and JSON capacity
-    raises, each before any byte is written."""
+    off C(n+t-1, t-1): mp decompose and JSON capacity each raise
+    ArithmeticError, a failed self-check and not a refusal, before any byte
+    is written."""
     runs, walk = rep_core._weight_runs, rep_core._weight_walk
     monkeypatch.setattr(cli, "_weight_runs", lambda n, t: list(runs(n, t))[1:])
-    code, out, err = run_cli(capsys, ["decompose", "--model", "mp", "--n", "6", "--t", "3"])
-    assert (code, out, err) == (2, "", "error: blocks do not fill the full space\n")
+    with pytest.raises(ArithmeticError, match="^blocks do not fill the full space$"):
+        main(["decompose", "--model", "mp", "--n", "6", "--t", "3"])
+    assert capsys.readouterr() == ("", "")
     monkeypatch.setattr(cli, "_weight_walk", lambda n, t: list(walk(n, t))[1:])
     with pytest.raises(ArithmeticError, match="expected C"):
         main(["capacity", "--model", "mp", "--n", "6", "--t", "3"])
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", "")
 
 
 def _refuse(*args, **kwargs):
@@ -1124,12 +1151,12 @@ def _crash(cfg):
 def _crash_in_render(cfg):
     """A report whose rows fail once render reads them, while the digit
     limit is lifted."""
-    def cells():
+    def rows():
         assert sys.get_int_max_str_digits() == 0
         raise RuntimeError("not a refusal, while writing")
         yield
 
-    return cli._report(cfg, "model", {"rows": Table((("n", "%d"),), cells())})
+    return cli._report(cfg, "model", {"rows": Table((("n", "%d"),), rows())})
 
 
 class _ClosedPipe:

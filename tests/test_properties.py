@@ -10,11 +10,12 @@ seconds.
 import contextlib
 import io
 import json
-from itertools import chain
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrocap import cli
 from metrocap.capacity import capacity_support, su_square_sum
 from metrocap.cli import Table, _label, main, render
 from metrocap.rep_core import UNBOUNDED, _shape_rows, _weight_rows, decompose
@@ -215,8 +216,8 @@ def test_large_reports_have_the_stdlib_json_layout(argv):
 @st.composite
 def _tables(draw):
     """A decompose, capacity or scaling report as its builder hands it to
-    render, with its rows as a Table of flat cells cut into non-empty chunks
-    at any places, and the same report as plain dicts."""
+    render, with its rows as a Table of flat rows, the same report as plain
+    dicts, and a chunk budget of cells that cuts the rows anywhere."""
     command = draw(st.sampled_from(["decompose", "capacity", "scaling"]))
     width = draw(st.integers(1, 8))
     exact = st.integers(0, 10**400)
@@ -240,10 +241,7 @@ def _tables(draw):
         key, columns = "rows", (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
         rows = draw(st.lists(st.tuples(st.integers(), real, real), max_size=5))
         dicts = [{"n": n, f"capacity_{u}": c, f"baseline_{u}": b} for n, c, b in rows]
-    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1)))) if len(rows) > 1 else []
-    ends = [0, *cuts, len(rows)]
-    chunks = [tuple(chain.from_iterable(rows[i:j])) for i, j in zip(ends, ends[1:]) if i < j]
-    return {**head, key: Table(columns, chunks)}, {**head, key: dicts}
+    return {**head, key: Table(columns, rows)}, {**head, key: dicts}, draw(st.integers(1, 40))
 
 
 def _rendered(report: dict, fmt: str) -> str:
@@ -259,7 +257,8 @@ def test_row_table_writer_matches_stdlib(reports):
     """One %-template per report against json.dumps of the dict rows, and
     its CSV against the dict-row reference on the parsed JSON, with the rows
     cut into chunks anywhere."""
-    report, dict_form = reports
-    json_out = _rendered(report, "json")
-    assert json_out == json.dumps(dict_form, indent=2) + "\n"
-    assert _rendered(report, "csv") == report_to_csv(json.loads(json_out))
+    report, dict_form, budget = reports
+    with mock.patch.object(cli, "CHUNK_CELLS", budget):
+        json_out = _rendered(report, "json")
+        assert json_out == json.dumps(dict_form, indent=2) + "\n"
+        assert _rendered(report, "csv") == report_to_csv(json.loads(json_out))
