@@ -3,7 +3,6 @@
 from .rep_core import (
     UNBOUNDED,
     Decomposition,
-    Model,
     decompose,
 )
 
@@ -12,7 +11,6 @@ __version__ = "0.1.0"
 __all__ = [
     "UNBOUNDED",
     "Decomposition",
-    "Model",
     "decompose",
     "__version__",
 ]

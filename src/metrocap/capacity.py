@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from math import comb, gcd
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from .rep_core import (
     UNBOUNDED,
     Decomposition,
-    Model,
     RefSize,
     _admit,
     _check_config,
@@ -117,7 +116,7 @@ def block_capacity(n: int, t: int, l: RefSize) -> CapacityReport:
     return CapacityReport(value=log_integer(total), support=total, p_rows=tuple(p_rows))
 
 
-def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> int:
+def capacity_support(model: str, n: int, t: int, l: RefSize) -> int:
     """The support sum_b dim_b * eff_mult_b of decompose(model, n, t, l),
     without building the decomposition.
 
@@ -131,13 +130,14 @@ def capacity_support(model: Union[Model, str], n: int, t: int, l: RefSize) -> in
     before any is visited.  Arguments are validated as in decompose, with the
     same messages.
     """
-    return _support_of(_check_config(model, n, t, l), n, t, l)
+    _check_config(model, n, t, l)
+    return _support_of(model, n, t, l)
 
 
-def _support_of(model: Model, n: int, t: int, l: RefSize) -> int:
+def _support_of(model: str, n: int, t: int, l: RefSize) -> int:
     """capacity_support of arguments already validated (_check_config), as a
     scaling sweep's rows are, once for the whole sweep."""
-    if model is Model.MULTI_PHASE:
+    if model == "mp":
         return weight_count(n, t)
     if l is UNBOUNDED:
         return su_square_sum(n, t)

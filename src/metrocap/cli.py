@@ -26,7 +26,6 @@ from . import capacity as cap
 from . import distinguish as dist
 from .rep_core import (
     UNBOUNDED,
-    Model,
     RefSize,
     _admit,
     _check_config,
@@ -156,7 +155,7 @@ def _report(cfg: RunConfig, echo: str, body: dict) -> dict:
     return {"schema": SCHEMA, "command": cfg.command, **echoed, **body}
 
 
-def _digit_work(model: Model, n: int, t: int, blocks: int) -> int:
+def _digit_work(model: str, n: int, t: int, blocks: int) -> int:
     """An upper bound, from closed forms, of sum D^2 over the dim, mult and
     eff_mult cells of the decompose report of ``blocks`` blocks, D a cell's
     decimal digit count.  Every mult is at most dim * mult <= t^n, of
@@ -167,7 +166,7 @@ def _digit_work(model: Model, n: int, t: int, blocks: int) -> int:
     a quarter of a digit: a whole digit of margin.  mp writes dim and eff_mult
     as literals."""
     mult = math.floor(n * math.log10(t) + 1e-6) + 1
-    if model is Model.MULTI_PHASE:
+    if model == "mp":
         return blocks * mult * mult
     dim = math.floor(_binomial_bits(n, t * t - 1) * math.log10(2) / 2) + 2
     return blocks * (mult * mult + 2 * dim * dim)
@@ -183,20 +182,20 @@ def _build_decompose(cfg: RunConfig) -> dict:
     mp reads the runs of _weight_runs and holds no Decomposition or rows:
     their multinomials are checked to fill t^n by decompose's own fill
     check (_check_fill), before any byte is written."""
-    model, blocks = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
-    work = _digit_work(model, cfg.n, cfg.t, blocks)
+    blocks = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
+    work = _digit_work(cfg.model, cfg.n, cfg.t, blocks)
     if work > MAX_DIGIT_WORK:
         raise ValueError(f"the report's integers need about {work} digit^2 of decimal "
                          f"conversion (the sum of their squared digit counts), more than "
                          f"the budget of {MAX_DIGIT_WORK} (MAX_DIGIT_WORK)")
     label_column = ("label", _label(cfg.t))
-    if model is Model.MULTI_PHASE:
+    if cfg.model == "mp":
         runs = list(_weight_runs(cfg.n, cfg.t))
         _check_fill(sum(map(sum, map(itemgetter(2), runs))), cfg.n, cfg.t)
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
         rows = _run_rows(runs)
     else:
-        rows = decompose(model, cfg.n, cfg.t, cfg.l).rows
+        rows = decompose(cfg.model, cfg.n, cfg.t, cfg.l).rows
         columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
     return _report(cfg, "model n t l", {"entries": Table(columns, rows)})
 
@@ -213,8 +212,8 @@ def _build_capacity(cfg: RunConfig) -> dict:
         support, body = _support(cfg), {}
     else:
         label_column = ("label", _label(cfg.t))
-        if Model(cfg.model) is Model.MULTI_PHASE:  # an unknown tag is refused as _admit does
-            _, support = _admit(cfg.model, cfg.n, cfg.t, cfg.l)  # C(n+t-1, t-1) weights
+        if cfg.model == "mp":
+            support = _admit(cfg.model, cfg.n, cfg.t, cfg.l)  # C(n+t-1, t-1) weights
             runs = [(counts[:-1], counts[-1]) for counts, _, _ in _weight_walk(cfg.n, cfg.t - 1)]
             blocks = sum(map(itemgetter(1), runs)) + len(runs)
             if blocks != support:
@@ -257,20 +256,15 @@ def _build_simulate(cfg: RunConfig) -> dict:
     before the oracle (numpy) is imported or any state built."""
     if cfg.t != 2:
         raise ValueError("simulate ships t = 2 states only")
-    model = Model(cfg.model)
-    if cfg.state not in ("bs4", "noon", "bn1"):
-        raise ValueError(f"unknown state tag {cfg.state!r}")
-    if cfg.state == "bn1" and model is not Model.SPECIAL_UNITARY:
+    if cfg.state == "bn1" and cfg.model != "su":
         raise ValueError("--state bn1 needs --model su")
-    if cfg.codebook not in (None, "lattice"):
-        raise ValueError(f"unknown codebook tag {cfg.codebook!r}")
-    if cfg.codebook is not None and model is not Model.MULTI_PHASE:
+    if cfg.codebook is not None and cfg.model != "mp":
         raise ValueError("--codebook lattice needs --model mp")
     from . import oracle  # numpy, which only this command needs
 
     state = {"bs4": oracle.mp_optimal_state, "noon": oracle.noon_state,
              "bn1": oracle.su2_optimal_state}[cfg.state]
-    spectrum = oracle.twirled_spectrum(state(cfg.n), model, cfg.n, cfg.t)
+    spectrum = oracle.twirled_spectrum(state(cfg.n), cfg.model, cfg.n, cfg.t)
     success = None
     if cfg.codebook is not None:
         success = oracle.lattice_srm_success(spectrum, cfg.n, cfg.t)
@@ -304,12 +298,12 @@ def _binomial_bits(n: int, d: int) -> int:
     return (k * round(rate / _LN2 * 2**32) + round(tail / _LN2 * 2**32) + 2**31) >> 32
 
 
-def _check_binomial_bits(model: Model, t: int, ns: range) -> int:
+def _check_binomial_bits(model: str, t: int, ns: range) -> int:
     """The parameter count d (t-1 phases for mp, t^2-1 generators for su),
     once the support binomials C(n+d, d) over ``ns`` are admitted: their
     sizes, estimated by _binomial_bits before any is computed, may add up to
     MAX_SCALING_BITS; more is refused, naming the estimate."""
-    d = t - 1 if model is Model.MULTI_PHASE else t * t - 1
+    d = t - 1 if model == "mp" else t * t - 1
     bits = sum(_binomial_bits(n, d) for n in ns)
     if bits <= MAX_SCALING_BITS:
         return d
@@ -323,9 +317,9 @@ def _check_binomial_bits(model: Model, t: int, ns: range) -> int:
 def _support(cfg: RunConfig) -> int:
     """capacity_support of the request, once its arguments are valid and its
     binomial, C(n+t^2-1, t^2-1) for su and C(n+t-1, t-1) for mp, is admitted."""
-    model = _check_config(cfg.model, cfg.n, cfg.t, cfg.l)
-    _check_binomial_bits(model, cfg.t, range(cfg.n, cfg.n + 1))
-    return cap.capacity_support(model, cfg.n, cfg.t, cfg.l)
+    _check_config(cfg.model, cfg.n, cfg.t, cfg.l)
+    _check_binomial_bits(cfg.model, cfg.t, range(cfg.n, cfg.n + 1))
+    return cap.capacity_support(cfg.model, cfg.n, cfg.t, cfg.l)
 
 
 def _build_scaling(cfg: RunConfig) -> dict:
@@ -339,8 +333,8 @@ def _build_scaling(cfg: RunConfig) -> dict:
     if len(ns) > MAX_SCALING_POINTS:
         raise ValueError(f"{len(ns)} n values exceed the scaling budget of "
                          f"{MAX_SCALING_POINTS} points (MAX_SCALING_POINTS)")
-    model = _check_config(cfg.model, start, cfg.t, UNBOUNDED)  # before the size estimate
-    d = _check_binomial_bits(model, cfg.t, ns)
+    _check_config(cfg.model, start, cfg.t, UNBOUNDED)  # before the size estimate
+    d = _check_binomial_bits(cfg.model, cfg.t, ns)
     try:  # the largest baseline, at the last n, bounds every row's
         finite = math.isfinite(_scaled(0.5 * d * math.log(ns[-1]), cfg.base))
     except OverflowError:  # d itself passes float range
@@ -348,9 +342,9 @@ def _build_scaling(cfg: RunConfig) -> dict:
     if not finite:
         raise ValueError(f"the baseline (d/2) log n passes float range at d = {d}")
     # the exact paths behind the sweep: l = 1 for mp, unbounded for su
-    l_eff = 1 if model is Model.MULTI_PHASE else UNBOUNDED
+    l_eff = 1 if cfg.model == "mp" else UNBOUNDED
     u = _unit(cfg.base)
-    rows = [(n, _scaled(cap.log_integer(cap._support_of(model, n, cfg.t, l_eff)), cfg.base),
+    rows = [(n, _scaled(cap.log_integer(cap._support_of(cfg.model, n, cfg.t, l_eff)), cfg.base),
              _scaled(0.5 * d * math.log(n), cfg.base)) for n in ns]
     columns = (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
     return _report(cfg._replace(l=l_eff), "model t l log_base", {
@@ -358,25 +352,6 @@ def _build_scaling(cfg: RunConfig) -> dict:
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
         "rows": Table(columns, rows),
     })
-
-
-_BUILDERS = {
-    "decompose": _build_decompose,
-    "capacity": _build_capacity,
-    "bounds": _build_bounds,
-    "simulate": _build_simulate,
-    "scaling": _build_scaling,
-}
-
-# command -> CSV header.  A report that holds every column is one row; else its
-# last item holds the rows, and a column that they lack is read from the report.
-_CSV = {
-    "decompose": "model,n,t,l,label,dim,mult,eff_mult",
-    "capacity": "model,n,t,l,log_base,capacity_{u}",
-    "bounds": "model,n,t,l,alpha,beta,epsilon,lower_{u},upper_{u}",
-    "simulate": "model,n,t,state_tag,codebook_tag,success_prob,entropy_{u}",
-    "scaling": "model,n,t,l,capacity_{u},baseline_{u},fitted_slope",
-}
 
 
 def _cell(value) -> str:
@@ -461,7 +436,7 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
         else:
             write(opening + "]\n}\n")
     elif fmt == "csv":
-        header = _CSV[report["command"]].format(u=_unit(report.get("log_base", "e")))
+        header = _COMMANDS[report["command"]].csv.format(u=_unit(report.get("log_base", "e")))
         names = header.split(",")
         if set(names) <= report.keys():  # one row, all from the report
             write(header + "\n" + ",".join([_cell(report[c]) for c in names]) + "\n")
@@ -472,17 +447,26 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
         if not _write_chunks(table, template, "", header + "\n", write):
             write(header + "\n")  # no rows: the header alone
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format tag {fmt!r}")
 
 
 def run(config: RunConfig) -> int:
     """Validate, compute and print one report on stdout, one chunk of rows
     at a time (render).  Returns the exit status; a refused request, by the
-    CLI or the library, raises ValueError before any byte is written."""
-    builder = _BUILDERS.get(config.command)
-    if builder is None:
+    CLI or the library, raises ValueError before any byte is written.
+
+    The command is read from _COMMANDS.  Before its builder runs, each field
+    that the command declares with choices (model, base, format, and
+    simulate's state and codebook) must be one of them, or RunConfig's
+    default (codebook's None); else "unknown <field> tag" names the value."""
+    command = _COMMANDS.get(config.command)
+    if command is None:
         raise ValueError(f"unknown command {config.command!r}")
-    report = builder(config)
+    for f in command.flags.values():
+        value = getattr(config, f.dest)
+        if f.choices and value not in f.choices and value != RunConfig._field_defaults[f.dest]:
+            raise ValueError(f"unknown {f.dest} tag {value!r}")
+    report = command.build(config)
     # The interpreter's digit limit on int to str (none before CPython
     # 3.10.7) is lifted for the report's integers, whose conversion work the
     # builders bound, and put back on every way out; argv keeps it.
@@ -510,16 +494,22 @@ class _Flag(NamedTuple):
 
 
 class _Command(NamedTuple):
-    """One subcommand: its summary line and its flags."""
+    """One subcommand: its summary line, its flags, the builder of its
+    report, and its CSV header, where ``{u}`` is the unit.  A report that
+    holds every column of the header is one CSV row; else its last item
+    holds the rows, and a column that they lack is read from the report."""
 
     help: str
     flags: dict  # option string -> _Flag, in argparse's order
     required: frozenset  # dests of the required flags
+    build: Callable[[RunConfig], dict]
+    csv: str
 
 
-def _command(summary: str, *flags: _Flag) -> _Command:
+def _command(summary: str, build: Callable[[RunConfig], dict], csv: str,
+             *flags: _Flag) -> _Command:
     return _Command(summary, {f.name: f for f in flags},
-                    frozenset(f.dest for f in flags if f.required))
+                    frozenset(f.dest for f in flags if f.required), build, csv)
 
 
 _MODEL = _Flag("--model", "model", choices=("mp", "su"), required=True)
@@ -529,21 +519,27 @@ _L = _Flag("--l", "l", help="reference size or 'inf'")
 _BASE = _Flag("--base", "base", choices=("e", "2"))
 _FORMAT = _Flag("--format", "format", choices=("json", "csv"))
 
-# Every subcommand and its flags, in the order of their help text: the one
-# declaration build_parser and _read_canonical read.
+# Every subcommand, in the order of their help text: the one declaration of
+# its flags, builder and CSV header, which build_parser, _read_canonical, run
+# and render read.
 _COMMANDS = {
-    "decompose": _command("list irrep blocks with exact sizes",
+    "decompose": _command("list irrep blocks with exact sizes", _build_decompose,
+                          "model,n,t,l,label,dim,mult,eff_mult",
                           _MODEL, _N, _T, _L, _BASE, _FORMAT),
-    "capacity": _command("capacity and optimal block weights",
+    "capacity": _command("capacity and optimal block weights", _build_capacity,
+                         "model,n,t,l,log_base,capacity_{u}",
                          _MODEL, _N, _T, _L, _BASE, _FORMAT),
-    "bounds": _command("two-sided bracket on log M_eps",
+    "bounds": _command("two-sided bracket on log M_eps", _build_bounds,
+                       "model,n,t,l,alpha,beta,epsilon,lower_{u},upper_{u}",
                        _MODEL, _N, _T, _L, _BASE, _FORMAT, _Flag("--eps", "eps", float),
                        _Flag("--alpha", "alpha", float), _Flag("--beta", "beta", float)),
-    "simulate": _command("dense-matrix experiment at small n",
+    "simulate": _command("dense-matrix experiment at small n", _build_simulate,
+                         "model,n,t,state_tag,codebook_tag,success_prob,entropy_{u}",
                          _MODEL, _N, _T, _BASE, _FORMAT,
                          _Flag("--state", "state", choices=("bs4", "noon", "bn1")),
                          _Flag("--codebook", "codebook", choices=("lattice",))),
-    "scaling": _command("capacity sweep against (d/2) log n",
+    "scaling": _command("capacity sweep against (d/2) log n", _build_scaling,
+                        "model,n,t,l,capacity_{u},baseline_{u},fitted_slope",
                         _MODEL, _T, _BASE, _FORMAT,
                         _Flag("--n-range", "n_range", required=True, metavar="START:STOP:STRIDE")),
 }

@@ -8,18 +8,10 @@ Everything here is arbitrary-precision integer arithmetic; no floats.
 
 from __future__ import annotations
 
-from enum import Enum
 from math import comb
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
-
-
-class Model(str, Enum):
-    """The two supported unitary models."""
-
-    MULTI_PHASE = "mp"
-    SPECIAL_UNITARY = "su"
 
 
 class _UnboundedType:
@@ -95,15 +87,15 @@ class IrrepEntry(NamedTuple):
 class Decomposition(NamedTuple):
     """Full isotypic decomposition of one model at given (n, t, l).
 
-    The blocks are flat rows (*label, dim, mult, eff_mult), the label's t
-    entries first: weight vectors for mp, zero-padded partitions for su.
-    A plain record, its fields stored as given: decompose builds it from
-    its walks' rows once their fill is checked, and a record built from
-    outside is not checked at all; tests/reference.py::check_rows holds the
-    row rules.
+    The model is its tag as given, "mp" or "su".  The blocks are flat rows
+    (*label, dim, mult, eff_mult), the label's t entries first: weight
+    vectors for mp, zero-padded partitions for su.  A plain record, its
+    fields stored as given: decompose builds it from its walks' rows once
+    their fill is checked, and a record built from outside is not checked
+    at all; tests/reference.py::check_rows holds the row rules.
     """
 
-    model: Model
+    model: str
     n: int
     t: int
     l: RefSize
@@ -373,20 +365,26 @@ def _weight_rows(n: int, t: int) -> tuple[Row, ...]:
                            for prefix, r, mults in _weight_runs(n, t)))
 
 
-def _check_config(model: Union[Model, str], n: int, t: int, l: RefSize) -> Model:
-    """Validate a (model, n, t, l) configuration; returns the model."""
-    model = Model(model)  # rejects unsupported tags
+def _check_config(model: str, n: int, t: int, l: RefSize) -> None:
+    """Validate a (model, n, t, l) configuration: the model is the tag "mp"
+    or "su", n and t are ints (not bools), n >= 1 and t >= 2, and l is a
+    positive int or UNBOUNDED."""
+    if model not in ("mp", "su"):
+        raise ValueError(f"unknown model tag {model!r}")
+    for name, value in (("n", n), ("t", t)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if t < 2:
         raise ValueError("t must be at least 2")
     if l is not UNBOUNDED and (not isinstance(l, int) or isinstance(l, bool) or l < 1):
         raise ValueError(f"reference size must be a positive integer or UNBOUNDED, got {l!r}")
-    return model
 
 
-def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposition:
-    """Full isotypic list for one model with a reference system of size l.
+def decompose(model: str, n: int, t: int, l: RefSize) -> Decomposition:
+    """Full isotypic list for the model tagged ``model``, "mp" or "su", with
+    a reference system of size l.
 
     Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
     block at its full dimension.  Blocks come as flat rows
@@ -398,8 +396,8 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     the fill sum dim * mult = t^n is checked at run time; the tests hold the
     walks' rows to the full row rules (tests/reference.py::check_rows).
     """
-    model, _ = _admit(model, n, t, l)
-    if model is Model.MULTI_PHASE:
+    _admit(model, n, t, l)
+    if model == "mp":
         rows = tuple(_weight_rows(n, t))
     else:
         rows = tuple(_shape_rows(n, t, l=None if l is UNBOUNDED else l))
@@ -407,20 +405,20 @@ def decompose(model: Union[Model, str], n: int, t: int, l: RefSize) -> Decomposi
     return Decomposition(model, n, t, l, rows)
 
 
-def _admit(model: Union[Model, str], n: int, t: int, l: RefSize) -> tuple[Model, int]:
+def _admit(model: str, n: int, t: int, l: RefSize) -> int:
     """Check a decomposition request's arguments and its block budget (the
-    model's block count: weights for mp, partitions for su); returns the
-    model and its exact block count.  The su count stops once it passes a
-    budget, and the refusal names the count reached."""
-    model = _check_config(model, n, t, l)
-    if model is Model.MULTI_PHASE:
+    model's block count: weights for mp, partitions for su); returns its
+    exact block count.  The su count stops once it passes a budget, and the
+    refusal names the count reached."""
+    _check_config(model, n, t, l)
+    if model == "mp":
         blocks = weight_count(n, t)
         _check_block_budget(blocks, t)
     else:
         budget = min(MAX_BLOCKS, MAX_LABEL_ENTRIES // t)  # blocks * t > L iff blocks > L // t
         blocks = partition_count(n, t, above=budget)
         _check_block_budget(blocks, t, exact=False)
-    return model, blocks
+    return blocks
 
 
 def partition_count(n: int, t: int, widest: Optional[int] = None,

@@ -69,6 +69,10 @@ def matrix() -> list[list[str]]:
         ["frobnicate", "--model", "mp"],
         ["capacity", "--n", "3", "--t", "2"],
         ["capacity", "--model", "xx", "--n", "3", "--t", "2"],
+        ["capacity", "--model", "mp", "--n", "3", "--t", "2", "--base", "10"],
+        ["decompose", "--model", "mp", "--n", "3", "--t", "2", "--format", "xml"],
+        ["simulate", "--model", "mp", "--n", "3", "--t", "2", "--state", "ghz"],
+        ["simulate", "--model", "mp", "--n", "3", "--t", "2", "--codebook", "grid"],
         ["capacity", "--model", "mp", "--n", "abc", "--t", "2"],
         ["simulate", "--model", "mp", "--n", "3", "--t", "2", "--seed", "7"],
         # forms argparse reads although they are not one exact --flag value pair each

@@ -1,10 +1,10 @@
 """Mutation sweep of the exact walks, block_capacity's unsaturated rows and
 p reduction, the Renyi bracket, the oracle's Schur basis, the CLI's
 collector pause, closed-pipe descriptor, chunk writer, mp runs, digit-work
-budget, lifted digit limit and argv table reader: each listed fault must
-fail a test.
+budget, lifted digit limit, argv table reader and run's check of the
+table's choices: each listed fault must fail a test.
 
-The list holds 62 mutants.  Run from anywhere, with pytest and hypothesis
+The list holds 63 mutants.  Run from anywhere, with pytest and hypothesis
 installed:
 
     python tests/mutants.py
@@ -231,7 +231,7 @@ MUTANTS = [
     Mutant("cli.py", "if work > MAX_DIGIT_WORK:", "if work <= MAX_DIGIT_WORK:",
            "the budget comparison inverted: only the reports over the budget are written",
            tests=(f"{CLI_TESTS[0]}::test_digit_work_budget_exits_2_at_once",)),
-    Mutant("cli.py", "work = _digit_work(model, cfg.n, cfg.t, blocks)", "work = 0",
+    Mutant("cli.py", "work = _digit_work(cfg.model, cfg.n, cfg.t, blocks)", "work = 0",
            "the estimate dropped: every report under the block budget is written",
            tests=(f"{CLI_TESTS[0]}::test_digit_work_budget_exits_2_at_once",)),
     Mutant("cli.py", "sys.set_int_max_str_digits(0)", "pass",
@@ -255,6 +255,12 @@ MUTANTS = [
            "flag, text = {f.name: f for c in _COMMANDS.values()\n"
            "                      for f in c.flags.values()}.get(argv[i]), argv[i + 1]",
            "another subcommand's flag is read, where argparse refuses it", tests=ARGV_TESTS),
+    # run's check of the table's choices, before any builder.
+    Mutant("cli.py", "if f.choices and value not in f.choices and value != "
+                     "RunConfig._field_defaults[f.dest]:", "if False:",
+           "a library config with a bad tag reaches its builder: bounds writes bits under "
+           "log_base '10'", tests=(f"{CLI_TESTS[0]}::test_run_refuses_a_bad_tag_before_any_"
+                                  "builder",)),
 ]
 
 

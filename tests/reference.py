@@ -62,9 +62,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from metrocap.capacity import log_integer
-from metrocap.cli import _CSV
+from metrocap.cli import _COMMANDS
 from metrocap.oracle import _EIG_FLOOR, DensityOperator, PureState, _digit_counts
-from metrocap.rep_core import Model
 
 
 def partition_rows(n: int, t: int) -> Iterator[tuple[int, ...]]:
@@ -178,7 +177,7 @@ def check_rows(model, n: int, t: int, rows) -> None:
                              f"expected t = {t}")
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate irrep labels")
-    partitions = Model(model) is Model.SPECIAL_UNITARY
+    partitions = model == "su"
     for label, row in zip(labels, rows):
         dim, mult, eff = row[-3:]
         if min(label) < 0:
@@ -616,7 +615,7 @@ def _csv_cell(value) -> str:
 def report_to_csv(report: dict) -> str:
     """CSV of a parsed JSON report, one dict row and one cell at a time; a
     column that a row lacks is read from the report itself."""
-    header = _CSV[report["command"]].format(
+    header = _COMMANDS[report["command"]].csv.format(
         u="nats" if report.get("log_base", "e") == "e" else "bits")
     names = header.split(",")
     *_, last = report.values()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +26,6 @@ from metrocap.rep_core import (
     MAX_BLOCKS,
     UNBOUNDED,
     Decomposition,
-    Model,
     _shape_rows,
     decompose,
     partition_count,
@@ -93,7 +93,7 @@ def optimal_p(report):
 
 
 def test_capacity_single_trivial_block_is_zero():
-    trivial = Decomposition(Model.MULTI_PHASE, 0, 2, 1, ((0, 0, 1, 1, 1),))
+    trivial = Decomposition("mp", 0, 2, 1, ((0, 0, 1, 1, 1),))
     assert capacity(trivial).value == 0.0
 
 
@@ -224,13 +224,22 @@ def test_block_capacity_validates_like_decompose():
 
 
 def test_capacity_support_validates_like_decompose():
+    """Both refuse the same arguments with the same messages: an n or t that
+    is a bool or not an int is refused as such an l is, and a model is one
+    of the tags "mp" and "su"."""
     for args in [("xx", 2, 2, 1), ("mp", 0, 2, 1), ("su", 2, 1, UNBOUNDED), ("su", 2, 2, 0),
-                 ("mp", 2, 2, True)]:
+                 ("mp", 2, 2, True), ("mp", True, 2, 1), ("mp", 3.0, 2, 1), ("su", 3, True, 1),
+                 ("su", 3, 2.0, UNBOUNDED)]:
         with pytest.raises(ValueError) as want:
             decompose(*args)
         with pytest.raises(ValueError) as got:
             capacity_support(*args)
         assert str(got.value) == str(want.value)
+    for args, message in [(("xx", 2, 2, 1), "unknown model tag 'xx'"),
+                          (("mp", True, 2, 1), "n must be an integer, got True"),
+                          (("su", 3, 2.0, UNBOUNDED), "t must be an integer, got 2.0")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            capacity_support(*args)
 
 
 # t -> largest n of the finite-reference grid

@@ -152,6 +152,25 @@ def test_simulate_refuses_flag_combinations_before_any_state(capsys, monkeypatch
         run(RunConfig("simulate", "mp", 12, 2, codebook="grid"))
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (RunConfig("bounds", "mp", 3, base="10"), "unknown base tag '10'"),
+    (RunConfig("capacity", "su", 200, format="xml"), "unknown format tag 'xml'"),
+    (RunConfig("decompose", "xx", 3), "unknown model tag 'xx'"),
+    (RunConfig("simulate", "mp", 3, 3, state="ghz"), "unknown state tag 'ghz'"),
+    (RunConfig("simulate", "su", 3, codebook="grid"), "unknown codebook tag 'grid'"),
+    (RunConfig("scaling", "su", base=None, n_range=(1, 9, 1)), "unknown base tag None"),
+])
+def test_run_refuses_a_bad_tag_before_any_builder(monkeypatch, cfg, message):
+    """run checks every field that the command's flags declare with choices
+    against them before its builder runs, so a bad tag is named first even
+    where the config has other faults (simulate at t = 3, or a codebook
+    with su)."""
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, command._replace(build=_refuse))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(cfg)
+
+
 def test_scaling_command_slope(capsys):
     code, out, err = run_cli(
         capsys,
@@ -295,11 +314,11 @@ def test_every_builder_chunk_holds_rows_times_width_cells(cfg, key, count, width
     column formats (a label's one per entry), literal columns (mp's dim,
     eff_mult and p) taking none; the JSON writer cuts them into chunks of
     max(1, CHUNK_CELLS // width) rows, one write each after the lead."""
-    table = cli._BUILDERS[cfg.command](cfg)[key]
+    table = cli._COMMANDS[cfg.command].build(cfg)[key]
     assert sum(len(re.findall("%[dr]", f)) for _, f in table.columns) == width
     assert Counter(map(len, table.rows)) == {width: count}
     objects = []  # the row objects of each write
-    report = cli._BUILDERS[cfg.command](cfg)
+    report = cli._COMMANDS[cfg.command].build(cfg)
     render(report, "json", lambda text: objects.append(text.count("    {\n")))
     assert objects[1:-1] == _row_counts(count, width)
 
@@ -623,8 +642,8 @@ def test_early_digit_refusal_is_sound(model):
         grid[1000] = (20,)
     for t, sizes in grid.items():
         for n in sizes:
-            admitted, blocks = rep_core._admit(model, n, t, UNBOUNDED)
-            estimate, real = cli._digit_work(admitted, n, t, blocks), digit_work(model, n, t)
+            blocks = rep_core._admit(model, n, t, UNBOUNDED)
+            estimate, real = cli._digit_work(model, n, t, blocks), digit_work(model, n, t)
             assert real <= estimate, (n, t, real, estimate)
             if n >= 90:
                 assert estimate <= 4 * real, (n, t, real, estimate)
@@ -1204,7 +1223,8 @@ def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch, enabled):
             main(["capacity", "--model", "mp"])
         assert as_found()
         for builder, message in ((_crash, "not a refusal$"), (_crash_in_render, "while writing")):
-            monkeypatch.setitem(cli._BUILDERS, "capacity", builder)
+            monkeypatch.setitem(cli._COMMANDS, "capacity",
+                                cli._COMMANDS["capacity"]._replace(build=builder))
             with pytest.raises(RuntimeError, match=message):
                 main(["capacity", "--model", "mp", "--n", "3"])
             assert as_found()
@@ -1270,8 +1290,9 @@ UNUSED_BUT_KEPT = {
 
 def test_the_package_exports_the_decomposition_api():
     """The top-level names are the decomposition record, its entry point and
-    its arguments' types; the tableau count is the shape walk's own step."""
-    assert metrocap.__all__ == ["UNBOUNDED", "Decomposition", "Model", "decompose", "__version__"]
+    the unbounded reference size; a model is its tag, "mp" or "su", and the
+    tableau count is the shape walk's own step."""
+    assert metrocap.__all__ == ["UNBOUNDED", "Decomposition", "decompose", "__version__"]
     assert not hasattr(metrocap, "multiplicity_su")
 
 

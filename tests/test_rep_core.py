@@ -11,7 +11,6 @@ from metrocap.rep_core import (
     UNBOUNDED,
     Decomposition,
     IrrepEntry,
-    Model,
     _weight_rows,
     decompose,
     multiplicity_su,
@@ -67,19 +66,19 @@ def count_syt(rows):
 
 def test_partition_checks_sign_before_order():
     with pytest.raises(ValueError, match="negative entry"):
-        check_rows(Model.SPECIAL_UNITARY, 4, 3, [(1, -1, 2, 1, 1, 1)])  # breaks both rules
+        check_rows("su", 4, 3, [(1, -1, 2, 1, 1, 1)])  # breaks both rules
 
 
 def test_weight_vector_validation():
     with pytest.raises(ValueError, match="negative entry"):
-        check_rows(Model.MULTI_PHASE, 1, 2, [(2, -1, 1, 1, 1)])
+        check_rows("mp", 1, 2, [(2, -1, 1, 1, 1)])
 
 
 def test_decomposition_rejects_incomplete():
     with pytest.raises(ValueError, match="do not fill"):
-        check_rows(Model.SPECIAL_UNITARY, 2, 2, [(2, 0, 3, 1, 3)])
+        check_rows("su", 2, 2, [(2, 0, 3, 1, 3)])
     with pytest.raises(ValueError, match="duplicate"):
-        check_rows(Model.SPECIAL_UNITARY, 2, 2, [(2, 0, 3, 1, 3), (2, 0, 1, 1, 1)])
+        check_rows("su", 2, 2, [(2, 0, 3, 1, 3), (2, 0, 1, 1, 1)])
 
 
 # ---------------------------------------------------------------- enumeration
@@ -265,7 +264,7 @@ def test_decompose_mp_example():
 
 
 def test_decompose_su_finite_reference():
-    d = decompose(Model.SPECIAL_UNITARY, 3, 2, 1)
+    d = decompose("su", 3, 2, 1)
     table = {row[:2]: row[2:] for row in d.rows}
     assert table[(2, 1)] == (2, 2, 2)
     assert table[(3, 0)][2] == 1  # min(1*1, 4)
@@ -393,7 +392,7 @@ def test_entries_wrap_the_rows(model, l):
 ])
 def test_decomposition_applies_every_block_check_to_rows(rows, message):
     with pytest.raises(ValueError, match=message):
-        check_rows(Model.SPECIAL_UNITARY, 2, 2, rows)
+        check_rows("su", 2, 2, rows)
 
 
 @pytest.mark.parametrize("model,rows,message", [
@@ -417,8 +416,8 @@ def test_decomposition_rows_in_any_order():
     """The rules hold for rows in any order, and a record keeps its rows as
     given."""
     rows = ((1, 1, 1, 1, 1), (2, 0, 3, 1, 3))  # ascending labels fill the space too
-    check_rows(Model.SPECIAL_UNITARY, 2, 2, rows)
-    assert Decomposition(Model.SPECIAL_UNITARY, 2, 2, 1, rows).rows is rows
+    check_rows("su", 2, 2, rows)
+    assert Decomposition("su", 2, 2, 1, rows).rows is rows
 
 
 def test_decomposition_is_a_read_only_record():
@@ -435,7 +434,7 @@ def test_decomposition_is_a_read_only_record():
 def test_decomposition_keeps_mp_blocks_one_dimensional():
     rows = [(2, 0, 2, 1, 1), (1, 1, 1, 2, 1)]
     with pytest.raises(ValueError, match="one-dimensional"):
-        check_rows(Model.MULTI_PHASE, 2, 2, rows)
+        check_rows("mp", 2, 2, rows)
 
 
 def test_multiplicity_su_takes_partition_rows():
