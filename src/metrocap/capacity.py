@@ -1,8 +1,9 @@
 """Mutual-information capacities of the block decompositions, exact where possible.
 
 Capacities are logs of exact integer support sizes.  The integer is summed in
-arbitrary precision first and only then sent through log, so the float result
-is correctly rounded no matter how large n gets.
+arbitrary precision first and only then sent through math.log, which reads
+ints of any size directly, with no float conversion, so the float result
+stays accurate far past the 2**1024 overflow point, however large n gets.
 
 ``block_capacity`` gives the su capacity with its optimal block weights
 (the su ``capacity`` report in JSON; the mp one writes its labels from the
@@ -22,28 +23,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from math import comb, gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .rep_core import (
     UNBOUNDED,
     Decomposition,
-    RefSize,
     _admit,
     _check_config,
     _shape_rows,
     weight_count,
 )
-
-
-def log_integer(m: int) -> float:
-    """Natural log of a positive integer.
-
-    math.log reads arbitrary-size ints directly (no float conversion), so this
-    stays accurate far past the 2**1024 overflow point.
-    """
-    if m < 1:
-        raise ValueError(f"need a positive integer, got {m}")
-    return math.log(m)
 
 
 class CapacityReport(NamedTuple):
@@ -70,10 +59,10 @@ def capacity(decomp: Decomposition) -> CapacityReport:
     total = sum(weights)
     p_rows = tuple(row[:-3] + (w // gcd(w, total), total // gcd(w, total))
                    for row, w in zip(decomp.rows, weights))
-    return CapacityReport(value=log_integer(total), support=total, p_rows=p_rows)
+    return CapacityReport(value=math.log(total), support=total, p_rows=p_rows)
 
 
-def block_capacity(n: int, t: int, l: RefSize) -> CapacityReport:
+def block_capacity(n: int, t: int, l: Optional[int]) -> CapacityReport:
     """capacity(decompose("su", n, t, l)), block for block, without the
     decomposition: only the weights w_b = dim_b * eff_mult_b are made.
 
@@ -113,10 +102,10 @@ def block_capacity(n: int, t: int, l: RefSize) -> CapacityReport:
     if due:
         raise ArithmeticError(f"the unsaturated shape {due[:-3]} of dimension {due[-3]} is not "
                               f"among the shapes of n = {n}, t = {t} in label order")
-    return CapacityReport(value=log_integer(total), support=total, p_rows=tuple(p_rows))
+    return CapacityReport(value=math.log(total), support=total, p_rows=tuple(p_rows))
 
 
-def capacity_support(model: str, n: int, t: int, l: RefSize) -> int:
+def capacity_support(model: str, n: int, t: int, l: Optional[int]) -> int:
     """The support sum_b dim_b * eff_mult_b of decompose(model, n, t, l),
     without building the decomposition.
 
@@ -128,15 +117,9 @@ def capacity_support(model: str, n: int, t: int, l: RefSize) -> int:
     visiting the saturated ones.  Their first rows are a run n, n-1, ..., c*,
     and the shapes with those first rows are counted under the block budgets
     before any is visited.  Arguments are validated as in decompose, with the
-    same messages.
+    same messages, on every call: a scaling sweep makes one call per n.
     """
     _check_config(model, n, t, l)
-    return _support_of(model, n, t, l)
-
-
-def _support_of(model: str, n: int, t: int, l: RefSize) -> int:
-    """capacity_support of arguments already validated (_check_config), as a
-    scaling sweep's rows are, once for the whole sweep."""
     if model == "mp":
         return weight_count(n, t)
     if l is UNBOUNDED:

@@ -26,7 +26,6 @@ from . import capacity as cap
 from . import distinguish as dist
 from .rep_core import (
     UNBOUNDED,
-    RefSize,
     _admit,
     _check_config,
     _check_fill,
@@ -77,7 +76,7 @@ class RunConfig(NamedTuple):
     model: str = "mp"
     n: int = 1
     t: int = 2
-    l: RefSize = UNBOUNDED
+    l: Optional[int] = UNBOUNDED
     eps: float = 0.1
     alpha: Optional[float] = None
     beta: Optional[float] = None
@@ -96,7 +95,7 @@ def _scaled(x: float, base: str) -> float:
     return x if base == "e" else x / _LN2
 
 
-def _parse_l(text: str) -> RefSize:
+def _parse_l(text: str) -> Optional[int]:
     if text == "inf":
         return UNBOUNDED
     try:
@@ -116,8 +115,6 @@ def _parse_n_range(text: str) -> tuple:
         start, stop, stride = (int(p) for p in parts)
     except ValueError:
         raise ValueError(f"--n-range needs integers, got {text!r}")
-    if start < 1 or stride < 1 or stop < start:
-        raise ValueError(f"--n-range needs 1 <= start <= stop and stride >= 1, got {text!r}")
     return start, stop, stride
 
 
@@ -226,7 +223,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
             columns = (label_column, ("p", '"%d/%d"'))
         body = {"support": str(support), "optimal_p": Table(columns, rows)}
     return _report(cfg, "model n t l log_base", {
-        f"capacity_{_unit(cfg.base)}": _scaled(cap.log_integer(support), cfg.base),
+        f"capacity_{_unit(cfg.base)}": _scaled(math.log(support), cfg.base),
         **body,
     })
 
@@ -236,7 +233,7 @@ def _build_bounds(cfg: RunConfig) -> dict:
         raise ValueError(f"--eps must lie in (0, 1), got {cfg.eps}")
     if (cfg.alpha is None) != (cfg.beta is None):
         raise ValueError("--alpha and --beta must be given together")
-    r = cap.log_integer(_support(cfg))
+    r = math.log(_support(cfg))
     # the optimal twirled spectrum is flat: each Renyi entropy is the capacity
     alpha = 2.0 if cfg.alpha is None else cfg.alpha
     b = dist.m_bounds_general(r, r, alpha, cfg.beta, cfg.eps)
@@ -323,10 +320,17 @@ def _support(cfg: RunConfig) -> int:
 
 
 def _build_scaling(cfg: RunConfig) -> dict:
-    """One row (n, capacity, baseline) per n of the sweep, and the slope."""
+    """One row (n, capacity, baseline) per n of the sweep, and the slope.
+    The range rule, ints with 1 <= start <= stop and stride >= 1, is checked
+    here on the tuple, for argv and library configs alike."""
     if cfg.n_range is None:
         raise ValueError("scaling needs --n-range start:stop:stride")
     start, stop, stride = cfg.n_range
+    text = f"{start}:{stop}:{stride}"
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in cfg.n_range):
+        raise ValueError(f"--n-range needs integers, got {text!r}")
+    if start < 1 or stride < 1 or stop < start:
+        raise ValueError(f"--n-range needs 1 <= start <= stop and stride >= 1, got {text!r}")
     ns = range(start, stop + 1, stride)
     if len(ns) < 3:
         raise ValueError("scaling needs at least three n values for a slope")
@@ -344,11 +348,11 @@ def _build_scaling(cfg: RunConfig) -> dict:
     # the exact paths behind the sweep: l = 1 for mp, unbounded for su
     l_eff = 1 if cfg.model == "mp" else UNBOUNDED
     u = _unit(cfg.base)
-    rows = [(n, _scaled(cap.log_integer(cap._support_of(cfg.model, n, cfg.t, l_eff)), cfg.base),
+    rows = [(n, _scaled(math.log(cap.capacity_support(cfg.model, n, cfg.t, l_eff)), cfg.base),
              _scaled(0.5 * d * math.log(n), cfg.base)) for n in ns]
     columns = (("n", "%d"), (f"capacity_{u}", "%r"), (f"baseline_{u}", "%r"))
     return _report(cfg._replace(l=l_eff), "model t l log_base", {
-        "n_range": f"{start}:{stop}:{stride}",
+        "n_range": text,
         "fitted_slope": cap.scaling_fit([(n, value) for n, value, _ in rows]),
         "rows": Table(columns, rows),
     })
@@ -456,9 +460,13 @@ def run(config: RunConfig) -> int:
     CLI or the library, raises ValueError before any byte is written.
 
     The command is read from _COMMANDS.  Before its builder runs, each field
-    that the command declares with choices (model, base, format, and
-    simulate's state and codebook) must be one of them, or RunConfig's
-    default (codebook's None); else "unknown <field> tag" names the value."""
+    that the command declares, in the order of its flags, is checked: one
+    with choices (model, base, format, and simulate's state and codebook)
+    must be one of them, or RunConfig's default (codebook's None), else
+    "unknown <field> tag" names the value; one of type int (n, t) must be an
+    int, and one of type float (eps, alpha, beta) an int or a float, neither
+    a bool, unless it is None, else "<field> must be an integer" or "a
+    number" names it."""
     command = _COMMANDS.get(config.command)
     if command is None:
         raise ValueError(f"unknown command {config.command!r}")
@@ -466,6 +474,10 @@ def run(config: RunConfig) -> int:
         value = getattr(config, f.dest)
         if f.choices and value not in f.choices and value != RunConfig._field_defaults[f.dest]:
             raise ValueError(f"unknown {f.dest} tag {value!r}")
+        if f.type in (int, float) and value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, f.type))):
+            kind = "an integer" if f.type is int else "a number"
+            raise ValueError(f"{f.dest} must be {kind}, got {value!r}")
     report = command.build(config)
     # The interpreter's digit limit on int to str (none before CPython
     # 3.10.7) is lifted for the report's integers, whose conversion work the

@@ -11,26 +11,11 @@ from __future__ import annotations
 from math import comb
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional
 
-
-class _UnboundedType:
-    """Marker for a reference system large enough that every block saturates."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNBOUNDED"
-
-
-UNBOUNDED = _UnboundedType()
-
-RefSize = Union[int, _UnboundedType]
+# A reference system large enough that every block saturates: no reference
+# size, None, as the shape walk spells it.
+UNBOUNDED = None
 
 # Most blocks an enumeration may build, and most label entries (blocks times
 # t, one per level of every label) it may hold and a report may write; larger
@@ -98,7 +83,7 @@ class Decomposition(NamedTuple):
     model: str
     n: int
     t: int
-    l: RefSize
+    l: Optional[int]
     rows: tuple[Row, ...]
 
     @property
@@ -365,10 +350,10 @@ def _weight_rows(n: int, t: int) -> tuple[Row, ...]:
                            for prefix, r, mults in _weight_runs(n, t)))
 
 
-def _check_config(model: str, n: int, t: int, l: RefSize) -> None:
+def _check_config(model: str, n: int, t: int, l: Optional[int]) -> None:
     """Validate a (model, n, t, l) configuration: the model is the tag "mp"
     or "su", n and t are ints (not bools), n >= 1 and t >= 2, and l is a
-    positive int or UNBOUNDED."""
+    positive int or UNBOUNDED, which is None."""
     if model not in ("mp", "su"):
         raise ValueError(f"unknown model tag {model!r}")
     for name, value in (("n", n), ("t", t)):
@@ -382,16 +367,17 @@ def _check_config(model: str, n: int, t: int, l: RefSize) -> None:
         raise ValueError(f"reference size must be a positive integer or UNBOUNDED, got {l!r}")
 
 
-def decompose(model: str, n: int, t: int, l: RefSize) -> Decomposition:
+def decompose(model: str, n: int, t: int, l: Optional[int]) -> Decomposition:
     """Full isotypic list for the model tagged ``model``, "mp" or "su", with
     a reference system of size l.
 
-    Effective multiplicities are min(l * mult, dim); UNBOUNDED saturates every
-    block at its full dimension.  Blocks come as flat rows
-    (*label, dim, mult, eff_mult) in lexicographically descending label
-    order, collected as the walks make them: the weight runs' for mp, the
-    shape walk _shape_rows's for su.  Arguments and the enumeration budget
-    are always checked (_admit) before the first block is made.
+    Effective multiplicities are min(l * mult, dim); UNBOUNDED (None), no
+    reference size, saturates every block at its full dimension.  Blocks
+    come as flat rows (*label, dim, mult, eff_mult) in lexicographically
+    descending label order, collected as the walks make them: the weight
+    runs' for mp, the shape walk _shape_rows's for su.  Arguments and the
+    enumeration budget are always checked (_admit) before the first block
+    is made.
     The walks make every row a well-formed block by construction, so only
     the fill sum dim * mult = t^n is checked at run time; the tests hold the
     walks' rows to the full row rules (tests/reference.py::check_rows).
@@ -400,12 +386,12 @@ def decompose(model: str, n: int, t: int, l: RefSize) -> Decomposition:
     if model == "mp":
         rows = tuple(_weight_rows(n, t))
     else:
-        rows = tuple(_shape_rows(n, t, l=None if l is UNBOUNDED else l))
+        rows = tuple(_shape_rows(n, t, l=l))
     _check_fill(sum(map(mul, map(itemgetter(-3), rows), map(itemgetter(-2), rows))), n, t)
     return Decomposition(model, n, t, l, rows)
 
 
-def _admit(model: str, n: int, t: int, l: RefSize) -> int:
+def _admit(model: str, n: int, t: int, l: Optional[int]) -> int:
     """Check a decomposition request's arguments and its block budget (the
     model's block count: weights for mp, partitions for su); returns its
     exact block count.  The su count stops once it passes a budget, and the

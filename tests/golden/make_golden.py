@@ -60,6 +60,9 @@ def matrix() -> list[list[str]]:
         ["capacity", "--model", "mp", "--n", "3", "--t", "1"],
         ["decompose", "--model", "su", "--n", "3", "--t", "2", "--l", "x"],
         ["scaling", "--model", "su", "--t", "2", "--n-range", "0:20:1"],
+        ["scaling", "--model", "mp", "--t", "2", "--n-range", "1:9:0"],
+        ["decompose", "--model", "su", "--n", "5", "--t", "3", "--l", "0"],
+        ["simulate", "--model", "mp", "--n", "0", "--t", "2"],
         # argparse's help text
         ["--help"],
         ["decompose", "--help"],

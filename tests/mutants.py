@@ -1,10 +1,11 @@
 """Mutation sweep of the exact walks, block_capacity's unsaturated rows and
 p reduction, the Renyi bracket, the oracle's Schur basis, the CLI's
 collector pause, closed-pipe descriptor, chunk writer, mp runs, digit-work
-budget, lifted digit limit, argv table reader and run's check of the
-table's choices: each listed fault must fail a test.
+budget, lifted digit limit, argv table reader, run's check of the
+table's choices and number types, and scaling's range rule: each listed
+fault must fail a test.
 
-The list holds 63 mutants.  Run from anywhere, with pytest and hypothesis
+The list holds 65 mutants.  Run from anywhere, with pytest and hypothesis
 installed:
 
     python tests/mutants.py
@@ -25,8 +26,9 @@ equivalent computes the same results by construction and is expected to pass
 every test; its reason says why.
 
 Exits 1 when a mutant that is not equivalent survives, when an equivalent one
-is killed, or when a snippet does not occur exactly once in its file, so the
-list cannot go stale silently.  pytest does not collect this file.
+is killed, when a snippet does not occur exactly once in its file, or when
+pytest collects no test under a name the entry gives, so the list cannot go
+stale silently.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -261,6 +263,15 @@ MUTANTS = [
            "a library config with a bad tag reaches its builder: bounds writes bits under "
            "log_base '10'", tests=(f"{CLI_TESTS[0]}::test_run_refuses_a_bad_tag_before_any_"
                                   "builder",)),
+    # run's check of the table's number types, and scaling's range rule on the tuple.
+    Mutant("cli.py", "if f.type in (int, float) and value is not None and (", "if False and (",
+           "a library config with n=True reaches its builder: simulate writes \"n\": true",
+           tests=(f"{CLI_TESTS[0]}::test_run_refuses_a_bad_tag_before_any_builder",)),
+    Mutant("cli.py", "if start < 1 or stride < 1 or stop < start:",
+           "if start < 1 or stop < start:",
+           "a stride of 0 reaches range(), whose own message names no flag",
+           tests=(f"{CLI_TESTS[0]}::test_scaling_n_range_rule_is_the_same_for_argv_and_"
+                  "library",)),
 ]
 
 
@@ -297,6 +308,9 @@ def run(workdir: Path, tests, mutant: Optional[Mutant] = None) -> tuple[bool, st
             preexec_fn=_cap_memory)
     except subprocess.TimeoutExpired:
         return True, f"timed out after {TIMEOUT_S} s"
+    if done.returncode in (4, 5):  # pytest's usage error (a name not found) or no tests
+        raise LookupError(f"pytest collects no test under {' '.join(tests)}: "
+                          f"{done.stdout.strip().splitlines()[-1:]}")
     if done.returncode == 0:
         return False, "every test passed"
     failed = [line for line in done.stdout.splitlines() if line.startswith("FAILED")]

@@ -61,7 +61,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from metrocap.capacity import log_integer
 from metrocap.cli import _COMMANDS
 from metrocap.oracle import _EIG_FLOOR, DensityOperator, PureState, _digit_counts
 
@@ -272,7 +271,7 @@ def log_fraction(q: Fraction) -> float:
     """Natural log of a positive rational, as a difference of integer logs."""
     if q <= 0:
         raise ValueError(f"need a positive rational, got {q}")
-    return log_integer(q.numerator) - log_integer(q.denominator)
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def block_state_mi(p, decomp) -> float:
@@ -329,7 +328,7 @@ def su_lower_bound(n: int, t: int, a) -> float:
     if not lams:
         raise ValueError(f"no gapped partitions for n={n}, t={t}, a={a}")
     factor = Fraction(n) / (Fraction(a) * t * t)
-    return log_integer(len(lams)) + t * (t - 1) * log_fraction(factor)
+    return math.log(len(lams)) + t * (t - 1) * log_fraction(factor)
 
 
 def fano_bound(mi: float, eps: float) -> float:

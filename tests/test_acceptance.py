@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from metrocap.capacity import capacity_support, log_integer, scaling_fit, su_square_sum
+from metrocap.capacity import capacity_support, scaling_fit, su_square_sum
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.oracle import (
     empirical_mi,
@@ -42,13 +42,13 @@ CRITERIA = []
 
 def mp_capacity(n, t):
     """The mp capacity a scaling row reports: log C(n+t-1, t-1)."""
-    return log_integer(capacity_support("mp", n, t, 1))
+    return math.log(capacity_support("mp", n, t, 1))
 
 
 def su_capacity(n, t):
     """The su capacity a scaling row reports, at an unbounded reference:
     log sum_lam dim_lam^2."""
-    return log_integer(capacity_support("su", n, t, UNBOUNDED))
+    return math.log(capacity_support("su", n, t, UNBOUNDED))
 
 
 def criterion(number, description):
@@ -75,7 +75,7 @@ def check_su2_closed_forms():
 @criterion(2, "asymptote residual |log sum - (3 log n - log 6)| <= 7/n for 10 <= n <= 1000")
 def check_asymptote_residual():
     for n in range(10, 1001):
-        r = abs(log_integer(su_square_sum(n, 2)) - (3.0 * math.log(n) - math.log(6.0)))
+        r = abs(math.log(su_square_sum(n, 2)) - (3.0 * math.log(n) - math.log(6.0)))
         assert r <= 7.0 / n, f"residual {r} above 7/{n}"
 
 

@@ -17,7 +17,6 @@ from metrocap.capacity import (
     block_capacity,
     capacity,
     capacity_support,
-    log_integer,
     scaling_fit,
     su_square_sum,
 )
@@ -47,26 +46,30 @@ from reference import (
 def scaling_capacity(model, n, t):
     """The capacity of a scaling row: log capacity_support at l = 1 for mp,
     unbounded for su."""
-    return log_integer(capacity_support(model, n, t, 1 if model == "mp" else UNBOUNDED))
+    return math.log(capacity_support(model, n, t, 1 if model == "mp" else UNBOUNDED))
 
 
 # ---------------------------------------------------------------- exact logs
 
 def test_log_integer_small():
-    assert log_integer(1) == 0.0
-    assert log_integer(10) == math.log(10)
+    """math.log, which every capacity is taken with, reads a small int as its
+    float and refuses 0 and negative ints."""
+    assert math.log(1) == 0.0
+    assert math.log(10) == math.log(10.0)
     with pytest.raises(ValueError):
-        log_integer(0)
+        math.log(0)
     with pytest.raises(ValueError):
-        log_integer(-3)
+        math.log(-3)
 
 
 def test_log_integer_huge():
+    """math.log reads an int past float range without converting it, which
+    the capacity module's exactness rests on."""
     # way past float overflow; relative error must stay ~1e-15
     m = 10**400
-    assert abs(log_integer(m) - 400 * math.log(10)) < 1e-12 * log_integer(m)
+    assert abs(math.log(m) - 400 * math.log(10)) < 1e-12 * math.log(m)
     m = 7**5000
-    assert abs(log_integer(m) - 5000 * math.log(7)) < 1e-12 * log_integer(m)
+    assert abs(math.log(m) - 5000 * math.log(7)) < 1e-12 * math.log(m)
 
 
 def test_log_fraction():
@@ -115,7 +118,8 @@ def test_capacity_matches_closed_paths(model, n, t):
 
 @pytest.mark.parametrize("model,t", [("mp", 2), ("mp", 3), ("su", 2), ("su", 3), ("su", 4)])
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
-@pytest.mark.parametrize("l", [1, 2, 3, UNBOUNDED])
+# an explicit id: UNBOUNDED, which is None, would rename these tests to "None"
+@pytest.mark.parametrize("l", [1, 2, 3, pytest.param(UNBOUNDED, id="l3")])
 def test_capacity_support_matches_enumeration(model, n, t, l):
     assert capacity_support(model, n, t, l) == capacity(decompose(model, n, t, l)).support
 
@@ -487,12 +491,12 @@ def test_su2_closed_form_matches_sum():
     for n in list(range(1, 60)) + [101, 256, 999]:
         closed = (n + 1) * (n + 2) * (n + 3) // 6
         assert su_square_sum(n, 2) == closed == enumerated_square_sum(n, 2)
-        assert scaling_capacity("su", n, 2) == log_integer(closed)
+        assert scaling_capacity("su", n, 2) == math.log(closed)
 
 
 def test_su2_asymptote_residual_examples():
     def residual(n):
-        return abs(log_integer(su_square_sum(n, 2)) - (3.0 * math.log(n) - math.log(6.0)))
+        return abs(math.log(su_square_sum(n, 2)) - (3.0 * math.log(n) - math.log(6.0)))
 
     assert residual(10) <= 0.7
     assert residual(1000) <= 0.007

@@ -19,7 +19,7 @@ import pytest
 import metrocap
 from metrocap import cli, oracle, rep_core
 from metrocap.cli import RunConfig, Table, main, render, run
-from metrocap.capacity import capacity, log_integer
+from metrocap.capacity import capacity
 from metrocap.distinguish import m_eps_capacity_bounds
 from metrocap.rep_core import UNBOUNDED, decompose
 from reference import (
@@ -159,16 +159,47 @@ def test_simulate_refuses_flag_combinations_before_any_state(capsys, monkeypatch
     (RunConfig("simulate", "mp", 3, 3, state="ghz"), "unknown state tag 'ghz'"),
     (RunConfig("simulate", "su", 3, codebook="grid"), "unknown codebook tag 'grid'"),
     (RunConfig("scaling", "su", base=None, n_range=(1, 9, 1)), "unknown base tag None"),
+    (RunConfig("simulate", "mp", True), "n must be an integer, got True"),
+    (RunConfig("simulate", "mp", 2.0), "n must be an integer, got 2.0"),
+    (RunConfig("decompose", "su", 3, False), "t must be an integer, got False"),
+    (RunConfig("bounds", "mp", 3, eps="0.1"), "eps must be a number, got '0.1'"),
+    (RunConfig("bounds", "mp", 3, alpha="2", beta=0.5), "alpha must be a number, got '2'"),
+    (RunConfig("bounds", "mp", 3, alpha=2.0, beta=True), "beta must be a number, got True"),
 ])
 def test_run_refuses_a_bad_tag_before_any_builder(monkeypatch, cfg, message):
     """run checks every field that the command's flags declare with choices
     against them before its builder runs, so a bad tag is named first even
     where the config has other faults (simulate at t = 3, or a codebook
-    with su)."""
+    with su).  It checks every int and float field the same way, in
+    _check_config's words: a bool is no number, an int field takes no float
+    and a float field no text."""
     for name, command in cli._COMMANDS.items():
         monkeypatch.setitem(cli._COMMANDS, name, command._replace(build=_refuse))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run(cfg)
+
+
+def test_run_lets_ints_and_none_through_a_number_field(monkeypatch):
+    """A float field takes an int, and a number field left at None passes:
+    each config reaches its builder."""
+    for name, command in cli._COMMANDS.items():
+        monkeypatch.setitem(cli._COMMANDS, name, command._replace(build=_refuse))
+    for cfg in (RunConfig("bounds", "mp", 3, eps=1, alpha=2, beta=0.5),
+                RunConfig("bounds", "mp", 3), RunConfig("simulate", "mp", 3)):
+        with pytest.raises(AssertionError, match="^not on this path$"):
+            run(cfg)
+
+
+def test_none_is_the_unbounded_reference(capsys):
+    """UNBOUNDED is None, no reference size: decompose and run read l=None as
+    unbounded, and the report writes it as "inf"."""
+    assert UNBOUNDED is None
+    assert decompose("su", 5, 3, None) == decompose("su", 5, 3, UNBOUNDED)
+    assert run(RunConfig("capacity", "su", 5, 3, l=None)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["l"] == "inf"
+    assert report == run_json(capsys, ["capacity", "--model", "su", "--n", "5", "--t", "3",
+                                       "--l", "inf"])
 
 
 def test_scaling_command_slope(capsys):
@@ -730,7 +761,7 @@ def test_capacity_csv_converts_no_support(capsys):
     code, out, err = run_cli(capsys, ["capacity", *argv, "--format", "csv"])
     assert (code, err) == (0, "")
     value = float(out.splitlines()[1].split(",")[-1])
-    assert value == log_integer(support)
+    assert value == math.log(support)
     report = run_json(capsys, ["bounds", *argv])
     assert report["lower_nats"] == value - (LN2 - math.log(0.1))
 
@@ -1023,12 +1054,20 @@ def test_su_scaling_needs_no_block_budget(capsys):
         assert row["capacity_nats"] == math.log(math.comb(row["n"] + 35, 35))
 
 
-def test_scaling_from_n_0_names_n():
-    """A sweep's first n goes through the library's argument check: a sweep
-    from n = 0, which the parser refuses but a RunConfig built in code can
-    hold, names n before any size estimate."""
-    with pytest.raises(ValueError, match="^n must be positive$"):
-        run(RunConfig(command="scaling", model="mp", t=2, n_range=(0, 20, 1)))
+@pytest.mark.parametrize("n_range", [(1, 9, 0), (0, 9, 1), (9, 1, 1), (0, 20, 1), (1.0, 9, 1)],
+                         ids=lambda r: "%s:%s:%s" % r)
+def test_scaling_n_range_rule_is_the_same_for_argv_and_library(capsys, n_range):
+    """A sweep's range is checked on the tuple, so a RunConfig built in code
+    is refused with the --n-range message that argv gets, before any size
+    estimate: a stride of 0 no longer reaches range(), nor a start of 0 the
+    argument check, nor a float start range()."""
+    text = "%s:%s:%s" % n_range
+    rule = "integers" if float in map(type, n_range) else "1 <= start <= stop and stride >= 1"
+    message = f"--n-range needs {rule}, got {text!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(RunConfig(command="scaling", model="mp", t=2, n_range=n_range))
+    argv = ["scaling", "--model", "mp", "--t", "2", "--n-range", text]
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_library_warning_is_one_line_without_path(capsys):

@@ -353,7 +353,8 @@ def test_decompose_label_entry_budget(monkeypatch):
 
 @pytest.mark.parametrize("model", ["mp", "su"])
 @pytest.mark.parametrize("n,t", [(1, 2), (5, 2), (6, 3), (7, 4), (5, 5)])
-@pytest.mark.parametrize("l", [1, 2, UNBOUNDED])
+# an explicit id: UNBOUNDED, which is None, would rename these tests to "None"
+@pytest.mark.parametrize("l", [1, 2, pytest.param(UNBOUNDED, id="l2")])
 def test_rows_match_slow_references(model, n, t, l):
     rows = decompose(model, n, t, l).rows
     assert all(type(row) is tuple and len(row) == t + 3 for row in rows)
@@ -372,7 +373,7 @@ def test_rows_match_slow_references(model, n, t, l):
 
 
 @pytest.mark.parametrize("model", ["mp", "su"])
-@pytest.mark.parametrize("l", [1, 3, UNBOUNDED])
+@pytest.mark.parametrize("l", [1, 3, pytest.param(UNBOUNDED, id="l2")])  # the id, as above
 def test_entries_wrap_the_rows(model, l):
     d = decompose(model, 9, 3, l)
     assert [(*e.label, e.dim, e.mult, e.eff_mult) for e in d.entries] == list(d.rows)
