@@ -13,12 +13,13 @@ import gc
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from functools import lru_cache
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import itemgetter
+from operator import add, itemgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -29,7 +30,6 @@ from .rep_core import (
     _admit,
     _check_config,
     _check_fill,
-    _run_rows,
     _weight_runs,
     _weight_walk,
     decompose,
@@ -62,12 +62,16 @@ MAX_SCALING_BITS = 1_000_000
 # su n <= 20665 at t = 2; at t >= 4 MAX_BLOCKS refuses first.
 MAX_DIGIT_WORK = 4 * 10**11
 
-# Most cells render formats and writes at once: _write_chunks cuts a report's
-# rows into chunks of max(1, CHUNK_CELLS // width) rows of ``width`` cells
-# each, 4096 rows of mp decompose at t = 3.  A report is held whole only as
-# what its builder reads (a Decomposition's rows, a CapacityReport's, the mp
-# runs); the text is written one chunk at a time, so the writer adds one
-# chunk's cells, template and text to that, whatever the report's length or t.
+# Most cells render formats and writes at once: both writers (_write_chunks,
+# _write_runs) cut a report's rows into chunks of max(1, CHUNK_CELLS // width)
+# rows of ``width`` cells each, 4096 rows of mp decompose at t = 3 and 8 at
+# t = 2000.  A report is held whole only as what its builder reads (a
+# Decomposition's rows, a CapacityReport's, the mp runs); the text is written
+# one chunk at a time, so a writer adds one chunk's cells or suffixes,
+# template and text to that, whatever the report's length or t.  mp decompose
+# at n = 16403, t = 2, one run of 16 404 rows whose chunks of 5461 rows hold
+# up to 26 MiB of text, peaks at 98 MiB of RSS (whole process, 2-vCPU Xeon
+# VM, Python 3.11): the runs and at most one chunk as bytes and as str.
 CHUNK_CELLS = 16384
 
 
@@ -134,6 +138,18 @@ class Table(NamedTuple):
     rows: Iterable[tuple]
 
 
+class Runs(NamedTuple):
+    """A report's row list as the mp weight runs (rep_core._weight_runs),
+    each (prefix, r) or (prefix, r, cells): the rows (*prefix, a, r-a) or
+    (*prefix, a, r-a, cell) for a = r, ..., 0, the tuple ``cells`` holding
+    the one cell per row of the fields after the label, in that order.  The
+    columns are a Table's, with the label first; render writes the same text
+    as for the Table of those flat rows (_write_runs)."""
+
+    columns: tuple
+    runs: Iterable[tuple]
+
+
 _EXACT = '"%d"'  # an exact integer, written as a decimal string
 
 
@@ -178,7 +194,8 @@ def _build_decompose(cfg: RunConfig) -> dict:
     admits it again, a small fraction of the walk's cost.
     mp reads the runs of _weight_runs and holds no Decomposition or rows:
     their multinomials are checked to fill t^n by decompose's own fill
-    check (_check_fill), before any byte is written."""
+    check (_check_fill), before any byte is written, and render gets the
+    runs as Runs."""
     blocks = _admit(cfg.model, cfg.n, cfg.t, cfg.l)
     work = _digit_work(cfg.model, cfg.n, cfg.t, blocks)
     if work > MAX_DIGIT_WORK:
@@ -190,10 +207,9 @@ def _build_decompose(cfg: RunConfig) -> dict:
         runs = list(_weight_runs(cfg.n, cfg.t))
         _check_fill(sum(map(sum, map(itemgetter(2), runs))), cfg.n, cfg.t)
         columns = (label_column, ("dim", '"1"'), ("mult", _EXACT), ("eff_mult", '"1"'))
-        rows = _run_rows(runs)
-    else:
-        rows = decompose(cfg.model, cfg.n, cfg.t, cfg.l).rows
-        columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
+        return _report(cfg, "model n t l", {"entries": Runs(columns, runs)})
+    rows = decompose(cfg.model, cfg.n, cfg.t, cfg.l).rows
+    columns = (label_column, ("dim", _EXACT), ("mult", _EXACT), ("eff_mult", _EXACT))
     return _report(cfg, "model n t l", {"entries": Table(columns, rows)})
 
 
@@ -202,7 +218,7 @@ def _build_capacity(cfg: RunConfig) -> dict:
     weight p = num/den as a row (*label, num, den); for mp the row is the
     label alone, and p = 1/support, the same in every block, is a literal of
     the row template.  The mp labels are the runs of the weight walk over
-    t-1 levels, as _run_rows expands them; their row count, sum (r+1), must
+    t-1 levels, handed to render as Runs; their row count, sum (r+1), must
     be C(n+t-1, t-1) before any byte is written.  The su rows are
     block_capacity's flat p rows, written cell for cell."""
     if cfg.format == "csv":  # the one CSV row shows neither: build no blocks, write no support
@@ -215,13 +231,12 @@ def _build_capacity(cfg: RunConfig) -> dict:
             blocks = sum(map(itemgetter(1), runs)) + len(runs)
             if blocks != support:
                 raise ArithmeticError(f"{blocks} weights, expected C(n+t-1, t-1) = {support}")
-            columns = (label_column, ("p", f'"1/{support}"'))
-            rows = _run_rows(runs)
+            table = Runs((label_column, ("p", f'"1/{support}"')), runs)
         else:
             r = cap.block_capacity(cfg.n, cfg.t, cfg.l)
-            support, rows = r.support, r.p_rows
-            columns = (label_column, ("p", '"%d/%d"'))
-        body = {"support": str(support), "optimal_p": Table(columns, rows)}
+            support = r.support
+            table = Table((label_column, ("p", '"%d/%d"')), r.p_rows)
+        body = {"support": str(support), "optimal_p": table}
     return _report(cfg, "model n t l log_base", {
         f"capacity_{_unit(cfg.base)}": _scaled(math.log(support), cfg.base),
         **body,
@@ -410,24 +425,95 @@ def _write_chunks(table: Table, template: str, sep: str, lead: str,
     return True
 
 
+def _write_runs(table: Runs, template: str, sep: str, lead: str,
+                write: Callable[[str], object]) -> bool:
+    """Write what _write_chunks writes for the flat rows of ``table``'s
+    runs, write for write, without making the rows: ``lead``, then chunks of
+    max(1, CHUNK_CELLS // width) rows, a run longer than a chunk cut between
+    rows.
+
+    The row ``template`` is cut before the label's last two fields (each
+    %d), the pair (a, r-a).  Each run's prefix text is its part before the
+    pair, formatted once per run with its literal ``%`` still escaped.  A
+    row's suffix is the concatenation of two texts made once per report for
+    each integer i up to the largest r: i's text and the literal up to r-a's
+    field, for a = i, and i's text and the rest of the template, its fields
+    still open, for r-a = i.  The suffixes of an r are made once, and kept
+    for reuse where r recurs (t >= 4, a prefix of two entries or more).  The
+    rows of a run in one chunk are then one bytes join of their suffixes
+    around the prefix text and one ``%`` over their cells (none for a
+    capacity run, where the ``%`` only unescapes ``%%``)."""
+    runs = iter(table.runs)
+    run = next(runs, None)
+    if run is None:
+        return False
+    template, sep = (s.encode("utf-8", "surrogatepass") for s in (template, sep))
+    fields = [m.span() for m in re.finditer(rb"%[dr%]", template) if m.group() != b"%%"]
+    k = len(run[0])  # the prefix's fields
+    (a_start, a_end), (b_start, b_end) = fields[k:k + 2]
+    head = template[:a_start].replace(b"%%", b"%%%%")
+    mid, rest = template[a_end:b_start], template[b_end:]
+    size = max(1, CHUNK_CELLS // len(fields))  # rows per chunk
+    firsts, seconds = [], []  # i's text and mid, i's text and rest, for i = 0, 1, ...
+    kept = {}  # suffixes by r where r recurs, for this report only
+    write(lead)
+    pieces, free = [], size  # the current chunk's texts and its rows still free
+    between = b""  # the text before a piece's first row: sep after the report's first row
+    for prefix, r, *cells in chain((run,), runs):
+        suffixes = kept.get(r)
+        if suffixes is None:
+            if r >= len(firsts):
+                firsts += [b"%d" % i + mid for i in range(len(firsts), r + 1)]
+                seconds += [b"%d" % i + rest for i in range(len(seconds), r + 1)]
+            suffixes = list(map(add, firsts[r::-1], seconds[:r + 1]))
+            if k >= 2:  # t >= 4; at t = 3 each r comes once
+                kept[r] = suffixes
+        text = head % prefix
+        joiner = sep + text
+        start = 0
+        while start <= r:
+            stop = min(r + 1, start + free)
+            part = between + text + joiner.join(suffixes[start:stop])
+            pieces.append(part % cells[0][start:stop] if cells else part % ())
+            between, free, start = sep, free - (stop - start), stop
+            if not free:
+                _write_pieces(pieces, write)
+                free = size
+    if pieces:
+        _write_pieces(pieces, write)
+    return True
+
+
+def _write_pieces(pieces: list, write: Callable[[str], object]) -> None:
+    """Write the bytes of ``pieces`` as one str, the list emptied before
+    ``write`` is called, so that only the str is alive while ``write`` runs
+    (a real stdout encodes it again); a chunk of one piece is not copied."""
+    text = b"".join(pieces).decode("utf-8", "surrogatepass")
+    pieces.clear()
+    write(text)
+
+
 def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
     """Write the report through ``write`` as JSON (the layout of
     json.dumps(report, indent=2)) or as CSV with LF line endings.
 
-    A report is a dict in output order; its row list, if any, is a Table, last.
-    The rows are written with one %-template per report and format: for JSON
-    the row's object, for CSV its line with the report-level cells already
-    in place.  _write_chunks writes the JSON preamble or CSV header, then
-    cuts the Table's rows into chunks, each one bytes ``%`` of that template
-    repeated once per row over the chunk's flat cells, decoded to one str for
-    one call of ``write``, so no more than one chunk's text exists at a time,
-    as bytes and as str.  The JSON preamble is json.dumps itself; a report
-    without rows is json.dumps whole, in one call, and a CSV report whose one
-    row is all from the report one line.
+    A report is a dict in output order; its row list, if any, is a Table or
+    Runs, last.  The rows are written with one %-template per report and
+    format: for JSON the row's object, for CSV its line with the
+    report-level cells already in place.  _write_chunks (a Table) or
+    _write_runs (Runs) writes the JSON preamble or CSV header, then cuts the
+    rows into chunks, each one bytes ``%`` of that template repeated once
+    per row over the chunk's flat cells (or, for runs, over each run's
+    joined suffixes), decoded to one str for one call of ``write``, so no
+    more than one chunk's text exists at a time, as bytes and as str.  The
+    JSON preamble is json.dumps itself; a report without rows is json.dumps
+    whole, in one call, and a CSV report whose one row is all from the
+    report one line.
     """
     *head, (key, table) = report.items()
+    write_rows = _write_runs if isinstance(table, Runs) else _write_chunks
     if fmt == "json":
-        if not isinstance(table, Table):
+        if not isinstance(table, (Table, Runs)):
             write(json.dumps(report, indent=2) + "\n")
             return
         preamble = json.dumps(dict(head), indent=2)[:-2]  # without the closing "\n}"
@@ -435,7 +521,7 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
                             for name, f in table.columns)
         template = f"    {{\n{fields}\n    }}"
         opening = f"{preamble},\n  {_json_str(key)}: ["
-        if _write_chunks(table, template, ",\n", opening + "\n", write):
+        if write_rows(table, template, ",\n", opening + "\n", write):
             write("\n  ]\n}\n")
         else:
             write(opening + "]\n}\n")
@@ -448,7 +534,7 @@ def render(report: dict, fmt: str, write: Callable[[str], object]) -> None:
         formats = {name: _csv_format(f) for name, f in table.columns}
         template = ",".join([formats[c] if c in formats else _cell(report[c]).replace("%", "%%")
                              for c in names]) + "\n"
-        if not _write_chunks(table, template, "", header + "\n", write):
+        if not write_rows(table, template, "", header + "\n", write):
             write(header + "\n")  # no rows: the header alone
     else:
         raise ValueError(f"unknown format tag {fmt!r}")

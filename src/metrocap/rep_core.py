@@ -25,8 +25,11 @@ UNBOUNDED = None
 # t = 3, and 0.47 us at n = 1400 (982 101 blocks in 0.46 s), most of it
 # multiplying each run's multinomial, grown to 2800 bits, into half its
 # binomial row.  A whole mp decompose request with its JSON report costs
-# 0.67-0.89 us per block at n = 250..400, t = 3, and a whole mp JSON capacity
-# request 0.25-0.27 us; both read their cells from the runs and hold no rows.  A
+# 0.71-1.05 us per block at n = 250..400, t = 3, 0.44 us at t = 4 (CSV) and
+# 1.3 us at t = 5, and a whole mp JSON capacity request 0.18-0.19 us at
+# t = 3 and 4 (best of 7, in one process alternating with the writer of flat
+# rows, which took 0.95-1.36, 0.73, 1.76 and 0.35-0.47 us); both hand render
+# the runs as they are (cli._write_runs) and hold no rows.  A
 # whole su decompose request, its rows made flat by the shape walk and
 # written as they are, costs 1.6-2.3 us per block at n <= 280 (t = 3..5)
 # and 4.2-4.4 us at n = 1000, t = 3 (CSV).  These request costs are with the

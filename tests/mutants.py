@@ -1,11 +1,11 @@
 """Mutation sweep of the exact walks, block_capacity's unsaturated rows and
 p reduction, the Renyi bracket, the oracle's Schur basis, the CLI's
-collector pause, closed-pipe descriptor, chunk writer, mp runs, digit-work
-budget, lifted digit limit, argv table reader, run's check of the
+collector pause, closed-pipe descriptor, chunk writer, run writer, mp runs,
+digit-work budget, lifted digit limit, argv table reader, run's check of the
 table's choices and number types, and scaling's range rule: each listed
 fault must fail a test.
 
-The list holds 65 mutants.  Run from anywhere, with pytest and hypothesis
+The list holds 69 mutants.  Run from anywhere, with pytest and hypothesis
 installed:
 
     python tests/mutants.py
@@ -149,7 +149,8 @@ MUTANTS = [
            tests=("tests/test_rep_core.py::test_weight_runs_are_the_walk_by_its_last_two_levels",)),
     Mutant("rep_core.py", "zip(range(r, -1, -1), range(r + 1), *columns)",
            "zip(range(r + 1), range(r, -1, -1), *columns)",
-           "_run_rows expands a run in ascending a, for decompose and the CLI's mp reports"),
+           "_run_rows expands a run in ascending a: decompose()'s mp rows, which the CLI no "
+           "longer reads (its mp reports write the runs themselves)"),
     # Admission and the su effective multiplicities, made in the shape walk.
     Mutant("rep_core.py", "eff = l * f\n", "eff = f\n",
            "su eff_mult ignores the reference size"),
@@ -220,10 +221,29 @@ MUTANTS = [
            "chunks cut by cells, not whole rows: a chunk holds a width-th of its rows, or a "
            "row's cells split across two chunks",
            tests=(f"{CLI_TESTS[0]}::test_every_builder_chunk_holds_rows_times_width_cells",)),
-    Mutant("cli.py", 's.encode("utf-8", "surrogatepass")', 's.encode("utf-8", "strict")',
+    Mutant("cli.py",
+           's.encode("utf-8", "surrogatepass") for s in (template, sep))\n    write(lead)',
+           's.encode("utf-8", "strict") for s in (template, sep))\n    write(lead)',
            "the templates encoded strictly: a report-level cell holding a lone surrogate, "
            "which the str writer wrote, raises",
            tests=(f"{CLI_TESTS[0]}::test_row_table_writer_round_trips_any_text_and_float_cells",)),
+    # The run writer: the mp runs' rows as one join of suffixes around each prefix.
+    Mutant("cli.py", "between, free, start = sep,", "between, free, start = b\"\",",
+           "the separator between two runs dropped, and before a run's rows in a later chunk",
+           tests=("tests/test_properties.py::test_run_writer_matches_the_row_writer",)),
+    Mutant("cli.py", "stop = min(r + 1, start + free)", "stop = r + 1",
+           "a run not cut at a chunk edge: the chunk takes the whole run, and every later "
+           "row goes to one last write",
+           tests=(f"{CLI_TESTS[0]}::test_every_builder_chunk_holds_rows_times_width_cells",)),
+    Mutant("cli.py", "map(add, firsts[r::-1], seconds[:r + 1])",
+           "map(add, firsts[:r + 1], seconds[r::-1])",
+           "the pair written as (r-a, a): each run's labels in ascending order",
+           tests=("tests/test_properties.py::test_run_writer_matches_the_row_writer",)),
+    Mutant("cli.py", 'head = template[:a_start].replace(b"%%", b"%%%%")',
+           "head = template[:a_start]",
+           "the prefix part's literal %% escaped once: the second % reads a report-level "
+           "CSV cell's '%' as a field",
+           tests=("tests/test_properties.py::test_run_writer_round_trips_any_text",)),
     # The CLI's mp reports from the runs, and their checks before any byte.
     Mutant("cli.py", "_check_fill(sum(map(sum, map(itemgetter(2), runs))), cfg.n, cfg.t)", "pass",
            "mp decompose writes runs whose multinomials do not fill t^n", tests=CLI_TESTS),

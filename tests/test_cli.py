@@ -343,11 +343,19 @@ def test_row_table_writer_at_chunk_boundaries(count):
 def test_every_builder_chunk_holds_rows_times_width_cells(cfg, key, count, width):
     """Each row a builder hands render holds one cell per % field of the
     column formats (a label's one per entry), literal columns (mp's dim,
-    eff_mult and p) taking none; the JSON writer cuts them into chunks of
-    max(1, CHUNK_CELLS // width) rows, one write each after the lead."""
+    eff_mult and p) taking none; mp decompose and capacity hand their weight
+    runs, (prefix, r) and one cell per row of the r+1 rows after the label,
+    sum (r+1) rows in all.
+    The JSON writer cuts the rows into chunks of max(1, CHUNK_CELLS // width)
+    rows, one write each after the lead."""
     table = cli._COMMANDS[cfg.command].build(cfg)[key]
     assert sum(len(re.findall("%[dr]", f)) for _, f in table.columns) == width
-    assert Counter(map(len, table.rows)) == {width: count}
+    if isinstance(table, cli.Runs):
+        assert sum(r + 1 for _, r, *_ in table.runs) == count
+        assert {len(prefix) + 2 + len(cells) for prefix, _, *cells in table.runs} == {width}
+        assert all(len(mults) == r + 1 for _, r, *cells in table.runs for mults in cells)
+    else:
+        assert Counter(map(len, table.rows)) == {width: count}
     objects = []  # the row objects of each write
     report = cli._COMMANDS[cfg.command].build(cfg)
     render(report, "json", lambda text: objects.append(text.count("    {\n")))
@@ -475,20 +483,21 @@ MP_CELL_GRID = [(n, 2) for n in (1, 2, 3, 8, 61, 128, 300)] + \
 
 @pytest.mark.parametrize("n,t", MP_CELL_GRID)
 def test_mp_cells_match_the_rows_and_factorial_multinomials(n, t):
-    """The cells of mp decompose, read from the weight runs, are the
-    flattened rows (*label, mult) of decompose(...).rows, the labels every
-    occupation vector by stars and bars (tests/reference.py) in descending
-    order, and each mult its multinomial by factorials; the cells of mp JSON
-    capacity are the same labels."""
+    """The cells of mp decompose, the weight runs it hands render expanded
+    row by row (rep_core._run_rows), are the flattened rows (*label, mult)
+    of decompose(...).rows, the labels every occupation vector by stars and
+    bars (tests/reference.py) in descending order, and each mult its
+    multinomial by factorials; the cells of mp JSON capacity, its runs
+    expanded, are the same labels."""
     rows = decompose("mp", n, t, 1).rows
-    cells = list(chain.from_iterable(
-        cli._build_decompose(RunConfig("decompose", "mp", n, t))["entries"].rows))
+    cells = list(chain.from_iterable(rep_core._run_rows(
+        cli._build_decompose(RunConfig("decompose", "mp", n, t))["entries"].runs)))
     assert cells == list(chain.from_iterable(row[:t] + row[-2:-1] for row in rows))
     labels = [tuple(cells[i:i + t]) for i in range(0, len(cells), t + 1)]
     assert labels == sorted(weight_vectors(n, t), reverse=True)
     assert cells[t::t + 1] == list(map(factorial_multinomial, labels))
-    p_cells = list(chain.from_iterable(
-        cli._build_capacity(RunConfig("capacity", "mp", n, t))["optimal_p"].rows))
+    p_cells = list(chain.from_iterable(rep_core._run_rows(
+        cli._build_capacity(RunConfig("capacity", "mp", n, t))["optimal_p"].runs)))
     assert p_cells == list(chain.from_iterable(labels))
 
 

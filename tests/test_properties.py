@@ -2,7 +2,8 @@
 
 Sizes stay small (n <= 30, t <= 5), except in the shape-walk tests, which
 reach t = 40, in the JSON layout test, whose reports need at least 1000 rows,
-and in the row-table writer test, whose exact integers reach 10^400.
+in the row-table writer test, whose exact integers reach 10^400, and in the
+run writer test, which reaches t = 6.
 Examples are derandomized, so every run checks the same cases, in a few
 seconds.
 """
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from metrocap import cli
 from metrocap.capacity import capacity_support, su_square_sum
-from metrocap.cli import Table, _label, main, render
+from metrocap.cli import RunConfig, Runs, Table, _label, main, render
 from metrocap.rep_core import UNBOUNDED, _shape_rows, _weight_rows, decompose
 from reference import (
     check_rows,
@@ -244,11 +245,16 @@ def _tables(draw):
     return {**head, key: Table(columns, rows)}, {**head, key: dicts}, draw(st.integers(1, 40))
 
 
-def _rendered(report: dict, fmt: str) -> str:
-    """What render writes, joined."""
+def _writes(report: dict, fmt: str) -> list:
+    """What render writes, write for write."""
     out = []
     render(report, fmt, out.append)
-    return "".join(out)
+    return out
+
+
+def _rendered(report: dict, fmt: str) -> str:
+    """What render writes, joined."""
+    return "".join(_writes(report, fmt))
 
 
 @SMALL
@@ -262,3 +268,53 @@ def test_row_table_writer_matches_stdlib(reports):
         json_out = _rendered(report, "json")
         assert json_out == json.dumps(dict_form, indent=2) + "\n"
         assert _rendered(report, "csv") == report_to_csv(json.loads(json_out))
+
+
+@SMALL
+@given(command=st.sampled_from(["decompose", "capacity"]), n=st.integers(1, 9),
+       t=st.integers(2, 6), l=st.sampled_from([UNBOUNDED, 1, 2, 7]),
+       base=st.sampled_from(["e", "2"]), fmt=st.sampled_from(["json", "csv"]),
+       budget=st.integers(1, 40))
+def test_run_writer_matches_the_row_writer(command, n, t, l, base, fmt, budget):
+    """mp decompose and JSON capacity hand render their weight runs.  Under a
+    cell budget of 1 to 40 cells, so that chunks cut inside runs and across
+    them, render writes them write for write as it writes a Table of the flat
+    rows of decompose(...).rows: (*label, mult) and the labels alone."""
+    fmt = "json" if command == "capacity" else fmt  # CSV capacity has no rows
+    report = cli._COMMANDS[command].build(RunConfig(command, "mp", n, t, l, base=base, format=fmt))
+    key, table = list(report.items())[-1]
+    assert isinstance(table, Runs)
+    rows = decompose("mp", n, t, l).rows
+    cells = [row[:t] + row[-2:-1] if command == "decompose" else row[:t] for row in rows]
+    with mock.patch.object(cli, "CHUNK_CELLS", budget):
+        assert _writes(report, fmt) == _writes({**report, key: Table(table.columns, cells)}, fmt)
+
+
+def test_run_writer_round_trips_any_text():
+    """A hand-made runs table against its flat rows, write for write, under
+    cell budgets that cut its runs: report-level CSV cells of '%', non-ASCII
+    text and a lone surrogate, which the run writer formats into each run's
+    prefix text and then through one more '%', and JSON column names with
+    '%' before and after the label's last two fields."""
+    runs = [((2,), 0, (1,)), ((1,), 1, (3, 3)), ((0,), 2, (3, 6, 3))]
+    rows = [(*prefix, a, r - a, m) for prefix, r, mults in runs
+            for a, m in zip(range(r, -1, -1), mults)]
+    head = {"schema": "1%", "command": "decompose", "model": "µ%d-\ud800", "n": "%%", "t": 3,
+            "l": "∞%s"}
+    csv_columns = (("label", _label(3)), ("dim", '"1"'), ("mult", '"%d"'), ("eff_mult", '"1"'))
+    json_columns = (("la%bel", _label(3)), ("dim%%", '"1"'), ("mult%d", '"%d"'), ("e%", '"1"'))
+    for budget in (1, 4, 5, 8, 100):
+        with mock.patch.object(cli, "CHUNK_CELLS", budget):
+            for fmt, columns in (("csv", csv_columns), ("json", json_columns)):
+                writes = _writes({**head, "entries": Runs(columns, runs)}, fmt)
+                assert writes == _writes({**head, "entries": Table(columns, rows)}, fmt)
+    assert "".join(writes[1:-1]).count("la%bel") == len(rows)
+    with mock.patch.object(cli, "CHUNK_CELLS", 5):
+        assert _writes({**head, "entries": Runs(csv_columns, runs)}, "csv") == [
+            "model,n,t,l,label,dim,mult,eff_mult\n",
+            "µ%d-\ud800,%%,3,∞%s,2|0|0,1,1,1\n",
+            "µ%d-\ud800,%%,3,∞%s,1|1|0,1,3,1\n",
+            "µ%d-\ud800,%%,3,∞%s,1|0|1,1,3,1\n",
+            "µ%d-\ud800,%%,3,∞%s,0|2|0,1,3,1\n",
+            "µ%d-\ud800,%%,3,∞%s,0|1|1,1,6,1\n",
+            "µ%d-\ud800,%%,3,∞%s,0|0|2,1,3,1\n"]
